@@ -66,12 +66,11 @@ type benchResult struct {
 	ObsPlaneCells   []experiments.ObsPlaneCell   `json:"obsplane_cells,omitempty"`
 	ResilienceCells []experiments.ResilienceCell `json:"resilience_cells,omitempty"`
 	RecoveryCells   []experiments.RecoveryCell   `json:"recovery_cells,omitempty"`
-	WireCells       []experiments.WireCell       `json:"wire_cells,omitempty"`
 }
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run: all|fig2|fig3|table2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|sharded|parallel|readpath|chaos|durability|telemetry|obsplane|resilience|recovery|wire")
+		experiment = flag.String("experiment", "all", "experiment to run: all|fig2|fig3|table2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|sharded|parallel|readpath|chaos|durability|telemetry|obsplane|resilience|recovery")
 		scale      = flag.Float64("scale", 0.1, "latency time scale: 1.0 = paper speed, 0.1 = 10x faster, 0 = no latency")
 		quick      = flag.Bool("quick", false, "shrink workloads ~10x")
 		seed       = flag.Int64("seed", 42, "random seed")
@@ -85,7 +84,6 @@ func main() {
 		chaosSpikeRate   = flag.Float64("chaos-spike-rate", 0, "chaos: latency-spike probability per storage op; 0 = default")
 		chaosKills       = flag.Int("chaos-kills", 0, "chaos: node kills scheduled per campaign; 0 = default")
 		chaosRequests    = flag.Int("chaos-requests", 0, "chaos: requests per campaign; 0 = default")
-		wireCodec        = flag.String("wire-codec", "", "wire: restrict the codec sweep to binary|gob; empty compares both")
 	)
 	// Allow "aft-bench chaos -seed 7"-style invocation: a leading bare
 	// word selects the experiment.
@@ -127,7 +125,6 @@ func main() {
 		ChaosErrorRate: *chaosErrRate, ChaosPartialRate: *chaosPartialRate,
 		ChaosSpikeRate: *chaosSpikeRate, ChaosKills: *chaosKills,
 		ChaosRequests: *chaosRequests,
-		WireCodec:     *wireCodec,
 	}
 
 	type exp struct {
@@ -164,7 +161,6 @@ func main() {
 		{"obsplane", one(experiments.ObsPlane)},
 		{"resilience", one(experiments.Resilience)},
 		{"recovery", one(experiments.Recovery)},
-		{"wire", one(experiments.Wire)},
 	}
 
 	selected := map[string]bool{}
@@ -256,13 +252,6 @@ func main() {
 			if err == nil {
 				var t experiments.Table
 				t, err = experiments.RecoveryTable(res.RecoveryCells)
-				res.Tables = []experiments.Table{t}
-			}
-		case "wire":
-			res.WireCells, err = experiments.WireCells(opts)
-			if err == nil {
-				var t experiments.Table
-				t, err = experiments.WireTable(res.WireCells)
 				res.Tables = []experiments.Table{t}
 			}
 		default:

@@ -79,7 +79,6 @@ func main() {
 		drain     = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight transactions to finish")
 		ckptEvery = flag.Duration("checkpoint-interval", 0, "WAL index checkpoint period for -store wal (0 disables; restarts then replay the full log)")
 		budget    = flag.Int64("metadata-budget", 0, "metadata memory budget in bytes (0 = unbounded); past it the node spills cold commit records to storage")
-		wireCodec = flag.String("wire-codec", "binary", "wire codec: binary (protocol v3, pipelined framing) | gob (pin the legacy lockstep codec; the server then advertises protocol v2)")
 		traceRing = flag.Int("trace-ring", 256, "retained-trace ring capacity in entries")
 		traceRB   = flag.Int64("trace-ring-bytes", 0, "retained-trace ring byte budget (0 = entry bound only); oldest traces are evicted first")
 		eventsCap = flag.Int("events-ring", 4096, "flight-recorder event journal capacity in entries")
@@ -89,11 +88,6 @@ func main() {
 		sloEvery  = flag.Duration("slo-eval-interval", 10*time.Second, "SLO engine sampling period")
 	)
 	flag.Parse()
-	switch *wireCodec {
-	case wire.CodecBinary, wire.CodecGob:
-	default:
-		log.Fatalf("aft-server: unknown wire codec %q", *wireCodec)
-	}
 
 	var mode aft.LatencyMode
 	switch *lat {
@@ -221,10 +215,9 @@ func main() {
 	}
 
 	// The wire server is built before the registry so its aft_wire_*
-	// families (frames, bytes, flushes, codec mix, pipeline depth) are
-	// exported next to everything else.
+	// families (frames, bytes, flushes, pipeline depth) are exported next
+	// to everything else.
 	srv := wire.NewServer(node)
-	srv.Codec = *wireCodec
 
 	// SLO objectives: commit latency (fraction of commits slower than the
 	// threshold burns the budget) and admission sheds over arrivals.
@@ -273,8 +266,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("aft-server: %v", err)
 	}
-	fmt.Printf("aft-server: node %s serving on %s (store=%s latency=%s wire-codec=%s)\n",
-		*nodeID, bound, *backend, *lat, *wireCodec)
+	fmt.Printf("aft-server: node %s serving on %s (store=%s latency=%s)\n",
+		*nodeID, bound, *backend, *lat)
 
 	if *debug != "" {
 		// Lock-contention and allocation profiles tie to the protocol

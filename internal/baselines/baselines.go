@@ -261,13 +261,23 @@ func (d *DynamoTxn) transactPut(ctx context.Context, items map[string][]byte) er
 // backoff waits before a conflict retry: exponential from 2ms, capped at
 // 50ms (modeled time), jitter-free for reproducibility. Without backoff,
 // contending clients livelock on DynamoDB's fail-fast conflict aborts.
+//
+// The wait must also be real: at small Sleeper scales the modeled sleep is
+// a no-op or a spin, and on >=2 cores a retry loop that never leaves the
+// CPU burns all MaxRetries against an intent lock whose holder is
+// descheduled. So every retry sleeps conflictRetryFloor first.
 func (d *DynamoTxn) backoff(attempt int) {
 	wait := time.Duration(2<<uint(min(attempt, 4))) * time.Millisecond
 	if wait > 50*time.Millisecond {
 		wait = 50 * time.Millisecond
 	}
+	time.Sleep(conflictRetryFloor)
 	d.cfg.Sleeper.Sleep(wait)
 }
+
+// conflictRetryFloor is the real time every conflict retry gives the lock
+// holder, whatever the modeled latency scale.
+const conflictRetryFloor = 50 * time.Microsecond
 
 // AFTConfig configures an AFT executor.
 type AFTConfig struct {

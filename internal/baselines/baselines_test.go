@@ -2,6 +2,8 @@ package baselines
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -128,6 +130,21 @@ func TestDynamoTxnRequiresTransactor(t *testing.T) {
 }
 
 func TestDynamoTxnNoRYWAnomalies(t *testing.T) {
+	// The default GOMAXPROCS plus 2 and 4: on more than one core the
+	// conflict-retry loop must give a descheduled intent-lock holder real
+	// time, or the writers exhaust their retries (the tier-1 failure this
+	// pins).
+	t.Run("default", testDynamoTxnNoRYWAnomalies)
+	for _, procs := range []int{2, 4} {
+		procs := procs
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			testDynamoTxnNoRYWAnomalies(t)
+		})
+	}
+}
+
+func testDynamoTxnNoRYWAnomalies(t *testing.T) {
 	// All writes go in one atomic transaction at the end, so a concurrent
 	// writer can never interleave between "my write" and "my read" —
 	// there are no reads after own writes that see foreign data the same

@@ -216,8 +216,9 @@ func (n *NetChaos) partition() (PartitionMode, chan struct{}) {
 }
 
 // ResetAfterWrites schedules one mid-frame connection reset at the first
-// conn write after delta more write frames: half the frame is written,
-// then the conn is cut — the client sees a response truncated mid-gob.
+// conn write after delta more write frames: half of that write is sent,
+// then the conn is cut — the client sees a wire frame (or a group-flushed
+// batch of them) truncated partway.
 func (n *NetChaos) ResetAfterWrites(delta int64) {
 	n.resetMu.Lock()
 	n.resets = append(n.resets, n.writeFrames.Load()+delta)

@@ -247,6 +247,9 @@ func TestNetChaosDelayDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// The handler rolls for its next frame on entering Read, before
+		// any bytes arrive: wait it out, or the count races that roll.
+		s.stop()
 		return s.h.NetFaultMetrics().Snapshot().Delays
 	}
 	a, b := run(42), run(42)

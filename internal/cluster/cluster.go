@@ -232,15 +232,21 @@ func (c *Cluster) addNode(ctx context.Context, warmup bool) (*core.Node, error) 
 	if err != nil {
 		return nil, err
 	}
+	// Register on the bus BEFORE bootstrapping: a commit that lands after
+	// the bootstrap's storage scan must still reach this node, and only a
+	// multicast round that already sees it as a peer delivers it (the
+	// fault manager taps that round, so no later scan re-announces the
+	// record). Rounds that snapshotted their peers earlier carry records
+	// that were durable before this point, which the bootstrap reads.
+	c.bus.Register(node)
 	if c.ring != nil {
-		// Register on the bus BEFORE joining the ring: the instant the
-		// ring routes a shard here, scoped multicast must be able to
-		// deliver (FlushPeer silently skips owners not on the bus).
-		// Then join the ring before bootstrapping so warm-up covers
-		// exactly the shards this node owns. The ownership closure
-		// reads live ring state, so later rebalances apply without
-		// re-wiring.
-		c.bus.Register(node)
+		// On the bus before joining the ring, too: the instant the ring
+		// routes a shard here, scoped multicast must be able to deliver
+		// (FlushPeer silently skips owners not on the bus). Then join the
+		// ring before bootstrapping so warm-up covers exactly the shards
+		// this node owns. The ownership closure reads live ring state, so
+		// later rebalances apply without re-wiring.
+		//
 		// The tight per-node cap means a join also spills shards BETWEEN
 		// survivors, not only to the joiner — warm those survivors from
 		// the fault manager just like a leave does. (The joiner itself
@@ -274,8 +280,8 @@ func (c *Cluster) addNode(ctx context.Context, warmup bool) (*core.Node, error) 
 	if err := bootstrap(ctx); err != nil {
 		if c.ring != nil {
 			c.reannounceForPlan(c.ring.RemoveNode(id))
-			c.bus.Unregister(id)
 		}
+		c.bus.Unregister(id)
 		return nil, fmt.Errorf("cluster: bootstrapping %s: %w", id, err)
 	}
 	// The join itself is a system trace on the new node's tracer, so a
@@ -300,8 +306,8 @@ func (c *Cluster) addNode(ctx context.Context, warmup bool) (*core.Node, error) 
 		c.mu.Unlock()
 		if c.ring != nil {
 			c.reannounceForPlan(c.ring.RemoveNode(id))
-			c.bus.Unregister(id)
 		}
+		c.bus.Unregister(id)
 		return nil, fmt.Errorf("cluster: stopped")
 	}
 	m.mc.Start()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -294,4 +295,57 @@ func TestStopIdempotent(t *testing.T) {
 	c, _ := newTestCluster(t)
 	c.Stop()
 	c.Stop()
+}
+
+// parkingPeer is a bus peer whose deliveries block until release closes,
+// standing in for a periodic multicast round caught between drain and
+// deliver.
+type parkingPeer struct {
+	entered chan struct{} // one token per parked delivery
+	release chan struct{}
+}
+
+func (p *parkingPeer) ID() string                              { return "parker" }
+func (p *parkingPeer) Drain() []*records.CommitRecord          { return nil }
+func (p *parkingPeer) IsSuperseded(*records.CommitRecord) bool { return false }
+func (p *parkingPeer) MergeRemoteCommits([]*records.CommitRecord) {
+	p.entered <- struct{}{}
+	<-p.release
+}
+
+// TestFlushMulticastWaitsOutInFlightRound: the ticker's round has drained
+// the node's records and is parked mid-delivery. FlushMulticast finds the
+// queue empty, but it must not return until that round has delivered — a
+// read right behind it would otherwise be one round stale.
+func TestFlushMulticastWaitsOutInFlightRound(t *testing.T) {
+	c, _ := newTestCluster(t, func(cfg *Config) { cfg.Nodes = 1 })
+	parker := &parkingPeer{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	c.Bus().Register(parker)
+	defer c.Bus().Unregister(parker.ID())
+	var release sync.Once // also on failure, or Stop hangs behind the parked round
+	defer release.Do(func() { close(parker.release) })
+
+	runTxn(t, c.Client(), map[string]string{"k": "v"})
+	select {
+	case <-parker.entered: // the periodic round is now parked mid-delivery
+	case <-time.After(2 * time.Second):
+		t.Fatal("periodic round never delivered")
+	}
+
+	flushed := make(chan struct{})
+	go func() {
+		c.FlushMulticast()
+		close(flushed)
+	}()
+	select {
+	case <-flushed:
+		t.Fatal("FlushMulticast returned while a drained round was still delivering")
+	case <-time.After(100 * time.Millisecond):
+	}
+	release.Do(func() { close(parker.release) })
+	select {
+	case <-flushed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("FlushMulticast never returned after the round landed")
+	}
 }

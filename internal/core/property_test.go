@@ -292,14 +292,18 @@ func TestPropertyGCNeverBreaksInvariant(t *testing.T) {
 			for _, k := range ws {
 				n.Put(ctx, txid, k, []byte(k+"="+txid))
 			}
+			// The log entry must exist before any reader checks against
+			// the log: a commit is readable the instant it returns.
+			logMu.Lock()
 			id, err := n.CommitTransaction(ctx, txid)
+			if err == nil {
+				writeSets[id] = ws
+			}
+			logMu.Unlock()
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			logMu.Lock()
-			writeSets[id] = ws
-			logMu.Unlock()
 		}
 	}()
 

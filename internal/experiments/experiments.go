@@ -70,11 +70,6 @@ type Options struct {
 	// ChaosRequests overrides the chaos campaign length; 0 selects the
 	// default (Quick-aware).
 	ChaosRequests int
-
-	// WireCodec restricts the wire experiment's codec sweep to one codec
-	// ("binary" | "gob") — the aft-bench -wire-codec flag. Empty sweeps
-	// both, which is what the committed BENCH_wire.json compares.
-	WireCodec string
 }
 
 // withDefaults normalizes options.

@@ -65,8 +65,8 @@ type Backend interface {
 type Placer func(key string) (backendID string, ok bool)
 
 // InFlightReporter is implemented by backends that can report how many
-// of their ops are currently on the wire (wire.Client does, for both
-// its lockstep pool and its pipelined conns). When both round-robin
+// of their ops are currently on the wire (wire.Client does, summed over
+// its pipelined conns). When both round-robin
 // candidates report, pick routes by power-of-two-choices so a backend
 // with a deep pipeline stops receiving new transactions before it
 // becomes the bottleneck; ties and non-reporting backends preserve

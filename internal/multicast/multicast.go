@@ -207,6 +207,11 @@ type Multicaster struct {
 	mu      sync.Mutex
 	stop    chan struct{}
 	stopped sync.WaitGroup
+	// roundMu serialises this peer's drain→deliver rounds. Without it a
+	// Flush that finds the queue already drained by the ticker's round
+	// returns while that round is still delivering, so Flush would not be
+	// the barrier its callers read behind.
+	roundMu sync.Mutex
 	// tracer, when set, records each round as a system trace (telemetry.go).
 	tracer *telemetry.Tracer
 }
@@ -249,7 +254,16 @@ func (m *Multicaster) Start() {
 }
 
 // Flush runs one broadcast round immediately (tests and shutdown paths).
+// When it returns, every record the peer committed before the call has
+// been delivered — by this round or by the periodic one it waited out.
 func (m *Multicaster) Flush() int { return m.flushTraced() }
+
+// round runs one drain→deliver round, exclusive of the peer's other rounds.
+func (m *Multicaster) round() int {
+	m.roundMu.Lock()
+	defer m.roundMu.Unlock()
+	return m.bus.FlushPeer(m.peer, m.prune)
+}
 
 // Stop halts the loop, runs a final flush, and unregisters the peer.
 func (m *Multicaster) Stop() {
@@ -262,7 +276,7 @@ func (m *Multicaster) Stop() {
 	m.stop = nil
 	m.mu.Unlock()
 	m.stopped.Wait()
-	m.bus.FlushPeer(m.peer, m.prune)
+	m.round()
 	m.bus.Unregister(m.peer.ID())
 }
 

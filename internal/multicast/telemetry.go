@@ -45,11 +45,11 @@ func (m *Multicaster) flushTraced() int {
 	tr := m.tracer
 	m.mu.Unlock()
 	if tr == nil {
-		return m.bus.FlushPeer(m.peer, m.prune)
+		return m.round()
 	}
 	t := tr.BeginSystem("multicast.round")
 	start := time.Now()
-	n := m.bus.FlushPeer(m.peer, m.prune)
+	n := m.round()
 	t.AddSpan("multicast.deliver", start, time.Since(start),
 		map[string]string{"sent": strconv.Itoa(n)})
 	t.Finish("ok")

@@ -1,8 +1,7 @@
 package wire
 
-// binary.go is the protocol-v3 framed codec. After the OpUpgradeCodec
-// exchange (client.go, server.go) a connection stops speaking gob and
-// every subsequent byte in both directions is one of these frames:
+// binary.go is the frame codec. After the client's 4-byte preface
+// (wire.go) every byte in both directions is one of these frames:
 //
 //	| u32 length | u8 op/code | u8 flags | u64 request ID | payload | [u32 CRC-32C] |
 //
@@ -10,18 +9,18 @@ package wire
 // payload, and trailer). The second byte is the request Op
 // client->server and the response ErrCode server->client. flags bit0
 // set means the frame ends with a CRC-32C (Castagnoli) of everything
-// between the length field and the trailer. The request ID is assigned
-// by the client and echoed verbatim by the server, which is what lets a
-// single connection pipeline many in-flight ops and complete them out
-// of order.
+// between the length field and the trailer; it is per frame, and the
+// server's reply carries one exactly when the request did. The request
+// ID is assigned by the client and echoed verbatim by the server, which
+// is what lets a single connection pipeline many in-flight ops and
+// complete them out of order.
 //
 // Payload fields are varint-length-prefixed in fixed order. Requests:
 // txid, key, value, keys (uvarint count, then each key), trace ID,
 // trace-sampled byte, deadline millis (uvarint), sender version byte.
 // Responses: txid, value, commit timestamp (uvarint), message, values
 // (uvarint count, then each value), server version byte. Zero-length
-// byte fields decode as nil — the same nil/empty collapse gob performs,
-// so the two codecs are observationally identical to callers.
+// byte fields decode as nil: callers cannot tell empty from absent.
 //
 // Decoding is allocation-disciplined: frames are read into a per-conn
 // scratch buffer sized by its high-water mark, request strings are
@@ -36,7 +35,9 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"sync"
+	"time"
 )
 
 const (
@@ -47,6 +48,9 @@ const (
 	// maxFrameLen bounds a frame so a corrupt or hostile length prefix
 	// cannot make the reader allocate unbounded memory.
 	maxFrameLen = 64 << 20
+	// maxDeadlineMillis is the largest DeadlineMillis whose conversion to
+	// a time.Duration does not overflow; decode clamps hostile values.
+	maxDeadlineMillis = math.MaxInt64 / uint64(time.Millisecond)
 )
 
 var (
@@ -131,27 +135,32 @@ func appendResponseFrame(dst []byte, id uint64, resp *Response, crc bool) []byte
 	return dst
 }
 
+// rawFrame is one frame off the socket: its header fields and the
+// still-encoded payload.
+type rawFrame struct {
+	code    byte // request Op or response ErrCode
+	crc     bool // the frame carried (and passed) a CRC-32C trailer
+	id      uint64
+	payload []byte
+}
+
 // readFrame reads one frame from br into *buf (grown to the conn's
-// high-water mark and reused across calls), returning the op/code byte,
-// the request ID, and the CRC-verified payload. The payload aliases
-// *buf: it is valid only until the next readFrame call. A clean EOF at
-// a frame boundary comes back as io.EOF; anything mid-frame (the chaos
-// layer's mid-frame resets land here) is io.ErrUnexpectedEOF or a
+// high-water mark and reused across calls). The CRC-verified payload
+// aliases *buf: it is valid only until the next readFrame call. A clean
+// EOF at a frame boundary comes back as io.EOF; anything mid-frame (the
+// chaos layer's mid-frame resets land here) is io.ErrUnexpectedEOF or a
 // transport error.
-func readFrame(br *bufio.Reader, buf *[]byte) (code byte, id uint64, payload []byte, err error) {
+func readFrame(br *bufio.Reader, buf *[]byte) (rawFrame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.ErrUnexpectedEOF // partial length prefix: mid-frame cut
-		}
-		return 0, 0, nil, err
+		return rawFrame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n < frameHeaderLen {
-		return 0, 0, nil, errFrameTruncated
+		return rawFrame{}, errFrameTruncated
 	}
 	if n > maxFrameLen {
-		return 0, 0, nil, errFrameTooLarge
+		return rawFrame{}, errFrameTooLarge
 	}
 	if cap(*buf) < int(n) {
 		*buf = make([]byte, n)
@@ -161,23 +170,25 @@ func readFrame(br *bufio.Reader, buf *[]byte) (code byte, id uint64, payload []b
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF // EOF between length and body is mid-frame
 		}
-		return 0, 0, nil, err
+		return rawFrame{}, err
 	}
-	code = b[0]
-	flags := b[1]
-	id = binary.BigEndian.Uint64(b[2:frameHeaderLen])
-	payload = b[frameHeaderLen:]
-	if flags&flagCRC != 0 {
-		if len(payload) < 4 {
-			return 0, 0, nil, errFrameTruncated
+	f := rawFrame{
+		code:    b[0],
+		crc:     b[1]&flagCRC != 0,
+		id:      binary.BigEndian.Uint64(b[2:frameHeaderLen]),
+		payload: b[frameHeaderLen:],
+	}
+	if f.crc {
+		if len(f.payload) < 4 {
+			return rawFrame{}, errFrameTruncated
 		}
 		body, want := b[:n-4], binary.BigEndian.Uint32(b[n-4:])
 		if crc32.Checksum(body, crcTable) != want {
-			return 0, 0, nil, errFrameCorrupt
+			return rawFrame{}, errFrameCorrupt
 		}
-		payload = payload[:len(payload)-4]
+		f.payload = f.payload[:len(f.payload)-4]
 	}
-	return code, id, payload, nil
+	return f, nil
 }
 
 func readUvarint(b []byte) (uint64, []byte, error) {
@@ -315,7 +326,7 @@ func decodeRequestFrame(op byte, b []byte, req *Request, it *internTable) error 
 	if dm, b, err = readUvarint(b); err != nil {
 		return err
 	}
-	req.DeadlineMillis = int64(dm)
+	req.DeadlineMillis = int64(min(dm, maxDeadlineMillis))
 	if len(b) < 1 {
 		return errFrameTruncated
 	}

@@ -16,16 +16,16 @@ func roundTripRequest(t *testing.T, req *Request, crc bool) *Request {
 	frame := appendRequestFrame(nil, 42, req, crc)
 	br := bufio.NewReader(bytes.NewReader(frame))
 	var buf []byte
-	op, id, payload, err := readFrame(br, &buf)
+	f, err := readFrame(br, &buf)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
-	if id != 42 {
-		t.Fatalf("request ID = %d, want 42", id)
+	if f.id != 42 || f.crc != crc {
+		t.Fatalf("request ID = %d crc = %v, want 42 %v", f.id, f.crc, crc)
 	}
 	var got Request
 	var it internTable
-	if err := decodeRequestFrame(op, payload, &got, &it); err != nil {
+	if err := decodeRequestFrame(f.code, f.payload, &got, &it); err != nil {
 		t.Fatalf("decodeRequestFrame: %v", err)
 	}
 	return &got
@@ -36,15 +36,15 @@ func roundTripResponse(t *testing.T, resp *Response, crc bool) *Response {
 	frame := appendResponseFrame(nil, 7, resp, crc)
 	br := bufio.NewReader(bytes.NewReader(frame))
 	var buf []byte
-	code, id, payload, err := readFrame(br, &buf)
+	f, err := readFrame(br, &buf)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
-	if id != 7 {
-		t.Fatalf("request ID = %d, want 7", id)
+	if f.id != 7 || f.crc != crc {
+		t.Fatalf("request ID = %d crc = %v, want 7 %v", f.id, f.crc, crc)
 	}
 	var got Response
-	if err := decodeResponseFrame(code, payload, &got); err != nil {
+	if err := decodeResponseFrame(f.code, f.payload, &got); err != nil {
 		t.Fatalf("decodeResponseFrame: %v", err)
 	}
 	return &got
@@ -72,8 +72,8 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRequestFrameZeroValues: empty/nil fields survive the trip as the
-// nil forms gob produced, so callers see no codec-dependent difference.
+// TestRequestFrameZeroValues: empty and nil fields both survive the trip
+// as nil.
 func TestRequestFrameZeroValues(t *testing.T) {
 	req := &Request{Op: OpStart}
 	got := roundTripRequest(t, req, true)
@@ -98,8 +98,8 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 			Version:  ProtocolVersion,
 		}
 		got := roundTripResponse(t, resp, crc)
-		// A nil element inside Values is legitimately collapsed (gob did
-		// the same); normalize before comparing.
+		// A nil element inside Values is legitimately collapsed;
+		// normalize before comparing.
 		want := *resp
 		if !reflect.DeepEqual(got.Values[1], want.Values[1]) && len(got.Values[1]) == 0 {
 			want.Values = [][]byte{[]byte("a"), nil, []byte("ccc")}
@@ -120,7 +120,7 @@ func TestFrameCorruptionDetected(t *testing.T) {
 		mut[i] ^= 0x40
 		br := bufio.NewReader(bytes.NewReader(mut))
 		var buf []byte
-		_, _, _, err := readFrame(br, &buf)
+		_, err := readFrame(br, &buf)
 		if err == nil {
 			t.Fatalf("bit flip at offset %d decoded cleanly", i)
 		}
@@ -136,7 +136,7 @@ func TestFrameTruncationDetected(t *testing.T) {
 	for cut := 1; cut < len(frame); cut++ {
 		br := bufio.NewReader(bytes.NewReader(frame[:cut]))
 		var buf []byte
-		_, _, _, err := readFrame(br, &buf)
+		_, err := readFrame(br, &buf)
 		if err == nil {
 			t.Fatalf("truncation at %d/%d decoded cleanly", cut, len(frame))
 		}
@@ -147,7 +147,7 @@ func TestFrameTruncationDetected(t *testing.T) {
 	// A cut at offset 0 IS a clean boundary.
 	br := bufio.NewReader(bytes.NewReader(nil))
 	var buf []byte
-	if _, _, _, err := readFrame(br, &buf); err != io.EOF {
+	if _, err := readFrame(br, &buf); err != io.EOF {
 		t.Fatalf("empty stream = %v, want io.EOF", err)
 	}
 }
@@ -158,12 +158,12 @@ func TestFrameLengthBounds(t *testing.T) {
 	small := binary.BigEndian.AppendUint32(nil, frameHeaderLen-1)
 	br := bufio.NewReader(bytes.NewReader(small))
 	var buf []byte
-	if _, _, _, err := readFrame(br, &buf); !errors.Is(err, errFrameTruncated) {
+	if _, err := readFrame(br, &buf); !errors.Is(err, errFrameTruncated) {
 		t.Fatalf("undersized frame = %v, want errFrameTruncated", err)
 	}
 	huge := binary.BigEndian.AppendUint32(nil, maxFrameLen+1)
 	br = bufio.NewReader(bytes.NewReader(huge))
-	if _, _, _, err := readFrame(br, &buf); !errors.Is(err, errFrameTooLarge) {
+	if _, err := readFrame(br, &buf); !errors.Is(err, errFrameTooLarge) {
 		t.Fatalf("oversized frame = %v, want errFrameTooLarge", err)
 	}
 }
@@ -187,18 +187,18 @@ func TestMultipleFramesOneBuffer(t *testing.T) {
 	var it internTable
 	var got []*Request
 	for i := 0; ; i++ {
-		op, id, payload, err := readFrame(br, &buf)
+		f, err := readFrame(br, &buf)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id != uint64(i) {
-			t.Fatalf("frame %d has ID %d", i, id)
+		if f.id != uint64(i) {
+			t.Fatalf("frame %d has ID %d", i, f.id)
 		}
 		req := new(Request)
-		if err := decodeRequestFrame(op, payload, req, &it); err != nil {
+		if err := decodeRequestFrame(f.code, f.payload, req, &it); err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, req)

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -18,12 +17,11 @@ import (
 
 // DialConfig tunes a Client beyond the defaults Dial applies.
 type DialConfig struct {
-	// MaxConns bounds the connection pool (0 defaults to 16). Gob conns
-	// are lockstep, so MaxConns bounds concurrency; binary conns are
-	// pipelined, so a handful of conns carry many concurrent ops and new
-	// conns are dialed only while every existing one is busy.
+	// MaxConns bounds the connection pool (0 defaults to 16). Conns are
+	// pipelined, so a handful carry many concurrent ops and new conns are
+	// dialed only while every existing one is busy.
 	MaxConns int
-	// OpTimeout is the per-op conn deadline applied when the caller's ctx
+	// OpTimeout is the per-op deadline applied when the caller's ctx
 	// carries none (and the floor when it does: the effective deadline is
 	// the earlier of the two). 0 defaults to 30s; negative disables the
 	// floor so only the ctx deadline bounds the op.
@@ -31,71 +29,35 @@ type DialConfig struct {
 	// DialTimeout bounds each TCP connect (0 defaults to 10s; negative
 	// disables).
 	DialTimeout time.Duration
-	// Codec selects the wire codec: "" or CodecBinary negotiates the
-	// pipelined binary framing when the server speaks protocol v3,
-	// falling back to gob otherwise; CodecGob forces the legacy lockstep
-	// gob codec.
-	Codec string
-	// FrameCRC requests a CRC-32C trailer on every binary frame in both
-	// directions (negotiated at upgrade; ignored on gob conns).
+	// FrameCRC puts a CRC-32C trailer on every request frame; the server
+	// answers a CRC'd request with a CRC'd reply.
 	FrameCRC bool
-	// MaxVersion caps the protocol version this client advertises
-	// (0 = ProtocolVersion). A compatibility-testing hook: a v2-capped
-	// client behaves exactly like a v2 build.
-	MaxVersion uint8
 }
 
 // Client is a connection pool speaking the AFT wire protocol to one node.
 // It implements lb.Backend, so remote nodes compose with the load balancer
-// exactly like in-process ones.
-//
-// After the Dial handshake the client speaks one of two codecs for its
-// lifetime. CodecBinary (protocol v3 peers): a few pipelined framed
-// connections carry many concurrent ops each, demuxed by request ID.
-// CodecGob (older peers, or forced): the legacy lockstep pool, one op
-// per conn at a time.
+// exactly like in-process ones. A few pipelined connections carry many
+// concurrent ops each, demuxed by request ID.
 //
 // Every op is deadline-bounded: the earlier of the caller's ctx deadline
 // and the configured OpTimeout bounds the op, so a partitioned or hung
 // server yields a retriable ErrDeadlineExceeded instead of an indefinite
-// hang, and (protocol v2+) the remaining budget rides the wire so the
-// server abandons work the client gave up on.
+// hang, and the remaining budget rides the wire so the server abandons
+// work the client gave up on.
 type Client struct {
-	addr string
-	id   string
-	// version is the negotiated protocol version: min(ours, server's).
-	// Immutable after Dial. Servers below v1 never see trace-context
-	// fields, servers below v2 never see deadline fields, servers below
-	// v3 never see binary frames; everything else is unchanged.
-	version uint8
-	// ownVer is the version this client advertises (MaxVersion-capped).
-	ownVer uint8
-	// codec is CodecBinary or CodecGob, decided at Dial. Immutable after.
-	codec       string
+	addr        string
+	id          string
 	crc         bool
 	opTimeout   time.Duration
 	dialTimeout time.Duration
 
 	metrics Metrics
 
-	mu       sync.Mutex
-	idle     []*clientConn
-	inflight map[*clientConn]struct{}
-	pconns   []*pipeConn
-	dialing  int
-	max      int
-	dead     bool
-}
-
-type clientConn struct {
-	conn net.Conn
-	// br is the conn's read buffer. It implements io.ByteReader, so the
-	// gob decoder reads through it without wrapping it in another bufio —
-	// which is what lets a codec upgrade hand any read-ahead residue to
-	// the binary frame reader instead of losing it inside gob.
-	br  *bufio.Reader
-	enc *gob.Encoder
-	dec *gob.Decoder
+	mu      sync.Mutex
+	pconns  []*pipeConn
+	dialing int
+	max     int
+	dead    bool
 }
 
 // Dial connects to an AFT server at addr with default timeouts. maxConns
@@ -105,7 +67,7 @@ func Dial(addr string, maxConns int) (*Client, error) {
 	return DialWith(addr, DialConfig{MaxConns: maxConns})
 }
 
-// DialWith is Dial with explicit pool, timeout, and codec configuration.
+// DialWith is Dial with explicit pool and timeout configuration.
 func DialWith(addr string, cfg DialConfig) (*Client, error) {
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 16
@@ -116,62 +78,21 @@ func DialWith(addr string, cfg DialConfig) (*Client, error) {
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = 10 * time.Second
 	}
-	ownVer := ProtocolVersion
-	if cfg.MaxVersion != 0 && cfg.MaxVersion < ownVer {
-		ownVer = cfg.MaxVersion
-	}
 	c := &Client{
 		addr:        addr,
 		max:         cfg.MaxConns,
 		opTimeout:   cfg.OpTimeout,
 		dialTimeout: cfg.DialTimeout,
-		ownVer:      ownVer,
 		crc:         cfg.FrameCRC,
-		inflight:    make(map[*clientConn]struct{}),
 	}
-	cc, err := c.newConn()
+	pc, id, err := c.dialPipe()
 	if err != nil {
 		return nil, err
 	}
-	dl, _ := c.opDeadline(context.Background())
-	var resp Response
-	if err := c.roundTrip(cc, &Request{Op: OpPing, Version: ownVer}, dl, &resp); err != nil {
-		cc.conn.Close()
-		return nil, c.opErr(err)
-	}
-	c.id = string(resp.Value)
-	c.version = resp.Version
-	if c.version > ownVer {
-		c.version = ownVer
-	}
-	c.codec = CodecGob
-	if cfg.Codec != CodecGob && c.version >= 3 {
-		rejected, uerr := c.upgradeGob(cc)
-		switch {
-		case uerr != nil:
-			cc.conn.Close()
-			return nil, c.opErr(uerr)
-		case rejected:
-			// The server advertised v3 but refused the upgrade (a proxy
-			// or misconfigured peer): pin the whole client to gob so we
-			// never pay the round trip again.
-			c.metrics.CodecFallbacks.Add(1)
-			c.put(cc)
-		default:
-			c.codec = CodecBinary
-			c.pconns = append(c.pconns, newPipeConn(c, cc.conn, cc.br, c.crc))
-		}
-	} else {
-		c.put(cc)
-	}
+	c.id = id
+	c.pconns = append(c.pconns, pc)
 	return c, nil
 }
-
-// Version returns the negotiated protocol version (0 = legacy server).
-func (c *Client) Version() uint8 { return c.version }
-
-// Codec returns the negotiated codec (CodecBinary or CodecGob).
-func (c *Client) Codec() string { return c.codec }
 
 // Metrics returns the client's wire counters.
 func (c *Client) Metrics() *Metrics { return &c.metrics }
@@ -181,75 +102,73 @@ func (c *Client) Metrics() *Metrics { return &c.metrics }
 func (c *Client) InFlight() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := int64(len(c.inflight))
+	var n int64
 	for _, pc := range c.pconns {
 		n += pc.depth.Load()
 	}
 	return n
 }
 
-func (c *Client) newConn() (*clientConn, error) {
+// dialPipe opens one pipelined conn: TCP connect, then the handshake —
+// the preface and an OpPing hello in one write, and the server's reply,
+// which names the node. Transport failures (including a mid-pool redial
+// after the server dropped our conns) are transient conditions the
+// §3.3.1 redo discipline handles, so they classify as retriable; a
+// server of another protocol version is the terminal
+// ErrUnsupportedVersion.
+func (c *Client) dialPipe() (*pipeConn, string, error) {
 	d := net.Dialer{}
 	if c.dialTimeout > 0 {
 		d.Timeout = c.dialTimeout
 	}
 	conn, err := d.Dial("tcp", c.addr)
 	if err != nil {
-		// A failed (re)connect — including a mid-pool redial after the
-		// server dropped our conns — is a transient condition the §3.3.1
-		// redo discipline handles, so it classifies as retriable.
-		return nil, fmt.Errorf("wire: dialing %s: %v: %w", c.addr, err, storage.ErrUnavailable)
+		return nil, "", fmt.Errorf("wire: dialing %s: %v: %w", c.addr, err, storage.ErrUnavailable)
 	}
 	br := bufio.NewReaderSize(conn, 4<<10)
-	return &clientConn{conn: conn, br: br, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(br)}, nil
+	nodeID, err := c.handshake(conn, br)
+	if err != nil {
+		conn.Close()
+		if errors.Is(err, ErrUnsupportedVersion) {
+			return nil, "", err
+		}
+		return nil, "", c.opErr(err)
+	}
+	return newPipeConn(c, conn, br), nodeID, nil
 }
 
-// upgradeGob performs the OpUpgradeCodec exchange on a gob conn.
-// rejected=true means the server answered but refused (an older build,
-// or one forced to gob); the conn is still a healthy gob conn. On
-// success the conn's next byte in either direction is a binary frame.
-func (c *Client) upgradeGob(cc *clientConn) (rejected bool, err error) {
+// handshake runs the one round trip that opens a conn, bounded by the op
+// deadline. It precedes the conn's reader and writer goroutines, so it
+// talks to the socket directly (and is not in the frame counters).
+func (c *Client) handshake(conn net.Conn, br *bufio.Reader) (nodeID string, err error) {
 	dl, _ := c.opDeadline(context.Background())
-	var feat byte
-	if c.crc {
-		feat |= featureCRC
+	if err := conn.SetDeadline(dl); err != nil {
+		return "", err
 	}
-	req := &Request{Op: OpUpgradeCodec, Version: c.ownVer, Value: []byte{feat}}
+	hello := appendRequestFrame(append([]byte(nil), preface[:]...), 0,
+		&Request{Op: OpPing, Version: ProtocolVersion}, c.crc)
+	if _, err := conn.Write(hello); err != nil {
+		return "", err
+	}
+	var buf []byte
+	f, err := readFrame(br, &buf)
+	if err != nil {
+		return "", err
+	}
 	var resp Response
-	if err := c.roundTrip(cc, req, dl, &resp); err != nil {
-		return false, err
+	if err := decodeResponseFrame(f.code, f.payload, &resp); err != nil {
+		return "", err
 	}
-	if resp.Code != ErrNone {
-		return true, nil
+	if err := DecodeErr(resp.Code, resp.Message); err != nil {
+		return "", fmt.Errorf("wire: %s (protocol v%d) refused the handshake of this v%d client: %w",
+			c.addr, resp.Version, ProtocolVersion, err)
 	}
 	// The pipelined reader blocks indefinitely between responses; per-op
 	// timers bound the ops, so the handshake deadline must not linger.
-	if err := cc.conn.SetDeadline(time.Time{}); err != nil {
-		return false, err
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		return "", err
 	}
-	return false, nil
-}
-
-// dialPipe dials and upgrades one replacement binary conn.
-func (c *Client) dialPipe() (*pipeConn, error) {
-	cc, err := c.newConn()
-	if err != nil {
-		return nil, err
-	}
-	rejected, err := c.upgradeGob(cc)
-	if err != nil {
-		cc.conn.Close()
-		return nil, c.opErr(err)
-	}
-	if rejected {
-		// The server refused an upgrade it granted at Dial time — it was
-		// probably replaced under us. Retriable; the redo path will
-		// re-Dial and renegotiate.
-		cc.conn.Close()
-		c.metrics.CodecFallbacks.Add(1)
-		return nil, fmt.Errorf("wire: %s refused codec upgrade: %w", c.addr, storage.ErrUnavailable)
-	}
-	return newPipeConn(c, cc.conn, cc.br, c.crc), nil
+	return string(resp.Value), nil
 }
 
 // pickPipe returns the pipelined conn with the fewest in-flight ops,
@@ -285,7 +204,7 @@ func (c *Client) pickPipe() (*pipeConn, error) {
 	}
 	c.dialing++
 	c.mu.Unlock()
-	pc, err := c.dialPipe()
+	pc, _, err := c.dialPipe()
 	c.mu.Lock()
 	c.dialing--
 	if err != nil {
@@ -310,58 +229,6 @@ func (c *Client) pickPipe() (*pipeConn, error) {
 	return pc, nil
 }
 
-// get borrows a pooled gob connection, dialing when the pool is empty,
-// and registers it in-flight so Close can interrupt a blocked op.
-func (c *Client) get() (*clientConn, error) {
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("wire: %w", ErrClosed)
-	}
-	if n := len(c.idle); n > 0 {
-		cc := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.inflight[cc] = struct{}{}
-		c.mu.Unlock()
-		return cc, nil
-	}
-	c.mu.Unlock()
-	cc, err := c.newConn()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		cc.conn.Close()
-		return nil, fmt.Errorf("wire: %w", ErrClosed)
-	}
-	c.inflight[cc] = struct{}{}
-	c.mu.Unlock()
-	return cc, nil
-}
-
-// put returns a healthy gob connection to the pool.
-func (c *Client) put(cc *clientConn) {
-	c.mu.Lock()
-	delete(c.inflight, cc)
-	if !c.dead && len(c.idle) < c.max {
-		c.idle = append(c.idle, cc)
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	cc.conn.Close()
-}
-
-// discard drops a connection that errored; it is never reused.
-func (c *Client) discard(cc *clientConn) {
-	c.mu.Lock()
-	delete(c.inflight, cc)
-	c.mu.Unlock()
-	cc.conn.Close()
-}
-
 // opDeadline resolves the effective deadline for one op: the earlier of
 // the ctx deadline and now+OpTimeout. A zero return means unbounded.
 func (c *Client) opDeadline(ctx context.Context) (time.Time, bool) {
@@ -372,21 +239,6 @@ func (c *Client) opDeadline(ctx context.Context) (time.Time, bool) {
 		}
 	}
 	return dl, ok
-}
-
-// roundTrip runs one gob request/response exchange under dl (zero
-// clears any deadline left by the conn's previous op).
-func (c *Client) roundTrip(cc *clientConn, req *Request, dl time.Time, resp *Response) error {
-	if err := cc.conn.SetDeadline(dl); err != nil {
-		return fmt.Errorf("wire: set deadline: %w", err)
-	}
-	if err := cc.enc.Encode(req); err != nil {
-		return fmt.Errorf("wire: send: %w", err)
-	}
-	if err := cc.dec.Decode(resp); err != nil {
-		return fmt.Errorf("wire: recv: %w", err)
-	}
-	return nil
 }
 
 // opErr classifies a transport-level failure. Timeouts classify FIRST:
@@ -423,47 +275,10 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// call runs one request through the negotiated codec, filling resp.
+// call runs one pipelined op, filling resp: register a request ID, write
+// the frame (group-flushed with concurrent ops), and wait for the reader
+// to demux the response — or for the op's own timer, whichever first.
 func (c *Client) call(ctx context.Context, req *Request, resp *Response) error {
-	if c.codec == CodecBinary {
-		return c.callBinary(ctx, req, resp)
-	}
-	return c.callGob(ctx, req, resp)
-}
-
-// callGob runs one lockstep exchange on a pooled gob connection;
-// connections that error are discarded rather than reused.
-func (c *Client) callGob(ctx context.Context, req *Request, resp *Response) error {
-	dl, ok := c.opDeadline(ctx)
-	if ok {
-		rem := time.Until(dl)
-		if rem <= 0 {
-			return fmt.Errorf("wire: %s: %w", c.addr, ErrDeadlineExceeded)
-		}
-		if c.version >= 2 {
-			ms := rem.Milliseconds()
-			if ms < 1 {
-				ms = 1
-			}
-			req.DeadlineMillis = ms
-		}
-	}
-	cc, err := c.get()
-	if err != nil {
-		return err
-	}
-	if err := c.roundTrip(cc, req, dl, resp); err != nil {
-		c.discard(cc)
-		return c.opErr(err)
-	}
-	c.put(cc)
-	return nil
-}
-
-// callBinary runs one pipelined op: register a request ID, write the
-// frame (group-flushed with concurrent ops), and wait for the reader to
-// demux the response — or for the op's own timer, whichever first.
-func (c *Client) callBinary(ctx context.Context, req *Request, resp *Response) error {
 	dl, ok := c.opDeadline(ctx)
 	if ok {
 		rem := time.Until(dl)
@@ -487,7 +302,7 @@ func (c *Client) callBinary(ctx context.Context, req *Request, resp *Response) e
 		return c.opErr(err)
 	}
 	defer pc.depth.Add(-1)
-	if werr := pc.w.writeRequest(id, req, pc.crc); werr != nil {
+	if werr := pc.w.writeRequest(id, req, c.crc); werr != nil {
 		// The writer is already poisoned (an earlier batch failed) or
 		// closed; close the conn so the reader and all waiters fail now
 		// rather than at their deadlines. closeWith (or the reader's own
@@ -504,8 +319,7 @@ func (c *Client) callBinary(ctx context.Context, req *Request, resp *Response) e
 		case <-op.done:
 		case <-t.C:
 			if pc.take(id) != nil {
-				// The timer won: abandon the op and kill the conn, just
-				// as the lockstep path discards a timed-out conn.
+				// The timer won: abandon the op and kill the conn.
 				// Siblings fail retriably, and the next op redials —
 				// which is what lets chaos partitions heal on schedule.
 				op.err = os.ErrDeadlineExceeded
@@ -543,14 +357,10 @@ func (c *Client) Ping(ctx context.Context) error {
 
 // StartTransaction implements lb.Backend over the wire. A trace context
 // in ctx (telemetry.WithTraceContext, or aft.Traced at the API surface)
-// rides along when the handshake negotiated a trace-aware server.
+// rides along.
 func (c *Client) StartTransaction(ctx context.Context) (string, error) {
-	req := &Request{Op: OpStart}
-	if c.version >= 1 {
-		if tc := telemetry.TraceContextFrom(ctx); tc.ID != "" || tc.Sampled {
-			req.TraceID, req.TraceSampled = tc.ID, tc.Sampled
-		}
-	}
+	tc := telemetry.TraceContextFrom(ctx)
+	req := &Request{Op: OpStart, TraceID: tc.ID, TraceSampled: tc.Sampled}
 	var resp Response
 	if err := c.call(ctx, req, &resp); err != nil {
 		return "", err
@@ -604,8 +414,8 @@ func (c *Client) CommitTransaction(ctx context.Context, txid string) (idgen.ID, 
 	}
 	id := idFromResponse(&resp)
 	if id.UUID == "" {
-		// The binary server does not echo the txid on non-Start replies;
-		// the commit ID's UUID half is the txid we already hold.
+		// The server does not echo the txid on non-Start replies; the
+		// commit ID's UUID half is the txid we already hold.
 		id.UUID = txid
 	}
 	return id, nil
@@ -639,21 +449,9 @@ func (c *Client) Close() {
 		return
 	}
 	c.dead = true
-	idle := c.idle
-	c.idle = nil
-	inflight := make([]*clientConn, 0, len(c.inflight))
-	for cc := range c.inflight {
-		inflight = append(inflight, cc)
-	}
 	pconns := c.pconns
 	c.pconns = nil
 	c.mu.Unlock()
-	for _, cc := range idle {
-		cc.conn.Close()
-	}
-	for _, cc := range inflight {
-		cc.conn.Close()
-	}
 	cause := fmt.Errorf("wire: op interrupted: %w", ErrClosed)
 	for _, pc := range pconns {
 		pc.closeWith(cause)

@@ -2,11 +2,8 @@ package wire
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
-	"net"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -28,67 +25,6 @@ func checkGoroutineLeak(t *testing.T) {
 			t.Errorf("leaked %d goroutines", n)
 		}
 	})
-}
-
-// startHalfOpen returns the address of a server that completes the
-// protocol handshake and then goes silent: it keeps reading requests but
-// never answers again. The nastiest failure mode for a client — the TCP
-// connection is perfectly healthy, only the application stopped.
-func startHalfOpen(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var conns []net.Conn
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			conns = append(conns, conn)
-			mu.Unlock()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-				answered := false
-				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					if !answered && req.Op == OpPing {
-						answered = true
-						// Advertise v2: this fake speaks only gob, so it
-						// must not invite a codec upgrade it would swallow.
-						// (Binary-codec half-open behavior is covered by
-						// the pipeline tests.)
-						if err := enc.Encode(&Response{Version: 2, Value: []byte("half-open")}); err != nil {
-							return
-						}
-					}
-					// All later requests are swallowed: half-open.
-				}
-			}()
-		}
-	}()
-	t.Cleanup(func() {
-		ln.Close()
-		mu.Lock()
-		for _, c := range conns {
-			c.Close()
-		}
-		mu.Unlock()
-		wg.Wait()
-	})
-	return ln.Addr().String()
 }
 
 // TestClientCloseUnblocksInflight: an op parked forever against a
@@ -122,30 +58,6 @@ func TestClientCloseUnblocksInflight(t *testing.T) {
 	// Ops after Close fail fast with the same terminal error.
 	if _, err := client.StartTransaction(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("op after Close = %v, want ErrClosed", err)
-	}
-}
-
-// TestClientHalfOpenOpTimesOutRetriable: with an OpTimeout configured, an
-// op against a half-open server fails within the deadline with the
-// retriable ErrDeadlineExceeded (wrapping context.DeadlineExceeded), not
-// by hanging and not with a terminal error.
-func TestClientHalfOpenOpTimesOutRetriable(t *testing.T) {
-	checkGoroutineLeak(t)
-	addr := startHalfOpen(t)
-	client, err := DialWith(addr, DialConfig{MaxConns: 2, OpTimeout: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	start := time.Now()
-	_, err = client.StartTransaction(context.Background())
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("half-open op = %v, want ErrDeadlineExceeded wrapping context.DeadlineExceeded", err)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("op took %v, want ~OpTimeout (100ms)", elapsed)
 	}
 }
 

@@ -1,10 +1,10 @@
 package wire
 
-// pipeline.go is the pipelined side of the binary codec: a frameWriter
+// pipeline.go is the pipelining on top of the frame codec: a frameWriter
 // that serializes and group-flushes frame writes from many goroutines
 // onto one socket, and the client's pipeConn that keeps many ops in
 // flight per connection, demuxing out-of-order completions by request
-// ID. The server's mirror image lives in server.go (serveBinary).
+// ID. The server's mirror image lives in server.go (serveFrames).
 
 import (
 	"bufio"
@@ -21,7 +21,7 @@ import (
 // node's group commit: while one Write syscall is in flight, every
 // frame produced in the meantime accumulates into the next batch, so
 // syscalls per frame fall as concurrency rises — which is where the
-// pipelined codec's throughput at high connection counts comes from.
+// protocol's throughput at high worker counts comes from.
 type frameWriter struct {
 	conn net.Conn
 	m    *Metrics
@@ -161,7 +161,7 @@ func releaseTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// pipeConn is one binary-codec connection carrying many concurrent ops.
+// pipeConn is one connection carrying many concurrent ops.
 // Callers register an op for a request ID, write the frame, and wait;
 // the conn's reader goroutine demuxes response frames back to their ops
 // in whatever order the server completes them.
@@ -169,7 +169,6 @@ type pipeConn struct {
 	c    *Client
 	conn net.Conn
 	w    *frameWriter
-	crc  bool
 
 	mu      sync.Mutex
 	pending map[uint64]*pipeOp
@@ -182,12 +181,11 @@ type pipeConn struct {
 	depth atomic.Int64
 }
 
-func newPipeConn(c *Client, conn net.Conn, br *bufio.Reader, crc bool) *pipeConn {
+func newPipeConn(c *Client, conn net.Conn, br *bufio.Reader) *pipeConn {
 	p := &pipeConn{
 		c:       c,
 		conn:    conn,
 		w:       newFrameWriter(conn, &c.metrics),
-		crc:     crc,
 		pending: make(map[uint64]*pipeOp, 32),
 	}
 	c.metrics.BinaryConns.Add(1)
@@ -257,7 +255,7 @@ func (p *pipeConn) closeWith(cause error) {
 func (p *pipeConn) readLoop(br *bufio.Reader) {
 	var buf []byte
 	for {
-		code, id, payload, err := readFrame(br, &buf)
+		f, err := readFrame(br, &buf)
 		if err != nil {
 			if err == errFrameCorrupt {
 				p.c.metrics.CRCErrors.Add(1)
@@ -266,12 +264,12 @@ func (p *pipeConn) readLoop(br *bufio.Reader) {
 			return
 		}
 		p.c.metrics.FramesRecv.Add(1)
-		p.c.metrics.BytesRecv.Add(int64(len(payload) + frameHeaderLen + 4))
-		op := p.take(id)
+		p.c.metrics.BytesRecv.Add(int64(len(f.payload) + frameHeaderLen + 4))
+		op := p.take(f.id)
 		if op == nil {
 			continue // abandoned at its deadline; drop the late response
 		}
-		if derr := decodeResponseFrame(code, payload, &op.resp); derr != nil {
+		if derr := decodeResponseFrame(f.code, f.payload, &op.resp); derr != nil {
 			op.err = derr
 			op.done <- struct{}{}
 			p.closeWith(derr)

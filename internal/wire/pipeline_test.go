@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -17,87 +16,6 @@ import (
 	"aft/internal/storage/dynamosim"
 )
 
-// binaryFake is a hand-rolled server that performs the gob handshake
-// and codec upgrade, then hands the binary side of the connection to a
-// test-provided frame loop. It lets tests script exact server behavior
-// (reply out of order, go silent mid-pipeline) that the real server
-// never exhibits.
-type binaryFake struct {
-	t     *testing.T
-	ln    net.Listener
-	wg    sync.WaitGroup
-	mu    sync.Mutex
-	conns []net.Conn
-	// serve runs the binary phase; fw writes frames, br reads them.
-	serve func(conn net.Conn, br *bufio.Reader, fw *frameWriter)
-}
-
-func startBinaryFake(t *testing.T, serve func(net.Conn, *bufio.Reader, *frameWriter)) *binaryFake {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &binaryFake{t: t, ln: ln, serve: serve}
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			f.mu.Lock()
-			f.conns = append(f.conns, conn)
-			f.mu.Unlock()
-			f.wg.Add(1)
-			go func() {
-				defer f.wg.Done()
-				f.handshake(conn)
-			}()
-		}
-	}()
-	t.Cleanup(func() {
-		ln.Close()
-		f.mu.Lock()
-		for _, c := range f.conns {
-			c.Close()
-		}
-		f.mu.Unlock()
-		f.wg.Wait()
-	})
-	return f
-}
-
-func (f *binaryFake) handshake(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	dec, enc := gob.NewDecoder(br), gob.NewEncoder(conn)
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		switch req.Op {
-		case OpPing:
-			if err := enc.Encode(&Response{Version: ProtocolVersion, Value: []byte("fake")}); err != nil {
-				return
-			}
-		case OpUpgradeCodec:
-			if err := enc.Encode(&Response{Version: ProtocolVersion}); err != nil {
-				return
-			}
-			var m Metrics
-			fw := newFrameWriter(conn, &m)
-			f.serve(conn, br, fw)
-			fw.close()
-			return
-		default:
-			f.t.Errorf("fake server got unexpected gob op %d", req.Op)
-			return
-		}
-	}
-}
-
 // TestPipelineConcurrentOpsOneConn: with the pool capped at ONE
 // connection, many concurrent ops must still all make progress by
 // sharing the pipe — the high-water depth proves they overlapped in
@@ -110,9 +28,6 @@ func TestPipelineConcurrentOpsOneConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if client.Codec() != CodecBinary {
-		t.Fatalf("negotiated codec = %q, want binary", client.Codec())
-	}
 
 	ctx := context.Background()
 	const workers = 16
@@ -159,7 +74,7 @@ func TestPipelineConcurrentOpsOneConn(t *testing.T) {
 func TestPipelineOutOfOrderCompletion(t *testing.T) {
 	checkGoroutineLeak(t)
 	const batch = 6
-	fake := startBinaryFake(t, func(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
+	fake := startFrameFake(t, func(br *bufio.Reader, fw *frameWriter) {
 		var buf []byte
 		var it internTable
 		type pend struct {
@@ -168,15 +83,15 @@ func TestPipelineOutOfOrderCompletion(t *testing.T) {
 		}
 		var pends []pend
 		for {
-			op, id, payload, err := readFrame(br, &buf)
+			f, err := readFrame(br, &buf)
 			if err != nil {
 				return
 			}
 			var req Request
-			if err := decodeRequestFrame(op, payload, &req, &it); err != nil {
+			if err := decodeRequestFrame(f.code, f.payload, &req, &it); err != nil {
 				return
 			}
-			pends = append(pends, pend{id, req.Key})
+			pends = append(pends, pend{f.id, req.Key})
 			if len(pends) == batch {
 				for i := len(pends) - 1; i >= 0; i-- { // reverse order
 					resp := Response{Value: []byte(pends[i].key)}
@@ -189,7 +104,7 @@ func TestPipelineOutOfOrderCompletion(t *testing.T) {
 		}
 	})
 
-	client, err := DialWith(fake.ln.Addr().String(), DialConfig{MaxConns: 1, OpTimeout: 5 * time.Second})
+	client, err := DialWith(fake.addr(), DialConfig{MaxConns: 1, OpTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,23 +129,15 @@ func TestPipelineOutOfOrderCompletion(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPipelineTimeoutAbandonsOpSiblingsRetriable: a binary half-open
-// server (reads frames, never answers). The op that hits its deadline
-// reports the retriable ErrDeadlineExceeded; the conn is then retired,
-// so pipelined siblings fail retriably too — and NOTHING reports the
-// terminal ErrClosed, because the client itself is still open.
+// TestPipelineTimeoutAbandonsOpSiblingsRetriable: a half-open server
+// (reads frames, never answers). The op that hits its deadline reports,
+// within that deadline, the retriable ErrDeadlineExceeded (wrapping
+// context.DeadlineExceeded); the conn is then retired, so pipelined
+// siblings fail retriably too — and NOTHING reports the terminal
+// ErrClosed, because the client itself is still open.
 func TestPipelineTimeoutAbandonsOpSiblingsRetriable(t *testing.T) {
 	checkGoroutineLeak(t)
-	fake := startBinaryFake(t, func(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
-		var buf []byte
-		for {
-			if _, _, _, err := readFrame(br, &buf); err != nil {
-				return
-			}
-			// Swallow every frame: binary half-open.
-		}
-	})
-	client, err := DialWith(fake.ln.Addr().String(), DialConfig{MaxConns: 1, OpTimeout: 100 * time.Millisecond})
+	client, err := DialWith(startHalfOpen(t), DialConfig{MaxConns: 1, OpTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +147,7 @@ func TestPipelineTimeoutAbandonsOpSiblingsRetriable(t *testing.T) {
 	const ops = 4
 	errs := make(chan error, ops)
 	var wg sync.WaitGroup
+	start := time.Now()
 	for i := 0; i < ops; i++ {
 		wg.Add(1)
 		go func() {
@@ -250,6 +158,9 @@ func TestPipelineTimeoutAbandonsOpSiblingsRetriable(t *testing.T) {
 	}
 	wg.Wait()
 	close(errs)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("ops took %v, want ~OpTimeout (100ms)", elapsed)
+	}
 	timeouts := 0
 	for err := range errs {
 		if err == nil {
@@ -259,7 +170,7 @@ func TestPipelineTimeoutAbandonsOpSiblingsRetriable(t *testing.T) {
 			t.Fatalf("pipelined op misclassified terminal: %v", err)
 		}
 		switch {
-		case errors.Is(err, ErrDeadlineExceeded):
+		case errors.Is(err, ErrDeadlineExceeded) && errors.Is(err, context.DeadlineExceeded):
 			timeouts++
 		case errors.Is(err, storage.ErrUnavailable):
 			// Sibling killed by the timed-out op retiring the conn.
@@ -337,9 +248,8 @@ func TestServerCloseCancelsParkedHandlers(t *testing.T) {
 
 // TestPipelineChaosMidFrameResets: the chaos layer cuts the connection
 // mid-frame on a recurring cadence while a redo-until-commit workload
-// runs over the binary codec. Every cut must classify retriably and the
-// workload must converge — binary framing changes the bytes on the
-// wire, not the failure contract.
+// runs. Every cut must classify retriably and the workload must
+// converge.
 func TestPipelineChaosMidFrameResets(t *testing.T) {
 	checkGoroutineLeak(t)
 	store := dynamosim.New(dynamosim.Options{})
@@ -364,9 +274,6 @@ func TestPipelineChaosMidFrameResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if client.Codec() != CodecBinary {
-		t.Fatalf("negotiated codec = %q, want binary", client.Codec())
-	}
 
 	ctx := context.Background()
 	committed := 0

@@ -2,8 +2,8 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"io"
 	"net"
@@ -15,12 +15,10 @@ import (
 	"aft/internal/telemetry"
 )
 
-// Server exposes an AFT node over TCP. Every connection starts in the
-// lockstep gob codec; a protocol-v3 client upgrades it with one
-// OpUpgradeCodec exchange, after which the connection is a pipeline:
-// the reader decodes binary frames straight into worker dispatch, many
-// requests run concurrently per conn, and responses are written (and
-// group-flushed) in completion order under their request IDs.
+// Server exposes an AFT node over TCP. Once a connection's preface checks
+// out it is a pipeline: the reader decodes frames straight into worker
+// dispatch, many requests run concurrently per conn, and responses are
+// written (and group-flushed) in completion order under their request IDs.
 type Server struct {
 	node *core.Node
 	ln   net.Listener
@@ -41,15 +39,6 @@ type Server struct {
 
 	// Logf receives connection-level errors; nil silences them.
 	Logf func(format string, args ...any)
-	// Codec selects the codec this server speaks: "" or CodecBinary
-	// (the default) accepts codec upgrades; CodecGob refuses them and
-	// advertises at most protocol v2, pinning every conn to gob. Set
-	// before Serve.
-	Codec string
-	// MaxVersion caps the advertised protocol version (0 =
-	// ProtocolVersion) — a compatibility-testing hook that makes this
-	// build negotiate like an older one. Set before Serve.
-	MaxVersion uint8
 }
 
 // NewServer wraps node; call Serve with a listener.
@@ -65,21 +54,6 @@ func NewServer(node *core.Node) *Server {
 
 // Metrics returns the server's wire counters.
 func (s *Server) Metrics() *Metrics { return &s.metrics }
-
-// advertisedVersion is the protocol version this server offers on Ping:
-// the build version, capped by MaxVersion, and held below the binary
-// codec when the codec is forced to gob (so clients never attempt an
-// upgrade this server would refuse).
-func (s *Server) advertisedVersion() uint8 {
-	v := ProtocolVersion
-	if s.MaxVersion != 0 && s.MaxVersion < v {
-		v = s.MaxVersion
-	}
-	if s.Codec == CodecGob && v > 2 {
-		v = 2
-	}
-	return v
-}
 
 // Listen starts serving on addr ("host:port"); it returns once the
 // listener is bound, serving in the background. Use Close to stop.
@@ -147,55 +121,38 @@ func (s *Server) serveConn(conn net.Conn) {
 	// per-conn cancel just releases the context when the conn dies.
 	cctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
-	// One read buffer for the conn's whole life: it satisfies
-	// io.ByteReader, so gob reads through it without stacking its own
-	// bufio — and any read-ahead residue survives the codec upgrade into
-	// the binary frame reader instead of vanishing inside gob.
 	br := bufio.NewReaderSize(conn, 4<<10)
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	counted := false
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("wire: decode: %v", err)
-			}
-			return
+	var got [len(preface)]byte
+	if _, err := io.ReadFull(br, got[:]); err != nil {
+		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			s.logf("wire: read preface: %v", err)
 		}
-		if req.Op == OpUpgradeCodec && s.Codec != CodecGob && s.advertisedVersion() >= 3 {
-			crc := len(req.Value) > 0 && req.Value[0]&featureCRC != 0
-			// The ack is the conn's last gob message in either direction.
-			if err := enc.Encode(&Response{Version: s.advertisedVersion()}); err != nil {
-				s.logf("wire: encode: %v", err)
-				return
-			}
-			s.metrics.BinaryConns.Add(1)
-			s.serveBinary(cctx, conn, br, crc)
-			return
-		}
-		// An OpUpgradeCodec this server refuses (forced gob, capped
-		// version) falls through to handleInto's unknown-op reply, which
-		// is exactly what a pre-v3 build would send.
-		if !counted && req.Op != OpPing {
-			counted = true
-			s.metrics.GobConns.Add(1)
-		}
-		var resp Response
-		s.handleInto(cctx, &req, &resp)
-		if err := enc.Encode(&resp); err != nil {
-			s.logf("wire: encode: %v", err)
-			return
-		}
+		return
 	}
+	if !bytes.Equal(got[:3], preface[:3]) {
+		s.logf("wire: %s is not an AFT client (first bytes %q); closing", conn.RemoteAddr(), got[:])
+		return
+	}
+	if got[3] != ProtocolVersion {
+		s.logf("wire: %s speaks protocol v%d, this server v%d; refusing", conn.RemoteAddr(), got[3], ProtocolVersion)
+		code, msg := EncodeErr(ErrUnsupportedVersion)
+		refusal := appendResponseFrame(nil, 0, &Response{Code: code, Message: msg, Version: ProtocolVersion}, false)
+		if _, err := conn.Write(refusal); err != nil {
+			s.logf("wire: write refusal: %v", err)
+		}
+		return
+	}
+	s.metrics.BinaryConns.Add(1)
+	s.serveFrames(cctx, conn, br)
 }
 
-// serveBinary is the conn's life after a codec upgrade: decode frames,
+// serveFrames is the conn's life after the preface: decode frames,
 // dispatch each request to its own handler goroutine, and let the
 // shared frameWriter interleave and group-flush responses in completion
-// order. Pings are answered inline from a preserialized response — the
+// order. Pings — the client's hello among them — are answered inline
+// from a preserialized response naming the node and its version; the
 // pure wire-path round trip allocates nothing.
-func (s *Server) serveBinary(ctx context.Context, conn net.Conn, br *bufio.Reader, crc bool) {
+func (s *Server) serveFrames(ctx context.Context, conn net.Conn, br *bufio.Reader) {
 	fw := newFrameWriter(conn, &s.metrics)
 	var wg sync.WaitGroup
 	// Handlers first (they produce into fw), then stop fw's writer.
@@ -204,9 +161,9 @@ func (s *Server) serveBinary(ctx context.Context, conn net.Conn, br *bufio.Reade
 	var buf []byte
 	var it internTable
 	var depth atomic.Int64
-	pingResp := Response{Value: []byte(s.node.ID()), Version: s.advertisedVersion()}
+	pingResp := Response{Value: []byte(s.node.ID()), Version: ProtocolVersion}
 	for {
-		op, id, payload, err := readFrame(br, &buf)
+		f, err := readFrame(br, &buf)
 		if err != nil {
 			if err == errFrameCorrupt {
 				s.metrics.CRCErrors.Add(1)
@@ -217,16 +174,16 @@ func (s *Server) serveBinary(ctx context.Context, conn net.Conn, br *bufio.Reade
 			return
 		}
 		s.metrics.FramesRecv.Add(1)
-		s.metrics.BytesRecv.Add(int64(len(payload) + frameHeaderLen + 4))
-		if Op(op) == OpPing {
-			if err := fw.writeResponse(id, &pingResp, crc); err != nil {
+		s.metrics.BytesRecv.Add(int64(len(f.payload) + frameHeaderLen + 4))
+		if Op(f.code) == OpPing {
+			if err := fw.writeResponse(f.id, &pingResp, f.crc); err != nil {
 				s.logf("wire: write frame: %v", err)
 				return
 			}
 			continue
 		}
 		req := getRequest()
-		if err := decodeRequestFrame(op, payload, req, &it); err != nil {
+		if err := decodeRequestFrame(f.code, f.payload, req, &it); err != nil {
 			// Corrupt framing cannot be resynced; kill the conn.
 			putRequest(req)
 			s.logf("wire: decode frame: %v", err)
@@ -234,34 +191,19 @@ func (s *Server) serveBinary(ctx context.Context, conn net.Conn, br *bufio.Reade
 		}
 		wg.Add(1)
 		s.metrics.observeDepth(depth.Add(1))
-		go func(id uint64, req *Request) {
+		// A reply carries a CRC trailer exactly when its request did.
+		go func(id uint64, crc bool, req *Request) {
 			defer wg.Done()
 			defer depth.Add(-1)
 			resp := getResponse()
 			s.dispatch(ctx, req, resp)
-			if req.Op != OpStart {
-				// Only Start's reply carries a txid the client does not
-				// already know; elide the echo on everything else.
-				resp.TxID = ""
-			}
 			if err := fw.writeResponse(id, resp, crc); err != nil {
 				s.logf("wire: write frame: %v", err)
 			}
 			putRequest(req)
 			putResponse(resp)
-		}(id, req)
+		}(f.id, f.crc, req)
 	}
-}
-
-// dispatch wraps handleInto in a wire.dispatch span for traced
-// transactions, so pipelined server-side queueing shows up in traces.
-func (s *Server) dispatch(ctx context.Context, req *Request, resp *Response) {
-	if tr := s.node.TraceOf(req.TxID); tr != nil {
-		sp := tr.StartSpan("wire.dispatch")
-		sp.Annotate("op", opName(req.Op))
-		defer sp.End()
-	}
-	s.handleInto(ctx, req, resp)
 }
 
 func opName(op Op) string {
@@ -278,19 +220,22 @@ func opName(op Op) string {
 		return "abort"
 	case OpResume:
 		return "resume"
-	case OpPing:
-		return "ping"
 	case OpMultiGet:
 		return "multiget"
-	case OpUpgradeCodec:
-		return "upgrade"
 	default:
 		return "unknown"
 	}
 }
 
-func (s *Server) handleInto(ctx context.Context, req *Request, resp *Response) {
-	// A v2+ client ships its remaining per-op budget; honoring it here
+// dispatch runs one request against the node, under a wire.dispatch span
+// for traced transactions so server-side queueing shows up in traces.
+func (s *Server) dispatch(ctx context.Context, req *Request, resp *Response) {
+	if tr := s.node.TraceOf(req.TxID); tr != nil {
+		sp := tr.StartSpan("wire.dispatch")
+		sp.Annotate("op", opName(req.Op))
+		defer sp.End()
+	}
+	// The client ships its remaining per-op budget; honoring it here
 	// means work the client has already given up on is abandoned at the
 	// node's next ctx check instead of burning a concurrency slot.
 	if req.DeadlineMillis > 0 {
@@ -298,10 +243,11 @@ func (s *Server) handleInto(ctx context.Context, req *Request, resp *Response) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMillis)*time.Millisecond)
 		defer cancel()
 	}
-	resp.TxID = req.TxID
 	var err error
 	switch req.Op {
 	case OpStart:
+		// Only Start's reply carries a txid: it is the one the client
+		// does not already know.
 		if req.TraceID != "" || req.TraceSampled {
 			ctx = telemetry.WithTraceContext(ctx, telemetry.TraceContext{
 				ID:      req.TraceID,
@@ -322,9 +268,6 @@ func (s *Server) handleInto(ctx context.Context, req *Request, resp *Response) {
 		err = s.node.AbortTransaction(ctx, req.TxID)
 	case OpResume:
 		err = s.node.ResumeTransaction(ctx, req.TxID)
-	case OpPing:
-		resp.Value = append(resp.Value[:0], s.node.ID()...)
-		resp.Version = s.advertisedVersion()
 	default:
 		err = &UnknownOpError{Op: req.Op}
 	}

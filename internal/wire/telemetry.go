@@ -17,9 +17,7 @@ type Metrics struct {
 	Flushes    atomic.Int64 // socket flushes (frames/flush = write batching)
 
 	PipelineDepthHW atomic.Int64 // max concurrent in-flight ops on one conn
-	BinaryConns     atomic.Int64 // conns upgraded to the binary codec
-	GobConns        atomic.Int64 // conns that served at least one gob op
-	CodecFallbacks  atomic.Int64 // binary upgrades rejected, conn pinned to gob
+	BinaryConns     atomic.Int64 // conns that completed the handshake
 	CRCErrors       atomic.Int64 // frames dropped for CRC mismatch
 	Timeouts        atomic.Int64 // ops abandoned at their deadline (client)
 }
@@ -27,8 +25,7 @@ type Metrics struct {
 // MetricsSnapshot is a point-in-time copy of Metrics.
 type MetricsSnapshot struct {
 	FramesSent, FramesRecv, BytesSent, BytesRecv, Flushes,
-	PipelineDepthHW, BinaryConns, GobConns, CodecFallbacks,
-	CRCErrors, Timeouts int64
+	PipelineDepthHW, BinaryConns, CRCErrors, Timeouts int64
 }
 
 // Snapshot returns a copy of the counters.
@@ -38,9 +35,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		BytesSent: m.BytesSent.Load(), BytesRecv: m.BytesRecv.Load(),
 		Flushes:         m.Flushes.Load(),
 		PipelineDepthHW: m.PipelineDepthHW.Load(),
-		BinaryConns:     m.BinaryConns.Load(), GobConns: m.GobConns.Load(),
-		CodecFallbacks: m.CodecFallbacks.Load(),
-		CRCErrors:      m.CRCErrors.Load(), Timeouts: m.Timeouts.Load(),
+		BinaryConns:     m.BinaryConns.Load(),
+		CRCErrors:       m.CRCErrors.Load(), Timeouts: m.Timeouts.Load(),
 	}
 }
 
@@ -70,9 +66,7 @@ func RegisterTelemetry(reg *telemetry.Registry, role string, m *Metrics) {
 		c("aft_wire_bytes_sent_total", "Binary frame bytes written.", s.BytesSent)
 		c("aft_wire_bytes_recv_total", "Binary frame bytes read.", s.BytesRecv)
 		c("aft_wire_flushes_total", "Socket flushes; frames/flush measures write batching.", s.Flushes)
-		c("aft_wire_binary_conns_total", "Connections upgraded to the binary codec.", s.BinaryConns)
-		c("aft_wire_gob_conns_total", "Connections that served at least one gob op.", s.GobConns)
-		c("aft_wire_codec_fallbacks_total", "Binary upgrades rejected by the peer (conn pinned to gob).", s.CodecFallbacks)
+		c("aft_wire_binary_conns_total", "Connections that completed the handshake.", s.BinaryConns)
 		c("aft_wire_crc_errors_total", "Frames rejected for CRC-32C mismatch.", s.CRCErrors)
 		c("aft_wire_op_timeouts_total", "Ops abandoned at their deadline.", s.Timeouts)
 		e.Gauge("aft_wire_pipeline_depth_highwater",

@@ -1,11 +1,20 @@
-// Package wire implements AFT's network protocol: a compact
-// request/response RPC over TCP using gob encoding, plus the server that
-// exposes an AFT node and the client that speaks to it.
+// Package wire implements AFT's network protocol: a pipelined
+// request/response RPC over TCP in length-prefixed binary frames
+// (binary.go), plus the server that exposes an AFT node and the client
+// that speaks to it.
 //
 // The protocol mirrors the Table 1 API exactly: StartTransaction, Get,
 // Put, CommitTransaction, AbortTransaction. Sentinel errors cross the wire
 // as codes so clients can retry on the conditions the paper calls out
 // (ErrNoValidVersion aborts, lost transactions after node failure).
+//
+// There is one protocol and no negotiation. A connection opens with the
+// client's 4-byte preface — "AFT" and the ProtocolVersion byte — and from
+// then on every byte in both directions is a frame. The client's first
+// frame is an OpPing hello; the reply names the node and its version. A
+// server that reads a wrong magic closes the conn; one that reads a wrong
+// version answers one ErrCodeUnsupportedVersion frame (request ID 0) and
+// closes, which Dial reports as the terminal ErrUnsupportedVersion.
 package wire
 
 import (
@@ -19,31 +28,13 @@ import (
 	"aft/internal/storage"
 )
 
-// ProtocolVersion is this build's wire protocol version, exchanged on
-// the Ping handshake. Version 1 adds the trace-context request fields
-// and typed unknown-op errors; version 2 adds the request deadline field
-// (the client's remaining per-op budget rides the wire so the server
-// abandons work the client has given up on); version 3 adds the binary
-// framed codec and per-connection pipelining, entered by an explicit
-// OpUpgradeCodec exchange after the handshake (until then every conn
-// speaks gob, so v≤2 peers in either direction keep working unchanged);
-// version 0 is the pre-handshake protocol (a v0 peer leaves the version
-// fields gob-zeroed, which is exactly the legacy behaviour — gob ignores
-// unknown struct fields, so the trace and deadline fields are negotiated
-// rather than assumed but the codec never breaks).
-const ProtocolVersion uint8 = 3
+// ProtocolVersion is the one wire protocol version this build speaks,
+// carried in the connection preface. Peers of any other version are
+// refused, not adapted to.
+const ProtocolVersion uint8 = 4
 
-// Codec names, selectable via DialConfig.Codec and the servers'
-// -wire-codec flag.
-const (
-	// CodecBinary is the length-prefixed binary framing with pipelined
-	// connections (protocol v3). The default whenever both peers
-	// negotiate it.
-	CodecBinary = "binary"
-	// CodecGob is the legacy lockstep gob codec, kept as the comparison
-	// baseline and the compatibility floor for v≤2 peers.
-	CodecGob = "gob"
-)
+// preface is the first four bytes a client writes on a new connection.
+var preface = [4]byte{'A', 'F', 'T', ProtocolVersion}
 
 // Op identifies a request type.
 type Op uint8
@@ -57,24 +48,7 @@ const (
 	OpAbort
 	OpResume
 	OpPing
-	// OpMultiGet is appended after OpPing so the pre-existing op codes
-	// stay stable across versions.
 	OpMultiGet
-	// OpUpgradeCodec switches the connection from gob to the binary
-	// framed codec (protocol v3). It is always sent gob-encoded — the
-	// last gob message on the conn; the reply (also gob) acknowledges,
-	// and every subsequent byte in both directions is binary frames. The
-	// request's Value carries the feature byte (bit0: per-frame CRC). A
-	// v≤2 server answers ErrCodeUnknownOp and the client falls back to
-	// gob. Appended after OpMultiGet so pre-existing codes stay stable.
-	OpUpgradeCodec
-)
-
-// Upgrade feature bits, carried in OpUpgradeCodec's Value[0].
-const (
-	// featureCRC requests a CRC-32C trailer on every frame in both
-	// directions.
-	featureCRC byte = 1 << 0
 )
 
 // Request is one client->server message.
@@ -85,21 +59,16 @@ type Request struct {
 	Value []byte
 	// Keys carries an OpMultiGet's key batch (Key is unused for that op).
 	Keys []string
-	// TraceID/TraceSampled carry the client's trace context on OpStart
-	// (appended after the existing fields so the pre-existing layout
-	// stays stable; v0 peers simply never set them). Sent only after the
-	// handshake negotiated protocol version >= 1.
+	// TraceID/TraceSampled carry the client's trace context on OpStart.
 	TraceID      string
 	TraceSampled bool
-	// Version is the sender's protocol version, meaningful on OpPing.
+	// Version is the sender's protocol version, set on the OpPing hello.
 	Version uint8
 	// DeadlineMillis is the client's remaining per-op time budget in
-	// milliseconds at send time (appended after the v1 fields; sent only
-	// after the handshake negotiated protocol version >= 2, 0 = no
-	// deadline). It is a relative duration rather than an absolute wall
-	// time so client and server clocks never need to agree; the server
-	// derives a context deadline from it and abandons the op once the
-	// budget is spent.
+	// milliseconds at send time (0 = no deadline). It is a relative
+	// duration rather than an absolute wall time so client and server
+	// clocks never need to agree; the server derives a context deadline
+	// from it and abandons the op once the budget is spent.
 	DeadlineMillis int64
 }
 
@@ -115,22 +84,21 @@ const (
 	ErrCodeNoValidVersion
 	ErrCodeUnavailable
 	ErrCodeOther
-	// ErrCodeVersionVanished is appended after ErrCodeOther so the
-	// pre-existing code values stay stable across versions.
 	ErrCodeVersionVanished
 	// ErrCodeUnknownOp reports a request op this server does not
-	// implement, carrying the offending op code (appended after
-	// ErrCodeVersionVanished; older servers report the same condition as
-	// ErrCodeOther).
+	// implement, carrying the offending op code.
 	ErrCodeUnknownOp
 	// ErrCodeOverloaded reports admission-control shedding: the node's
 	// wait queue for a concurrency slot is full. Retriable after backoff.
-	// Appended after ErrCodeUnknownOp so pre-existing values stay stable.
 	ErrCodeOverloaded
 	// ErrCodeDeadlineExceeded reports that the op's deadline expired
 	// server-side before the work finished. Retriable with a fresh
-	// deadline. Appended last.
+	// deadline.
 	ErrCodeDeadlineExceeded
+	// ErrCodeUnsupportedVersion is the server's whole answer to a preface
+	// carrying a protocol version other than its own; the conn closes
+	// behind it.
+	ErrCodeUnsupportedVersion
 )
 
 // Response is one server->client message.
@@ -142,8 +110,8 @@ type Response struct {
 	Message  string
 	// Values carries an OpMultiGet's results, aligned with Request.Keys.
 	Values [][]byte
-	// Version is the server's protocol version, set on the OpPing reply;
-	// the client speaks min(its own, this). A v0 server leaves it 0.
+	// Version is the server's protocol version, set on the OpPing reply
+	// and on an ErrCodeUnsupportedVersion refusal.
 	Version uint8
 }
 
@@ -156,15 +124,19 @@ type Response struct {
 // commits are idempotent under the same txid (§3.1).
 var ErrDeadlineExceeded = fmt.Errorf("aft: op deadline exceeded: %w", context.DeadlineExceeded)
 
+// ErrUnsupportedVersion reports a peer that speaks a different protocol
+// version. It is terminal — NOT retriable: redialing the same build gets
+// the same answer, so neither Dial nor the redo discipline tries again.
+var ErrUnsupportedVersion = errors.New("wire: unsupported protocol version")
+
 // ErrClosed reports an op issued on (or interrupted by) a closed
 // Client. Unlike a conn failure it is NOT retriable: the caller tore
 // the pool down on purpose.
 var ErrClosed = errors.New("wire: client closed")
 
-// UnknownOpError reports a request op the server does not implement —
-// typically a newer client speaking to an older server. The offending op
-// code survives the wire round trip so callers can tell WHICH op to stop
-// sending instead of parsing a message string.
+// UnknownOpError reports a request op the server does not implement. The
+// offending op code survives the wire round trip so callers can tell WHICH
+// op to stop sending instead of parsing a message string.
 type UnknownOpError struct{ Op Op }
 
 // Error implements the error interface.
@@ -198,6 +170,8 @@ func EncodeErr(err error) (ErrCode, string) {
 		return ErrCodeOverloaded, err.Error()
 	case errors.Is(err, context.DeadlineExceeded):
 		return ErrCodeDeadlineExceeded, err.Error()
+	case errors.Is(err, ErrUnsupportedVersion):
+		return ErrCodeUnsupportedVersion, err.Error()
 	default:
 		return ErrCodeOther, err.Error()
 	}
@@ -227,6 +201,8 @@ func DecodeErr(code ErrCode, msg string) error {
 		return withMessage(core.ErrOverloaded, msg)
 	case ErrCodeDeadlineExceeded:
 		return withMessage(ErrDeadlineExceeded, msg)
+	case ErrCodeUnsupportedVersion:
+		return withMessage(ErrUnsupportedVersion, msg)
 	case ErrCodeUnknownOp:
 		op, err := strconv.Atoi(msg)
 		if err != nil {
@@ -251,9 +227,8 @@ func (e *wireError) Error() string { return e.msg }
 func (e *wireError) Unwrap() error { return e.sentinel }
 
 // withMessage wraps sentinel so the server's message survives the wire.
-// When the message adds nothing over the sentinel's own text (v0 peers,
-// terse servers) the bare sentinel comes back, keeping err == sentinel
-// comparisons in legacy callers working.
+// When the message adds nothing over the sentinel's own text the bare
+// sentinel comes back, keeping err == sentinel comparisons working.
 func withMessage(sentinel error, msg string) error {
 	if msg == "" || msg == sentinel.Error() {
 		return sentinel

@@ -13,7 +13,9 @@ import (
 	"aft/internal/storage/dynamosim"
 )
 
-func startServer(t *testing.T) (*Server, string, *core.Node) {
+// startServer serves a fresh node on a loopback port; configure (Logf
+// must be set before the server starts serving) runs first.
+func startServer(t *testing.T, configure ...func(*Server)) (*Server, string, *core.Node) {
 	t.Helper()
 	store := dynamosim.New(dynamosim.Options{})
 	node, err := core.NewNode(core.Config{NodeID: "srv-1", Store: store})
@@ -21,6 +23,9 @@ func startServer(t *testing.T) (*Server, string, *core.Node) {
 		t.Fatal(err)
 	}
 	srv := NewServer(node)
+	for _, f := range configure {
+		f(srv)
+	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

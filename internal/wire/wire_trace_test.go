@@ -2,9 +2,7 @@ package wire
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
-	"net"
 	"testing"
 
 	"aft/internal/core"
@@ -42,9 +40,6 @@ func TestTraceContextSurvivesWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if client.Version() != ProtocolVersion {
-		t.Fatalf("negotiated version = %d, want %d", client.Version(), ProtocolVersion)
-	}
 	bal := lb.New(client)
 
 	ctx := telemetry.WithTraceContext(context.Background(),
@@ -79,8 +74,8 @@ func TestTraceContextSurvivesWire(t *testing.T) {
 	}
 }
 
-// TestUntracedClientStillWorks: a connection that never sets trace fields
-// (the legacy request shape) is served normally and retains nothing.
+// TestUntracedClientStillWorks: a transaction started without a trace
+// context is served normally and retains nothing.
 func TestUntracedClientStillWorks(t *testing.T) {
 	addr, tracer := startTracedServer(t)
 	client, err := Dial(addr, 2)
@@ -98,66 +93,6 @@ func TestUntracedClientStillWorks(t *testing.T) {
 	}
 	if recs := tracer.Snapshot(); len(recs) != 0 {
 		t.Fatalf("untraced txn retained: %+v", recs)
-	}
-}
-
-// legacyRequest is the protocol-v0 request layout, without the trace or
-// version fields. Encoding it against a current server proves gob's
-// struct evolution: unknown fields on the decoder side are zeroed, so an
-// old client speaks to a new server unchanged.
-type legacyRequest struct {
-	Op    Op
-	TxID  string
-	Key   string
-	Value []byte
-	Keys  []string
-}
-
-func TestOldClientCompat(t *testing.T) {
-	addr, tracer := startTracedServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	call := func(req *legacyRequest) *Response {
-		t.Helper()
-		if err := enc.Encode(req); err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		return &resp
-	}
-
-	// v0 ping: no Version field sent; the reply's Version advertises the
-	// server's, which a v0 client simply ignores.
-	ping := call(&legacyRequest{Op: OpPing})
-	if string(ping.Value) != "srv-t" {
-		t.Fatalf("ping = %q", ping.Value)
-	}
-	if ping.Version != ProtocolVersion {
-		t.Fatalf("server version = %d", ping.Version)
-	}
-
-	start := call(&legacyRequest{Op: OpStart})
-	if start.Code != ErrNone || start.TxID == "" {
-		t.Fatalf("start = %+v", start)
-	}
-	put := call(&legacyRequest{Op: OpPut, TxID: start.TxID, Key: "k", Value: []byte("v")})
-	if put.Code != ErrNone {
-		t.Fatalf("put = %+v", put)
-	}
-	commit := call(&legacyRequest{Op: OpCommit, TxID: start.TxID})
-	if commit.Code != ErrNone || commit.CommitTS == 0 {
-		t.Fatalf("commit = %+v", commit)
-	}
-	if recs := tracer.Snapshot(); len(recs) != 0 {
-		t.Fatalf("legacy client's txn was retained: %+v", recs)
 	}
 }
 
@@ -194,7 +129,7 @@ func TestUnknownOpEncodeDecodeRoundTrip(t *testing.T) {
 	if err := DecodeErr(code, msg); !errors.As(err, &unknown) || unknown.Op != 42 {
 		t.Fatalf("round trip = %v", err)
 	}
-	// A malformed message (old peer, hand-rolled client) degrades to a
+	// A malformed message (hand-rolled peer) degrades to a
 	// RemoteError rather than failing decode.
 	var re *RemoteError
 	if err := DecodeErr(ErrCodeUnknownOp, "not-a-number"); !errors.As(err, &re) {

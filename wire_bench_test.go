@@ -1,10 +1,9 @@
 package bench
 
-// Wire codec benchmarks: the CPU cost of one RPC over real TCP
-// loopback, lockstep gob vs pipelined binary framing. The ping pair
+// Wire benchmarks: the CPU cost of one RPC over real TCP loopback. Ping
 // isolates the pure codec + transport path (no transaction state, no
-// storage); the txn pair measures the full Start/Put/Commit cycle. Run
-// with -benchmem: the allocation column is the codec story.
+// storage); Txn measures the full Start/Put/Commit cycle. Run with
+// -benchmem: the allocation column is the codec story.
 
 import (
 	"context"
@@ -18,7 +17,7 @@ import (
 	"aft/internal/wire"
 )
 
-func benchWireClient(b *testing.B, codec string) *wire.Client {
+func benchWireClient(b *testing.B) *wire.Client {
 	b.Helper()
 	node, err := core.NewNode(core.Config{
 		NodeID: "wire-bench",
@@ -34,20 +33,17 @@ func benchWireClient(b *testing.B, codec string) *wire.Client {
 	}
 	b.Cleanup(func() { srv.Close() })
 	client, err := wire.DialWith(addr.String(), wire.DialConfig{
-		MaxConns: 4, OpTimeout: 30 * time.Second, Codec: codec,
+		MaxConns: 4, OpTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(client.Close)
-	if client.Codec() != codec {
-		b.Fatalf("negotiated %q, want %q", client.Codec(), codec)
-	}
 	return client
 }
 
-func benchWirePing(b *testing.B, codec string) {
-	client := benchWireClient(b, codec)
+func BenchmarkWirePing(b *testing.B) {
+	client := benchWireClient(b)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -61,8 +57,8 @@ func benchWirePing(b *testing.B, codec string) {
 	})
 }
 
-func benchWireTxn(b *testing.B, codec string) {
-	client := benchWireClient(b, codec)
+func BenchmarkWireTxn(b *testing.B) {
+	client := benchWireClient(b)
 	ctx := context.Background()
 	var seq atomic.Int64
 	b.ReportAllocs()
@@ -86,8 +82,3 @@ func benchWireTxn(b *testing.B, codec string) {
 		}
 	})
 }
-
-func BenchmarkWirePingBinary(b *testing.B) { benchWirePing(b, wire.CodecBinary) }
-func BenchmarkWirePingGob(b *testing.B)    { benchWirePing(b, wire.CodecGob) }
-func BenchmarkWireTxnBinary(b *testing.B)  { benchWireTxn(b, wire.CodecBinary) }
-func BenchmarkWireTxnGob(b *testing.B)     { benchWireTxn(b, wire.CodecGob) }
