@@ -314,29 +314,37 @@ type netConn struct {
 	closed    chan struct{}
 }
 
-// Read blocks while an inbound-affecting partition is active (waking on
-// heal or close), then applies delay spikes and slow-drip before
-// delegating. A read parked in the underlying conn when a partition is
-// installed is kicked out by the poisoned deadline and re-enters here.
-func (c *netConn) Read(b []byte) (int, error) {
-	blocked := false
+// awaitInbound parks while an inbound-affecting partition is active,
+// waking on heal (and then clearing the read-deadline poison SetPartition
+// left on the conn) or on close, which fails it with net.ErrClosed.
+func (c *netConn) awaitInbound() error {
+	parked := false
 	for {
 		mode, healed := c.h.partition()
 		if mode != PartitionBoth && mode != PartitionInbound {
-			break
+			if parked {
+				c.Conn.SetReadDeadline(time.Time{})
+			}
+			return nil
 		}
-		blocked = true
+		parked = true
 		c.h.metrics.BlockedReads.Add(1)
 		select {
 		case <-healed:
 			// Healed: re-check (a new partition may already be up).
 		case <-c.closed:
-			return 0, net.ErrClosed
+			return net.ErrClosed
 		}
 	}
-	if blocked {
-		// Clear any poison left by SetPartition before touching the wire.
-		c.Conn.SetReadDeadline(time.Time{})
+}
+
+// Read blocks while an inbound-affecting partition is active (waking on
+// heal or close), then applies delay spikes and slow-drip before
+// delegating. A read parked in the underlying conn when a partition is
+// installed is kicked out by the poisoned deadline and re-enters here.
+func (c *netConn) Read(b []byte) (int, error) {
+	if err := c.awaitInbound(); err != nil {
+		return 0, err
 	}
 	f := c.readFrames
 	c.readFrames++
@@ -358,6 +366,18 @@ func (c *netConn) Read(b []byte) (int, error) {
 			c.Conn.SetReadDeadline(time.Time{})
 		}
 		return c.Read(b)
+	}
+	if n > 0 {
+		// The poison kick can lose a race inside the runtime poller: the
+		// parked read is woken for the deadline, the peer's next bytes
+		// land before it runs, and it returns them instead of the timeout.
+		// Those bytes crossed during the partition; hold them until it
+		// heals, as a read that parked in time would have, so whether the
+		// server sees a request inside the window never depends on
+		// scheduling.
+		if herr := c.awaitInbound(); herr != nil {
+			return 0, herr
+		}
 	}
 	return n, err
 }

@@ -112,7 +112,7 @@ func (n *Node) bootstrapSince(ctx context.Context, since string) error {
 		}
 		ss := n.stripesOf(rec.WriteSet)
 		lockStripes(ss)
-		installed := n.installLocked(rec)
+		installed := n.installLocked(rec, ss)
 		unlockStripes(ss)
 		if installed {
 			n.tmu.Lock()

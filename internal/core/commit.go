@@ -2,14 +2,14 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"aft/internal/idgen"
 	"aft/internal/records"
-	"aft/internal/storage"
 	"aft/internal/telemetry"
 )
 
@@ -25,12 +25,13 @@ import (
 //     visible to other requests, by installing the record into the local
 //     metadata cache.
 //
-// On engines with a batch-write primitive, concurrently committing
-// transactions hand steps 1 and 2 to the group-commit pipeline
-// (groupcommit.go), which coalesces their data and record writes into
-// shared BatchPut round trips while preserving the step ordering for every
-// transaction in the flush. Engines without batching (or nodes with
-// Config.DisableGroupCommit) take the direct path below.
+// All three steps are one routine, flushCommits (groupcommit.go). On
+// engines with a batch-write primitive, concurrently committing
+// transactions reach it through the group-commit pipeline, which coalesces
+// their data and record writes into shared BatchPut round trips while
+// preserving the step ordering for every transaction in the flush. Engines
+// without batching (or nodes with Config.DisableGroupCommit) run the same
+// routine over their own commit alone.
 //
 // A failure before step 2 completes leaves no visible effects: the data
 // keys are unreferenced and the transaction will be retried. Commit is
@@ -73,20 +74,13 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	t.refreshLease(ctx)
 
 	t.mu.Lock()
-	for t.committing != nil {
-		// Another commit attempt for this transaction is mid-flight (a
-		// retried client racing its original, §3.3.1): wait for its
-		// outcome rather than double-committing under a second ID. On
-		// success the loop exits via t.done and the idempotent return
-		// below; on failure this attempt claims the transaction itself.
-		ch := t.committing
-		t.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return idgen.Null, ctx.Err()
-		}
-		t.mu.Lock()
+	// If another commit attempt for this transaction is mid-flight (a
+	// retried client racing its original, §3.3.1), wait for its outcome
+	// rather than double-committing under a second ID. On success t.done
+	// is set and the idempotent return below applies; on failure this
+	// attempt claims the transaction itself.
+	if err := t.awaitCommitAttempt(ctx); err != nil {
+		return idgen.Null, err
 	}
 	if t.done {
 		t.mu.Unlock()
@@ -103,67 +97,66 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	// Claim the transaction for this attempt, then snapshot the write
 	// buffer; the transaction stays live (and its pins held) until the
 	// commit is durable.
-	t.committing = make(chan struct{})
-	writes := make(map[string][]byte, len(t.writes))
-	for k, v := range t.writes {
-		writes[k] = v
-	}
-	spilled := make([]string, 0, len(t.spilled))
-	for k := range t.spilled {
-		if _, rewritten := writes[k]; !rewritten {
-			spilled = append(spilled, k)
+	t.committing = true
+	readOnly := len(t.writes) == 0 && len(t.spilled) == 0
+	var data []kv
+	var spilled []string
+	var spillDir string
+	if !readOnly {
+		data = make([]kv, 0, len(t.writes))
+		for k, v := range t.writes {
+			data = append(data, kv{k, v})
+		}
+		for k := range t.spilled {
+			if _, rewritten := t.writes[k]; !rewritten {
+				spilled = append(spilled, k)
+			}
+		}
+		if len(spilled) > 0 {
+			sort.Strings(spilled)
+			spillDir = t.spillDir()
 		}
 	}
-	sort.Strings(spilled)
-	spillDir := t.spillDir()
 	t.mu.Unlock()
-
-	// Read-only transactions have nothing to persist: assign an ID and
-	// finish. No commit record is needed because no data must be made
-	// visible.
-	if len(writes) == 0 && len(spilled) == 0 {
-		id := idgen.ID{Timestamp: n.gen.NewTimestamp(), UUID: txid}
-		n.finishCommit(t, txid, id, nil, false)
-		return id, nil
-	}
 
 	// The commit timestamp is assigned now (§3.1: "at commit time").
 	id := idgen.ID{Timestamp: n.gen.NewTimestamp(), UUID: txid}
 
-	// Step 1 payload: the packed layout (§8) writes one object for the
-	// whole write set; the default layout writes one unique key per
-	// version. Spilled transactions always use the default layout (their
-	// payloads are already in storage).
-	packed := n.cfg.PackedLayout && len(spilled) == 0 && len(writes) > 0
-	var packedObj []byte
-	items := make(map[string][]byte, len(writes))
-	if packed {
-		obj, err := records.Pack(writes)
-		if err != nil {
-			n.abandonCommit(t)
-			return idgen.Null, fmt.Errorf("aft: packing write set: %w", err)
-		}
-		packedObj = obj
-		items[records.PackKey(id)] = obj
-	} else {
-		for k, v := range writes {
-			items[records.DataKey(k, id)] = v
-		}
+	// Read-only transactions have nothing to persist: assign an ID and
+	// finish. No commit record is needed because no data must be made
+	// visible.
+	if readOnly {
+		n.finishCommit(t, txid, id)
+		return id, nil
 	}
 
-	// Step 2 payload: the commit record.
-	writeSet := make([]string, 0, len(writes)+len(spilled))
-	for k := range writes {
-		writeSet = append(writeSet, k)
+	// Step 2 payload: the commit record. data still holds user keys here;
+	// sorting it makes the write set sorted and the storage write order a
+	// function of the transaction alone.
+	slices.SortFunc(data, func(a, b kv) int { return strings.Compare(a.key, b.key) })
+	writeSet := make([]string, len(data), len(data)+len(spilled))
+	for i := range data {
+		writeSet[i] = data[i].key
 	}
-	writeSet = append(writeSet, spilled...)
-	sort.Strings(writeSet)
-	rec := records.NewCommitRecord(id, writeSet, n.cfg.NodeID)
-	rec.Packed = packed
-	// A client-sampled trace rides inside the record so peers receiving
-	// the multicast delivery — and the fault manager recovering the
-	// record after a crash — can attribute their work to the same trace.
-	rec.TraceID = t.trace.SampledID()
+	if len(spilled) > 0 {
+		writeSet = append(writeSet, spilled...)
+		sort.Strings(writeSet)
+	}
+	// Spilled transactions always use the default layout (their payloads
+	// are already in storage).
+	packed := n.cfg.PackedLayout && len(spilled) == 0 && len(data) > 0
+	rec := &records.CommitRecord{
+		Timestamp: id.Timestamp,
+		UUID:      id.UUID,
+		WriteSet:  writeSet,
+		Node:      n.cfg.NodeID,
+		Packed:    packed,
+		// A client-sampled trace rides inside the record so peers
+		// receiving the multicast delivery — and the fault manager
+		// recovering the record after a crash — can attribute their work
+		// to the same trace.
+		TraceID: t.trace.SampledID(),
+	}
 	if len(spilled) > 0 {
 		rec.SpillDir = spillDir
 		rec.Spilled = spilled
@@ -174,80 +167,70 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 		return idgen.Null, fmt.Errorf("aft: encoding commit record: %w", err)
 	}
 
-	if !n.cfg.DisableGroupCommit && n.store.Capabilities().BatchWrites {
-		// Group pipeline: steps 1 and 2 are flushed together with other
-		// in-flight commits; the flush also installs the record and
-		// queues the multicast announcement (step 3 visibility).
-		req := &commitReq{items: items, recKey: records.CommitKey(id), recVal: payload, rec: rec, trace: t.trace}
-		wait := telemetry.StartSpan(ctx, "commit.flushwait")
-		err := n.groupCommit(ctx, req)
-		wait.End()
+	// Step 1 payload: the packed layout (§8) writes one object for the
+	// whole write set; the default layout writes one unique key per
+	// version. From here on data holds storage keys.
+	if packed {
+		writes := make(map[string][]byte, len(data))
+		for _, it := range data {
+			writes[it.key] = it.val
+		}
+		obj, err := records.Pack(writes)
 		if err != nil {
 			n.abandonCommit(t)
-			return idgen.Null, err
+			return idgen.Null, fmt.Errorf("aft: packing write set: %w", err)
 		}
-		n.finishCommit(t, txid, id, rec, true)
+		data = append(data[:0], kv{records.PackKey(id), obj})
 	} else {
-		// Direct path: step 1.
-		sw := telemetry.StartSpan(ctx, "storage.write")
-		err := n.writeVersions(ctx, items)
-		sw.End()
-		if err != nil {
-			n.abandonCommit(t)
-			return idgen.Null, fmt.Errorf("aft: persisting write set: %w", err)
+		for i := range data {
+			data[i].key = records.DataKey(data[i].key, id)
 		}
-		// Step 2.
-		sr := telemetry.StartSpan(ctx, "storage.putrecord")
-		err = n.store.Put(ctx, records.CommitKey(id), payload)
-		sr.End()
-		if err != nil {
-			n.abandonCommit(t)
-			return idgen.Null, fmt.Errorf("aft: persisting commit record: %w", err)
-		}
-		// Step 3: acknowledge and make visible.
-		n.finishCommit(t, txid, id, rec, false)
 	}
 
+	req := &commitReq{data: data, record: [1]kv{{records.CommitKey(id), payload}}, rec: rec, trace: t.trace}
+	if !n.cfg.DisableGroupCommit && n.store.Capabilities().BatchWrites {
+		// Group pipeline: steps 1 and 2 are flushed together with other
+		// in-flight commits.
+		wait := telemetry.StartSpan(ctx, "commit.flushwait")
+		err = n.groupCommit(ctx, req)
+		wait.End()
+	} else {
+		// Direct path: the same write routine, for this commit alone.
+		sw := telemetry.StartSpan(ctx, "storage.write")
+		err = n.commitDirect(ctx, req)
+		sw.End()
+	}
+	if err != nil {
+		n.abandonCommit(t)
+		return idgen.Null, err
+	}
+	// Either way the routine already installed the record and queued the
+	// multicast announcement (step 3 visibility); acknowledge.
+	n.finishCommit(t, txid, id)
+
 	// Warm the data cache with the values just written — they are the
-	// newest versions and likely to be read soon. The packed layout
-	// caches the whole packed object under its pack key, exactly what a
-	// subsequent read of any of its keys will fetch.
-	if n.data != nil {
-		if packed {
-			n.data.put(records.PackKey(id), packedObj)
-		} else {
-			for k, v := range writes {
-				n.data.put(records.DataKey(k, id), v)
-			}
-		}
+	// newest versions and likely to be read soon — under the storage keys
+	// the commit built. The packed layout caches the whole packed object
+	// under its pack key, exactly what a subsequent read of any of its
+	// keys will fetch.
+	for _, it := range data {
+		n.data.put(it.key, it.val)
 	}
 	n.metrics.Committed.Add(1)
 	return id, nil
 }
 
-// finishCommit retires the transaction state and, when rec is non-nil and
-// not already installed by the group-commit flush, installs the commit
-// into the local metadata cache and multicast queue.
-func (n *Node) finishCommit(t *txnState, txid string, id idgen.ID, rec *records.CommitRecord, installed bool) {
-	if rec != nil && !installed {
-		ss := n.stripesOf(rec.WriteSet)
-		lockStripes(ss)
-		n.installLocked(rec)
-		unlockStripes(ss)
-		n.recMu.Lock()
-		n.recent = append(n.recent, rec)
-		n.recMu.Unlock()
-	}
+// finishCommit acknowledges a commit whose record (if it wrote anything)
+// is durable and installed: it retires the transaction state and records
+// the ID for idempotent retries.
+func (n *Node) finishCommit(t *txnState, txid string, id idgen.ID) {
 	n.tmu.Lock()
 	n.committedByUUID[txid] = id
 	delete(n.txns, txid)
 	n.tmu.Unlock()
 	t.mu.Lock()
 	t.done = true
-	if t.committing != nil {
-		close(t.committing)
-		t.committing = nil
-	}
+	t.endCommitAttempt()
 	n.unpin(t)
 	t.mu.Unlock()
 	n.release()
@@ -257,51 +240,6 @@ func (n *Node) finishCommit(t *txnState, txid string, id idgen.ID, rec *records.
 // stays live (pins held, state intact) for a retry.
 func (n *Node) abandonCommit(t *txnState) {
 	t.mu.Lock()
-	close(t.committing)
-	t.committing = nil
+	t.endCommitAttempt()
 	t.mu.Unlock()
-}
-
-// writeVersions persists items using the engine's batch primitive when
-// available (chunked to the engine limit), falling back to sequential puts
-// — exactly the behaviour Figure 2 measures for DynamoDB versus Redis/S3.
-func (n *Node) writeVersions(ctx context.Context, items map[string][]byte) error {
-	caps := n.store.Capabilities()
-	if !caps.BatchWrites {
-		return n.writeSequential(ctx, items)
-	}
-	limit := caps.MaxBatchSize
-	if limit <= 0 {
-		limit = len(items)
-	}
-	batch := make(map[string][]byte, limit)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		err := n.store.BatchPut(ctx, batch)
-		if errors.Is(err, storage.ErrBatchUnsupported) {
-			err = n.writeSequential(ctx, batch)
-		}
-		batch = make(map[string][]byte, limit)
-		return err
-	}
-	for k, v := range items {
-		batch[k] = v
-		if len(batch) >= limit {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
-}
-
-func (n *Node) writeSequential(ctx context.Context, items map[string][]byte) error {
-	for k, v := range items {
-		if err := n.store.Put(ctx, k, v); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -7,13 +7,14 @@ package core
 //
 // The pipeline is leader-based (the classic WAL group-commit shape; no
 // persistent background goroutine or shutdown hook — the only goroutines
-// it spawns are short-lived drainers that exit once the queue empties): a
-// committing goroutine enqueues its request and, if a flusher slot is
-// free, becomes a flusher; it drains the queue, performs the batched
-// writes for the drained transactions, and signals each waiter.
-// Transactions that arrive while every flusher is busy queue up for the
-// next drain, so batch sizes grow naturally with concurrency and a solo
-// commit flushes immediately with no added round trips.
+// it spawns are short-lived drainers, started when a leader leaves work
+// queued behind it, that exit once the queue empties): a committing
+// goroutine enqueues its request and, if a flusher slot is free, becomes a
+// flusher; it drains the queue, performs the batched writes for the
+// drained transactions, and signals each waiter. Transactions that arrive
+// while every flusher is busy queue up for the next drain, so batch sizes
+// grow naturally with concurrency and a solo commit flushes immediately
+// with no added round trips and no goroutine.
 //
 // Unlike a WAL (one disk head), the storage engines here accept parallel
 // writes, so flushes need not serialize behind a single leader — §3.3
@@ -32,36 +33,93 @@ package core
 // flush as ONE append to the multicast queue. No commit record is ever
 // written before its data, and no commit is acknowledged before its record
 // is durable.
+//
+// flushCommits is the node's one write routine: the direct path (engines
+// without a batch primitive, Config.DisableGroupCommit) runs it over a
+// one-request batch. Its working memory — the member list, the current
+// chunk's items and the map handed to BatchPut — is a pooled flushScratch,
+// so a flush allocates nothing of its own.
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aft/internal/records"
 	"aft/internal/telemetry"
 )
 
-// commitReq is one transaction's submission to the pipeline.
+// kv is one storage write: a storage key and the bytes stored under it.
+type kv struct {
+	key string
+	val []byte
+}
+
+// commitReq is one transaction's submission to the write routine.
 type commitReq struct {
-	// items are the step-1 data writes: one storage key per buffered
-	// version, or the single packed object under the packed layout.
-	items map[string][]byte
-	// recKey/recVal are the step-2 commit-record write.
-	recKey string
-	recVal []byte
-	// rec is installed into the metadata stripes after recVal is durable.
+	// data are the step-1 writes: one storage key per buffered version,
+	// or the single packed object under the packed layout.
+	data []kv
+	// record is the step-2 commit-record write (an array so both phases
+	// hand flushPhase a slice).
+	record [1]kv
+	// rec is installed into the metadata stripes after record is durable.
 	rec *records.CommitRecord
 	// trace, when non-nil, receives a retroactive gc.flush span: the
 	// flush runs under one member's goroutine, but every traced member
 	// should see how long its batch's storage writes took.
 	trace *telemetry.Trace
 
-	err  error
-	done chan struct{}
+	// err is the transaction's own outcome. A group flush writes it, then
+	// sets resolved and releases done; the submitter reads it after
+	// observing either. A WaitGroup and a flag stand in for a channel
+	// because they live inside the request and cost no allocation.
+	err      error
+	resolved atomic.Bool
+	done     sync.WaitGroup
+}
+
+func dataOf(req *commitReq) []kv   { return req.data }
+func recordOf(req *commitReq) []kv { return req.record[:] }
+
+// flushItem is one pending write of the chunk being assembled, with the
+// index in flushScratch.batch of the request that owns it.
+type flushItem struct {
+	kv
+	owner int
+}
+
+// flushScratch is the working memory of one flushCommits call, pooled
+// across flushes and nodes.
+type flushScratch struct {
+	// batch are the flush's member requests.
+	batch []*commitReq
+	// items is the chunk being assembled: at most batchLimit() writes.
+	items []flushItem
+	// chunk is the BatchPut argument, refilled from items for every call
+	// and cleared after it: storage.Store.BatchPut may neither retain nor
+	// mutate it.
+	chunk map[string][]byte
+	// visible collects the records phase 3 installed.
+	visible []*records.CommitRecord
+}
+
+var flushScratchPool = sync.Pool{New: func() any {
+	return &flushScratch{chunk: make(map[string][]byte)}
+}}
+
+// release returns sc to the pool holding no request, value or record.
+func (sc *flushScratch) release() {
+	clear(sc.batch)
+	sc.batch = sc.batch[:0]
+	clear(sc.visible)
+	sc.visible = sc.visible[:0]
+	flushScratchPool.Put(sc)
 }
 
 // maxGroupedCommits bounds one flush: with DynamoDB's 25-item batch limit
@@ -89,38 +147,41 @@ type groupCommitter struct {
 // transaction stays live, and a retry (likely flushing for itself)
 // re-submits the writes.
 //
-// A committing client flushes only until its own request resolves; if the
-// queue is still non-empty then, its flusher slot transfers to a detached
+// A committing client flushes only until its own request resolves. If the
+// queue is empty then — always, for a solo commit — it releases its
+// flusher slot and returns; otherwise the slot transfers to a detached
 // drainer goroutine (which exits as soon as the queue empties), so a
 // client's commit latency is bounded by its own flush rounds rather than
 // by how fast other clients keep the queue full.
 func (n *Node) groupCommit(ctx context.Context, req *commitReq) error {
-	req.done = make(chan struct{})
+	req.done.Add(1)
 	c := &n.committer
 	c.mu.Lock()
 	c.queue = append(c.queue, req)
 	if c.flushers >= n.flusherLimit {
 		c.mu.Unlock()
-		<-req.done
+		req.done.Wait()
 		return req.err
 	}
 	c.flushers++
 	c.mu.Unlock()
-	for {
-		select {
-		case <-req.done:
-			// Resolved by our own flush or a concurrent flusher's; hand
-			// the slot to a drainer for whatever is still queued. The
-			// drainer runs detached from any client ctx.
-			go n.drainQueue(context.Background())
-			return req.err
-		default:
-		}
+	for !req.resolved.Load() {
 		if !n.flushNextBatch(ctx) {
-			break // queue empty; slot released
+			// Queue empty, slot released: a concurrent flusher took our
+			// request.
+			req.done.Wait()
+			return req.err
 		}
 	}
-	<-req.done
+	c.mu.Lock()
+	if len(c.queue) == 0 {
+		c.flushers--
+		c.mu.Unlock()
+		return req.err
+	}
+	c.mu.Unlock()
+	// The drainer runs detached from any client ctx.
+	go n.drainQueue(context.Background())
 	return req.err
 }
 
@@ -130,20 +191,30 @@ func (n *Node) groupCommit(ctx context.Context, req *commitReq) error {
 func (n *Node) flushNextBatch(ctx context.Context) bool {
 	c := &n.committer
 	c.mu.Lock()
-	batch := c.queue
-	if len(batch) > maxGroupedCommits {
-		c.queue = batch[maxGroupedCommits:]
-		batch = batch[:maxGroupedCommits]
-	} else {
-		c.queue = nil
-	}
-	if len(batch) == 0 {
+	take := min(len(c.queue), maxGroupedCommits)
+	if take == 0 {
 		c.flushers--
 		c.mu.Unlock()
 		return false
 	}
+	sc := flushScratchPool.Get().(*flushScratch)
+	sc.batch = append(sc.batch, c.queue[:take]...)
+	// Shift the remainder down instead of re-slicing, so the queue keeps
+	// its backing array from one flush to the next.
+	rest := copy(c.queue, c.queue[take:])
+	clear(c.queue[rest:])
+	c.queue = c.queue[:rest]
 	c.mu.Unlock()
-	n.flushCommits(ctx, batch)
+	n.metrics.GroupFlushes.Add(1)
+	n.metrics.GroupedCommits.Add(int64(take))
+	start := time.Now()
+	n.flushCommits(ctx, sc)
+	n.traceFlush(sc.batch, start, time.Since(start))
+	for _, req := range sc.batch {
+		req.resolved.Store(true)
+		req.done.Done()
+	}
+	sc.release()
 	return true
 }
 
@@ -154,48 +225,51 @@ func (n *Node) drainQueue(ctx context.Context) {
 	}
 }
 
-// flushCommits runs one flush over batch; see the package comment for the
-// three phases and their ordering guarantees.
-func (n *Node) flushCommits(ctx context.Context, batch []*commitReq) {
-	n.metrics.GroupFlushes.Add(1)
-	n.metrics.GroupedCommits.Add(int64(len(batch)))
-	flushStart := time.Now()
-	failed := make(map[*commitReq]error, len(batch))
+// commitDirect runs the write routine for req alone, on the caller's
+// goroutine and outside the pipeline's queue.
+func (n *Node) commitDirect(ctx context.Context, req *commitReq) error {
+	sc := flushScratchPool.Get().(*flushScratch)
+	sc.batch = append(sc.batch, req)
+	n.flushCommits(ctx, sc)
+	sc.release()
+	return req.err
+}
 
+// flushCommits runs one flush over sc.batch, leaving each member's outcome
+// in its err; see the package comment for the three phases and their
+// ordering guarantees.
+func (n *Node) flushCommits(ctx context.Context, sc *flushScratch) {
 	// Phase 1: every transaction's data versions.
-	n.flushPhase(ctx, batch, failed, "aft: persisting write set", func(req *commitReq) map[string][]byte {
-		return req.items
-	})
+	n.flushPhase(ctx, sc, "aft: persisting write set", dataOf)
 	// Phase 2: commit records, only for transactions whose data is fully
 	// durable (§3.3: the record is the visibility point).
-	n.flushPhase(ctx, batch, failed, "aft: persisting commit record", func(req *commitReq) map[string][]byte {
-		return map[string][]byte{req.recKey: req.recVal}
-	})
+	n.flushPhase(ctx, sc, "aft: persisting commit record", recordOf)
 
 	// Phase 3: visibility. Install each durable record into its stripes,
 	// then hand the whole flush to the multicast queue in one append.
-	visible := make([]*records.CommitRecord, 0, len(batch))
-	for _, req := range batch {
-		if err := failed[req]; err != nil {
-			req.err = err
+	for _, req := range sc.batch {
+		if req.err != nil {
 			continue
 		}
 		ss := n.stripesOf(req.rec.WriteSet)
 		lockStripes(ss)
-		n.installLocked(req.rec)
+		n.installLocked(req.rec, ss)
 		unlockStripes(ss)
-		visible = append(visible, req.rec)
+		sc.visible = append(sc.visible, req.rec)
 	}
-	if len(visible) > 0 {
+	if len(sc.visible) > 0 {
 		n.recMu.Lock()
-		n.recent = append(n.recent, visible...)
+		n.recent = append(n.recent, sc.visible...)
 		n.recMu.Unlock()
 	}
-	flushDur := time.Since(flushStart)
-	// One flush serves many coalesced transactions; the shared flush ID
-	// (plus the co-flushed traces' IDs) lets the stitched view link every
-	// member trace to the same storage round trips. The ID and peer list
-	// are built only when at least one member is traced.
+}
+
+// traceFlush gives every traced member of a group flush a gc.flush span.
+// One flush serves many coalesced transactions; the shared flush ID (plus
+// the co-flushed traces' IDs) lets the stitched view link every member
+// trace to the same storage round trips. The ID and peer list are built
+// only when at least one member is traced.
+func (n *Node) traceFlush(batch []*commitReq, start time.Time, dur time.Duration) {
 	var flushID, peers string
 	for _, req := range batch {
 		if req.trace == nil {
@@ -211,81 +285,95 @@ func (n *Node) flushCommits(ctx context.Context, batch []*commitReq) {
 			}
 			peers = strings.Join(ids, ",")
 		}
-		req.trace.AddSpan("gc.flush", flushStart, flushDur,
+		req.trace.AddSpan("gc.flush", start, dur,
 			map[string]string{
 				"batch": strconv.Itoa(len(batch)),
 				"flush": flushID,
 				"peers": peers,
 			})
 	}
-	for _, req := range batch {
-		close(req.done)
+}
+
+// batchLimit returns how many items one BatchPut call may carry: the
+// engine's Capabilities().MaxBatchSize, whose 0 means unbounded — one call
+// then takes everything a phase has to write. An engine without a batch
+// primitive gets 1: every write goes through the point API.
+func (n *Node) batchLimit() int {
+	caps := n.store.Capabilities()
+	switch {
+	case !caps.BatchWrites:
+		return 1
+	case caps.MaxBatchSize <= 0:
+		return math.MaxInt
+	default:
+		return caps.MaxBatchSize
 	}
 }
 
 // flushPhase writes one phase's items for every not-yet-failed request,
 // packing items from different transactions into chunks of the engine's
-// batch limit. A chunk that fails is retried item by item through the
-// point API so each transaction learns ITS OWN outcome — a shared batch
-// may apply partially (storage.go permits non-atomic batches), and
-// blanket-failing the chunk would report commits failed whose records
-// were in fact durably written (they would then resurface as committed
-// via the fault-manager scan while the client retries under a new ID).
-// Errors carry errContext like the direct path's, and a failed
-// transaction's remaining items are skipped; its stray data stays
-// invisible because its commit record is never written (§3.3).
-func (n *Node) flushPhase(ctx context.Context, batch []*commitReq, failed map[*commitReq]error, errContext string, itemsOf func(*commitReq) map[string][]byte) {
-	limit := n.store.Capabilities().MaxBatchSize
-	if limit <= 0 {
-		limit = 128
-	}
-	chunk := make(map[string][]byte, limit)
-	owner := make(map[string]*commitReq, limit)
-	flush := func() {
-		if len(chunk) == 0 {
-			return
-		}
-		var err error
-		if len(chunk) > 1 {
-			sp := telemetry.StartSpan(ctx, "storage.batchput")
-			sp.Annotate("items", strconv.Itoa(len(chunk)))
-			err = n.store.BatchPut(ctx, chunk)
-			sp.End()
-		}
-		if len(chunk) == 1 || err != nil {
-			// Solo items take the point API outright (a one-item batch
-			// buys no round trip, and real engines price BatchWriteItem
-			// worse than PutItem — an uncontended commit keeps the direct
-			// path's storage profile). Failed batches retry per item for
-			// per-transaction attribution; re-writing items the partial
-			// batch already applied is a harmless overwrite.
-			for k, v := range chunk {
-				req := owner[k]
-				if failed[req] != nil {
-					continue
-				}
-				if perr := n.store.Put(ctx, k, v); perr != nil {
-					failed[req] = fmt.Errorf("%s: %w", errContext, perr)
-				}
-			}
-		}
-		chunk = make(map[string][]byte, limit)
-		owner = make(map[string]*commitReq, limit)
-	}
-	for _, req := range batch {
-		if failed[req] != nil {
+// batch limit. Errors carry errContext, and a failed transaction's
+// remaining items are skipped; its stray data stays invisible because its
+// commit record is never written (§3.3).
+func (n *Node) flushPhase(ctx context.Context, sc *flushScratch, errContext string, itemsOf func(*commitReq) []kv) {
+	limit := n.batchLimit()
+	for i, req := range sc.batch {
+		if req.err != nil {
 			continue
 		}
-		for k, v := range itemsOf(req) {
-			chunk[k] = v
-			owner[k] = req
-			if len(chunk) >= limit {
-				flush()
-				if failed[req] != nil {
+		for _, it := range itemsOf(req) {
+			sc.items = append(sc.items, flushItem{kv: it, owner: i})
+			if len(sc.items) >= limit {
+				n.writeChunk(ctx, sc, errContext)
+				if req.err != nil {
 					break // this transaction already failed; skip its rest
 				}
 			}
 		}
 	}
-	flush()
+	n.writeChunk(ctx, sc, errContext)
+}
+
+// writeChunk writes sc.items and empties it. A chunk that fails is retried
+// item by item through the point API so each transaction learns ITS OWN
+// outcome — a shared batch may apply partially (storage.go permits
+// non-atomic batches), and blanket-failing the chunk would report commits
+// failed whose records were in fact durably written (they would then
+// resurface as committed via the fault-manager scan while the client
+// retries under a new ID).
+func (n *Node) writeChunk(ctx context.Context, sc *flushScratch, errContext string) {
+	items := sc.items
+	if len(items) == 0 {
+		return
+	}
+	var err error
+	if len(items) > 1 {
+		for _, it := range items {
+			sc.chunk[it.key] = it.val
+		}
+		sp := telemetry.StartSpan(ctx, "storage.batchput")
+		sp.Annotate("items", strconv.Itoa(len(items)))
+		err = n.store.BatchPut(ctx, sc.chunk)
+		sp.End()
+		clear(sc.chunk)
+	}
+	if len(items) == 1 || err != nil {
+		// Solo items take the point API outright (a one-item batch buys
+		// no round trip, and real engines price BatchWriteItem worse than
+		// PutItem — an uncontended commit keeps the point-write storage
+		// profile). Failed batches retry per item for per-transaction
+		// attribution; re-writing items the partial batch already applied
+		// is a harmless overwrite.
+		for _, it := range items {
+			req := sc.batch[it.owner]
+			if req.err != nil {
+				continue
+			}
+			if perr := n.store.Put(ctx, it.key, it.val); perr != nil {
+				req.err = fmt.Errorf("%s: %w", errContext, perr)
+			}
+		}
+	}
+	clear(items)
+	sc.items = items[:0]
 }

@@ -583,7 +583,7 @@ func (n *Node) MergeRemoteCommits(recs []*records.CommitRecord) {
 			}
 			prunedMerges++
 			outcome = "pruned"
-		} else if n.installLocked(rec) {
+		} else if n.installLocked(rec, ss) {
 			merged++
 			outcome = "merged"
 		}

@@ -9,6 +9,7 @@ import (
 
 	"aft/internal/idgen"
 	"aft/internal/records"
+	"aft/internal/storage"
 	"aft/internal/storage/dynamosim"
 	"aft/internal/storage/redissim"
 	"aft/internal/storage/s3sim"
@@ -404,6 +405,52 @@ func TestBatchChunkingOverEngineLimit(t *testing.T) {
 	}
 	if m.BatchItems != 60 {
 		t.Fatalf("batch items = %d, want 60", m.BatchItems)
+	}
+}
+
+// unboundedBatchStore reports the WAL engine's capabilities — batch writes
+// with MaxBatchSize 0 — and records the size of every BatchPut.
+type unboundedBatchStore struct {
+	storage.Store
+	sizes *[]int
+}
+
+func (s unboundedBatchStore) Capabilities() storage.Capabilities {
+	return storage.Capabilities{BatchWrites: true}
+}
+
+func (s unboundedBatchStore) BatchPut(ctx context.Context, items map[string][]byte) error {
+	*s.sizes = append(*s.sizes, len(items))
+	for k, v := range items {
+		if err := s.Store.Put(ctx, k, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestUnboundedBatchLimit pins the one meaning of MaxBatchSize 0: the
+// whole write set goes out as one BatchPut, on the group path and on the
+// direct path alike (the group path used to cut it at 128).
+func TestUnboundedBatchLimit(t *testing.T) {
+	for _, direct := range []bool{false, true} {
+		var sizes []int
+		n, err := NewNode(Config{
+			NodeID:             "n",
+			Store:              unboundedBatchStore{dynamosim.New(dynamosim.Options{}), &sizes},
+			DisableGroupCommit: direct,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kvs := map[string]string{}
+		for i := 0; i < 300; i++ {
+			kvs[fmt.Sprintf("k%03d", i)] = "v"
+		}
+		commitTxn(t, n, kvs)
+		if len(sizes) != 1 || sizes[0] != 300 {
+			t.Fatalf("direct=%v: BatchPut sizes = %v, want one call of 300", direct, sizes)
+		}
 	}
 }
 

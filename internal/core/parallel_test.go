@@ -7,13 +7,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"aft/internal/idgen"
+	"aft/internal/records"
 	"aft/internal/storage"
 	"aft/internal/storage/dynamosim"
 )
@@ -352,6 +356,134 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	// Every commit is visible: the node caches 6 records.
 	if got := n.MetadataSize(); got != followers+1 {
 		t.Fatalf("metadata size = %d, want %d", got, followers+1)
+	}
+	// The leader returned once its own flush resolved, leaving the
+	// followers to a drainer; the drainer gives the slot back when the
+	// queue is empty.
+	waitFlushersIdle(t, n)
+}
+
+// flushersBusy returns how many flusher slots are held right now.
+func flushersBusy(n *Node) int {
+	n.committer.mu.Lock()
+	defer n.committer.mu.Unlock()
+	return n.committer.flushers
+}
+
+func waitFlushersIdle(t *testing.T, n *Node) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for flushersBusy(n) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("flusher slots still held: %d", flushersBusy(n))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSoloCommitReleasesSlotInline pins the uncontended path: a commit
+// with nothing queued behind it gives its flusher slot back before it
+// returns instead of handing it to a drainer goroutine. A spawned drainer
+// would still hold the slot here — it cannot have run yet on one P, and
+// nothing orders it before this check on more.
+func TestSoloCommitReleasesSlotInline(t *testing.T) {
+	n, _ := newTestNode(t)
+	for i := 0; i < 100; i++ {
+		commitTxn(t, n, map[string]string{"solo": "v"})
+		if busy := flushersBusy(n); busy != 0 {
+			t.Fatalf("commit %d returned with %d flusher slot(s) held", i, busy)
+		}
+	}
+	if m := n.Metrics().Snapshot(); m.GroupFlushes != 100 || m.GroupedCommits != 100 {
+		t.Fatalf("flushes/commits = %d/%d, want 100/100", m.GroupFlushes, m.GroupedCommits)
+	}
+}
+
+// lossyBatchStore applies the first half of every BatchPut (in key order)
+// and then fails the call, and refuses point writes of any key containing
+// "lost" — a partial batch whose retry recovers some items and not others.
+type lossyBatchStore struct {
+	storage.Store
+}
+
+func (s lossyBatchStore) BatchPut(ctx context.Context, items map[string][]byte) error {
+	keys := make([]string, 0, len(items))
+	for k := range items {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys[:len(keys)/2] {
+		if err := s.Store.Put(ctx, k, items[k]); err != nil {
+			return err
+		}
+	}
+	return errors.New("lossy: batch applied in part")
+}
+
+func (s lossyBatchStore) Put(ctx context.Context, key string, value []byte) error {
+	if strings.Contains(key, "lost") {
+		return errors.New("lossy: write refused")
+	}
+	return s.Store.Put(ctx, key, value)
+}
+
+// TestFlushPartialBatchFailsOnlyLosers drives one flush of three
+// transactions through a store whose shared BatchPut applies in part: the
+// per-item retry must attribute the loss to the one transaction whose item
+// cannot be written, skip that transaction's commit record, and commit the
+// other two.
+func TestFlushPartialBatchFailsOnlyLosers(t *testing.T) {
+	inner := dynamosim.New(dynamosim.Options{})
+	n, err := NewNode(Config{NodeID: "lossy", Store: lossyBatchStore{inner}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	mk := func(ts int64, keys ...string) *commitReq {
+		id := idgen.ID{Timestamp: ts, UUID: fmt.Sprintf("u%d", ts)}
+		rec := records.NewCommitRecord(id, keys, "lossy")
+		payload, err := rec.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := &commitReq{record: [1]kv{{records.CommitKey(id), payload}}, rec: rec}
+		for _, k := range keys {
+			req.data = append(req.data, kv{records.DataKey(k, id), []byte(k)})
+		}
+		return req
+	}
+	a, b, c := mk(1, "a1", "a2"), mk(2, "b1", "b-lost", "b3"), mk(3, "c1")
+	sc := flushScratchPool.Get().(*flushScratch)
+	sc.batch = append(sc.batch, a, b, c)
+	n.flushCommits(ctx, sc)
+	sc.release()
+	if a.err != nil || c.err != nil {
+		t.Fatalf("winners failed: a=%v c=%v", a.err, c.err)
+	}
+	if b.err == nil || !strings.Contains(b.err.Error(), "aft: persisting write set") {
+		t.Fatalf("loser's error = %v, want a write-set failure", b.err)
+	}
+	for _, req := range []*commitReq{a, c} {
+		if _, err := inner.Get(ctx, req.record[0].key); err != nil {
+			t.Fatalf("winner's commit record %s: %v", req.record[0].key, err)
+		}
+		for _, it := range req.data {
+			if v, err := inner.Get(ctx, it.key); err != nil || string(v) != string(it.val) {
+				t.Fatalf("winner's data %s = %q, %v", it.key, v, err)
+			}
+		}
+	}
+	if _, err := inner.Get(ctx, b.record[0].key); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("loser's commit record was written: %v", err)
+	}
+	if _, err := inner.Get(ctx, b.data[2].key); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("loser's items after the lost one were not skipped: %v", err)
+	}
+	if got := n.MetadataSize(); got != 2 {
+		t.Fatalf("installed records = %d, want the 2 winners", got)
+	}
+	if got := len(n.Drain()); got != 2 {
+		t.Fatalf("announced records = %d, want 2", got)
 	}
 }
 

@@ -29,7 +29,7 @@ package core
 // record's stripes at a time instead of freezing the node.
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"aft/internal/idgen"
@@ -94,11 +94,14 @@ func (n *Node) stripesOf(writeSet []string) []*stripe {
 	if len(writeSet) == 1 {
 		return []*stripe{n.stripeFor(writeSet[0])}
 	}
-	idxs := make([]int, len(writeSet))
-	for i, k := range writeSet {
-		idxs[i] = int(stripeHash(k)) & n.stripeMask
+	// The usual write set's indexes fit the stack buffer; only the
+	// returned slice is allocated.
+	var buf [16]int
+	idxs := buf[:0]
+	for _, k := range writeSet {
+		idxs = append(idxs, int(stripeHash(k))&n.stripeMask)
 	}
-	sort.Ints(idxs)
+	slices.Sort(idxs)
 	out := make([]*stripe, 0, len(idxs))
 	prev := -1
 	for _, i := range idxs {
@@ -139,10 +142,9 @@ func runlockStripes(ss []*stripe) {
 
 // installLocked makes a committed transaction visible locally: it enters
 // the Commit Set Cache of every stripe its write set touches and its write
-// set is indexed. The caller must hold write locks covering all of rec's
-// stripes.
-func (n *Node) installLocked(rec *records.CommitRecord) bool {
-	ss := n.stripesOf(rec.WriteSet)
+// set is indexed. ss must be stripesOf(rec.WriteSet), write-locked by the
+// caller.
+func (n *Node) installLocked(rec *records.CommitRecord, ss []*stripe) bool {
 	id := rec.ID()
 	if _, ok := ss[0].commits[id]; ok {
 		// Already cached — but possibly only partially indexed, if it

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,13 +30,17 @@ type txnState struct {
 	// done marks the transaction finished (committed or aborted); late
 	// operations observe it instead of mutating retired state.
 	done bool
-	// committing is non-nil while a commit attempt is writing to storage
-	// (closed when the attempt resolves). It claims the transaction: a
-	// concurrent Abort or duplicate Commit waits for the outcome instead
-	// of racing the in-flight storage writes — a §3.1 idempotent retry
-	// must observe the original attempt's result, and an abort racing a
-	// commit must not delete spill data the commit record will reference.
-	committing chan struct{}
+	// committing is set while a commit attempt is writing to storage. It
+	// claims the transaction: a concurrent Abort or duplicate Commit waits
+	// for the outcome instead of racing the in-flight storage writes — a
+	// §3.1 idempotent retry must observe the original attempt's result,
+	// and an abort racing a commit must not delete spill data the commit
+	// record will reference.
+	committing bool
+	// commitDone is what such a waiter blocks on: the first one creates
+	// it, the attempt closes it when it resolves. The uncontended commit
+	// never allocates it.
+	commitDone chan struct{}
 	// writes is the Atomic Write Buffer's slice for this transaction:
 	// key -> latest buffered value.
 	writes map[string][]byte
@@ -53,7 +56,7 @@ type txnState struct {
 	// read from; each holds a reader pin against local GC (§5.1).
 	pinned map[idgen.ID]bool
 	// spilled holds keys whose payload was proactively written to the
-	// spill area before commit (§3.3).
+	// spill area before commit (§3.3); nil until the first spill.
 	spilled map[string]bool
 	// metaFetched records keys whose metadata this transaction already
 	// recovered from storage (sharded read fallback), so repeated misses
@@ -99,7 +102,37 @@ func (t *txnState) refreshLease(ctx context.Context) {
 }
 
 func (t *txnState) spillDir() string {
-	return strconv.FormatInt(t.startTS, 10) + "_" + t.uuid
+	return idgen.ID{Timestamp: t.startTS, UUID: t.uuid}.String()
+}
+
+// awaitCommitAttempt blocks while a commit attempt holds the transaction.
+// The caller holds t.mu, and holds it again on a nil return; on ctx expiry
+// the error is returned with t.mu released.
+func (t *txnState) awaitCommitAttempt(ctx context.Context) error {
+	for t.committing {
+		if t.commitDone == nil {
+			t.commitDone = make(chan struct{})
+		}
+		ch := t.commitDone
+		t.mu.Unlock()
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		t.mu.Lock()
+	}
+	return nil
+}
+
+// endCommitAttempt releases the attempt's claim and wakes its waiters. The
+// caller holds t.mu.
+func (t *txnState) endCommitAttempt() {
+	t.committing = false
+	if t.commitDone != nil {
+		close(t.commitDone)
+		t.commitDone = nil
+	}
 }
 
 // StartTransaction begins a new transaction and returns its ID (the UUID
@@ -130,7 +163,6 @@ func (n *Node) StartTransaction(ctx context.Context) (string, error) {
 		readSet:  make(map[string]idgen.ID),
 		readRecs: make(map[string]*records.CommitRecord),
 		pinned:   make(map[idgen.ID]bool),
-		spilled:  make(map[string]bool),
 	}
 	// The wire layer deposits an inbound client trace context in ctx; a
 	// zero context self-samples per the tracer's policy.
@@ -222,6 +254,9 @@ func (n *Node) Put(ctx context.Context, txid, key string, value []byte) error {
 		spillDir = t.spillDir()
 		t.writes = make(map[string][]byte)
 		t.buffered = 0
+		if t.spilled == nil {
+			t.spilled = make(map[string]bool, len(spillItems))
+		}
 		for k := range spillItems {
 			t.spilled[k] = true
 		}
@@ -262,18 +297,11 @@ func (n *Node) AbortTransaction(ctx context.Context, txid string) error {
 		return err
 	}
 	t.mu.Lock()
-	for t.committing != nil {
-		// A commit attempt is in flight; wait for its outcome. If it
-		// succeeds the abort reports ErrTxnFinished below; if it fails
-		// the transaction is still live and the abort proceeds.
-		ch := t.committing
-		t.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		t.mu.Lock()
+	// If a commit attempt is in flight, wait for its outcome: if it
+	// succeeds the abort reports ErrTxnFinished below; if it fails the
+	// transaction is still live and the abort proceeds.
+	if err := t.awaitCommitAttempt(ctx); err != nil {
+		return err
 	}
 	if t.done {
 		t.mu.Unlock()
@@ -359,5 +387,5 @@ func (n *Node) unpin(t *txnState) {
 		}
 	}
 	n.pinMu.Unlock()
-	t.pinned = make(map[idgen.ID]bool)
+	clear(t.pinned)
 }

@@ -66,7 +66,32 @@ func (id ID) Equal(other ID) bool {
 // String renders the ID as "<timestamp>_<uuid>", the form used to build
 // unique storage keys for key-versions and commit records.
 func (id ID) String() string {
-	return strconv.FormatInt(id.Timestamp, 10) + "_" + id.UUID
+	var b strings.Builder
+	b.Grow(id.StringLen())
+	id.AppendTo(&b)
+	return b.String()
+}
+
+// StringLen returns len(id.String()) without building the string, so a
+// storage-key builder embedding the ID can size its one buffer exactly.
+func (id ID) StringLen() int {
+	digits, u := 1, uint64(id.Timestamp)
+	if id.Timestamp < 0 {
+		digits, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		digits++
+	}
+	return digits + 1 + len(id.UUID)
+}
+
+// AppendTo writes the String form of id to b. The timestamp is formatted
+// into a stack buffer, so the only allocation is b's own.
+func (id ID) AppendTo(b *strings.Builder) {
+	var ts [20]byte // len("-9223372036854775808")
+	b.Write(strconv.AppendInt(ts[:0], id.Timestamp, 10))
+	b.WriteByte('_')
+	b.WriteString(id.UUID)
 }
 
 // Parse decodes an ID previously rendered by String.

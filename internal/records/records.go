@@ -40,11 +40,49 @@ const (
 	PackPrefix = "aft/p/"
 )
 
-// escapeKey makes a user key safe for embedding in a storage key by
-// escaping '%' and '/' (the layout separator).
+// escapedLen returns len(escapeKey(key)).
+func escapedLen(key string) int {
+	n := len(key)
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; c == '%' || c == '/' {
+			n += 2
+		}
+	}
+	return n
+}
+
+// appendEscaped writes key to b with '%' and '/' (the layout separator)
+// escaped as "%25" and "%2F", so a user key is safe to embed in a storage
+// key. The common key holds neither byte and goes out in one write.
+func appendEscaped(b *strings.Builder, key string) {
+	start := 0
+	for i := 0; i < len(key); i++ {
+		var esc string
+		switch key[i] {
+		case '%':
+			esc = "%25"
+		case '/':
+			esc = "%2F"
+		default:
+			continue
+		}
+		b.WriteString(key[start:i])
+		b.WriteString(esc)
+		start = i + 1
+	}
+	b.WriteString(key[start:])
+}
+
+// escapeKey returns key as appendEscaped writes it.
 func escapeKey(key string) string {
-	key = strings.ReplaceAll(key, "%", "%25")
-	return strings.ReplaceAll(key, "/", "%2F")
+	n := escapedLen(key)
+	if n == len(key) {
+		return key
+	}
+	var b strings.Builder
+	b.Grow(n)
+	appendEscaped(&b, key)
+	return b.String()
 }
 
 // unescapeKey reverses escapeKey.
@@ -56,7 +94,13 @@ func unescapeKey(key string) string {
 // DataKey returns the unique storage key holding the version of key written
 // by transaction id.
 func DataKey(key string, id idgen.ID) string {
-	return DataPrefix + escapeKey(key) + "/" + id.String()
+	var b strings.Builder
+	b.Grow(len(DataPrefix) + escapedLen(key) + 1 + id.StringLen())
+	b.WriteString(DataPrefix)
+	appendEscaped(&b, key)
+	b.WriteByte('/')
+	id.AppendTo(&b)
+	return b.String()
 }
 
 // DataKeyPrefix returns the storage prefix under which all versions of key
@@ -83,7 +127,16 @@ func ParseDataKey(storageKey string) (key string, id idgen.ID, err error) {
 }
 
 // CommitKey returns the storage key of transaction id's commit record.
-func CommitKey(id idgen.ID) string { return CommitPrefix + id.String() }
+func CommitKey(id idgen.ID) string { return prefixedID(CommitPrefix, id) }
+
+// prefixedID returns prefix + id.String() in one allocation.
+func prefixedID(prefix string, id idgen.ID) string {
+	var b strings.Builder
+	b.Grow(len(prefix) + id.StringLen())
+	b.WriteString(prefix)
+	id.AppendTo(&b)
+	return b.String()
+}
 
 // ParseCommitKey decodes a storage key produced by CommitKey.
 func ParseCommitKey(storageKey string) (idgen.ID, error) {
@@ -97,7 +150,13 @@ func ParseCommitKey(storageKey string) (idgen.ID, error) {
 // SpillKey returns the staging storage key for key within spill directory
 // dir (a "<startTimestamp>_<uuid>" string identifying the transaction).
 func SpillKey(dir, key string) string {
-	return SpillPrefix + dir + "/" + escapeKey(key)
+	var b strings.Builder
+	b.Grow(len(SpillPrefix) + len(dir) + 1 + escapedLen(key))
+	b.WriteString(SpillPrefix)
+	b.WriteString(dir)
+	b.WriteByte('/')
+	appendEscaped(&b, key)
+	return b.String()
 }
 
 // ParseSpillKey decodes a storage key produced by SpillKey.
@@ -145,7 +204,7 @@ type CommitRecord struct {
 }
 
 // PackKey returns the storage key of transaction id's packed object.
-func PackKey(id idgen.ID) string { return PackPrefix + id.String() }
+func PackKey(id idgen.ID) string { return prefixedID(PackPrefix, id) }
 
 // BootstrapWatermarkKey returns the storage key holding node's bootstrap
 // watermark (the newest commit key its last Bootstrap processed).

@@ -6,6 +6,7 @@
 package kvengine
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,24 +75,29 @@ func (e *Engine) Put(key string, value []byte) {
 // shards; callers that need atomic visibility layer it above (as AFT does
 // with its commit record).
 func (e *Engine) PutAll(items map[string][]byte) {
-	// Group by shard to take each shard lock once; values are copied
-	// before any lock is taken so the memcpy never extends a hold.
-	type kv struct {
-		k string
-		v []byte
+	// Sort by shard to take each shard lock once; values are copied before
+	// any lock is taken so the memcpy never extends a hold. Batches up to
+	// the stack buffer's size (DynamoDB's limit is 25) allocate only the
+	// copies.
+	type put struct {
+		shard int
+		k     string
+		v     []byte
 	}
-	byShard := make(map[int][]kv, len(e.shards))
+	var buf [32]put
+	puts := buf[:0]
 	for k, v := range items {
 		c := make([]byte, len(v))
 		copy(c, v)
-		i := e.ShardFor(k)
-		byShard[i] = append(byShard[i], kv{k, c})
+		puts = append(puts, put{e.ShardFor(k), k, c})
 	}
-	for i, kvs := range byShard {
-		s := e.shards[i]
+	slices.SortFunc(puts, func(a, b put) int { return a.shard - b.shard })
+	for i := 0; i < len(puts); {
+		shard := puts[i].shard
+		s := e.shards[shard]
 		s.mu.Lock()
-		for _, it := range kvs {
-			s.data[it.k] = it.v
+		for ; i < len(puts) && puts[i].shard == shard; i++ {
+			s.data[puts[i].k] = puts[i].v
 		}
 		s.mu.Unlock()
 	}

@@ -59,6 +59,10 @@ type Store interface {
 	// application only if the engine supports atomic batches; engines are
 	// permitted to apply batches non-atomically (AFT never depends on
 	// batch atomicity — the commit record provides atomic visibility).
+	// The map and its value slices belong to the caller: BatchPut must not
+	// mutate them, and must not retain either after it returns — AFT's
+	// flush clears and refills one map for every call (storagetest's
+	// BatchPutReleasesItems case).
 	BatchPut(ctx context.Context, items map[string][]byte) error
 	// BatchGet returns the values of the given keys. Missing keys are
 	// simply absent from the result map — never an error. Unlike BatchPut,

@@ -236,6 +236,38 @@ func Run(t *testing.T, factory Factory) {
 			t.Fatalf("BatchPut = %v, want nil or ErrBatchUnsupported", err)
 		}
 	})
+	t.Run("BatchPutReleasesItems", func(t *testing.T) {
+		// The caller owns items again as soon as BatchPut returns: AFT's
+		// flush refills one pooled map for every call. A store that kept
+		// the map, or aliased a value slice, would see the next batch's
+		// contents under this batch's keys.
+		s := factory()
+		ctx := context.Background()
+		v1, v2 := []byte("one"), []byte("two")
+		items := map[string][]byte{"r1": v1, "r2": v2}
+		if err := s.BatchPut(ctx, items); err != nil {
+			if !s.Capabilities().BatchWrites && errors.Is(err, storage.ErrBatchUnsupported) {
+				return // nothing was applied, so nothing can be aliased
+			}
+			t.Fatalf("BatchPut = %v", err)
+		}
+		if len(items) != 2 || string(items["r1"]) != "one" || string(items["r2"]) != "two" {
+			t.Fatalf("BatchPut mutated the caller's map: %q", items)
+		}
+		v1[0], v2[0] = 'X', 'Y'
+		clear(items)
+		items["r3"] = []byte("three")
+		items["r4"] = []byte("four")
+		if err := s.BatchPut(ctx, items); err != nil && !errors.Is(err, storage.ErrBatchUnsupported) {
+			t.Fatalf("second BatchPut through the reused map = %v", err)
+		}
+		clear(items)
+		for k, want := range map[string]string{"r1": "one", "r2": "two"} {
+			if got, err := s.Get(ctx, k); err != nil || string(got) != want {
+				t.Fatalf("Get(%s) after the map was reused = %q, %v; want %q", k, got, err, want)
+			}
+		}
+	})
 	t.Run("BatchGetContract", func(t *testing.T) {
 		// Every engine must answer BatchGet for ANY key count — chunking
 		// (or fanning out point reads) is the engine's job — with missing

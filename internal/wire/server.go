@@ -239,9 +239,9 @@ func (s *Server) dispatch(ctx context.Context, req *Request, resp *Response) {
 	// means work the client has already given up on is abandoned at the
 	// node's next ctx check instead of burning a concurrency slot.
 	if req.DeadlineMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMillis)*time.Millisecond)
-		defer cancel()
+		dctx := withDeadline(ctx, time.Duration(req.DeadlineMillis)*time.Millisecond)
+		defer dctx.cancel(context.Canceled)
+		ctx = dctx
 	}
 	var err error
 	switch req.Op {

@@ -146,10 +146,13 @@ func (e *UnknownOpError) Error() string {
 
 // EncodeErr converts an error into a wire code + message.
 func EncodeErr(err error) (ErrCode, string) {
+	// Success returns before unknownOp is declared: errors.As makes it
+	// escape, and nearly every reply would pay for that allocation.
+	if err == nil {
+		return ErrNone, ""
+	}
 	var unknownOp *UnknownOpError
 	switch {
-	case err == nil:
-		return ErrNone, ""
 	case errors.As(err, &unknownOp):
 		// The message carries just the op code so DecodeErr can rebuild
 		// the typed error.
