@@ -381,28 +381,14 @@ func BenchmarkFig10(b *testing.B) {
 	}
 }
 
-// parallelModes are the two node configurations every BenchmarkParallel*
-// compares: Baseline reconstructs the pre-striping behaviour (a single
-// metadata lock, per-transaction storage writes) via config flags, so the
-// striping + group-commit speedup is measured in the same run on the same
-// hardware. On a multi-core machine (GOMAXPROCS >= 8) Striped should beat
-// Baseline by >= 2.5x on the contended commit workload; on fewer cores the
-// ratio shrinks toward 1 (cmd/aft-bench -experiment parallel records
-// NumCPU next to the measurements).
-var parallelModes = []struct {
-	name string
-	cfg  core.Config
-}{
-	{"Baseline", core.Config{MetadataStripes: 1, DisableGroupCommit: true}},
-	{"Striped", core.Config{}},
-}
-
-func mkParallelNode(b *testing.B, cfg core.Config, cache bool) *core.Node {
+// mkParallelNode builds the node the BenchmarkParallel* family drives.
+func mkParallelNode(b *testing.B, cache bool) *core.Node {
 	b.Helper()
-	cfg.NodeID = "bench"
-	cfg.Store = dynamosim.New(dynamosim.Options{})
-	cfg.EnableDataCache = cache
-	n, err := core.NewNode(cfg)
+	n, err := core.NewNode(core.Config{
+		NodeID:          "bench",
+		Store:           dynamosim.New(dynamosim.Options{}),
+		EnableDataCache: cache,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -414,34 +400,30 @@ func mkParallelNode(b *testing.B, cfg core.Config, cache bool) *core.Node {
 // commits collide on the hot stripes and coalesce in the group pipeline.
 func BenchmarkParallelCommit(b *testing.B) {
 	payload := workload.Payload(1, 1024)
-	for _, mode := range parallelModes {
-		b.Run(mode.name, func(b *testing.B) {
-			n := mkParallelNode(b, mode.cfg, false)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					txid, err := n.StartTransaction(ctx)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					n.Put(ctx, txid, workload.KeyName(i%8), payload)
-					n.Put(ctx, txid, fmt.Sprintf("w-%d", i%512), payload)
-					if _, err := n.CommitTransaction(ctx, txid); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-			b.StopTimer()
-			sm := storeMetrics(b, n)
-			if sm.Batches > 0 {
-				b.ReportMetric(sm.ItemsPerBatch(), "items/batch")
+	n := mkParallelNode(b, false)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			txid, err := n.StartTransaction(ctx)
+			if err != nil {
+				b.Error(err)
+				return
 			}
-		})
+			n.Put(ctx, txid, workload.KeyName(i%8), payload)
+			n.Put(ctx, txid, fmt.Sprintf("w-%d", i%512), payload)
+			if _, err := n.CommitTransaction(ctx, txid); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
+	b.StopTimer()
+	sm := storeMetrics(b, n)
+	if sm.Batches > 0 {
+		b.ReportMetric(sm.ItemsPerBatch(), "items/batch")
 	}
 }
 
@@ -449,35 +431,31 @@ func BenchmarkParallelCommit(b *testing.B) {
 // keyspace: three Algorithm-1 selections per transaction, cache enabled.
 func BenchmarkParallelRead(b *testing.B) {
 	payload := workload.Payload(1, 1024)
-	for _, mode := range parallelModes {
-		b.Run(mode.name, func(b *testing.B) {
-			n := mkParallelNode(b, mode.cfg, true)
-			ctx := context.Background()
-			for i := 0; i < 256; i++ {
-				commitKVs(b, n, map[string][]byte{workload.KeyName(i): payload})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					txid, err := n.StartTransaction(ctx)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					for j := 0; j < 3; j++ {
-						if _, err := n.Get(ctx, txid, workload.KeyName((i+j*85)%256)); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-					n.AbortTransaction(ctx, txid)
-					i++
-				}
-			})
-		})
+	n := mkParallelNode(b, true)
+	ctx := context.Background()
+	for i := 0; i < 256; i++ {
+		commitKVs(b, n, map[string][]byte{workload.KeyName(i): payload})
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			txid, err := n.StartTransaction(ctx)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			for j := 0; j < 3; j++ {
+				if _, err := n.Get(ctx, txid, workload.KeyName((i+j*85)%256)); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+			n.AbortTransaction(ctx, txid)
+			i++
+		}
+	})
 }
 
 // BenchmarkParallelMixed measures the contended read/write mix — two reads
@@ -486,152 +464,126 @@ func BenchmarkParallelRead(b *testing.B) {
 // local GC runs.
 func BenchmarkParallelMixed(b *testing.B) {
 	payload := workload.Payload(1, 1024)
-	for _, mode := range parallelModes {
-		b.Run(mode.name, func(b *testing.B) {
-			n := mkParallelNode(b, mode.cfg, true)
-			ctx := context.Background()
-			for i := 0; i < 64; i++ {
-				commitKVs(b, n, map[string][]byte{workload.KeyName(i): payload})
-			}
-			stop := make(chan struct{})
-			go func() {
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-						n.SweepLocalMetadata(128)
-						time.Sleep(100 * time.Microsecond)
-					}
-				}
-			}()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					txid, err := n.StartTransaction(ctx)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if _, err := n.Get(ctx, txid, workload.KeyName(i%64)); err != nil {
-						b.Error(err)
-						return
-					}
-					if _, err := n.Get(ctx, txid, workload.KeyName((i+31)%64)); err != nil {
-						b.Error(err)
-						return
-					}
-					n.Put(ctx, txid, workload.KeyName(i%8), payload)
-					if _, err := n.CommitTransaction(ctx, txid); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-			b.StopTimer()
-			close(stop)
-		})
+	n := mkParallelNode(b, true)
+	ctx := context.Background()
+	for i := 0; i < 64; i++ {
+		commitKVs(b, n, map[string][]byte{workload.KeyName(i): payload})
 	}
+	stop := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				n.SweepLocalMetadata(128)
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			txid, err := n.StartTransaction(ctx)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if _, err := n.Get(ctx, txid, workload.KeyName(i%64)); err != nil {
+				b.Error(err)
+				return
+			}
+			if _, err := n.Get(ctx, txid, workload.KeyName((i+31)%64)); err != nil {
+				b.Error(err)
+				return
+			}
+			n.Put(ctx, txid, workload.KeyName(i%8), payload)
+			if _, err := n.CommitTransaction(ctx, txid); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
+	b.StopTimer()
+	close(stop)
 }
 
-// readPathModes are the two node configurations BenchmarkReadPath
-// compares: Baseline reconstructs the pre-batching read path (per-record
-// point Gets, no cold-read singleflight) via Config.DisableReadBatching,
-// so the round-trip reduction is measured in the same run. Like the
-// parallel benches, acceptance is in storage calls (reported as
-// calls/coldread and calls/txn metrics), not wall-clock — the simulators
-// have no injected latency here and a 1-CPU host shows no overlap.
-var readPathModes = []struct {
-	name string
-	cfg  core.Config
-}{
-	{"Baseline", core.Config{DisableReadBatching: true}},
-	{"Batched", core.Config{}},
-}
-
-// BenchmarkReadPath measures the batched read pipeline's storage profile:
+// BenchmarkReadPath measures the read pipeline's storage profile:
 // ColdFetch reads keys whose metadata must be recovered from storage (1
-// List + ceil(N/batch) record BatchGets vs 1 List + N Gets per key), and
-// MultiGet reads 10-key batches with the data cache off (1 BatchGet vs 10
-// Gets per transaction).
+// List + ceil(N/batch) record BatchGets + 1 payload Get per key), and
+// MultiGet reads 10-key batches with the data cache off (1 BatchGet per
+// transaction). Acceptance is in storage calls (the calls/coldread and
+// calls/txn metrics), not wall-clock — the simulators have no injected
+// latency here.
 func BenchmarkReadPath(b *testing.B) {
 	payload := workload.Payload(1, 1024)
 	const versions = 30
 
-	for _, mode := range readPathModes {
-		b.Run("ColdFetch/"+mode.name, func(b *testing.B) {
-			store := dynamosim.New(dynamosim.Options{})
-			seeder, err := core.NewNode(core.Config{NodeID: "seed", Store: store})
+	b.Run("ColdFetch", func(b *testing.B) {
+		store := dynamosim.New(dynamosim.Options{})
+		seeder, err := core.NewNode(core.Config{NodeID: "seed", Store: store})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for v := 0; v < versions; v++ {
+			commitKVs(b, seeder, map[string][]byte{"cold": payload})
+		}
+		ctx := context.Background()
+		before := store.Metrics().Snapshot()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// A fresh sharded reader per iteration: every read is cold.
+			reader, err := core.NewNode(core.Config{NodeID: "cold-reader", Store: store})
 			if err != nil {
 				b.Fatal(err)
 			}
-			for v := 0; v < versions; v++ {
-				commitKVs(b, seeder, map[string][]byte{"cold": payload})
+			reader.SetOwnership(func(string) bool { return true })
+			txid, _ := reader.StartTransaction(ctx)
+			if _, err := reader.Get(ctx, txid, "cold"); err != nil {
+				b.Fatal(err)
 			}
-			ctx := context.Background()
-			before := store.Metrics().Snapshot()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// A fresh sharded reader per iteration: every read is cold.
-				cfg := mode.cfg
-				cfg.NodeID = "cold-reader"
-				cfg.Store = store
-				reader, err := core.NewNode(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reader.SetOwnership(func(string) bool { return true })
-				txid, _ := reader.StartTransaction(ctx)
-				if _, err := reader.Get(ctx, txid, "cold"); err != nil {
-					b.Fatal(err)
-				}
-				reader.AbortTransaction(ctx, txid)
-			}
-			b.StopTimer()
-			d := store.Metrics().Snapshot().Sub(before)
-			b.ReportMetric(float64(d.Calls())/float64(b.N), "calls/coldread")
-		})
-	}
+			reader.AbortTransaction(ctx, txid)
+		}
+		b.StopTimer()
+		d := store.Metrics().Snapshot().Sub(before)
+		b.ReportMetric(float64(d.Calls())/float64(b.N), "calls/coldread")
+	})
 
-	for _, mode := range readPathModes {
-		b.Run("MultiGet/"+mode.name, func(b *testing.B) {
-			cfg := mode.cfg
-			cfg.NodeID = "mg-bench"
-			cfg.Store = dynamosim.New(dynamosim.Options{})
-			n, err := core.NewNode(cfg) // no data cache: every payload hits storage
-			if err != nil {
+	b.Run("MultiGet", func(b *testing.B) {
+		// No data cache: every payload hits storage.
+		n, err := core.NewNode(core.Config{NodeID: "mg-bench", Store: dynamosim.New(dynamosim.Options{})})
+		if err != nil {
+			b.Fatal(err)
+		}
+		const nKeys = 64
+		keys := make([]string, nKeys)
+		for i := range keys {
+			keys[i] = workload.KeyName(i)
+			commitKVs(b, n, map[string][]byte{keys[i]: payload})
+		}
+		ctx := context.Background()
+		before := storeMetrics(b, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			txid, _ := n.StartTransaction(ctx)
+			batch := make([]string, 10)
+			for j := range batch {
+				batch[j] = keys[(i*10+j)%nKeys]
+			}
+			if _, err := n.MultiGet(ctx, txid, batch); err != nil {
 				b.Fatal(err)
 			}
-			const nKeys = 64
-			keys := make([]string, nKeys)
-			for i := range keys {
-				keys[i] = workload.KeyName(i)
-				commitKVs(b, n, map[string][]byte{keys[i]: payload})
-			}
-			ctx := context.Background()
-			before := storeMetrics(b, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				txid, _ := n.StartTransaction(ctx)
-				batch := make([]string, 10)
-				for j := range batch {
-					batch[j] = keys[(i*10+j)%nKeys]
-				}
-				if _, err := n.MultiGet(ctx, txid, batch); err != nil {
-					b.Fatal(err)
-				}
-				n.AbortTransaction(ctx, txid)
-			}
-			b.StopTimer()
-			d := storeMetrics(b, n).Sub(before)
-			b.ReportMetric(float64(d.Calls())/float64(b.N), "calls/txn")
-		})
-	}
+			n.AbortTransaction(ctx, txid)
+		}
+		b.StopTimer()
+		d := storeMetrics(b, n).Sub(before)
+		b.ReportMetric(float64(d.Calls())/float64(b.N), "calls/txn")
+	})
 }
 
 func storeMetrics(b *testing.B, n *core.Node) storage.Snapshot {

@@ -15,11 +15,11 @@
 //	aft-bench -experiment fig7 -store wal     # any experiment over any backend
 //
 // Experiments: fig2, fig3 (includes table2), fig4, fig5, fig6, fig7, fig8,
-// fig9, fig10, ablation, sharded, parallel, readpath, chaos, durability,
-// telemetry (instrumentation-overhead comparison), resilience (network
-// partitions, conn resets, and overload through the real wire stack),
-// recovery (WAL checkpoints vs full replay, incremental bootstrap,
-// metadata-budget spill, and a crash campaign over all three).
+// fig9, fig10, ablation, sharded, chaos, durability, obsplane (full
+// observability plane vs telemetry off), resilience (network partitions,
+// conn resets, and overload through the real wire stack), recovery (WAL
+// checkpoints vs full replay, incremental bootstrap, metadata-budget
+// spill, and a crash campaign over all three).
 // With -debug-addr set, a side HTTP listener serves /statz and the
 // /debug/pprof/ profiler suite for the duration of the run.
 // The -store flag overrides the storage backend every experiment builds
@@ -30,8 +30,8 @@
 //
 // Every run also writes machine-readable results to BENCH_<name>.json in
 // the -json directory ("" disables): the rendered tables plus, for the
-// sharded and parallel experiments, the raw per-cell measurements
-// (throughput, p50/p99 latency, and per-cell scaling/coalescing detail).
+// experiments that expose them (sharded and everything after it in the
+// list above), the raw per-cell measurements.
 package main
 
 import (
@@ -58,11 +58,8 @@ type benchResult struct {
 	Store           string                       `json:"store,omitempty"`
 	Tables          []experiments.Table          `json:"tables"`
 	ShardedCells    []experiments.ShardedCell    `json:"sharded_cells,omitempty"`
-	ParallelCells   []experiments.ParallelCell   `json:"parallel_cells,omitempty"`
-	ReadPathCells   []experiments.ReadPathCell   `json:"readpath_cells,omitempty"`
 	ChaosCells      []experiments.ChaosCell      `json:"chaos_cells,omitempty"`
 	DurabilityCells []experiments.DurabilityCell `json:"durability_cells,omitempty"`
-	TelemetryCells  []experiments.TelemetryCell  `json:"telemetry_cells,omitempty"`
 	ObsPlaneCells   []experiments.ObsPlaneCell   `json:"obsplane_cells,omitempty"`
 	ResilienceCells []experiments.ResilienceCell `json:"resilience_cells,omitempty"`
 	RecoveryCells   []experiments.RecoveryCell   `json:"recovery_cells,omitempty"`
@@ -70,7 +67,7 @@ type benchResult struct {
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run: all|fig2|fig3|table2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|sharded|parallel|readpath|chaos|durability|telemetry|obsplane|resilience|recovery")
+		experiment = flag.String("experiment", "all", "experiment to run: all|fig2|fig3|table2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|sharded|chaos|durability|obsplane|resilience|recovery")
 		scale      = flag.Float64("scale", 0.1, "latency time scale: 1.0 = paper speed, 0.1 = 10x faster, 0 = no latency")
 		quick      = flag.Bool("quick", false, "shrink workloads ~10x")
 		seed       = flag.Int64("seed", 42, "random seed")
@@ -127,40 +124,33 @@ func main() {
 		ChaosRequests: *chaosRequests,
 	}
 
-	type exp struct {
-		name string
-		run  func(experiments.Options) ([]experiments.Table, error)
-	}
-	one := func(f func(experiments.Options) (experiments.Table, error)) func(experiments.Options) ([]experiments.Table, error) {
-		return func(o experiments.Options) ([]experiments.Table, error) {
-			t, err := f(o)
-			return []experiments.Table{t}, err
-		}
-	}
-	fig3 := func(o experiments.Options) ([]experiments.Table, error) {
-		a, b, err := experiments.Fig3Table2(o)
-		return []experiments.Table{a, b}, err
-	}
 	all := []exp{
-		{"fig2", one(experiments.Fig2)},
-		{"fig3", fig3},
-		{"fig4", one(experiments.Fig4)},
-		{"fig5", one(experiments.Fig5)},
-		{"fig6", one(experiments.Fig6)},
-		{"fig7", one(experiments.Fig7)},
-		{"fig8", one(experiments.Fig8)},
-		{"fig9", one(experiments.Fig9)},
-		{"fig10", one(experiments.Fig10)},
-		{"ablation", one(experiments.Ablation)},
-		{"sharded", one(experiments.Sharded)},
-		{"parallel", one(experiments.Parallel)},
-		{"readpath", one(experiments.ReadPath)},
-		{"chaos", one(experiments.Chaos)},
-		{"durability", one(experiments.Durability)},
-		{"telemetry", one(experiments.Telemetry)},
-		{"obsplane", one(experiments.ObsPlane)},
-		{"resilience", one(experiments.Resilience)},
-		{"recovery", one(experiments.Recovery)},
+		{"fig2", tables(experiments.Fig2)},
+		{"fig3", func(o experiments.Options, res *benchResult) error {
+			a, b, err := experiments.Fig3Table2(o)
+			res.Tables = []experiments.Table{a, b}
+			return err
+		}},
+		{"fig4", tables(experiments.Fig4)},
+		{"fig5", tables(experiments.Fig5)},
+		{"fig6", tables(experiments.Fig6)},
+		{"fig7", tables(experiments.Fig7)},
+		{"fig8", tables(experiments.Fig8)},
+		{"fig9", tables(experiments.Fig9)},
+		{"fig10", tables(experiments.Fig10)},
+		{"ablation", tables(experiments.Ablation)},
+		{"sharded", cells(experiments.ShardedCells, experiments.ShardedTable,
+			func(r *benchResult) *[]experiments.ShardedCell { return &r.ShardedCells })},
+		{"chaos", cells(experiments.ChaosCells, experiments.ChaosTable,
+			func(r *benchResult) *[]experiments.ChaosCell { return &r.ChaosCells })},
+		{"durability", cells(experiments.DurabilityCells, experiments.DurabilityTable,
+			func(r *benchResult) *[]experiments.DurabilityCell { return &r.DurabilityCells })},
+		{"obsplane", cells(experiments.ObsPlaneCells, experiments.ObsPlaneTable,
+			func(r *benchResult) *[]experiments.ObsPlaneCell { return &r.ObsPlaneCells })},
+		{"resilience", cells(experiments.ResilienceCells, experiments.ResilienceTable,
+			func(r *benchResult) *[]experiments.ResilienceCell { return &r.ResilienceCells })},
+		{"recovery", cells(experiments.RecoveryCells, experiments.RecoveryTable,
+			func(r *benchResult) *[]experiments.RecoveryCell { return &r.RecoveryCells })},
 	}
 
 	selected := map[string]bool{}
@@ -187,77 +177,7 @@ func main() {
 			Experiment: e.name, Scale: *scale, Quick: *quick,
 			Seed: *seed, Payload: *payload, Store: *backend,
 		}
-		var err error
-		switch e.name {
-		case "sharded":
-			// The sharded and parallel experiments expose raw cells;
-			// render the table from them so the run happens once.
-			res.ShardedCells, err = experiments.ShardedCells(opts)
-			if err == nil {
-				var t experiments.Table
-				t, err = experiments.ShardedTable(res.ShardedCells)
-				res.Tables = []experiments.Table{t}
-			}
-		case "parallel":
-			res.ParallelCells, err = experiments.ParallelCells(opts)
-			if err == nil {
-				var t experiments.Table
-				t, err = experiments.ParallelTable(res.ParallelCells)
-				res.Tables = []experiments.Table{t}
-			}
-		case "readpath":
-			res.ReadPathCells, err = experiments.ReadPathCells(opts)
-			if err == nil {
-				var t experiments.Table
-				t, err = experiments.ReadPathTable(res.ReadPathCells)
-				res.Tables = []experiments.Table{t}
-			}
-		case "chaos":
-			res.ChaosCells, err = experiments.ChaosCells(opts)
-			if err == nil {
-				var t experiments.Table
-				t, err = experiments.ChaosTable(res.ChaosCells)
-				res.Tables = []experiments.Table{t}
-			}
-		case "durability":
-			res.DurabilityCells, err = experiments.DurabilityCells(opts)
-			if err == nil {
-				var t experiments.Table
-				t, err = experiments.DurabilityTable(res.DurabilityCells)
-				res.Tables = []experiments.Table{t}
-			}
-		case "telemetry":
-			res.TelemetryCells, err = experiments.TelemetryCells(opts)
-			if err == nil {
-				var t experiments.Table
-				t, err = experiments.TelemetryTable(res.TelemetryCells)
-				res.Tables = []experiments.Table{t}
-			}
-		case "obsplane":
-			res.ObsPlaneCells, err = experiments.ObsPlaneCells(opts)
-			if err == nil {
-				var t experiments.Table
-				t, err = experiments.ObsPlaneTable(res.ObsPlaneCells)
-				res.Tables = []experiments.Table{t}
-			}
-		case "resilience":
-			res.ResilienceCells, err = experiments.ResilienceCells(opts)
-			if err == nil {
-				var t experiments.Table
-				t, err = experiments.ResilienceTable(res.ResilienceCells)
-				res.Tables = []experiments.Table{t}
-			}
-		case "recovery":
-			res.RecoveryCells, err = experiments.RecoveryCells(opts)
-			if err == nil {
-				var t experiments.Table
-				t, err = experiments.RecoveryTable(res.RecoveryCells)
-				res.Tables = []experiments.Table{t}
-			}
-		default:
-			res.Tables, err = e.run(opts)
-		}
-		if err != nil {
+		if err := e.run(opts, &res); err != nil {
 			fmt.Fprintf(os.Stderr, "aft-bench: %s: %v\n", e.name, err)
 			experiments.CleanupTempStores()
 			os.Exit(1)
@@ -291,6 +211,41 @@ func main() {
 	if !ran {
 		fmt.Fprintf(os.Stderr, "aft-bench: unknown experiment %q\n", *experiment)
 		os.Exit(2)
+	}
+}
+
+// exp is one experiment: run fills res.Tables and, for experiments that
+// expose raw cells, their benchResult field.
+type exp struct {
+	name string
+	run  func(experiments.Options, *benchResult) error
+}
+
+// tables adapts an experiment that only renders one table.
+func tables(f func(experiments.Options) (experiments.Table, error)) func(experiments.Options, *benchResult) error {
+	return func(o experiments.Options, res *benchResult) error {
+		t, err := f(o)
+		res.Tables = []experiments.Table{t}
+		return err
+	}
+}
+
+// cells adapts an experiment that exposes raw cells: it runs once, stores
+// the cells in their benchResult field, and renders the table from them.
+func cells[T any](
+	run func(experiments.Options) ([]T, error),
+	table func([]T) (experiments.Table, error),
+	field func(*benchResult) *[]T,
+) func(experiments.Options, *benchResult) error {
+	return func(o experiments.Options, res *benchResult) error {
+		cs, err := run(o)
+		if err != nil {
+			return err
+		}
+		*field(res) = cs
+		t, err := table(cs)
+		res.Tables = []experiments.Table{t}
+		return err
 	}
 }
 

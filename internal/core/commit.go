@@ -30,8 +30,7 @@ import (
 // transactions reach it through the group-commit pipeline, which coalesces
 // their data and record writes into shared BatchPut round trips while
 // preserving the step ordering for every transaction in the flush. Engines
-// without batching (or nodes with Config.DisableGroupCommit) run the same
-// routine over their own commit alone.
+// without batching run the same routine over their own commit alone.
 //
 // A failure before step 2 completes leaves no visible effects: the data
 // keys are unreferenced and the transaction will be retried. Commit is
@@ -188,7 +187,7 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	}
 
 	req := &commitReq{data: data, record: [1]kv{{records.CommitKey(id), payload}}, rec: rec, trace: t.trace}
-	if !n.cfg.DisableGroupCommit && n.store.Capabilities().BatchWrites {
+	if n.store.Capabilities().BatchWrites {
 		// Group pipeline: steps 1 and 2 are flushed together with other
 		// in-flight commits.
 		wait := telemetry.StartSpan(ctx, "commit.flushwait")

@@ -19,10 +19,9 @@ package core
 // Unlike a WAL (one disk head), the storage engines here accept parallel
 // writes, so flushes need not serialize behind a single leader — §3.3
 // orders only a transaction's OWN data before its OWN record. Up to
-// Config.GroupCommitFlushers flushes run concurrently (default
-// max(8, MaxConcurrent), so the pipeline never caps storage concurrency
-// below the node's configured client concurrency; tighten it to trade
-// throughput for coalescing). Each flush takes at most maxGroupedCommits
+// max(defaultFlushers, MaxConcurrent) flushes run concurrently, so the
+// pipeline never caps storage concurrency below the node's configured
+// client concurrency. Each flush takes at most maxGroupedCommits
 // transactions so a deep backlog cannot inflate one flush's latency.
 //
 // Every flush preserves the strict write ordering of §3.3 for all its
@@ -35,10 +34,10 @@ package core
 // is durable.
 //
 // flushCommits is the node's one write routine: the direct path (engines
-// without a batch primitive, Config.DisableGroupCommit) runs it over a
-// one-request batch. Its working memory — the member list, the current
-// chunk's items and the map handed to BatchPut — is a pooled flushScratch,
-// so a flush allocates nothing of its own.
+// without a batch primitive) runs it over a one-request batch. Its working
+// memory — the member list, the current chunk's items and the map handed
+// to BatchPut — is a pooled flushScratch, so a flush allocates nothing of
+// its own.
 
 import (
 	"context"

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -262,30 +261,15 @@ func (n *Node) fetchPlanned(ctx context.Context, t *txnState, keys []string, pla
 	return vanished, nil
 }
 
-// batchFetchPayloads reads storage keys through BatchGet, or one point Get
-// per key when read batching is disabled (the benchmark baseline). Missing
-// keys are absent from the result either way.
+// batchFetchPayloads reads storage keys in one BatchGet (the engine chunks
+// by its read-batch limit). Missing keys are absent from the result.
 func (n *Node) batchFetchPayloads(ctx context.Context, keys []string) (map[string][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	if !n.cfg.DisableReadBatching {
-		sp := telemetry.StartSpan(ctx, "storage.batchget")
-		sp.Annotate("keys", strconv.Itoa(len(keys)))
-		got, err := n.store.BatchGet(ctx, keys)
-		sp.End()
-		return got, err
-	}
-	out := make(map[string][]byte, len(keys))
-	for _, k := range keys {
-		v, err := n.store.Get(ctx, k)
-		if errors.Is(err, storage.ErrNotFound) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
-	}
-	return out, nil
+	sp := telemetry.StartSpan(ctx, "storage.batchget")
+	sp.Annotate("keys", strconv.Itoa(len(keys)))
+	got, err := n.store.BatchGet(ctx, keys)
+	sp.End()
+	return got, err
 }

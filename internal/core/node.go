@@ -133,30 +133,6 @@ type Config struct {
 	// packed object and extract their key. Best for engines with high
 	// per-request latency and no batch primitive (S3).
 	PackedLayout bool
-	// MetadataStripes is the lock-stripe count of the metadata core,
-	// rounded up to a power of two; 0 defaults to 64. Setting 1 collapses
-	// the core to a single lock — the pre-striping behavior, kept as the
-	// measurable baseline for the parallel benchmarks.
-	MetadataStripes int
-	// DisableGroupCommit makes every commit issue its own storage writes
-	// instead of coalescing concurrent commits into shared BatchPut round
-	// trips. Group commit only engages on engines whose Capabilities
-	// report BatchWrites, so engines without a batch primitive always
-	// behave as if this were set.
-	DisableGroupCommit bool
-	// GroupCommitFlushers bounds how many group-commit flushes run
-	// concurrently; 0 defaults to max(8, MaxConcurrent) so the pipeline
-	// never caps storage concurrency below the node's configured client
-	// concurrency. More flushers favor latency-bound throughput (smaller
-	// batches, more storage parallelism); fewer favor coalescing (fewer,
-	// larger batch round trips — the paper's §6.3/§6.4 API-call economy).
-	GroupCommitFlushers int
-	// DisableReadBatching makes the read pipeline fetch commit records and
-	// MultiGet payloads with one point Get per key and disables the
-	// cold-read singleflight — the pre-batching behaviour, kept as the
-	// measurable baseline for the read-path benchmarks (the read-side
-	// mirror of DisableGroupCommit).
-	DisableReadBatching bool
 	// IDEntropySeed, when non-zero, makes transaction-UUID entropy a
 	// seeded deterministic stream (mixed with the node ID, so replicas
 	// sharing a seed still mint distinct IDs). Paired with a
@@ -200,9 +176,8 @@ type Node struct {
 	// hash (stripe.go). metaCount tracks the number of distinct cached
 	// commit records (each record is registered in every stripe its
 	// write set touches).
-	stripes    []*stripe
-	stripeMask int
-	metaCount  atomic.Int64
+	stripes   []*stripe
+	metaCount atomic.Int64
 	// metaBytes approximates the resident bytes of cached commit records
 	// (records.CommitRecord.ApproxBytes, counted once per record at
 	// install/remove); together with the data cache's byte count it is
@@ -357,22 +332,13 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.NodeID == "" {
 		return nil, fmt.Errorf("core: Config.NodeID is required")
 	}
-	nstripes := cfg.MetadataStripes
-	if nstripes <= 0 {
-		nstripes = defaultStripes
-	}
-	pow := 1
-	for pow < nstripes {
-		pow <<= 1
-	}
 	clock := cfg.Clock
 	n := &Node{
 		cfg:             cfg,
 		store:           cfg.Store,
 		gen:             idgen.NewGenerator(clock, cfg.NodeID),
 		clock:           clock,
-		stripes:         make([]*stripe, pow),
-		stripeMask:      pow - 1,
+		stripes:         make([]*stripe, numStripes),
 		txns:            make(map[string]*txnState),
 		committedByUUID: make(map[string]idgen.ID),
 		readers:         make(map[idgen.ID]int),
@@ -384,20 +350,14 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.IDEntropySeed != 0 {
 		n.gen.SeedEntropy(cfg.IDEntropySeed ^ int64(strhash.FNV32a(cfg.NodeID)))
 	}
-	n.flusherLimit = cfg.GroupCommitFlushers
-	if n.flusherLimit <= 0 {
-		// Not tied to GOMAXPROCS: on latency-bound engines flushers are
-		// parked in storage waits, not burning cores, and too few of
-		// them would serialize commits behind storage round trips. A node
-		// sized for MaxConcurrent clients must never let group commit
-		// cap its storage concurrency below that (it would throttle the
-		// §6.5 throughput curves); under the default the pipeline only
-		// coalesces what queues up naturally behind busy flushers.
-		n.flusherLimit = defaultFlushers
-		if cfg.MaxConcurrent > n.flusherLimit {
-			n.flusherLimit = cfg.MaxConcurrent
-		}
-	}
+	// Not tied to GOMAXPROCS: on latency-bound engines flushers are parked
+	// in storage waits, not burning cores, and too few of them would
+	// serialize commits behind storage round trips. A node sized for
+	// MaxConcurrent clients must never let group commit cap its storage
+	// concurrency below that (it would throttle the §6.5 throughput
+	// curves); the pipeline only coalesces what queues up naturally behind
+	// busy flushers.
+	n.flusherLimit = max(defaultFlushers, cfg.MaxConcurrent)
 	if cfg.EnableDataCache {
 		entries := cfg.DataCacheEntries
 		if entries == 0 {

@@ -430,27 +430,24 @@ func (s unboundedBatchStore) BatchPut(ctx context.Context, items map[string][]by
 }
 
 // TestUnboundedBatchLimit pins the one meaning of MaxBatchSize 0: the
-// whole write set goes out as one BatchPut, on the group path and on the
-// direct path alike (the group path used to cut it at 128).
+// whole write set goes out as one BatchPut (the group path used to cut it
+// at 128).
 func TestUnboundedBatchLimit(t *testing.T) {
-	for _, direct := range []bool{false, true} {
-		var sizes []int
-		n, err := NewNode(Config{
-			NodeID:             "n",
-			Store:              unboundedBatchStore{dynamosim.New(dynamosim.Options{}), &sizes},
-			DisableGroupCommit: direct,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		kvs := map[string]string{}
-		for i := 0; i < 300; i++ {
-			kvs[fmt.Sprintf("k%03d", i)] = "v"
-		}
-		commitTxn(t, n, kvs)
-		if len(sizes) != 1 || sizes[0] != 300 {
-			t.Fatalf("direct=%v: BatchPut sizes = %v, want one call of 300", direct, sizes)
-		}
+	var sizes []int
+	n, err := NewNode(Config{
+		NodeID: "n",
+		Store:  unboundedBatchStore{dynamosim.New(dynamosim.Options{}), &sizes},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvs := map[string]string{}
+	for i := 0; i < 300; i++ {
+		kvs[fmt.Sprintf("k%03d", i)] = "v"
+	}
+	commitTxn(t, n, kvs)
+	if len(sizes) != 1 || sizes[0] != 300 {
+		t.Fatalf("BatchPut sizes = %v, want one call of 300", sizes)
 	}
 }
 

@@ -22,21 +22,6 @@ import (
 	"aft/internal/storage/dynamosim"
 )
 
-// TestStripeCountRounding pins the power-of-two normalization.
-func TestStripeCountRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, defaultStripes}, {1, 1}, {2, 2}, {5, 8}, {64, 64}, {100, 128},
-	} {
-		n, err := NewNode(Config{NodeID: "s", Store: dynamosim.New(dynamosim.Options{}), MetadataStripes: tc.in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(n.stripes) != tc.want {
-			t.Fatalf("MetadataStripes %d: %d stripes, want %d", tc.in, len(n.stripes), tc.want)
-		}
-	}
-}
-
 // TestParallelCommitReadMergeSweep hammers one node with concurrent
 // committers, read-atomicity checkers, a multicast merger feeding records
 // from a second node, and a metadata sweeper — all on overlapping keys.
@@ -288,10 +273,11 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	gate := newGateStore(inner)
 	// One flusher makes the flush boundary deterministic for the metric
 	// assertions below.
-	n, err := NewNode(Config{NodeID: "gc", Store: gate, GroupCommitFlushers: 1})
+	n, err := NewNode(Config{NodeID: "gc", Store: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.flusherLimit = 1
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -493,10 +479,11 @@ func TestFlushPartialBatchFailsOnlyLosers(t *testing.T) {
 func TestGroupCommitFailurePropagates(t *testing.T) {
 	inner := dynamosim.New(dynamosim.Options{})
 	gate := newGateStore(inner)
-	n, err := NewNode(Config{NodeID: "gcfail", Store: gate, GroupCommitFlushers: 1})
+	n, err := NewNode(Config{NodeID: "gcfail", Store: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.flusherLimit = 1
 	ctx := context.Background()
 
 	txid, _ := n.StartTransaction(ctx)
@@ -536,10 +523,11 @@ func TestGroupCommitFailurePropagates(t *testing.T) {
 func TestDuplicateCommitWaitsForOriginal(t *testing.T) {
 	inner := dynamosim.New(dynamosim.Options{})
 	gate := newGateStore(inner)
-	n, err := NewNode(Config{NodeID: "dup", Store: gate, GroupCommitFlushers: 1})
+	n, err := NewNode(Config{NodeID: "dup", Store: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.flusherLimit = 1
 	ctx := context.Background()
 	txid, _ := n.StartTransaction(ctx)
 	n.Put(ctx, txid, "k", []byte("v"))
@@ -578,10 +566,11 @@ func TestDuplicateCommitWaitsForOriginal(t *testing.T) {
 func TestAbortWaitsForInflightCommit(t *testing.T) {
 	inner := dynamosim.New(dynamosim.Options{})
 	gate := newGateStore(inner)
-	n, err := NewNode(Config{NodeID: "abortrace", Store: gate, GroupCommitFlushers: 1})
+	n, err := NewNode(Config{NodeID: "abortrace", Store: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.flusherLimit = 1
 	ctx := context.Background()
 	txid, _ := n.StartTransaction(ctx)
 	n.Put(ctx, txid, "k", []byte("v"))
@@ -604,40 +593,6 @@ func TestAbortWaitsForInflightCommit(t *testing.T) {
 	}
 	if n.MetadataSize() != 1 {
 		t.Fatal("committed record missing after racing abort")
-	}
-}
-
-// TestBaselineConfigMatchesStriped checks the benchmark baseline config
-// (one stripe, no group commit) behaves identically at the API level.
-func TestBaselineConfigMatchesStriped(t *testing.T) {
-	for _, cfg := range []Config{
-		{MetadataStripes: 1, DisableGroupCommit: true},
-		{},
-	} {
-		cfg.NodeID = "cmp"
-		cfg.Store = dynamosim.New(dynamosim.Options{})
-		n, err := NewNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		txid, _ := n.StartTransaction(ctx)
-		n.Put(ctx, txid, "a", []byte("1"))
-		n.Put(ctx, txid, "b", []byte("2"))
-		id, err := n.CommitTransaction(ctx, txid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reader, _ := n.StartTransaction(ctx)
-		for key, want := range map[string]string{"a": "1", "b": "2"} {
-			v, err := n.Get(ctx, reader, key)
-			if err != nil || string(v) != want {
-				t.Fatalf("stripes=%d: Get(%s) = %q, %v", cfg.MetadataStripes, key, v, err)
-			}
-		}
-		if got := n.VersionsOf("a"); len(got) != 1 || !got[0].Equal(id) {
-			t.Fatalf("VersionsOf = %v", got)
-		}
 	}
 }
 

@@ -499,12 +499,6 @@ type fetchCall struct {
 // waiter whose leader failed falls back to its own fetch so one canceled
 // context or transient storage error cannot poison every coalesced read.
 func (n *Node) coalesceFetch(ctx context.Context, key string) (recs []*records.CommitRecord, finish func(), retryOnMiss bool, err error) {
-	if n.cfg.DisableReadBatching {
-		// Baseline for the read-path benchmarks: every reader pays its
-		// own round-trip storm.
-		recs, err = n.fetchKeyRecords(ctx, key)
-		return recs, nil, false, err
-	}
 	n.fetchMu.Lock()
 	if call, ok := n.fetching[key]; ok {
 		n.fetchMu.Unlock()
@@ -650,11 +644,9 @@ func (n *Node) fetchKeyRecordsPacked(ctx context.Context, key string) ([]*record
 }
 
 // fetchRecordPayloads reads commit-record storage keys through
-// batchFetchPayloads, counting the records that took the batched path.
+// batchFetchPayloads, counting them.
 func (n *Node) fetchRecordPayloads(ctx context.Context, keys []string) (map[string][]byte, error) {
-	if len(keys) > 0 && !n.cfg.DisableReadBatching {
-		n.metrics.BatchedRecordGets.Add(int64(len(keys)))
-	}
+	n.metrics.BatchedRecordGets.Add(int64(len(keys)))
 	return n.batchFetchPayloads(ctx, keys)
 }
 

@@ -173,53 +173,37 @@ func TestColdReadCoalescingRace(t *testing.T) {
 
 // TestColdFetchBatchesRecordGets pins the round-trip arithmetic of the
 // acceptance criterion: a cold key with N unknown versions costs one List
-// plus ceil(N/MaxReadBatch) BatchGet calls — never N point Gets — while
-// the disabled-batching baseline pays the full per-record storm.
+// plus ceil(N/MaxReadBatch) BatchGet calls — never N point Gets.
 func TestColdFetchBatchesRecordGets(t *testing.T) {
 	const versions = 130 // > dynamosim.MaxReadBatch, so chunking shows
-	for _, baseline := range []bool{false, true} {
-		name := "Batched"
-		if baseline {
-			name = "Baseline"
-		}
-		t.Run(name, func(t *testing.T) {
-			store := dynamosim.New(dynamosim.Options{})
-			writer, err := NewNode(Config{NodeID: "w", Store: store})
-			if err != nil {
-				t.Fatal(err)
-			}
-			seedVersions(t, writer, []string{"k"}, versions)
+	store := dynamosim.New(dynamosim.Options{})
+	writer, err := NewNode(Config{NodeID: "w", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedVersions(t, writer, []string{"k"}, versions)
 
-			reader, err := NewNode(Config{NodeID: "r", Store: store, DisableReadBatching: baseline})
-			if err != nil {
-				t.Fatal(err)
-			}
-			reader.SetOwnership(func(string) bool { return true })
-			before := store.Metrics().Snapshot()
-			ctx := context.Background()
-			txid, _ := reader.StartTransaction(ctx)
-			if v, err := reader.Get(ctx, txid, "k"); err != nil || string(v) != fmt.Sprintf("k-v%d", versions-1) {
-				t.Fatalf("cold read = %q, %v", v, err)
-			}
-			d := store.Metrics().Snapshot().Sub(before)
-			if d.Lists != 1 {
-				t.Fatalf("Lists = %d", d.Lists)
-			}
-			if baseline {
-				// versions record Gets + 1 payload Get.
-				if d.Gets != versions+1 || d.BatchGets != 0 {
-					t.Fatalf("baseline Gets = %d BatchGets = %d, want %d / 0", d.Gets, d.BatchGets, versions+1)
-				}
-				return
-			}
-			wantChunks := int64((versions + dynamosim.MaxReadBatch - 1) / dynamosim.MaxReadBatch)
-			if d.BatchGets != wantChunks {
-				t.Fatalf("BatchGets = %d, want ceil(%d/%d) = %d", d.BatchGets, versions, dynamosim.MaxReadBatch, wantChunks)
-			}
-			if d.Gets != 1 { // the payload fetch stays a point Get
-				t.Fatalf("Gets = %d, want 1", d.Gets)
-			}
-		})
+	reader, err := NewNode(Config{NodeID: "r", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader.SetOwnership(func(string) bool { return true })
+	before := store.Metrics().Snapshot()
+	ctx := context.Background()
+	txid, _ := reader.StartTransaction(ctx)
+	if v, err := reader.Get(ctx, txid, "k"); err != nil || string(v) != fmt.Sprintf("k-v%d", versions-1) {
+		t.Fatalf("cold read = %q, %v", v, err)
+	}
+	d := store.Metrics().Snapshot().Sub(before)
+	if d.Lists != 1 {
+		t.Fatalf("Lists = %d", d.Lists)
+	}
+	wantChunks := int64((versions + dynamosim.MaxReadBatch - 1) / dynamosim.MaxReadBatch)
+	if d.BatchGets != wantChunks {
+		t.Fatalf("BatchGets = %d, want ceil(%d/%d) = %d", d.BatchGets, versions, dynamosim.MaxReadBatch, wantChunks)
+	}
+	if d.Gets != 1 { // the payload fetch stays a point Get
+		t.Fatalf("Gets = %d, want 1", d.Gets)
 	}
 }
 
@@ -274,54 +258,39 @@ func TestMultiGetSemantics(t *testing.T) {
 }
 
 // TestMultiGetBatchesPayloadFetches pins the storage profile: M cache-miss
-// payloads are fetched in batched round trips, not M point Gets, and the
-// baseline configuration still pays per key.
+// payloads are fetched in batched round trips, not M point Gets.
 func TestMultiGetBatchesPayloadFetches(t *testing.T) {
 	const nKeys = 10
-	for _, baseline := range []bool{false, true} {
-		name := "Batched"
-		if baseline {
-			name = "Baseline"
+	store := dynamosim.New(dynamosim.Options{})
+	n, err := NewNode(Config{NodeID: "mgb", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	keys := make([]string, nKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("mk-%d", i)
+		txid, _ := n.StartTransaction(ctx)
+		n.Put(ctx, txid, keys[i], []byte{byte(i)})
+		if _, err := n.CommitTransaction(ctx, txid); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			store := dynamosim.New(dynamosim.Options{})
-			n, err := NewNode(Config{NodeID: "mgb", Store: store, DisableReadBatching: baseline})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			keys := make([]string, nKeys)
-			for i := range keys {
-				keys[i] = fmt.Sprintf("mk-%d", i)
-				txid, _ := n.StartTransaction(ctx)
-				n.Put(ctx, txid, keys[i], []byte{byte(i)})
-				if _, err := n.CommitTransaction(ctx, txid); err != nil {
-					t.Fatal(err)
-				}
-			}
-			before := store.Metrics().Snapshot()
-			txid, _ := n.StartTransaction(ctx)
-			vals, err := n.MultiGet(ctx, txid, keys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range keys {
-				if len(vals[i]) != 1 || vals[i][0] != byte(i) {
-					t.Fatalf("vals[%d] = %v", i, vals[i])
-				}
-			}
-			d := store.Metrics().Snapshot().Sub(before)
-			if baseline {
-				if d.Gets != nKeys || d.BatchGets != 0 {
-					t.Fatalf("baseline Gets = %d BatchGets = %d", d.Gets, d.BatchGets)
-				}
-			} else {
-				if d.Gets != 0 || d.BatchGets != 1 || d.BatchGetItems != nKeys {
-					t.Fatalf("Gets = %d BatchGets = %d items = %d, want 0/1/%d",
-						d.Gets, d.BatchGets, d.BatchGetItems, nKeys)
-				}
-			}
-		})
+	}
+	before := store.Metrics().Snapshot()
+	txid, _ := n.StartTransaction(ctx)
+	vals, err := n.MultiGet(ctx, txid, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range keys {
+		if len(vals[i]) != 1 || vals[i][0] != byte(i) {
+			t.Fatalf("vals[%d] = %v", i, vals[i])
+		}
+	}
+	d := store.Metrics().Snapshot().Sub(before)
+	if d.Gets != 0 || d.BatchGets != 1 || d.BatchGetItems != nKeys {
+		t.Fatalf("Gets = %d BatchGets = %d items = %d, want 0/1/%d",
+			d.Gets, d.BatchGets, d.BatchGetItems, nKeys)
 	}
 }
 

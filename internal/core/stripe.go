@@ -37,10 +37,14 @@ import (
 	"aft/internal/strhash"
 )
 
-// defaultStripes is the metadata stripe count when Config.MetadataStripes
-// is zero: enough to keep core-count×2 writers from colliding, small enough
-// that whole-node scans (sweep, KnownCommits) stay cheap.
-const defaultStripes = 64
+// numStripes is the metadata stripe count: enough to keep core-count×2
+// writers from colliding, small enough that whole-node scans (sweep,
+// KnownCommits) stay cheap. A power of two, so the hash's low bits select
+// the stripe.
+const (
+	numStripes = 64
+	stripeMask = numStripes - 1
+)
 
 // stripe is one lock-striped slice of the metadata core.
 type stripe struct {
@@ -75,13 +79,12 @@ func newStripe() *stripe {
 	}
 }
 
-// stripeHash is FNV-1a over the user key; stripe counts are powers of two
-// so the low bits select the stripe.
+// stripeHash is FNV-1a over the user key.
 func stripeHash(key string) uint32 { return strhash.FNV32a(key) }
 
 // stripeFor returns the stripe owning key.
 func (n *Node) stripeFor(key string) *stripe {
-	return n.stripes[int(stripeHash(key))&n.stripeMask]
+	return n.stripes[int(stripeHash(key))&stripeMask]
 }
 
 // stripesOf returns the distinct stripes touched by writeSet in ascending
@@ -99,7 +102,7 @@ func (n *Node) stripesOf(writeSet []string) []*stripe {
 	var buf [16]int
 	idxs := buf[:0]
 	for _, k := range writeSet {
-		idxs = append(idxs, int(stripeHash(k))&n.stripeMask)
+		idxs = append(idxs, int(stripeHash(k))&stripeMask)
 	}
 	slices.Sort(idxs)
 	out := make([]*stripe, 0, len(idxs))

@@ -15,27 +15,6 @@ import (
 	"aft/internal/workload"
 )
 
-// Chaos runs the closed-loop correctness experiment: a seeded
-// fault-injection campaign (transient storage errors, partial batch
-// failures, latency spikes, node kills with standby promotion and
-// fault-manager recovery) under the canonical workload, with the history
-// checker proving read atomicity, repeatable read, and atomic write
-// durability — or pinpointing where they broke.
-//
-// Determinism: one driver goroutine issues every request, kills fire
-// synchronously between requests (the scheduler blocks until the standby
-// promotion completes), and all background periods are disabled in favor
-// of explicit maintenance points — so for a fixed seed the storage
-// operation sequence, every fault decision, every retry, and therefore the
-// entire cell (verdict included) is bit-for-bit reproducible.
-func Chaos(opts Options) (Table, error) {
-	cells, err := ChaosCells(opts)
-	if err != nil {
-		return Table{}, err
-	}
-	return ChaosTable(cells)
-}
-
 // ChaosCell is one seed's full campaign result, exposed for the bench
 // harness's machine-readable output. Every field is deterministic for a
 // fixed seed (no wall-clock times, no generated IDs).
@@ -99,9 +78,23 @@ func ChaosTable(cells []ChaosCell) (Table, error) {
 	return table, nil
 }
 
-// ChaosCells runs one campaign per seed (opts.Seed, +1, +2): the
-// acceptance bar requires a zero-anomaly verdict across three seeds that
-// each include at least one node kill and one partial batch-write failure.
+// ChaosCells runs the closed-loop correctness experiment: a seeded
+// fault-injection campaign (transient storage errors, partial batch
+// failures, latency spikes, node kills with standby promotion and
+// fault-manager recovery) under the canonical workload, with the history
+// checker proving read atomicity, repeatable read, and atomic write
+// durability — or pinpointing where they broke.
+//
+// Determinism: one driver goroutine issues every request, kills fire
+// synchronously between requests (the scheduler blocks until the standby
+// promotion completes), and all background periods are disabled in favor
+// of explicit maintenance points — so for a fixed seed the storage
+// operation sequence, every fault decision, every retry, and therefore the
+// entire cell (verdict included) is bit-for-bit reproducible.
+//
+// One campaign runs per seed (opts.Seed, +1, +2): the acceptance bar
+// requires a zero-anomaly verdict across three seeds that each include at
+// least one node kill and one partial batch-write failure.
 func ChaosCells(opts Options) ([]ChaosCell, error) {
 	opts = opts.withDefaults()
 	var cells []ChaosCell

@@ -27,15 +27,6 @@ import (
 	"aft/internal/workload"
 )
 
-// Durability runs the full experiment and renders its table.
-func Durability(opts Options) (Table, error) {
-	cells, err := DurabilityCells(opts)
-	if err != nil {
-		return Table{}, err
-	}
-	return DurabilityTable(cells)
-}
-
 // DurabilityCell is one measurement, exposed for BENCH_durability.json.
 // Scenario selects which fields are meaningful:
 //

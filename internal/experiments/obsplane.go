@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -10,29 +12,6 @@ import (
 	"aft/internal/telemetry"
 	"aft/internal/workload"
 )
-
-// ObsPlane measures what the FULL observability plane costs on the hot
-// path: the telemetry experiment's commit-heavy workload runs once with
-// telemetry disabled and once under the complete cmd/aft-server
-// production plane — latency histograms, a 1-in-64 self-sampling tracer
-// forwarding every kept trace to a cluster TraceCollector, the
-// flight-recorder event journal, and a ticking SLO burn-rate engine.
-// The instrumented mode must hold at least ~90% of the uninstrumented
-// throughput (the BENCH json records the measured ratio); the run also
-// proves the plane carries real data by recording how many stitched
-// traces, forwarded segments, and journal events the pass produced and
-// what the SLO engine concluded about it.
-//
-// Like the telemetry experiment this uses the zero-latency simulated
-// backend, so every instrumentation cycle lands on the measured path:
-// the ratio is an upper bound on the overhead a real deployment sees.
-func ObsPlane(opts Options) (Table, error) {
-	cells, err := ObsPlaneCells(opts)
-	if err != nil {
-		return Table{}, err
-	}
-	return ObsPlaneTable(cells)
-}
 
 // ObsPlaneCell is one instrumentation mode's measurement.
 type ObsPlaneCell struct {
@@ -53,11 +32,30 @@ type ObsPlaneCell struct {
 	SLOVerdicts     map[string]string `json:"slo_verdicts,omitempty"`
 }
 
-// ObsPlaneCells runs both modes and returns their measurements. The
-// timed passes are interleaved (off pass 1, obsplane pass 1, off pass
-// 2, ...) and each mode keeps its best pass, exactly like the telemetry
-// experiment, so process drift lands on both modes evenly. Every pass
-// runs on a fresh node over a fresh zero-latency backend.
+// ObsPlaneCells measures what the FULL observability plane costs on the
+// hot path: a commit-heavy workload runs once with telemetry disabled
+// (Config.DisableTelemetry, no tracer) and once under the complete
+// cmd/aft-server production plane — latency histograms, a 1-in-64
+// self-sampling tracer forwarding every kept trace to a cluster
+// TraceCollector, the flight-recorder event journal, and a ticking SLO
+// burn-rate engine. The instrumented mode must hold at least ~90% of the
+// uninstrumented throughput (the BENCH json records the measured ratio);
+// the run also proves the plane carries real data by recording how many
+// stitched traces, forwarded segments, and journal events the pass
+// produced and what the SLO engine concluded about it.
+//
+// The run uses the zero-latency simulated backend deliberately: with no
+// storage waits to hide behind, every instrumentation cycle lands on the
+// measured path, so the ratio is an upper bound on the overhead a real
+// deployment sees.
+//
+// The timed passes are interleaved (off pass 1, obsplane pass 1, off pass
+// 2, ...) and each mode keeps its best pass, so process-level drift —
+// allocator growth, background GC — lands on both modes evenly. Every
+// pass runs on a FRESH node over a fresh backend: without the maintenance
+// pipeline nothing prunes commit metadata, so a long-lived node's reads
+// slow down with accumulated versions and the drift would drown the
+// instrumentation signal.
 func ObsPlaneCells(opts Options) ([]ObsPlaneCell, error) {
 	opts = opts.withDefaults()
 	txns := opts.scaled(12000)
@@ -191,6 +189,45 @@ func (r *obsplaneRun) pass(keysOf [][]string, payload []byte, workers int) error
 		r.bestTPS, r.bestSum, r.bestPlane = tps, sum, plane
 	}
 	return nil
+}
+
+// telemetryPass drives every transaction in keysOf once, strided across
+// workers (len(keysOf) is a multiple of workers), and returns the pass's
+// throughput and latency summary. Per-commit latency is measured with the
+// same external recorder in every mode, so recorder overhead cancels out
+// of the comparison.
+func telemetryPass(node *core.Node, keysOf [][]string, payload []byte, workers int) (float64, stats.Summary, error) {
+	ctx := context.Background()
+	start := time.Now()
+	rec, err := runClients(workers, len(keysOf)/workers, func(w, i int) error {
+		return runTelemetryTxn(ctx, node, keysOf[i*workers+w], payload)
+	})
+	if err != nil {
+		return 0, stats.Summary{}, err
+	}
+	return float64(len(keysOf)) / time.Since(start).Seconds(), rec.Summarize(), nil
+}
+
+// runTelemetryTxn is one workload transaction: read two keys (one
+// MultiGet), write both, commit.
+func runTelemetryTxn(ctx context.Context, node *core.Node, keys []string, payload []byte) error {
+	txid, err := node.StartTransaction(ctx)
+	if err != nil {
+		return err
+	}
+	if _, err := node.MultiGet(ctx, txid, keys); err != nil &&
+		!errors.Is(err, core.ErrKeyNotFound) {
+		node.AbortTransaction(ctx, txid)
+		return err
+	}
+	for _, k := range keys {
+		if err := node.Put(ctx, txid, k, payload); err != nil {
+			node.AbortTransaction(ctx, txid)
+			return err
+		}
+	}
+	_, err = node.CommitTransaction(ctx, txid)
+	return err
 }
 
 // ObsPlaneTable renders the overhead comparison.

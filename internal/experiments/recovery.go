@@ -27,15 +27,6 @@ import (
 	"aft/internal/workload"
 )
 
-// Recovery runs the full experiment and renders its table.
-func Recovery(opts Options) (Table, error) {
-	cells, err := RecoveryCells(opts)
-	if err != nil {
-		return Table{}, err
-	}
-	return RecoveryTable(cells)
-}
-
 // RecoveryCell is one measurement, exposed for BENCH_recovery.json.
 // Scenario selects which fields are meaningful:
 //

@@ -20,35 +20,6 @@ import (
 	"aft/internal/workload"
 )
 
-// Resilience runs the network-level survival experiment: one AFT node
-// behind a real TCP wire server, its listener wrapped in the seeded
-// network fault injector. A sequential deterministic campaign drives the
-// redo-until-commit workload through two blackhole partitions (one
-// two-way, one outbound-only gray failure), scheduled mid-frame
-// connection resets, delay spikes, and slow-drip conns, with the history
-// checker auditing read atomicity throughout; dangling server-side
-// transactions abandoned by timed-out clients are reclaimed by the
-// expired-transaction reaper. An overload phase then demonstrates
-// admission control: with every concurrency slot held and the waiting
-// queue full, new arrivals shed with ErrOverloaded, and a 4x-concurrency
-// closed-loop burst (retrying through the public backoff policy) must
-// keep goodput close to the uncontended rate.
-//
-// Determinism: one driver goroutine issues every request; partitions
-// auto-heal after a fixed number of accepted conns (each failed attempt
-// redials exactly once); resets fire on the global write-frame clock; and
-// per-conn decisions are hash-derived. Every cell field outside the
-// `measured` sub-struct is bit-for-bit reproducible for a fixed seed and
-// scale — wall-clock-dependent numbers (rates, p99, burst shed counts,
-// read-frame delay spikes) are quarantined in `measured`.
-func Resilience(opts Options) (Table, error) {
-	cells, err := ResilienceCells(opts)
-	if err != nil {
-		return Table{}, err
-	}
-	return ResilienceTable(cells)
-}
-
 // ResilienceCell is one seed's campaign result. Fields outside Measured
 // are deterministic for a fixed seed and scale.
 type ResilienceCell struct {
@@ -123,7 +94,29 @@ func ResilienceTable(cells []ResilienceCell) (Table, error) {
 	return table, nil
 }
 
-// ResilienceCells runs one campaign per seed (opts.Seed, +1, +2).
+// ResilienceCells runs the network-level survival experiment: one AFT node
+// behind a real TCP wire server, its listener wrapped in the seeded
+// network fault injector. A sequential deterministic campaign drives the
+// redo-until-commit workload through two blackhole partitions (one
+// two-way, one outbound-only gray failure), scheduled mid-frame
+// connection resets, delay spikes, and slow-drip conns, with the history
+// checker auditing read atomicity throughout; dangling server-side
+// transactions abandoned by timed-out clients are reclaimed by the
+// expired-transaction reaper. An overload phase then demonstrates
+// admission control: with every concurrency slot held and the waiting
+// queue full, new arrivals shed with ErrOverloaded, and a 4x-concurrency
+// closed-loop burst (retrying through the public backoff policy) must
+// keep goodput close to the uncontended rate.
+//
+// Determinism: one driver goroutine issues every request; partitions
+// auto-heal after a fixed number of accepted conns (each failed attempt
+// redials exactly once); resets fire on the global write-frame clock; and
+// per-conn decisions are hash-derived. Every cell field outside the
+// `measured` sub-struct is bit-for-bit reproducible for a fixed seed and
+// scale — wall-clock-dependent numbers (rates, p99, burst shed counts,
+// read-frame delay spikes) are quarantined in `measured`.
+//
+// One campaign runs per seed (opts.Seed, +1, +2).
 func ResilienceCells(opts Options) ([]ResilienceCell, error) {
 	opts = opts.withDefaults()
 	var cells []ResilienceCell

@@ -12,27 +12,6 @@ import (
 	"aft/internal/workload"
 )
 
-// Sharded compares the paper's symmetric broadcast exchange (§4.1) against
-// the shard-scoped exchange of internal/shard at 2/4/8/16 nodes, under a
-// uniform single-write workload with shard-affinity routing. It is the
-// scaling experiment the paper defers to future work (§8): per-node
-// commit-index size and multicast fan-out should track a node's share of
-// the keyspace in sharded mode, versus global write volume in broadcast
-// mode.
-//
-// Expected shape: broadcast mode's mean per-node commit-index size equals
-// total committed transactions regardless of node count, while sharded
-// mode's shrinks roughly as 1/N (at 8 nodes the acceptance bar is <=
-// 0.5x); record x peer deliveries drop by a similar factor; throughput and
-// latency stay comparable (the exchange is off the critical path).
-func Sharded(opts Options) (Table, error) {
-	cells, err := ShardedCells(opts)
-	if err != nil {
-		return Table{}, err
-	}
-	return ShardedTable(cells)
-}
-
 // ShardedTable renders measured cells as the experiment's table.
 func ShardedTable(cells []ShardedCell) (Table, error) {
 	table := Table{
@@ -154,8 +133,21 @@ func runShardedCell(ctx context.Context, opts Options, nodes int, sharded bool,
 	return cell, nil
 }
 
-// ShardedCells runs the sharded experiment and returns the raw cells (the
-// bench harness serializes them to BENCH_sharded.json).
+// ShardedCells compares the paper's symmetric broadcast exchange (§4.1)
+// against the shard-scoped exchange of internal/shard at 2/4/8/16 nodes,
+// under a uniform single-write workload with shard-affinity routing. It is the
+// scaling experiment the paper defers to future work (§8): per-node
+// commit-index size and multicast fan-out should track a node's share of
+// the keyspace in sharded mode, versus global write volume in broadcast
+// mode.
+//
+// Expected shape: broadcast mode's mean per-node commit-index size equals
+// total committed transactions regardless of node count, while sharded
+// mode's shrinks roughly as 1/N (at 8 nodes the acceptance bar is <=
+// 0.5x); record x peer deliveries drop by a similar factor; throughput and
+// latency stay comparable (the exchange is off the critical path).
+//
+// The bench harness serializes the raw cells to BENCH_sharded.json.
 func ShardedCells(opts Options) ([]ShardedCell, error) {
 	opts = opts.withDefaults()
 	ctx := context.Background()

@@ -3,6 +3,7 @@ package faultmgr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"aft/internal/core"
@@ -198,6 +199,39 @@ func TestCollectOnceOldestFirstAndLimited(t *testing.T) {
 	}
 	if len(removed2) != 1 {
 		t.Fatalf("second collect removed %d, want 1", len(removed2))
+	}
+}
+
+// TestCollectOnceBatchesDeletes pins the global GC's round-trip count: the
+// M superseded versions of one round, and then their M commit records,
+// each retire in ceil(M/limit) BatchDelete calls and no point Delete.
+func TestCollectOnceBatchesDeletes(t *testing.T) {
+	const keys, versions = 8, 12
+	store := dynamosim.New(dynamosim.Options{})
+	ctx := context.Background()
+	n1 := newNode(t, store, "n1")
+	m := New(store, StaticMembership{n1})
+	for v := 0; v < versions; v++ {
+		for k := 0; k < keys; k++ {
+			commit(t, n1, map[string]string{fmt.Sprintf("k%d", k): "v"})
+		}
+	}
+	m.Ingest("n1", n1.Drain())
+	n1.SweepLocalMetadata(0)
+	before := store.Metrics().Snapshot()
+	removed, err := m.CollectOnce(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const superseded = keys * (versions - 1)
+	if len(removed) != superseded {
+		t.Fatalf("collected %d transactions, want %d", len(removed), superseded)
+	}
+	d := store.Metrics().Snapshot().Sub(before)
+	wantCalls := int64(2 * ((superseded + dynamosim.MaxBatch - 1) / dynamosim.MaxBatch))
+	if d.BatchDeletes != wantCalls || d.BatchDeleteItems != 2*superseded || d.Deletes != 0 {
+		t.Fatalf("BatchDeletes = %d (want %d), items = %d (want %d), point Deletes = %d (want 0)",
+			d.BatchDeletes, wantCalls, d.BatchDeleteItems, 2*superseded, d.Deletes)
 	}
 }
 

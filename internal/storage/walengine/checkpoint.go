@@ -253,7 +253,10 @@ func encodeCheckpoint(ck ckptData) []byte {
 	return binary.BigEndian.AppendUint32(buf, crc)
 }
 
-// decodeCheckpoint parses and CRC-verifies a checkpoint file body.
+// decodeCheckpoint parses and CRC-verifies a checkpoint file. It accepts
+// only the canonical encoding — segments and keys strictly ascending, as
+// encodeCheckpoint writes them — so a decoded checkpoint re-encodes to the
+// same bytes.
 func decodeCheckpoint(data []byte) (ckptData, error) {
 	var ck ckptData
 	if len(data) < len(ckptMagic)+8+8+4+8+4 || string(data[:len(ckptMagic)]) != ckptMagic {
@@ -266,33 +269,49 @@ func decodeCheckpoint(data []byte) (ckptData, error) {
 	}
 	ck.seq = binary.BigEndian.Uint64(body)
 	ck.nextLSN = binary.BigEndian.Uint64(body[8:])
-	nsegs := int(binary.BigEndian.Uint32(body[16:]))
+	// Both counts come off disk unchecked; bound each by what the remaining
+	// bytes can hold (16 per segment; 4-byte key length + 40-byte loc per
+	// entry, zero-length key) before sizing a map by it.
 	off := 20
-	if len(body) < off+nsegs*16 {
+	nsegs := binary.BigEndian.Uint32(body[16:])
+	if uint64(nsegs) > uint64(len(body)-off)/16 {
 		return ck, errors.New("walengine: checkpoint truncated")
 	}
 	ck.covered = make(map[int64]int64, nsegs)
-	for i := 0; i < nsegs; i++ {
+	var prevID int64
+	for i := uint32(0); i < nsegs; i++ {
 		id := int64(binary.BigEndian.Uint64(body[off:]))
+		if i > 0 && id <= prevID {
+			return ck, errors.New("walengine: checkpoint segments out of order")
+		}
+		prevID = id
 		ck.covered[id] = int64(binary.BigEndian.Uint64(body[off+8:]))
 		off += 16
 	}
 	if len(body) < off+8 {
 		return ck, errors.New("walengine: checkpoint truncated")
 	}
-	n := int(binary.BigEndian.Uint64(body[off:]))
+	n := binary.BigEndian.Uint64(body[off:])
 	off += 8
+	if n > uint64(len(body)-off)/44 {
+		return ck, errors.New("walengine: checkpoint truncated")
+	}
 	ck.entries = make(map[string]loc, n)
-	for i := 0; i < n; i++ {
+	var prevKey string
+	for i := uint64(0); i < n; i++ {
 		if len(body) < off+4 {
 			return ck, errors.New("walengine: checkpoint truncated")
 		}
 		klen := int(binary.BigEndian.Uint32(body[off:]))
 		off += 4
-		if klen < 0 || len(body) < off+klen+40 {
+		if klen > len(body)-off-40 {
 			return ck, errors.New("walengine: checkpoint truncated")
 		}
 		k := string(body[off : off+klen])
+		if i > 0 && k <= prevKey {
+			return ck, errors.New("walengine: checkpoint keys out of order")
+		}
+		prevKey = k
 		off += klen
 		l := loc{
 			seg:  int64(binary.BigEndian.Uint64(body[off:])),

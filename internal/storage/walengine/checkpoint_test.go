@@ -2,6 +2,7 @@ package walengine
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -174,6 +175,27 @@ func TestTornCheckpointFallsBackToFullReplay(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		wantGet(t, s, fmt.Sprintf("k%02d", i), "v")
+	}
+}
+
+// TestHostileCheckpointCountAllocatesNothing pins the bound on the entry
+// count read off disk: a 40-byte, CRC-valid checkpoint claiming 2^26
+// entries and holding none is rejected before anything is sized by the
+// claim (it used to cost Open 9 GB and over a minute).
+func TestHostileCheckpointCountAllocatesNothing(t *testing.T) {
+	body := make([]byte, 28) // seq 0, nextLSN 0, no segments
+	binary.BigEndian.PutUint64(body[20:], 1<<26)
+	file := sealCheckpoint(body)
+	if len(file) != 40 {
+		t.Fatalf("file is %d bytes, want 40", len(file))
+	}
+	var err error
+	got := allocatedDuring(func() { _, err = decodeCheckpoint(file) })
+	if err == nil {
+		t.Fatal("checkpoint claiming 2^26 entries in 40 bytes decoded without error")
+	}
+	if got >= 1<<20 {
+		t.Fatalf("rejecting it allocated %d bytes, want < 1 MB", got)
 	}
 }
 
