@@ -295,8 +295,21 @@ func partialErr(op string, failed, total int) error {
 // Name implements storage.Store (transparent: the inner engine's name).
 func (s *Store) Name() string { return s.inner.Name() }
 
-// Capabilities implements storage.Store.
-func (s *Store) Capabilities() storage.Capabilities { return s.inner.Capabilities() }
+// Capabilities implements storage.Store: the inner engine's, minus
+// AtomicBatches whenever this wrapper is configured to split batches. A
+// partial BatchPut durably applies some items of a call and fails the rest,
+// which is exactly what the capability rules out — over the WAL it could
+// land a commit record without its data. Masking the bit (rather than
+// failing such a call whole on an atomic engine) keeps partial application
+// injectable over every engine, and it goes by the configured rate, not by
+// SetEnabled, so a caller sees one answer for the life of the wrapper.
+func (s *Store) Capabilities() storage.Capabilities {
+	caps := s.inner.Capabilities()
+	if s.cfg.PartialRate > 0 {
+		caps.AtomicBatches = false
+	}
+	return caps
+}
 
 // Metrics forwards the inner engine's operation metrics when it exposes
 // them (the storagetest chunking contract asserts through this), or an

@@ -4,11 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
+	"aft/internal/checker"
+	"aft/internal/cluster"
+	"aft/internal/records"
 	"aft/internal/storage"
 	"aft/internal/storage/storagetest"
 	"aft/internal/storage/walengine"
+	"aft/internal/workload"
 )
 
 // TestStorageCrashPlanFiresAndRecovers drives a WAL engine through a
@@ -93,4 +99,111 @@ func TestConformanceChaosOverWAL(t *testing.T) {
 		t.Cleanup(func() { eng.Close() })
 		return Wrap(eng, Config{Seed: 7})
 	})
+}
+
+// TestPartialBatchesOverWALNeverLandARecordAlone pins why the wrapper
+// masks AtomicBatches: with PartialRate set it durably applies a subset of
+// a BatchPut, so over the WAL — which reports its batches atomic, and would
+// be handed each commit's data and record in one call — it could land a
+// commit record whose data then fails its retry. Masked, the node keeps
+// §3.3's two ordered phases: after 200 commits through partial batches and
+// failing point writes, a storage crash and a reopen, every durable commit
+// record's write set is readable and the history checks clean.
+func TestPartialBatchesOverWALNeverLandARecordAlone(t *testing.T) {
+	ctx := context.Background()
+	eng, err := walengine.Open(t.TempDir(), walengine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if !Wrap(eng, Config{Seed: 3, ErrorRate: 0.1}).Capabilities().AtomicBatches {
+		t.Fatal("a wrapper that never splits a batch must forward AtomicBatches")
+	}
+	st := Wrap(eng, Config{Seed: 3, ErrorRate: 0.1, PartialRate: 0.3})
+	if st.Capabilities().AtomicBatches {
+		t.Fatal("a wrapper that splits batches reports them atomic")
+	}
+
+	c, err := cluster.New(cluster.Config{Nodes: 1, Store: st, MulticastPeriod: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	check := checker.New()
+	runner := &Runner{Client: c.Client(), Payload: workload.Payload(1, 64), Check: check}
+
+	const workers, perWorker, keys = 4, 50, 16
+	st.SetEnabled(true)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				var ops []workload.Op
+				for j := 0; j < 3; j++ {
+					ops = append(ops, workload.Op{Kind: workload.OpWrite, Key: workload.KeyName((w + i + 5*j) % keys)})
+				}
+				if err := runner.Do(ctx, workload.Request{Funcs: [][]workload.Op{ops}}); err != nil {
+					t.Errorf("worker %d request %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st.SetEnabled(false)
+	if t.Failed() {
+		return
+	}
+	if fm := st.FaultMetrics().Snapshot(); fm.PartialBatchPuts == 0 || fm.Errors == 0 {
+		t.Fatalf("the campaign injected no partial batch or no failure: %+v", fm)
+	}
+
+	if err := eng.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := eng.List(ctx, records.CommitPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < workers*perWorker {
+		t.Fatalf("%d durable commit records, want >= %d", len(recs), workers*perWorker)
+	}
+	for _, rk := range recs {
+		payload, err := eng.Get(ctx, rk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := records.UnmarshalCommitRecord(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range rec.WriteSet {
+			if _, err := eng.Get(ctx, rec.StorageKeyFor(k)); err != nil {
+				t.Fatalf("commit record %s is durable, its data for %q is not: %v", rk, k, err)
+			}
+		}
+	}
+
+	if _, err := check.ResolveStorage(ctx, st); err != nil {
+		t.Fatal(err)
+	}
+	keyNames := make([]string, keys)
+	for i := range keyNames {
+		keyNames[i] = workload.KeyName(i)
+	}
+	final, err := runner.FinalState(ctx, keyNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := check.Verdict(final); !v.Clean() {
+		t.Fatalf("verdict: %s\n%v", v, v.Violations)
+	}
 }

@@ -30,7 +30,10 @@ import (
 // transactions reach it through the group-commit pipeline, which coalesces
 // their data and record writes into shared BatchPut round trips while
 // preserving the step ordering for every transaction in the flush. Engines
-// without batching run the same routine over their own commit alone.
+// without batching run the same routine over their own commit alone. An
+// engine whose batches are all-or-nothing across a crash (the WAL) takes
+// steps 1 and 2 in ONE call: what §3.3's ordering protects — no durable
+// record without its data — then holds by the engine's atomicity instead.
 //
 // A failure before step 2 completes leaves no visible effects: the data
 // keys are unreferenced and the transaction will be retried. Commit is
@@ -102,7 +105,8 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	var spilled []string
 	var spillDir string
 	if !readOnly {
-		data = make([]kv, 0, len(t.writes))
+		// One spare slot: the commit record joins the same slice below.
+		data = make([]kv, 0, len(t.writes)+1)
 		for k, v := range t.writes {
 			data = append(data, kv{k, v})
 		}
@@ -186,7 +190,7 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 		}
 	}
 
-	req := &commitReq{data: data, record: [1]kv{{records.CommitKey(id), payload}}, rec: rec, trace: t.trace}
+	req := &commitReq{writes: append(data, kv{records.CommitKey(id), payload}), rec: rec, trace: t.trace}
 	if n.store.Capabilities().BatchWrites {
 		// Group pipeline: steps 1 and 2 are flushed together with other
 		// in-flight commits.

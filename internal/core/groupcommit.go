@@ -24,14 +24,29 @@ package core
 // client concurrency. Each flush takes at most maxGroupedCommits
 // transactions so a deep backlog cannot inflate one flush's latency.
 //
-// Every flush preserves the strict write ordering of §3.3 for all its
-// member transactions: phase one writes every transaction's data versions,
-// phase two writes the commit records of exactly those transactions whose
-// data is fully durable, and only then does phase three install the
-// records into the metadata stripes (visibility) and enqueue the whole
-// flush as ONE append to the multicast queue. No commit record is ever
-// written before its data, and no commit is acknowledged before its record
-// is durable.
+// A flush has two or three phases, by what the engine reports in
+// Capabilities() — never by a setting. Every flush preserves §3.3's
+// guarantee for all its member transactions: no commit record is ever
+// DURABLE without its data, and no commit is acknowledged before its
+// record is durable.
+//
+//   - An engine that promises nothing across keys gets the paper's strict
+//     write ordering: the data phase writes every transaction's data
+//     versions, then the record phase writes the commit records of exactly
+//     those transactions whose data is fully durable.
+//   - An engine that reports AtomicBatches (the WAL) gets one write phase:
+//     each member's data followed by its record, all in one BatchPut — one
+//     device wait where the ordered path pays two. The call survives a
+//     crash whole or not at all, so a record cannot outlive its data; and
+//     if the call fails, writeChunk's item-by-item retry walks the items in
+//     order and drops a failed member's remainder, which is data before
+//     record per member again.
+//
+// Only then does the visibility phase install the records into the metadata
+// stripes and enqueue the whole flush as ONE append to the multicast queue.
+// The write phases take no node lock; the visibility phase takes each
+// record's stripes in the order stripe.go fixes, then recMu, on either
+// path.
 //
 // flushCommits is the node's one write routine: the direct path (engines
 // without a batch primitive) runs it over a one-request batch. Its working
@@ -61,12 +76,11 @@ type kv struct {
 
 // commitReq is one transaction's submission to the write routine.
 type commitReq struct {
-	// data are the step-1 writes: one storage key per buffered version,
-	// or the single packed object under the packed layout.
-	data []kv
-	// record is the step-2 commit-record write (an array so both phases
-	// hand flushPhase a slice).
-	record [1]kv
+	// writes are the transaction's storage writes in §3.3 order: the step-1
+	// data (one storage key per buffered version, or the single packed
+	// object under the packed layout), then the step-2 commit record, last.
+	// One slice, so each phase's items are a sub-slice of it.
+	writes []kv
 	// rec is installed into the metadata stripes after record is durable.
 	rec *records.CommitRecord
 	// trace, when non-nil, receives a retroactive gc.flush span: the
@@ -83,8 +97,9 @@ type commitReq struct {
 	done     sync.WaitGroup
 }
 
-func dataOf(req *commitReq) []kv   { return req.data }
-func recordOf(req *commitReq) []kv { return req.record[:] }
+func dataOf(req *commitReq) []kv   { return req.writes[:len(req.writes)-1] }
+func recordOf(req *commitReq) []kv { return req.writes[len(req.writes)-1:] }
+func writesOf(req *commitReq) []kv { return req.writes }
 
 // flushItem is one pending write of the chunk being assembled, with the
 // index in flushScratch.batch of the request that owns it.
@@ -104,8 +119,11 @@ type flushScratch struct {
 	// and cleared after it: storage.Store.BatchPut may neither retain nor
 	// mutate it.
 	chunk map[string][]byte
-	// visible collects the records phase 3 installed.
+	// visible collects the records the visibility phase installed.
 	visible []*records.CommitRecord
+	// calls counts the chunks this flush has written, each one storage
+	// round trip the flush waited out.
+	calls int
 }
 
 var flushScratchPool = sync.Pool{New: func() any {
@@ -118,6 +136,7 @@ func (sc *flushScratch) release() {
 	sc.batch = sc.batch[:0]
 	clear(sc.visible)
 	sc.visible = sc.visible[:0]
+	sc.calls = 0
 	flushScratchPool.Put(sc)
 }
 
@@ -208,7 +227,7 @@ func (n *Node) flushNextBatch(ctx context.Context) bool {
 	n.metrics.GroupedCommits.Add(int64(take))
 	start := time.Now()
 	n.flushCommits(ctx, sc)
-	n.traceFlush(sc.batch, start, time.Since(start))
+	n.traceFlush(sc, start, time.Since(start))
 	for _, req := range sc.batch {
 		req.resolved.Store(true)
 		req.done.Done()
@@ -235,17 +254,23 @@ func (n *Node) commitDirect(ctx context.Context, req *commitReq) error {
 }
 
 // flushCommits runs one flush over sc.batch, leaving each member's outcome
-// in its err; see the package comment for the three phases and their
-// ordering guarantees.
+// in its err; see the package comment for the phases and their ordering
+// guarantees.
 func (n *Node) flushCommits(ctx context.Context, sc *flushScratch) {
-	// Phase 1: every transaction's data versions.
-	n.flushPhase(ctx, sc, "aft: persisting write set", dataOf)
-	// Phase 2: commit records, only for transactions whose data is fully
-	// durable (§3.3: the record is the visibility point).
-	n.flushPhase(ctx, sc, "aft: persisting commit record", recordOf)
+	if n.store.Capabilities().AtomicBatches {
+		// One write phase: every transaction's data, then its record, in
+		// one all-or-nothing call.
+		n.flushPhase(ctx, sc, writesOf)
+	} else {
+		// Data phase: every transaction's data versions.
+		n.flushPhase(ctx, sc, dataOf)
+		// Record phase: commit records, only for transactions whose data
+		// is fully durable (§3.3: the record is the visibility point).
+		n.flushPhase(ctx, sc, recordOf)
+	}
 
-	// Phase 3: visibility. Install each durable record into its stripes,
-	// then hand the whole flush to the multicast queue in one append.
+	// Visibility phase. Install each durable record into its stripes, then
+	// hand the whole flush to the multicast queue in one append.
 	for _, req := range sc.batch {
 		if req.err != nil {
 			continue
@@ -267,8 +292,11 @@ func (n *Node) flushCommits(ctx context.Context, sc *flushScratch) {
 // One flush serves many coalesced transactions; the shared flush ID (plus
 // the co-flushed traces' IDs) lets the stitched view link every member
 // trace to the same storage round trips. The ID and peer list are built
-// only when at least one member is traced.
-func (n *Node) traceFlush(batch []*commitReq, start time.Time, dur time.Duration) {
+// only when at least one member is traced. The calls annotation is the
+// number of storage round trips the flush waited out one after another: 1
+// on the one-call path, 2 or more on the ordered one.
+func (n *Node) traceFlush(sc *flushScratch, start time.Time, dur time.Duration) {
+	batch := sc.batch
 	var flushID, peers string
 	for _, req := range batch {
 		if req.trace == nil {
@@ -287,6 +315,7 @@ func (n *Node) traceFlush(batch []*commitReq, start time.Time, dur time.Duration
 		req.trace.AddSpan("gc.flush", start, dur,
 			map[string]string{
 				"batch": strconv.Itoa(len(batch)),
+				"calls": strconv.Itoa(sc.calls),
 				"flush": flushID,
 				"peers": peers,
 			})
@@ -311,10 +340,9 @@ func (n *Node) batchLimit() int {
 
 // flushPhase writes one phase's items for every not-yet-failed request,
 // packing items from different transactions into chunks of the engine's
-// batch limit. Errors carry errContext, and a failed transaction's
-// remaining items are skipped; its stray data stays invisible because its
-// commit record is never written (§3.3).
-func (n *Node) flushPhase(ctx context.Context, sc *flushScratch, errContext string, itemsOf func(*commitReq) []kv) {
+// batch limit. A failed transaction's remaining items are skipped; its stray
+// data stays invisible because its commit record is never written (§3.3).
+func (n *Node) flushPhase(ctx context.Context, sc *flushScratch, itemsOf func(*commitReq) []kv) {
 	limit := n.batchLimit()
 	for i, req := range sc.batch {
 		if req.err != nil {
@@ -323,14 +351,14 @@ func (n *Node) flushPhase(ctx context.Context, sc *flushScratch, errContext stri
 		for _, it := range itemsOf(req) {
 			sc.items = append(sc.items, flushItem{kv: it, owner: i})
 			if len(sc.items) >= limit {
-				n.writeChunk(ctx, sc, errContext)
+				n.writeChunk(ctx, sc)
 				if req.err != nil {
 					break // this transaction already failed; skip its rest
 				}
 			}
 		}
 	}
-	n.writeChunk(ctx, sc, errContext)
+	n.writeChunk(ctx, sc)
 }
 
 // writeChunk writes sc.items and empties it. A chunk that fails is retried
@@ -339,12 +367,15 @@ func (n *Node) flushPhase(ctx context.Context, sc *flushScratch, errContext stri
 // non-atomic batches), and blanket-failing the chunk would report commits
 // failed whose records were in fact durably written (they would then
 // resurface as committed via the fault-manager scan while the client
-// retries under a new ID).
-func (n *Node) writeChunk(ctx context.Context, sc *flushScratch, errContext string) {
+// retries under a new ID). The retry walks items in chunk order and skips
+// whatever follows a member's first failure, so on the one-call path a
+// member whose data write fails never gets its record written.
+func (n *Node) writeChunk(ctx context.Context, sc *flushScratch) {
 	items := sc.items
 	if len(items) == 0 {
 		return
 	}
+	sc.calls++
 	var err error
 	if len(items) > 1 {
 		for _, it := range items {
@@ -369,7 +400,11 @@ func (n *Node) writeChunk(ctx context.Context, sc *flushScratch, errContext stri
 				continue
 			}
 			if perr := n.store.Put(ctx, it.key, it.val); perr != nil {
-				req.err = fmt.Errorf("%s: %w", errContext, perr)
+				what := "aft: persisting write set"
+				if it.key == recordOf(req)[0].key {
+					what = "aft: persisting commit record"
+				}
+				req.err = fmt.Errorf("%s: %w", what, perr)
 			}
 		}
 	}

@@ -413,6 +413,24 @@ func (s lossyBatchStore) Put(ctx context.Context, key string, value []byte) erro
 	return s.Store.Put(ctx, key, value)
 }
 
+// mkCommitReq builds the request commitTransaction would submit for a
+// transaction writing keys at timestamp ts, each key's value the key itself.
+func mkCommitReq(t *testing.T, ts int64, keys ...string) *commitReq {
+	t.Helper()
+	id := idgen.ID{Timestamp: ts, UUID: fmt.Sprintf("u%d", ts)}
+	rec := records.NewCommitRecord(id, keys, "test")
+	payload, err := rec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &commitReq{rec: rec}
+	for _, k := range keys {
+		req.writes = append(req.writes, kv{records.DataKey(k, id), []byte(k)})
+	}
+	req.writes = append(req.writes, kv{records.CommitKey(id), payload})
+	return req
+}
+
 // TestFlushPartialBatchFailsOnlyLosers drives one flush of three
 // transactions through a store whose shared BatchPut applies in part: the
 // per-item retry must attribute the loss to the one transaction whose item
@@ -425,20 +443,7 @@ func TestFlushPartialBatchFailsOnlyLosers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	mk := func(ts int64, keys ...string) *commitReq {
-		id := idgen.ID{Timestamp: ts, UUID: fmt.Sprintf("u%d", ts)}
-		rec := records.NewCommitRecord(id, keys, "lossy")
-		payload, err := rec.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		req := &commitReq{record: [1]kv{{records.CommitKey(id), payload}}, rec: rec}
-		for _, k := range keys {
-			req.data = append(req.data, kv{records.DataKey(k, id), []byte(k)})
-		}
-		return req
-	}
-	a, b, c := mk(1, "a1", "a2"), mk(2, "b1", "b-lost", "b3"), mk(3, "c1")
+	a, b, c := mkCommitReq(t, 1, "a1", "a2"), mkCommitReq(t, 2, "b1", "b-lost", "b3"), mkCommitReq(t, 3, "c1")
 	sc := flushScratchPool.Get().(*flushScratch)
 	sc.batch = append(sc.batch, a, b, c)
 	n.flushCommits(ctx, sc)
@@ -450,19 +455,19 @@ func TestFlushPartialBatchFailsOnlyLosers(t *testing.T) {
 		t.Fatalf("loser's error = %v, want a write-set failure", b.err)
 	}
 	for _, req := range []*commitReq{a, c} {
-		if _, err := inner.Get(ctx, req.record[0].key); err != nil {
-			t.Fatalf("winner's commit record %s: %v", req.record[0].key, err)
+		if _, err := inner.Get(ctx, recordOf(req)[0].key); err != nil {
+			t.Fatalf("winner's commit record %s: %v", recordOf(req)[0].key, err)
 		}
-		for _, it := range req.data {
+		for _, it := range dataOf(req) {
 			if v, err := inner.Get(ctx, it.key); err != nil || string(v) != string(it.val) {
 				t.Fatalf("winner's data %s = %q, %v", it.key, v, err)
 			}
 		}
 	}
-	if _, err := inner.Get(ctx, b.record[0].key); !errors.Is(err, storage.ErrNotFound) {
+	if _, err := inner.Get(ctx, recordOf(b)[0].key); !errors.Is(err, storage.ErrNotFound) {
 		t.Fatalf("loser's commit record was written: %v", err)
 	}
-	if _, err := inner.Get(ctx, b.data[2].key); !errors.Is(err, storage.ErrNotFound) {
+	if _, err := inner.Get(ctx, dataOf(b)[2].key); !errors.Is(err, storage.ErrNotFound) {
 		t.Fatalf("loser's items after the lost one were not skipped: %v", err)
 	}
 	if got := n.MetadataSize(); got != 2 {

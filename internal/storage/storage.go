@@ -38,6 +38,13 @@ type Capabilities struct {
 	// MaxBatchSize bounds one BatchPut call when BatchWrites is true
 	// (DynamoDB's BatchWriteItem accepts 25 items); 0 means unbounded.
 	MaxBatchSize int
+	// AtomicBatches reports that one BatchPut call is all-or-nothing
+	// across a crash: afterwards either every item of the call is readable
+	// or none is. It is a fact the engine states about itself, never a
+	// setting; a wrapper that can apply part of a batch must clear it. AFT
+	// reads it to write a transaction's data and its commit record in one
+	// call (internal/core/groupcommit.go) where §3.3 otherwise needs two.
+	AtomicBatches bool
 	// Transactions reports whether the engine exposes a native
 	// serializable transaction mode (DynamoDB's TransactWriteItems).
 	Transactions bool
@@ -55,10 +62,12 @@ type Store interface {
 	Get(ctx context.Context, key string) ([]byte, error)
 	// Put durably stores value at key, overwriting any prior value.
 	Put(ctx context.Context, key string, value []byte) error
-	// BatchPut durably stores all items, or fails without partial
-	// application only if the engine supports atomic batches; engines are
-	// permitted to apply batches non-atomically (AFT never depends on
-	// batch atomicity — the commit record provides atomic visibility).
+	// BatchPut durably stores all items. Only an engine that reports
+	// Capabilities().AtomicBatches applies a call whole or not at all;
+	// every other engine may apply a failed or interrupted batch in part,
+	// and AFT never assumes otherwise — the commit record provides atomic
+	// visibility, and it shares a call with its data only on an engine
+	// that reports the capability.
 	// The map and its value slices belong to the caller: BatchPut must not
 	// mutate them, and must not retain either after it returns — AFT's
 	// flush clears and refills one map for every call (storagetest's

@@ -433,4 +433,78 @@ func Run(t *testing.T, factory Factory) {
 		}()
 		<-done
 	})
+	t.Run("AtomicBatchAcrossCrash", func(t *testing.T) {
+		// An engine that reports AtomicBatches lets AFT write a commit
+		// record in the same call as its data. Crash the engine under
+		// concurrent batch writers and hold it to that: every batch is
+		// readable whole or not at all, and an acknowledged one whole.
+		s := factory()
+		crasher, ok := s.(interface {
+			Crash() error
+			Reopen() error
+		})
+		if !s.Capabilities().AtomicBatches {
+			t.Skip("engine does not report AtomicBatches")
+		}
+		if !ok {
+			t.Skip("engine cannot be crashed and reopened in place")
+		}
+		ctx := context.Background()
+		const writers, perBatch = 3, 4
+		for round := 0; round < 10; round++ {
+			type batch struct {
+				keys  []string
+				acked bool
+			}
+			issued := make([][]batch, writers)
+			acks := make(chan struct{}, 1024) // never blocks a writer: the crash below comes long before 1024 acks
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 300; i++ {
+						b := batch{}
+						items := make(map[string][]byte, perBatch)
+						for j := 0; j < perBatch; j++ {
+							k := fmt.Sprintf("ab-%d-%d-%d-%d", round, w, i, j)
+							b.keys = append(b.keys, k)
+							items[k] = []byte(k)
+						}
+						err := s.BatchPut(ctx, items)
+						b.acked = err == nil
+						issued[w] = append(issued[w], b)
+						if err != nil {
+							return // the crash; nothing else fails this engine
+						}
+						acks <- struct{}{}
+					}
+				}(w)
+			}
+			for i := 0; i <= round; i++ {
+				<-acks // let a different amount of work land each round
+			}
+			if err := crasher.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
+			if err := crasher.Reopen(); err != nil {
+				t.Fatal(err)
+			}
+			for _, bs := range issued {
+				for _, b := range bs {
+					got, err := s.BatchGet(ctx, b.keys)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != 0 && len(got) != perBatch {
+						t.Fatalf("round %d: %d of %d items of one BatchPut survived the crash", round, len(got), perBatch)
+					}
+					if b.acked && len(got) != perBatch {
+						t.Fatalf("round %d: an acknowledged BatchPut was lost", round)
+					}
+				}
+			}
+		}
+	})
 }

@@ -5,11 +5,14 @@ package walengine
 // overwritten and deleted versions. See the package comment for why the
 // FULL sealed range is always rewritten at once (tombstone safety) and why
 // a crash at any point leaves a correct log (copied records keep their
-// original LSNs, so replay treats old/new duplicates idempotently).
+// original LSNs, so replay treats old/new duplicates idempotently), and
+// for why a copied frame sheds its batch continuation bit.
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"sort"
 	"strconv"
@@ -109,8 +112,9 @@ func (s *Store) Compact(ctx context.Context) error {
 	s.mu.Unlock()
 
 	// Write the compacted segment outside the lock: raw frames are copied
-	// byte-for-byte (same LSN, same CRC), so the new file is valid log the
-	// moment it lands. Nothing references it until the index swap below.
+	// byte-for-byte (same LSN; same CRC unless opMore had to be cleared —
+	// see the package comment), so the new file is valid log the moment it
+	// lands. Nothing references it until the index swap below.
 	path := s.segPath(newID)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -140,6 +144,10 @@ func (s *Store) Compact(ctx context.Context) error {
 		s.mu.RUnlock()
 		if rerr != nil {
 			return abort(fmt.Errorf("walengine: compact read: %w", rerr))
+		}
+		if body := frame[frameHeader:]; body[8]&opMore != 0 {
+			body[8] &^= opMore
+			binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(body, castagnoli))
 		}
 		if _, err := f.WriteAt(frame, size); err != nil {
 			return abort(fmt.Errorf("walengine: compact write: %w", err))

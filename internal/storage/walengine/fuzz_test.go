@@ -56,17 +56,95 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	})
 }
 
-// FuzzOpenSegment writes the input as segment 1 of an empty directory.
-// Open never panics and truncates the segment to a valid prefix of what it
-// was given; every key it lists can be read; and a second Open replays the
+// frameOf encodes one record the way the engine frames it.
+func frameOf(lsn uint64, op byte, key, value string) []byte {
+	body := binary.BigEndian.AppendUint64(nil, lsn)
+	body = append(body, op)
+	body = binary.BigEndian.AppendUint32(body, uint32(len(key)))
+	body = append(append(body, key...), value...)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(body, castagnoli))
+	return append(frame, body...)
+}
+
+// modelReplay is the reference the replayer is held to, written the slow
+// way round: parse every frame up to the first bad one, find the last frame
+// that closes a batch, and only then apply what precedes it. It returns the
+// sorted keys a log holding these segments must list and how many bytes of
+// each segment replay must keep.
+func modelReplay(segs ...[]byte) (keys []string, kept []int) {
+	type version struct {
+		lsn uint64
+		put bool
+	}
+	type parsed struct {
+		key string
+		version
+		end int
+	}
+	winners := map[string]version{}
+	for _, data := range segs {
+		var frames []parsed
+		closed := 0 // frames[:closed] belong to closed batches
+		for off := 0; len(data)-off >= frameHeader; {
+			blen := int(binary.BigEndian.Uint32(data[off:]))
+			if blen < bodyHeader || len(data)-off-frameHeader < blen {
+				break
+			}
+			body := data[off+frameHeader : off+frameHeader+blen]
+			klen := int(binary.BigEndian.Uint32(body[9:]))
+			op := body[8] &^ opMore
+			if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(data[off+4:]) ||
+				klen > blen-bodyHeader || (op != opPut && op != opDelete) {
+				break
+			}
+			off += frameHeader + blen
+			frames = append(frames, parsed{
+				key:     string(body[bodyHeader : bodyHeader+klen]),
+				version: version{lsn: binary.BigEndian.Uint64(body), put: op == opPut},
+				end:     off,
+			})
+			if body[8]&opMore == 0 {
+				closed = len(frames)
+			}
+		}
+		end := 0
+		for _, f := range frames[:closed] {
+			if w, ok := winners[f.key]; !ok || f.lsn > w.lsn {
+				winners[f.key] = f.version
+			}
+			end = f.end
+		}
+		kept = append(kept, end)
+	}
+	for k, w := range winners {
+		if w.put {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return keys, kept
+}
+
+// FuzzOpenSegment writes the input as segment 1 of a directory whose
+// segment 2 is one well-formed record, so whatever state the input leaves
+// the replayer in meets a following segment. Open never panics and cuts
+// segment 1 to the prefix modelReplay keeps — in particular no key of a
+// batch the input leaves unterminated is listed, and segment 2 cannot
+// close it; every key it lists can be read; and a second Open replays the
 // same key set without finding anything more to truncate.
 func FuzzOpenSegment(f *testing.F) {
+	second := frameOf(1<<40, opPut, "second-segment", "intact")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		segPath := filepath.Join(dir, "wal-0000000000000001.seg")
 		if err := os.WriteFile(segPath, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000002.seg"), second, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wantKeys, wantKept := modelReplay(data, second)
 		ctx := context.Background()
 		// open replays dir and returns the sorted keys, every one read back.
 		open := func() (*Store, []string) {
@@ -88,8 +166,11 @@ func FuzzOpenSegment(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(data, kept) {
-			t.Fatalf("segment after Open is not a prefix of the input: %d of %d bytes", len(kept), len(data))
+		if !bytes.HasPrefix(data, kept) || len(kept) != wantKept[0] {
+			t.Fatalf("segment after Open is %d bytes, want the input's first %d of %d", len(kept), wantKept[0], len(data))
+		}
+		if !slices.Equal(keys, wantKeys) {
+			t.Fatalf("Open replayed %q, the model %q", keys, wantKeys)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)

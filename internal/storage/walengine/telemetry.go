@@ -27,6 +27,7 @@ func (s *Store) RegisterTelemetry(reg *telemetry.Registry) {
 		c("reclaimed_bytes_total", "Bytes freed by compaction.", m.BytesReclaimed)
 		c("torn_records_total", "Torn tail frames truncated on reopen.", m.TornRecords)
 		c("torn_bytes_total", "Bytes truncated from torn tails.", m.TornBytes)
+		c("torn_batches_total", "Unterminated batches dropped whole on reopen.", m.TornBatches)
 		c("replayed_records_total", "Records read back during reopen.", m.ReplayedRecords)
 		c("checkpoints_total", "Checkpoint files written.", m.Checkpoints)
 		c("checkpoints_rejected_total", "Torn or stale checkpoints skipped at reopen.", m.CheckpointsRejected)

@@ -12,7 +12,14 @@
 // ("wal-<id>.seg"). Each segment is a sequence of framed records:
 //
 //	uint32 body length | uint32 CRC32-C of body | body
-//	body = uint64 LSN | uint8 op (put/delete) | uint32 key length | key | value
+//	body = uint64 LSN | uint8 op | uint32 key length | key | value
+//	op   = put (1) or delete (2), plus the continuation bit 0x80 on every
+//	       frame of a BatchPut but its last
+//
+// The continuation bit sits inside the CRC'd body, so a bit flip cannot
+// open or close a batch unnoticed. Logs written before the bit existed
+// carry it nowhere and replay as they always did: every frame a batch of
+// one.
 //
 // Every record carries a monotonically increasing log sequence number, and
 // replay applies records by MAX LSN PER KEY rather than by file position.
@@ -28,6 +35,20 @@
 // torn tail: the file is truncated back to its last valid frame and replay
 // continues with the next segment. Only unacknowledged bytes can be torn —
 // acknowledged writes were fsynced behind the frame boundary.
+//
+// Atomic batches. A BatchPut survives a crash whole or not at all
+// (Capabilities().AtomicBatches), which is what lets AFT write a
+// transaction's data and its commit record in one call. Three rules make
+// it so. The writer frames the whole batch into one buffer, lands it with
+// one write, and rolls the segment only BEFORE a batch, never inside one —
+// a roll fsyncs what it seals, and would make the first half durable alone.
+// Replay applies a batch only once the frame that closes it has verified,
+// and moves the valid-prefix mark only at batch boundaries, so a batch torn
+// anywhere — or cut off between two intact frames — is truncated whole by
+// the torn-tail rule above (counted in TornBatches). And reads return only
+// fsync-covered records, where one fsync covers the one write: no reader
+// sees part of a batch before a crash either. Deletes claim none of this;
+// a BatchDelete's tombstones are independent frames.
 //
 // Group fsync. Concurrent writers coalesce into one fsync per flush
 // window, mirroring the leader-based shape of the node's group-commit
@@ -52,7 +73,13 @@
 // same append path as any other delete). Compacting the full sealed range
 // at once is what makes tombstones droppable: a delete record only needs
 // to survive while an older put of its key survives, and after a full
-// rewrite no sealed put outlives it.
+// rewrite no sealed put outlives it. A frame copied out of a batch has its
+// continuation bit cleared and its CRC recomputed: its batch-mates may be
+// dead and stay behind, so left set the bit would splice it to whatever
+// frame compaction happened to copy next — or, at the end of the segment,
+// get it dropped as an unterminated batch. Clearing it loses nothing: a
+// sealed segment was fsynced whole, so the batch's all-or-nothing moment
+// has passed.
 package walengine
 
 import (
@@ -63,6 +90,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,10 +101,12 @@ import (
 	"aft/internal/telemetry"
 )
 
-// Record ops.
+// Record ops, and the continuation bit a BatchPut sets in the op byte of
+// every frame but its last.
 const (
 	opPut    = 1
 	opDelete = 2
+	opMore   = 0x80
 )
 
 // frameHeader is the fixed per-record prefix: body length + CRC32-C.
@@ -139,6 +169,7 @@ type Metrics struct {
 	BytesReclaimed    atomic.Int64 // bytes freed by compaction
 	TornRecords       atomic.Int64 // torn tail frames truncated on reopen
 	TornBytes         atomic.Int64 // bytes truncated from torn tails
+	TornBatches       atomic.Int64 // unterminated batches dropped whole on reopen
 	ReplayedRecords   atomic.Int64 // records read back during reopen
 	// Checkpoint counters (checkpoint.go). ReplayedTailRecords counts
 	// records replayed past a checkpoint's covered ranges — the O(tail)
@@ -163,6 +194,7 @@ type MetricsSnapshot struct {
 	BytesReclaimed      int64   `json:"bytes_reclaimed"`
 	TornRecords         int64   `json:"torn_records"`
 	TornBytes           int64   `json:"torn_bytes"`
+	TornBatches         int64   `json:"torn_batches"`
 	ReplayedRecords     int64   `json:"replayed_records"`
 	Checkpoints         int64   `json:"checkpoints"`
 	CheckpointsRejected int64   `json:"checkpoints_rejected"`
@@ -182,6 +214,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		BytesReclaimed:    m.BytesReclaimed.Load(),
 		TornRecords:       m.TornRecords.Load(),
 		TornBytes:         m.TornBytes.Load(),
+		TornBatches:       m.TornBatches.Load(),
 		ReplayedRecords:   m.ReplayedRecords.Load(),
 
 		Checkpoints:         m.Checkpoints.Load(),
@@ -248,6 +281,11 @@ type Store struct {
 	// a waiter whose bytes the crash truncated be acknowledged against
 	// the fresh generation's fsync.
 	gen uint64
+	// buf and staged hold the frames of the append call in progress
+	// (beginLocked/stageLocked/landLocked); they are reused from one call
+	// to the next so neither a batch nor a point Put allocates its frames.
+	buf    []byte
+	staged []staged
 
 	sy syncQueue
 
@@ -291,11 +329,12 @@ func Open(dir string, opts Options) (*Store, error) {
 // Name implements storage.Store.
 func (s *Store) Name() string { return "wal" }
 
-// Capabilities implements storage.Store: batch writes append under one
-// lock hold and share one fsync; there is no item limit because a batch is
-// just consecutive log records.
+// Capabilities implements storage.Store: a batch is one write of
+// consecutive log records sharing one fsync, so there is no item limit, and
+// replay applies it whole or not at all (see "Atomic batches" in the
+// package comment).
 func (s *Store) Capabilities() storage.Capabilities {
-	return storage.Capabilities{BatchWrites: true}
+	return storage.Capabilities{BatchWrites: true, AtomicBatches: true}
 }
 
 // Metrics returns the standard storage operation counters.
@@ -450,6 +489,13 @@ func (s *Store) load() error {
 // checkpoint already covers — they were durable and indexed when the
 // checkpoint was taken, so only the tail is read and verified. tail marks
 // a checkpoint-guided replay for the ReplayedTailRecords counter.
+//
+// Records are applied batch by batch: frames marked opMore wait in open
+// until the frame that closes their batch has been verified, and valid —
+// the length the segment keeps — advances only past a closed batch. A
+// batch still open when the scan stops (at end of file or at a bad frame)
+// is therefore truncated whole with the torn tail. A log with no opMore
+// bits, which is every log older than the bit, replays one frame per batch.
 func (s *Store) replaySegment(id, start int64, winners map[string]replayEntry, tail bool) (*segment, error) {
 	path := s.segPath(id)
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
@@ -470,6 +516,11 @@ func (s *Store) replaySegment(id, start int64, winners map[string]replayEntry, t
 		f.Close()
 		return nil, fmt.Errorf("walengine: %w", err)
 	}
+	type record struct {
+		key string
+		e   replayEntry
+	}
+	var open []record // verified frames of the batch being read
 	valid := int64(0)
 	for off := int64(0); off < int64(len(data)); {
 		rest := data[off:]
@@ -485,21 +536,17 @@ func (s *Store) replaySegment(id, start int64, winners map[string]replayEntry, t
 		if crc32.Checksum(body, castagnoli) != crc {
 			break // torn mid-frame (the crash landed inside the body)
 		}
-		lsn := binary.BigEndian.Uint64(body)
-		op := body[8]
+		more := body[8]&opMore != 0
+		op := body[8] &^ opMore
 		klen := int64(binary.BigEndian.Uint32(body[9:]))
 		if bodyHeader+klen > blen || (op != opPut && op != opDelete) {
 			break
 		}
-		key := string(body[bodyHeader : bodyHeader+klen])
 		flen := frameHeader + blen
-		s.wal.ReplayedRecords.Add(1)
-		if tail {
-			s.wal.ReplayedTailRecords.Add(1)
-		}
-		if w, ok := winners[key]; !ok || lsn > w.lsn {
-			winners[key] = replayEntry{
-				lsn: lsn,
+		open = append(open, record{
+			key: string(body[bodyHeader : bodyHeader+klen]),
+			e: replayEntry{
+				lsn: binary.BigEndian.Uint64(body),
 				put: op == opPut,
 				l: loc{
 					seg:  id,
@@ -508,10 +555,26 @@ func (s *Store) replaySegment(id, start int64, winners map[string]replayEntry, t
 					voff: start + off + frameHeader + bodyHeader + klen,
 					vlen: blen - bodyHeader - klen,
 				},
+			},
+		})
+		off += flen
+		if more {
+			continue
+		}
+		for _, r := range open {
+			if w, ok := winners[r.key]; !ok || r.e.lsn > w.lsn {
+				winners[r.key] = r.e
 			}
 		}
-		valid += flen
-		off += flen
+		s.wal.ReplayedRecords.Add(int64(len(open)))
+		if tail {
+			s.wal.ReplayedTailRecords.Add(int64(len(open)))
+		}
+		open = open[:0]
+		valid = off
+	}
+	if len(open) > 0 {
+		s.wal.TornBatches.Add(1)
 	}
 	if torn := int64(len(data)) - valid; torn > 0 {
 		s.wal.TornRecords.Add(1)
@@ -617,54 +680,109 @@ func (s *Store) check(ctx context.Context) error {
 	return nil
 }
 
-// appendLocked frames and writes one record to the active segment,
-// updating the index and live-byte accounting. The bytes are durable only
-// after the next fsync covering them. Callers hold s.mu.
-func (s *Store) appendLocked(op byte, key string, value []byte) error {
+// staged is one record encoded into Store.buf and not yet indexed.
+type staged struct {
+	key      string
+	op       byte
+	off, end int   // the frame's extent within Store.buf
+	vlen     int64 // value length
+}
+
+// maxKeptBuf bounds the frame buffer a Store keeps between appends; one
+// outsized batch must not pin its buffer for the life of the engine.
+const maxKeptBuf = 1 << 20
+
+// beginLocked starts one append call: it rolls a full segment and empties
+// the frame buffer. The roll happens here and nowhere else, so every frame
+// of the call lands in one segment — rollLocked fsyncs what it seals, and
+// a batch cut by a roll would have its first half durable alone. (A
+// segment may therefore overshoot SegmentBytes by one call's frames.)
+// Callers hold s.mu.
+func (s *Store) beginLocked() error {
 	if s.active.size >= s.cfg.SegmentBytes {
 		if err := s.rollLocked(); err != nil {
 			return err
 		}
 	}
+	s.buf = s.buf[:0]
+	s.staged = s.staged[:0]
+	return nil
+}
+
+// stageLocked encodes one record at the end of the frame buffer; op may
+// carry opMore. Nothing reaches the file or the index until landLocked.
+// Callers hold s.mu.
+func (s *Store) stageLocked(op byte, key string, value []byte) {
 	blen := bodyHeader + len(key) + len(value)
-	frame := make([]byte, frameHeader+blen)
+	off := len(s.buf)
+	s.buf = slices.Grow(s.buf, frameHeader+blen)[:off+frameHeader+blen]
+	frame := s.buf[off:]
 	body := frame[frameHeader:]
-	binary.BigEndian.PutUint64(body, s.lsn)
+	binary.BigEndian.PutUint64(body, s.lsn+uint64(len(s.staged)))
 	body[8] = op
 	binary.BigEndian.PutUint32(body[9:], uint32(len(key)))
 	copy(body[bodyHeader:], key)
 	copy(body[bodyHeader+len(key):], value)
 	binary.BigEndian.PutUint32(frame, uint32(blen))
 	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(body, castagnoli))
+	s.staged = append(s.staged, staged{key: key, op: op &^ opMore, off: off, end: len(s.buf), vlen: int64(len(value))})
+}
 
+// landLocked writes every staged frame at the active segment's tail with
+// one WriteAt and, only once that write has succeeded, updates the index
+// and live-byte accounting: a failed call leaves the engine as it found
+// it. The bytes are durable only after the next fsync covering them.
+// Callers hold s.mu.
+func (s *Store) landLocked() error {
 	seg := s.active
-	if _, err := seg.f.WriteAt(frame, seg.size); err != nil {
-		// seg.size is not advanced: a partial write is overwritten by the
-		// next append, and replay would truncate it as a torn tail.
-		return fmt.Errorf("walengine: append: %w", err)
-	}
-	l := loc{
-		seg:  seg.id,
-		off:  seg.size,
-		flen: int64(len(frame)),
-		voff: seg.size + frameHeader + bodyHeader + int64(len(key)),
-		vlen: int64(len(value)),
-	}
-	seg.size += int64(len(frame))
-	s.lsn++
-	s.wal.Appends.Add(1)
-	if old, ok := s.index[key]; ok {
-		s.segs[old.seg].live -= old.flen
-		l.hadDurable = old.hadDurable || s.durableLocked(old)
-	}
-	if op == opPut {
-		s.index[key] = l
-		seg.live += l.flen
+	_, err := seg.f.WriteAt(s.buf, seg.size)
+	if err != nil {
+		// seg.size is not advanced, so the next append overwrites whatever
+		// part of the write landed. Cut it off as well: if that append is
+		// shorter, whole frames of this failed call would survive behind
+		// it and replay as if they had been written.
+		_ = seg.f.Truncate(seg.size) // best effort; replay drops a torn tail
+		err = fmt.Errorf("walengine: append: %w", err)
 	} else {
-		delete(s.index, key)
-		seg.tombEnd = seg.size
+		base := seg.size
+		seg.size += int64(len(s.buf))
+		for _, r := range s.staged {
+			l := loc{
+				seg:  seg.id,
+				off:  base + int64(r.off),
+				flen: int64(r.end - r.off),
+				voff: base + int64(r.end) - r.vlen,
+				vlen: r.vlen,
+			}
+			if old, ok := s.index[r.key]; ok {
+				s.segs[old.seg].live -= old.flen
+				l.hadDurable = old.hadDurable || s.durableLocked(old)
+			}
+			if r.op == opPut {
+				s.index[r.key] = l
+				seg.live += l.flen
+			} else {
+				delete(s.index, r.key)
+				seg.tombEnd = l.off + l.flen
+			}
+		}
+		s.lsn += uint64(len(s.staged))
+		s.wal.Appends.Add(int64(len(s.staged)))
 	}
-	return nil
+	clear(s.staged) // drop the key references
+	if cap(s.buf) > maxKeptBuf {
+		s.buf = nil
+	}
+	return err
+}
+
+// appendLocked appends one record on its own. Callers hold s.mu.
+func (s *Store) appendLocked(op byte, key string, value []byte) error {
+	if err := s.beginLocked(); err != nil {
+		return err
+	}
+	s.stageLocked(op, key, value)
+	return s.landLocked()
 }
 
 // rollLocked seals the active segment (fsyncing its tail so sealed
@@ -913,9 +1031,11 @@ func (s *Store) Put(ctx context.Context, key string, value []byte) error {
 	return nil
 }
 
-// BatchPut implements storage.Store: all items append under one lock hold
+// BatchPut implements storage.Store: all items are framed into one buffer
 // (in sorted key order, so the log layout is a function of the batch, not
-// of map iteration) and share one durability wait.
+// of map iteration), every frame but the last marked opMore, and land with
+// one write and one durability wait — all of them survive a crash or none
+// does.
 func (s *Store) BatchPut(ctx context.Context, items map[string][]byte) error {
 	if err := s.check(ctx); err != nil {
 		return err
@@ -938,11 +1058,14 @@ func (s *Store) BatchPut(ctx context.Context, items map[string][]byte) error {
 		ap.End()
 		return storage.ErrUnavailable
 	}
-	var err error
-	for _, k := range keys {
-		if err = s.appendLocked(opPut, k, items[k]); err != nil {
-			break
+	err := s.beginLocked()
+	if err == nil {
+		last := len(keys) - 1
+		for _, k := range keys[:last] {
+			s.stageLocked(opPut|opMore, k, items[k])
 		}
+		s.stageLocked(opPut, keys[last], items[keys[last]])
+		err = s.landLocked()
 	}
 	gen := s.gen
 	s.mu.Unlock()
@@ -1027,9 +1150,9 @@ func (s *Store) Delete(ctx context.Context, key string) error {
 	return s.deleteKeys([]string{key})
 }
 
-// BatchDelete implements storage.Store: present keys gain tombstones under
-// one lock hold and share one fsync (the global GC retires whole
-// collection rounds this way).
+// BatchDelete implements storage.Store: present keys gain tombstones in
+// one write and share one fsync (the global GC retires whole collection
+// rounds this way).
 func (s *Store) BatchDelete(ctx context.Context, keys []string) error {
 	if err := s.check(ctx); err != nil {
 		return err
@@ -1048,9 +1171,15 @@ func (s *Store) BatchDelete(ctx context.Context, keys []string) error {
 // unsynced bytes (another caller's in-flight tombstone), the ack still
 // waits for a covering fsync: acknowledging against state a crash would
 // erase is how an "idempotent" delete resurrects.
+//
+// The tombstones carry no opMore: a delete batch promises no atomicity, so
+// a crash may keep any prefix of it.
 func (s *Store) deleteKeys(keys []string) error {
-	sorted := append([]string(nil), keys...)
-	sort.Strings(sorted)
+	sorted := keys
+	if len(keys) > 1 {
+		sorted = append([]string(nil), keys...)
+		sort.Strings(sorted)
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -1058,14 +1187,20 @@ func (s *Store) deleteKeys(keys []string) error {
 	}
 	appended := false
 	var err error
-	for _, k := range sorted {
-		if _, ok := s.index[k]; !ok {
+	for i, k := range sorted {
+		if _, ok := s.index[k]; !ok || (i > 0 && k == sorted[i-1]) {
 			continue
 		}
-		if err = s.appendLocked(opDelete, k, nil); err != nil {
-			break
+		if !appended {
+			if err = s.beginLocked(); err != nil {
+				break
+			}
+			appended = true
 		}
-		appended = true
+		s.stageLocked(opDelete, k, nil)
+	}
+	if appended && err == nil {
+		err = s.landLocked()
 	}
 	mustSync := appended || s.undurableAbsenceLocked()
 	gen := s.gen
