@@ -263,10 +263,12 @@ func (c *Cluster) addNode(ctx context.Context, warmup bool) (*core.Node, error) 
 		// pre-flush); announcing that view and skipping everything below
 		// its maximum would freeze the joiner on the stale version — it
 		// has resident candidates, so its reads never consult storage.
-		// After a scan the manager holds the newest durable version of
-		// every key it knows at all, and the watermark cut is sound. If
-		// the scan fails (storage fault mid-join), fall back to a full
-		// cold-start bootstrap rather than trust a watermark with holes.
+		// After a scan the manager holds every durable record except
+		// those a live node still queues for its next multicast round,
+		// and that round delivers them to the joiner, which is already
+		// on the bus; so the watermark cut is sound. If the scan fails
+		// (storage fault mid-join), fall back to a full cold-start
+		// bootstrap rather than trust a watermark with holes.
 		if err := c.fm.ScanStorage(ctx); err == nil {
 			since := c.fm.AnnounceTo(node)
 			c.cfg.Events.Record(telemetry.EventBootstrapWatermark, id, "",

@@ -536,11 +536,7 @@ func (n *Node) MergeRemoteCommits(recs []*records.CommitRecord) {
 			// from the global GC's perspective this node has already
 			// "locally deleted" it (§5.2 unanimity check). The entry is
 			// cleared by ForgetDeleted once the global GC acts.
-			if _, known := ss[0].commits[rec.ID()]; !known {
-				for _, s := range ss {
-					s.locallyDeleted[rec.ID()] = rec
-				}
-			}
+			markUncachedDeletedLocked(rec, ss)
 			prunedMerges++
 			outcome = "pruned"
 		} else if n.installLocked(rec, ss) {
@@ -557,6 +553,33 @@ func (n *Node) MergeRemoteCommits(recs []*records.CommitRecord) {
 	n.metrics.MergedRemote.Add(merged)
 	n.metrics.PrunedMerges.Add(prunedMerges)
 	n.metrics.PrunedNonOwned.Add(prunedNonOwned)
+}
+
+// SkipPruned learns of records a peer's broadcast round pruned as
+// superseded (§4.1): they will never be delivered here, so each one this
+// node does not cache counts as locally deleted — as MergeRemoteCommits
+// counts a record it prunes itself. Without this the global GC's unanimity
+// vote (§5.2) would wait on them forever, and the oldest-first round would
+// stall behind them.
+func (n *Node) SkipPruned(recs []*records.CommitRecord) {
+	var buf [16]*stripe
+	for _, rec := range recs {
+		ss := n.appendStripes(buf[:0], rec.WriteSet)
+		lockStripes(ss)
+		markUncachedDeletedLocked(rec, ss)
+		unlockStripes(ss)
+	}
+}
+
+// markUncachedDeletedLocked records rec as locally deleted in its stripes
+// ss unless this node caches it; the caller holds their write locks.
+func markUncachedDeletedLocked(rec *records.CommitRecord, ss []*stripe) {
+	if _, known := ss[0].commits[rec.ID()]; known {
+		return
+	}
+	for _, s := range ss {
+		s.locallyDeleted[rec.ID()] = rec
+	}
 }
 
 // supersededLocked implements Algorithm 2: a transaction is superseded when
@@ -614,13 +637,28 @@ func (n *Node) supersededForNodeLocked(rec *records.CommitRecord, owns ownsFunc)
 // Drain returns the commit records accumulated since the last Drain and
 // clears the queue. The multicast layer prunes superseded entries before
 // broadcasting to peers (§4.1) but forwards the full set to the fault
-// manager (§4.2).
+// manager (§4.2). Callers must treat the returned slice as read-only:
+// PendingAnnounce hands out views of the same array.
 func (n *Node) Drain() []*records.CommitRecord {
 	n.recMu.Lock()
 	out := n.recent
 	n.recent = nil
 	n.recMu.Unlock()
 	return out
+}
+
+// PendingAnnounce returns the announce queue: records this node committed
+// since the last Drain, which its next multicast round hands to the fault
+// manager's tap. The fault manager's storage scan skips them — they are
+// not lost, only not yet announced. The result is a read-only view shared
+// with the queue; it stays valid without recMu because the queue is only
+// ever appended to past the view's length or replaced by Drain, and no
+// consumer of a drained slice rewrites its elements.
+func (n *Node) PendingAnnounce() []*records.CommitRecord {
+	n.recMu.Lock()
+	q := n.recent
+	n.recMu.Unlock()
+	return q
 }
 
 // KnownCommits returns a snapshot of the Commit Set Cache in ascending ID
@@ -733,47 +771,35 @@ func (n *Node) SweepLocalMetadata(limit int) []idgen.ID {
 	return removed
 }
 
-// Caches reports whether each queried transaction is currently in this
-// node's Commit Set Cache. The sharded global GC votes on this instead of
-// LocallyDeleted: a shard owner that never cached a record (it gained the
-// shard after the record's multicast round) must not block collection
-// forever — "not cached" is exactly the §5.2 condition, since reads served
-// from the storage fallback are covered by the ErrVersionVanished retry.
-func (n *Node) Caches(ids []idgen.ID) map[idgen.ID]bool {
-	out := make(map[idgen.ID]bool, len(ids))
-	for _, id := range ids {
-		out[id] = false
-	}
-	// One pass over the stripes, probing every id under each single lock
-	// hold — the global GC queries whole candidate lists, and per-id
-	// stripe scans would multiply lock traffic by the stripe count.
-	for _, s := range n.stripes {
+// Caches reports, aligned with recs, whether each transaction is currently
+// in this node's Commit Set Cache. The sharded global GC votes on this
+// instead of LocallyDeleted: a shard owner that never cached a record (it
+// gained the shard after the record's multicast round) must not block
+// collection forever — "not cached" is exactly the §5.2 condition, since
+// reads served from the storage fallback are covered by the
+// ErrVersionVanished retry. Each probe takes one stripe's read lock (see
+// homeStripe).
+func (n *Node) Caches(recs []*records.CommitRecord) []bool {
+	out := make([]bool, len(recs))
+	for i, rec := range recs {
+		s := n.homeStripe(rec)
 		s.mu.RLock()
-		for _, id := range ids {
-			if !out[id] {
-				_, out[id] = s.commits[id]
-			}
-		}
+		_, out[i] = s.commits[rec.ID()]
 		s.mu.RUnlock()
 	}
 	return out
 }
 
-// LocallyDeleted reports whether this node's local GC has deleted each of
-// the queried transactions (§5.2: the global GC deletes data only once all
-// nodes have).
-func (n *Node) LocallyDeleted(ids []idgen.ID) map[idgen.ID]bool {
-	out := make(map[idgen.ID]bool, len(ids))
-	for _, id := range ids {
-		out[id] = false
-	}
-	for _, s := range n.stripes {
+// LocallyDeleted reports, aligned with recs, whether this node's local GC
+// has deleted each transaction (§5.2: the global GC deletes data only once
+// all nodes have). Each probe takes one stripe's read lock (see
+// homeStripe).
+func (n *Node) LocallyDeleted(recs []*records.CommitRecord) []bool {
+	out := make([]bool, len(recs))
+	for i, rec := range recs {
+		s := n.homeStripe(rec)
 		s.mu.RLock()
-		for _, id := range ids {
-			if !out[id] {
-				_, out[id] = s.locallyDeleted[id]
-			}
-		}
+		_, out[i] = s.locallyDeleted[rec.ID()]
 		s.mu.RUnlock()
 	}
 	return out
@@ -781,18 +807,22 @@ func (n *Node) LocallyDeleted(ids []idgen.ID) map[idgen.ID]bool {
 
 // ForgetDeleted clears locally-deleted bookkeeping — and any retained
 // commit-idempotency markers — after the global GC has removed the
-// transactions' data from storage.
-func (n *Node) ForgetDeleted(ids []idgen.ID) {
-	for _, s := range n.stripes {
-		s.mu.Lock()
-		for _, id := range ids {
-			delete(s.locallyDeleted, id)
+// transactions' data from storage. Each record write-locks only its own
+// stripes, all at once, so the all-or-none marker invariant holds against
+// a concurrent merge.
+func (n *Node) ForgetDeleted(recs []*records.CommitRecord) {
+	var buf [16]*stripe
+	for _, rec := range recs {
+		ss := n.appendStripes(buf[:0], rec.WriteSet)
+		lockStripes(ss)
+		for _, s := range ss {
+			delete(s.locallyDeleted, rec.ID())
 		}
-		s.mu.Unlock()
+		unlockStripes(ss)
 	}
 	n.tmu.Lock()
-	for _, id := range ids {
-		delete(n.committedByUUID, id.UUID)
+	for _, rec := range recs {
+		delete(n.committedByUUID, rec.UUID)
 	}
 	n.tmu.Unlock()
 }

@@ -35,6 +35,16 @@ func newTestNode(t *testing.T, mutate ...func(*Config)) (*Node, *dynamosim.Store
 	return n, store
 }
 
+// gcRecs builds the records the global GC would pass for ids, each
+// writing writeSet.
+func gcRecs(writeSet []string, ids ...idgen.ID) []*records.CommitRecord {
+	out := make([]*records.CommitRecord, len(ids))
+	for i, id := range ids {
+		out[i] = records.NewCommitRecord(id, writeSet, "test-node")
+	}
+	return out
+}
+
 // commitTxn runs a whole transaction writing the given key/value pairs.
 func commitTxn(t *testing.T, n *Node, kvs map[string]string) idgen.ID {
 	t.Helper()
@@ -647,16 +657,15 @@ func TestSweepLocalMetadata(t *testing.T) {
 		t.Fatalf("read after sweep = %q, %v", v, err)
 	}
 	// Locally-deleted list answers the global GC.
-	deleted := n.LocallyDeleted(removed)
-	for _, id := range removed {
-		if !deleted[id] {
-			t.Fatalf("id %v not in locally-deleted list", id)
+	recs := gcRecs([]string{"k"}, removed...)
+	for i, deleted := range n.LocallyDeleted(recs) {
+		if !deleted {
+			t.Fatalf("id %v not in locally-deleted list", removed[i])
 		}
 	}
-	n.ForgetDeleted(removed)
-	deleted = n.LocallyDeleted(removed)
-	for _, id := range removed {
-		if deleted[id] {
+	n.ForgetDeleted(recs)
+	for _, deleted := range n.LocallyDeleted(recs) {
+		if deleted {
 			t.Fatal("ForgetDeleted did not clear")
 		}
 	}

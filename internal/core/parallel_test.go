@@ -634,7 +634,8 @@ func TestReadRecoversLocallyDeletedCrossShardRecord(t *testing.T) {
 	if len(removed) != 1 || !removed[0].Equal(old) {
 		t.Fatalf("sweep removed %v, want [%v]", removed, old)
 	}
-	if !n.LocallyDeleted([]idgen.ID{old})[old] {
+	oldRec := gcRecs([]string{"a", "b"}, old)
+	if !n.LocallyDeleted(oldRec)[0] {
 		t.Fatal("swept record not marked locally deleted")
 	}
 	// Reading "b" must recover the record from storage and serve it.
@@ -648,10 +649,10 @@ func TestReadRecoversLocallyDeletedCrossShardRecord(t *testing.T) {
 	}
 	// The resurrection flips this node's GC vote back to "cached" and
 	// clears the locally-deleted marker.
-	if !n.Caches([]idgen.ID{old})[old] {
+	if !n.Caches(oldRec)[0] {
 		t.Fatal("recovered record not cached")
 	}
-	if n.LocallyDeleted([]idgen.ID{old})[old] {
+	if n.LocallyDeleted(oldRec)[0] {
 		t.Fatal("locally-deleted marker survived resurrection")
 	}
 }

@@ -41,8 +41,7 @@ func TestMergeDropsNonOwnedRecords(t *testing.T) {
 	if snap.PrunedNonOwned != 1 || snap.MergedRemote != 1 {
 		t.Errorf("metrics = %+v, want PrunedNonOwned=1 MergedRemote=1", snap)
 	}
-	deleted := n.LocallyDeleted([]idgen.ID{theirs.ID()})
-	if deleted[theirs.ID()] {
+	if n.LocallyDeleted([]*records.CommitRecord{theirs})[0] {
 		t.Error("non-owned dropped record marked locally-deleted; it must not vote")
 	}
 }
@@ -173,7 +172,7 @@ func TestSweepEvictsNonOwnedWithoutSupersedence(t *testing.T) {
 	if got := n.MetadataSize(); got != 0 {
 		t.Fatalf("MetadataSize = %d after sweep", got)
 	}
-	if n.LocallyDeleted([]idgen.ID{id})[id] {
+	if n.LocallyDeleted(gcRecs([]string{"foreign"}, id))[0] {
 		t.Error("non-owned sweep marked the record locally-deleted")
 	}
 	// The key stays serveable via the storage fallback.
@@ -342,7 +341,7 @@ func TestSweepKeepsIdempotencyMarker(t *testing.T) {
 
 	// The global GC reclaims the marker once the transaction's data is
 	// collected.
-	n.ForgetDeleted([]idgen.ID{id})
+	n.ForgetDeleted(gcRecs([]string{"foreign"}, id))
 	if _, err := n.CommitTransaction(ctx, txid); !errors.Is(err, ErrTxnNotFound) {
 		t.Fatalf("retry after ForgetDeleted = %v, want ErrTxnNotFound", err)
 	}

@@ -97,23 +97,41 @@ func (n *Node) stripesOf(writeSet []string) []*stripe {
 	if len(writeSet) == 1 {
 		return []*stripe{n.stripeFor(writeSet[0])}
 	}
-	// The usual write set's indexes fit the stack buffer; only the
-	// returned slice is allocated.
+	return n.appendStripes(make([]*stripe, 0, len(writeSet)), writeSet)
+}
+
+// appendStripes appends stripesOf(writeSet) to dst, so a caller looping
+// over many records can reuse one buffer.
+func (n *Node) appendStripes(dst []*stripe, writeSet []string) []*stripe {
+	if len(writeSet) == 0 {
+		return append(dst, n.stripes[0])
+	}
+	// The usual write set's indexes fit the stack buffer.
 	var buf [16]int
 	idxs := buf[:0]
 	for _, k := range writeSet {
 		idxs = append(idxs, int(stripeHash(k))&stripeMask)
 	}
 	slices.Sort(idxs)
-	out := make([]*stripe, 0, len(idxs))
 	prev := -1
 	for _, i := range idxs {
 		if i != prev {
-			out = append(out, n.stripes[i])
+			dst = append(dst, n.stripes[i])
 			prev = i
 		}
 	}
-	return out
+	return dst
+}
+
+// homeStripe returns one stripe of rec's write set. A record is cached,
+// and marked locally deleted, in all of its stripes or in none, so any one
+// of them answers the global GC's questions about it under a single read
+// lock.
+func (n *Node) homeStripe(rec *records.CommitRecord) *stripe {
+	if len(rec.WriteSet) == 0 {
+		return n.stripes[0]
+	}
+	return n.stripeFor(rec.WriteSet[0])
 }
 
 // lockStripes write-locks ss, which must already be in ascending order.
@@ -285,7 +303,7 @@ func (n *Node) recordForKey(key string, id idgen.ID) *records.CommitRecord {
 }
 
 // findRecord scans the stripes for id's commit record — for callers that
-// have no key context (GC votes, idempotency checks). O(stripes) map
+// have no key context (the packed-layout read fallback). O(stripes) map
 // probes, each under a short read lock.
 func (n *Node) findRecord(id idgen.ID) (*records.CommitRecord, bool) {
 	for _, s := range n.stripes {

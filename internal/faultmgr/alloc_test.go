@@ -1,0 +1,129 @@
+//go:build !race
+
+package faultmgr
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"aft/internal/core"
+	"aft/internal/records"
+	"aft/internal/storage/dynamosim"
+)
+
+// mallocsDuring counts the heap allocations f makes, process-wide: callers
+// keep every other goroutine idle while it runs.
+func mallocsDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// fewestMallocs is the least mallocsDuring(f) over a few runs of a
+// repeatable f: the runtime's own occasional allocations land in some
+// windows, never in all of them.
+func fewestMallocs(f func()) uint64 {
+	fewest := mallocsDuring(f)
+	for i := 0; i < 4; i++ {
+		fewest = min(fewest, mallocsDuring(f))
+	}
+	return fewest
+}
+
+const budgetRecords = 5000
+
+// budgetNode commits budgetRecords single-key transactions on a fresh node
+// and leaves them in its announce queue.
+func budgetNode(t *testing.T) (*core.Node, *dynamosim.Store) {
+	t.Helper()
+	store := dynamosim.New(dynamosim.Options{})
+	n := newNode(t, store, "n1")
+	for i := 0; i < budgetRecords; i++ {
+		commit(t, n, map[string]string{fmt.Sprintf("k%d", i%100): "v"})
+	}
+	return n, store
+}
+
+// TestScanAllocBudget pins the storage scan's cost when nothing is new: over
+// budgetRecords commit records that the manager already knows, or that a
+// live node still holds for its next multicast round, a scan makes no
+// BatchGet and at most scanAllocBudget allocations beyond List's result —
+// none per record (the pending-key slice when some records are unknown).
+func TestScanAllocBudget(t *testing.T) {
+	const scanAllocBudget = 2
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		known bool
+	}{{"known", true}, {"queued", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, store := budgetNode(t)
+			m := New(store, StaticMembership{n})
+			if tc.known {
+				m.Ingest(n.ID(), n.Drain())
+			}
+			list := fewestMallocs(func() { store.List(ctx, records.CommitPrefix) })
+			before := store.Metrics().Snapshot()
+			var scanErr error
+			// Every record stays known or queued, so each scan repeats
+			// the same work.
+			scan := fewestMallocs(func() {
+				if err := m.ScanStorage(ctx); err != nil {
+					scanErr = err
+				}
+			})
+			if scanErr != nil {
+				t.Fatal(scanErr)
+			}
+			if d := store.Metrics().Snapshot().Sub(before); d.BatchGets != 0 {
+				t.Fatalf("scan made %d BatchGets, want 0", d.BatchGets)
+			}
+			if scan > list+scanAllocBudget {
+				t.Fatalf("scan of %d records: %d allocations, List alone %d; budget List + %d",
+					budgetRecords, scan, list, scanAllocBudget)
+			}
+			t.Logf("scan %d allocations, List %d", scan, list)
+		})
+	}
+}
+
+// TestVoteAllocBudget pins the node side of a global GC round: each vote
+// over budgetRecords candidates allocates only its result slice (no map),
+// and clearing their locally-deleted markers allocates nothing.
+func TestVoteAllocBudget(t *testing.T) {
+	n, _ := budgetNode(t)
+	recs := n.Drain()
+	n.SweepLocalMetadata(0) // each key keeps its newest version
+	var voter Node = n
+	var deleted, cached []bool
+	if got := fewestMallocs(func() { deleted = voter.LocallyDeleted(recs) }); got > 1 {
+		t.Fatalf("LocallyDeleted over %d records: %d allocations, want 1", len(recs), got)
+	}
+	if got := fewestMallocs(func() { cached = voter.Caches(recs) }); got > 1 {
+		t.Fatalf("Caches over %d records: %d allocations, want 1", len(recs), got)
+	}
+	swept := 0
+	for i := range recs {
+		if deleted[i] == cached[i] {
+			t.Fatalf("record %d: deleted=%v cached=%v, want exactly one", i, deleted[i], cached[i])
+		}
+		if deleted[i] {
+			swept++
+		}
+	}
+	if swept != budgetRecords-100 {
+		t.Fatalf("%d records locally deleted, want %d", swept, budgetRecords-100)
+	}
+	if got := fewestMallocs(func() { voter.ForgetDeleted(recs) }); got != 0 {
+		t.Fatalf("ForgetDeleted over %d records: %d allocations, want 0", len(recs), got)
+	}
+	for i, d := range voter.LocallyDeleted(recs) {
+		if d {
+			t.Fatalf("record %d still marked after ForgetDeleted", i)
+		}
+	}
+}

@@ -3,10 +3,13 @@
 //
 // The fault manager lives off the request critical path. It receives every
 // node's committed-transaction stream without pruning, periodically scans
-// the Transaction Commit Set in storage for commit records it never saw —
-// records persisted by a node that failed before broadcasting them — and
-// re-announces those to every node, guaranteeing that an acknowledged
-// commit is eventually visible everywhere (liveness).
+// the Transaction Commit Set in storage for commit records no live node
+// still holds for its next round — records persisted by a node that failed
+// before broadcasting them — and re-announces those to every node,
+// guaranteeing that an acknowledged commit is eventually visible
+// everywhere (liveness). A record a live node has yet to announce is left
+// to that node's multicast round, so a healthy commit reaches the manager
+// once, through the tap, and a scan fetches only what is new and orphaned.
 //
 // As the global GC, it runs Algorithm 2 over its own commit index to find
 // superseded transactions, asks all nodes whether they have locally
@@ -18,6 +21,7 @@ package faultmgr
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,12 +38,17 @@ import (
 type Node interface {
 	ID() string
 	MergeRemoteCommits(recs []*records.CommitRecord)
-	LocallyDeleted(ids []idgen.ID) map[idgen.ID]bool
-	// Caches reports current Commit Set Cache membership; the sharded GC
-	// votes on it (an owner that never cached a record must not block
-	// collection).
-	Caches(ids []idgen.ID) map[idgen.ID]bool
-	ForgetDeleted(ids []idgen.ID)
+	// PendingAnnounce returns the records the node will hand to the tap on
+	// its next multicast round (read-only). The storage scan skips them.
+	PendingAnnounce() []*records.CommitRecord
+	// LocallyDeleted reports, aligned with recs, whether the node's local
+	// GC has deleted each record (§5.2).
+	LocallyDeleted(recs []*records.CommitRecord) []bool
+	// Caches reports, aligned with recs, current Commit Set Cache
+	// membership; the sharded GC votes on it (an owner that never cached a
+	// record must not block collection).
+	Caches(recs []*records.CommitRecord) []bool
+	ForgetDeleted(recs []*records.CommitRecord)
 }
 
 // Membership supplies the current node set. Knowing all nodes is a
@@ -175,8 +184,11 @@ func (m *Manager) KnownCommits() int {
 
 // ScanStorage reads the Transaction Commit Set and re-announces to every
 // node any commit record the manager had not already received via
-// broadcast (§4.2): this recovers commits acknowledged by a node that
-// failed before its multicast round.
+// broadcast and no live node still holds for its next multicast round
+// (§4.2): this recovers commits acknowledged by a node that failed before
+// its multicast round. A record still queued at a live node reaches the
+// manager through the tap at that node's round; if the node dies first,
+// it leaves the membership and the next scan fetches the record.
 //
 // Failure safety: nothing is installed into the manager's index until
 // every unknown record has been fetched. A scan that installed records as
@@ -191,19 +203,22 @@ func (m *Manager) ScanStorage(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	want := make([]string, 0, len(keys))
-	for _, sk := range keys {
+	var unknown []pendingKey
+	m.mu.Lock()
+	for i, sk := range keys {
 		id, err := records.ParseCommitKey(sk)
 		if err != nil {
 			continue
 		}
-		m.mu.Lock()
-		_, known := m.commits[id]
-		m.mu.Unlock()
-		if !known {
-			want = append(want, sk)
+		if _, known := m.commits[id]; !known {
+			if unknown == nil {
+				unknown = make([]pendingKey, 0, len(keys)-i)
+			}
+			unknown = append(unknown, pendingKey{key: sk, id: id})
 		}
 	}
+	m.mu.Unlock()
+	want := m.unannounced(unknown)
 	if len(want) == 0 {
 		return nil
 	}
@@ -265,6 +280,49 @@ func (m *Manager) ScanStorage(ctx context.Context) error {
 		}
 	}
 	return nil
+}
+
+// pendingKey is a commit key the manager does not know, with its parsed ID.
+type pendingKey struct {
+	key    string
+	id     idgen.ID
+	queued bool
+}
+
+// unannounced returns, in List order, the keys of unknown that no live
+// node still holds in its announce queue. unknown is sorted by ID in place
+// so each queued record is found by binary search: the cost is the queues'
+// length times log(unknown), with no per-record allocation.
+func (m *Manager) unannounced(unknown []pendingKey) []string {
+	if len(unknown) == 0 {
+		return nil
+	}
+	slices.SortFunc(unknown, func(a, b pendingKey) int { return a.id.Compare(b.id) })
+	left := len(unknown)
+	for _, n := range m.membership.Nodes() {
+		for _, rec := range n.PendingAnnounce() {
+			i, ok := slices.BinarySearchFunc(unknown, rec.ID(), func(p pendingKey, id idgen.ID) int {
+				return p.id.Compare(id)
+			})
+			if ok && !unknown[i].queued {
+				unknown[i].queued = true
+				left--
+			}
+		}
+	}
+	if left == 0 {
+		return nil
+	}
+	want := make([]string, 0, left)
+	for _, p := range unknown {
+		if !p.queued {
+			want = append(want, p.key)
+		}
+	}
+	// Back to List's key order: recoveries are fetched and announced in
+	// storage order, which seeded campaigns replay bit for bit.
+	slices.Sort(want)
+	return want
 }
 
 // Reannounce pushes the manager's cached commit records to live nodes
@@ -370,29 +428,22 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-	ids := make([]idgen.ID, len(candidates))
-	for i, rec := range candidates {
-		ids[i] = rec.ID()
-	}
 
 	// Phase 2: unanimity (§5.2). In the symmetric mode every node must
 	// have locally deleted the metadata. In sharded mode only the shard
 	// owners cache a record, so only they vote; a record whose owner is
-	// not currently live stays uncollected (conservative).
+	// not currently live stays uncollected (conservative). vetoed is
+	// aligned with candidates.
 	nodes := m.membership.Nodes()
 	m.mu.Lock()
 	scope := m.scope
 	m.mu.Unlock()
-	confirmed := make(map[idgen.ID]bool, len(ids))
-	for _, id := range ids {
-		confirmed[id] = true
-	}
+	vetoed := make([]bool, len(candidates))
 	if scope == nil {
 		for _, n := range nodes {
-			deleted := n.LocallyDeleted(ids)
-			for _, id := range ids {
-				if !deleted[id] {
-					confirmed[id] = false
+			for i, deleted := range n.LocallyDeleted(candidates) {
+				if !deleted {
+					vetoed[i] = true
 				}
 			}
 		}
@@ -401,30 +452,35 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 		for _, n := range nodes {
 			byID[n.ID()] = n
 		}
-		ballots := make(map[string][]idgen.ID) // voter node -> ids it must confirm
-		for _, rec := range candidates {
+		ballots := make(map[string]*ballot) // voter node -> records it must confirm
+		for i, rec := range candidates {
 			voters := scope(rec)
 			if len(voters) == 0 {
-				confirmed[rec.ID()] = false // unowned (ring in flux): keep
+				vetoed[i] = true // unowned (ring in flux): keep
 				continue
 			}
 			for _, v := range voters {
 				if _, live := byID[v]; !live {
-					confirmed[rec.ID()] = false
+					vetoed[i] = true
 					continue
 				}
-				ballots[v] = append(ballots[v], rec.ID())
+				b := ballots[v]
+				if b == nil {
+					b = &ballot{}
+					ballots[v] = b
+				}
+				b.recs = append(b.recs, rec)
+				b.idx = append(b.idx, i)
 			}
 		}
-		for v, ballot := range ballots {
+		for v, b := range ballots {
 			// An owner votes to collect when it does NOT cache the
 			// record: either its sweep deleted it, or it never received
 			// it (shard gained after the record's multicast round — it
 			// must not block collection forever).
-			cached := byID[v].Caches(ballot)
-			for _, id := range ballot {
-				if cached[id] {
-					confirmed[id] = false
+			for j, cached := range byID[v].Caches(b.recs) {
+				if cached {
+					vetoed[b.idx[j]] = true
 				}
 			}
 		}
@@ -438,26 +494,28 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 	// the per-transaction record-last ordering: a crash in between leaves
 	// records a rescan re-processes (deletes are idempotent), never data
 	// without an attributable record.
-	var removed []idgen.ID
+	var collected []*records.CommitRecord
 	var versions, recordKeys []string
 	var versionCount int64
-	seen := make(map[string]bool)
-	for _, rec := range candidates {
-		if !confirmed[rec.ID()] {
+	for i, rec := range candidates {
+		if vetoed[i] {
 			continue
 		}
-		for _, k := range rec.WriteSet {
-			versionCount++
-			sk := rec.StorageKeyFor(k)
-			if !seen[sk] { // a packed record maps its whole write set to one object
-				seen[sk] = true
-				versions = append(versions, sk)
+		versionCount += int64(len(rec.WriteSet))
+		if rec.Packed {
+			// A packed record maps its whole write set to one object.
+			if len(rec.WriteSet) > 0 {
+				versions = append(versions, records.PackKey(rec.ID()))
+			}
+		} else {
+			for _, k := range rec.WriteSet {
+				versions = append(versions, rec.StorageKeyFor(k))
 			}
 		}
 		recordKeys = append(recordKeys, records.CommitKey(rec.ID()))
-		removed = append(removed, rec.ID())
+		collected = append(collected, rec)
 	}
-	if len(removed) == 0 {
+	if len(collected) == 0 {
 		return nil, nil
 	}
 	if err := m.store.BatchDelete(ctx, versions); err != nil {
@@ -467,24 +525,33 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 	if err := m.store.BatchDelete(ctx, recordKeys); err != nil {
 		return nil, err
 	}
+	removed := make([]idgen.ID, len(collected))
 	m.mu.Lock()
-	for _, id := range removed {
-		delete(m.commits, id)
+	for i, rec := range collected {
+		removed[i] = rec.ID()
+		delete(m.commits, removed[i])
 	}
 	m.mu.Unlock()
 	for _, n := range nodes {
-		n.ForgetDeleted(removed)
+		n.ForgetDeleted(collected)
 	}
-	m.metrics.TxnsDeleted.Add(int64(len(removed)))
+	m.metrics.TxnsDeleted.Add(int64(len(collected)))
 	collectEnd := time.Now()
-	for _, rec := range candidates {
-		if rec.TraceID != "" && confirmed[rec.ID()] {
+	for _, rec := range collected {
+		if rec.TraceID != "" {
 			m.tracer.ForeignSpan(rec.TraceID, "faultmgr.collect",
 				collectEnd, 0,
 				map[string]string{"tx": rec.UUID})
 		}
 	}
 	return removed, nil
+}
+
+// ballot is one sharded voter's share of a GC round: the records it must
+// confirm and their indexes in the round's candidate list.
+type ballot struct {
+	recs []*records.CommitRecord
+	idx  []int
 }
 
 // SweepSpills garbage-collects orphaned spill data (§3.3): intermediary

@@ -92,25 +92,47 @@ func TestScanRecoversUnbroadcastCommits(t *testing.T) {
 	}
 }
 
+// TestScanIsRestartSafe: the fault manager is stateless (§4.2); a fresh
+// instance rebuilds its view from a scan plus the nodes' next multicast
+// rounds. Records n1 drained to the old manager before the restart sit in
+// no queue, so the new manager's scan must fetch them; a record n1 still
+// queues is left to n1's next round, which the new manager taps.
 func TestScanIsRestartSafe(t *testing.T) {
-	// §4.2: the fault manager is stateless; a fresh instance rebuilds its
-	// view by scanning.
 	store := dynamosim.New(dynamosim.Options{})
 	ctx := context.Background()
 	n1 := newNode(t, store, "n1")
+	bus := multicast.NewBus()
+	bus.Register(n1)
+	m1 := New(store, StaticMembership{n1})
+	bus.Tap(m1.Ingest)
 	commit(t, n1, map[string]string{"a": "1"})
 	commit(t, n1, map[string]string{"b": "1"})
-
-	m1 := New(store, StaticMembership{n1})
-	if err := m1.ScanStorage(ctx); err != nil {
-		t.Fatal(err)
+	bus.FlushPeer(n1, false)
+	if m1.KnownCommits() != 2 {
+		t.Fatalf("old manager knows %d commits, want 2", m1.KnownCommits())
 	}
-	m2 := New(store, StaticMembership{n1}) // "restart"
+	commit(t, n1, map[string]string{"c": "1"}) // still queued at n1
+
+	// "Restart": m1 and its tap are gone; m2 taps a fresh bus.
+	m2 := New(store, StaticMembership{n1})
+	bus2 := multicast.NewBus()
+	bus2.Register(n1)
+	bus2.Tap(m2.Ingest)
 	if err := m2.ScanStorage(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if m2.KnownCommits() != 2 {
-		t.Fatalf("restarted manager knows %d commits, want 2", m2.KnownCommits())
+	if got, rec := m2.KnownCommits(), m2.Metrics().Snapshot().Recovered; got != 2 || rec != 2 {
+		t.Fatalf("after scan: known %d, recovered %d; want the 2 drained records", got, rec)
+	}
+	bus2.FlushPeer(n1, false)
+	if m2.KnownCommits() != 3 {
+		t.Fatalf("after n1's round the restarted manager knows %d commits, want 3", m2.KnownCommits())
+	}
+	if err := m2.ScanStorage(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rec := m2.Metrics().Snapshot().Recovered; rec != 2 {
+		t.Fatalf("rescan recovered %d in total, want 2", rec)
 	}
 }
 
@@ -164,13 +186,46 @@ func TestCollectOnceDeletesOnlyWhenAllNodesAgree(t *testing.T) {
 		t.Fatalf("old commit record still in storage: %v", err)
 	}
 	// Node bookkeeping cleared.
-	if n1.LocallyDeleted([]idgen.ID{id1})[id1] {
+	if n1.LocallyDeleted([]*records.CommitRecord{records.NewCommitRecord(id1, []string{"k"}, "n1")})[0] {
 		t.Fatal("ForgetDeleted not propagated")
 	}
 	m2 := m.Metrics().Snapshot()
 	if m2.TxnsDeleted != 1 || m2.VersionsDeleted != 1 {
 		t.Fatalf("metrics = %+v", m2)
 	}
+}
+
+// TestCollectOnceAfterSenderPrune: a record its own node's round pruned as
+// superseded (§4.1) is never delivered to peers, yet every peer votes in
+// the symmetric GC. The round tells peers what it pruned, so the record is
+// collected once its origin sweeps it, instead of vetoed forever — and,
+// being oldest, blocking every later candidate of a capped round.
+func TestCollectOnceAfterSenderPrune(t *testing.T) {
+	store := dynamosim.New(dynamosim.Options{})
+	ctx := context.Background()
+	n1, n2 := newNode(t, store, "n1"), newNode(t, store, "n2")
+	bus := multicast.NewBus()
+	bus.Register(n1)
+	bus.Register(n2)
+	m := New(store, StaticMembership{n1, n2})
+	bus.Tap(m.Ingest)
+
+	old := commit(t, n1, map[string]string{"k": "v1"})
+	commit(t, n1, map[string]string{"k": "v2"})
+	bus.FlushPeer(n1, true) // prunes old at the sender
+	if got := bus.Metrics().Snapshot().Pruned; got != 1 {
+		t.Fatalf("pruned %d records, want 1", got)
+	}
+	n1.SweepLocalMetadata(0)
+	n2.SweepLocalMetadata(0)
+	removed, err := m.CollectOnce(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(removed) != 1 || !removed[0].Equal(old) {
+		t.Fatalf("global GC removed %v, want [%v]", removed, old)
+	}
+	readsValue(t, n2, "k", "v2")
 }
 
 func TestCollectOnceOldestFirstAndLimited(t *testing.T) {

@@ -32,6 +32,9 @@ type Peer interface {
 	IsSuperseded(rec *records.CommitRecord) bool
 	// MergeRemoteCommits installs records committed by other peers.
 	MergeRemoteCommits(recs []*records.CommitRecord)
+	// SkipPruned learns of records another peer's broadcast round pruned
+	// and will never deliver, so the peer's GC vote does not wait on them.
+	SkipPruned(recs []*records.CommitRecord)
 }
 
 // Tap receives unpruned commit streams; the fault manager registers one.
@@ -149,12 +152,12 @@ func (b *Bus) FlushPeer(p Peer, prune bool) int {
 		tap(p.ID(), recs)
 	}
 	send := recs
-	pruned := 0
+	var pruned []*records.CommitRecord
 	if prune {
 		send = send[:0:0]
 		for _, rec := range recs {
 			if p.IsSuperseded(rec) {
-				pruned++
+				pruned = append(pruned, rec)
 				continue
 			}
 			send = append(send, rec)
@@ -164,6 +167,12 @@ func (b *Bus) FlushPeer(p Peer, prune bool) int {
 	if router == nil {
 		for _, q := range others {
 			q.MergeRemoteCommits(send)
+			// Every peer votes in the symmetric global GC, so each must
+			// learn what it will never receive. Shard owners need not: they
+			// vote on Caches, where "never received" already means collect.
+			if len(pruned) > 0 {
+				q.SkipPruned(pruned)
+			}
 		}
 		deliveries = len(send) * len(others)
 		sent = len(send)
@@ -191,7 +200,7 @@ func (b *Bus) FlushPeer(p Peer, prune bool) int {
 	}
 	b.metrics.Broadcast.Add(int64(sent))
 	b.metrics.Deliveries.Add(int64(deliveries))
-	b.metrics.Pruned.Add(int64(pruned))
+	b.metrics.Pruned.Add(int64(len(pruned)))
 	b.metrics.Rounds.Add(1)
 	return sent
 }
