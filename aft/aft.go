@@ -18,11 +18,10 @@
 //	    return txn.Put("cart", append(cart, newItem...))
 //	})
 //
-// For multi-node deployments, see NewCluster; set Sharded in the
-// ClusterConfig to partition metadata ownership across nodes with a
-// consistent-hash ring (scoped multicast, scoped GC, shard-affinity
-// routing) — read-atomic guarantees are unchanged. For networked
-// deployments, see Serve and Dial.
+// For multi-node deployments, see NewCluster: every node multicasts its
+// commit set to every other node, and the global GC deletes a transaction
+// once every node has locally deleted it. For networked deployments, see
+// Serve and Dial.
 package aft
 
 import (
@@ -32,7 +31,6 @@ import (
 	"aft/internal/core"
 	"aft/internal/idgen"
 	"aft/internal/lb"
-	"aft/internal/shard"
 	"aft/internal/storage"
 	"aft/internal/wire"
 )
@@ -53,13 +51,8 @@ type (
 	// Cluster is a multi-replica AFT deployment with multicast, garbage
 	// collection, fault management, and a load-balanced client.
 	Cluster = cluster.Cluster
-	// ClusterConfig parameterizes a Cluster. Set Sharded (plus optional
-	// NumShards / VNodes) for partitioned metadata ownership.
+	// ClusterConfig parameterizes a Cluster.
 	ClusterConfig = cluster.Config
-	// ShardRing is the consistent-hash ring of a sharded cluster
-	// (Cluster.Ring); it exposes key→owner resolution, per-node shard
-	// distributions, ring versions, and rebalance plans.
-	ShardRing = shard.Ring
 )
 
 // Sentinel errors re-exported from the core.
@@ -75,8 +68,11 @@ var (
 	// ErrTxnFinished means the transaction already committed or aborted.
 	ErrTxnFinished = core.ErrTxnFinished
 	// ErrVersionVanished means the global GC collected a read version
-	// mid-transaction (possible in sharded deployments); redo the
-	// transaction.
+	// mid-transaction; redo the transaction. The unanimous GC vote rules
+	// this out except when a node re-installs a record between the vote
+	// and the delete: a standby's bootstrap, or a storage fallback read on
+	// a node with partial metadata (BootstrapLimit, a bootstrap watermark,
+	// or a metadata-budget spill).
 	ErrVersionVanished = core.ErrVersionVanished
 	// ErrUnavailable means the storage engine reported a (possibly
 	// transient) failure; RunTransaction treats it as retriable.

@@ -531,26 +531,35 @@ func BenchmarkReadPath(b *testing.B) {
 		for v := 0; v < versions; v++ {
 			commitKVs(b, seeder, map[string][]byte{"cold": payload})
 		}
+		// One newer record: a reader bootstrapping with BootstrapLimit 1
+		// warms only it and drops every version of "cold".
+		commitKVs(b, seeder, map[string][]byte{"warm": payload})
 		ctx := context.Background()
-		before := store.Metrics().Snapshot()
+		var calls int64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			// A fresh sharded reader per iteration: every read is cold.
-			reader, err := core.NewNode(core.Config{NodeID: "cold-reader", Store: store})
+			// A fresh reader per iteration, in partial-metadata mode after
+			// its truncated bootstrap: every read of "cold" is cold.
+			b.StopTimer()
+			reader, err := core.NewNode(core.Config{NodeID: "cold-reader", Store: store, BootstrapLimit: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			reader.SetOwnership(func(string) bool { return true })
+			if err := reader.Bootstrap(ctx); err != nil {
+				b.Fatal(err)
+			}
+			before := store.Metrics().Snapshot()
+			b.StartTimer()
 			txid, _ := reader.StartTransaction(ctx)
 			if _, err := reader.Get(ctx, txid, "cold"); err != nil {
 				b.Fatal(err)
 			}
+			calls += store.Metrics().Snapshot().Sub(before).Calls()
 			reader.AbortTransaction(ctx, txid)
 		}
 		b.StopTimer()
-		d := store.Metrics().Snapshot().Sub(before)
-		b.ReportMetric(float64(d.Calls())/float64(b.N), "calls/coldread")
+		b.ReportMetric(float64(calls)/float64(b.N), "calls/coldread")
 	})
 
 	b.Run("MultiGet", func(b *testing.B) {
@@ -594,65 +603,4 @@ func storeMetrics(b *testing.B, n *core.Node) storage.Snapshot {
 		b.Fatal("store has no metrics")
 	}
 	return sm.Metrics().Snapshot()
-}
-
-// BenchmarkSharded measures the commit path through broadcast versus
-// shard-scoped clusters (the §8 partitioning direction implemented in
-// internal/shard) at 2/4/8/16 nodes. Per-node commit-index size is
-// reported per mode; the sharded configuration's grows with a node's
-// keyspace share rather than global write volume.
-func BenchmarkSharded(b *testing.B) {
-	payload := workload.Payload(1, 1024)
-	for _, sharded := range []bool{false, true} {
-		mode := "Broadcast"
-		if sharded {
-			mode = "Sharded"
-		}
-		for _, nodes := range []int{2, 4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/nodes=%d", mode, nodes), func(b *testing.B) {
-				c, err := cluster.New(cluster.Config{
-					Nodes:           nodes,
-					Sharded:         sharded,
-					Store:           dynamosim.New(dynamosim.Options{}),
-					MulticastPeriod: time.Millisecond,
-					PruneMulticast:  true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctx := context.Background()
-				if err := c.Start(ctx); err != nil {
-					b.Fatal(err)
-				}
-				defer c.Stop()
-				client := c.Client()
-				b.ReportAllocs()
-				b.RunParallel(func(pb *testing.PB) {
-					// b.Fatal must not be called off the benchmark
-					// goroutine; report and drain instead.
-					i := 0
-					for pb.Next() {
-						key := workload.KeyName(i % 1024)
-						txid, err := client.StartTransactionHint(ctx, key)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if err := client.Put(ctx, txid, key, payload); err != nil {
-							b.Error(err)
-							return
-						}
-						if _, err := client.CommitTransaction(ctx, txid); err != nil {
-							b.Error(err)
-							return
-						}
-						i++
-					}
-				})
-				b.StopTimer()
-				c.FlushMulticast()
-				b.ReportMetric(c.MeanMetadataSize(), "index-entries/node")
-			})
-		}
-	}
 }

@@ -1,13 +1,12 @@
 // Command aft-bench regenerates the paper's evaluation tables and figures
-// (§6) against the simulated substrates, plus the repo's own scaling
-// scenarios (sharded metadata exchange).
+// (§6) against the simulated substrates, plus the repo's own fault,
+// durability, observability and recovery campaigns.
 //
 // Usage:
 //
 //	aft-bench -experiment all                 # every figure and table
 //	aft-bench -experiment fig3 -scale 0.1     # one experiment, 10x speed
 //	aft-bench -experiment fig7 -quick         # CI-sized run
-//	aft-bench -experiment sharded -json out/  # broadcast vs sharded exchange
 //	aft-bench chaos -seed 7                   # alias: seeded fault-injection campaign
 //	aft-bench -experiment chaos -seed 7 -chaos-kills 3 -chaos-error-rate 0.05
 //	aft-bench durability                      # WAL engine: fsync coalescing, recovery, storage-crash campaign
@@ -15,7 +14,7 @@
 //	aft-bench -experiment fig7 -store wal     # any experiment over any backend
 //
 // Experiments: fig2, fig3 (includes table2), fig4, fig5, fig6, fig7, fig8,
-// fig9, fig10, ablation, sharded, chaos, durability, obsplane (full
+// fig9, fig10, ablation, chaos, durability, obsplane (full
 // observability plane vs telemetry off), resilience (network partitions,
 // conn resets, and overload through the real wire stack), recovery (WAL
 // checkpoints vs full replay, incremental bootstrap, metadata-budget
@@ -30,8 +29,8 @@
 //
 // Every run also writes machine-readable results to BENCH_<name>.json in
 // the -json directory ("" disables): the rendered tables plus, for the
-// experiments that expose them (sharded and everything after it in the
-// list above), the raw per-cell measurements.
+// experiments that expose them (chaos and everything after it in the list
+// above), the raw per-cell measurements.
 package main
 
 import (
@@ -57,7 +56,6 @@ type benchResult struct {
 	WallTimeMS      int64                        `json:"wall_time_ms"`
 	Store           string                       `json:"store,omitempty"`
 	Tables          []experiments.Table          `json:"tables"`
-	ShardedCells    []experiments.ShardedCell    `json:"sharded_cells,omitempty"`
 	ChaosCells      []experiments.ChaosCell      `json:"chaos_cells,omitempty"`
 	DurabilityCells []experiments.DurabilityCell `json:"durability_cells,omitempty"`
 	ObsPlaneCells   []experiments.ObsPlaneCell   `json:"obsplane_cells,omitempty"`
@@ -67,7 +65,7 @@ type benchResult struct {
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run: all|fig2|fig3|table2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|sharded|chaos|durability|obsplane|resilience|recovery")
+		experiment = flag.String("experiment", "all", "experiment to run: all|fig2|fig3|table2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|chaos|durability|obsplane|resilience|recovery")
 		scale      = flag.Float64("scale", 0.1, "latency time scale: 1.0 = paper speed, 0.1 = 10x faster, 0 = no latency")
 		quick      = flag.Bool("quick", false, "shrink workloads ~10x")
 		seed       = flag.Int64("seed", 42, "random seed")
@@ -139,8 +137,6 @@ func main() {
 		{"fig9", tables(experiments.Fig9)},
 		{"fig10", tables(experiments.Fig10)},
 		{"ablation", tables(experiments.Ablation)},
-		{"sharded", cells(experiments.ShardedCells, experiments.ShardedTable,
-			func(r *benchResult) *[]experiments.ShardedCell { return &r.ShardedCells })},
 		{"chaos", cells(experiments.ChaosCells, experiments.ChaosTable,
 			func(r *benchResult) *[]experiments.ChaosCell { return &r.ChaosCells })},
 		{"durability", cells(experiments.DurabilityCells, experiments.DurabilityTable,

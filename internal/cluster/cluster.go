@@ -25,8 +25,6 @@ import (
 	"aft/internal/latency"
 	"aft/internal/lb"
 	"aft/internal/multicast"
-	"aft/internal/records"
-	"aft/internal/shard"
 	"aft/internal/storage"
 	"aft/internal/telemetry"
 )
@@ -66,17 +64,6 @@ type Config struct {
 	Sleeper *latency.Sleeper
 	// Clock is shared by all nodes; nil selects the wall clock.
 	Clock idgen.Clock
-	// Sharded partitions metadata ownership across nodes with a
-	// consistent-hash ring (internal/shard): multicast delivers each
-	// commit record only to the owners of the shards its write set
-	// touches, nodes cache and GC-vote only for owned shards, and the
-	// load balancer routes first-key-hinted transactions to the owner.
-	// Read-atomic guarantees are unchanged — any node still serves any
-	// transaction, recovering non-owned metadata from storage on demand.
-	Sharded bool
-	// NumShards and VNodes tune the ring; 0 selects shard.DefaultShards /
-	// shard.DefaultVNodes. Ignored unless Sharded.
-	NumShards, VNodes int
 	// Events, when non-nil, is the cluster-wide flight-recorder journal:
 	// lifecycle transitions (node kills, standby promotions, bootstrap
 	// watermark cuts) are recorded here, and it is threaded into every
@@ -99,8 +86,7 @@ type Config struct {
 	// newer than that view — O(delta the manager missed) instead of
 	// O(history). Anything older that the manager also missed stays
 	// recoverable on demand through the joiner's partial-metadata read
-	// fallback. Ignored in Sharded mode, where Bootstrap is already scoped
-	// to the joiner's shard share.
+	// fallback.
 	IncrementalBootstrap bool
 }
 
@@ -117,7 +103,6 @@ type Cluster struct {
 	bus      *multicast.Bus
 	fm       *faultmgr.Manager
 	balancer *lb.Balancer
-	ring     *shard.Ring // nil unless cfg.Sharded
 
 	mu       sync.Mutex
 	members  map[string]*member
@@ -158,15 +143,6 @@ func New(cfg Config) (*Cluster, error) {
 		})
 		fmTracer.SetSink(cfg.TraceCollector)
 		c.fm.SetTracer(fmTracer)
-	}
-	if cfg.Sharded {
-		c.ring = shard.New(cfg.NumShards, cfg.VNodes)
-		owners := func(rec *records.CommitRecord) []string {
-			return c.ring.OwnersForKeys(rec.WriteSet)
-		}
-		c.bus.SetRouter(owners)
-		c.fm.SetScope(owners)
-		c.balancer.SetPlacer(c.ring.Owner)
 	}
 	return c, nil
 }
@@ -239,24 +215,8 @@ func (c *Cluster) addNode(ctx context.Context, warmup bool) (*core.Node, error) 
 	// record). Rounds that snapshotted their peers earlier carry records
 	// that were durable before this point, which the bootstrap reads.
 	c.bus.Register(node)
-	if c.ring != nil {
-		// On the bus before joining the ring, too: the instant the ring
-		// routes a shard here, scoped multicast must be able to deliver
-		// (FlushPeer silently skips owners not on the bus). Then join the
-		// ring before bootstrapping so warm-up covers exactly the shards
-		// this node owns. The ownership closure reads live ring state, so
-		// later rebalances apply without re-wiring.
-		//
-		// The tight per-node cap means a join also spills shards BETWEEN
-		// survivors, not only to the joiner — warm those survivors from
-		// the fault manager just like a leave does. (The joiner itself
-		// is not in membership yet; its scoped Bootstrap below covers
-		// its own shards.)
-		c.reannounceForPlan(c.ring.AddNode(id))
-		node.SetOwnership(func(key string) bool { return c.ring.OwnsKey(id, key) })
-	}
 	bootstrap := node.Bootstrap
-	if c.cfg.IncrementalBootstrap && c.ring == nil {
+	if c.cfg.IncrementalBootstrap {
 		// Recover commits a dead node persisted but never announced (§4.2)
 		// BEFORE cutting the watermark. The tap-fed view alone can hold a
 		// key's older version while missing its newest (the writer died
@@ -280,9 +240,6 @@ func (c *Cluster) addNode(ctx context.Context, warmup bool) (*core.Node, error) 
 	}
 	bootStart := time.Now()
 	if err := bootstrap(ctx); err != nil {
-		if c.ring != nil {
-			c.reannounceForPlan(c.ring.RemoveNode(id))
-		}
 		c.bus.Unregister(id)
 		return nil, fmt.Errorf("cluster: bootstrapping %s: %w", id, err)
 	}
@@ -306,9 +263,6 @@ func (c *Cluster) addNode(ctx context.Context, warmup bool) (*core.Node, error) 
 		// The cluster shut down while this node (e.g. a standby being
 		// promoted) was warming up; do not register or start loops.
 		c.mu.Unlock()
-		if c.ring != nil {
-			c.reannounceForPlan(c.ring.RemoveNode(id))
-		}
 		c.bus.Unregister(id)
 		return nil, fmt.Errorf("cluster: stopped")
 	}
@@ -378,8 +332,9 @@ func (c *Cluster) globalGCLoop() {
 
 // Kill simulates a crash of the named node: it vanishes from the balancer
 // and multicast fabric without flushing its pending broadcasts (the §4.2
-// liveness hazard). If a standby is available, a replacement is promoted in
-// the background after DetectDelay + JoinDelay (§6.7).
+// liveness hazard), and callers parked for one of its admission slots fail
+// retriably (core.Node.Stop). If a standby is available, a replacement is
+// promoted in the background after DetectDelay + JoinDelay (§6.7).
 func (c *Cluster) Kill(nodeID string) error {
 	c.mu.Lock()
 	m, ok := c.members[nodeID]
@@ -398,15 +353,8 @@ func (c *Cluster) Kill(nodeID string) error {
 	c.cfg.Events.Record(telemetry.EventNodeKill, nodeID, "",
 		"standby_available", fmt.Sprintf("%v", haveStandby))
 	c.balancer.Remove(nodeID)
+	m.node.Stop()
 	m.mc.Kill()
-	if c.ring != nil {
-		// Rebalance: the dead node's shards move to survivors. Warm the
-		// gaining owners from the fault manager's global view — their
-		// multicast history for those shards went to the dead node, and
-		// a stale-but-valid local version would otherwise keep serving
-		// (the storage fallback only fires on a local miss).
-		c.reannounceForPlan(c.ring.RemoveNode(nodeID))
-	}
 
 	if haveStandby {
 		c.bg.Add(1)
@@ -467,44 +415,9 @@ func (c *Cluster) RemoveNode(nodeID string) error {
 	c.mu.Unlock()
 
 	c.balancer.Remove(nodeID)
+	m.node.Stop()
 	m.mc.Stop() // graceful: flush pending commit broadcasts
-	if c.ring != nil {
-		c.reannounceForPlan(c.ring.RemoveNode(nodeID))
-	}
 	return nil
-}
-
-// reannounceForPlan warms every shard-gaining node of a rebalance plan
-// with the fault manager's records for its gained shards. Node joins need
-// no push — their scoped Bootstrap reads the commit set from storage —
-// but survivors of a leave would otherwise keep partial shard views.
-func (c *Cluster) reannounceForPlan(plan shard.Plan) {
-	if len(plan.Moves) == 0 {
-		return
-	}
-	gainer := make(map[int]string, len(plan.Moves)) // moved shard -> gaining node
-	for _, mv := range plan.Moves {
-		if mv.To != "" {
-			gainer[mv.Shard] = mv.To
-		}
-	}
-	c.fm.Reannounce(func(rec *records.CommitRecord) []string {
-		var targets []string
-	keys:
-		for _, k := range rec.WriteSet {
-			to, ok := gainer[c.ring.ShardOf(k)]
-			if !ok {
-				continue
-			}
-			for _, seen := range targets {
-				if seen == to {
-					continue keys
-				}
-			}
-			targets = append(targets, to)
-		}
-		return targets
-	})
 }
 
 // AddNode manually scales the cluster up by one replica.
@@ -514,23 +427,6 @@ func (c *Cluster) AddNode(ctx context.Context) (*core.Node, error) {
 
 // Client returns the deployment's load-balanced client surface.
 func (c *Cluster) Client() *lb.Balancer { return c.balancer }
-
-// Ring returns the shard ring, or nil for non-sharded deployments.
-func (c *Cluster) Ring() *shard.Ring { return c.ring }
-
-// MeanMetadataSize returns the mean per-node commit-index size — the
-// quantity sharding shrinks (each node caches only its keyspace share).
-func (c *Cluster) MeanMetadataSize() float64 {
-	nodes := c.Nodes()
-	if len(nodes) == 0 {
-		return 0
-	}
-	total := 0
-	for _, n := range nodes {
-		total += n.MetadataSize()
-	}
-	return float64(total) / float64(len(nodes))
-}
 
 // Bus returns the multicast fabric (metrics, taps).
 func (c *Cluster) Bus() *multicast.Bus { return c.bus }
@@ -602,6 +498,7 @@ func (c *Cluster) Stop() {
 	for i, m := range members {
 		c.balancer.Remove(ids[i])
 		close(m.stop)
+		m.node.Stop()
 		m.mc.Stop()
 	}
 	c.bg.Wait()

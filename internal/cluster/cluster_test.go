@@ -12,6 +12,7 @@ import (
 	"aft/internal/latency"
 	"aft/internal/lb"
 	"aft/internal/records"
+	"aft/internal/retry"
 	"aft/internal/storage/dynamosim"
 )
 
@@ -348,5 +349,80 @@ func TestFlushMulticastWaitsOutInFlightRound(t *testing.T) {
 	case <-flushed:
 	case <-time.After(2 * time.Second):
 		t.Fatal("FlushMulticast never returned after the round landed")
+	}
+}
+
+func TestRemoveNodeGracefulFlush(t *testing.T) {
+	store := dynamosim.New(dynamosim.Options{})
+	c, err := New(Config{
+		Nodes:           2,
+		Store:           store,
+		MulticastPeriod: time.Hour, // no automatic broadcasts
+		PruneMulticast:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	ctx := context.Background()
+
+	// Commit on a specific node without flushing.
+	victim := c.Nodes()[0]
+	other := c.Nodes()[1]
+	txid, _ := victim.StartTransaction(ctx)
+	victim.Put(ctx, txid, "graceful", []byte("v"))
+	if _, err := victim.CommitTransaction(ctx, txid); err != nil {
+		t.Fatal(err)
+	}
+	// Graceful removal flushes pending broadcasts (unlike Kill).
+	if err := c.RemoveNode(victim.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RemoveNode(victim.ID()); err == nil {
+		t.Fatal("double remove succeeded")
+	}
+	if other.MetadataSize() != 1 {
+		t.Fatalf("surviving node metadata = %d, want 1 (flushed on graceful removal)", other.MetadataSize())
+	}
+}
+
+// TestKillFailsParkedAdmissionWaiters: a caller parked for an admission
+// slot on a node that is then killed must fail retriably, not wait for a
+// slot that the dead node's abandoned transaction will never release.
+func TestKillFailsParkedAdmissionWaiters(t *testing.T) {
+	c, _ := newTestCluster(t, func(cfg *Config) {
+		cfg.Nodes = 1
+		cfg.Node = core.Config{MaxConcurrent: 1, AdmissionQueue: 1}
+	})
+	victim := c.Nodes()[0]
+	ctx := context.Background()
+	// The only slot goes to a transaction its client abandons.
+	if _, err := c.Client().StartTransaction(ctx); err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, err := c.Client().StartTransaction(ctx)
+		parked <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); victim.AdmissionWaiting() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("second StartTransaction never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.Kill(victim.ID()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-parked:
+		if !retry.Retriable(err) {
+			t.Fatalf("parked StartTransaction after Kill = %v, want a retriable error", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("parked StartTransaction still waiting 1s after Kill")
 	}
 }

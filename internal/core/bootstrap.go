@@ -94,7 +94,6 @@ func (n *Node) bootstrapSince(ctx context.Context, since string) error {
 	if err != nil {
 		return fmt.Errorf("aft: reading commit set: %w", err)
 	}
-	owns := n.ownership()
 	for _, sk := range keys {
 		payload, ok := payloads[sk]
 		if !ok {
@@ -103,12 +102,6 @@ func (n *Node) bootstrapSince(ctx context.Context, since string) error {
 		rec, err := records.UnmarshalCommitRecord(payload)
 		if err != nil {
 			return fmt.Errorf("aft: decoding commit record %s: %w", sk, err)
-		}
-		// Sharded mode: warm only the shards this node owns, so warm-up
-		// cost scales with the node's share of the keyspace. Non-owned
-		// metadata stays recoverable on demand (read.go fallback).
-		if !ownsAny(owns, rec) {
-			continue
 		}
 		ss := n.stripesOf(rec.WriteSet)
 		lockStripes(ss)

@@ -31,10 +31,8 @@ import (
 // confirmed stay cached.
 //
 // GC interplay: a spilled record keeps its commit-idempotency marker and
-// is NOT marked locally-deleted. In sharded deployments the global GC
-// votes on Caches, so eviction lets collection proceed; in non-sharded
-// unanimity deployments a spilled-but-never-superseded record simply
-// stays in storage until a later sweep sees its successor — conservative,
+// is NOT marked locally-deleted, so the global GC's unanimity vote keeps
+// it in storage until a later sweep sees its successor — conservative,
 // never unsafe.
 
 // MetadataBytes returns the node's approximate resident metadata bytes:

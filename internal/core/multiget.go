@@ -23,11 +23,11 @@ import (
 // Any key that fails (ErrKeyNotFound, ErrNoValidVersion, a storage error)
 // fails the whole call; reads recorded before the failure stay in the read
 // set, exactly as a sequence of Gets would leave them, so the caller can
-// abort or retry the transaction as usual. In sharded mode a payload
-// deleted mid-read by the owner-voted global GC is retried per key (the
-// vanished version is forgotten and re-selected once); a re-read of an
-// already-read key cannot re-select and surfaces ErrVersionVanished, the
-// redo-the-transaction signal.
+// abort or retry the transaction as usual. A payload deleted mid-read by
+// the global GC is retried per key, as in Get (the vanished version is
+// forgotten and re-selected once); a re-read of an already-read key cannot
+// re-select and surfaces ErrVersionVanished, the redo-the-transaction
+// signal.
 func (n *Node) MultiGet(ctx context.Context, txid string, keys []string) ([][]byte, error) {
 	if err := n.checkCtx(ctx); err != nil {
 		return nil, err
@@ -55,14 +55,13 @@ func (n *Node) MultiGet(ctx context.Context, txid string, keys []string) ([][]by
 }
 
 func (n *Node) doMultiGet(ctx context.Context, t *txnState, txid string, keys []string) ([][]byte, error) {
-	owns := n.ownership()
 	out := make([][]byte, len(keys))
 	plans := make([]*readPlan, len(keys))
 
 	// Metadata phase: plan every key under one t.mu hold. Version
 	// selection takes only stripe read locks per key; the cold-key
-	// metadata recovery (sharded mode) runs here too, coalesced with
-	// concurrent readers via the singleflight.
+	// metadata recovery (partial-metadata mode) runs here too, coalesced
+	// with concurrent readers via the singleflight.
 	plan := func(idxs []int) error {
 		t.mu.Lock()
 		defer t.mu.Unlock()
@@ -80,7 +79,7 @@ func (n *Node) doMultiGet(ctx context.Context, t *txnState, txid string, keys []
 				plans[i] = plans[j]
 				continue
 			}
-			p, val, err := n.planRead(ctx, t, keys[i], owns)
+			p, val, err := n.planRead(ctx, t, keys[i])
 			if err != nil {
 				return err
 			}
@@ -104,7 +103,7 @@ func (n *Node) doMultiGet(ctx context.Context, t *txnState, txid string, keys []
 	// Payload phase, outside every lock (the reader pins keep the selected
 	// versions' metadata alive, §5.1). Cache hits are served immediately;
 	// the misses of all keys share batched round trips. A second pass
-	// handles versions that vanished under the sharded GC race.
+	// handles versions that vanished under the GC race.
 	pending := make([]int, 0, len(keys))
 	for i := range keys {
 		if plans[i] != nil {
@@ -161,9 +160,9 @@ func (n *Node) storageKeyOf(p *readPlan, key string) string {
 // batched storage fetch, filling out. It returns the indices whose payload
 // is missing from storage AND eligible for the vanished-version retry
 // (first reads of a key whose selected version the global GC collected
-// mid-read — the sharded owner-vote race or the symmetric vote/bootstrap
-// TOCTOU); a missing spill payload or a re-read of an already-read key is
-// an error, like Get's handling.
+// mid-read — the vote/bootstrap TOCTOU doGet describes); a missing spill
+// payload or a re-read of an already-read key is an error, like Get's
+// handling.
 func (n *Node) fetchPlanned(ctx context.Context, t *txnState, keys []string, plans []*readPlan, out [][]byte, idxs []int) ([]int, error) {
 	toFetch := make(map[string][]int)
 	for _, i := range idxs {

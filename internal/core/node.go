@@ -57,10 +57,11 @@ var (
 	// prescribes abort-and-retry.
 	ErrNoValidVersion = errors.New("aft: no valid version for read set")
 	// ErrVersionVanished means a selected version's payload was deleted
-	// by the global GC between selection and fetch. In sharded
-	// deployments a non-owner's read pin cannot block the owner-voted
-	// collection, so this race is possible (akin to §5.2.1's missing
-	// versions); clients should redo the transaction.
+	// by the global GC between selection and fetch. The §5.2 unanimity
+	// vote normally rules this out, but a node that installs a record
+	// after voting to delete it — a standby's bootstrap, or a
+	// partial-metadata storage fallback — races the deletion (akin to
+	// §5.2.1's missing versions); clients should redo the transaction.
 	ErrVersionVanished = errors.New("aft: version collected mid-read; retry transaction")
 	// ErrOverloaded means admission control shed the request: the node is
 	// at MaxConcurrent and the wait queue for a slot is already
@@ -156,9 +157,6 @@ type Config struct {
 	DisableTelemetry bool
 }
 
-// ownsFunc is a shard-ownership filter; see SetOwnership.
-type ownsFunc func(key string) bool
-
 // Node is a single AFT replica.
 type Node struct {
 	cfg   Config
@@ -170,6 +168,9 @@ type Node struct {
 	// admission bound sheds arrivals that would push it past
 	// cfg.AdmissionQueue.
 	waiting atomic.Int64
+	// stopped is closed by Stop; it wakes callers parked for a sem slot.
+	stopped  chan struct{}
+	stopOnce sync.Once
 
 	// stripes is the lock-striped metadata core: Commit Set Cache,
 	// key-version index, and locally-deleted markers, partitioned by key
@@ -188,19 +189,9 @@ type Node struct {
 	// is a subset of the Transaction Commit Set: an incremental or
 	// truncated bootstrap skipped history, or the memory budget spilled
 	// cold records. Reads that miss locally then fall back to storage
-	// (read.go) even in non-sharded deployments. Sticky by design — the
-	// fallback is also what makes the skip/spill safe.
+	// (read.go). Sticky by design — the fallback is also what makes the
+	// skip/spill safe.
 	partialMeta atomic.Bool
-
-	// owns filters metadata ownership in sharded deployments: when
-	// non-nil, this node caches commit metadata only for transactions
-	// touching at least one key it owns. Nil (the default, and all
-	// non-sharded deployments) means the node owns the whole keyspace.
-	// Ownership never affects which transactions the node can *serve*:
-	// reads of non-owned keys fall back to the Transaction Commit Set in
-	// storage (read.go). Stored atomically so the hot path loads it
-	// without locking.
-	owns atomic.Pointer[ownsFunc]
 
 	// tmu guards the transaction lifecycle table: in-flight transactions
 	// by UUID, plus the finished-transaction map that makes Commit
@@ -264,7 +255,6 @@ type NodeMetrics struct {
 	MergedRemote      atomic.Int64
 	PrunedMerges      atomic.Int64
 	SweptMetadata     atomic.Int64
-	PrunedNonOwned    atomic.Int64 // records dropped or swept for non-owned shards
 	RemoteFetches     atomic.Int64 // reads that recovered metadata from storage
 	CoalescedFetches  atomic.Int64 // cold reads that joined another read's in-flight recovery
 	BatchedRecordGets atomic.Int64 // commit records fetched through batched reads
@@ -285,7 +275,7 @@ type NodeMetrics struct {
 type NodeMetricsSnapshot struct {
 	Started, Committed, Aborted, Reads, CacheHits, Spills,
 	MergedRemote, PrunedMerges, SweptMetadata,
-	PrunedNonOwned, RemoteFetches, CoalescedFetches,
+	RemoteFetches, CoalescedFetches,
 	BatchedRecordGets, MultiGets,
 	GroupFlushes, GroupedCommits,
 	OverloadShed, DeadlineExceeded, ReapedExpired,
@@ -304,7 +294,6 @@ func (m *NodeMetrics) Snapshot() NodeMetricsSnapshot {
 		MergedRemote:      m.MergedRemote.Load(),
 		PrunedMerges:      m.PrunedMerges.Load(),
 		SweptMetadata:     m.SweptMetadata.Load(),
-		PrunedNonOwned:    m.PrunedNonOwned.Load(),
 		RemoteFetches:     m.RemoteFetches.Load(),
 		CoalescedFetches:  m.CoalescedFetches.Load(),
 		BatchedRecordGets: m.BatchedRecordGets.Load(),
@@ -343,6 +332,7 @@ func NewNode(cfg Config) (*Node, error) {
 		committedByUUID: make(map[string]idgen.ID),
 		readers:         make(map[idgen.ID]int),
 		fetching:        make(map[string]*fetchCall),
+		stopped:         make(chan struct{}),
 	}
 	for i := range n.stripes {
 		n.stripes[i] = newStripe()
@@ -379,49 +369,20 @@ func NewNode(cfg Config) (*Node, error) {
 // ID returns the node's identifier.
 func (n *Node) ID() string { return n.cfg.NodeID }
 
-// SetOwnership installs the node's shard-ownership filter (sharded
-// deployments). owns must report whether this node currently owns the
-// given user key's shard; it is consulted on hot paths and must be fast
-// and non-blocking (ring lookups qualify). Passing nil restores
-// whole-keyspace ownership. The filter scopes what metadata the node
-// *caches* — merges, bootstrap, and GC sweeps — never what it can serve.
-func (n *Node) SetOwnership(owns func(key string) bool) {
-	if owns == nil {
-		n.owns.Store(nil)
-		return
-	}
-	f := ownsFunc(owns)
-	n.owns.Store(&f)
-}
-
-// ownership returns the current shard-ownership filter (nil when the node
-// owns the whole keyspace).
-func (n *Node) ownership() ownsFunc {
-	if p := n.owns.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// ownsAny reports whether the node owns at least one key of rec's write
-// set under filter owns (true when owns is nil).
-func ownsAny(owns ownsFunc, rec *records.CommitRecord) bool {
-	if owns == nil {
-		return true
-	}
-	for _, k := range rec.WriteSet {
-		if owns(k) {
-			return true
-		}
-	}
-	return false
-}
-
 // Store returns the node's storage backend.
 func (n *Node) Store() storage.Store { return n.store }
 
 // Metrics returns the node's counters.
 func (n *Node) Metrics() *NodeMetrics { return &n.metrics }
+
+// Stop takes the node out of service: every caller parked for a
+// MaxConcurrent slot, now or later, fails with ErrTxnNotFound — the
+// transaction it was about to start is lost to the node's failure, and
+// the client redoes it elsewhere (§3.3.1). A killed node's slots may be
+// held by transactions whose clients have already moved on, so without
+// Stop its waiters would park forever. Admitted transactions are
+// unaffected. Stop is idempotent.
+func (n *Node) Stop() { n.stopOnce.Do(func() { close(n.stopped) }) }
 
 // acquire takes a concurrency slot, honoring ctx cancellation. With
 // AdmissionQueue set, at most that many callers park waiting for a slot;
@@ -468,6 +429,8 @@ func (n *Node) acquire(ctx context.Context) error {
 	select {
 	case n.sem <- struct{}{}:
 		return nil
+	case <-n.stopped:
+		return fmt.Errorf("aft: node %s stopped: %w", n.cfg.NodeID, ErrTxnNotFound)
 	case <-ctx.Done():
 		n.metrics.DeadlineExceeded.Add(1)
 		return ctx.Err()
@@ -500,8 +463,7 @@ func (n *Node) release() {
 // stripes, so merges proceed concurrently with reads and commits on other
 // keys.
 func (n *Node) MergeRemoteCommits(recs []*records.CommitRecord) {
-	owns := n.ownership()
-	var merged, prunedMerges, prunedNonOwned int64
+	var merged, prunedMerges int64
 	for _, rec := range recs {
 		if rec == nil {
 			continue
@@ -516,22 +478,9 @@ func (n *Node) MergeRemoteCommits(recs []*records.CommitRecord) {
 			deliveryStart = time.Now()
 		}
 		outcome := "dropped"
-		// Sharded mode: metadata for shards this node does not own is
-		// not cached here — its owners cache it, and reads can always
-		// recover it from storage. Dropped records are NOT marked
-		// locally-deleted: the global GC consults only shard owners.
-		if !ownsAny(owns, rec) {
-			prunedNonOwned++
-			if traced {
-				n.tracer.ForeignSpan(rec.TraceID, "multicast.delivery",
-					deliveryStart, time.Since(deliveryStart),
-					map[string]string{"tx": rec.UUID, "from": rec.Node, "outcome": "non_owned"})
-			}
-			continue
-		}
 		ss := n.stripesOf(rec.WriteSet)
 		lockStripes(ss)
-		if n.supersededForNodeLocked(rec, owns) {
+		if n.supersededLocked(rec) {
 			// A record pruned at merge time was never cached here, so
 			// from the global GC's perspective this node has already
 			// "locally deleted" it (§5.2 unanimity check). The entry is
@@ -552,7 +501,6 @@ func (n *Node) MergeRemoteCommits(recs []*records.CommitRecord) {
 	}
 	n.metrics.MergedRemote.Add(merged)
 	n.metrics.PrunedMerges.Add(prunedMerges)
-	n.metrics.PrunedNonOwned.Add(prunedNonOwned)
 }
 
 // SkipPruned learns of records a peer's broadcast round pruned as
@@ -606,32 +554,6 @@ func (n *Node) IsSuperseded(rec *records.CommitRecord) bool {
 	rlockStripes(ss)
 	defer runlockStripes(ss)
 	return n.supersededLocked(rec)
-}
-
-// supersededForNodeLocked is the ownership-scoped variant of Algorithm 2
-// used by the merge prune and the local sweep: with a filter installed,
-// only the write-set keys this node OWNS need newer versions. An owner is
-// not responsible for a cross-shard record's other keys — their owners
-// are — and requiring full supersedence would let a record whose other
-// keys' updates were never routed here pin the cache (and its Caches GC
-// vote) forever. The caller must hold locks covering all of rec's stripes.
-func (n *Node) supersededForNodeLocked(rec *records.CommitRecord, owns ownsFunc) bool {
-	if owns == nil {
-		return n.supersededLocked(rec)
-	}
-	id := rec.ID()
-	owned := 0
-	for _, k := range rec.WriteSet {
-		if !owns(k) {
-			continue
-		}
-		owned++
-		latest, ok := n.stripeFor(k).index.latest(k)
-		if !ok || !id.Less(latest) {
-			return false
-		}
-	}
-	return owned > 0 // records with no owned key are handled as non-owned
 }
 
 // Drain returns the commit records accumulated since the last Drain and
@@ -700,15 +622,7 @@ func (n *Node) VersionsOf(key string) []idgen.ID {
 // supersedence) is re-run under the record's write locks before removal,
 // so concurrent reads and commits on other stripes never stall behind a
 // sweep.
-//
-// In sharded mode the sweep additionally evicts transactions touching no
-// owned key — typically this node's own commits to non-owned shards,
-// already handed to their owners by the multicast round. These need not
-// be superseded (their owners keep the authoritative cache and storage
-// retains the record), and they are NOT marked locally-deleted, because
-// the global GC consults only shard owners for deletion votes.
 func (n *Node) SweepLocalMetadata(limit int) []idgen.ID {
-	owns := n.ownership()
 	byID := n.snapshotRecords()
 	ids := make([]idgen.ID, 0, len(byID))
 	for id := range byID {
@@ -717,8 +631,6 @@ func (n *Node) SweepLocalMetadata(limit int) []idgen.ID {
 	// Oldest first: mitigates the §5.2.1 missing-version pitfall.
 	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 	var removed []idgen.ID
-	var sweptOwned, sweptNonOwned int64
-	var forgetUUIDs []string
 	for _, id := range ids {
 		if limit > 0 && len(removed) >= limit {
 			break
@@ -737,57 +649,23 @@ func (n *Node) SweepLocalMetadata(limit int) []idgen.ID {
 			unlockStripes(ss)
 			continue // pinned by an active reader (§5.1)
 		}
-		owned := ownsAny(owns, rec)
-		if owned && !n.supersededForNodeLocked(rec, owns) {
+		if !n.supersededLocked(rec) {
 			unlockStripes(ss)
 			continue
 		}
-		n.removeLocked(rec, ss, owned)
+		n.removeLocked(rec, ss, true)
 		unlockStripes(ss)
-		if owned {
-			forgetUUIDs = append(forgetUUIDs, rec.UUID)
-			sweptOwned++
-		} else {
-			// Keep the commit-idempotency marker: a non-owned sweep can
-			// run moments after this node's own commit, and a client
-			// retrying a lost commit response must still get the §3.1
-			// idempotent success, not ErrTxnNotFound (which triggers a
-			// full redo and double-applies non-idempotent writes). The
-			// marker is reclaimed by ForgetDeleted when the global GC
-			// collects the transaction.
-			sweptNonOwned++
-		}
 		removed = append(removed, id)
 	}
-	if len(forgetUUIDs) > 0 {
+	if len(removed) > 0 {
 		n.tmu.Lock()
-		for _, uuid := range forgetUUIDs {
-			delete(n.committedByUUID, uuid)
+		for _, id := range removed {
+			delete(n.committedByUUID, id.UUID)
 		}
 		n.tmu.Unlock()
 	}
-	n.metrics.SweptMetadata.Add(sweptOwned)
-	n.metrics.PrunedNonOwned.Add(sweptNonOwned)
+	n.metrics.SweptMetadata.Add(int64(len(removed)))
 	return removed
-}
-
-// Caches reports, aligned with recs, whether each transaction is currently
-// in this node's Commit Set Cache. The sharded global GC votes on this
-// instead of LocallyDeleted: a shard owner that never cached a record (it
-// gained the shard after the record's multicast round) must not block
-// collection forever — "not cached" is exactly the §5.2 condition, since
-// reads served from the storage fallback are covered by the
-// ErrVersionVanished retry. Each probe takes one stripe's read lock (see
-// homeStripe).
-func (n *Node) Caches(recs []*records.CommitRecord) []bool {
-	out := make([]bool, len(recs))
-	for i, rec := range recs {
-		s := n.homeStripe(rec)
-		s.mu.RLock()
-		_, out[i] = s.commits[rec.ID()]
-		s.mu.RUnlock()
-	}
-	return out
 }
 
 // LocallyDeleted reports, aligned with recs, whether this node's local GC

@@ -601,18 +601,18 @@ func TestAbortWaitsForInflightCommit(t *testing.T) {
 	}
 }
 
-// TestReadRecoversLocallyDeletedCrossShardRecord pins the resurrection
-// path (installRecoveredLocked): the sweep's supersedence check is
-// ownership-scoped, so a cross-shard record can be locally deleted while
-// it is still the newest version of a non-owned key; a read of that key
-// must recover it from storage, not report ErrKeyNotFound. (This was
-// reachable on a sharded cluster after Kill: a survivor gaining a shard
-// whose records it had swept served misses forever.)
-func TestReadRecoversLocallyDeletedCrossShardRecord(t *testing.T) {
+// TestReadRecoversLocallyDeletedVersion pins the resurrection path
+// (installRecoveredLocked): a transaction that read "l" before a newer
+// record cowrote "a" and "l" cannot take that record's "a", and the older
+// "a" it can take was swept as superseded. In partial-metadata mode the
+// read must recover the swept version from storage and serve it, and
+// withdraw this node's locally-deleted vote while it caches it again.
+func TestReadRecoversLocallyDeletedVersion(t *testing.T) {
 	n, err := NewNode(Config{NodeID: "resurrect", Store: dynamosim.New(dynamosim.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.partialMeta.Store(true)
 	ctx := context.Background()
 	commit := func(kvs map[string]string) idgen.ID {
 		txid, _ := n.StartTransaction(ctx)
@@ -625,35 +625,37 @@ func TestReadRecoversLocallyDeletedCrossShardRecord(t *testing.T) {
 		}
 		return id
 	}
-	old := commit(map[string]string{"a": "1", "b": "cross-shard"})
-	commit(map[string]string{"a": "2"})
-	// The node owns only "a": the cross-shard record is superseded on its
-	// owned subset and gets swept + marked locally deleted.
-	n.SetOwnership(func(key string) bool { return key == "a" })
+	commit(map[string]string{"l": "l0"})
+	old := commit(map[string]string{"a": "a-old"})
+	reader, _ := n.StartTransaction(ctx)
+	if v, err := n.Get(ctx, reader, "l"); err != nil || string(v) != "l0" {
+		t.Fatalf("Get(l) = %q, %v", v, err)
+	}
+	commit(map[string]string{"a": "a-new", "l": "l1"})
+	// "a-old" is superseded and unpinned, so the sweep deletes it; the
+	// reader's pin keeps "l0".
 	removed := n.SweepLocalMetadata(0)
 	if len(removed) != 1 || !removed[0].Equal(old) {
 		t.Fatalf("sweep removed %v, want [%v]", removed, old)
 	}
-	oldRec := gcRecs([]string{"a", "b"}, old)
+	oldRec := gcRecs([]string{"a"}, old)
 	if !n.LocallyDeleted(oldRec)[0] {
 		t.Fatal("swept record not marked locally deleted")
 	}
-	// Reading "b" must recover the record from storage and serve it.
-	reader, _ := n.StartTransaction(ctx)
-	v, err := n.Get(ctx, reader, "b")
+	// "a-new" cowrote "l" after the version the reader saw, so only the
+	// swept version is valid: the fallback must recover and serve it.
+	v, err := n.Get(ctx, reader, "a")
 	if err != nil {
-		t.Fatalf("read of non-owned key after sweep: %v", err)
+		t.Fatalf("read of swept version: %v", err)
 	}
-	if string(v) != "cross-shard" {
-		t.Fatalf("recovered value = %q", v)
-	}
-	// The resurrection flips this node's GC vote back to "cached" and
-	// clears the locally-deleted marker.
-	if !n.Caches(oldRec)[0] {
-		t.Fatal("recovered record not cached")
+	if string(v) != "a-old" {
+		t.Fatalf("recovered value = %q, want a-old", v)
 	}
 	if n.LocallyDeleted(oldRec)[0] {
 		t.Fatal("locally-deleted marker survived resurrection")
+	}
+	if vs := n.VersionsOf("a"); len(vs) != 2 || !vs[0].Equal(old) {
+		t.Fatalf("versions of a = %v, want the recovered one indexed again", vs)
 	}
 }
 

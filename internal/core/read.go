@@ -58,19 +58,16 @@ func (n *Node) Get(ctx context.Context, txid, key string) ([]byte, error) {
 }
 
 func (n *Node) doGet(ctx context.Context, t *txnState, txid, key string) ([]byte, error) {
-	// Sharded mode needs up to two attempts: a version selected from
-	// local metadata can have had its payload deleted by the owner-voted
-	// global GC (a non-owner's pin does not block it); the retry forgets
-	// the vanished version and re-selects. vanished is only ever set in
-	// sharded mode.
+	// Up to two attempts: a version selected from local metadata can have
+	// had its payload deleted by the global GC (see the NotFound branch
+	// below); the retry forgets the vanished version and re-selects.
 	for attempt := 0; ; attempt++ {
-		owns := n.ownership()
 		t.mu.Lock()
 		if t.done {
 			t.mu.Unlock()
 			return nil, n.finishedErr(txid)
 		}
-		plan, val, err := n.planRead(ctx, t, key, owns)
+		plan, val, err := n.planRead(ctx, t, key)
 		t.mu.Unlock()
 		if err != nil || plan == nil {
 			return val, err
@@ -112,13 +109,12 @@ func (n *Node) doGet(ctx context.Context, t *txnState, txid, key string) ([]byte
 		if err != nil {
 			if errors.Is(err, storage.ErrNotFound) {
 				// GC race: the version was superseded and collected
-				// after the selection's protection lapsed. In sharded
-				// mode a non-owner's pin cannot block the owner-voted
-				// collection; in symmetric deployments the §5.2
+				// after the selection's protection lapsed. The §5.2
 				// unanimity vote can pass and then a replacement node's
-				// bootstrap re-installs the already-confirmed record
-				// before its data is deleted (a vote/delete TOCTOU the
-				// chaos harness reproduces under kill + promotion). For
+				// bootstrap, or a partial-metadata fallback, re-installs
+				// the already-confirmed record before its data is deleted
+				// (a vote/delete TOCTOU the chaos harness reproduces
+				// under kill + promotion). For
 				// a first read of the key, unwind the selection, forget
 				// the vanished version, and retry — a newer version
 				// exists in storage. A re-read of an already-read key
@@ -206,7 +202,7 @@ type readPlan struct {
 // planRead runs the metadata phase of one read attempt; the caller holds
 // t.mu. A nil plan with nil error means the value was served from the
 // write buffer.
-func (n *Node) planRead(ctx context.Context, t *txnState, key string, owns ownsFunc) (*readPlan, []byte, error) {
+func (n *Node) planRead(ctx context.Context, t *txnState, key string) (*readPlan, []byte, error) {
 	// Read-your-writes: the write buffer takes precedence (§3.5).
 	if v, ok := t.writes[key]; ok {
 		out := make([]byte, len(v))
@@ -240,19 +236,15 @@ func (n *Node) planRead(ctx context.Context, t *txnState, key string, owns ownsF
 		target, rec, pinnedNow, err = n.selectAndPin(t, key, nil)
 	}
 	if (errors.Is(err, ErrKeyNotFound) || errors.Is(err, ErrNoValidVersion)) &&
-		(owns != nil || n.partialMeta.Load()) && !t.metaFetched[key] {
-		// Sharded mode: a local miss is inconclusive — the key may be
-		// non-owned (its metadata lives with another node), or owned but
-		// cold (the shard was just gained in a rebalance). The same holds
-		// on any node in partial-metadata mode: an incremental or
-		// truncated bootstrap skipped history, or the memory budget
-		// spilled cold records, so the Transaction Commit Set in storage
-		// may know versions this node does not. Recover the key's commit
-		// metadata from storage and retry Algorithm 1 once.
-		// Ownership partitions metadata caching, never serveability (§8
-		// future-work direction). metaFetched bounds the cost to one
-		// storage scan per key per transaction (the scan runs under t.mu;
-		// only this transaction's own operations wait on it).
+		n.partialMeta.Load() && !t.metaFetched[key] {
+		// Partial-metadata mode: a local miss is inconclusive. An
+		// incremental or truncated bootstrap skipped history, or the
+		// memory budget spilled cold records, so the Transaction Commit
+		// Set in storage may know versions this node does not. Recover
+		// the key's commit metadata from storage and retry Algorithm 1
+		// once. metaFetched bounds the cost to one storage scan per key
+		// per transaction (the scan runs under t.mu; only this
+		// transaction's own operations wait on it).
 		if t.metaFetched == nil {
 			t.metaFetched = make(map[string]bool)
 		}
@@ -262,8 +254,8 @@ func (n *Node) planRead(ctx context.Context, t *txnState, key string, owns ownsF
 			return nil, nil, fmt.Errorf("aft: recovering metadata for %q: %w", key, ferr)
 		}
 		// Install and re-select inside ONE multi-stripe critical section
-		// (selectAndPin write-locks the union): a concurrent non-owned
-		// sweep must not evict the fetched records between installation
+		// (selectAndPin write-locks the union): a concurrent sweep or
+		// spill must not evict the fetched records between installation
 		// and version selection. A coalesced waiter gets nil records —
 		// the flight's leader already installed them — and re-selects
 		// through the stripe index.
@@ -302,7 +294,7 @@ func (n *Node) planRead(ctx context.Context, t *txnState, key string, owns ownsF
 // lock is released, so the version's metadata cannot be deleted between
 // selection and payload fetch (§5.1). The caller holds t.mu.
 //
-// With install records supplied (the sharded metadata-recovery path), the
+// With install records supplied (the partial-metadata recovery path), the
 // union of their stripes plus key's stripe is write-locked and the records
 // are installed in the same critical section as the selection.
 func (n *Node) selectAndPin(t *txnState, key string, install []*records.CommitRecord) (idgen.ID, *records.CommitRecord, bool, error) {
@@ -371,7 +363,7 @@ func (n *Node) pinRead(t *txnState, key string, target idgen.ID, rec *records.Co
 }
 
 // forgetVanished unwinds a version selection whose payload the global GC
-// deleted mid-read (sharded mode): the read-set entry and pin taken this
+// deleted mid-read (see doGet): the read-set entry and pin taken this
 // attempt are released, and the version is removed from the local
 // metadata cache so re-selection cannot pick it again. The caller holds
 // t.mu.
@@ -540,17 +532,17 @@ func (n *Node) coalesceFetch(ctx context.Context, key string) (recs []*records.C
 	return recs, finish, false, nil
 }
 
-// fetchKeyRecords recovers commit metadata for a key from storage (sharded
-// mode): it lists the key's persisted versions and fetches the commit
-// record of every version the node does not already know in ONE BatchGet
-// (the engine chunks by its read-batch limit), so a key with N unknown
-// versions costs 1 + ceil(N/limit) round trips instead of 1 + N. The
-// caller installs the records in the same critical section as the retried
-// version selection (selectAndPin), so a concurrent sweep cannot evict
-// them in between. A data key without a commit record is an in-flight or
-// crashed transaction and is skipped — the write-ordering protocol (§3.3)
-// makes the commit record the visibility point, so this fallback can never
-// surface a dirty read.
+// fetchKeyRecords recovers commit metadata for a key from storage (the
+// partial-metadata fallback): it lists the key's persisted versions and
+// fetches the commit record of every version the node does not already
+// know in ONE BatchGet (the engine chunks by its read-batch limit), so a
+// key with N unknown versions costs 1 + ceil(N/limit) round trips instead
+// of 1 + N. The caller installs the records in the same critical section
+// as the retried version selection (selectAndPin), so a concurrent sweep
+// cannot evict them in between. A data key without a commit record is an
+// in-flight or crashed transaction and is skipped — the write-ordering
+// protocol (§3.3) makes the commit record the visibility point, so this
+// fallback can never surface a dirty read.
 //
 // Under the packed layout (§8) transactions leave no per-key data objects,
 // so the fallback scans the Transaction Commit Set instead and returns

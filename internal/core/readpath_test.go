@@ -3,8 +3,8 @@ package core
 // readpath_test.go pins the batched + coalesced read pipeline: one
 // List+BatchGet per cold key regardless of reader count (the singleflight),
 // batched commit-record and MultiGet payload fetches, the spill-path and
-// packed-extract cache fixes, and the sharded vanished-version retry
-// through MultiGet.
+// packed-extract cache fixes, and the vanished-version retry through
+// MultiGet.
 
 import (
 	"context"
@@ -91,13 +91,13 @@ func TestColdReadCoalescingRace(t *testing.T) {
 	}
 	seedVersions(t, writer, keys, versions)
 
-	// The reader node is fresh (its metadata cache is empty) and sharded
-	// (non-nil ownership), so every first read takes the storage fallback.
+	// The reader node is fresh (its metadata cache is empty) and in
+	// partial-metadata mode, so every first read takes the storage fallback.
 	reader, err := NewNode(Config{NodeID: "reader", Store: gate, EnableDataCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reader.SetOwnership(func(string) bool { return true })
+	reader.partialMeta.Store(true)
 
 	before := inner.Metrics().Snapshot()
 	gate.arm()
@@ -187,7 +187,7 @@ func TestColdFetchBatchesRecordGets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reader.SetOwnership(func(string) bool { return true })
+	reader.partialMeta.Store(true)
 	before := store.Metrics().Snapshot()
 	ctx := context.Background()
 	txid, _ := reader.StartTransaction(ctx)
@@ -294,17 +294,18 @@ func TestMultiGetBatchesPayloadFetches(t *testing.T) {
 	}
 }
 
-// TestMultiGetVanishedRetry pins the sharded GC race through MultiGet: a
-// payload deleted between version selection and fetch is forgotten and
-// re-selected for a first read, while a repeat read of the vanished
-// version surfaces ErrVersionVanished (the redo signal).
+// TestMultiGetVanishedRetry pins the vote/delete race of a symmetric
+// cluster through MultiGet (the global GC deletes a payload a node has
+// re-installed, read.go): a payload deleted between version selection and
+// fetch is forgotten and re-selected for a first read, while a repeat read
+// of the vanished version surfaces ErrVersionVanished (the redo signal).
 func TestMultiGetVanishedRetry(t *testing.T) {
 	store := dynamosim.New(dynamosim.Options{})
 	n, err := NewNode(Config{NodeID: "vanish", Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetOwnership(func(string) bool { return true })
+	n.partialMeta.Store(true)
 	ctx := context.Background()
 	commit := func(val string) records.KeyVersion {
 		txid, _ := n.StartTransaction(ctx)
@@ -318,7 +319,7 @@ func TestMultiGetVanishedRetry(t *testing.T) {
 	commit("v1")
 	kv2 := commit("v2")
 
-	// First read: v2's payload is gone (owner-voted GC won the race); the
+	// First read: v2's payload is gone (the global GC won the race); the
 	// retry must forget it and serve v1.
 	if err := store.Delete(ctx, records.DataKey("k", kv2.ID)); err != nil {
 		t.Fatal(err)
@@ -372,7 +373,7 @@ func TestMultiGetDuplicateKeyVanishedRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetOwnership(func(string) bool { return true })
+	n.partialMeta.Store(true)
 	ctx := context.Background()
 	commit := func(val string) idgen.ID {
 		txid, _ := n.StartTransaction(ctx)
@@ -410,7 +411,7 @@ func TestMissingKeyColdReadsCoalesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetOwnership(func(string) bool { return true })
+	n.partialMeta.Store(true)
 	gate.arm()
 	ctx := context.Background()
 	var wg sync.WaitGroup

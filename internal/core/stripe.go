@@ -221,14 +221,15 @@ func (n *Node) floorSet(key string) bool {
 
 // installRecoveredLocked installs a record recovered from storage for a
 // read of key (the partial-metadata fallback), resurrecting it even if
-// the local GC had deleted it. The local sweep's supersedence view is
-// ownership-scoped, so a cross-shard record can be locally deleted while
-// it is still the newest version of a NON-owned key this node must serve;
-// without resurrection such keys would read as missing forever after a
-// sweep. Clearing the locally-deleted markers flips this node's GC vote
-// back to "cached" (Caches), which is conservative for the owner-voted
-// global GC; if the data was already collected, the payload fetch fails
-// and the ErrVersionVanished retry re-selects.
+// the local GC had deleted it. The sweep deletes a record once newer
+// versions supersede it here, but a transaction whose read set predates
+// those versions may reject all of them (Algorithm 1's cowritten-key
+// rule): the swept record is then the only version the read can take, and
+// the fallback finds it in storage while a peer still caches it. Clearing
+// the locally-deleted markers withdraws this node's "deleted" vote, so the
+// global GC keeps the record while it is cached here again; if the data
+// was already collected, the payload fetch fails and the
+// ErrVersionVanished retry re-selects.
 //
 // The record is indexed ONLY under key, not its whole write set. The
 // fallback verified key's version list against storage (the List is

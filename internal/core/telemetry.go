@@ -77,7 +77,6 @@ func (n *Node) EmitTelemetry(e *telemetry.Emitter) {
 		c("aft_node_merged_remote_total", "Commit records merged from peers.", m.MergedRemote)
 		c("aft_node_pruned_merges_total", "Superseded records pruned at merge time (Algorithm 2).", m.PrunedMerges)
 		c("aft_node_swept_metadata_total", "Commit records removed by the local GC sweep.", m.SweptMetadata)
-		c("aft_node_pruned_nonowned_total", "Records dropped or swept for non-owned shards.", m.PrunedNonOwned)
 		c("aft_node_remote_fetches_total", "Reads that recovered metadata from storage.", m.RemoteFetches)
 		c("aft_node_coalesced_fetches_total", "Cold reads that joined another read's in-flight recovery.", m.CoalescedFetches)
 		c("aft_node_batched_record_gets_total", "Commit records fetched through batched reads.", m.BatchedRecordGets)

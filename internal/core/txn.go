@@ -59,7 +59,7 @@ type txnState struct {
 	// spill area before commit (§3.3); nil until the first spill.
 	spilled map[string]bool
 	// metaFetched records keys whose metadata this transaction already
-	// recovered from storage (sharded read fallback), so repeated misses
+	// recovered from storage (partial-metadata fallback), so repeated misses
 	// of the same key — e.g. existence probes of a truly absent key —
 	// cost one storage scan per transaction, not one per read.
 	metaFetched map[string]bool

@@ -110,19 +110,13 @@ func Fig10(opts Options) (Table, error) {
 	}
 
 	// Drive clients for the whole timeline; sample throughput per second.
-	// Requests run under a context that ends with the timeline: a client
-	// parked for admission on the victim when it dies is never admitted if
-	// every slot there is held by a transaction its owner abandoned, and
-	// would otherwise outlive the run.
 	timeline := time.Duration(totalPaperSeconds) * second
-	runCtx, cancel := context.WithTimeout(ctx, timeline)
-	defer cancel()
 	done := make(chan error, 1)
 	go func() {
 		_, _, err := runForDuration(clients, timeline, func(client int) error {
-			_, err := exec.Execute(runCtx, gens[client].Next())
-			if errors.Is(err, faas.ErrRetriesExhausted) || runCtx.Err() != nil {
-				return nil // lost in the failover window or cut off by the end of the run
+			_, err := exec.Execute(ctx, gens[client].Next())
+			if errors.Is(err, faas.ErrRetriesExhausted) {
+				return nil // lost in the failover window
 			}
 			return err
 		})

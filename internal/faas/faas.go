@@ -288,7 +288,7 @@ func retriableRequest(err error) bool {
 		// §3.6: equivalent to a snapshot miss; abort and retry.
 		return true
 	case errors.Is(err, core.ErrVersionVanished):
-		// Sharded GC collected a read version mid-transaction; redo
+		// The global GC collected a read version mid-transaction; redo
 		// observes the superseding state (§5.2.1 analogue).
 		return true
 	case errors.Is(err, lb.ErrBackendGone), errors.Is(err, lb.ErrUnknownTxn):

@@ -99,24 +99,19 @@ func TestVoteAllocBudget(t *testing.T) {
 	recs := n.Drain()
 	n.SweepLocalMetadata(0) // each key keeps its newest version
 	var voter Node = n
-	var deleted, cached []bool
+	var deleted []bool
 	if got := fewestMallocs(func() { deleted = voter.LocallyDeleted(recs) }); got > 1 {
 		t.Fatalf("LocallyDeleted over %d records: %d allocations, want 1", len(recs), got)
 	}
-	if got := fewestMallocs(func() { cached = voter.Caches(recs) }); got > 1 {
-		t.Fatalf("Caches over %d records: %d allocations, want 1", len(recs), got)
-	}
 	swept := 0
-	for i := range recs {
-		if deleted[i] == cached[i] {
-			t.Fatalf("record %d: deleted=%v cached=%v, want exactly one", i, deleted[i], cached[i])
-		}
-		if deleted[i] {
+	for _, d := range deleted {
+		if d {
 			swept++
 		}
 	}
-	if swept != budgetRecords-100 {
-		t.Fatalf("%d records locally deleted, want %d", swept, budgetRecords-100)
+	if swept != budgetRecords-100 || n.MetadataSize() != 100 {
+		t.Fatalf("%d records locally deleted, %d cached; want %d and 100",
+			swept, n.MetadataSize(), budgetRecords-100)
 	}
 	if got := fewestMallocs(func() { voter.ForgetDeleted(recs) }); got != 0 {
 		t.Fatalf("ForgetDeleted over %d records: %d allocations, want 0", len(recs), got)

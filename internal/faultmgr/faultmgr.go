@@ -44,10 +44,6 @@ type Node interface {
 	// LocallyDeleted reports, aligned with recs, whether the node's local
 	// GC has deleted each record (§5.2).
 	LocallyDeleted(recs []*records.CommitRecord) []bool
-	// Caches reports, aligned with recs, current Commit Set Cache
-	// membership; the sharded GC votes on it (an owner that never cached a
-	// record must not block collection).
-	Caches(recs []*records.CommitRecord) []bool
 	ForgetDeleted(recs []*records.CommitRecord)
 }
 
@@ -85,13 +81,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		TxnsDeleted: m.TxnsDeleted.Load(), VersionsDeleted: m.VersionsDeleted.Load()}
 }
 
-// Scope maps a commit record to the node IDs responsible for its
-// metadata — in sharded deployments, the owners of the shards its write
-// set touches. The manager uses it to target storage-scan re-announcements
-// and to pick the voter set for global-GC unanimity. A nil Scope means
-// every node is responsible for everything (the paper's symmetric mode).
-type Scope func(rec *records.CommitRecord) []string
-
 // Manager is the fault manager / global GC.
 type Manager struct {
 	store      storage.Store
@@ -99,14 +88,11 @@ type Manager struct {
 
 	mu sync.Mutex
 	// commits is the manager's own view of all committed transactions,
-	// fed by unpruned broadcast streams and storage scans. In sharded
-	// mode this view stays global: the bus tap is never scoped (§4.2).
+	// fed by unpruned broadcast streams and storage scans.
 	commits map[idgen.ID]*records.CommitRecord
 	// latest maps each key to the newest committed version the manager
 	// knows, for Algorithm 2.
 	latest map[string]idgen.ID
-	// scope, when non-nil, shards the manager's node-facing work.
-	scope Scope
 	// tracer, when non-nil, records sweeps as system traces (telemetry.go).
 	tracer *telemetry.Tracer
 
@@ -125,15 +111,6 @@ func New(store storage.Store, membership Membership) *Manager {
 
 // Metrics returns the manager's counters.
 func (m *Manager) Metrics() *Metrics { return &m.metrics }
-
-// SetScope installs the sharding scope (see Scope). The cluster layer sets
-// it together with per-node ownership filters; the two must agree, or the
-// GC would wait forever on votes from nodes that never cache the records.
-func (m *Manager) SetScope(s Scope) {
-	m.mu.Lock()
-	m.scope = s
-	m.mu.Unlock()
-}
 
 // Ingest consumes one node's unpruned commit stream; register it as a
 // multicast bus tap.
@@ -241,7 +218,6 @@ func (m *Manager) ScanStorage(ctx context.Context) error {
 			missed = append(missed, rec)
 		}
 	}
-	scope := m.scope
 	m.mu.Unlock()
 	if len(missed) == 0 {
 		return nil
@@ -257,27 +233,8 @@ func (m *Manager) ScanStorage(ctx context.Context) error {
 				map[string]string{"tx": rec.UUID, "node": rec.Node})
 		}
 	}
-	nodes := m.membership.Nodes()
-	if scope == nil {
-		for _, n := range nodes {
-			n.MergeRemoteCommits(missed)
-		}
-		return nil
-	}
-	// Sharded mode: re-announce each recovered record only to the owners
-	// of the shards it touches; everyone else recovers it from storage on
-	// demand. Liveness (§4.2) holds because owners — the nodes that cache
-	// and vote on the record — always learn of it.
-	perNode := make(map[string][]*records.CommitRecord)
-	for _, rec := range missed {
-		for _, id := range scope(rec) {
-			perNode[id] = append(perNode[id], rec)
-		}
-	}
-	for _, n := range nodes {
-		if batch := perNode[n.ID()]; len(batch) > 0 {
-			n.MergeRemoteCommits(batch)
-		}
+	for _, n := range m.membership.Nodes() {
+		n.MergeRemoteCommits(missed)
 	}
 	return nil
 }
@@ -323,37 +280,6 @@ func (m *Manager) unannounced(unknown []pendingKey) []string {
 	// storage order, which seeded campaigns replay bit for bit.
 	slices.Sort(want)
 	return want
-}
-
-// Reannounce pushes the manager's cached commit records to live nodes
-// selected by route (record → node IDs). The cluster calls it after a
-// rebalance: a node gaining a shard never received the shard's earlier
-// multicast rounds (they went to the previous owner), and without a push
-// it would serve stale-but-atomic reads from whatever partial view it
-// has. One pass over the manager's tap-fed global view buckets records
-// per target, so the cost of a rebalance is a single scan regardless of
-// how many nodes gained shards. Returns the number of records pushed,
-// counting multiplicity.
-func (m *Manager) Reannounce(route func(rec *records.CommitRecord) []string) int {
-	m.mu.Lock()
-	batches := make(map[string][]*records.CommitRecord)
-	for _, rec := range m.commits {
-		for _, id := range route(rec) {
-			batches[id] = append(batches[id], rec)
-		}
-	}
-	m.mu.Unlock()
-	if len(batches) == 0 {
-		return 0
-	}
-	pushed := 0
-	for _, n := range m.membership.Nodes() {
-		if batch := batches[n.ID()]; len(batch) > 0 {
-			n.MergeRemoteCommits(batch)
-			pushed += len(batch)
-		}
-	}
-	return pushed
 }
 
 // AnnounceTo pushes every commit record the manager knows to a single
@@ -429,59 +355,14 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 		return nil, nil
 	}
 
-	// Phase 2: unanimity (§5.2). In the symmetric mode every node must
-	// have locally deleted the metadata. In sharded mode only the shard
-	// owners cache a record, so only they vote; a record whose owner is
-	// not currently live stays uncollected (conservative). vetoed is
-	// aligned with candidates.
+	// Phase 2: unanimity (§5.2): every node must have locally deleted the
+	// metadata. vetoed is aligned with candidates.
 	nodes := m.membership.Nodes()
-	m.mu.Lock()
-	scope := m.scope
-	m.mu.Unlock()
 	vetoed := make([]bool, len(candidates))
-	if scope == nil {
-		for _, n := range nodes {
-			for i, deleted := range n.LocallyDeleted(candidates) {
-				if !deleted {
-					vetoed[i] = true
-				}
-			}
-		}
-	} else {
-		byID := make(map[string]Node, len(nodes))
-		for _, n := range nodes {
-			byID[n.ID()] = n
-		}
-		ballots := make(map[string]*ballot) // voter node -> records it must confirm
-		for i, rec := range candidates {
-			voters := scope(rec)
-			if len(voters) == 0 {
-				vetoed[i] = true // unowned (ring in flux): keep
-				continue
-			}
-			for _, v := range voters {
-				if _, live := byID[v]; !live {
-					vetoed[i] = true
-					continue
-				}
-				b := ballots[v]
-				if b == nil {
-					b = &ballot{}
-					ballots[v] = b
-				}
-				b.recs = append(b.recs, rec)
-				b.idx = append(b.idx, i)
-			}
-		}
-		for v, b := range ballots {
-			// An owner votes to collect when it does NOT cache the
-			// record: either its sweep deleted it, or it never received
-			// it (shard gained after the record's multicast round — it
-			// must not block collection forever).
-			for j, cached := range byID[v].Caches(b.recs) {
-				if cached {
-					vetoed[b.idx[j]] = true
-				}
+	for _, n := range nodes {
+		for i, deleted := range n.LocallyDeleted(candidates) {
+			if !deleted {
+				vetoed[i] = true
 			}
 		}
 	}
@@ -545,13 +426,6 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 		}
 	}
 	return removed, nil
-}
-
-// ballot is one sharded voter's share of a GC round: the records it must
-// confirm and their indexes in the round's candidate list.
-type ballot struct {
-	recs []*records.CommitRecord
-	idx  []int
 }
 
 // SweepSpills garbage-collects orphaned spill data (§3.3): intermediary

@@ -340,99 +340,3 @@ func TestEndToEndReadAfterGlobalGC(t *testing.T) {
 		t.Fatalf("commit records left = %d", len(commits))
 	}
 }
-
-// TestScopedCollectQueriesOwnersOnly: with a Scope installed, the global
-// GC collects on the owner's vote alone — non-owners are not consulted —
-// and keeps records whose owner is not live.
-func TestScopedCollectQueriesOwnersOnly(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
-	owner := newNode(t, store, "owner")
-	other := newNode(t, store, "other")
-	m := New(store, StaticMembership{owner, other})
-	m.SetScope(func(rec *records.CommitRecord) []string {
-		if rec.Cowritten("k") {
-			return []string{"owner"}
-		}
-		return []string{"ghost"} // an owner that is not live
-	})
-
-	// Two overwrites of "k" on the owner: the older becomes superseded.
-	commit(t, owner, map[string]string{"k": "v1"})
-	commit(t, owner, map[string]string{"k": "v2"})
-	m.Ingest("owner", owner.Drain())
-	// One superseded record owned by a dead node.
-	commit(t, other, map[string]string{"dead": "v1"})
-	commit(t, other, map[string]string{"dead": "v2"})
-	m.Ingest("other", other.Drain())
-
-	// Only the owner sweeps; "other" keeps everything it cached.
-	owner.SweepLocalMetadata(0)
-	removed, err := m.CollectOnce(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) != 1 {
-		t.Fatalf("collected %d transactions, want 1 (the owner-voted one)", len(removed))
-	}
-	// The dead-owner record must survive (conservative).
-	keys, err := store.List(context.Background(), records.DataPrefix+"dead/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 {
-		t.Fatalf("dead-owner key has %d versions, want 2 (uncollected)", len(keys))
-	}
-}
-
-// TestScopedScanAnnouncesToOwners: storage-scan recovery routes records to
-// their scope targets only.
-func TestScopedScanAnnouncesToOwners(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
-	writer := newNode(t, store, "writer")
-	commit(t, writer, map[string]string{"k": "v"})
-	// The writer "crashes" before broadcasting: drop its queue.
-	writer.Drain()
-
-	ownerN := newNode(t, store, "owner")
-	otherN := newNode(t, store, "other")
-	m := New(store, StaticMembership{ownerN, otherN})
-	m.SetScope(func(rec *records.CommitRecord) []string { return []string{"owner"} })
-	if err := m.ScanStorage(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := ownerN.MetadataSize(); got != 1 {
-		t.Fatalf("owner learned %d records, want 1", got)
-	}
-	if got := otherN.MetadataSize(); got != 0 {
-		t.Fatalf("non-owner learned %d records, want 0", got)
-	}
-}
-
-// TestScopedCollectOwnerNeverCached: an owner that gained its shard after
-// a record's multicast round (so it never cached the record) must not
-// block collection forever — its vote is "not cached", not "not swept".
-func TestScopedCollectOwnerNeverCached(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
-	writer := newNode(t, store, "writer")
-	commit(t, writer, map[string]string{"k": "v1"})
-	commit(t, writer, map[string]string{"k": "v2"})
-
-	// The current owner joined after the multicast rounds: it never saw
-	// either record.
-	newOwner := newNode(t, store, "new-owner")
-	m := New(store, StaticMembership{newOwner})
-	m.Ingest("writer", writer.Drain())
-	m.SetScope(func(rec *records.CommitRecord) []string { return []string{"new-owner"} })
-
-	removed, err := m.CollectOnce(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) != 1 {
-		t.Fatalf("collected %d, want 1 (never-cached owner must not stall the GC)", len(removed))
-	}
-	// The superseding version survives.
-	if _, err := store.Get(context.Background(), records.DataKey("k", removed[0])); !errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("collected version still in storage: %v", err)
-	}
-}

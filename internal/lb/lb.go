@@ -9,13 +9,6 @@
 // commit or abort. If the pinned node is removed (failure), subsequent
 // operations fail with ErrBackendGone and the client redoes the whole
 // transaction, exactly as §3.3.1 prescribes.
-//
-// Sharded deployments additionally get shard-affinity routing: a Placer
-// maps a transaction's first-key hint to the node owning that key's shard,
-// so transactions tend to land where their metadata (and cached data)
-// already lives. Placement is a pure locality optimization — any node can
-// serve any transaction — so a missing or stale placement falls back to
-// round-robin.
 package lb
 
 import (
@@ -59,11 +52,6 @@ type Backend interface {
 	AbortTransaction(ctx context.Context, txid string) error
 }
 
-// Placer resolves a user key to the preferred backend ID (the shard
-// owner); ok is false when no preference exists. *shard.Ring's Owner
-// method satisfies this signature via the cluster wiring.
-type Placer func(key string) (backendID string, ok bool)
-
 // InFlightReporter is implemented by backends that can report how many
 // of their ops are currently on the wire (wire.Client does, summed over
 // its pipelined conns). When both round-robin
@@ -76,14 +64,12 @@ type InFlightReporter interface {
 }
 
 // Balancer routes transactions across backends round-robin with per-
-// transaction affinity, plus optional shard-affinity placement.
+// transaction affinity.
 type Balancer struct {
 	mu       sync.Mutex
 	backends []Backend
 	next     int
 	affinity map[string]Backend
-	placer   Placer
-	placed   int64 // transactions routed by shard affinity
 	metrics  Metrics
 
 	// Probe-driven health state (health.go): backends that fail
@@ -230,52 +216,10 @@ func (b *Balancer) lookup(txid string) (Backend, error) {
 	return nil, ErrBackendGone
 }
 
-// SetPlacer installs shard-affinity placement (nil disables it).
-func (b *Balancer) SetPlacer(p Placer) {
-	b.mu.Lock()
-	b.placer = p
-	b.mu.Unlock()
-}
-
-// Placed returns how many transactions were routed by shard affinity.
-func (b *Balancer) Placed() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.placed
-}
-
-// pickFor returns the backend owning firstKey's shard when a placer is
-// installed and the owner is registered; otherwise the next round-robin
-// backend.
-func (b *Balancer) pickFor(firstKey string) (Backend, error) {
-	b.mu.Lock()
-	if b.placer != nil && firstKey != "" {
-		if id, ok := b.placer(firstKey); ok && !b.ejectedLocked(id) {
-			for _, be := range b.backends {
-				if be.ID() == id {
-					b.placed++
-					b.mu.Unlock()
-					return be, nil
-				}
-			}
-		}
-	}
-	b.mu.Unlock()
-	return b.pick()
-}
-
 // StartTransaction begins a transaction on the next backend round-robin
 // and pins the transaction to it.
 func (b *Balancer) StartTransaction(ctx context.Context) (string, error) {
-	return b.StartTransactionHint(ctx, "")
-}
-
-// StartTransactionHint begins a transaction with a first-key hint: with a
-// placer installed, the transaction starts on the node owning firstKey's
-// shard (cache and metadata locality), falling back to round-robin when
-// the hint is empty or the owner is not registered.
-func (b *Balancer) StartTransactionHint(ctx context.Context, firstKey string) (string, error) {
-	be, err := b.pickFor(firstKey)
+	be, err := b.pick()
 	if err != nil {
 		return "", err
 	}
@@ -301,10 +245,8 @@ func (b *Balancer) Get(ctx context.Context, txid, key string) ([]byte, error) {
 
 // MultiGet routes the whole key batch to the transaction's pinned backend
 // in one call. Every operation of a transaction must reach the node that
-// started it (§3.1), and the first-key shard-affinity hint at
-// StartTransactionHint already placed that node where the batch's metadata
-// lives — so the batch inherits commit-style affinity rather than being
-// split per key.
+// started it (§3.1), so the batch inherits commit-style affinity rather
+// than being split per key.
 func (b *Balancer) MultiGet(ctx context.Context, txid string, keys []string) ([][]byte, error) {
 	be, err := b.lookup(txid)
 	if err != nil {

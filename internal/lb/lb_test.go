@@ -156,52 +156,3 @@ func TestAddAfterEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestShardAffinityPlacement: with a placer installed, hinted
-// transactions start on the owner backend; unhinted and unplaceable
-// starts fall back to round-robin.
-func TestShardAffinityPlacement(t *testing.T) {
-	_, nodes := newBackends(t, 3)
-	b := New()
-	for _, n := range nodes {
-		b.Add(n)
-	}
-	b.SetPlacer(func(key string) (string, bool) {
-		switch key {
-		case "k1":
-			return "n1", true
-		case "gone":
-			return "n9", true // owner not registered
-		}
-		return "", false
-	})
-	ctx := context.Background()
-
-	for i := 0; i < 3; i++ {
-		txid, err := b.StartTransactionHint(ctx, "k1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.AbortTransaction(ctx, txid); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := nodes[1].Metrics().Snapshot().Started; got != 3 {
-		t.Errorf("owner n1 started %d transactions, want 3", got)
-	}
-	if placed := b.Placed(); placed != 3 {
-		t.Errorf("Placed() = %d, want 3", placed)
-	}
-
-	// Unknown owner and empty hint fall back to round-robin.
-	for _, hint := range []string{"gone", "", "other"} {
-		txid, err := b.StartTransactionHint(ctx, hint)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.AbortTransaction(ctx, txid)
-	}
-	if placed := b.Placed(); placed != 3 {
-		t.Errorf("Placed() = %d after fallbacks, want still 3", placed)
-	}
-}

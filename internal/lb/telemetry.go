@@ -37,7 +37,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 func (b *Balancer) Metrics() *Metrics { return &b.metrics }
 
 // RegisterTelemetry publishes the balancer's routing counters under
-// aft_lb_*, plus the registered-backend and shard-affinity gauges.
+// aft_lb_*, plus the registered-backend gauges.
 func (b *Balancer) RegisterTelemetry(reg *telemetry.Registry) {
 	if b == nil {
 		return
@@ -52,8 +52,6 @@ func (b *Balancer) RegisterTelemetry(reg *telemetry.Registry) {
 			"Lookups for transactions not pinned to this balancer.", uint64(s.UnknownTxns))
 		e.Counter("aft_lb_backend_gone_total",
 			"Lookups that hit a removed backend's tombstone.", uint64(s.BackendsGone))
-		e.Counter("aft_lb_placed_total",
-			"Transactions routed by shard affinity.", uint64(b.Placed()))
 		e.Counter("aft_lb_ejections_total",
 			"Backends ejected after consecutive health-probe failures.", uint64(s.Ejections))
 		e.Counter("aft_lb_readmissions_total",

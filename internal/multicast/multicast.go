@@ -4,12 +4,6 @@
 // other nodes, pruning locally superseded transactions first (§4.1,
 // Algorithm 2). The fault manager receives the stream *without* pruning
 // (§4.2) so that committed-but-unannounced transactions can be recovered.
-//
-// The Bus optionally runs in shard-scoped mode (SetRouter): each commit
-// record is delivered only to the owners of the shards its write set
-// touches, so per-node merge work and fan-out scale with a node's share of
-// the keyspace instead of global write volume. The fault-manager tap is
-// never scoped — it always sees every record, preserving §4.2 liveness.
 package multicast
 
 import (
@@ -40,16 +34,11 @@ type Peer interface {
 // Tap receives unpruned commit streams; the fault manager registers one.
 type Tap func(from string, recs []*records.CommitRecord)
 
-// Router selects the peer IDs that must receive a commit record — in
-// sharded deployments, the owners of the shards its write set touches. A
-// nil Router means broadcast to every peer.
-type Router func(rec *records.CommitRecord) []string
-
-// BusMetrics counts multicast traffic, used by the pruning ablation bench
-// and the sharded-exchange comparison. Counters are atomic so concurrent
-// per-peer flushes do not serialize on a metrics lock.
+// BusMetrics counts multicast traffic, used by the pruning ablation bench.
+// Counters are atomic so concurrent per-peer flushes do not serialize on a
+// metrics lock.
 type BusMetrics struct {
-	Broadcast  atomic.Int64 // records sent to at least one peer
+	Broadcast  atomic.Int64 // records sent to the other peers
 	Deliveries atomic.Int64 // record×peer deliveries (the fan-out cost)
 	Pruned     atomic.Int64 // records suppressed by supersedence pruning
 	Rounds     atomic.Int64
@@ -73,7 +62,6 @@ type Bus struct {
 	mu      sync.Mutex
 	peers   map[string]Peer
 	taps    []Tap
-	router  Router
 	metrics BusMetrics
 }
 
@@ -103,16 +91,6 @@ func (b *Bus) Tap(f Tap) {
 	b.mu.Unlock()
 }
 
-// SetRouter switches the bus to shard-scoped exchange: each record is
-// delivered only to the peers r selects (minus the sender). Taps are
-// unaffected — the fault manager keeps its global, unpruned view. A nil r
-// restores broadcast mode.
-func (b *Bus) SetRouter(r Router) {
-	b.mu.Lock()
-	b.router = r
-	b.mu.Unlock()
-}
-
 // Metrics returns the bus traffic counters.
 func (b *Bus) Metrics() *BusMetrics { return &b.metrics }
 
@@ -128,18 +106,16 @@ func (b *Bus) Peers() []string {
 }
 
 // FlushPeer runs one multicast round for peer p: drain, tap (unpruned),
-// prune superseded (§4.1), deliver — to all other registered peers in
-// broadcast mode, or to each record's shard owners when a Router is set.
-// Returns the number of records sent to at least one peer.
+// prune superseded (§4.1), deliver to all other registered peers. Returns
+// the number of records sent.
 func (b *Bus) FlushPeer(p Peer, prune bool) int {
 	recs := p.Drain()
 	b.mu.Lock()
 	taps := append([]Tap(nil), b.taps...)
-	router := b.router
-	others := make(map[string]Peer, len(b.peers))
+	others := make([]Peer, 0, len(b.peers))
 	for id, q := range b.peers {
 		if id != p.ID() {
-			others[id] = q
+			others = append(others, q)
 		}
 	}
 	b.mu.Unlock()
@@ -147,7 +123,7 @@ func (b *Bus) FlushPeer(p Peer, prune bool) int {
 	if len(recs) == 0 {
 		return 0
 	}
-	// The fault manager stream is never pruned or scoped (§4.2).
+	// The fault manager stream is never pruned (§4.2).
 	for _, tap := range taps {
 		tap(p.ID(), recs)
 	}
@@ -163,46 +139,19 @@ func (b *Bus) FlushPeer(p Peer, prune bool) int {
 			send = append(send, rec)
 		}
 	}
-	var deliveries, sent int
-	if router == nil {
-		for _, q := range others {
-			q.MergeRemoteCommits(send)
-			// Every peer votes in the symmetric global GC, so each must
-			// learn what it will never receive. Shard owners need not: they
-			// vote on Caches, where "never received" already means collect.
-			if len(pruned) > 0 {
-				q.SkipPruned(pruned)
-			}
-		}
-		deliveries = len(send) * len(others)
-		sent = len(send)
-	} else {
-		// Shard-scoped exchange: group the round's records per owning
-		// peer so each peer still gets one merge call.
-		perPeer := make(map[string][]*records.CommitRecord)
-		for _, rec := range send {
-			routed := false
-			for _, id := range router(rec) {
-				if _, ok := others[id]; !ok {
-					continue // sender itself, or an owner not on this bus
-				}
-				perPeer[id] = append(perPeer[id], rec)
-				deliveries++
-				routed = true
-			}
-			if routed {
-				sent++
-			}
-		}
-		for id, batch := range perPeer {
-			others[id].MergeRemoteCommits(batch)
+	for _, q := range others {
+		q.MergeRemoteCommits(send)
+		// Every peer votes in the global GC, so each must learn what it
+		// will never receive.
+		if len(pruned) > 0 {
+			q.SkipPruned(pruned)
 		}
 	}
-	b.metrics.Broadcast.Add(int64(sent))
-	b.metrics.Deliveries.Add(int64(deliveries))
+	b.metrics.Broadcast.Add(int64(len(send)))
+	b.metrics.Deliveries.Add(int64(len(send) * len(others)))
 	b.metrics.Pruned.Add(int64(len(pruned)))
 	b.metrics.Rounds.Add(1)
-	return sent
+	return len(send)
 }
 
 // Multicaster runs the periodic broadcast loop for one node (the

@@ -215,63 +215,3 @@ func TestDefaultPeriod(t *testing.T) {
 		t.Fatalf("default period = %v, want 1s (the paper's setting)", mc.period)
 	}
 }
-
-// TestRouterScopesDeliveries: with a Router installed, each record reaches
-// only the peers the router selects, while taps still see everything.
-func TestRouterScopesDeliveries(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
-	n1, n2, n3 := newNode(t, store, "n1"), newNode(t, store, "n2"), newNode(t, store, "n3")
-	bus := NewBus()
-	bus.Register(n1)
-	bus.Register(n2)
-	bus.Register(n3)
-	// Route every record to n2 only.
-	bus.SetRouter(func(rec *records.CommitRecord) []string { return []string{"n2"} })
-	var tapped int
-	var mu sync.Mutex
-	bus.Tap(func(from string, recs []*records.CommitRecord) {
-		mu.Lock()
-		tapped += len(recs)
-		mu.Unlock()
-	})
-
-	commit(t, n1, map[string]string{"k": "v"})
-	if sent := bus.FlushPeer(n1, false); sent != 1 {
-		t.Fatalf("FlushPeer sent %d records, want 1", sent)
-	}
-
-	if got := n2.Metrics().Snapshot().MergedRemote; got != 1 {
-		t.Errorf("routed peer merged %d records, want 1", got)
-	}
-	if got := n3.Metrics().Snapshot().MergedRemote; got != 0 {
-		t.Errorf("unrouted peer merged %d records, want 0", got)
-	}
-	mu.Lock()
-	if tapped != 1 {
-		t.Errorf("tap saw %d records, want 1 (taps are never scoped)", tapped)
-	}
-	mu.Unlock()
-	snap := bus.Metrics().Snapshot()
-	if snap.Deliveries != 1 || snap.Broadcast != 1 {
-		t.Errorf("metrics = %+v, want Deliveries=1 Broadcast=1", snap)
-	}
-}
-
-// TestRouterUnknownTargetsSkipped: routing to the sender or to absent
-// peers delivers nothing and counts nothing sent.
-func TestRouterUnknownTargetsSkipped(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
-	n1, n2 := newNode(t, store, "n1"), newNode(t, store, "n2")
-	bus := NewBus()
-	bus.Register(n1)
-	bus.Register(n2)
-	bus.SetRouter(func(rec *records.CommitRecord) []string { return []string{"n1", "ghost"} })
-
-	commit(t, n1, map[string]string{"k": "v"})
-	if sent := bus.FlushPeer(n1, false); sent != 0 {
-		t.Fatalf("FlushPeer sent %d records, want 0 (no live targets)", sent)
-	}
-	if got := n2.Metrics().Snapshot().MergedRemote; got != 0 {
-		t.Errorf("peer merged %d records, want 0", got)
-	}
-}
