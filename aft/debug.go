@@ -39,12 +39,13 @@ type (
 )
 
 // NewMetricsRegistry returns a registry pre-loaded with the process's
-// aft_build_info gauge; pass it to the RegisterTelemetry method of each
-// component you deploy (Node, Cluster, stores, ...) and serve it with
-// DebugMux.
+// aft_build_info gauge and its Go runtime allocation and GC counters
+// (aft_go_*); pass it to the RegisterTelemetry method of each component
+// you deploy (Node, Cluster, stores, ...) and serve it with DebugMux.
 func NewMetricsRegistry() *MetricsRegistry {
 	reg := &telemetry.Registry{}
 	telemetry.RegisterBuildInfo(reg)
+	telemetry.RegisterRuntime(reg)
 	return reg
 }
 

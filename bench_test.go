@@ -19,7 +19,9 @@ import (
 	"aft/internal/core"
 	"aft/internal/faas"
 	"aft/internal/faultmgr"
+	"aft/internal/idgen"
 	"aft/internal/multicast"
+	"aft/internal/records"
 	"aft/internal/storage"
 	"aft/internal/storage/dynamosim"
 	"aft/internal/storage/redissim"
@@ -593,6 +595,98 @@ func BenchmarkReadPath(b *testing.B) {
 		d := storeMetrics(b, n).Sub(before)
 		b.ReportMetric(float64(d.Calls())/float64(b.N), "calls/txn")
 	})
+}
+
+// historySizes are the resident-version counts the history benchmarks
+// compare: a cost that does not grow with history reads the same at both.
+var historySizes = []int{1_000, 10_000}
+
+// hotKeyNode returns a cached node on a virtual clock whose key "hot" has
+// versions resident versions: the oldest cowritten with "co", the newest
+// committed with its payload cached, and those between merged as a peer's
+// records.
+func hotKeyNode(b *testing.B, versions int) *core.Node {
+	b.Helper()
+	clock := idgen.NewVirtualClock(0, 1)
+	n, err := core.NewNode(core.Config{
+		NodeID: "hist", Store: dynamosim.New(dynamosim.Options{}),
+		EnableDataCache: true, Clock: clock,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := workload.Payload(1, 1024)
+	commitKVs(b, n, map[string][]byte{"hot": payload, "co": payload})
+	n.MergeRemoteCommits(hotKeyRecords(clock, versions-2))
+	commitKVs(b, n, map[string][]byte{"hot": payload})
+	return n
+}
+
+// hotKeyRecords returns count commit records of key "hot", ascending, with
+// timestamps from clock.
+func hotKeyRecords(clock idgen.Clock, count int) []*records.CommitRecord {
+	recs := make([]*records.CommitRecord, count)
+	for i := range recs {
+		recs[i] = records.NewCommitRecord(idgen.ID{Timestamp: clock.Now(), UUID: fmt.Sprintf("peer-%d", i)}, []string{"hot"}, "peer")
+	}
+	return recs
+}
+
+// BenchmarkReadPathHistory measures a cached read of a key with 1 000 and
+// with 10 000 resident versions: Algorithm 1 walks the version list in
+// place, newest first, so ns/op and allocs/op match across the sizes. The
+// constrained read first reads "co", whose version is the oldest of "hot",
+// so every version of "hot" is a candidate.
+func BenchmarkReadPathHistory(b *testing.B) {
+	ctx := context.Background()
+	for _, versions := range historySizes {
+		for _, read := range []struct {
+			name string
+			keys []string
+		}{{"unconstrained", []string{"hot"}}, {"constrained", []string{"co", "hot"}}} {
+			b.Run(fmt.Sprintf("%s/versions=%d", read.name, versions), func(b *testing.B) {
+				n := hotKeyNode(b, versions)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					txid, _ := n.StartTransaction(ctx)
+					for _, k := range read.keys {
+						if _, err := n.Get(ctx, txid, k); err != nil {
+							b.Fatal(err)
+						}
+					}
+					n.AbortTransaction(ctx, txid)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkReadPathSweepHotKey measures the local sweep retiring every
+// superseded version of one hot key, oldest first: each removal takes the
+// front of the version list without shifting it, so ns/version matches at
+// 1 000 and at 10 000 versions.
+func BenchmarkReadPathSweepHotKey(b *testing.B) {
+	for _, versions := range historySizes {
+		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
+			recs := hotKeyRecords(idgen.NewVirtualClock(0, 1), versions)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				n, err := core.NewNode(core.Config{NodeID: "sweep", Store: dynamosim.New(dynamosim.Options{})})
+				if err != nil {
+					b.Fatal(err)
+				}
+				n.MergeRemoteCommits(recs)
+				b.StartTimer()
+				if got := len(n.SweepLocalMetadata(0)); got != versions-1 {
+					b.Fatalf("swept %d versions, want %d", got, versions-1)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(versions-1)), "ns/version")
+		})
+	}
 }
 
 func storeMetrics(b *testing.B, n *core.Node) storage.Snapshot {

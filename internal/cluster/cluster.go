@@ -462,6 +462,12 @@ func (c *Cluster) Node(id string) (*core.Node, bool) {
 // against the newer state, so an unordered walk would make the delivered
 // record sets — and everything downstream of them, like local-GC votes —
 // depend on map iteration order.
+//
+// It is a visibility barrier: when it returns, every node reads each key at
+// a version no older than any commit acknowledged before the call. A node
+// may prune an acknowledged record because a newer version arrived from a
+// peer's periodic round that is still delivering to the others, so after
+// the flushes every node's in-progress round is waited out.
 func (c *Cluster) FlushMulticast() {
 	c.mu.Lock()
 	ids := make([]string, 0, len(c.members))
@@ -474,6 +480,9 @@ func (c *Cluster) FlushMulticast() {
 	sort.Strings(ids)
 	for _, id := range ids {
 		byID[id].mc.Flush()
+	}
+	for _, id := range ids {
+		byID[id].mc.Settle()
 	}
 }
 

@@ -306,10 +306,10 @@ type parkingPeer struct {
 	release chan struct{}
 }
 
-func (p *parkingPeer) ID() string                              { return "parker" }
-func (p *parkingPeer) Drain() []*records.CommitRecord          { return nil }
-func (p *parkingPeer) IsSuperseded(*records.CommitRecord) bool { return false }
-func (p *parkingPeer) SkipPruned([]*records.CommitRecord)      {}
+func (p *parkingPeer) ID() string                                     { return "parker" }
+func (p *parkingPeer) Drain() []*records.CommitRecord                 { return nil }
+func (p *parkingPeer) DrainPruned() ([]*records.CommitRecord, []bool) { return nil, nil }
+func (p *parkingPeer) SkipPruned([]*records.CommitRecord)             {}
 func (p *parkingPeer) MergeRemoteCommits([]*records.CommitRecord) {
 	p.entered <- struct{}{}
 	<-p.release

@@ -4,32 +4,42 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
+	"aft/internal/idgen"
+	"aft/internal/records"
 	"aft/internal/storage/dynamosim"
 )
 
 // mallocsDuring counts the heap allocations f makes, process-wide: callers
 // keep every other goroutine idle while it runs.
 func mallocsDuring(f func()) uint64 {
+	objects, _ := allocatedDuring(f)
+	return objects
+}
+
+// allocatedDuring counts the heap objects and bytes f allocates,
+// process-wide.
+func allocatedDuring(f func()) (objects, bytes uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
-// TestCommitAllocBudget pins ROADMAP's target for the write path: a
-// two-key commit through the group pipeline, uncontended, on the
-// zero-latency store costs at most 30 allocations — and so does the whole
+// TestCommitAllocBudget pins the write path: a two-key commit through the
+// group pipeline, uncontended, on the zero-latency store, and the whole
 // Start + 2 Put + Commit transaction around it. The count covers the
 // storage engine's own copies; what is left is bytes someone keeps (the
-// snapshot, the keys, the record and its encoding, the engine's values).
-// A flush map, a per-commit channel, a key built in three pieces or a
-// drainer goroutine coming back shows up here as a failure.
+// transaction and its ID, the buffered values, the keys, the record and its
+// encoding, the engine's values). A flush map, a per-commit channel, a key
+// built in three pieces, an eager map in Start or a drainer goroutine
+// coming back shows up here as a failure.
 func TestCommitAllocBudget(t *testing.T) {
-	const budget = 30
+	const commitBudget, txnBudget = 13, 19
 	n, err := NewNode(Config{NodeID: "budget", Store: dynamosim.New(dynamosim.Options{})})
 	if err != nil {
 		t.Fatal(err)
@@ -62,10 +72,137 @@ func TestCommitAllocBudget(t *testing.T) {
 	})
 	perCommit, perTxn := float64(commit)/runs, float64(whole)/runs
 	t.Logf("allocs: %.1f per commit, %.1f per Start+2Put+Commit", perCommit, perTxn)
-	if perCommit > budget {
-		t.Errorf("commit costs %.1f allocs, budget %d", perCommit, budget)
+	if perCommit > commitBudget {
+		t.Errorf("commit costs %.1f allocs, budget %d", perCommit, commitBudget)
 	}
-	if perTxn > budget {
-		t.Errorf("whole transaction costs %.1f allocs, budget %d", perTxn, budget)
+	if perTxn > txnBudget {
+		t.Errorf("whole transaction costs %.1f allocs, budget %d", perTxn, txnBudget)
 	}
+}
+
+// TestReadAllocBudget: a Get served from the data cache allocates the copy
+// it returns and nothing else — no storage-key string, no plan, no copy of
+// the key's version list — and a transaction that reads one key allocates,
+// beyond that copy, only itself, its ID and its first read-set entry.
+func TestReadAllocBudget(t *testing.T) {
+	n := historyNode(t, 16)
+	ctx := context.Background()
+	txid, _ := n.StartTransaction(ctx)
+	if _, err := n.Get(ctx, txid, "hot"); err != nil {
+		t.Fatal(err)
+	}
+	reread := testing.AllocsPerRun(200, func() {
+		if v, err := n.Get(ctx, txid, "hot"); err != nil || len(v) != historyValueLen {
+			t.Fatalf("Get = %d bytes, %v", len(v), err)
+		}
+	})
+	n.AbortTransaction(ctx, txid)
+	fresh := testing.AllocsPerRun(200, func() {
+		txid, _ := n.StartTransaction(ctx)
+		if _, err := n.Get(ctx, txid, "hot"); err != nil {
+			t.Fatal(err)
+		}
+		n.AbortTransaction(ctx, txid)
+	})
+	t.Logf("cached Get: %v allocs; Start+Get+Abort: %v", reread, fresh)
+	if reread != 1 {
+		t.Errorf("cached Get costs %v allocs, want 1 (the returned copy)", reread)
+	}
+	if fresh > 4 {
+		t.Errorf("Start+Get+Abort costs %v allocs, want at most 4 (transaction, ID, read set, copy)", fresh)
+	}
+}
+
+// TestReadCostIndependentOfHistory: Algorithm 1 walks a key's version list
+// in place, so a cached read of a key with 10 000 resident versions
+// allocates exactly what a read of one with 10 does — for an unconstrained
+// read, and for one whose lower bound (a cowritten key already read) admits
+// every version as a candidate.
+func TestReadCostIndependentOfHistory(t *testing.T) {
+	ctx := context.Background()
+	cost := func(n *Node, keys ...string) (objects, bytes uint64) {
+		op := func() {
+			txid, err := n.StartTransaction(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range keys {
+				if _, err := n.Get(ctx, txid, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n.AbortTransaction(ctx, txid)
+		}
+		for i := 0; i < 100; i++ {
+			op()
+		}
+		// The least of a few rounds: anything else the process allocates
+		// meanwhile (the test runtime, a map growing) only adds.
+		const runs = 1000
+		objects, bytes = ^uint64(0), ^uint64(0)
+		for round := 0; round < 3; round++ {
+			o, b := allocatedDuring(func() {
+				for i := 0; i < runs; i++ {
+					op()
+				}
+			})
+			objects, bytes = min(objects, o/runs), min(bytes, b/runs)
+		}
+		return objects, bytes
+	}
+	short, long := historyNode(t, 10), historyNode(t, 10_000)
+	for _, read := range []struct {
+		name string
+		keys []string
+	}{
+		{"unconstrained", []string{"hot"}},
+		{"constrained", []string{"co", "hot"}},
+	} {
+		so, sb := cost(short, read.keys...)
+		lo, lb := cost(long, read.keys...)
+		t.Logf("%s read: %d objects / %d bytes at 10 versions, %d / %d at 10 000", read.name, so, sb, lo, lb)
+		if so != lo || sb != lb {
+			t.Errorf("%s read: %d objects / %d bytes per op at 10 versions but %d / %d at 10 000",
+				read.name, so, sb, lo, lb)
+		}
+	}
+}
+
+const historyValueLen = 1024
+
+// historyNode returns a cached node where key "hot" has versions resident
+// versions: the oldest cowritten with "co", the newest committed here with
+// its payload cached, and the ones between installed as a peer's records
+// (never read, so they need no payload).
+func historyNode(tb testing.TB, versions int) *Node {
+	tb.Helper()
+	clock := idgen.NewVirtualClock(0, 1)
+	n, err := NewNode(Config{
+		NodeID: "hist", Store: dynamosim.New(dynamosim.Options{}),
+		EnableDataCache: true, Clock: clock,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx := context.Background()
+	commit := func(keys ...string) {
+		txid, _ := n.StartTransaction(ctx)
+		for _, k := range keys {
+			n.Put(ctx, txid, k, make([]byte, historyValueLen))
+		}
+		if _, err := n.CommitTransaction(ctx, txid); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	commit("hot", "co")
+	peer := make([]*records.CommitRecord, versions-2)
+	for i := range peer {
+		peer[i] = records.NewCommitRecord(idgen.ID{Timestamp: clock.Now(), UUID: fmt.Sprintf("peer-%d", i)}, []string{"hot"}, "peer")
+	}
+	n.MergeRemoteCommits(peer)
+	commit("hot")
+	if got := len(n.VersionsOf("hot")); got != versions {
+		tb.Fatalf("hot has %d resident versions, want %d", got, versions)
+	}
+	return n
 }

@@ -103,7 +103,8 @@ func (n *Node) bootstrapSince(ctx context.Context, since string) error {
 		if err != nil {
 			return fmt.Errorf("aft: decoding commit record %s: %w", sk, err)
 		}
-		ss := n.stripesOf(rec.WriteSet)
+		var buf [16]*stripe
+		ss := n.appendStripes(buf[:0], rec.WriteSet)
 		lockStripes(ss)
 		installed := n.installLocked(rec, ss)
 		unlockStripes(ss)

@@ -166,7 +166,8 @@ func (n *Node) spillColdRecords(ctx context.Context, budget int64) (int, error) 
 			if _, ok := payloads[keys[i]]; !ok {
 				continue // not re-fetchable (GC raced the probe): keep it
 			}
-			ss := n.stripesOf(rec.WriteSet)
+			var buf [16]*stripe
+			ss := n.appendStripes(buf[:0], rec.WriteSet)
 			lockStripes(ss)
 			if cached, still := ss[0].commits[id]; !still || cached != rec {
 				unlockStripes(ss)

@@ -349,7 +349,7 @@ func TestFullInstallUpgradesPartialIndex(t *testing.T) {
 	if rec2 == nil {
 		t.Fatal("writer lost rec2")
 	}
-	ss := b.stripesOf(rec2.WriteSet)
+	ss := b.appendStripes(nil, rec2.WriteSet)
 	lockStripes(ss)
 	b.installRecoveredLocked(rec2, "s")
 	unlockStripes(ss)

@@ -1,9 +1,10 @@
 package core
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"aft/internal/strhash"
 )
 
 // dataCache is the node's read cache for key-version payloads (§3.1): it
@@ -15,6 +16,13 @@ import (
 // The cache is sharded by storage-key hash so parallel readers do not
 // serialize on one LRU lock; each shard keeps its own recency list and an
 // equal slice of the capacity.
+//
+// A cached value is never written after it enters the cache, and readers
+// get a copy appended to a buffer of their own (appendTo). So the cache may
+// adopt a slice nobody else will write — the commit's private write buffer,
+// a payload freshly read from storage — instead of copying it. Probes
+// (appendTo, evict) take the storage key as bytes the caller assembled in
+// a buffer of its own, so a hit builds no key string.
 type dataCache struct {
 	shards []*cacheShard
 	mask   uint32
@@ -30,19 +38,26 @@ const (
 	cacheShardMinTotal = 256
 )
 
+// cacheShard is one LRU: entries live in slots, linked into a recency list
+// by slot index, so an insert reuses a free or evicted slot instead of
+// allocating a list node.
 type cacheShard struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
+	mu    sync.Mutex
+	cap   int
+	index map[string]int32 // storage key → slot
+	slots []cacheSlot
+	// head and tail are the most and least recently used slots; free
+	// chains unused slots through next. -1 ends each.
+	head, tail, free int32
 	// bytes sums cached key and value lengths; written under mu, read
 	// atomically by cross-shard budget checks.
 	bytes atomic.Int64
 }
 
-type cacheEntry struct {
-	key   string
-	value []byte
+type cacheSlot struct {
+	key        string
+	value      []byte
+	prev, next int32
 }
 
 // newDataCache returns a cache bounded to capacity entries in total.
@@ -58,91 +73,144 @@ func newDataCache(capacity int) *dataCache {
 	c := &dataCache{shards: make([]*cacheShard, nshards), mask: uint32(nshards - 1)}
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{
-			cap:     perShard,
-			entries: make(map[string]*list.Element),
-			order:   list.New(),
+			cap:   perShard,
+			index: make(map[string]int32),
+			head:  -1, tail: -1, free: -1,
 		}
 	}
 	return c
 }
 
-func (c *dataCache) shardFor(storageKey string) *cacheShard {
-	return c.shards[stripeHash(storageKey)&c.mask]
+func (c *dataCache) shardFor(hash uint32) *cacheShard {
+	return c.shards[hash&c.mask]
 }
 
-// get returns a copy of the cached value, if present.
-func (c *dataCache) get(storageKey string) ([]byte, bool) {
+// appendTo appends the value cached under storageKey to dst, reporting
+// whether one was cached. With a nil dst the result is a fresh copy
+// (non-nil even for an empty value).
+func (c *dataCache) appendTo(storageKey, dst []byte) ([]byte, bool) {
 	if c == nil {
-		return nil, false
+		return dst, false
 	}
-	s := c.shardFor(storageKey)
+	s := c.shardFor(strhash.FNV32a(storageKey))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[storageKey]
+	i, ok := s.index[string(storageKey)]
 	if !ok {
-		return nil, false
+		return dst, false
 	}
-	s.order.MoveToFront(el)
-	v := el.Value.(*cacheEntry).value
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, true
+	s.moveToFrontLocked(i)
+	return appendValue(dst, s.slots[i].value), true
 }
 
-// put inserts a copy of value, evicting the shard's least recently used
-// entry when full.
-func (c *dataCache) put(storageKey string, value []byte) {
+// appendValue appends v to dst. A nil dst gets a buffer of exactly
+// len(v), non-nil even when v is empty, so an empty value still reads
+// back as present.
+func appendValue(dst, v []byte) []byte {
+	if dst == nil {
+		dst = make([]byte, 0, len(v))
+	}
+	return append(dst, v...)
+}
+
+// adopt caches value itself: the caller hands over a slice that nobody
+// will write again.
+func (c *dataCache) adopt(storageKey string, value []byte) {
 	if c == nil {
 		return
 	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	s := c.shardFor(storageKey)
+	s := c.shardFor(strhash.FNV32a(storageKey))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[storageKey]; ok {
-		e := el.Value.(*cacheEntry)
-		s.bytes.Add(int64(len(v) - len(e.value)))
-		e.value = v
-		s.order.MoveToFront(el)
+	if i, ok := s.index[storageKey]; ok {
+		sl := &s.slots[i]
+		s.bytes.Add(int64(len(value) - len(sl.value)))
+		sl.value = value
+		s.moveToFrontLocked(i)
 		return
 	}
-	for len(s.entries) >= s.cap {
+	for len(s.index) >= s.cap {
 		if !s.dropOldestLocked() {
 			break
 		}
 	}
-	s.entries[storageKey] = s.order.PushFront(&cacheEntry{key: storageKey, value: v})
-	s.bytes.Add(int64(len(storageKey) + len(v)))
+	i := s.free
+	if i >= 0 {
+		s.free = s.slots[i].next
+	} else {
+		i = int32(len(s.slots))
+		s.slots = append(s.slots, cacheSlot{})
+	}
+	s.slots[i] = cacheSlot{key: storageKey, value: value, prev: -1, next: -1}
+	s.pushFrontLocked(i)
+	s.index[storageKey] = i
+	s.bytes.Add(int64(len(storageKey) + len(value)))
+}
+
+func (s *cacheShard) pushFrontLocked(i int32) {
+	sl := &s.slots[i]
+	sl.prev, sl.next = -1, s.head
+	if s.head >= 0 {
+		s.slots[s.head].prev = i
+	}
+	s.head = i
+	if s.tail < 0 {
+		s.tail = i
+	}
+}
+
+func (s *cacheShard) unlinkLocked(i int32) {
+	sl := &s.slots[i]
+	if sl.prev >= 0 {
+		s.slots[sl.prev].next = sl.next
+	} else {
+		s.head = sl.next
+	}
+	if sl.next >= 0 {
+		s.slots[sl.next].prev = sl.prev
+	} else {
+		s.tail = sl.prev
+	}
+}
+
+func (s *cacheShard) moveToFrontLocked(i int32) {
+	if s.head != i {
+		s.unlinkLocked(i)
+		s.pushFrontLocked(i)
+	}
+}
+
+// removeLocked drops slot i's entry and frees the slot, keeping no
+// reference to its key or value.
+func (s *cacheShard) removeLocked(i int32) {
+	s.unlinkLocked(i)
+	sl := &s.slots[i]
+	delete(s.index, sl.key)
+	s.bytes.Add(-int64(len(sl.key) + len(sl.value)))
+	*sl = cacheSlot{next: s.free}
+	s.free = i
 }
 
 // dropOldestLocked evicts the shard's least recently used entry,
 // reporting whether one existed. Callers hold s.mu.
 func (s *cacheShard) dropOldestLocked() bool {
-	back := s.order.Back()
-	if back == nil {
+	if s.tail < 0 {
 		return false
 	}
-	e := back.Value.(*cacheEntry)
-	s.order.Remove(back)
-	delete(s.entries, e.key)
-	s.bytes.Add(-int64(len(e.key) + len(e.value)))
+	s.removeLocked(s.tail)
 	return true
 }
 
 // evict removes storageKey if cached.
-func (c *dataCache) evict(storageKey string) {
+func (c *dataCache) evict(storageKey []byte) {
 	if c == nil {
 		return
 	}
-	s := c.shardFor(storageKey)
+	s := c.shardFor(strhash.FNV32a(storageKey))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[storageKey]; ok {
-		e := el.Value.(*cacheEntry)
-		s.order.Remove(el)
-		delete(s.entries, storageKey)
-		s.bytes.Add(-int64(len(e.key) + len(e.value)))
+	if i, ok := s.index[string(storageKey)]; ok {
+		s.removeLocked(i)
 	}
 }
 
@@ -154,7 +222,7 @@ func (c *dataCache) len() int {
 	total := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		total += len(s.entries)
+		total += len(s.index)
 		s.mu.Unlock()
 	}
 	return total

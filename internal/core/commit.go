@@ -110,10 +110,10 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 		for k, v := range t.writes {
 			data = append(data, kv{k, v})
 		}
+		// Every key ever spilled, rewritten since or not: its version
+		// lives under its spill key either way (step 1 below).
 		for k := range t.spilled {
-			if _, rewritten := t.writes[k]; !rewritten {
-				spilled = append(spilled, k)
-			}
+			spilled = append(spilled, k)
 		}
 		if len(spilled) > 0 {
 			sort.Strings(spilled)
@@ -142,7 +142,13 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 		writeSet[i] = data[i].key
 	}
 	if len(spilled) > 0 {
-		writeSet = append(writeSet, spilled...)
+		for _, k := range spilled {
+			if _, rewritten := slices.BinarySearchFunc(data, k, func(it kv, k string) int {
+				return strings.Compare(it.key, k)
+			}); !rewritten {
+				writeSet = append(writeSet, k)
+			}
+		}
 		sort.Strings(writeSet)
 	}
 	// Spilled transactions always use the default layout (their payloads
@@ -186,7 +192,15 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 		data = append(data[:0], kv{records.PackKey(id), obj})
 	} else {
 		for i := range data {
-			data[i].key = records.DataKey(data[i].key, id)
+			if _, ok := slices.BinarySearch(spilled, data[i].key); ok {
+				// A spilled key keeps the spill layout: its final value
+				// overwrites its spill object, which the record names
+				// (Spilled), so the global GC deletes the object with the
+				// version instead of leaving it for the orphan sweep.
+				data[i].key = records.SpillKey(spillDir, data[i].key)
+			} else {
+				data[i].key = records.DataKey(data[i].key, id)
+			}
 		}
 	}
 
@@ -215,9 +229,11 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	// newest versions and likely to be read soon — under the storage keys
 	// the commit built. The packed layout caches the whole packed object
 	// under its pack key, exactly what a subsequent read of any of its
-	// keys will fetch.
+	// keys will fetch. The cache adopts the values: Put copied each one
+	// into the write buffer, nothing writes to them once the transaction
+	// is finished, and storage engines only read what they are handed.
 	for _, it := range data {
-		n.data.put(it.key, it.val)
+		n.data.adopt(it.key, it.val)
 	}
 	n.metrics.Committed.Add(1)
 	return id, nil

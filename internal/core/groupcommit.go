@@ -44,9 +44,9 @@ package core
 //
 // Only then does the visibility phase install the records into the metadata
 // stripes and enqueue the whole flush as ONE append to the multicast queue.
-// The write phases take no node lock; the visibility phase takes each
-// record's stripes in the order stripe.go fixes, then recMu, on either
-// path.
+// The write phases take no node lock; the visibility phase takes announceMu
+// shared, each record's stripes in the order stripe.go fixes, then recMu, on
+// either path.
 //
 // flushCommits is the node's one write routine: the direct path (engines
 // without a batch primitive) runs it over a one-request batch. Its working
@@ -270,12 +270,16 @@ func (n *Node) flushCommits(ctx context.Context, sc *flushScratch) {
 	}
 
 	// Visibility phase. Install each durable record into its stripes, then
-	// hand the whole flush to the multicast queue in one append.
+	// hand the whole flush to the multicast queue in one append — one step
+	// to a pruning multicast round (DrainPruned).
+	n.announceMu.RLock()
+	defer n.announceMu.RUnlock()
 	for _, req := range sc.batch {
 		if req.err != nil {
 			continue
 		}
-		ss := n.stripesOf(req.rec.WriteSet)
+		var buf [16]*stripe
+		ss := n.appendStripes(buf[:0], req.rec.WriteSet)
 		lockStripes(ss)
 		n.installLocked(req.rec, ss)
 		unlockStripes(ss)

@@ -125,48 +125,48 @@ func TestIndexRandomizedAgainstReference(t *testing.T) {
 
 func TestDataCacheLRU(t *testing.T) {
 	c := newDataCache(2)
-	c.put("a", []byte("1"))
-	c.put("b", []byte("2"))
-	if _, ok := c.get("a"); !ok { // touch a: now b is LRU
+	c.adopt("a", []byte("1"))
+	c.adopt("b", []byte("2"))
+	if _, ok := c.appendTo([]byte("a"), nil); !ok { // touch a: now b is LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", []byte("3")) // evicts b
-	if _, ok := c.get("b"); ok {
+	c.adopt("c", []byte("3")) // evicts b
+	if _, ok := c.appendTo([]byte("b"), nil); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if v, ok := c.get("a"); !ok || string(v) != "1" {
+	if v, ok := c.appendTo([]byte("a"), nil); !ok || string(v) != "1" {
 		t.Fatal("a lost")
 	}
-	if v, ok := c.get("c"); !ok || string(v) != "3" {
+	if v, ok := c.appendTo([]byte("c"), nil); !ok || string(v) != "3" {
 		t.Fatal("c missing")
 	}
 }
 
 func TestDataCacheUpdateInPlace(t *testing.T) {
 	c := newDataCache(2)
-	c.put("a", []byte("1"))
-	c.put("a", []byte("2"))
+	c.adopt("a", []byte("1"))
+	c.adopt("a", []byte("2"))
 	if c.len() != 1 {
 		t.Fatalf("len = %d", c.len())
 	}
-	if v, _ := c.get("a"); string(v) != "2" {
+	if v, _ := c.appendTo([]byte("a"), nil); string(v) != "2" {
 		t.Fatalf("value = %q", v)
 	}
 }
 
 func TestDataCacheEvictAndNilSafety(t *testing.T) {
 	c := newDataCache(4)
-	c.put("a", []byte("1"))
-	c.evict("a")
-	if _, ok := c.get("a"); ok {
+	c.adopt("a", []byte("1"))
+	c.evict([]byte("a"))
+	if _, ok := c.appendTo([]byte("a"), nil); ok {
 		t.Fatal("a not evicted")
 	}
-	c.evict("missing")
+	c.evict([]byte("missing"))
 
 	var nilCache *dataCache
-	nilCache.put("x", nil)
-	nilCache.evict("x")
-	if _, ok := nilCache.get("x"); ok {
+	nilCache.adopt("x", nil)
+	nilCache.evict([]byte("x"))
+	if _, ok := nilCache.appendTo([]byte("x"), nil); ok {
 		t.Fatal("nil cache returned a value")
 	}
 	if nilCache.len() != 0 {
@@ -176,24 +176,26 @@ func TestDataCacheEvictAndNilSafety(t *testing.T) {
 
 func TestDataCacheCopies(t *testing.T) {
 	c := newDataCache(4)
-	in := []byte("abc")
-	c.put("k", in)
-	in[0] = 'X'
-	v, _ := c.get("k")
+	c.adopt("k", []byte("abc"))
+	v, _ := c.appendTo([]byte("k"), nil)
 	if string(v) != "abc" {
-		t.Fatalf("cache aliased input: %q", v)
+		t.Fatalf("cached value = %q", v)
 	}
 	v[0] = 'Y'
-	v2, _ := c.get("k")
+	v2, _ := c.appendTo([]byte("k"), nil)
 	if string(v2) != "abc" {
 		t.Fatalf("cache aliased output: %q", v2)
+	}
+	// A reader's buffer is appended to, not replaced.
+	if v3, _ := c.appendTo([]byte("k"), []byte("x:")); string(v3) != "x:abc" {
+		t.Fatalf("appendTo into a buffer = %q", v3)
 	}
 }
 
 func TestDataCacheMinCapacity(t *testing.T) {
 	c := newDataCache(0) // normalized to 1
-	c.put("a", []byte("1"))
-	c.put("b", []byte("2"))
+	c.adopt("a", []byte("1"))
+	c.adopt("b", []byte("2"))
 	if c.len() != 1 {
 		t.Fatalf("len = %d, want 1", c.len())
 	}

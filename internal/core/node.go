@@ -213,6 +213,11 @@ type Node struct {
 	// one acquisition.
 	recMu  sync.Mutex
 	recent []*records.CommitRecord
+	// announceMu makes a flush's install-then-queue one step as far as a
+	// pruning multicast round can tell: flushes hold it shared, and
+	// DrainPruned holds it exclusively across its drain and supersedence
+	// checks.
+	announceMu sync.RWMutex
 
 	// committer coalesces concurrent commits' storage writes
 	// (groupcommit.go); flusherLimit caps its concurrent flushes.
@@ -478,7 +483,8 @@ func (n *Node) MergeRemoteCommits(recs []*records.CommitRecord) {
 			deliveryStart = time.Now()
 		}
 		outcome := "dropped"
-		ss := n.stripesOf(rec.WriteSet)
+		var buf [16]*stripe
+		ss := n.appendStripes(buf[:0], rec.WriteSet)
 		lockStripes(ss)
 		if n.supersededLocked(rec) {
 			// A record pruned at merge time was never cached here, so
@@ -550,7 +556,8 @@ func (n *Node) supersededLocked(rec *records.CommitRecord) bool {
 // IsSuperseded reports whether rec is superseded by this node's local state
 // (Algorithm 2).
 func (n *Node) IsSuperseded(rec *records.CommitRecord) bool {
-	ss := n.stripesOf(rec.WriteSet)
+	var buf [16]*stripe
+	ss := n.appendStripes(buf[:0], rec.WriteSet)
 	rlockStripes(ss)
 	defer runlockStripes(ss)
 	return n.supersededLocked(rec)
@@ -567,6 +574,26 @@ func (n *Node) Drain() []*records.CommitRecord {
 	n.recent = nil
 	n.recMu.Unlock()
 	return out
+}
+
+// DrainPruned is Drain for a multicast round that prunes (§4.1), with
+// superseded[i] = IsSuperseded(recs[i]). It classifies and drains while no
+// flush is between installing its records and queueing them, so a local
+// commit that supersedes a drained record is itself in this drain or an
+// earlier one: the round that prunes a record delivers, or already
+// delivered, what supersedes it. It classifies the queue before draining
+// it — nothing can join the queue in between — so the records leave
+// PendingAnnounce only when the round is about to hand them to the tap,
+// as with Drain.
+func (n *Node) DrainPruned() ([]*records.CommitRecord, []bool) {
+	n.announceMu.Lock()
+	defer n.announceMu.Unlock()
+	queued := n.PendingAnnounce()
+	superseded := make([]bool, len(queued))
+	for i, rec := range queued {
+		superseded[i] = n.IsSuperseded(rec)
+	}
+	return n.Drain(), superseded
 }
 
 // PendingAnnounce returns the announce queue: records this node committed
@@ -636,7 +663,8 @@ func (n *Node) SweepLocalMetadata(limit int) []idgen.ID {
 			break
 		}
 		rec := byID[id]
-		ss := n.stripesOf(rec.WriteSet)
+		var buf [16]*stripe
+		ss := n.appendStripes(buf[:0], rec.WriteSet)
 		lockStripes(ss)
 		if _, still := ss[0].commits[id]; !still {
 			unlockStripes(ss)

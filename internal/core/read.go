@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"aft/internal/idgen"
@@ -13,7 +14,16 @@ import (
 )
 
 // Get retrieves key in the context of transaction txid (Table 1), enforcing
-// read atomic isolation.
+// read atomic isolation. It returns a copy the caller owns: AppendGet with
+// a nil buffer.
+func (n *Node) Get(ctx context.Context, txid, key string) ([]byte, error) {
+	return n.AppendGet(ctx, txid, key, nil)
+}
+
+// AppendGet is the node's one read routine: Get, appending the value to dst
+// and returning the extended slice (dst unchanged on error). A caller that
+// owns a buffer — the wire server's pooled response — reads into it
+// instead of receiving a private copy to encode and drop.
 //
 // The read path is, in order:
 //  1. read-your-writes (§3.5): a version buffered by this transaction is
@@ -32,32 +42,32 @@ import (
 // round trips. The lower-bound pass of Algorithm 1 walks the
 // transaction's pinned read records without touching any stripe.
 //
-// Get returns ErrKeyNotFound when no committed version of key exists
+// It returns ErrKeyNotFound when no committed version of key exists
 // (the NULL version, §3.2) and ErrNoValidVersion when versions exist but
 // none is compatible with the read set (§3.6) — clients should abort and
 // retry in that case.
-func (n *Node) Get(ctx context.Context, txid, key string) ([]byte, error) {
+func (n *Node) AppendGet(ctx context.Context, txid, key string, dst []byte) ([]byte, error) {
 	if err := n.checkCtx(ctx); err != nil {
-		return nil, err
+		return dst, err
 	}
 	t, err := n.lookup(txid)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	t.refreshLease(ctx)
 	n.metrics.Reads.Add(1)
 	ctx = telemetry.WithTrace(ctx, t.trace)
 	sp := t.trace.StartSpan("node.read")
 	start := time.Now()
-	v, err := n.doGet(ctx, t, txid, key)
+	out, err := n.doGet(ctx, t, txid, key, dst)
 	sp.End()
 	if err == nil {
 		n.latRead.Observe(time.Since(start))
 	}
-	return v, err
+	return out, err
 }
 
-func (n *Node) doGet(ctx context.Context, t *txnState, txid, key string) ([]byte, error) {
+func (n *Node) doGet(ctx context.Context, t *txnState, txid, key string, dst []byte) ([]byte, error) {
 	// Up to two attempts: a version selected from local metadata can have
 	// had its payload deleted by the global GC (see the NotFound branch
 	// below); the retry forgets the vanished version and re-selects.
@@ -65,47 +75,54 @@ func (n *Node) doGet(ctx context.Context, t *txnState, txid, key string) ([]byte
 		t.mu.Lock()
 		if t.done {
 			t.mu.Unlock()
-			return nil, n.finishedErr(txid)
+			return dst, n.finishedErr(txid)
 		}
-		plan, val, err := n.planRead(ctx, t, key)
+		plan, err := n.planRead(ctx, t, key)
 		t.mu.Unlock()
-		if err != nil || plan == nil {
-			return val, err
+		if err != nil {
+			return dst, err
+		}
+		if plan.buffered {
+			return appendValue(dst, plan.value), nil
 		}
 
 		// Payload fetch, outside every lock: the reader pin taken during
-		// selection keeps the version's metadata alive (§5.1).
+		// selection keeps the version's metadata alive (§5.1). The storage
+		// key is assembled in kb; only a cache miss makes it a string.
+		var kb [keyBufLen]byte
+		sk := plan.appendStorageKey(kb[:0], key)
 		if plan.spill {
 			// Spilled read-your-writes data is cached like any other
 			// payload (a spill is invisible to other transactions until
 			// commit, but THIS transaction re-reads it after every resumed
 			// function); Put refreshes the entry when a key re-spills.
-			sk := records.SpillKey(plan.spillDir, key)
-			if v, ok := n.data.get(sk); ok {
+			if out, ok := n.data.appendTo(sk, dst); ok {
 				n.metrics.CacheHits.Add(1)
-				return v, nil
+				return out, nil
 			}
-			v, err := n.store.Get(ctx, sk)
+			storageKey := string(sk)
+			v, err := n.store.Get(ctx, storageKey)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
-			n.data.put(sk, v)
-			return v, nil
+			return n.keepFetched(storageKey, v, dst), nil
 		}
-		if plan.packed {
-			if v, ok := n.data.get(packEntryKey(plan.storageKey, key)); ok {
+		packed := plan.rec.Packed
+		if packed {
+			if out, ok := n.data.appendTo(appendPackEntryKey(sk, key), dst); ok {
 				n.metrics.CacheHits.Add(1)
-				return v, nil
+				return out, nil
 			}
-		}
-		if v, ok := n.data.get(plan.storageKey); ok {
+			if v, ok := n.data.appendTo(sk, nil); ok {
+				n.metrics.CacheHits.Add(1)
+				return n.extractPacked(v, string(sk), key, dst)
+			}
+		} else if out, ok := n.data.appendTo(sk, dst); ok {
 			n.metrics.CacheHits.Add(1)
-			if plan.packed {
-				return n.extractPacked(v, plan.storageKey, key)
-			}
-			return v, nil
+			return out, nil
 		}
-		v, err := n.store.Get(ctx, plan.storageKey)
+		storageKey := string(sk)
+		v, err := n.store.Get(ctx, storageKey)
 		if err != nil {
 			if errors.Is(err, storage.ErrNotFound) {
 				// GC race: the version was superseded and collected
@@ -129,20 +146,45 @@ func (n *Node) doGet(ctx context.Context, t *txnState, txid, key string) ([]byte
 						continue
 					}
 				}
-				return nil, fmt.Errorf("aft: fetching %s: %w", plan.storageKey, ErrVersionVanished)
+				return dst, fmt.Errorf("aft: fetching %s: %w", storageKey, ErrVersionVanished)
 			}
 			// The write-ordering protocol guarantees committed data is
 			// durable before its commit record (§3.3), so this indicates
 			// either storage unavailability or a GC race on a deleted
 			// version; surface it to the client for retry.
-			return nil, fmt.Errorf("aft: fetching %s: %w", plan.storageKey, err)
+			return dst, fmt.Errorf("aft: fetching %s: %w", storageKey, err)
 		}
-		n.data.put(plan.storageKey, v)
-		if plan.packed {
-			return n.extractPacked(v, plan.storageKey, key)
+		if packed {
+			n.data.adopt(storageKey, v)
+			return n.extractPacked(v, storageKey, key, dst)
 		}
-		return v, nil
+		return n.keepFetched(storageKey, v, dst), nil
 	}
+}
+
+// keyBufLen sizes the stack buffers storage keys are assembled in for
+// data-cache probes; a longer key spills the buffer to the heap.
+const keyBufLen = 128
+
+// appendStorageKey appends the storage key of the planned read of key to
+// dst: the spill key of this transaction's own spilled write, or the
+// selected version's key.
+func (p *readPlan) appendStorageKey(dst []byte, key string) []byte {
+	if p.spill {
+		return records.AppendSpillKey(dst, p.spillDir, key)
+	}
+	return p.rec.AppendStorageKeyFor(dst, key)
+}
+
+// keepFetched hands a payload just read from storage to the data cache and
+// to the caller. The cache adopts v, so the caller gets a copy appended to
+// dst — or v itself when no cache shares it and there is no buffer to fill.
+func (n *Node) keepFetched(storageKey string, v, dst []byte) []byte {
+	if n.data == nil && dst == nil {
+		return v
+	}
+	n.data.adopt(storageKey, v)
+	return appendValue(dst, v)
 }
 
 // packEntryKey is the data-cache key of one user key's value inside a
@@ -153,11 +195,19 @@ func packEntryKey(packKey, key string) string {
 	return packKey + "\x00" + key
 }
 
+// appendPackEntryKey is packEntryKey for a probe: it appends the entry
+// suffix to the pack key's bytes, in the spare capacity of the caller's
+// buffer, leaving packKey itself intact.
+func appendPackEntryKey(packKey []byte, key string) []byte {
+	return append(append(packKey, 0), key...)
+}
+
 // unpackAndCache decodes a packed object once and caches every co-written
 // key's value under its packEntryKey, so repeated reads of keys in the same
 // pack (the common co-access pattern that motivated packing) skip the
 // re-unmarshal. The pack's versions are immutable, so the entries can never
-// go stale; LRU eviction bounds them like any other cached payload.
+// go stale; LRU eviction bounds them like any other cached payload. The
+// cache adopts the decoded values: callers copy what they hand out.
 func (n *Node) unpackAndCache(packed []byte, packKey string) (map[string][]byte, error) {
 	m, err := records.Unpack(packed)
 	if err != nil {
@@ -165,34 +215,34 @@ func (n *Node) unpackAndCache(packed []byte, packKey string) (map[string][]byte,
 	}
 	if n.data != nil {
 		for k, v := range m {
-			n.data.put(packEntryKey(packKey, k), v)
+			n.data.adopt(packEntryKey(packKey, k), v)
 		}
 	}
 	return m, nil
 }
 
-// extractPacked returns key's value from a packed object via
+// extractPacked appends key's value from a packed object to dst, via
 // unpackAndCache.
-func (n *Node) extractPacked(packed []byte, packKey, key string) ([]byte, error) {
+func (n *Node) extractPacked(packed []byte, packKey, key string, dst []byte) ([]byte, error) {
 	m, err := n.unpackAndCache(packed, packKey)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	v, ok := m[key]
 	if !ok {
-		return nil, fmt.Errorf("records: key %q missing from packed object", key)
+		return dst, fmt.Errorf("records: key %q missing from packed object", key)
 	}
-	return v, nil
+	return appendValue(dst, v), nil
 }
 
 // readPlan is the outcome of a read's metadata phase: where the payload
 // lives and what was pinned, so the fetch can run outside t.mu and a
 // vanished payload can be unwound.
 type readPlan struct {
+	buffered    bool   // read-your-writes from the write buffer: value
+	value       []byte // the buffered value; never written after Put
 	spill       bool   // read-your-writes from the spill area
 	spillDir    string //
-	storageKey  string
-	packed      bool
 	target      idgen.ID
 	rec         *records.CommitRecord
 	pinnedNow   bool
@@ -200,21 +250,18 @@ type readPlan struct {
 }
 
 // planRead runs the metadata phase of one read attempt; the caller holds
-// t.mu. A nil plan with nil error means the value was served from the
-// write buffer.
-func (n *Node) planRead(ctx context.Context, t *txnState, key string) (*readPlan, []byte, error) {
+// t.mu.
+func (n *Node) planRead(ctx context.Context, t *txnState, key string) (readPlan, error) {
 	// Read-your-writes: the write buffer takes precedence (§3.5).
 	if v, ok := t.writes[key]; ok {
-		out := make([]byte, len(v))
-		copy(out, v)
-		return nil, out, nil
+		return readPlan{buffered: true, value: v}, nil
 	}
 	if t.spilled[key] {
 		// Spilled intermediary data is still this transaction's own
 		// write; serve it for read-your-writes.
-		return &readPlan{spill: true, spillDir: t.spillDir()}, nil, nil
+		return readPlan{spill: true, spillDir: t.spillDir()}, nil
 	}
-	_, alreadyRead := t.readSet[key]
+	alreadyRead := t.readOf(key) >= 0
 
 	var target idgen.ID
 	var rec *records.CommitRecord
@@ -251,7 +298,7 @@ func (n *Node) planRead(ctx context.Context, t *txnState, key string) (*readPlan
 		t.metaFetched[key] = true
 		fetched, finish, retryOnMiss, ferr := n.coalesceFetch(ctx, key)
 		if ferr != nil {
-			return nil, nil, fmt.Errorf("aft: recovering metadata for %q: %w", key, ferr)
+			return readPlan{}, fmt.Errorf("aft: recovering metadata for %q: %w", key, ferr)
 		}
 		// Install and re-select inside ONE multi-stripe critical section
 		// (selectAndPin write-locks the union): a concurrent sweep or
@@ -271,22 +318,20 @@ func (n *Node) planRead(ctx context.Context, t *txnState, key string) (*readPlan
 			// the atomic install+select the solo path gets.
 			fetched, ferr = n.fetchKeyRecords(ctx, key)
 			if ferr != nil {
-				return nil, nil, fmt.Errorf("aft: recovering metadata for %q: %w", key, ferr)
+				return readPlan{}, fmt.Errorf("aft: recovering metadata for %q: %w", key, ferr)
 			}
 			target, rec, pinnedNow, err = n.selectAndPin(t, key, fetched)
 		}
 	}
 	if err != nil {
-		return nil, nil, err
+		return readPlan{}, err
 	}
-	return &readPlan{
-		storageKey:  rec.StorageKeyFor(key),
-		packed:      rec.Packed,
+	return readPlan{
 		target:      target,
 		rec:         rec,
 		pinnedNow:   pinnedNow,
 		alreadyRead: alreadyRead,
-	}, nil, nil
+	}, nil
 }
 
 // selectAndPin runs Algorithm 1 for key and, on success, records the read
@@ -303,15 +348,15 @@ func (n *Node) selectAndPin(t *txnState, key string, install []*records.CommitRe
 	// older (case 1 of the inductive proof of Theorem 1). Read records
 	// are pinned, so this pass needs no locks.
 	lower := idgen.Null
-	for rk, readID := range t.readSet {
-		rec := t.readRecs[rk]
-		if rec == nil {
+	for i := range t.reads {
+		e := &t.reads[i]
+		if e.rec == nil {
 			// The record is pinned while in R, so this cannot happen
 			// unless bookkeeping broke; fail the read defensively.
-			return idgen.Null, nil, false, fmt.Errorf("aft: read-set transaction %v missing from commit cache", readID)
+			return idgen.Null, nil, false, fmt.Errorf("aft: read-set transaction %v missing from commit cache", e.id)
 		}
-		if rec.Cowritten(key) && lower.Less(readID) {
-			lower = readID
+		if e.rec.Cowritten(key) && lower.Less(e.id) {
+			lower = e.id
 		}
 	}
 
@@ -332,7 +377,7 @@ func (n *Node) selectAndPin(t *txnState, key string, install []*records.CommitRe
 	for _, fr := range install {
 		union = append(union, fr.WriteSet...)
 	}
-	ss := n.stripesOf(union)
+	ss := n.appendStripes(nil, union)
 	lockStripes(ss)
 	for _, fr := range install {
 		n.installRecoveredLocked(fr, key)
@@ -350,16 +395,22 @@ func (n *Node) selectAndPin(t *txnState, key string, install []*records.CommitRe
 // set and takes a reader pin. The caller holds t.mu and (at least a read
 // lock on) key's stripe. It reports whether a new pin was taken.
 func (n *Node) pinRead(t *txnState, key string, target idgen.ID, rec *records.CommitRecord) bool {
-	t.readSet[key] = target
-	t.readRecs[key] = rec
-	if t.pinned[target] {
+	if t.readOf(key) >= 0 {
+		// A re-read: Algorithm 1 selected the version already read
+		// (repeatable read, Corollary 1.1), which the transaction pins.
 		return false
 	}
-	t.pinned[target] = true
-	n.pinMu.Lock()
-	n.readers[target]++
-	n.pinMu.Unlock()
-	return true
+	pin := !t.pinnedBy(target)
+	if t.reads == nil {
+		t.reads = make([]readEntry, 0, 4)
+	}
+	t.reads = append(t.reads, readEntry{key: key, id: target, rec: rec, pinned: pin})
+	if pin {
+		n.pinMu.Lock()
+		n.readers[target]++
+		n.pinMu.Unlock()
+	}
+	return pin
 }
 
 // forgetVanished unwinds a version selection whose payload the global GC
@@ -368,35 +419,30 @@ func (n *Node) pinRead(t *txnState, key string, target idgen.ID, rec *records.Co
 // metadata cache so re-selection cannot pick it again. The caller holds
 // t.mu.
 func (n *Node) forgetVanished(t *txnState, key string, target idgen.ID, rec *records.CommitRecord, pinnedNow bool) {
-	if cur, ok := t.readSet[key]; ok && cur.Equal(target) {
-		delete(t.readSet, key)
-		delete(t.readRecs, key)
+	if i := t.readOf(key); i >= 0 && t.reads[i].id.Equal(target) {
+		if pinnedNow && t.reads[i].pinned {
+			n.pinMu.Lock()
+			if n.readers[target]--; n.readers[target] <= 0 {
+				delete(n.readers, target)
+			}
+			n.pinMu.Unlock()
+		}
+		t.reads = slices.Delete(t.reads, i, i+1)
 	}
 	// Let the retry recover fresh metadata even if this transaction
 	// already fetched for this key.
 	delete(t.metaFetched, key)
-	if pinnedNow && t.pinned[target] {
-		delete(t.pinned, target)
-		n.pinMu.Lock()
-		if n.readers[target]--; n.readers[target] <= 0 {
-			delete(n.readers, target)
-		}
-		n.pinMu.Unlock()
-	}
-	ss := n.stripesOf(rec.WriteSet)
+	var buf [16]*stripe
+	ss := n.appendStripes(buf[:0], rec.WriteSet)
 	lockStripes(ss)
 	dropMarker := false
 	if cached, ok := ss[0].commits[target]; ok && cached == rec {
 		// Drop the index entries so re-selection skips the vanished
 		// version (installLocked will not re-index it while the commit
 		// entry survives).
+		n.evictPayloads(rec)
 		for _, k := range rec.WriteSet {
 			n.stripeFor(k).index.remove(k, target)
-			sk := rec.StorageKeyFor(k)
-			n.data.evict(sk)
-			if rec.Packed {
-				n.data.evict(packEntryKey(sk, k))
-			}
 		}
 		// The record itself must outlive any other transaction still
 		// pinning it: their read sets resolve through readRecs and the
@@ -424,10 +470,11 @@ func (n *Node) forgetVanished(t *txnState, key string, target idgen.ID, rec *rec
 }
 
 // selectVersionLocked implements the candidate walk of Algorithm 1: given
-// the transaction's read set R (t.readSet), key k, and the precomputed
+// the transaction's read set R (t.reads), key k, and the precomputed
 // lower bound, it selects a version kj such that R ∪ {kj} is still an
 // Atomic Readset (Definition 1). The caller holds t.mu and key's stripe
-// lock.
+// lock, and the walk reads the stripe's version list in place under it:
+// what a read costs does not grow with the key's history.
 func (n *Node) selectVersionLocked(t *txnState, key string, lower idgen.ID) (idgen.ID, *records.CommitRecord, error) {
 	s := n.stripeFor(key)
 
@@ -455,7 +502,7 @@ func (n *Node) selectVersionLocked(t *txnState, key string, lower idgen.ID) (idg
 		}
 		valid := true
 		for _, l := range rec.WriteSet {
-			if readID, ok := t.readSet[l]; ok && readID.Less(tid) {
+			if j := t.readOf(l); j >= 0 && t.reads[j].id.Less(tid) {
 				valid = false
 				break
 			}
@@ -651,9 +698,9 @@ func (n *Node) ReadSet(txid string) (map[string]idgen.ID, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[string]idgen.ID, len(t.readSet))
-	for k, v := range t.readSet {
-		out[k] = v
+	out := make(map[string]idgen.ID, len(t.reads))
+	for _, e := range t.reads {
+		out[e.key] = e.id
 	}
 	return out, nil
 }

@@ -542,7 +542,7 @@ func TestPackedExtractCached(t *testing.T) {
 	if len(versions) != 1 {
 		t.Fatalf("versions of pa = %v", versions)
 	}
-	n.data.evict(records.PackKey(versions[0]))
+	n.data.evict([]byte(records.PackKey(versions[0])))
 	before = store.Metrics().Snapshot()
 	v, err := n.Get(ctx, reader, "pb")
 	if err != nil || string(v) != "B" {

@@ -20,6 +20,7 @@ package core
 // Lock ordering, node-wide:
 //
 //	txnState.mu  →  stripe locks (ascending stripe index)  →  pinMu
+//	announceMu   →  stripe locks  →  recMu
 //
 // The transaction table lock (tmu) and the multicast queue lock (recMu)
 // are leaves: never held while acquiring any other lock. Multi-stripe
@@ -87,21 +88,11 @@ func (n *Node) stripeFor(key string) *stripe {
 	return n.stripes[int(stripeHash(key))&stripeMask]
 }
 
-// stripesOf returns the distinct stripes touched by writeSet in ascending
-// stripe-index order — the canonical multi-stripe lock order. An empty
-// write set maps to stripe 0 so callers always get a non-empty set.
-func (n *Node) stripesOf(writeSet []string) []*stripe {
-	if len(writeSet) == 0 {
-		return n.stripes[:1]
-	}
-	if len(writeSet) == 1 {
-		return []*stripe{n.stripeFor(writeSet[0])}
-	}
-	return n.appendStripes(make([]*stripe, 0, len(writeSet)), writeSet)
-}
-
-// appendStripes appends stripesOf(writeSet) to dst, so a caller looping
-// over many records can reuse one buffer.
+// appendStripes appends the distinct stripes touched by writeSet to dst in
+// ascending stripe-index order — the canonical multi-stripe lock order. An
+// empty write set maps to stripe 0 so callers always get a non-empty set.
+// Callers pass a stack buffer (or reuse one across records), so finding a
+// record's stripes allocates nothing for any write set of up to 16 stripes.
 func (n *Node) appendStripes(dst []*stripe, writeSet []string) []*stripe {
 	if len(writeSet) == 0 {
 		return append(dst, n.stripes[0])
@@ -163,8 +154,8 @@ func runlockStripes(ss []*stripe) {
 
 // installLocked makes a committed transaction visible locally: it enters
 // the Commit Set Cache of every stripe its write set touches and its write
-// set is indexed. ss must be stripesOf(rec.WriteSet), write-locked by the
-// caller.
+// set is indexed. ss must be rec's stripes (appendStripes), write-locked by
+// the caller.
 func (n *Node) installLocked(rec *records.CommitRecord, ss []*stripe) bool {
 	id := rec.ID()
 	if _, ok := ss[0].commits[id]; ok {
@@ -241,7 +232,8 @@ func (n *Node) floorSet(key string) bool {
 // without a second round trip (fetchKeyRecords' index-aware dedup). The
 // caller must hold write locks covering every stripe of rec's write set.
 func (n *Node) installRecoveredLocked(rec *records.CommitRecord, key string) bool {
-	ss := n.stripesOf(rec.WriteSet)
+	var buf [16]*stripe
+	ss := n.appendStripes(buf[:0], rec.WriteSet)
 	id := rec.ID()
 	if _, ok := ss[0].commits[id]; ok {
 		// Cached already — possibly selectable only for sibling keys after
@@ -274,15 +266,8 @@ func (n *Node) removeLocked(rec *records.CommitRecord, ss []*stripe, markDeleted
 	}
 	for _, k := range rec.WriteSet {
 		n.stripeFor(k).index.remove(k, id)
-		sk := rec.StorageKeyFor(k)
-		n.data.evict(sk)
-		if rec.Packed {
-			// The per-key entries cached by extractPacked leave with the
-			// pack object; nothing can reference them once the version is
-			// unindexed, and keeping them would squat LRU slots.
-			n.data.evict(packEntryKey(sk, k))
-		}
 	}
+	n.evictPayloads(rec)
 	if markDeleted {
 		for _, s := range ss {
 			s.locallyDeleted[id] = rec
@@ -290,6 +275,24 @@ func (n *Node) removeLocked(rec *records.CommitRecord, ss []*stripe, markDeleted
 	}
 	n.metaCount.Add(-1)
 	n.metaBytes.Add(-int64(rec.ApproxBytes()))
+}
+
+// evictPayloads drops rec's cached payloads. The per-key entries cached by
+// extractPacked leave with the pack object; nothing can reference them once
+// the version is unindexed, and keeping them would squat LRU slots. Keys
+// are assembled in a stack buffer: evicting builds no strings.
+func (n *Node) evictPayloads(rec *records.CommitRecord) {
+	if n.data == nil {
+		return
+	}
+	var kb [keyBufLen]byte
+	for _, k := range rec.WriteSet {
+		sk := rec.AppendStorageKeyFor(kb[:0], k)
+		n.data.evict(sk)
+		if rec.Packed {
+			n.data.evict(appendPackEntryKey(sk, k))
+		}
+	}
 }
 
 // recordForKey returns the commit record of id if this node caches it and

@@ -42,21 +42,17 @@ type txnState struct {
 	// never allocates it.
 	commitDone chan struct{}
 	// writes is the Atomic Write Buffer's slice for this transaction:
-	// key -> latest buffered value.
+	// key -> latest buffered value; nil until the first Put.
 	writes map[string][]byte
 	// buffered tracks the byte volume in writes, for spill decisions.
 	buffered int
-	// readSet is R in Algorithm 1: key -> the version ID read.
-	readSet map[string]idgen.ID
-	// readRecs caches the commit record of each read version. Pinned
-	// records are immutable and cannot be swept, so Algorithm 1's
-	// lower-bound pass walks them without touching any stripe lock.
-	readRecs map[string]*records.CommitRecord
-	// pinned is the set of committed transactions this transaction has
-	// read from; each holds a reader pin against local GC (§5.1).
-	pinned map[idgen.ID]bool
+	// reads is R in Algorithm 1, one entry per key read (readEntry); nil
+	// until the first read.
+	reads []readEntry
 	// spilled holds keys whose payload was proactively written to the
-	// spill area before commit (§3.3); nil until the first spill.
+	// spill area before commit (§3.3); nil until the first spill. A key
+	// once spilled stays in the spill layout: if it is written again, the
+	// commit puts its final value under its spill key.
 	spilled map[string]bool
 	// metaFetched records keys whose metadata this transaction already
 	// recovered from storage (partial-metadata fallback), so repeated misses
@@ -79,6 +75,41 @@ type txnState struct {
 	// writes. Transactions whose ops never carry deadlines (in-process
 	// callers) keep a zero lease and are never reaped.
 	deadline atomic.Int64
+}
+
+// readEntry is one key of the transaction's read set: the version read
+// and its commit record. Read records are pinned, so they are immutable
+// and cannot be swept: Algorithm 1's lower-bound pass walks them without
+// touching any stripe lock. pinned marks the entry holding the
+// transaction's reader pin on id (§5.1) — one entry per distinct version,
+// however many of its keys were read.
+type readEntry struct {
+	key    string
+	id     idgen.ID
+	rec    *records.CommitRecord
+	pinned bool
+}
+
+// readOf returns the index in t.reads of key's entry, or -1. Read sets are
+// a handful of keys, and Algorithm 1's lower-bound pass already walks the
+// whole set on every read, so the scan adds no asymptotic cost.
+func (t *txnState) readOf(key string) int {
+	for i := range t.reads {
+		if t.reads[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// pinnedBy reports whether the transaction holds a reader pin on id.
+func (t *txnState) pinnedBy(id idgen.ID) bool {
+	for i := range t.reads {
+		if t.reads[i].pinned && t.reads[i].id.Equal(id) {
+			return true
+		}
+	}
+	return false
 }
 
 // refreshLease extends the transaction's abandonment lease to the current
@@ -156,14 +187,7 @@ func (n *Node) StartTransaction(ctx context.Context) (string, error) {
 		return "", ErrOverloaded
 	}
 	id := n.gen.NewID()
-	t := &txnState{
-		uuid:     id.UUID,
-		startTS:  id.Timestamp,
-		writes:   make(map[string][]byte),
-		readSet:  make(map[string]idgen.ID),
-		readRecs: make(map[string]*records.CommitRecord),
-		pinned:   make(map[idgen.ID]bool),
-	}
+	t := &txnState{uuid: id.UUID, startTS: id.Timestamp}
 	// The wire layer deposits an inbound client trace context in ctx; a
 	// zero context self-samples per the tracer's policy.
 	t.trace = n.tracer.Begin(id.UUID, telemetry.TraceContextFrom(ctx))
@@ -242,6 +266,9 @@ func (n *Node) Put(ctx context.Context, txid, key string, value []byte) error {
 	if old, ok := t.writes[key]; ok {
 		t.buffered -= len(old)
 	}
+	if t.writes == nil {
+		t.writes = make(map[string][]byte)
+	}
 	t.writes[key] = v
 	t.buffered += len(v)
 	needSpill := n.cfg.SpillThreshold > 0 && t.buffered > n.cfg.SpillThreshold
@@ -249,10 +276,11 @@ func (n *Node) Put(ctx context.Context, txid, key string, value []byte) error {
 	var spillDir string
 	if needSpill {
 		// Move the entire buffer to the spill area; later writes to the
-		// same keys re-enter the buffer and take precedence at commit.
+		// same keys re-enter the buffer and take precedence, and the
+		// commit writes them over their spill objects.
 		spillItems = t.writes
 		spillDir = t.spillDir()
-		t.writes = make(map[string][]byte)
+		t.writes = nil
 		t.buffered = 0
 		if t.spilled == nil {
 			t.spilled = make(map[string]bool, len(spillItems))
@@ -269,12 +297,18 @@ func (n *Node) Put(ctx context.Context, txid, key string, value []byte) error {
 			sk := records.SpillKey(spillDir, k)
 			if err := n.store.Put(ctx, sk, val); err != nil {
 				// Spill failure is not fatal: restore the data to the
-				// buffer and carry on holding it in memory.
+				// buffer and carry on holding it in memory. The key stays
+				// in spilled — a failed Put may still have landed, as may
+				// an earlier spill of the key — so the commit writes its
+				// final value over any spill object and the record names
+				// it for the global GC.
 				t.mu.Lock()
 				if _, ok := t.writes[k]; !ok {
+					if t.writes == nil {
+						t.writes = make(map[string][]byte)
+					}
 					t.writes[k] = val
 					t.buffered += len(val)
-					delete(t.spilled, k)
 				}
 				t.mu.Unlock()
 				continue
@@ -282,7 +316,7 @@ func (n *Node) Put(ctx context.Context, txid, key string, value []byte) error {
 			// Write through to the data cache: a key spilled twice in one
 			// transaction overwrites its spill object, so the cached copy
 			// must be refreshed for the read path to stay coherent.
-			n.data.put(sk, val)
+			n.data.adopt(sk, val)
 		}
 	}
 	return nil
@@ -309,10 +343,13 @@ func (n *Node) AbortTransaction(ctx context.Context, txid string) error {
 	}
 	t.done = true
 	n.unpin(t)
-	spillDir := t.spillDir()
+	var spillDir string
 	var spilled []string
 	for k := range t.spilled {
 		spilled = append(spilled, k)
+	}
+	if len(spilled) > 0 {
+		spillDir = t.spillDir()
 	}
 	t.mu.Unlock()
 
@@ -327,7 +364,7 @@ func (n *Node) AbortTransaction(ctx context.Context, txid string) error {
 		spillKeys := make([]string, len(spilled))
 		for i, k := range spilled {
 			spillKeys[i] = records.SpillKey(spillDir, k)
-			n.data.evict(spillKeys[i])
+			n.data.evict([]byte(spillKeys[i]))
 		}
 		_ = n.store.BatchDelete(ctx, spillKeys)
 	}
@@ -381,11 +418,15 @@ func (n *Node) ReapExpired(ctx context.Context, grace time.Duration) int {
 // unpin releases the transaction's reader pins. The caller holds t.mu.
 func (n *Node) unpin(t *txnState) {
 	n.pinMu.Lock()
-	for id := range t.pinned {
-		if n.readers[id]--; n.readers[id] <= 0 {
-			delete(n.readers, id)
+	for i := range t.reads {
+		e := &t.reads[i]
+		if !e.pinned {
+			continue
 		}
+		if n.readers[e.id]--; n.readers[e.id] <= 0 {
+			delete(n.readers, e.id)
+		}
+		e.pinned = false
 	}
 	n.pinMu.Unlock()
-	clear(t.pinned)
 }

@@ -433,7 +433,11 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 // transaction crashed before committing. A spill directory is named
 // "<startTimestamp>_<uuid>"; it is an orphan if no commit record with that
 // UUID exists and its start timestamp is older than cutoff (a grace period
-// protects in-flight transactions). Returns the number of keys deleted.
+// protects in-flight transactions). A committed transaction's spill objects
+// are named by its record and deleted with its versions (CollectOnce), so
+// orphans are rare: the sweep lists the Commit Set at most once, and only
+// when some spill is old enough to be one, and deletes every orphan in one
+// BatchDelete. Returns the number of keys deleted.
 func (m *Manager) SweepSpills(ctx context.Context, cutoff int64) (int, error) {
 	keys, err := m.store.List(ctx, records.SpillPrefix)
 	if err != nil {
@@ -449,13 +453,11 @@ func (m *Manager) SweepSpills(ctx context.Context, cutoff int64) (int, error) {
 	}
 	m.mu.Unlock()
 
-	deleted := 0
+	var committed map[string]bool // UUIDs with a commit record in storage
+	var orphans []string
 	for _, sk := range keys {
 		dir, _, err := records.ParseSpillKey(sk)
-		if err != nil {
-			continue
-		}
-		if live[dir] {
+		if err != nil || live[dir] {
 			continue
 		}
 		id, err := idgen.Parse(dir)
@@ -464,30 +466,36 @@ func (m *Manager) SweepSpills(ctx context.Context, cutoff int64) (int, error) {
 		}
 		// The transaction may have committed without the manager knowing;
 		// check storage for a commit record carrying its UUID first.
-		if committed, err := m.uuidCommitted(ctx, id.UUID); err != nil {
-			return deleted, err
-		} else if committed {
-			continue
+		if committed == nil {
+			if committed, err = m.committedUUIDs(ctx); err != nil {
+				return 0, err
+			}
 		}
-		if err := m.store.Delete(ctx, sk); err != nil {
-			return deleted, err
+		if !committed[id.UUID] {
+			orphans = append(orphans, sk)
 		}
-		deleted++
 	}
-	return deleted, nil
+	if len(orphans) == 0 {
+		return 0, nil
+	}
+	if err := m.store.BatchDelete(ctx, orphans); err != nil {
+		return 0, err
+	}
+	return len(orphans), nil
 }
 
-// uuidCommitted reports whether any commit record in storage carries uuid.
-func (m *Manager) uuidCommitted(ctx context.Context, uuid string) (bool, error) {
+// committedUUIDs lists the Commit Set in storage and returns the UUIDs of
+// its records.
+func (m *Manager) committedUUIDs(ctx context.Context) (map[string]bool, error) {
 	keys, err := m.store.List(ctx, records.CommitPrefix)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
+	out := make(map[string]bool, len(keys))
 	for _, sk := range keys {
-		id, err := records.ParseCommitKey(sk)
-		if err == nil && id.UUID == uuid {
-			return true, nil
+		if id, err := records.ParseCommitKey(sk); err == nil {
+			out[id.UUID] = true
 		}
 	}
-	return false, nil
+	return out, nil
 }

@@ -66,32 +66,16 @@ func (id ID) Equal(other ID) bool {
 // String renders the ID as "<timestamp>_<uuid>", the form used to build
 // unique storage keys for key-versions and commit records.
 func (id ID) String() string {
-	var b strings.Builder
-	b.Grow(id.StringLen())
-	id.AppendTo(&b)
-	return b.String()
+	var b [128]byte
+	return string(id.Append(b[:0]))
 }
 
-// StringLen returns len(id.String()) without building the string, so a
-// storage-key builder embedding the ID can size its one buffer exactly.
-func (id ID) StringLen() int {
-	digits, u := 1, uint64(id.Timestamp)
-	if id.Timestamp < 0 {
-		digits, u = 2, -u
-	}
-	for ; u >= 10; u /= 10 {
-		digits++
-	}
-	return digits + 1 + len(id.UUID)
-}
-
-// AppendTo writes the String form of id to b. The timestamp is formatted
-// into a stack buffer, so the only allocation is b's own.
-func (id ID) AppendTo(b *strings.Builder) {
-	var ts [20]byte // len("-9223372036854775808")
-	b.Write(strconv.AppendInt(ts[:0], id.Timestamp, 10))
-	b.WriteByte('_')
-	b.WriteString(id.UUID)
+// Append appends the String form of id to dst. A storage-key builder
+// embeds the ID with it, assembling the whole key in one buffer.
+func (id ID) Append(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, id.Timestamp, 10)
+	dst = append(dst, '_')
+	return append(dst, id.UUID...)
 }
 
 // Parse decodes an ID previously rendered by String.
@@ -175,7 +159,14 @@ type Generator struct {
 	mu   sync.Mutex
 	seq  uint64
 	rnd  func([]byte) error
+	// entropy holds the random bytes of one rnd call, handed out 8 per ID
+	// from used on, so one call serves entropyIDs IDs.
+	entropy [8 * entropyIDs]byte
+	used    int
 }
+
+// entropyIDs is how many IDs one entropy refill serves.
+const entropyIDs = 64
 
 // NewGenerator returns a Generator that stamps IDs with clock and embeds the
 // node name in every UUID. If clock is nil a process-wide WallClock is used.
@@ -183,10 +174,12 @@ func NewGenerator(clock Clock, node string) *Generator {
 	if clock == nil {
 		clock = defaultWallClock
 	}
-	return &Generator{clock: clock, node: node, rnd: func(b []byte) error {
+	g := &Generator{clock: clock, node: node, rnd: func(b []byte) error {
 		_, err := rand.Read(b)
 		return err
 	}}
+	g.used = len(g.entropy)
+	return g
 }
 
 var defaultWallClock = &WallClock{}
@@ -195,38 +188,46 @@ var defaultWallClock = &WallClock{}
 // deterministic stream (simulation and chaos harnesses, where IDs must
 // reproduce bit-for-bit run over run). Uniqueness never depends on the
 // stream: UUIDs embed the node name and a sequence number, so two
-// generators sharing a seed still mint distinct IDs.
+// generators sharing a seed still mint distinct IDs. The stream's bytes do
+// not depend on how many are read at once, so IDs are the same whatever
+// the refill size.
 func (g *Generator) SeedEntropy(seed int64) {
 	rng := mrand.New(mrand.NewSource(seed))
-	var mu sync.Mutex
 	g.mu.Lock()
 	g.rnd = func(b []byte) error {
-		mu.Lock()
-		defer mu.Unlock()
 		_, err := rng.Read(b)
 		return err
 	}
+	g.used = len(g.entropy) // drop what the old source supplied
 	g.mu.Unlock()
 }
 
 // NewID mints a fresh transaction ID. The UUID layout is
 // "<node>-<seq>-<hex random>"; sequence numbers keep UUIDs unique even when
-// the random source misbehaves.
+// the random source misbehaves. The UUID is built in one allocation.
 func (g *Generator) NewID() ID {
+	var rnd [8]byte
 	g.mu.Lock()
 	g.seq++
 	seq := g.seq
-	rnd := g.rnd
+	if g.used == len(g.entropy) {
+		if err := g.rnd(g.entropy[:]); err != nil {
+			// Fall back to a time-derived value; uniqueness is preserved
+			// by the node name and sequence number.
+			for i := 0; i < len(g.entropy); i += 8 {
+				binary.BigEndian.PutUint64(g.entropy[i:], uint64(time.Now().UnixNano()))
+			}
+		}
+		g.used = 0
+	}
+	g.used += copy(rnd[:], g.entropy[g.used:])
 	g.mu.Unlock()
 
-	var buf [8]byte
-	if err := rnd(buf[:]); err != nil {
-		// Fall back to a time-derived value; uniqueness is preserved by
-		// the node name and sequence number.
-		binary.BigEndian.PutUint64(buf[:], uint64(time.Now().UnixNano()))
-	}
-	uuid := g.node + "-" + strconv.FormatUint(seq, 16) + "-" + hex.EncodeToString(buf[:])
-	return ID{Timestamp: g.clock.Now(), UUID: uuid}
+	var b [128]byte
+	u := append(append(b[:0], g.node...), '-')
+	u = append(strconv.AppendUint(u, seq, 16), '-')
+	u = hex.AppendEncode(u, rnd[:])
+	return ID{Timestamp: g.clock.Now(), UUID: string(u)}
 }
 
 // NewTimestamp returns a fresh commit timestamp without minting a UUID.

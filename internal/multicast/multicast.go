@@ -22,8 +22,13 @@ type Peer interface {
 	ID() string
 	// Drain returns commit records accumulated since the last call.
 	Drain() []*records.CommitRecord
-	// IsSuperseded implements Algorithm 2 against local state.
-	IsSuperseded(rec *records.CommitRecord) bool
+	// DrainPruned is Drain for a round that prunes (§4.1): superseded[i]
+	// reports whether recs[i] is superseded locally (Algorithm 2). The peer
+	// classifies in one step with the drain, so a local version that
+	// supersedes a pruned record is in this round's drain or an earlier
+	// one — never left for the next round while the record it supersedes
+	// is pruned from this one.
+	DrainPruned() (recs []*records.CommitRecord, superseded []bool)
 	// MergeRemoteCommits installs records committed by other peers.
 	MergeRemoteCommits(recs []*records.CommitRecord)
 	// SkipPruned learns of records another peer's broadcast round pruned
@@ -109,7 +114,13 @@ func (b *Bus) Peers() []string {
 // prune superseded (§4.1), deliver to all other registered peers. Returns
 // the number of records sent.
 func (b *Bus) FlushPeer(p Peer, prune bool) int {
-	recs := p.Drain()
+	var recs []*records.CommitRecord
+	var superseded []bool
+	if prune {
+		recs, superseded = p.DrainPruned()
+	} else {
+		recs = p.Drain()
+	}
 	b.mu.Lock()
 	taps := append([]Tap(nil), b.taps...)
 	others := make([]Peer, 0, len(b.peers))
@@ -131,8 +142,8 @@ func (b *Bus) FlushPeer(p Peer, prune bool) int {
 	var pruned []*records.CommitRecord
 	if prune {
 		send = send[:0:0]
-		for _, rec := range recs {
-			if p.IsSuperseded(rec) {
+		for i, rec := range recs {
+			if superseded[i] {
 				pruned = append(pruned, rec)
 				continue
 			}
@@ -221,6 +232,16 @@ func (m *Multicaster) round() int {
 	m.roundMu.Lock()
 	defer m.roundMu.Unlock()
 	return m.bus.FlushPeer(m.peer, m.prune)
+}
+
+// Settle returns once the round in progress at the call, if any, has
+// delivered. Flush covers this peer's own records, but a round of another
+// peer that is still delivering can carry the version that made this peer
+// prune an older one; so a barrier across peers flushes them all and then
+// settles them all.
+func (m *Multicaster) Settle() {
+	m.roundMu.Lock()
+	m.roundMu.Unlock()
 }
 
 // Stop halts the loop, runs a final flush, and unregisters the peer.

@@ -35,12 +35,16 @@ func checkKeyBuilders(t *testing.T, key, uuid string, ts int64) {
 	if got, want := id.String(), refID(id); got != want {
 		t.Fatalf("ID.String() = %q, want %q", got, want)
 	}
-	if got := id.StringLen(); got != len(refID(id)) {
-		t.Fatalf("ID.StringLen() = %d, want %d", got, len(refID(id)))
+	if got, want := string(id.Append([]byte("x"))), "x"+refID(id); got != want {
+		t.Fatalf("ID.Append = %q, want %q", got, want)
 	}
 	dk := DataKey(key, id)
 	if want := refDataKey(key, id); dk != want {
 		t.Fatalf("DataKey(%q, %v) = %q, want %q", key, id, dk, want)
+	}
+	rec := NewCommitRecord(id, []string{key}, "n")
+	if got := string(rec.AppendStorageKeyFor([]byte("x"), key)); got != "x"+dk {
+		t.Fatalf("AppendStorageKeyFor(%q) = %q, want %q", key, got, "x"+dk)
 	}
 	if got, want := DataKeyPrefix(key), DataPrefix+refEscape(key)+"/"; got != want {
 		t.Fatalf("DataKeyPrefix(%q) = %q, want %q", key, got, want)

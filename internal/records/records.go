@@ -51,10 +51,10 @@ func escapedLen(key string) int {
 	return n
 }
 
-// appendEscaped writes key to b with '%' and '/' (the layout separator)
+// appendEscaped appends key to dst with '%' and '/' (the layout separator)
 // escaped as "%25" and "%2F", so a user key is safe to embed in a storage
-// key. The common key holds neither byte and goes out in one write.
-func appendEscaped(b *strings.Builder, key string) {
+// key. The common key holds neither byte and goes out in one append.
+func appendEscaped(dst []byte, key string) []byte {
 	start := 0
 	for i := 0; i < len(key); i++ {
 		var esc string
@@ -66,11 +66,11 @@ func appendEscaped(b *strings.Builder, key string) {
 		default:
 			continue
 		}
-		b.WriteString(key[start:i])
-		b.WriteString(esc)
+		dst = append(dst, key[start:i]...)
+		dst = append(dst, esc...)
 		start = i + 1
 	}
-	b.WriteString(key[start:])
+	return append(dst, key[start:]...)
 }
 
 // escapeKey returns key as appendEscaped writes it.
@@ -79,10 +79,7 @@ func escapeKey(key string) string {
 	if n == len(key) {
 		return key
 	}
-	var b strings.Builder
-	b.Grow(n)
-	appendEscaped(&b, key)
-	return b.String()
+	return string(appendEscaped(make([]byte, 0, n), key))
 }
 
 // unescapeKey reverses escapeKey.
@@ -91,16 +88,24 @@ func unescapeKey(key string) string {
 	return strings.ReplaceAll(key, "%25", "%")
 }
 
+// keyBufLen sizes the stack buffer the string key builders assemble a key
+// in, so a key costs exactly its string; a longer key costs one more
+// allocation.
+const keyBufLen = 128
+
 // DataKey returns the unique storage key holding the version of key written
 // by transaction id.
 func DataKey(key string, id idgen.ID) string {
-	var b strings.Builder
-	b.Grow(len(DataPrefix) + escapedLen(key) + 1 + id.StringLen())
-	b.WriteString(DataPrefix)
-	appendEscaped(&b, key)
-	b.WriteByte('/')
-	id.AppendTo(&b)
-	return b.String()
+	var b [keyBufLen]byte
+	return string(appendDataKey(b[:0], key, id))
+}
+
+// appendDataKey appends DataKey(key, id) to dst.
+func appendDataKey(dst []byte, key string, id idgen.ID) []byte {
+	dst = append(dst, DataPrefix...)
+	dst = appendEscaped(dst, key)
+	dst = append(dst, '/')
+	return id.Append(dst)
 }
 
 // DataKeyPrefix returns the storage prefix under which all versions of key
@@ -131,11 +136,8 @@ func CommitKey(id idgen.ID) string { return prefixedID(CommitPrefix, id) }
 
 // prefixedID returns prefix + id.String() in one allocation.
 func prefixedID(prefix string, id idgen.ID) string {
-	var b strings.Builder
-	b.Grow(len(prefix) + id.StringLen())
-	b.WriteString(prefix)
-	id.AppendTo(&b)
-	return b.String()
+	var b [keyBufLen]byte
+	return string(id.Append(append(b[:0], prefix...)))
 }
 
 // ParseCommitKey decodes a storage key produced by CommitKey.
@@ -150,13 +152,16 @@ func ParseCommitKey(storageKey string) (idgen.ID, error) {
 // SpillKey returns the staging storage key for key within spill directory
 // dir (a "<startTimestamp>_<uuid>" string identifying the transaction).
 func SpillKey(dir, key string) string {
-	var b strings.Builder
-	b.Grow(len(SpillPrefix) + len(dir) + 1 + escapedLen(key))
-	b.WriteString(SpillPrefix)
-	b.WriteString(dir)
-	b.WriteByte('/')
-	appendEscaped(&b, key)
-	return b.String()
+	var b [keyBufLen]byte
+	return string(AppendSpillKey(b[:0], dir, key))
+}
+
+// AppendSpillKey appends SpillKey(dir, key) to dst.
+func AppendSpillKey(dst []byte, dir, key string) []byte {
+	dst = append(dst, SpillPrefix...)
+	dst = append(dst, dir...)
+	dst = append(dst, '/')
+	return appendEscaped(dst, key)
 }
 
 // ParseSpillKey decodes a storage key produced by SpillKey.
@@ -230,15 +235,22 @@ func (r *CommitRecord) ApproxBytes() int {
 // StorageKeyFor returns the storage key holding this transaction's version
 // of key, accounting for spilled payloads.
 func (r *CommitRecord) StorageKeyFor(key string) string {
+	var b [keyBufLen]byte
+	return string(r.AppendStorageKeyFor(b[:0], key))
+}
+
+// AppendStorageKeyFor appends StorageKeyFor(key) to dst, for a caller that
+// only looks the key up — a data-cache probe — and need not allocate it.
+func (r *CommitRecord) AppendStorageKeyFor(dst []byte, key string) []byte {
 	if r.Packed {
-		return PackKey(r.ID())
+		return r.ID().Append(append(dst, PackPrefix...))
 	}
 	for _, s := range r.Spilled {
 		if s == key {
-			return SpillKey(r.SpillDir, key)
+			return AppendSpillKey(dst, r.SpillDir, key)
 		}
 	}
-	return DataKey(key, r.ID())
+	return appendDataKey(dst, key, r.ID())
 }
 
 // ID returns the transaction ID of the record.

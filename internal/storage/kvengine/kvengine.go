@@ -103,24 +103,38 @@ func (e *Engine) PutAll(items map[string][]byte) {
 	}
 }
 
+// shardKey is one key of a batch with the shard that owns it.
+type shardKey struct {
+	shard int
+	k     string
+}
+
+// byShard appends keys to dst sorted by owning shard, so a batch takes each
+// shard lock once. Callers pass a stack buffer: batches up to its size
+// (DynamoDB's limit is 25) group without allocating.
+func (e *Engine) byShard(dst []shardKey, keys []string) []shardKey {
+	for _, k := range keys {
+		dst = append(dst, shardKey{e.ShardFor(k), k})
+	}
+	slices.SortFunc(dst, func(a, b shardKey) int { return a.shard - b.shard })
+	return dst
+}
+
 // GetAll returns copies of the values of every present key, grouping the
 // probes by shard so each shard lock is taken at most once. Missing keys
 // are absent from the result.
 func (e *Engine) GetAll(keys []string) map[string][]byte {
 	out := make(map[string][]byte, len(keys))
-	byShard := make(map[int][]string, len(e.shards))
-	for _, k := range keys {
-		i := e.ShardFor(k)
-		byShard[i] = append(byShard[i], k)
-	}
-	for i, ks := range byShard {
-		s := e.shards[i]
+	var buf [32]shardKey
+	sks := e.byShard(buf[:0], keys)
+	for i := 0; i < len(sks); {
+		s := e.shards[sks[i].shard]
 		s.mu.RLock()
-		for _, k := range ks {
-			if v, ok := s.data[k]; ok {
+		for shard := sks[i].shard; i < len(sks) && sks[i].shard == shard; i++ {
+			if v, ok := s.data[sks[i].k]; ok {
 				c := make([]byte, len(v))
 				copy(c, v)
-				out[k] = c
+				out[sks[i].k] = c
 			}
 		}
 		s.mu.RUnlock()
@@ -130,16 +144,13 @@ func (e *Engine) GetAll(keys []string) map[string][]byte {
 
 // DeleteAll removes every listed key, taking each shard lock at most once.
 func (e *Engine) DeleteAll(keys []string) {
-	byShard := make(map[int][]string, len(e.shards))
-	for _, k := range keys {
-		i := e.ShardFor(k)
-		byShard[i] = append(byShard[i], k)
-	}
-	for i, ks := range byShard {
-		s := e.shards[i]
+	var buf [32]shardKey
+	sks := e.byShard(buf[:0], keys)
+	for i := 0; i < len(sks); {
+		s := e.shards[sks[i].shard]
 		s.mu.Lock()
-		for _, k := range ks {
-			delete(s.data, k)
+		for shard := sks[i].shard; i < len(sks) && sks[i].shard == shard; i++ {
+			delete(s.data, sks[i].k)
 		}
 		s.mu.Unlock()
 	}

@@ -5,8 +5,9 @@
 // below is the same FNV-1a, inlined.
 package strhash
 
-// FNV32a returns the 32-bit FNV-1a hash of s.
-func FNV32a(s string) uint32 {
+// FNV32a returns the 32-bit FNV-1a hash of s. It takes bytes too, so a key
+// assembled in a buffer hashes without becoming a string first.
+func FNV32a[T string | []byte](s T) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])

@@ -118,8 +118,14 @@ func (e *Emitter) family(name, help, typ string) *Family {
 // Counter emits one counter sample. kv is alternating label name/value
 // pairs.
 func (e *Emitter) Counter(name, help string, v uint64, kv ...string) {
+	e.CounterFloat(name, help, float64(v), kv...)
+}
+
+// CounterFloat emits one counter sample with a fractional value (CPU
+// seconds, for instance).
+func (e *Emitter) CounterFloat(name, help string, v float64, kv ...string) {
 	f := e.family(name, help, "counter")
-	f.Samples = append(f.Samples, Sample{Labels: Labels(kv...), Value: float64(v)})
+	f.Samples = append(f.Samples, Sample{Labels: Labels(kv...), Value: v})
 }
 
 // Gauge emits one gauge sample.

@@ -3,6 +3,8 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"testing"
 
@@ -16,10 +18,34 @@ func TestEncodeErrNilAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestDispatchDeadlineCostsOneAlloc: a request that carries the client's
-// op budget may cost one allocation more than one that does not — the
-// deadline context itself. context.WithTimeout cost four, on every RPC.
-func TestDispatchDeadlineCostsOneAlloc(t *testing.T) {
+// TestReadFrameAllocatesNothing: once the conn's scratch buffer has grown
+// to the frame size, reading a frame allocates nothing — not even the
+// 4-byte length, which an io.ReadFull into a local array would move to the
+// heap on every frame.
+func TestReadFrameAllocatesNothing(t *testing.T) {
+	const frames = 201
+	var stream []byte
+	for i := 0; i < frames; i++ {
+		stream = appendRequestFrame(stream, uint64(i), &Request{Op: OpGet, TxID: "txn", Key: "k", DeadlineMillis: 500}, i%2 == 0)
+	}
+	br := bufio.NewReader(bytes.NewReader(stream))
+	var buf []byte
+	got := testing.AllocsPerRun(frames-1, func() {
+		if _, err := readFrame(br, &buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("readFrame: %v allocs/frame, want 0", got)
+	}
+}
+
+// TestDispatchAllocBudget: in steady state a server handler serves a Get
+// of a cached key, carrying the client's deadline, without allocating —
+// the handler's deadline context and response are reused and the node
+// appends the value into the response — and a Put allocates only the copy
+// of the value the node buffers.
+func TestDispatchAllocBudget(t *testing.T) {
 	node, err := core.NewNode(core.Config{
 		NodeID: "srv-alloc", Store: dynamosim.New(dynamosim.Options{}), EnableDataCache: true,
 	})
@@ -36,20 +62,23 @@ func TestDispatchDeadlineCostsOneAlloc(t *testing.T) {
 	}
 	txid, _ := node.StartTransaction(ctx)
 
-	get := func(deadlineMillis int64) float64 {
-		req := &Request{Op: OpGet, TxID: txid, Key: "k", DeadlineMillis: deadlineMillis}
-		resp := &Response{}
+	h := new(handler)
+	dispatch := func(req *Request) float64 {
 		return testing.AllocsPerRun(200, func() {
-			*resp = Response{}
-			srv.dispatch(srv.baseCtx, req, resp)
-			if resp.Code != ErrNone || string(resp.Value) != "v" {
-				t.Fatalf("Get = %q, code %d %s", resp.Value, resp.Code, resp.Message)
+			srv.dispatch(srv.baseCtx, h, req)
+			if h.resp.Code != ErrNone {
+				t.Fatalf("%s: code %d %s", opName(req.Op), h.resp.Code, h.resp.Message)
 			}
+			h.reset()
 		})
 	}
-	without, with := get(0), get(30_000)
-	t.Logf("OpGet dispatch: %v allocs without a deadline, %v with", without, with)
-	if with > without+1 {
-		t.Fatalf("the deadline costs %v allocs per dispatch, want at most 1", with-without)
+	get := dispatch(&Request{Op: OpGet, TxID: txid, Key: "k", DeadlineMillis: 30_000})
+	put := dispatch(&Request{Op: OpPut, TxID: txid, Key: "p", Value: []byte("value"), DeadlineMillis: 30_000})
+	t.Logf("dispatch with a deadline: Get %v allocs, Put %v", get, put)
+	if get != 0 {
+		t.Errorf("Get dispatch costs %v allocs, want 0", get)
+	}
+	if put > 1 {
+		t.Errorf("Put dispatch costs %v allocs, want at most 1 (the buffered value)", put)
 	}
 }

@@ -23,11 +23,11 @@ package wire
 // byte fields decode as nil: callers cannot tell empty from absent.
 //
 // Decoding is allocation-disciplined: frames are read into a per-conn
-// scratch buffer sized by its high-water mark, request strings are
+// scratch buffer sized by its high-water mark, request txids and keys are
 // interned per connection (a transaction's txid repeats for every op of
-// its lifetime), and Request/Response structs are pooled. Only bytes
-// whose ownership leaves the wire layer (a Get's value handed to the
-// caller) are freshly allocated.
+// its lifetime, a hot key for many transactions), and Request structs are
+// pooled. Only bytes whose ownership leaves the wire layer (a Get's value
+// handed to the caller) are freshly allocated.
 
 import (
 	"bufio"
@@ -149,13 +149,19 @@ type rawFrame struct {
 // aliases *buf: it is valid only until the next readFrame call. A clean
 // EOF at a frame boundary comes back as io.EOF; anything mid-frame (the
 // chaos layer's mid-frame resets land here) is io.ErrUnexpectedEOF or a
-// transport error.
+// transport error. The length is peeked out of br's own buffer: a local
+// array handed to io.ReadFull would escape through its interface argument,
+// one allocation per frame.
 func readFrame(br *bufio.Reader, buf *[]byte) (rawFrame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // EOF inside the length is mid-frame
+		}
 		return rawFrame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	br.Discard(4)
 	if n < frameHeaderLen {
 		return rawFrame{}, errFrameTruncated
 	}
@@ -245,51 +251,68 @@ func readBytesFresh(b []byte) ([]byte, []byte, error) {
 }
 
 // internTable deduplicates the hot request strings on a connection: a
-// transaction's txid arrives once per op for the whole txn lifetime, so
-// interning turns per-op string allocations into map hits. It is owned
-// by a single reader goroutine (no locking) and resets past a bound so
-// a long-lived connection cannot accumulate txids forever.
+// transaction's txid arrives once per op for the whole txn lifetime, and a
+// workload's hot keys arrive over and over, so interning turns per-op
+// string allocations into map hits. It is owned by a single reader
+// goroutine (no locking) and holds two generations of at most
+// internTableMax strings each: when the current one fills, it becomes the
+// old one and the previous old one is dropped, and a hit in the old
+// generation moves the string forward. A string survives as long as it
+// recurs within a generation's worth of distinct strings, so a keyspace
+// larger than one generation still hits on its hot keys, while a
+// long-lived connection cannot accumulate txids forever.
 type internTable struct {
-	m map[string]string
+	cur, old map[string]string
 }
 
-const internTableMax = 512
+const internTableMax = 2048
 
 func (t *internTable) get(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	if t.m == nil {
-		t.m = make(map[string]string, 64)
-	}
 	// The string(b) conversion in a map index expression does not
 	// allocate, so hits are allocation-free.
-	if s, ok := t.m[string(b)]; ok {
+	if s, ok := t.cur[string(b)]; ok {
 		return s
 	}
-	if len(t.m) >= internTableMax {
-		clear(t.m)
+	s, ok := t.old[string(b)]
+	if !ok {
+		s = string(b)
 	}
-	s := string(b)
-	t.m[s] = s
+	if len(t.cur) >= internTableMax {
+		t.cur, t.old = t.old, t.cur
+		clear(t.cur)
+	}
+	if t.cur == nil {
+		t.cur = make(map[string]string, 64)
+	}
+	t.cur[s] = s
 	return s
 }
 
+// readInterned is readString through the per-conn intern table.
+func readInterned(b []byte, it *internTable) (string, []byte, error) {
+	n, b, err := readUvarint(b)
+	if err != nil {
+		return "", nil, err
+	}
+	if uint64(len(b)) < n {
+		return "", nil, errFrameTruncated
+	}
+	return it.get(b[:n]), b[n:], nil
+}
+
 // decodeRequestFrame fills the pooled req from a frame payload, copying
-// every field out of the scratch buffer (via it for the interned txid).
+// every field out of the scratch buffer. The txid and the keys are
+// interned in it instead of allocated per request.
 func decodeRequestFrame(op byte, b []byte, req *Request, it *internTable) error {
 	req.Op = Op(op)
 	var err error
-	// txid: intern against the per-conn table instead of allocating.
-	n, b2, err := readUvarint(b)
-	if err != nil {
+	if req.TxID, b, err = readInterned(b, it); err != nil {
 		return err
 	}
-	if uint64(len(b2)) < n {
-		return errFrameTruncated
-	}
-	req.TxID, b = it.get(b2[:n]), b2[n:]
-	if req.Key, b, err = readString(b); err != nil {
+	if req.Key, b, err = readInterned(b, it); err != nil {
 		return err
 	}
 	if req.Value, b, err = readBytesReuse(b, req.Value); err != nil {
@@ -305,7 +328,7 @@ func decodeRequestFrame(op byte, b []byte, req *Request, it *internTable) error 
 	keys := req.Keys[:0]
 	for i := uint64(0); i < nk; i++ {
 		var k string
-		if k, b, err = readString(b); err != nil {
+		if k, b, err = readInterned(b, it); err != nil {
 			return err
 		}
 		keys = append(keys, k)
@@ -379,28 +402,34 @@ func decodeResponseFrame(code byte, b []byte, resp *Response) error {
 	return nil
 }
 
-// Request/Response pools for the framed paths. Reset retains byte-slice
-// capacity the next decode can reuse, but never capacity the wire layer
-// does not own (a server response's Value belongs to the node's cache).
+// Requests are pooled for the server's decoder, one pool for Puts and one
+// for every other op. Reset retains the Value capacity the next decode can
+// reuse — so a Put's value buffer goes to the next Put, not to a Get that
+// has no value and would leave the next Put to allocate — but not Keys,
+// whose backing array the node may retain. (Responses need no pool: each
+// server handler reuses its own, see handler.reset.)
+var requestPool, putRequestPool = newRequestPool(), newRequestPool()
 
-var requestPool = sync.Pool{New: func() any { return new(Request) }}
+func newRequestPool() *sync.Pool {
+	return &sync.Pool{New: func() any { return new(Request) }}
+}
 
-func getRequest() *Request { return requestPool.Get().(*Request) }
+func requestPoolFor(op Op) *sync.Pool {
+	if op == OpPut {
+		return putRequestPool
+	}
+	return requestPool
+}
+
+// getRequest returns a reset Request for decoding a frame of op.
+func getRequest(op Op) *Request { return requestPoolFor(op).Get().(*Request) }
 
 func putRequest(req *Request) {
+	pool := requestPoolFor(req.Op)
 	req.Op, req.TxID, req.Key = 0, "", ""
 	req.Value = req.Value[:0]
 	req.Keys = nil
 	req.TraceID, req.TraceSampled = "", false
 	req.Version, req.DeadlineMillis = 0, 0
-	requestPool.Put(req)
-}
-
-var responsePool = sync.Pool{New: func() any { return new(Response) }}
-
-func getResponse() *Response { return responsePool.Get().(*Response) }
-
-func putResponse(resp *Response) {
-	*resp = Response{}
-	responsePool.Put(resp)
+	pool.Put(req)
 }

@@ -222,8 +222,10 @@ func TestMultipleFramesOneBuffer(t *testing.T) {
 }
 
 // TestInternTableDeduplicates: the same txid bytes decode to the same
-// string header across ops, and the table resets at its bound instead
-// of growing without limit.
+// string header across ops; the table stays within two generations
+// instead of growing without limit; and a string that keeps recurring
+// survives generation turnover, so a keyspace larger than one generation
+// does not thrash.
 func TestInternTableDeduplicates(t *testing.T) {
 	var it internTable
 	a := it.get([]byte("txn-1"))
@@ -238,11 +240,17 @@ func TestInternTableDeduplicates(t *testing.T) {
 	if it.get(nil) != "" {
 		t.Fatal("empty bytes must intern to the empty string")
 	}
-	for i := 0; i < internTableMax+10; i++ {
+	hot := it.get([]byte("hot-key"))
+	for i := 0; i < 3*internTableMax; i++ {
 		it.get([]byte{byte(i), byte(i >> 8), 'x'})
+		if i%(internTableMax/2) == 0 {
+			if got := it.get([]byte("hot-key")); unsafeStringData(got) != unsafeStringData(hot) {
+				t.Fatalf("a recurring string was re-allocated after %d others", i)
+			}
+		}
 	}
-	if len(it.m) > internTableMax {
-		t.Fatalf("intern table grew to %d entries, bound is %d", len(it.m), internTableMax)
+	if n := len(it.cur) + len(it.old); n > 2*internTableMax {
+		t.Fatalf("intern table grew to %d entries, bound is %d", n, 2*internTableMax)
 	}
 }
 
@@ -250,16 +258,18 @@ func unsafeStringData(s string) *byte { return unsafe.StringData(s) }
 
 // TestRequestPoolResetIsComplete: a pooled Request handed back by
 // putRequest must not leak any previous op's fields into the next
-// decode — especially Keys, whose backing array the node may retain.
+// decode — especially Keys, whose backing array the node may retain — and
+// neither may a server handler's reused Response, which keeps only the
+// (emptied) value buffers the node reads into.
 func TestRequestPoolResetIsComplete(t *testing.T) {
-	req := getRequest()
+	req := getRequest(OpMultiGet)
 	req.Op, req.TxID, req.Key = OpMultiGet, "txn", "key"
 	req.Value = append(req.Value, 'v')
 	req.Keys = []string{"a", "b"}
 	req.TraceID, req.TraceSampled = "tr", true
 	req.Version, req.DeadlineMillis = 3, 99
 	putRequest(req)
-	got := getRequest()
+	got := getRequest(OpMultiGet)
 	defer putRequest(got)
 	if got.Op != 0 || got.TxID != "" || got.Key != "" || len(got.Value) != 0 ||
 		got.Keys != nil || got.TraceID != "" || got.TraceSampled ||
@@ -267,13 +277,20 @@ func TestRequestPoolResetIsComplete(t *testing.T) {
 		t.Fatalf("pooled request not reset: %+v", got)
 	}
 
-	resp := getResponse()
-	resp.Code, resp.TxID, resp.Value = ErrCodeOther, "t", []byte("v")
-	resp.Values, resp.Message, resp.CommitTS = [][]byte{{1}}, "m", 5
-	putResponse(resp)
-	gotR := getResponse()
-	defer putResponse(gotR)
-	if !reflect.DeepEqual(gotR, &Response{}) {
-		t.Fatalf("pooled response not reset: %+v", gotR)
+	var h handler
+	h.resp = Response{Code: ErrCodeOther, TxID: "t", Value: []byte("v"),
+		Values: [][]byte{{1}}, Message: "m", CommitTS: 5, Version: 4}
+	h.reset()
+	if len(h.resp.Value) != 0 || len(h.resp.Values) != 0 {
+		t.Fatalf("reused response keeps values: %+v", h.resp)
+	}
+	h.resp.Value, h.resp.Values = nil, nil
+	if !reflect.DeepEqual(h.resp, Response{}) {
+		t.Fatalf("reused response not reset: %+v", h.resp)
+	}
+	h.resp.Value = make([]byte, 0, retainedValueMax+1)
+	h.reset()
+	if h.resp.Value != nil {
+		t.Fatalf("reset kept a %d-byte buffer past the %d-byte bound", cap(h.resp.Value), retainedValueMax)
 	}
 }

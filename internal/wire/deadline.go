@@ -14,7 +14,9 @@ import (
 // Done channel, which only a parked wait needs (admission queue, coalesced
 // fetch, duplicate commit), is created — with its timer and its
 // registration on the parent — by the first Done call. dispatch cancels
-// the context when the handler returns, which releases both.
+// the context when the handler returns, which releases both. A handler
+// reuses its context for its next request unless a Done call armed it
+// (handler.deadline).
 //
 // Invariant under mu: done, once created, is open exactly while err is nil.
 type deadlineCtx struct {
@@ -33,7 +35,25 @@ type deadlineCtx struct {
 }
 
 func withDeadline(parent context.Context, d time.Duration) *deadlineCtx {
-	return &deadlineCtx{Context: parent, parentDone: parent.Done(), deadline: time.Now().Add(d)}
+	c := new(deadlineCtx)
+	c.reset(parent, d)
+	return c
+}
+
+// reset makes c a fresh context bounding d under parent. c must not be
+// armed: a released, never-armed context has no timer and no registration
+// left to fire.
+func (c *deadlineCtx) reset(parent context.Context, d time.Duration) {
+	c.Context, c.parentDone, c.deadline = parent, parent.Done(), time.Now().Add(d)
+	c.err = nil
+}
+
+// armed reports whether a Done call created the context's channel, timer
+// and parent registration.
+func (c *deadlineCtx) armed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.done != nil
 }
 
 func (c *deadlineCtx) Deadline() (time.Time, bool) {

@@ -59,7 +59,7 @@ func FuzzDecodeRequestFrame(f *testing.F) {
 	f.Add(seed[4], seed[4+frameHeaderLen:])
 	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
 		var it internTable
-		req := getRequest()
+		req := getRequest(Op(op))
 		defer putRequest(req)
 		if err := decodeRequestFrame(op, payload, req, &it); err != nil {
 			return

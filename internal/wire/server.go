@@ -146,21 +146,27 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.serveFrames(cctx, conn, br)
 }
 
-// serveFrames is the conn's life after the preface: decode frames,
-// dispatch each request to its own handler goroutine, and let the
-// shared frameWriter interleave and group-flush responses in completion
-// order. Pings — the client's hello among them — are answered inline
-// from a preserialized response naming the node and its version; the
-// pure wire-path round trip allocates nothing.
+// serveFrames is the conn's life after the preface: decode frames, hand
+// each request to a handler goroutine, and let the shared frameWriter
+// interleave and group-flush responses in completion order. Pings — the
+// client's hello among them — are answered inline from a preserialized
+// response naming the node and its version; the pure wire-path round trip
+// allocates nothing.
+//
+// Handlers outlive one request: the reader hands a decoded request to an
+// idle handler, and starts a new one only when every handler of the conn
+// is busy — so a commit parked in a flush wait never delays the frames
+// behind it, while a steady stream of requests spawns nothing. Handlers
+// exit when the conn closes.
 func (s *Server) serveFrames(ctx context.Context, conn net.Conn, br *bufio.Reader) {
-	fw := newFrameWriter(conn, &s.metrics)
-	var wg sync.WaitGroup
-	// Handlers first (they produce into fw), then stop fw's writer.
-	defer fw.close()
-	defer wg.Wait()
+	c := &connServer{s: s, ctx: ctx, fw: newFrameWriter(conn, &s.metrics), work: make(chan frameJob)}
+	// Idle handlers first (closing work ends them), then the busy ones
+	// (they produce into fw), then stop fw's writer.
+	defer c.fw.close()
+	defer c.handlers.Wait()
+	defer close(c.work)
 	var buf []byte
 	var it internTable
-	var depth atomic.Int64
 	pingResp := Response{Value: []byte(s.node.ID()), Version: ProtocolVersion}
 	for {
 		f, err := readFrame(br, &buf)
@@ -176,34 +182,104 @@ func (s *Server) serveFrames(ctx context.Context, conn net.Conn, br *bufio.Reade
 		s.metrics.FramesRecv.Add(1)
 		s.metrics.BytesRecv.Add(int64(len(f.payload) + frameHeaderLen + 4))
 		if Op(f.code) == OpPing {
-			if err := fw.writeResponse(f.id, &pingResp, f.crc); err != nil {
+			if err := c.fw.writeResponse(f.id, &pingResp, f.crc); err != nil {
 				s.logf("wire: write frame: %v", err)
 				return
 			}
 			continue
 		}
-		req := getRequest()
+		req := getRequest(Op(f.code))
 		if err := decodeRequestFrame(f.code, f.payload, req, &it); err != nil {
 			// Corrupt framing cannot be resynced; kill the conn.
 			putRequest(req)
 			s.logf("wire: decode frame: %v", err)
 			return
 		}
-		wg.Add(1)
-		s.metrics.observeDepth(depth.Add(1))
+		s.metrics.observeDepth(c.depth.Add(1))
 		// A reply carries a CRC trailer exactly when its request did.
-		go func(id uint64, crc bool, req *Request) {
-			defer wg.Done()
-			defer depth.Add(-1)
-			resp := getResponse()
-			s.dispatch(ctx, req, resp)
-			if err := fw.writeResponse(id, resp, crc); err != nil {
-				s.logf("wire: write frame: %v", err)
-			}
-			putRequest(req)
-			putResponse(resp)
-		}(f.id, f.crc, req)
+		j := frameJob{id: f.id, crc: f.crc, req: req}
+		select {
+		case c.work <- j: // an idle handler took it
+		default:
+			c.handlers.Add(1)
+			go c.handle(j)
+		}
 	}
+}
+
+// connServer is the request-serving side of one conn.
+type connServer struct {
+	s        *Server
+	ctx      context.Context
+	fw       *frameWriter
+	work     chan frameJob // unbuffered: a send succeeds only to an idle handler
+	handlers sync.WaitGroup
+	depth    atomic.Int64
+}
+
+// frameJob is one decoded request and the frame fields its reply echoes.
+type frameJob struct {
+	id  uint64
+	crc bool
+	req *Request
+}
+
+// handle serves j, then every request an idle handler is handed, until
+// the conn closes.
+func (c *connServer) handle(j frameJob) {
+	defer c.handlers.Done()
+	h := new(handler)
+	for ok := true; ok; j, ok = <-c.work {
+		c.s.dispatch(c.ctx, h, j.req)
+		if err := c.fw.writeResponse(j.id, &h.resp, j.crc); err != nil {
+			c.s.logf("wire: write frame: %v", err)
+		}
+		putRequest(j.req)
+		h.reset()
+		c.depth.Add(-1)
+	}
+}
+
+// handler is one handler goroutine's state, reused from request to
+// request: the response the node reads into, and a deadline context.
+type handler struct {
+	resp Response
+	dctx *deadlineCtx
+}
+
+// retainedValueMax bounds the value buffers a handler keeps between
+// requests, so one large read does not stay pinned by an idle handler.
+const retainedValueMax = 64 << 10
+
+// reset readies h for its next request, keeping the value buffers the node
+// reads into (the frameWriter has already copied the reply out).
+func (h *handler) reset() {
+	value, values := h.resp.Value[:0], h.resp.Values[:0]
+	if cap(value) > retainedValueMax {
+		value = nil
+	}
+	for _, v := range h.resp.Values {
+		if cap(v) > retainedValueMax {
+			values = nil
+			break
+		}
+	}
+	h.resp = Response{Value: value, Values: values}
+}
+
+// deadline returns a context bounding one request to d under parent. The
+// handler's previous context is reused unless a wait armed it: an armed
+// context's timer and parent registration may still fire, so it is dropped
+// for a fresh one. Reuse is safe because nothing outlives the request it
+// was given: the node's only goroutine, the group-commit drainer, runs
+// under context.Background, and code that derives a cancelable child or
+// waits on Done arms the context first.
+func (h *handler) deadline(parent context.Context, d time.Duration) *deadlineCtx {
+	if h.dctx == nil || h.dctx.armed() {
+		h.dctx = new(deadlineCtx)
+	}
+	h.dctx.reset(parent, d)
+	return h.dctx
 }
 
 func opName(op Op) string {
@@ -227,9 +303,10 @@ func opName(op Op) string {
 	}
 }
 
-// dispatch runs one request against the node, under a wire.dispatch span
-// for traced transactions so server-side queueing shows up in traces.
-func (s *Server) dispatch(ctx context.Context, req *Request, resp *Response) {
+// dispatch runs one request against the node into h.resp, under a
+// wire.dispatch span for traced transactions so server-side queueing shows
+// up in traces.
+func (s *Server) dispatch(ctx context.Context, h *handler, req *Request) {
 	if tr := s.node.TraceOf(req.TxID); tr != nil {
 		sp := tr.StartSpan("wire.dispatch")
 		sp.Annotate("op", opName(req.Op))
@@ -239,10 +316,11 @@ func (s *Server) dispatch(ctx context.Context, req *Request, resp *Response) {
 	// means work the client has already given up on is abandoned at the
 	// node's next ctx check instead of burning a concurrency slot.
 	if req.DeadlineMillis > 0 {
-		dctx := withDeadline(ctx, time.Duration(req.DeadlineMillis)*time.Millisecond)
+		dctx := h.deadline(ctx, time.Duration(req.DeadlineMillis)*time.Millisecond)
 		defer dctx.cancel(context.Canceled)
 		ctx = dctx
 	}
+	resp := &h.resp
 	var err error
 	switch req.Op {
 	case OpStart:
@@ -256,9 +334,10 @@ func (s *Server) dispatch(ctx context.Context, req *Request, resp *Response) {
 		}
 		resp.TxID, err = s.node.StartTransaction(ctx)
 	case OpGet:
-		resp.Value, err = s.node.Get(ctx, req.TxID, req.Key)
+		// The node appends the value straight into the reused response.
+		resp.Value, err = s.node.AppendGet(ctx, req.TxID, req.Key, resp.Value[:0])
 	case OpMultiGet:
-		resp.Values, err = s.node.MultiGet(ctx, req.TxID, req.Keys)
+		resp.Values, err = s.node.AppendMultiGet(ctx, req.TxID, req.Keys, resp.Values[:0])
 	case OpPut:
 		err = s.node.Put(ctx, req.TxID, req.Key, req.Value)
 	case OpCommit:

@@ -13,7 +13,9 @@
 #   * /events serves the flight-recorder journal with the WAL
 #     checkpoints the run produced;
 #   * /healthz serves per-objective SLO burn-rate verdicts;
-#   * aft_build_info and the observability-plane families are exported;
+#   * aft_build_info and the observability-plane families are exported,
+#     and so are the Go runtime's allocation and GC counters (aft_go_*),
+#     with a nonzero heap-object count;
 #   * /statz returns application/json with the documented schema fields.
 #
 # Run from the repository root: ./scripts/observability_smoke.sh
@@ -81,7 +83,9 @@ for fam in \
     aft_traces_started_total aft_traces_kept_total \
     aft_build_info aft_trace_evicted_total aft_traces_foreign_total \
     aft_trace_segments_forwarded_total aft_stitched_traces \
-    aft_events_recorded_total aft_slo_target aft_slo_verdict aft_slo_burn_rate; do
+    aft_events_recorded_total aft_slo_target aft_slo_verdict aft_slo_burn_rate \
+    aft_go_heap_alloc_objects_total aft_go_heap_alloc_bytes_total \
+    aft_go_gc_cycles_total aft_go_gc_cpu_seconds_total; do
     printf '%s\n' "$metrics" | grep -q "^$fam" ||
         { echo "FAIL: /metrics missing family $fam"; exit 1; }
 done
@@ -92,6 +96,12 @@ committed=$(printf '%s\n' "$metrics" | grep '^aft_node_txns_committed_total' | a
 # -checkpoint-interval 300ms must have landed at least one checkpoint by now.
 ckpts=$(printf '%s\n' "$metrics" | grep '^aft_wal_checkpoints_total' | awk '{print $2}')
 [ "${ckpts%.*}" -ge 1 ] || { echo "FAIL: expected >=1 WAL checkpoint, got $ckpts"; exit 1; }
+
+# The runtime counters are read at scrape time; a server that has served
+# transactions has allocated.
+objects=$(printf '%s\n' "$metrics" | grep '^aft_go_heap_alloc_objects_total' | awk '{print $2}')
+awk -v v="$objects" 'BEGIN { exit !(v + 0 > 0) }' ||
+    { echo "FAIL: aft_go_heap_alloc_objects_total = $objects, want > 0"; exit 1; }
 
 # aft_build_info must carry the toolchain version label.
 printf '%s\n' "$metrics" | grep '^aft_build_info' | grep -q 'goversion="go' ||
