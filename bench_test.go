@@ -698,3 +698,66 @@ func storeMetrics(b *testing.B, n *core.Node) storage.Snapshot {
 	}
 	return sm.Metrics().Snapshot()
 }
+
+// rttStore adds a fixed round trip to every write call of the engine it
+// wraps, so a commit's wall time counts the round trips it waited out.
+type rttStore struct {
+	storage.Store
+	rtt time.Duration
+}
+
+func (s rttStore) Put(ctx context.Context, key string, value []byte) error {
+	time.Sleep(s.rtt)
+	return s.Store.Put(ctx, key, value)
+}
+
+func (s rttStore) BatchPut(ctx context.Context, items map[string][]byte) error {
+	time.Sleep(s.rtt)
+	return s.Store.BatchPut(ctx, items)
+}
+
+// BenchmarkCommitPhases measures the round trips one commit waits out where
+// a write phase is more than one storage call: 8 keys on an engine without
+// batch writes (Redis), 60 keys at DynamoDB's 25-item batch limit. Every
+// write call costs a fixed 1 ms, and waits/commit is the commit's wall time
+// in those round trips: about 2 (data, then record) when a phase sends its
+// calls together, 9 and 4 when they go one after another.
+func BenchmarkCommitPhases(b *testing.B) {
+	const rtt = time.Millisecond
+	payload := workload.Payload(1, 1024)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		store storage.Store
+		keys  int
+	}{
+		{"redis/keys=8", redissim.New(redissim.Options{}), 8},
+		{"dynamodb/keys=60", dynamosim.New(dynamosim.Options{}), 60},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			n, err := core.NewNode(core.Config{NodeID: "phases", Store: rttStore{tc.store, rtt}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				txid, err := n.StartTransaction(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for k := range tc.keys {
+					if err := n.Put(ctx, txid, fmt.Sprintf("k%02d", k), payload); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if _, err := n.CommitTransaction(ctx, txid); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(rtt), "waits/commit")
+		})
+	}
+}

@@ -133,7 +133,10 @@ func TestReadCostIndependentOfHistory(t *testing.T) {
 			}
 			n.AbortTransaction(ctx, txid)
 		}
-		for i := 0; i < 100; i++ {
+		// Warm up until the node's transaction IDs have four hex digits of
+		// sequence number, as every measured one then does: the UUID
+		// carries the sequence, so each extra digit adds bytes to an op.
+		for i := 0; i < 0x1000; i++ {
 			op()
 		}
 		// The least of a few rounds: anything else the process allocates

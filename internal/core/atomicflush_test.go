@@ -175,29 +175,44 @@ func TestOrderedEngineFlushKeepsTwoPhases(t *testing.T) {
 }
 
 // TestFlushSpanCountsCalls: a traced commit's gc.flush span says how many
-// storage round trips its flush waited out, which is which path it took.
+// storage calls its flush sent, which is which path it took: the atomic
+// path is one call, the ordered one two, or more when a phase is several
+// chunks (five keys at a batch limit of two are three data calls).
 func TestFlushSpanCountsCalls(t *testing.T) {
+	two := map[string]string{"a": "1", "b": "2"}
+	five := map[string]string{"a": "1", "b": "2", "c": "3", "d": "4", "e": "5"}
 	for _, tc := range []struct {
-		atomic bool
-		want   string
-	}{{true, "1"}, {false, "2"}} {
+		name  string
+		store func() storage.Store
+		kvs   map[string]string
+		calls string
+	}{
+		{"atomic", func() storage.Store {
+			return &callLogStore{Store: dynamosim.New(dynamosim.Options{}), atomic: true}
+		}, two, "1"},
+		{"ordered", func() storage.Store {
+			return &callLogStore{Store: dynamosim.New(dynamosim.Options{})}
+		}, two, "2"},
+		{"chunked", func() storage.Store {
+			return newRendezvousStore(storage.Capabilities{BatchWrites: true, MaxBatchSize: 2}, 3, 1)
+		}, five, "4"},
+	} {
 		tracer := telemetry.NewTracer(telemetry.TracerOptions{Node: "n", SampleEvery: 1, SlowThreshold: -1})
-		store := &callLogStore{Store: dynamosim.New(dynamosim.Options{}), atomic: tc.atomic}
-		n, err := NewNode(Config{NodeID: "n", Store: store, Tracer: tracer})
+		n, err := NewNode(Config{NodeID: "n", Store: tc.store(), Tracer: tracer})
 		if err != nil {
 			t.Fatal(err)
 		}
-		commitTxn(t, n, map[string]string{"a": "1", "b": "2"})
-		var got string
+		commitTxn(t, n, tc.kvs)
+		var calls string
 		for _, rec := range tracer.Snapshot() {
 			for _, sp := range rec.Spans {
 				if sp.Name == "gc.flush" {
-					got = sp.Attrs["calls"]
+					calls = sp.Attrs["calls"]
 				}
 			}
 		}
-		if got != tc.want {
-			t.Fatalf("atomic=%v: gc.flush calls = %q, want %q", tc.atomic, got, tc.want)
+		if calls != tc.calls {
+			t.Fatalf("%s: gc.flush calls = %q, want %q", tc.name, calls, tc.calls)
 		}
 	}
 }

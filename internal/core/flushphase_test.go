@@ -1,0 +1,255 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"aft/internal/records"
+	"aft/internal/storage"
+	"aft/internal/storage/dynamosim"
+)
+
+// A write phase's storage writes are independent, so the flush sends all
+// of a phase's calls at once and waits out one round trip per phase. These
+// tests hold every call of a phase until all of them are in flight: a flush
+// that sent them one after another would never gather them.
+
+// capsStore reports caps in place of the inner engine's capabilities.
+type capsStore struct {
+	storage.Store
+	caps storage.Capabilities
+}
+
+func (s capsStore) Capabilities() storage.Capabilities { return s.caps }
+
+// rendezvousWait is how long a call waits for the rest of its phase.
+const rendezvousWait = 5 * time.Second
+
+// rendezvousStore holds each write call until expect[phase] calls of its
+// phase (0: data, 1: commit records) have arrived, then lets them all go.
+// A phase whose calls never run together times out, and from then on every
+// write fails at once. It also notes any record call that begins while a
+// data call is still running, which §3.3 forbids.
+type rendezvousStore struct {
+	storage.Store
+	caps   storage.Capabilities
+	expect [2]int
+	all    [2]chan struct{}
+	// delay is slept inside every call, after the rendezvous.
+	delay time.Duration
+
+	mu         sync.Mutex
+	arrived    [2]int
+	running    [2]int
+	maxRunning [2]int
+	early      bool
+	broken     bool
+}
+
+func newRendezvousStore(caps storage.Capabilities, dataCalls, recordCalls int) *rendezvousStore {
+	s := &rendezvousStore{Store: dynamosim.New(dynamosim.Options{}), caps: caps, expect: [2]int{dataCalls, recordCalls}}
+	for p := range s.all {
+		s.all[p] = make(chan struct{})
+	}
+	return s
+}
+
+func (s *rendezvousStore) Capabilities() storage.Capabilities { return s.caps }
+
+func (s *rendezvousStore) enter(key string) (int, error) {
+	p := 0
+	if strings.HasPrefix(key, records.CommitPrefix) {
+		p = 1
+	}
+	s.mu.Lock()
+	if p == 1 && s.running[0] > 0 {
+		s.early = true
+	}
+	s.running[p]++
+	s.maxRunning[p] = max(s.maxRunning[p], s.running[p])
+	s.arrived[p]++
+	if s.arrived[p] == s.expect[p] {
+		close(s.all[p])
+	}
+	broken := s.broken
+	s.mu.Unlock()
+	if broken {
+		return p, errors.New("rendezvous: an earlier phase never gathered")
+	}
+	select {
+	case <-s.all[p]:
+		time.Sleep(s.delay)
+		return p, nil
+	case <-time.After(rendezvousWait):
+		s.mu.Lock()
+		s.broken = true
+		s.mu.Unlock()
+		return p, fmt.Errorf("rendezvous: the phase's %d calls were never in flight together", s.expect[p])
+	}
+}
+
+func (s *rendezvousStore) exit(p int) {
+	s.mu.Lock()
+	s.running[p]--
+	s.mu.Unlock()
+}
+
+func (s *rendezvousStore) Put(ctx context.Context, key string, value []byte) error {
+	p, err := s.enter(key)
+	defer s.exit(p)
+	if err != nil {
+		return err
+	}
+	return s.Store.Put(ctx, key, value)
+}
+
+func (s *rendezvousStore) BatchPut(ctx context.Context, items map[string][]byte) error {
+	var key string
+	for key = range items {
+		break // a flush phase's batch holds one kind of write
+	}
+	p, err := s.enter(key)
+	defer s.exit(p)
+	if err != nil {
+		return err
+	}
+	return s.Store.BatchPut(ctx, items)
+}
+
+// requireWritten fails t unless every write of reqs is in store.
+func requireWritten(t *testing.T, store storage.Store, reqs ...*commitReq) {
+	t.Helper()
+	for _, req := range reqs {
+		if req.err != nil {
+			t.Fatalf("member failed: %v", req.err)
+		}
+		for _, it := range req.writes {
+			if v, err := store.Get(context.Background(), it.key); err != nil || string(v) != string(it.val) {
+				t.Fatalf("%s = %q, %v", it.key, v, err)
+			}
+		}
+	}
+}
+
+// TestPhaseSendsItsChunksTogether: seven data items at a batch limit of two
+// are four calls (three BatchPuts and a Put) in flight together; the four
+// records are two more, sent once every data call has returned.
+func TestPhaseSendsItsChunksTogether(t *testing.T) {
+	store := newRendezvousStore(storage.Capabilities{BatchWrites: true, MaxBatchSize: 2}, 4, 2)
+	n, err := NewNode(Config{NodeID: "phase", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c, d := mkCommitReq(t, 1, "a1", "a2"), mkCommitReq(t, 2, "b1"), mkCommitReq(t, 3, "c1", "c2", "c3"), mkCommitReq(t, 4, "d1")
+	sc := flushScratchPool.Get().(*flushScratch)
+	sc.batch = append(sc.batch, a, b, c, d)
+	n.flushCommits(context.Background(), sc)
+	sc.release()
+
+	requireWritten(t, store.Store, a, b, c, d)
+	if store.arrived != [2]int{4, 2} {
+		t.Fatalf("calls (data, records) = %v, want [4 2]", store.arrived)
+	}
+	if store.maxRunning != [2]int{4, 2} {
+		t.Fatalf("most calls in flight (data, records) = %v, want [4 2]", store.maxRunning)
+	}
+	if store.early {
+		t.Fatal("a record write began while a data write was still running")
+	}
+	if got := n.MetadataSize(); got != 4 {
+		t.Fatalf("installed records = %d, want 4", got)
+	}
+}
+
+// TestPointEngineCommitIsTwoRoundTrips: on an engine without batch writes a
+// six-key commit sends its six data Puts together, then its record.
+func TestPointEngineCommitIsTwoRoundTrips(t *testing.T) {
+	store := newRendezvousStore(storage.Capabilities{}, 6, 1)
+	n, err := NewNode(Config{NodeID: "point", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvs := map[string]string{}
+	for i := range 6 {
+		kvs[fmt.Sprintf("k%d", i)] = fmt.Sprintf("v%d", i)
+	}
+	commitTxn(t, n, kvs)
+	if store.early {
+		t.Fatal("the record write began while a data write was still running")
+	}
+	if store.maxRunning != [2]int{6, 1} {
+		t.Fatalf("most calls in flight (data, records) = %v, want [6 1]", store.maxRunning)
+	}
+	if store.arrived != [2]int{6, 1} {
+		t.Fatalf("calls (data, records) = %v, want [6 1]", store.arrived)
+	}
+	ctx := context.Background()
+	txid, _ := n.StartTransaction(ctx)
+	for k, v := range kvs {
+		if got, err := n.Get(ctx, txid, k); err != nil || string(got) != v {
+			t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
+		}
+	}
+	n.AbortTransaction(ctx, txid)
+}
+
+// TestPhaseFanoutIsBounded: a phase of more calls than maxCallsInFlight has
+// exactly that many outstanding at its peak, and still writes everything.
+func TestPhaseFanoutIsBounded(t *testing.T) {
+	keys := 3*maxCallsInFlight + 5
+	store := newRendezvousStore(storage.Capabilities{}, maxCallsInFlight, 1)
+	store.delay = 100 * time.Microsecond
+	n, err := NewNode(Config{NodeID: "wide", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvs := map[string]string{}
+	for i := range keys {
+		kvs[fmt.Sprintf("k%03d", i)] = "v"
+	}
+	commitTxn(t, n, kvs)
+	if got := store.maxRunning[0]; got != maxCallsInFlight {
+		t.Fatalf("most data calls in flight = %d, want %d", got, maxCallsInFlight)
+	}
+	if store.early {
+		t.Fatal("the record write began while a data write was still running")
+	}
+	if want := [2]int{keys, 1}; store.arrived != want {
+		t.Fatalf("calls (data, records) = %v, want %v", store.arrived, want)
+	}
+}
+
+// TestConcurrentChunksFailOnlyTheirOwners: chunks written side by side
+// still attribute a partial batch's loss to the one member whose item
+// cannot be written; that member's record is never written, and its
+// flush-mates commit.
+func TestConcurrentChunksFailOnlyTheirOwners(t *testing.T) {
+	inner := dynamosim.New(dynamosim.Options{})
+	store := capsStore{Store: lossyBatchStore{inner}, caps: storage.Capabilities{BatchWrites: true, MaxBatchSize: 2}}
+	n, err := NewNode(Config{NodeID: "lossy", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Data chunks [a1 a2] [b1 b-lost] [b3 c1]; records [a c].
+	a, b, c := mkCommitReq(t, 1, "a1", "a2"), mkCommitReq(t, 2, "b1", "b-lost", "b3"), mkCommitReq(t, 3, "c1")
+	sc := flushScratchPool.Get().(*flushScratch)
+	sc.batch = append(sc.batch, a, b, c)
+	n.flushCommits(context.Background(), sc)
+	sc.release()
+
+	requireWritten(t, inner, a, c)
+	if b.err == nil || !strings.Contains(b.err.Error(), "aft: persisting write set") {
+		t.Fatalf("loser's error = %v, want a write-set failure", b.err)
+	}
+	if _, err := inner.Get(context.Background(), recordOf(b)[0].key); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("loser's commit record was written: %v", err)
+	}
+	if got := n.MetadataSize(); got != 2 {
+		t.Fatalf("installed records = %d, want the 2 winners", got)
+	}
+}

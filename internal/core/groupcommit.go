@@ -7,8 +7,9 @@ package core
 //
 // The pipeline is leader-based (the classic WAL group-commit shape; no
 // persistent background goroutine or shutdown hook — the only goroutines
-// it spawns are short-lived drainers, started when a leader leaves work
-// queued behind it, that exit once the queue empties): a committing
+// it spawns are short-lived: drainers, started when a leader leaves work
+// queued behind it, that exit once the queue empties, and the workers of a
+// write phase of several calls, which the phase waits for): a committing
 // goroutine enqueues its request and, if a flusher slot is free, becomes a
 // flusher; it drains the queue, performs the batched writes for the
 // drained transactions, and signals each waiter. Transactions that arrive
@@ -40,7 +41,15 @@ package core
 //     crash whole or not at all, so a record cannot outlive its data; and
 //     if the call fails, writeChunk's item-by-item retry walks the items in
 //     order and drops a failed member's remainder, which is data before
-//     record per member again.
+//     record per member again. Such an engine takes a batch of any size
+//     (storage.Capabilities), so this phase is always that one call.
+//
+// A phase's writes are independent of each other — §3.3 orders only a
+// transaction's own data before its own record, which the phases already
+// do — so a phase sends all of its storage calls at once (up to
+// maxCallsInFlight) and waits for the slowest: one round trip per phase,
+// whether the phase is one BatchPut, several chunks of the engine's batch
+// limit, or one point Put per item on an engine without batch writes.
 //
 // Only then does the visibility phase install the records into the metadata
 // stripes and enqueue the whole flush as ONE append to the multicast queue.
@@ -50,9 +59,10 @@ package core
 //
 // flushCommits is the node's one write routine: the direct path (engines
 // without a batch primitive) runs it over a one-request batch. Its working
-// memory — the member list, the current chunk's items and the map handed
-// to BatchPut — is a pooled flushScratch, so a flush allocates nothing of
-// its own.
+// memory — the member list, the phase's items and the maps handed to
+// BatchPut — is a pooled flushScratch, so a flush whose phases are one call
+// each allocates nothing of its own; a phase of several calls adds only
+// the goroutines that carry them.
 
 import (
 	"context"
@@ -101,11 +111,14 @@ func dataOf(req *commitReq) []kv   { return req.writes[:len(req.writes)-1] }
 func recordOf(req *commitReq) []kv { return req.writes[len(req.writes)-1:] }
 func writesOf(req *commitReq) []kv { return req.writes }
 
-// flushItem is one pending write of the chunk being assembled, with the
+// flushItem is one pending write of the phase being written, with the
 // index in flushScratch.batch of the request that owns it.
 type flushItem struct {
 	kv
 	owner int
+	// err is the outcome of the item's point write, set by the one chunk
+	// writer that owns the item and read once the whole phase has returned.
+	err error
 }
 
 // flushScratch is the working memory of one flushCommits call, pooled
@@ -113,22 +126,26 @@ type flushItem struct {
 type flushScratch struct {
 	// batch are the flush's member requests.
 	batch []*commitReq
-	// items is the chunk being assembled: at most batchLimit() writes.
+	// items are the phase being written, cut into chunks of at most
+	// batchLimit() items.
 	items []flushItem
-	// chunk is the BatchPut argument, refilled from items for every call
-	// and cleared after it: storage.Store.BatchPut may neither retain nor
-	// mutate it.
-	chunk map[string][]byte
+	// maps are the BatchPut arguments, one per chunk of the phase, each
+	// filled for its call and cleared after it: storage.Store.BatchPut may
+	// neither retain nor mutate it. An engine without batch writes needs
+	// none.
+	maps []map[string][]byte
+	// next hands a multi-call phase's chunks to the goroutines writing
+	// them; wg waits for those goroutines.
+	next atomic.Int64
+	wg   sync.WaitGroup
 	// visible collects the records the visibility phase installed.
 	visible []*records.CommitRecord
-	// calls counts the chunks this flush has written, each one storage
-	// round trip the flush waited out.
+	// calls counts the storage calls this flush issued, one per chunk (a
+	// failed chunk's item-by-item retry not counted).
 	calls int
 }
 
-var flushScratchPool = sync.Pool{New: func() any {
-	return &flushScratch{chunk: make(map[string][]byte)}
-}}
+var flushScratchPool = sync.Pool{New: func() any { return new(flushScratch) }}
 
 // release returns sc to the pool holding no request, value or record.
 func (sc *flushScratch) release() {
@@ -141,8 +158,15 @@ func (sc *flushScratch) release() {
 }
 
 // maxGroupedCommits bounds one flush: with DynamoDB's 25-item batch limit
-// a full group is 2-3 data round trips plus the shared record write.
+// a full group is 2-3 data calls and 2 record calls, each phase's calls
+// sent together.
 const maxGroupedCommits = 32
+
+// maxCallsInFlight bounds the storage calls one write phase has outstanding
+// at once. A phase of up to this many calls costs one round trip; a larger
+// one — a 100-key commit on an engine without batch writes — one per this
+// many calls.
+const maxCallsInFlight = 32
 
 // defaultFlushers is the concurrent-flush default. A committing client
 // must wait out the in-progress flush before its own can start, so with F
@@ -297,8 +321,8 @@ func (n *Node) flushCommits(ctx context.Context, sc *flushScratch) {
 // the co-flushed traces' IDs) lets the stitched view link every member
 // trace to the same storage round trips. The ID and peer list are built
 // only when at least one member is traced. The calls annotation is the
-// number of storage round trips the flush waited out one after another: 1
-// on the one-call path, 2 or more on the ordered one.
+// number of storage calls the flush issued: 1 on the one-call path, and on
+// the ordered one 2, or more when a phase is several chunks.
 func (n *Node) traceFlush(sc *flushScratch, start time.Time, dur time.Duration) {
 	batch := sc.batch
 	var flushID, peers string
@@ -344,52 +368,103 @@ func (n *Node) batchLimit() int {
 
 // flushPhase writes one phase's items for every not-yet-failed request,
 // packing items from different transactions into chunks of the engine's
-// batch limit. A failed transaction's remaining items are skipped; its stray
-// data stays invisible because its commit record is never written (§3.3).
+// batch limit, and sends every chunk at once: the phase costs the slowest
+// call's round trip, not the sum of them. Once all calls have returned,
+// each member takes the first failure among its items, in write order, as
+// its outcome; a failed transaction's stray data stays invisible because
+// its commit record is never written (§3.3).
 func (n *Node) flushPhase(ctx context.Context, sc *flushScratch, itemsOf func(*commitReq) []kv) {
-	limit := n.batchLimit()
 	for i, req := range sc.batch {
 		if req.err != nil {
 			continue
 		}
 		for _, it := range itemsOf(req) {
 			sc.items = append(sc.items, flushItem{kv: it, owner: i})
-			if len(sc.items) >= limit {
-				n.writeChunk(ctx, sc)
-				if req.err != nil {
-					break // this transaction already failed; skip its rest
-				}
-			}
 		}
 	}
-	n.writeChunk(ctx, sc)
-}
-
-// writeChunk writes sc.items and empties it. A chunk that fails is retried
-// item by item through the point API so each transaction learns ITS OWN
-// outcome — a shared batch may apply partially (storage.go permits
-// non-atomic batches), and blanket-failing the chunk would report commits
-// failed whose records were in fact durably written (they would then
-// resurface as committed via the fault-manager scan while the client
-// retries under a new ID). The retry walks items in chunk order and skips
-// whatever follows a member's first failure, so on the one-call path a
-// member whose data write fails never gets its record written.
-func (n *Node) writeChunk(ctx context.Context, sc *flushScratch) {
 	items := sc.items
 	if len(items) == 0 {
 		return
 	}
-	sc.calls++
+	limit := n.batchLimit()
+	calls := 1 + (len(items)-1)/limit
+	if limit > 1 {
+		for len(sc.maps) < calls {
+			sc.maps = append(sc.maps, make(map[string][]byte))
+		}
+	}
+	sc.next.Store(0)
+	if workers := min(calls, maxCallsInFlight); workers > 1 {
+		// The caller writes chunks beside workers-1 goroutines; each takes
+		// the next unwritten chunk until none is left.
+		sc.wg.Add(workers - 1)
+		work := func() {
+			n.writeChunks(ctx, sc, items, limit)
+			sc.wg.Done()
+		}
+		for range workers - 1 {
+			go work()
+		}
+	}
+	n.writeChunks(ctx, sc, items, limit)
+	sc.wg.Wait()
+	for _, it := range items {
+		if it.err == nil {
+			continue
+		}
+		if req := sc.batch[it.owner]; req.err == nil {
+			what := "aft: persisting write set"
+			if it.key == recordOf(req)[0].key {
+				what = "aft: persisting commit record"
+			}
+			req.err = fmt.Errorf("%s: %w", what, it.err)
+		}
+	}
+	sc.calls += calls
+	clear(items)
+	sc.items = items[:0]
+}
+
+// writeChunks writes chunks of limit items from items, taking the next
+// unwritten one from sc.next until none is left.
+func (n *Node) writeChunks(ctx context.Context, sc *flushScratch, items []flushItem, limit int) {
+	for {
+		c := int(sc.next.Add(1) - 1)
+		lo := c * limit
+		if lo >= len(items) {
+			return
+		}
+		var m map[string][]byte
+		if c < len(sc.maps) {
+			m = sc.maps[c]
+		}
+		n.writeChunk(ctx, items[lo:min(lo+limit, len(items))], m)
+	}
+}
+
+// writeChunk writes one chunk in one storage call: a BatchPut of m, which
+// it fills from items and clears again, or a point Put for a one-item
+// chunk. It touches only its own items and m, so a phase's chunks run
+// concurrently. A chunk that fails is retried item by item through the
+// point API so each transaction learns ITS OWN outcome — a shared batch may
+// apply partially (storage.go permits non-atomic batches), and
+// blanket-failing the chunk would report commits failed whose records were
+// in fact durably written (they would then resurface as committed via the
+// fault-manager scan while the client retries under a new ID). The retry
+// walks items in chunk order and skips whatever follows a member's first
+// failure (a member's items sit together in a chunk), so on the one-call
+// path a member whose data write fails never gets its record written.
+func (n *Node) writeChunk(ctx context.Context, items []flushItem, m map[string][]byte) {
 	var err error
 	if len(items) > 1 {
 		for _, it := range items {
-			sc.chunk[it.key] = it.val
+			m[it.key] = it.val
 		}
 		sp := telemetry.StartSpan(ctx, "storage.batchput")
 		sp.Annotate("items", strconv.Itoa(len(items)))
-		err = n.store.BatchPut(ctx, sc.chunk)
+		err = n.store.BatchPut(ctx, m)
 		sp.End()
-		clear(sc.chunk)
+		clear(m)
 	}
 	if len(items) == 1 || err != nil {
 		// Solo items take the point API outright (a one-item batch buys
@@ -398,20 +473,13 @@ func (n *Node) writeChunk(ctx context.Context, sc *flushScratch) {
 		// profile). Failed batches retry per item for per-transaction
 		// attribution; re-writing items the partial batch already applied
 		// is a harmless overwrite.
-		for _, it := range items {
-			req := sc.batch[it.owner]
-			if req.err != nil {
-				continue
-			}
-			if perr := n.store.Put(ctx, it.key, it.val); perr != nil {
-				what := "aft: persisting write set"
-				if it.key == recordOf(req)[0].key {
-					what = "aft: persisting commit record"
+		failed := -1
+		for i := range items {
+			if it := &items[i]; it.owner != failed {
+				if it.err = n.store.Put(ctx, it.key, it.val); it.err != nil {
+					failed = it.owner
 				}
-				req.err = fmt.Errorf("%s: %w", what, perr)
 			}
 		}
 	}
-	clear(items)
-	sc.items = items[:0]
 }

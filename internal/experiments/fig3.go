@@ -19,7 +19,8 @@ import (
 //
 // Expected shapes: S3 dwarfs the other engines; AFT roughly matches Plain
 // on DynamoDB (batching offsets the commit record) and adds a modest
-// penalty on Redis (no batching available); AFT reports zero anomalies
+// penalty on Redis (no batching available: the writes go out together as
+// point calls); AFT reports zero anomalies
 // while the plain engines fracture several percent of transactions and
 // DynamoDB-serializable still shows fractured reads across functions.
 func Fig3Table2(opts Options) (Table, Table, error) {

@@ -16,8 +16,11 @@ import (
 //
 // Expected shapes: AFT-D varies mildly — all writes collapse into one
 // batch call plus a commit record, while each read is its own call, with a
-// small dip at 100% reads (no batch write at all); AFT-R is flat — every
-// IO is its own Redis call regardless of kind (11 calls total).
+// small dip at 100% reads (no batch write at all); AFT-R is nearly flat —
+// Redis IO is small against function invocation. Each read is its own
+// Redis call, while the writes, which Redis cannot batch, go out together
+// at commit: one round trip for the data, one for the record. The paper's
+// AFT-R wrote one key after another (11 calls in sequence at any mix).
 func Fig5(opts Options) (Table, error) {
 	opts = opts.withDefaults()
 	opts.spin = true // few clients: precise sub-ms latency injection

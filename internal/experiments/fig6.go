@@ -17,7 +17,9 @@ import (
 // Expected shapes: roughly linear growth with length for both engines;
 // DynamoDB grows sub-linearly in total IOs because all writes batch into
 // one call at commit (the paper reports 10-function transactions only
-// ~6.2x slower than 1-function), while Redis pays one call per IO (~8.9x).
+// ~6.2x slower than 1-function). On Redis each read is its own call and
+// the writes go out together at commit; the paper's AFT wrote them one
+// after another and reports ~8.9x.
 func Fig6(opts Options) (Table, error) {
 	opts = opts.withDefaults()
 	opts.spin = true // few clients: precise sub-ms latency injection

@@ -5,8 +5,10 @@
 //
 // Substitution note (see DESIGN.md §2): the simulator reproduces the two
 // properties the evaluation leans on — sub-millisecond IO (§6.1.2) and the
-// inability to batch arbitrary cross-shard write sets, which is why AFT
-// issues sequential writes over Redis (§6.3, §6.4).
+// inability to batch arbitrary cross-shard write sets, which is why the
+// paper's AFT issued one write after another over Redis (§6.3, §6.4). This
+// AFT sends a commit phase's point writes together instead, so a phase
+// costs one round trip (internal/core/groupcommit.go).
 package redissim
 
 import (
@@ -114,7 +116,8 @@ func (s *Store) Put(ctx context.Context, key string, value []byte) error {
 // BatchPut implements storage.Store. It behaves like MSET: if every key
 // hashes to the same shard the write is applied atomically in one round
 // trip; otherwise it returns ErrBatchUnsupported and the caller must fall
-// back to sequential puts (as AFT does over Redis, §6.1.2).
+// back to point puts (AFT never calls it: Capabilities reports no batch
+// writes, so AFT sends point puts, a phase's together).
 func (s *Store) BatchPut(ctx context.Context, items map[string][]byte) error {
 	if err := s.check(ctx); err != nil {
 		return err

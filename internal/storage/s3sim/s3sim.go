@@ -97,7 +97,8 @@ func (s *Store) Put(ctx context.Context, key string, value []byte) error {
 }
 
 // BatchPut implements storage.Store by returning ErrBatchUnsupported:
-// S3 has no multi-object write. AFT falls back to sequential puts.
+// S3 has no multi-object write. AFT sends point puts instead, a commit
+// phase's together.
 func (s *Store) BatchPut(ctx context.Context, items map[string][]byte) error {
 	if err := s.check(ctx); err != nil {
 		return err

@@ -443,8 +443,10 @@ func Run(t *testing.T, factory Factory) {
 			Crash() error
 			Reopen() error
 		})
-		if !s.Capabilities().AtomicBatches {
+		if caps := s.Capabilities(); !caps.AtomicBatches {
 			t.Skip("engine does not report AtomicBatches")
+		} else if caps.MaxBatchSize != 0 {
+			t.Fatalf("engine reports AtomicBatches with MaxBatchSize %d: one call must take a whole flush", caps.MaxBatchSize)
 		}
 		if !ok {
 			t.Skip("engine cannot be crashed and reopened in place")
