@@ -31,7 +31,7 @@ func allocatedDuring(f func()) (objects, bytes uint64) {
 }
 
 // TestCommitAllocBudget pins the write path: a two-key commit through the
-// group pipeline, uncontended, on the zero-latency store, and the whole
+// write routine, uncontended, on the zero-latency store, and the whole
 // Start + 2 Put + Commit transaction around it. The count covers the
 // storage engine's own copies; what is left is bytes someone keeps (the
 // transaction and its ID, the buffered values, the keys, the record and its
@@ -61,7 +61,7 @@ func TestCommitAllocBudget(t *testing.T) {
 		})
 	}
 	for i := 0; i < 64; i++ {
-		txn() // fill the scratch pool, grow the queue and the maps
+		txn() // fill the scratch pool and grow the maps
 	}
 	const runs = 512
 	commit = 0

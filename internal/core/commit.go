@@ -25,15 +25,12 @@ import (
 //     visible to other requests, by installing the record into the local
 //     metadata cache.
 //
-// All three steps are one routine, flushCommits (groupcommit.go). On
-// engines with a batch-write primitive, concurrently committing
-// transactions reach it through the group-commit pipeline, which coalesces
-// their data and record writes into shared BatchPut round trips while
-// preserving the step ordering for every transaction in the flush. Engines
-// without batching run the same routine over their own commit alone. An
-// engine whose batches are all-or-nothing across a crash (the WAL) takes
-// steps 1 and 2 in ONE call: what §3.3's ordering protects — no durable
-// record without its data — then holds by the engine's atomicity instead.
+// All three steps are one routine, flushCommits (flush.go), which every
+// commit runs over its own writes on its own goroutine, on every engine.
+// An engine whose batches are all-or-nothing across a crash (the WAL)
+// takes steps 1 and 2 in ONE call: what §3.3's ordering protects — no
+// durable record without its data — then holds by the engine's atomicity
+// instead.
 //
 // A failure before step 2 completes leaves no visible effects: the data
 // keys are unreferenced and the transaction will be retried. Commit is
@@ -204,25 +201,13 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 		}
 	}
 
-	req := &commitReq{writes: append(data, kv{records.CommitKey(id), payload}), rec: rec, trace: t.trace}
-	if n.store.Capabilities().BatchWrites {
-		// Group pipeline: steps 1 and 2 are flushed together with other
-		// in-flight commits.
-		wait := telemetry.StartSpan(ctx, "commit.flushwait")
-		err = n.groupCommit(ctx, req)
-		wait.End()
-	} else {
-		// Direct path: the same write routine, for this commit alone.
-		sw := telemetry.StartSpan(ctx, "storage.write")
-		err = n.commitDirect(ctx, req)
-		sw.End()
-	}
-	if err != nil {
+	req := &commitReq{writes: append(data, kv{records.CommitKey(id), payload}), rec: rec}
+	if err := n.flush(ctx, req); err != nil {
 		n.abandonCommit(t)
 		return idgen.Null, err
 	}
-	// Either way the routine already installed the record and queued the
-	// multicast announcement (step 3 visibility); acknowledge.
+	// The routine already installed the record and queued the multicast
+	// announcement (step 3 visibility); acknowledge.
 	n.finishCommit(t, txid, id)
 
 	// Warm the data cache with the values just written — they are the

@@ -1,29 +1,13 @@
 package core
 
-// groupcommit.go implements the node's group-commit pipeline: concurrently
-// committing transactions coalesce their storage writes into shared
-// BatchPut round trips, the multi-transaction generalization of the
-// per-transaction write batching the paper evaluates in §6.1.1.
-//
-// The pipeline is leader-based (the classic WAL group-commit shape; no
-// persistent background goroutine or shutdown hook — the only goroutines
-// it spawns are short-lived: drainers, started when a leader leaves work
-// queued behind it, that exit once the queue empties, and the workers of a
-// write phase of several calls, which the phase waits for): a committing
-// goroutine enqueues its request and, if a flusher slot is free, becomes a
-// flusher; it drains the queue, performs the batched writes for the
-// drained transactions, and signals each waiter. Transactions that arrive
-// while every flusher is busy queue up for the next drain, so batch sizes
-// grow naturally with concurrency and a solo commit flushes immediately
-// with no added round trips and no goroutine.
-//
-// Unlike a WAL (one disk head), the storage engines here accept parallel
-// writes, so flushes need not serialize behind a single leader — §3.3
-// orders only a transaction's OWN data before its OWN record. Up to
-// max(defaultFlushers, MaxConcurrent) flushes run concurrently, so the
-// pipeline never caps storage concurrency below the node's configured
-// client concurrency. Each flush takes at most maxGroupedCommits
-// transactions so a deep backlog cannot inflate one flush's latency.
+// flush.go implements the node's one write routine, flushCommits: it
+// persists a commit's storage writes in §3.3's order and then makes the
+// commit visible. Every commit runs it on its own goroutine, over its own
+// request, the moment it commits: no commit queues behind another's flush.
+// Concurrent commits still share what a device can share — the WAL answers
+// every durability wait that arrives during one fsync with the next one
+// (walengine's "Group fsync") — so coalescing lives in one place, below
+// the node.
 //
 // A flush has two or three phases, by what the engine reports in
 // Capabilities() — never by a setting. Every flush preserves §3.3's
@@ -57,22 +41,21 @@ package core
 // shared, each record's stripes in the order stripe.go fixes, then recMu, on
 // either path.
 //
-// flushCommits is the node's one write routine: the direct path (engines
-// without a batch primitive) runs it over a one-request batch. Its working
-// memory — the member list, the phase's items and the maps handed to
-// BatchPut — is a pooled flushScratch, so a flush whose phases are one call
-// each allocates nothing of its own; a phase of several calls adds only
-// the goroutines that carry them.
+// A commit hands flushCommits a batch of one; the routine takes a batch
+// because its phases, chunking and per-item failure attribution are
+// defined over several members. Its working memory — the member list, the
+// phase's items and the maps handed to BatchPut — is a pooled
+// flushScratch, so a flush whose phases are one call each allocates
+// nothing of its own; a phase of several calls adds only the goroutines
+// that carry them.
 
 import (
 	"context"
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"aft/internal/records"
 	"aft/internal/telemetry"
@@ -93,18 +76,8 @@ type commitReq struct {
 	writes []kv
 	// rec is installed into the metadata stripes after record is durable.
 	rec *records.CommitRecord
-	// trace, when non-nil, receives a retroactive gc.flush span: the
-	// flush runs under one member's goroutine, but every traced member
-	// should see how long its batch's storage writes took.
-	trace *telemetry.Trace
-
-	// err is the transaction's own outcome. A group flush writes it, then
-	// sets resolved and releases done; the submitter reads it after
-	// observing either. A WaitGroup and a flag stand in for a channel
-	// because they live inside the request and cost no allocation.
-	err      error
-	resolved atomic.Bool
-	done     sync.WaitGroup
+	// err is the transaction's outcome, written by the flush.
+	err error
 }
 
 func dataOf(req *commitReq) []kv   { return req.writes[:len(req.writes)-1] }
@@ -157,123 +130,28 @@ func (sc *flushScratch) release() {
 	flushScratchPool.Put(sc)
 }
 
-// maxGroupedCommits bounds one flush: with DynamoDB's 25-item batch limit
-// a full group is 2-3 data calls and 2 record calls, each phase's calls
-// sent together.
-const maxGroupedCommits = 32
-
 // maxCallsInFlight bounds the storage calls one write phase has outstanding
 // at once. A phase of up to this many calls costs one round trip; a larger
 // one — a 100-key commit on an engine without batch writes — one per this
 // many calls.
 const maxCallsInFlight = 32
 
-// defaultFlushers is the concurrent-flush default. A committing client
-// must wait out the in-progress flush before its own can start, so with F
-// flushers a closed-loop client's cycle is ~(1 + 1/(2F)) flush times:
-// F = 8 keeps that overhead under ~6% of the direct path's while still
-// coalescing clients/F commits per flush under load.
-const defaultFlushers = 8
-
-// groupCommitter holds the pipeline's queue and flusher accounting.
-type groupCommitter struct {
-	mu       sync.Mutex
-	queue    []*commitReq
-	flushers int
-}
-
-// groupCommit submits req and blocks until a flush has processed it,
-// returning the transaction's own outcome. The storage round trips of a
-// flush run under the flushing goroutine's ctx; a commit that fails
-// because another goroutine's ctx was canceled sees that error, its
-// transaction stays live, and a retry (likely flushing for itself)
-// re-submits the writes.
-//
-// A committing client flushes only until its own request resolves. If the
-// queue is empty then — always, for a solo commit — it releases its
-// flusher slot and returns; otherwise the slot transfers to a detached
-// drainer goroutine (which exits as soon as the queue empties), so a
-// client's commit latency is bounded by its own flush rounds rather than
-// by how fast other clients keep the queue full.
-func (n *Node) groupCommit(ctx context.Context, req *commitReq) error {
-	req.done.Add(1)
-	c := &n.committer
-	c.mu.Lock()
-	c.queue = append(c.queue, req)
-	if c.flushers >= n.flusherLimit {
-		c.mu.Unlock()
-		req.done.Wait()
-		return req.err
-	}
-	c.flushers++
-	c.mu.Unlock()
-	for !req.resolved.Load() {
-		if !n.flushNextBatch(ctx) {
-			// Queue empty, slot released: a concurrent flusher took our
-			// request.
-			req.done.Wait()
-			return req.err
-		}
-	}
-	c.mu.Lock()
-	if len(c.queue) == 0 {
-		c.flushers--
-		c.mu.Unlock()
-		return req.err
-	}
-	c.mu.Unlock()
-	// The drainer runs detached from any client ctx.
-	go n.drainQueue(context.Background())
-	return req.err
-}
-
-// flushNextBatch takes one batch off the queue and flushes it, reporting
-// whether there was work. An empty queue releases the caller's flusher
-// slot.
-func (n *Node) flushNextBatch(ctx context.Context) bool {
-	c := &n.committer
-	c.mu.Lock()
-	take := min(len(c.queue), maxGroupedCommits)
-	if take == 0 {
-		c.flushers--
-		c.mu.Unlock()
-		return false
-	}
-	sc := flushScratchPool.Get().(*flushScratch)
-	sc.batch = append(sc.batch, c.queue[:take]...)
-	// Shift the remainder down instead of re-slicing, so the queue keeps
-	// its backing array from one flush to the next.
-	rest := copy(c.queue, c.queue[take:])
-	clear(c.queue[rest:])
-	c.queue = c.queue[:rest]
-	c.mu.Unlock()
-	n.metrics.GroupFlushes.Add(1)
-	n.metrics.GroupedCommits.Add(int64(take))
-	start := time.Now()
-	n.flushCommits(ctx, sc)
-	n.traceFlush(sc, start, time.Since(start))
-	for _, req := range sc.batch {
-		req.resolved.Store(true)
-		req.done.Done()
-	}
-	sc.release()
-	return true
-}
-
-// drainQueue runs flushes until the queue empties, then exits. It owns a
-// flusher slot transferred from a client whose request already resolved.
-func (n *Node) drainQueue(ctx context.Context) {
-	for n.flushNextBatch(ctx) {
-	}
-}
-
-// commitDirect runs the write routine for req alone, on the caller's
-// goroutine and outside the pipeline's queue.
-func (n *Node) commitDirect(ctx context.Context, req *commitReq) error {
+// flush runs the write routine for req alone, on the caller's goroutine,
+// and returns the transaction's outcome. A traced commit gets a gc.flush
+// span whose calls annotation is the number of storage calls the flush
+// sent: 1 on the one-call path, and on the ordered one 2, or more when a
+// phase is several chunks.
+func (n *Node) flush(ctx context.Context, req *commitReq) error {
+	sp := telemetry.StartSpan(ctx, "gc.flush")
 	sc := flushScratchPool.Get().(*flushScratch)
 	sc.batch = append(sc.batch, req)
 	n.flushCommits(ctx, sc)
+	sp.Annotate("batch", "1")
+	sp.Annotate("calls", strconv.Itoa(sc.calls))
+	sp.End()
 	sc.release()
+	n.metrics.GroupFlushes.Add(1)
+	n.metrics.GroupedCommits.Add(1)
 	return req.err
 }
 
@@ -313,40 +191,6 @@ func (n *Node) flushCommits(ctx context.Context, sc *flushScratch) {
 		n.recMu.Lock()
 		n.recent = append(n.recent, sc.visible...)
 		n.recMu.Unlock()
-	}
-}
-
-// traceFlush gives every traced member of a group flush a gc.flush span.
-// One flush serves many coalesced transactions; the shared flush ID (plus
-// the co-flushed traces' IDs) lets the stitched view link every member
-// trace to the same storage round trips. The ID and peer list are built
-// only when at least one member is traced. The calls annotation is the
-// number of storage calls the flush issued: 1 on the one-call path, and on
-// the ordered one 2, or more when a phase is several chunks.
-func (n *Node) traceFlush(sc *flushScratch, start time.Time, dur time.Duration) {
-	batch := sc.batch
-	var flushID, peers string
-	for _, req := range batch {
-		if req.trace == nil {
-			continue
-		}
-		if flushID == "" {
-			flushID = strconv.FormatUint(n.flushSeq.Add(1), 10)
-			var ids []string
-			for _, other := range batch {
-				if id := other.trace.ID(); id != "" {
-					ids = append(ids, id)
-				}
-			}
-			peers = strings.Join(ids, ",")
-		}
-		req.trace.AddSpan("gc.flush", start, dur,
-			map[string]string{
-				"batch": strconv.Itoa(len(batch)),
-				"calls": strconv.Itoa(sc.calls),
-				"flush": flushID,
-				"peers": peers,
-			})
 	}
 }
 

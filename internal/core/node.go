@@ -21,8 +21,8 @@
 // Concurrency model: the metadata cache is partitioned across key-hash
 // lock stripes (stripe.go) so reads, commits, merges, and GC sweeps on
 // disjoint keys proceed in parallel; a small RWMutex-guarded node-level
-// table holds transaction lifecycle state; and concurrent commits coalesce
-// their storage writes through a group-commit pipeline (groupcommit.go).
+// table holds transaction lifecycle state; and each commit runs the one
+// write routine (flush.go) on its own goroutine.
 package core
 
 import (
@@ -209,8 +209,8 @@ type Node struct {
 
 	// recMu guards recent: commit records accumulated since the last
 	// Drain, feeding the multicast protocol (§4) and the fault manager
-	// stream (§4.2). The group-commit pipeline appends a whole flush in
-	// one acquisition.
+	// stream (§4.2). The write routine appends a whole flush in one
+	// acquisition.
 	recMu  sync.Mutex
 	recent []*records.CommitRecord
 	// announceMu makes a flush's install-then-queue one step as far as a
@@ -218,11 +218,6 @@ type Node struct {
 	// DrainPruned holds it exclusively across its drain and supersedence
 	// checks.
 	announceMu sync.RWMutex
-
-	// committer coalesces concurrent commits' storage writes
-	// (groupcommit.go); flusherLimit caps its concurrent flushes.
-	committer    groupCommitter
-	flusherLimit int
 
 	// fetchMu guards fetching: the singleflight table of in-progress
 	// cold-key metadata recoveries (read.go). One entry per key; waiters
@@ -234,10 +229,6 @@ type Node struct {
 	data *dataCache // nil when disabled
 
 	metrics NodeMetrics
-
-	// flushSeq numbers group-commit flushes so every coalesced member's
-	// gc.flush span can name the shared flush it rode.
-	flushSeq atomic.Uint64
 
 	// tracer and the latency histograms are nil when disabled; all their
 	// methods are nil-safe, so the hot paths carry no branching beyond
@@ -264,8 +255,8 @@ type NodeMetrics struct {
 	CoalescedFetches  atomic.Int64 // cold reads that joined another read's in-flight recovery
 	BatchedRecordGets atomic.Int64 // commit records fetched through batched reads
 	MultiGets         atomic.Int64 // MultiGet calls (Reads counts their keys individually)
-	GroupFlushes      atomic.Int64 // group-commit flush rounds
-	GroupedCommits    atomic.Int64 // commits that went through the group pipeline
+	GroupFlushes      atomic.Int64 // runs of the write routine
+	GroupedCommits    atomic.Int64 // commits written by those runs (one each)
 	OverloadShed      atomic.Int64 // arrivals shed by admission control (ErrOverloaded)
 	DeadlineExceeded  atomic.Int64 // ops abandoned at a ctx-deadline check
 	ReapedExpired     atomic.Int64 // dangling transactions aborted past their deadline
@@ -345,14 +336,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.IDEntropySeed != 0 {
 		n.gen.SeedEntropy(cfg.IDEntropySeed ^ int64(strhash.FNV32a(cfg.NodeID)))
 	}
-	// Not tied to GOMAXPROCS: on latency-bound engines flushers are parked
-	// in storage waits, not burning cores, and too few of them would
-	// serialize commits behind storage round trips. A node sized for
-	// MaxConcurrent clients must never let group commit cap its storage
-	// concurrency below that (it would throttle the §6.5 throughput
-	// curves); the pipeline only coalesces what queues up naturally behind
-	// busy flushers.
-	n.flusherLimit = max(defaultFlushers, cfg.MaxConcurrent)
 	if cfg.EnableDataCache {
 		entries := cfg.DataCacheEntries
 		if entries == 0 {

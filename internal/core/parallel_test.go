@@ -1,7 +1,7 @@
 package core
 
-// parallel_test.go stresses the striped metadata core and the group-commit
-// pipeline under -race: concurrent commits, reads, multicast merges, and
+// parallel_test.go stresses the striped metadata core and the write
+// routine under -race: concurrent commits, reads, multicast merges, and
 // GC sweeps on shared keys, checking the §3.2 guarantees hold without the
 // old global node lock.
 
@@ -236,8 +236,7 @@ func TestParallelSameTransaction(t *testing.T) {
 }
 
 // gateStore wraps a batch-capable store and blocks every write until
-// released, so a test can deterministically pile commits into one
-// group-commit flush.
+// released, so a test can hold a commit inside its flush.
 type gateStore struct {
 	storage.Store
 	once    sync.Once
@@ -264,124 +263,43 @@ func (g *gateStore) BatchPut(ctx context.Context, items map[string][]byte) error
 	return g.Store.BatchPut(ctx, items)
 }
 
-// TestGroupCommitCoalesces pins the pipeline's batching behaviour: while
-// the leader's flush is stalled in storage, commits that arrive queue up
-// and are flushed together — their data versions and commit records share
-// BatchPut round trips, and all of them succeed.
-func TestGroupCommitCoalesces(t *testing.T) {
-	inner := dynamosim.New(dynamosim.Options{})
-	gate := newGateStore(inner)
-	// One flusher makes the flush boundary deterministic for the metric
-	// assertions below.
-	n, err := NewNode(Config{NodeID: "gc", Store: gate})
+// TestConcurrentCommitsFlushSideBySide: a commit runs the write routine on
+// its own request the moment it commits, so concurrent commits never queue
+// behind one another's flush. Sixteen one-key commits on an ordered engine
+// are sixteen data Puts that the store holds until all are in flight
+// together, then sixteen record Puts likewise: a commit waiting for another
+// to finish, or two commits sharing a call, never gathers a phase.
+func TestConcurrentCommitsFlushSideBySide(t *testing.T) {
+	const commits = 16
+	store := newRendezvousStore(storage.Capabilities{BatchWrites: true}, commits, commits)
+	n, err := NewNode(Config{NodeID: "side", Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.flusherLimit = 1
-	ctx := context.Background()
-
 	var wg sync.WaitGroup
-	commit := func(key string) {
-		defer wg.Done()
-		txid, err := n.StartTransaction(ctx)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := n.Put(ctx, txid, key, []byte("v")); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := n.CommitTransaction(ctx, txid); err != nil {
-			t.Error(err)
-		}
+	for i := 0; i < commits; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx := context.Background()
+			txid, err := n.StartTransaction(ctx)
+			if err == nil {
+				err = n.Put(ctx, txid, fmt.Sprintf("k%d", i), []byte("v"))
+			}
+			if err == nil {
+				_, err = n.CommitTransaction(ctx, txid)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}(i)
 	}
-
-	wg.Add(1)
-	go commit("leader-key") // becomes leader, stalls on the gate
-	<-gate.blocked
-
-	const followers = 5
-	wg.Add(followers)
-	for i := 0; i < followers; i++ {
-		go commit(fmt.Sprintf("f-%d", i))
-	}
-	// Wait until every follower is queued behind the stalled flush.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n.committer.mu.Lock()
-		queued := len(n.committer.queue)
-		n.committer.mu.Unlock()
-		if queued == followers {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("followers queued = %d, want %d", queued, followers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate.release)
 	wg.Wait()
-
-	m := n.Metrics().Snapshot()
-	if m.GroupedCommits != followers+1 {
-		t.Fatalf("grouped commits = %d, want %d", m.GroupedCommits, followers+1)
+	if m := n.Metrics().Snapshot(); m.GroupFlushes != commits || m.GroupedCommits != commits {
+		t.Fatalf("flushes/commits = %d/%d, want %d/%d", m.GroupFlushes, m.GroupedCommits, commits, commits)
 	}
-	if m.GroupFlushes != 2 {
-		t.Fatalf("group flushes = %d, want 2 (leader alone, then %d followers)", m.GroupFlushes, followers)
-	}
-	// The followers' five data writes and five commit records coalesced
-	// into one BatchPut each.
-	sm := inner.Metrics().Snapshot()
-	if sm.Batches != 2 {
-		t.Fatalf("storage batches = %d, want 2", sm.Batches)
-	}
-	if got := sm.ItemsPerBatch(); got != followers {
-		t.Fatalf("items per batch = %.1f, want %d", got, followers)
-	}
-	// Every commit is visible: the node caches 6 records.
-	if got := n.MetadataSize(); got != followers+1 {
-		t.Fatalf("metadata size = %d, want %d", got, followers+1)
-	}
-	// The leader returned once its own flush resolved, leaving the
-	// followers to a drainer; the drainer gives the slot back when the
-	// queue is empty.
-	waitFlushersIdle(t, n)
-}
-
-// flushersBusy returns how many flusher slots are held right now.
-func flushersBusy(n *Node) int {
-	n.committer.mu.Lock()
-	defer n.committer.mu.Unlock()
-	return n.committer.flushers
-}
-
-func waitFlushersIdle(t *testing.T, n *Node) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for flushersBusy(n) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("flusher slots still held: %d", flushersBusy(n))
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestSoloCommitReleasesSlotInline pins the uncontended path: a commit
-// with nothing queued behind it gives its flusher slot back before it
-// returns instead of handing it to a drainer goroutine. A spawned drainer
-// would still hold the slot here — it cannot have run yet on one P, and
-// nothing orders it before this check on more.
-func TestSoloCommitReleasesSlotInline(t *testing.T) {
-	n, _ := newTestNode(t)
-	for i := 0; i < 100; i++ {
-		commitTxn(t, n, map[string]string{"solo": "v"})
-		if busy := flushersBusy(n); busy != 0 {
-			t.Fatalf("commit %d returned with %d flusher slot(s) held", i, busy)
-		}
-	}
-	if m := n.Metrics().Snapshot(); m.GroupFlushes != 100 || m.GroupedCommits != 100 {
-		t.Fatalf("flushes/commits = %d/%d, want 100/100", m.GroupFlushes, m.GroupedCommits)
+	if got := n.MetadataSize(); got != commits {
+		t.Fatalf("metadata size = %d, want %d", got, commits)
 	}
 }
 
@@ -478,9 +396,9 @@ func TestFlushPartialBatchFailsOnlyLosers(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFailurePropagates pins the error path: when the batched
-// record write fails, every member of the flush sees the failure, no
-// record is installed, and the transactions stay live for retry.
+// TestGroupCommitFailurePropagates pins the error path: when storage fails
+// under a commit's flush, the commit sees the failure, no record is
+// installed, and the transaction stays live for retry.
 func TestGroupCommitFailurePropagates(t *testing.T) {
 	inner := dynamosim.New(dynamosim.Options{})
 	gate := newGateStore(inner)
@@ -488,7 +406,6 @@ func TestGroupCommitFailurePropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.flusherLimit = 1
 	ctx := context.Background()
 
 	txid, _ := n.StartTransaction(ctx)
@@ -532,7 +449,6 @@ func TestDuplicateCommitWaitsForOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.flusherLimit = 1
 	ctx := context.Background()
 	txid, _ := n.StartTransaction(ctx)
 	n.Put(ctx, txid, "k", []byte("v"))
@@ -575,7 +491,6 @@ func TestAbortWaitsForInflightCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.flusherLimit = 1
 	ctx := context.Background()
 	txid, _ := n.StartTransaction(ctx)
 	n.Put(ctx, txid, "k", []byte("v"))

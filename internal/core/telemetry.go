@@ -81,8 +81,8 @@ func (n *Node) EmitTelemetry(e *telemetry.Emitter) {
 		c("aft_node_coalesced_fetches_total", "Cold reads that joined another read's in-flight recovery.", m.CoalescedFetches)
 		c("aft_node_batched_record_gets_total", "Commit records fetched through batched reads.", m.BatchedRecordGets)
 		c("aft_node_multigets_total", "MultiGet calls.", m.MultiGets)
-		c("aft_node_group_flushes_total", "Group-commit flush rounds.", m.GroupFlushes)
-		c("aft_node_grouped_commits_total", "Commits that went through the group pipeline.", m.GroupedCommits)
+		c("aft_node_group_flushes_total", "Runs of the commit write routine, one per commit attempt that writes.", m.GroupFlushes)
+		c("aft_node_grouped_commits_total", "Commits written by the commit write routine (one per run).", m.GroupedCommits)
 		c("aft_overload_shed_total", "Arrivals shed by admission control (ErrOverloaded).", m.OverloadShed)
 		c("aft_bootstrap_truncated_total", "Commit records dropped from warm-up by BootstrapLimit (served on demand afterwards).", m.BootstrapTruncated)
 		c("aft_node_bootstrap_skipped_total", "Commit records skipped by the incremental-bootstrap watermark.", m.BootstrapSkipped)

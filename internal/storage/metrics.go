@@ -52,8 +52,8 @@ func (s Snapshot) Calls() int64 {
 }
 
 // ItemsPerBatch returns the mean number of items per BatchPut round trip
-// (0 when no batches ran) — the coalescing evidence for the group-commit
-// pipeline: a contended commit workload should sustain well above 1.
+// (0 when no batches ran): how many writes a caller packed into each
+// BatchPut round trip.
 func (s Snapshot) ItemsPerBatch() float64 {
 	if s.Batches == 0 {
 		return 0

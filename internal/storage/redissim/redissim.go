@@ -8,7 +8,7 @@
 // inability to batch arbitrary cross-shard write sets, which is why the
 // paper's AFT issued one write after another over Redis (§6.3, §6.4). This
 // AFT sends a commit phase's point writes together instead, so a phase
-// costs one round trip (internal/core/groupcommit.go).
+// costs one round trip (internal/core/flush.go).
 package redissim
 
 import (

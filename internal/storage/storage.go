@@ -43,7 +43,7 @@ type Capabilities struct {
 	// or none is. It is a fact the engine states about itself, never a
 	// setting; a wrapper that can apply part of a batch must clear it. AFT
 	// reads it to write a transaction's data and its commit record in one
-	// call (internal/core/groupcommit.go) where §3.3 otherwise needs two.
+	// call (internal/core/flush.go) where §3.3 otherwise needs two.
 	// Such an engine takes a call of any size: it reports MaxBatchSize 0,
 	// so a whole flush is one call (storagetest's AtomicBatchAcrossCrash).
 	AtomicBatches bool

@@ -114,11 +114,16 @@ func (s *Store) Checkpoint(ctx context.Context) (CheckpointStats, error) {
 	if err := ctx.Err(); err != nil {
 		return CheckpointStats{}, err
 	}
-	if !s.checkpointing.CompareAndSwap(false, true) {
+	if !s.ckptMu.TryLock() {
 		return CheckpointStats{}, ErrCheckpointInProgress
 	}
-	defer s.checkpointing.Store(false)
+	defer s.ckptMu.Unlock()
+	return s.checkpointLocked()
+}
 
+// checkpointLocked writes one checkpoint (see Checkpoint). Callers hold
+// s.ckptMu.
+func (s *Store) checkpointLocked() (CheckpointStats, error) {
 	// Snapshot under the write lock: fsync the active segment so every
 	// index entry is durable, then copy the index and per-segment durable
 	// watermarks.
@@ -414,10 +419,15 @@ func (s *Store) maybeCheckpoint() {
 	if s.wal.Appends.Load()-s.appendsAtCkpt.Load() < s.cfg.CheckpointEvery {
 		return
 	}
-	if s.checkpointing.Load() {
-		return
+	if !s.ckptMu.TryLock() {
+		return // one is in flight
 	}
-	go s.Checkpoint(context.Background())
+	go func() {
+		defer s.ckptMu.Unlock()
+		// A failed checkpoint has no caller to report to; the next
+		// reopen just replays a longer tail.
+		_, _ = s.checkpointLocked()
+	}()
 }
 
 // CheckpointAge returns the time since the last checkpoint this process

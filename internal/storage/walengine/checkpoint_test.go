@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // ckptFiles returns the checkpoint file names currently in dir.
@@ -274,6 +276,51 @@ func TestAutoCheckpointTriggers(t *testing.T) {
 	}
 	if len(ckptFiles(t, dir)) == 0 {
 		t.Fatal("no checkpoint file on disk")
+	}
+}
+
+// TestCloseJoinsCheckpointInFlight: Close waits for a checkpoint already
+// being written, then writes its own, instead of closing the log under it.
+// The first checkpoint is held before its rename until Close has had ample
+// time to return on its own.
+func TestCloseJoinsCheckpointInFlight(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{CheckpointEvery: 1 << 30})
+	mustPut(t, s, "k", "v")
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.ckptHook = func(stage string) error {
+		once.Do(func() {
+			close(held)
+			<-release
+		})
+		return nil
+	}
+	first := make(chan error, 1)
+	go func() {
+		_, err := s.Checkpoint(context.Background())
+		first <- err
+	}()
+	await(t, held, "the first checkpoint")
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while a checkpoint was still being written", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("the checkpoint Close joined: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if got := s.WAL().Checkpoints.Load(); got != 2 {
+		t.Fatalf("Checkpoints = %d, want 2 (the one joined and Close's own)", got)
+	}
+	if files := ckptFiles(t, dir); len(files) != 1 {
+		t.Fatalf("checkpoint files after Close = %v, want Close's own only", files)
 	}
 }
 

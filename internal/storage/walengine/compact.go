@@ -9,12 +9,13 @@ package walengine
 // for why a copied frame sheds its batch continuation bit.
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 
 	"aft/internal/storage"
@@ -51,6 +52,10 @@ func (s *Store) maybeCompact() {
 		_ = s.Compact(context.Background())
 	}()
 }
+
+// compactChunk is how many bytes of copied frames Compact gathers before
+// writing them to the new segment.
+const compactChunk = 64 << 10
 
 // copied tracks one live entry through a compaction run.
 type copied struct {
@@ -90,22 +95,20 @@ func (s *Store) Compact(ctx context.Context) error {
 		s.mu.Unlock()
 		return nil
 	}
-	sort.Slice(sealed, func(i, j int) bool { return sealed[i] < sealed[j] })
-	inRange := make(map[int64]bool, len(sealed))
-	for _, id := range sealed {
-		inRange[id] = true
-	}
-	var entries []copied
+	slices.Sort(sealed)
+	// Sized for the whole index up front, so the snapshot is one
+	// allocation however many entries it holds.
+	entries := make([]copied, 0, len(s.index))
 	for k, l := range s.index {
-		if inRange[l.seg] {
+		if _, ok := slices.BinarySearch(sealed, l.seg); ok {
 			entries = append(entries, copied{key: k, oldLoc: l})
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].oldLoc.seg != entries[j].oldLoc.seg {
-			return entries[i].oldLoc.seg < entries[j].oldLoc.seg
+	slices.SortFunc(entries, func(a, b copied) int {
+		if c := cmp.Compare(a.oldLoc.seg, b.oldLoc.seg); c != 0 {
+			return c
 		}
-		return entries[i].oldLoc.off < entries[j].oldLoc.off
+		return cmp.Compare(a.oldLoc.off, b.oldLoc.off)
 	})
 	newID := s.next
 	s.next++
@@ -125,13 +128,30 @@ func (s *Store) Compact(ctx context.Context) error {
 		os.Remove(path)
 		return err
 	}
+	// Frames are read into buf one after another and written out whenever
+	// the next one would not fit, so the copy allocates one buffer however
+	// many entries it moves (a frame longer than the chunk grows it).
+	buf := make([]byte, 0, compactChunk)
 	size := int64(0)
+	writeBuf := func() error {
+		_, err := f.WriteAt(buf, size-int64(len(buf)))
+		buf = buf[:0]
+		return err
+	}
 	for i := range entries {
 		if err := ctx.Err(); err != nil {
 			return abort(err)
 		}
 		e := &entries[i]
-		frame := make([]byte, e.oldLoc.flen)
+		flen := int(e.oldLoc.flen)
+		if len(buf)+flen > cap(buf) && len(buf) > 0 {
+			if err := writeBuf(); err != nil {
+				return abort(fmt.Errorf("walengine: compact write: %w", err))
+			}
+		}
+		off := len(buf)
+		buf = slices.Grow(buf, flen)[:off+flen]
+		frame := buf[off:]
 		s.mu.RLock()
 		if s.closed {
 			s.mu.RUnlock()
@@ -149,9 +169,6 @@ func (s *Store) Compact(ctx context.Context) error {
 			body[8] &^= opMore
 			binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(body, castagnoli))
 		}
-		if _, err := f.WriteAt(frame, size); err != nil {
-			return abort(fmt.Errorf("walengine: compact write: %w", err))
-		}
 		e.newLoc = loc{
 			seg:  newID,
 			off:  size,
@@ -160,6 +177,9 @@ func (s *Store) Compact(ctx context.Context) error {
 			vlen: e.oldLoc.vlen,
 		}
 		size += e.oldLoc.flen
+	}
+	if err := writeBuf(); err != nil {
+		return abort(fmt.Errorf("walengine: compact write: %w", err))
 	}
 	if err := f.Sync(); err != nil {
 		return abort(fmt.Errorf("walengine: compact fsync: %w", err))

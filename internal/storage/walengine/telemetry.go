@@ -35,7 +35,7 @@ func (s *Store) RegisterTelemetry(reg *telemetry.Registry) {
 		c("checkpoint_restored_total", "Index entries restored from checkpoints at reopen.", m.CheckpointRestored)
 		c("replayed_tail_records_total", "Records replayed past a checkpoint at reopen.", m.ReplayedTailRecords)
 		e.Gauge("aft_wal_appends_per_fsync",
-			"Mean appends covered per fsync (group-commit coalescing).",
+			"Mean appends covered per fsync (group-fsync coalescing).",
 			m.AppendsPerFsync)
 		age := 0.0
 		if d, ok := s.CheckpointAge(); ok {

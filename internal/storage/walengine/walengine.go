@@ -50,13 +50,14 @@
 // sees part of a batch before a crash either. Deletes claim none of this;
 // a BatchDelete's tombstones are independent frames.
 //
-// Group fsync. Concurrent writers coalesce into one fsync per flush
-// window, mirroring the leader-based shape of the node's group-commit
-// pipeline (internal/core/groupcommit.go): an appender queues for
-// durability and, if no flusher is active, becomes one; a single
-// File.Sync then acknowledges every append that reached the file before
-// it. AppendsPerFsync is the coalescing evidence, surfaced through the
-// engine's WAL metrics.
+// Group fsync. Concurrent writers share fsyncs, and this is the one place
+// in the write path where separate callers' writes coalesce (the node
+// runs each commit's writes on their own). Fsyncs run in numbered rounds,
+// one at a time: an appender waits for the first round that begins after
+// its append, and runs it itself if no round is running, so one File.Sync
+// acknowledges every append that arrived while the round before it ran.
+// The wait allocates nothing (syncRounds). AppendsPerFsync is the
+// coalescing evidence, surfaced through the engine's WAL metrics.
 //
 // Reads observe only durable state. A record (or a tombstone-produced
 // absence) still inside the group-fsync window is state a crash would
@@ -282,12 +283,18 @@ type Store struct {
 	// the fresh generation's fsync.
 	gen uint64
 	// buf and staged hold the frames of the append call in progress
-	// (beginLocked/stageLocked/landLocked); they are reused from one call
-	// to the next so neither a batch nor a point Put allocates its frames.
+	// (beginLocked/stageLocked/landLocked), and keys a BatchPut's keys in
+	// the order it frames them; they are reused from one call to the next
+	// so neither a batch nor a point Put allocates its frames.
 	buf    []byte
 	staged []staged
+	keys   []string
 
-	sy syncQueue
+	sy syncRounds
+	// syncHook, when set (tests only, before any concurrent use), runs at
+	// the start of every fsync round with the round's number; an error
+	// fails the round in place of the fsync.
+	syncHook func(round uint64) error
 
 	// compactMu serializes compaction runs; compacting gates the
 	// auto-trigger so at most one background run is in flight.
@@ -295,11 +302,12 @@ type Store struct {
 	compacting atomic.Bool
 
 	// Checkpoint state (checkpoint.go): ckptSeq (guarded by mu) is the
-	// next checkpoint sequence number; checkpointing gates the writer so
-	// at most one checkpoint is in flight; appendsAtCkpt drives the
-	// CheckpointEvery auto-trigger; lastCkptUnixNano feeds the age gauge.
+	// next checkpoint sequence number; ckptMu is held by the checkpoint
+	// being written, so at most one is in flight and Close can join it;
+	// appendsAtCkpt drives the CheckpointEvery auto-trigger;
+	// lastCkptUnixNano feeds the age gauge.
 	ckptSeq          uint64
-	checkpointing    atomic.Bool
+	ckptMu           sync.Mutex
 	appendsAtCkpt    atomic.Int64
 	lastCkptUnixNano atomic.Int64
 	// ckptHook, when set (tests only, before any concurrent use), fires
@@ -317,6 +325,7 @@ var _ storage.Store = (*Store)(nil)
 // fresh active segment for new appends.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{dir: dir, cfg: opts.withDefaults()}
+	s.sy.cond.L = &s.sy.mu
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("walengine: %w", err)
 	}
@@ -588,14 +597,18 @@ func (s *Store) replaySegment(id, start int64, winners map[string]replayEntry, t
 }
 
 // Close durably seals the log and releases every file handle. Subsequent
-// operations return storage.ErrUnavailable until Reopen. With automatic
-// checkpoints enabled (Options.CheckpointEvery > 0) a final checkpoint is
-// written first, so a clean restart replays nothing.
+// operations return storage.ErrUnavailable until Reopen. Close first joins
+// any checkpoint in flight; with automatic checkpoints enabled
+// (Options.CheckpointEvery > 0) it then writes a final one, so a clean
+// restart replays nothing.
 func (s *Store) Close() error {
+	// Held through the close, so no checkpoint starts underneath it.
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	if s.cfg.CheckpointEvery > 0 {
-		// Best effort outside the lock; a failed or raced checkpoint just
-		// means the next reopen replays a longer tail.
-		s.Checkpoint(context.Background())
+		// Best effort; a failed checkpoint just means the next reopen
+		// replays a longer tail.
+		_, _ = s.checkpointLocked()
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -806,90 +819,111 @@ func (s *Store) rollLocked() error {
 	return s.syncDir()
 }
 
-// syncQueue is the group-fsync rendezvous, the storage-side mirror of the
-// group-commit pipeline's leader/drainer shape.
-type syncQueue struct {
-	mu      sync.Mutex
-	waiters []syncWaiter
-	active  bool
+// syncRounds numbers the log's fsync rounds. Rounds run one at a time, and
+// each is run by one of the goroutines waiting for it; the rest sleep on
+// cond until the round they need has finished. A durability wait allocates
+// nothing: it is a round number and a counter.
+type syncRounds struct {
+	mu   sync.Mutex
+	cond sync.Cond // L is &mu; broadcast when a round finishes
+	// started and done count the rounds begun and finished; one is running
+	// while started > done.
+	started, done uint64
+	// waiting counts the waits registered for round started+1.
+	waiting int
+	// failed holds every failed round some of whose waiters have yet to
+	// collect its error. It is empty unless an fsync has failed.
+	failed []failedRound
 }
 
-// syncWaiter is one queued durability wait, pinned to the log generation
-// its bytes were appended in.
-type syncWaiter struct {
-	ch  chan error
-	gen uint64
+// failedRound is one failed fsync round and the waits still to learn so.
+type failedRound struct {
+	round uint64
+	err   error
+	left  int
 }
 
 // requestSync blocks until an fsync covering every byte appended before
-// the call has completed, coalescing concurrent waiters into shared
-// fsyncs. gen is the log generation observed (under s.mu) when the bytes
-// being awaited were appended or examined: if the engine crashes and
-// reopens before the covering fsync, the wait fails with ErrUnavailable
-// instead of being satisfied by the NEW generation's sync — the old
-// bytes were truncated, not made durable. The caller must have released
-// s.mu.
+// the call has completed. The wait needs the first round that begins after
+// the call — a running round may have started before those bytes landed —
+// and runs that round itself if none is running when it is due, so every
+// wait that arrives during one fsync shares the next. A round's error
+// reaches every wait of that round and no other: a later round's success
+// says nothing about bytes an earlier fsync failed to make durable.
+//
+// gen is the log generation observed (under s.mu) when the bytes being
+// awaited were appended or examined: if the engine crashes and reopens
+// before the wait is answered, it fails with ErrUnavailable instead of
+// being satisfied by the NEW generation's sync — the old bytes were
+// truncated, not made durable. The caller must have released s.mu.
 func (s *Store) requestSync(gen uint64) error {
-	w := syncWaiter{ch: make(chan error, 1), gen: gen}
 	q := &s.sy
 	q.mu.Lock()
-	q.waiters = append(q.waiters, w)
-	if q.active {
-		q.mu.Unlock()
-		return <-w.ch
+	need := q.started + 1
+	q.waiting++
+	for q.done < need && q.started > q.done {
+		q.cond.Wait() // wait out the running round
 	}
-	q.active = true
-	q.mu.Unlock()
-	for {
-		select {
-		case err := <-w.ch:
-			// Resolved by our own flush; hand the slot to a detached
-			// drainer for whatever queued during it.
-			go s.drainSync()
-			return err
-		default:
-		}
-		if !s.syncBatch() {
-			break // queue empty; slot released
-		}
-	}
-	return <-w.ch
-}
-
-// syncBatch takes the queued waiters and answers them with one fsync,
-// reporting whether there was work. Waiters from an older log generation
-// are failed: their bytes did not survive into the generation the fsync
-// covered.
-func (s *Store) syncBatch() bool {
-	q := &s.sy
-	q.mu.Lock()
-	batch := q.waiters
-	q.waiters = nil
-	if len(batch) == 0 {
-		q.active = false
-		q.mu.Unlock()
-		return false
+	var err error
+	if q.done < need {
+		// Nothing is running, so the next round is the one needed.
+		err = s.runRoundLocked(need)
+	} else {
+		err = q.collectLocked(need)
 	}
 	q.mu.Unlock()
-	err := s.fsyncActive()
+	if err != nil {
+		return err
+	}
 	s.mu.RLock()
 	cur := s.gen
 	s.mu.RUnlock()
-	for _, w := range batch {
-		if err == nil && w.gen != cur {
-			w.ch <- storage.ErrUnavailable
-		} else {
-			w.ch <- err
-		}
+	if cur != gen {
+		return storage.ErrUnavailable
 	}
-	return true
+	return nil
 }
 
-// drainSync flushes until the queue empties, then exits; it owns a slot
-// transferred from a writer whose own request already resolved.
-func (s *Store) drainSync() {
-	for s.syncBatch() {
+// runRoundLocked runs fsync round r on behalf of every wait registered for
+// it, leaving its error behind for the others, and returns it. Callers
+// hold s.sy.mu, which is released during the fsync.
+func (s *Store) runRoundLocked(r uint64) error {
+	q := &s.sy
+	q.started = r
+	others := q.waiting - 1
+	q.waiting = 0
+	q.mu.Unlock()
+	var err error
+	if hook := s.syncHook; hook != nil {
+		err = hook(r)
 	}
+	if err == nil {
+		err = s.fsyncActive()
+	}
+	q.mu.Lock()
+	q.done = r
+	if err != nil && others > 0 {
+		q.failed = append(q.failed, failedRound{round: r, err: err, left: others})
+	}
+	q.cond.Broadcast()
+	return err
+}
+
+// collectLocked returns the outcome of finished round r for one of the
+// waits that did not run it. Callers hold q.mu.
+func (q *syncRounds) collectLocked(r uint64) error {
+	for i := range q.failed {
+		f := &q.failed[i]
+		if f.round != r {
+			continue
+		}
+		err := f.err
+		if f.left--; f.left == 0 {
+			q.failed = slices.Delete(q.failed, i, i+1)
+		}
+		return err
+	}
+	return nil
 }
 
 // fsyncActive syncs the active segment and advances its durability
@@ -1043,11 +1077,6 @@ func (s *Store) BatchPut(ctx context.Context, items map[string][]byte) error {
 	if len(items) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(items))
-	for k := range items {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	s.metrics.Batches.Add(1)
 	s.metrics.BatchItems.Add(int64(len(items)))
 	ap := telemetry.StartSpan(ctx, "wal.append")
@@ -1060,11 +1089,18 @@ func (s *Store) BatchPut(ctx context.Context, items map[string][]byte) error {
 	}
 	err := s.beginLocked()
 	if err == nil {
+		keys := s.keys[:0]
+		for k := range items {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
 		last := len(keys) - 1
 		for _, k := range keys[:last] {
 			s.stageLocked(opPut|opMore, k, items[k])
 		}
 		s.stageLocked(opPut, keys[last], items[keys[last]])
+		clear(keys) // drop the key references
+		s.keys = keys[:0]
 		err = s.landLocked()
 	}
 	gen := s.gen

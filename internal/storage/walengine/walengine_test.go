@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"aft/internal/storage"
 )
@@ -344,34 +345,180 @@ func TestTombstoneSurvivesRestart(t *testing.T) {
 	wantMissing(t, s, "ghost")
 }
 
-// TestGroupFsyncCoalesces drives concurrent writers and checks that the
-// group-fsync window coalesced them: strictly fewer fsyncs than appends.
+// holdRound returns a syncHook that parks round r at its start: entered is
+// closed when the round begins, and the round goes on, with err in place of
+// its fsync when err is not nil, once release is closed. Other rounds run
+// untouched.
+func holdRound(r uint64, err error) (hook func(uint64) error, entered, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
+	return func(round uint64) error {
+		if round != r {
+			return nil
+		}
+		close(entered)
+		<-release
+		return err
+	}, entered, release
+}
+
+// waitParked blocks until n durability waits are registered for the round
+// after the running one.
+func waitParked(t *testing.T, s *Store, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.sy.mu.Lock()
+		got := s.sy.waiting
+		s.sy.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d writers wait for the next fsync round, want %d", got, n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// putAsync runs a Put on its own goroutine and returns its outcome's
+// channel.
+func putAsync(s *Store, key string) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- s.Put(context.Background(), key, []byte("v")) }()
+	return done
+}
+
+// await fails t unless ch is closed within five seconds.
+func await(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never happened", what)
+	}
+}
+
+// outcome returns what a putAsync write returned, failing t if it has not
+// returned within five seconds.
+func outcome(t *testing.T, done <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("a write was never acknowledged")
+		return nil
+	}
+}
+
+// TestGroupFsyncCoalesces: every write that arrives while an fsync runs
+// shares the next one. Round 1 is held until N writers wait behind it;
+// then the N+1 appends cost exactly two fsyncs.
 func TestGroupFsyncCoalesces(t *testing.T) {
 	s := openT(t, t.TempDir(), Options{})
-	const writers, per = 16, 25
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if err := s.Put(context.Background(), fmt.Sprintf("w%d-%d", w, i), []byte("v")); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
+	hook, entered, release := holdRound(1, nil)
+	s.syncHook = hook
+	const writers = 16
+	first := putAsync(s, "first")
+	await(t, entered, "round 1")
+	var rest []<-chan error
+	for i := 0; i < writers; i++ {
+		rest = append(rest, putAsync(s, fmt.Sprintf("w%d", i)))
 	}
-	wg.Wait()
+	waitParked(t, s, writers)
+	close(release)
+	for _, done := range append(rest, first) {
+		if err := outcome(t, done); err != nil {
+			t.Fatal(err)
+		}
+	}
 	w := s.WAL().Snapshot()
-	if w.Appends != writers*per {
-		t.Fatalf("Appends = %d, want %d", w.Appends, writers*per)
+	if w.Appends != writers+1 || w.Fsyncs != 2 {
+		t.Fatalf("appends/fsyncs = %d/%d, want %d/2", w.Appends, w.Fsyncs, writers+1)
 	}
-	if w.Fsyncs >= w.Appends {
-		t.Fatalf("no coalescing: %d fsyncs for %d appends", w.Fsyncs, w.Appends)
+}
+
+// TestSyncWaitNeedsARoundBegunAfterIt: a write that arrives while an fsync
+// runs is not acknowledged by that fsync, which may have begun before the
+// write's bytes landed; it waits for the next round.
+func TestSyncWaitNeedsARoundBegunAfterIt(t *testing.T) {
+	s := openT(t, t.TempDir(), Options{})
+	hold1, entered1, release1 := holdRound(1, nil)
+	hold2, entered2, release2 := holdRound(2, nil)
+	s.syncHook = func(r uint64) error {
+		if err := hold1(r); err != nil {
+			return err
+		}
+		return hold2(r)
 	}
-	if w.AppendsPerFsync <= 1 {
-		t.Fatalf("AppendsPerFsync = %.2f, want > 1", w.AppendsPerFsync)
+	first := putAsync(s, "first")
+	await(t, entered1, "round 1")
+	late := putAsync(s, "late")
+	waitParked(t, s, 1)
+	close(release1)
+	if err := outcome(t, first); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-late:
+		t.Fatalf("a write was acknowledged by the fsync running when it arrived (err %v)", err)
+	case <-entered2:
+	case <-time.After(5 * time.Second):
+		t.Fatal("round 2 never began")
+	}
+	close(release2)
+	if err := outcome(t, late); err != nil {
+		t.Fatal(err)
+	}
+	if !syncedUp(s) {
+		t.Fatal("a write was acknowledged before the log was durable through it")
+	}
+}
+
+// TestSyncWaitFailsWithItsRound: an fsync error reaches every write that
+// waited on that round, and a later round's success acknowledges none of
+// them. Round 2 fails under N writers; a write that arrives during round 2
+// is answered by round 3, which succeeds.
+func TestSyncWaitFailsWithItsRound(t *testing.T) {
+	s := openT(t, t.TempDir(), Options{})
+	errFsync := errors.New("injected fsync failure")
+	hold1, entered1, release1 := holdRound(1, nil)
+	hold2, entered2, release2 := holdRound(2, errFsync)
+	s.syncHook = func(r uint64) error {
+		if err := hold1(r); err != nil {
+			return err
+		}
+		return hold2(r)
+	}
+	const writers = 8
+	first := putAsync(s, "first")
+	await(t, entered1, "round 1")
+	var failing []<-chan error
+	for i := 0; i < writers; i++ {
+		failing = append(failing, putAsync(s, fmt.Sprintf("w%d", i)))
+	}
+	waitParked(t, s, writers)
+	close(release1)
+	if err := outcome(t, first); err != nil {
+		t.Fatal(err)
+	}
+	await(t, entered2, "round 2")
+	late := putAsync(s, "late")
+	waitParked(t, s, 1)
+	close(release2)
+	for i, done := range failing {
+		if err := outcome(t, done); !errors.Is(err, errFsync) {
+			t.Errorf("writer %d of the failed round = %v, want the fsync error", i, err)
+		}
+	}
+	if err := outcome(t, late); err != nil {
+		t.Fatalf("write answered by the round after the failure = %v", err)
+	}
+	s.sy.mu.Lock()
+	left := len(s.sy.failed)
+	s.sy.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d failed rounds still held after every waiter collected", left)
 	}
 }
 

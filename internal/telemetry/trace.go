@@ -148,8 +148,8 @@ func (s *ActiveSpan) End() {
 }
 
 // AddSpan records a completed span directly — used where the duration
-// was measured elsewhere (e.g. a group-commit flush attributing its
-// storage write back to each member transaction). Nil-safe.
+// was measured elsewhere (e.g. a peer's multicast delivery attributed
+// back to the committing transaction's trace). Nil-safe.
 func (t *Trace) AddSpan(name string, start time.Time, d time.Duration, attrs map[string]string) {
 	if t == nil {
 		return

@@ -17,8 +17,8 @@ import (
 // frameWriter batches frame writes from many goroutines onto one conn.
 // Producers append encoded frames to a pending buffer under the lock; a
 // dedicated writer goroutine swaps the buffer out and writes the whole
-// batch in one syscall. The batching is self-clocking, exactly like the
-// node's group commit: while one Write syscall is in flight, every
+// batch in one syscall. The batching is self-clocking, like the WAL's
+// group fsync: while one Write syscall is in flight, every
 // frame produced in the meantime accumulates into the next batch, so
 // syscalls per frame fall as concurrency rises — which is where the
 // protocol's throughput at high worker counts comes from.

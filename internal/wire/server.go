@@ -271,9 +271,9 @@ func (h *handler) reset() {
 // handler's previous context is reused unless a wait armed it: an armed
 // context's timer and parent registration may still fire, so it is dropped
 // for a fresh one. Reuse is safe because nothing outlives the request it
-// was given: the node's only goroutine, the group-commit drainer, runs
-// under context.Background, and code that derives a cancelable child or
-// waits on Done arms the context first.
+// was given: the goroutines a commit's write phase starts return before the
+// commit does, and code that derives a cancelable child or waits on Done
+// arms the context first.
 func (h *handler) deadline(parent context.Context, d time.Duration) *deadlineCtx {
 	if h.dctx == nil || h.dctx.armed() {
 		h.dctx = new(deadlineCtx)

@@ -4,7 +4,7 @@ package bench
 // fsync-bound write path (solo and group-coalesced), the batch append
 // path, and log replay on reopen. Unlike the protocol benchmarks these
 // touch the real disk — the interesting numbers are appends/fsync (the
-// group-commit economy) and replayed records/second.
+// group-fsync economy) and replayed records/second.
 
 import (
 	"context"
