@@ -11,6 +11,7 @@ import (
 	"aft/internal/idgen"
 	"aft/internal/records"
 	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/redissim"
 )
 
 // mallocsDuring counts the heap allocations f makes, process-wide: callers
@@ -110,6 +111,57 @@ func TestReadAllocBudget(t *testing.T) {
 	}
 	if fresh > 4 {
 		t.Errorf("Start+Get+Abort costs %v allocs, want at most 4 (transaction, ID, read set, copy)", fresh)
+	}
+}
+
+// TestMultiGetAllocBudget pins a batched read to a fixed number of
+// allocations beyond the values it hands back. Served from the data cache,
+// Start + a 4-key MultiGet + Abort allocates the transaction, its ID, the
+// read set, the result slice and the 4 copies. Cold, on a zero-latency
+// Redis with 2 shards and no cache, the one BatchGet adds its key string,
+// its key slice and the engine's result map, and the 4 copies are the
+// engine's: no plan, index list, map or string per key.
+func TestMultiGetAllocBudget(t *testing.T) {
+	keys := []string{"mg-a", "mg-b", "mg-c", "mg-d"}
+	for _, tc := range []struct {
+		name   string
+		cache  bool
+		budget float64
+	}{
+		{"cached", true, 8},
+		{"cold", false, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := redissim.New(redissim.Options{})
+			if store.ShardFor(keys[0]) == store.ShardFor(keys[1]) {
+				t.Fatalf("keys %q and %q share a shard", keys[0], keys[1])
+			}
+			n, err := NewNode(Config{NodeID: "mgbudget", Store: store, EnableDataCache: tc.cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			txid, _ := n.StartTransaction(ctx)
+			for _, k := range keys {
+				n.Put(ctx, txid, k, make([]byte, historyValueLen))
+			}
+			if _, err := n.CommitTransaction(ctx, txid); err != nil {
+				t.Fatal(err)
+			}
+			op := func() {
+				txid, _ := n.StartTransaction(ctx)
+				vals, err := n.MultiGet(ctx, txid, keys)
+				if err != nil || len(vals) != len(keys) || len(vals[3]) != historyValueLen {
+					t.Fatalf("MultiGet = %d values, %v", len(vals), err)
+				}
+				n.AbortTransaction(ctx, txid)
+			}
+			got := testing.AllocsPerRun(200, op)
+			t.Logf("Start + 4-key MultiGet + Abort: %v allocs", got)
+			if got > tc.budget {
+				t.Errorf("Start + 4-key MultiGet + Abort costs %v allocs, budget %v", got, tc.budget)
+			}
+		})
 	}
 }
 

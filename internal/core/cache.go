@@ -23,6 +23,11 @@ import (
 // a payload freshly read from storage — instead of copying it. Probes
 // (appendTo, evict) take the storage key as bytes the caller assembled in
 // a buffer of its own, so a hit builds no key string.
+//
+// An entry's key may be a slice of a longer string: a MultiGet fetch
+// builds the storage keys of all its misses as one string. Such an entry
+// keeps that whole string alive, a few hundred bytes beside a value that
+// is usually larger, until it is evicted.
 type dataCache struct {
 	shards []*cacheShard
 	mask   uint32

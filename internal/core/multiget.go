@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"aft/internal/storage"
@@ -71,46 +73,52 @@ func (n *Node) AppendMultiGet(ctx context.Context, txid string, keys []string, d
 	return out, nil
 }
 
-func (n *Node) doMultiGet(ctx context.Context, t *txnState, txid string, keys []string, out [][]byte) error {
-	plans := make([]readPlan, len(keys))
+// mgBufLen is the batch size MultiGet plans and fetches in stack buffers:
+// plans, index lists, fetch slots and storage-key bytes. A larger batch
+// takes them from the heap, a few allocations per call.
+const mgBufLen = 8
 
-	// Metadata phase: plan every key under one t.mu hold. Version
-	// selection takes only stripe read locks per key; the cold-key
-	// metadata recovery (partial-metadata mode) runs here too, coalesced
-	// with concurrent readers via the singleflight.
+func (n *Node) doMultiGet(ctx context.Context, t *txnState, txid string, keys []string, out [][]byte) error {
+	k := len(keys)
+	var planBuf [mgBufLen]readPlan
+	var idxBuf [3 * mgBufLen]int
+	plans, idx := planBuf[:], idxBuf[:]
+	if k > mgBufLen {
+		plans, idx = make([]readPlan, k), make([]int, 3*k)
+	}
+	plans = plans[:k]
+	// first[i] is the first index holding keys[i]. The second third of
+	// idx is the sort's scratch, then the distinct indices, then the
+	// pending ones; the last third collects vanished versions.
+	first := idx[:k]
+	markFirst(first, idx[k:2*k], keys)
+	uniq := idx[k : k : 2*k]
+	for i, j := range first {
+		if i == j {
+			uniq = append(uniq, i)
+		}
+	}
+
+	// Metadata phase: plan every distinct key under one t.mu hold.
+	// Version selection takes only stripe read locks per key; the
+	// cold-key metadata recovery (partial-metadata mode) runs here too,
+	// coalesced with concurrent readers via the singleflight.
 	plan := func(idxs []int) error {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		if t.done {
 			return n.finishedErr(txid)
 		}
-		first := make(map[string]int, len(idxs))
 		for _, i := range idxs {
-			if j, ok := first[keys[i]]; ok {
-				// A duplicated key shares its first occurrence's plan —
-				// one selection and ONE vanished-version retry identity,
-				// so a payload GC'd mid-call is re-selected for every
-				// occurrence instead of the later ones (alreadyRead via
-				// the first) spuriously failing the whole transaction.
-				plans[i] = plans[j]
-				continue
-			}
 			p, err := n.planRead(ctx, t, keys[i])
 			if err != nil {
 				return err
 			}
 			plans[i] = p
-			if !p.buffered {
-				first[keys[i]] = i
-			}
 		}
 		return nil
 	}
-	all := make([]int, len(keys))
-	for i := range all {
-		all[i] = i
-	}
-	if err := plan(all); err != nil {
+	if err := plan(uniq); err != nil {
 		return err
 	}
 
@@ -119,8 +127,8 @@ func (n *Node) doMultiGet(ctx context.Context, t *txnState, txid string, keys []
 	// served immediately; the misses of all keys share batched round
 	// trips. A second pass handles versions that vanished under the GC
 	// race.
-	pending := make([]int, 0, len(keys))
-	for i := range keys {
+	pending := uniq[:0] // filters uniq in place
+	for _, i := range uniq {
 		if plans[i].buffered {
 			out[i] = appendValue(out[i], plans[i].value)
 		} else {
@@ -129,12 +137,12 @@ func (n *Node) doMultiGet(ctx context.Context, t *txnState, txid string, keys []
 	}
 	const maxAttempts = 2 // mirrors Get's single vanished-version retry
 	for attempt := 0; ; attempt++ {
-		missing, err := n.fetchPlanned(ctx, keys, plans, out, pending)
+		missing, err := n.fetchPlanned(ctx, keys, plans, out, pending, idx[2*k:2*k])
 		if err != nil {
 			return err
 		}
 		if len(missing) == 0 {
-			return nil
+			break
 		}
 		// Version(s) vanished under the global GC: retry on keys not yet
 		// read before this call (fetchPlanned classifies the rest).
@@ -164,61 +172,128 @@ func (n *Node) doMultiGet(ctx context.Context, t *txnState, txid string, keys []
 			}
 		}
 	}
+	// A duplicated key shares its first occurrence's read — one selection
+	// and ONE vanished-version retry identity, so a payload GC'd mid-call
+	// is re-selected for every occurrence instead of the later ones
+	// (already read via the first) spuriously failing the transaction. It
+	// gets a copy: callers may mutate their results.
+	for i, j := range first {
+		if i != j {
+			out[i] = appendValue(out[i], out[j])
+		}
+	}
+	return nil
+}
+
+// markFirst sets first[i] to the smallest j with keys[j] == keys[i]. It
+// finds duplicates by sorting the indices by key in order, a scratch slice
+// as long as keys.
+func markFirst(first, order []int, keys []string) {
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := strings.Compare(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	for r, i := range order {
+		if r > 0 && keys[order[r-1]] == keys[i] {
+			first[i] = first[order[r-1]]
+		} else {
+			first[i] = i
+		}
+	}
+}
+
+// fetchSlot is one result slot a MultiGet fetches from storage: index i,
+// whose storage key is bytes [off, end) of the fetch's key buffer.
+type fetchSlot struct {
+	i, off, end int
 }
 
 // fetchPlanned serves the planned indices from the data cache and one
-// batched storage fetch, appending into out. It returns the indices whose
-// payload is missing from storage AND eligible for the vanished-version
-// retry (first reads of a key whose selected version the global GC
-// collected mid-read — the vote/bootstrap TOCTOU doGet describes); a
-// missing spill payload or a re-read of an already-read key is an error,
-// like Get's handling.
-func (n *Node) fetchPlanned(ctx context.Context, keys []string, plans []readPlan, out [][]byte, idxs []int) ([]int, error) {
-	toFetch := make(map[string][]int)
-	var kb [keyBufLen]byte
+// batched storage fetch, appending into out. It appends to vanished, and
+// returns, the indices whose payload is missing from storage AND eligible
+// for the vanished-version retry (first reads of a key whose selected
+// version the global GC collected mid-read — the vote/bootstrap TOCTOU
+// doGet describes); a missing spill payload or a re-read of an
+// already-read key is an error, like Get's handling.
+//
+// The misses' storage keys are appended into one buffer, which becomes
+// one string the BatchGet keys are sliced from: a fetch allocates that
+// string and the key slice, whatever its size. Keys of one packed
+// transaction share a storage key; sorting the slots by key groups them,
+// so each storage key is fetched once.
+func (n *Node) fetchPlanned(ctx context.Context, keys []string, plans []readPlan, out [][]byte, idxs, vanished []int) ([]int, error) {
+	var slotBuf [mgBufLen]fetchSlot
+	var keyBuf [mgBufLen * keyBufLen]byte
+	slots, kb := slotBuf[:0], keyBuf[:0]
+	if len(idxs) > len(slotBuf) {
+		slots = make([]fetchSlot, 0, len(idxs))
+	}
 	for _, i := range idxs {
 		p := &plans[i]
-		sk := p.appendStorageKey(kb[:0], keys[i])
+		off := len(kb)
+		kb = p.appendStorageKey(kb, keys[i])
+		sk := kb[off:]
+		v, hit := out[i], false
 		if !p.spill && p.rec.Packed {
-			if v, ok := n.data.appendTo(appendPackEntryKey(sk, keys[i]), out[i]); ok {
-				n.metrics.CacheHits.Add(1)
-				out[i] = v
-				continue
-			}
-			if packed, ok := n.data.appendTo(sk, nil); ok {
-				n.metrics.CacheHits.Add(1)
-				v, err := n.extractPacked(packed, string(sk), keys[i], out[i])
-				if err != nil {
-					return nil, err
+			if v, hit = n.data.appendTo(appendPackEntryKey(sk, keys[i]), out[i]); !hit {
+				if packed, ok := n.data.appendTo(sk, nil); ok {
+					var err error
+					if v, err = n.extractPacked(packed, string(sk), keys[i], out[i]); err != nil {
+						return nil, err
+					}
+					hit = true
 				}
-				out[i] = v
-				continue
 			}
-		} else if v, ok := n.data.appendTo(sk, out[i]); ok {
+		} else {
+			v, hit = n.data.appendTo(sk, out[i])
+		}
+		if hit {
 			n.metrics.CacheHits.Add(1)
 			out[i] = v
+			kb = kb[:off]
 			continue
 		}
-		toFetch[string(sk)] = append(toFetch[string(sk)], i)
+		slots = append(slots, fetchSlot{i, off, len(kb)})
 	}
-	if len(toFetch) == 0 {
-		return nil, nil
+	if len(slots) == 0 {
+		return vanished, nil
 	}
-	skeys := make([]string, 0, len(toFetch))
-	for sk := range toFetch {
-		skeys = append(skeys, sk)
+	slices.SortFunc(slots, func(a, b fetchSlot) int {
+		if c := bytes.Compare(kb[a.off:a.end], kb[b.off:b.end]); c != 0 {
+			return c
+		}
+		return a.i - b.i
+	})
+	all := string(kb)
+	skOf := func(s fetchSlot) string { return all[s.off:s.end] }
+	// runEnd returns the end of the run of slots sharing slots[r]'s key.
+	runEnd := func(r int) int {
+		e := r + 1
+		for e < len(slots) && skOf(slots[e]) == skOf(slots[r]) {
+			e++
+		}
+		return e
+	}
+	skeys := make([]string, 0, len(slots))
+	for r := 0; r < len(slots); r = runEnd(r) {
+		skeys = append(skeys, skOf(slots[r]))
 	}
 	got, err := n.batchFetchPayloads(ctx, skeys)
 	if err != nil {
 		return nil, err
 	}
-	var vanished []int
-	for _, sk := range skeys {
-		waiting := toFetch[sk]
+	for r, e := 0, 0; r < len(slots); r = e {
+		e = runEnd(r)
+		sk, waiting := skOf(slots[r]), slots[r:e]
 		v, ok := got[sk]
 		if !ok {
-			for _, i := range waiting {
-				p := &plans[i]
+			for _, s := range waiting {
+				p := &plans[s.i]
 				if p.spill {
 					// Own spill data cannot be collected under us; this
 					// is storage trouble, not a vanished version.
@@ -229,11 +304,11 @@ func (n *Node) fetchPlanned(ctx context.Context, keys []string, plans []readPlan
 					// transaction must be redone.
 					return nil, fmt.Errorf("aft: fetching %s: %w", sk, ErrVersionVanished)
 				}
-				vanished = append(vanished, i)
+				vanished = append(vanished, s.i)
 			}
 			continue
 		}
-		if p := &plans[waiting[0]]; !p.spill && p.rec.Packed {
+		if p := &plans[waiting[0].i]; !p.spill && p.rec.Packed {
 			n.data.adopt(sk, v)
 			// One decode serves every key of the pack (and caches the
 			// per-key entries); only pack storage keys carry packed plans,
@@ -242,20 +317,20 @@ func (n *Node) fetchPlanned(ctx context.Context, keys []string, plans []readPlan
 			if err != nil {
 				return nil, err
 			}
-			for _, i := range waiting {
-				pv, ok := m[keys[i]]
+			for _, s := range waiting {
+				pv, ok := m[keys[s.i]]
 				if !ok {
-					return nil, fmt.Errorf("records: key %q missing from packed object", keys[i])
+					return nil, fmt.Errorf("records: key %q missing from packed object", keys[s.i])
 				}
-				out[i] = appendValue(out[i], pv)
+				out[s.i] = appendValue(out[s.i], pv)
 			}
 			continue
 		}
 		// A storage key serving several result slots must not alias one
 		// slice across them (callers may mutate their copy).
-		out[waiting[0]] = n.keepFetched(sk, v, out[waiting[0]])
-		for _, i := range waiting[1:] {
-			out[i] = appendValue(out[i], v)
+		out[waiting[0].i] = n.keepFetched(sk, v, out[waiting[0].i])
+		for _, s := range waiting[1:] {
+			out[s.i] = appendValue(out[s.i], v)
 		}
 	}
 	return vanished, nil

@@ -17,6 +17,7 @@ import (
 	"aft/internal/records"
 	"aft/internal/storage"
 	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/redissim"
 )
 
 // listGateStore blocks every List until released, so a test can
@@ -254,6 +255,99 @@ func TestMultiGetSemantics(t *testing.T) {
 	// Empty key set is a no-op.
 	if vals, err := n.MultiGet(ctx, reader, nil); err != nil || vals != nil {
 		t.Fatalf("MultiGet(nil) = %v, %v", vals, err)
+	}
+	t.Run("LargerThanBuffers", testLargeMultiGet)
+}
+
+// testLargeMultiGet runs one MultiGet of 40 keys, more than MultiGet's
+// stack buffers hold, over a 2-shard Redis: duplicates, buffered writes,
+// cached and cold payloads, and keys of two packed transactions (one
+// cached, one cold). Every value must equal a per-key Get in the same
+// transaction, no two results may share memory, and no storage key may be
+// fetched twice.
+func testLargeMultiGet(t *testing.T) {
+	store := redissim.New(redissim.Options{})
+	n, err := NewNode(Config{NodeID: "mg40", Store: store, EnableDataCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Other nodes write every key, so n caches only what it reads.
+	writer, err := NewNode(Config{NodeID: "mg40w", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	packer, err := NewNode(Config{NodeID: "mg40p", Store: store, PackedLayout: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var keys []string
+	for i := 0; i < 24; i += 2 { // two keys per transaction
+		commitTxnOn(t, writer, map[string]string{
+			fmt.Sprintf("m-%02d", i):   fmt.Sprintf("v%d", i),
+			fmt.Sprintf("m-%02d", i+1): fmt.Sprintf("v%d", i+1),
+		})
+		keys = append(keys, fmt.Sprintf("m-%02d", i), fmt.Sprintf("m-%02d", i+1))
+	}
+	for _, pack := range []string{"pa", "pb"} {
+		kvs := map[string]string{}
+		for i := 0; i < 4; i++ {
+			k := fmt.Sprintf("%s-%d", pack, i)
+			kvs[k] = pack + "-value-" + k
+			keys = append(keys, k)
+		}
+		commitTxnOn(t, packer, kvs)
+	}
+	n.MergeRemoteCommits(writer.Drain())
+	n.MergeRemoteCommits(packer.Drain())
+	// Warm the cache with every third plain key and one key of pack pa.
+	warm, _ := n.StartTransaction(ctx)
+	for _, k := range []string{"m-00", "m-03", "m-06", "m-09", "m-12", "m-15", "pa-0"} {
+		if _, err := n.Get(ctx, warm, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.AbortTransaction(ctx, warm)
+
+	reader, _ := n.StartTransaction(ctx)
+	for _, k := range []string{"m-05", "new-x"} {
+		if err := n.Put(ctx, reader, k, []byte("buffered-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys = append(keys, "new-x", "m-05", "m-03", "pb-1", "new-x", "m-20", "pa-2", "m-20")
+	if len(keys) != 40 {
+		t.Fatalf("built %d keys, want 40", len(keys))
+	}
+	before := store.Metrics().Snapshot()
+	vals, err := n.MultiGet(ctx, reader, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each storage key is fetched once: the 17 plain keys neither cached
+	// nor buffered, and pack pb's one object for its 4 keys.
+	if d := store.Metrics().Snapshot().Sub(before); d.BatchGetItems != 18 || d.Gets != 0 {
+		t.Fatalf("MultiGet fetched %d items in BatchGets and %d point Gets, want 18 and 0", d.BatchGetItems, d.Gets)
+	}
+	for i, k := range keys {
+		want, err := n.Get(ctx, reader, k)
+		if err != nil {
+			t.Fatalf("Get(%s) = %v", k, err)
+		}
+		if string(vals[i]) != string(want) {
+			t.Fatalf("vals[%d] (%s) = %q, Get = %q", i, k, vals[i], want)
+		}
+	}
+	// No two results share memory: overwrite each, then re-check the rest.
+	for i := range vals {
+		for j := range vals[i] {
+			vals[i][j] = '#'
+		}
+		for j := i + 1; j < len(vals); j++ {
+			if want, _ := n.Get(ctx, reader, keys[j]); string(vals[j]) != string(want) {
+				t.Fatalf("writing vals[%d] (%s) changed vals[%d] (%s) to %q", i, keys[i], j, keys[j], vals[j])
+			}
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"aft/internal/core"
+	"aft/internal/idgen"
 	"aft/internal/records"
 	"aft/internal/storage/dynamosim"
 )
@@ -119,6 +120,47 @@ func TestVoteAllocBudget(t *testing.T) {
 	for i, d := range voter.LocallyDeleted(recs) {
 		if d {
 			t.Fatalf("record %d still marked after ForgetDeleted", i)
+		}
+	}
+}
+
+// TestCollectAllocBudget pins a global GC round's cost to its calls, not to
+// its size: a round that collects 100 two-key transactions and one that
+// collects 1 000 both stay within collectAllocBudget (20 and 23; the
+// difference is the candidate list growing). Each delete list is one
+// string, sliced; a string per deleted key would cost 3 000 here.
+func TestCollectAllocBudget(t *testing.T) {
+	const collectAllocBudget = 23
+	ctx := context.Background()
+	for _, collected := range []int{100, 1000} {
+		// round builds a manager with collected superseded transactions
+		// and counts the allocations of the round that collects them.
+		round := func() uint64 {
+			store := dynamosim.New(dynamosim.Options{})
+			n := newNode(t, store, "n1")
+			const pairs = 50 // the newest version of each pair stays
+			for i := 0; i < collected+pairs; i++ {
+				commit(t, n, map[string]string{
+					fmt.Sprintf("a%d", i%pairs): "v",
+					fmt.Sprintf("b%d", i%pairs): "v",
+				})
+			}
+			m := New(store, StaticMembership{n})
+			m.Ingest(n.ID(), n.Drain())
+			n.SweepLocalMetadata(0)
+			var removed []idgen.ID
+			var err error
+			allocs := mallocsDuring(func() { removed, err = m.CollectOnce(ctx, 0) })
+			if err != nil || len(removed) != collected {
+				t.Fatalf("round collected %d transactions, %v; want %d", len(removed), err, collected)
+			}
+			return allocs
+		}
+		fewest := min(round(), round(), round())
+		t.Logf("round collecting %d transactions: %d allocations", collected, fewest)
+		if fewest > collectAllocBudget {
+			t.Errorf("round collecting %d transactions: %d allocations, budget %d",
+				collected, fewest, collectAllocBudget)
 		}
 	}
 }

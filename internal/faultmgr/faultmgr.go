@@ -22,7 +22,6 @@ package faultmgr
 import (
 	"context"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -345,8 +344,8 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 		}
 	}
 	m.mu.Unlock()
-	sort.Slice(candidates, func(i, j int) bool {
-		return candidates[i].ID().Less(candidates[j].ID())
+	slices.SortFunc(candidates, func(a, b *records.CommitRecord) int {
+		return a.ID().Compare(b.ID())
 	})
 	if maxDelete > 0 && len(candidates) > maxDelete {
 		candidates = candidates[:maxDelete]
@@ -375,35 +374,39 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 	// the per-transaction record-last ordering: a crash in between leaves
 	// records a rescan re-processes (deletes are idempotent), never data
 	// without an attributable record.
-	var collected []*records.CommitRecord
-	var versions, recordKeys []string
-	var versionCount int64
+	//
+	// Each delete list is built in one byte buffer, converted to one
+	// string and sliced, so a round allocates per list, not per key.
+	collected := make([]*records.CommitRecord, 0, len(candidates))
+	var versionCount int
 	for i, rec := range candidates {
-		if vetoed[i] {
-			continue
+		if !vetoed[i] {
+			collected = append(collected, rec)
+			versionCount += len(rec.WriteSet)
 		}
-		versionCount += int64(len(rec.WriteSet))
-		if rec.Packed {
-			// A packed record maps its whole write set to one object.
-			if len(rec.WriteSet) > 0 {
-				versions = append(versions, records.PackKey(rec.ID()))
-			}
-		} else {
-			for _, k := range rec.WriteSet {
-				versions = append(versions, rec.StorageKeyFor(k))
-			}
-		}
-		recordKeys = append(recordKeys, records.CommitKey(rec.ID()))
-		collected = append(collected, rec)
 	}
 	if len(collected) == 0 {
 		return nil, nil
 	}
-	if err := m.store.BatchDelete(ctx, versions); err != nil {
+	versions, recordKeys := newKeyList(versionCount), newKeyList(len(collected))
+	for _, rec := range collected {
+		if rec.Packed {
+			// A packed record maps its whole write set to one object.
+			if len(rec.WriteSet) > 0 {
+				versions.add(records.AppendPackKey(versions.buf, rec.ID()))
+			}
+		} else {
+			for _, k := range rec.WriteSet {
+				versions.add(rec.AppendStorageKeyFor(versions.buf, k))
+			}
+		}
+		recordKeys.add(records.AppendCommitKey(recordKeys.buf, rec.ID()))
+	}
+	if err := m.store.BatchDelete(ctx, versions.strings()); err != nil {
 		return nil, err
 	}
-	m.metrics.VersionsDeleted.Add(versionCount)
-	if err := m.store.BatchDelete(ctx, recordKeys); err != nil {
+	m.metrics.VersionsDeleted.Add(int64(versionCount))
+	if err := m.store.BatchDelete(ctx, recordKeys.strings()); err != nil {
 		return nil, err
 	}
 	removed := make([]idgen.ID, len(collected))
@@ -426,6 +429,37 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 		}
 	}
 	return removed, nil
+}
+
+// keyList is a list of storage keys kept as one byte buffer and the end
+// offset of each key in it.
+type keyList struct {
+	buf  []byte
+	ends []int
+}
+
+// newKeyList returns a keyList sized for n keys of up to 64 bytes (a data
+// key of a short user key); longer keys grow the buffer.
+func newKeyList(n int) keyList {
+	return keyList{buf: make([]byte, 0, 64*n), ends: make([]int, 0, n)}
+}
+
+// add records buf, which is l.buf with one more key appended, as the list.
+func (l *keyList) add(buf []byte) {
+	l.buf = buf
+	l.ends = append(l.ends, len(buf))
+}
+
+// strings returns the keys as slices of one string.
+func (l *keyList) strings() []string {
+	all := string(l.buf)
+	out := make([]string, len(l.ends))
+	start := 0
+	for i, end := range l.ends {
+		out[i] = all[start:end]
+		start = end
+	}
+	return out
 }
 
 // SweepSpills garbage-collects orphaned spill data (§3.3): intermediary

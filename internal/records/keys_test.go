@@ -53,8 +53,14 @@ func checkKeyBuilders(t *testing.T, key, uuid string, ts int64) {
 	if want := CommitPrefix + refID(id); ck != want {
 		t.Fatalf("CommitKey(%v) = %q, want %q", id, ck, want)
 	}
+	if got := string(AppendCommitKey([]byte("x"), id)); got != "x"+ck {
+		t.Fatalf("AppendCommitKey(%v) = %q, want %q", id, got, "x"+ck)
+	}
 	if got, want := PackKey(id), PackPrefix+refID(id); got != want {
 		t.Fatalf("PackKey(%v) = %q, want %q", id, got, want)
+	}
+	if got, want := string(AppendPackKey([]byte("x"), id)), "x"+PackPrefix+refID(id); got != want {
+		t.Fatalf("AppendPackKey(%v) = %q, want %q", id, got, want)
 	}
 	dir := refID(id)
 	sk := SpillKey(dir, key)

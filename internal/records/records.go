@@ -134,6 +134,11 @@ func ParseDataKey(storageKey string) (key string, id idgen.ID, err error) {
 // CommitKey returns the storage key of transaction id's commit record.
 func CommitKey(id idgen.ID) string { return prefixedID(CommitPrefix, id) }
 
+// AppendCommitKey appends CommitKey(id) to dst.
+func AppendCommitKey(dst []byte, id idgen.ID) []byte {
+	return id.Append(append(dst, CommitPrefix...))
+}
+
 // prefixedID returns prefix + id.String() in one allocation.
 func prefixedID(prefix string, id idgen.ID) string {
 	var b [keyBufLen]byte
@@ -211,6 +216,11 @@ type CommitRecord struct {
 // PackKey returns the storage key of transaction id's packed object.
 func PackKey(id idgen.ID) string { return prefixedID(PackPrefix, id) }
 
+// AppendPackKey appends PackKey(id) to dst.
+func AppendPackKey(dst []byte, id idgen.ID) []byte {
+	return id.Append(append(dst, PackPrefix...))
+}
+
 // BootstrapWatermarkKey returns the storage key holding node's bootstrap
 // watermark (the newest commit key its last Bootstrap processed).
 func BootstrapWatermarkKey(node string) string {
@@ -243,7 +253,7 @@ func (r *CommitRecord) StorageKeyFor(key string) string {
 // only looks the key up — a data-cache probe — and need not allocate it.
 func (r *CommitRecord) AppendStorageKeyFor(dst []byte, key string) []byte {
 	if r.Packed {
-		return r.ID().Append(append(dst, PackPrefix...))
+		return AppendPackKey(dst, r.ID())
 	}
 	for _, s := range r.Spilled {
 		if s == key {
@@ -303,19 +313,6 @@ func Unpack(b []byte) (map[string][]byte, error) {
 		return nil, fmt.Errorf("records: corrupt packed object: %v", err)
 	}
 	return m, nil
-}
-
-// ExtractPacked returns key's value from a packed object.
-func ExtractPacked(packed []byte, key string) ([]byte, error) {
-	m, err := Unpack(packed)
-	if err != nil {
-		return nil, err
-	}
-	v, ok := m[key]
-	if !ok {
-		return nil, fmt.Errorf("records: key %q missing from packed object", key)
-	}
-	return v, nil
 }
 
 // KeyVersion names one version of one user key.

@@ -165,9 +165,7 @@ func (s *Store) BatchGet(ctx context.Context, keys []string) (map[string][]byte,
 		s.metrics.BatchGets.Add(1)
 		s.metrics.BatchGetItems.Add(int64(len(chunk)))
 		s.sleep(latency.OpGet, len(chunk))
-		for k, v := range s.engine.GetAll(chunk) {
-			out[k] = v
-		}
+		s.engine.GetInto(out, chunk)
 	}
 	return out, nil
 }

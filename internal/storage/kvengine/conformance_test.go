@@ -53,7 +53,9 @@ func (s *storeAdapter) BatchGet(ctx context.Context, keys []string) (map[string]
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.e.GetAll(keys), nil
+	out := make(map[string][]byte, len(keys))
+	s.e.GetInto(out, keys)
+	return out, nil
 }
 
 func (s *storeAdapter) BatchDelete(ctx context.Context, keys []string) error {

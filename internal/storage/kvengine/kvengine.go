@@ -120,11 +120,11 @@ func (e *Engine) byShard(dst []shardKey, keys []string) []shardKey {
 	return dst
 }
 
-// GetAll returns copies of the values of every present key, grouping the
-// probes by shard so each shard lock is taken at most once. Missing keys
-// are absent from the result.
-func (e *Engine) GetAll(keys []string) map[string][]byte {
-	out := make(map[string][]byte, len(keys))
+// GetInto stores in out a copy of the value of every present key, grouping
+// the probes by shard so each shard lock is taken at most once. Missing keys
+// are left out. Batches up to the stack buffer's size allocate only the
+// copies (and whatever out needs to grow).
+func (e *Engine) GetInto(out map[string][]byte, keys []string) {
 	var buf [32]shardKey
 	sks := e.byShard(buf[:0], keys)
 	for i := 0; i < len(sks); {
@@ -139,7 +139,6 @@ func (e *Engine) GetAll(keys []string) map[string][]byte {
 		}
 		s.mu.RUnlock()
 	}
-	return out
 }
 
 // DeleteAll removes every listed key, taking each shard lock at most once.
@@ -198,17 +197,6 @@ func (e *Engine) LockShard(i int) func() {
 	s := e.shards[i]
 	s.mu.Lock()
 	return s.mu.Unlock
-}
-
-// GetLocked reads key assuming the owning shard lock is already held.
-func (e *Engine) GetLocked(key string) ([]byte, bool) {
-	v, ok := e.shardOf(key).data[key]
-	if !ok {
-		return nil, false
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, true
 }
 
 // PutLocked writes key assuming the owning shard lock is already held.

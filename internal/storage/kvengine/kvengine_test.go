@@ -105,9 +105,11 @@ func TestLockShardSerializes(t *testing.T) {
 	key := "x"
 	unlock := e.LockShard(e.ShardFor(key))
 	e.PutLocked(key, []byte("1"))
-	if v, ok := e.GetLocked(key); !ok || string(v) != "1" {
-		t.Fatalf("GetLocked = %q, %v", v, ok)
+	unlock()
+	if v, ok := e.Get(key); !ok || string(v) != "1" {
+		t.Fatalf("after PutLocked, Get = %q, %v", v, ok)
 	}
+	unlock = e.LockShard(e.ShardFor(key))
 	done := make(chan struct{})
 	go func() {
 		e.Put(key, []byte("2")) // blocks until unlock

@@ -145,41 +145,58 @@ func (s *Store) BatchPut(ctx context.Context, items map[string][]byte) error {
 	return nil
 }
 
-// byShard groups keys by the cluster shard that owns them, preserving
-// caller order within a shard.
-func (s *Store) byShard(keys []string) map[int][]string {
-	out := make(map[int][]string, s.engine.NumShards())
-	for _, k := range keys {
-		i := s.engine.ShardFor(k)
-		out[i] = append(out[i], k)
+// shardBuf returns the buffer a batch's keys are grouped by shard in: buf,
+// or for a batch larger than buf one heap slice that every shard reuses.
+func shardBuf(buf, keys []string) []string {
+	if len(keys) > cap(buf) {
+		return make([]string, 0, len(keys))
 	}
-	return out
+	return buf[:0]
+}
+
+// keysOn appends to dst the keys owned by shard sh, in caller order.
+func (s *Store) keysOn(dst, keys []string, sh int) []string {
+	for _, k := range keys {
+		if s.engine.ShardFor(k) == sh {
+			dst = append(dst, k)
+		}
+	}
+	return dst
 }
 
 // BatchGet implements storage.Store in the cluster-client MGET style: keys
-// are grouped by owning shard and each shard answers one MGET round trip,
-// so the call costs one round trip per shard touched regardless of key
-// count. Missing keys are absent from the result.
+// are grouped by owning shard and each shard answers one MGET round trip.
+// The shards are asked one after another, so the call waits one round trip
+// per shard touched, regardless of key count. Missing keys are absent from
+// the result.
 func (s *Store) BatchGet(ctx context.Context, keys []string) (map[string][]byte, error) {
 	out := make(map[string][]byte, len(keys))
-	for _, chunk := range s.byShard(keys) {
+	var buf [32]string
+	chunk := shardBuf(buf[:], keys)
+	for sh := range s.engine.NumShards() {
+		if chunk = s.keysOn(chunk[:0], keys, sh); len(chunk) == 0 {
+			continue
+		}
 		if err := s.check(ctx); err != nil {
 			return nil, err
 		}
 		s.metrics.BatchGets.Add(1)
 		s.metrics.BatchGetItems.Add(int64(len(chunk)))
 		s.sleeper.Sleep(s.model.Sample(latency.OpGet, len(chunk)))
-		for k, v := range s.engine.GetAll(chunk) {
-			out[k] = v
-		}
+		s.engine.GetInto(out, chunk)
 	}
 	return out, nil
 }
 
 // BatchDelete implements storage.Store as per-shard multi-key DEL round
-// trips. Missing keys are not an error.
+// trips, one shard after another. Missing keys are not an error.
 func (s *Store) BatchDelete(ctx context.Context, keys []string) error {
-	for _, chunk := range s.byShard(keys) {
+	var buf [32]string
+	chunk := shardBuf(buf[:], keys)
+	for sh := range s.engine.NumShards() {
+		if chunk = s.keysOn(chunk[:0], keys, sh); len(chunk) == 0 {
+			continue
+		}
 		if err := s.check(ctx); err != nil {
 			return err
 		}

@@ -77,12 +77,18 @@ type Store interface {
 	BatchPut(ctx context.Context, items map[string][]byte) error
 	// BatchGet returns the values of the given keys. Missing keys are
 	// simply absent from the result map — never an error. Unlike BatchPut,
-	// BatchGet accepts any number of keys: engines with a multi-key read
-	// primitive chunk internally by their batch limit (DynamoDB's
-	// BatchGetItem), engines without one overlap point reads, so the call
-	// always costs the caller at most ceil(len(keys)/limit) round trips of
-	// wall-clock latency. AFT's read pipeline leans on this for commit-
-	// record recovery and MultiGet payload fetches.
+	// BatchGet accepts any number of keys, and each engine splits them its
+	// own way, one round trip after another:
+	//   - DynamoDB chunks by its BatchGetItem limit: ceil(len(keys)/100)
+	//     round trips;
+	//   - Redis sends one MGET per cluster shard the keys touch: up to
+	//     one round trip per shard, so 4 keys over 2 shards wait 2;
+	//   - S3 has no multi-object read and overlaps point GETs: one round
+	//     trip, the slowest of the fan-out;
+	//   - the WAL reads every key under one lock hold: one disk visit.
+	// The returned map and its values belong to the caller. AFT's read
+	// pipeline uses BatchGet for commit-record recovery and MultiGet
+	// payload fetches.
 	BatchGet(ctx context.Context, keys []string) (map[string][]byte, error)
 	// BatchDelete removes all keys, chunking by the engine's delete-batch
 	// limit (S3's DeleteObjects, DynamoDB's BatchWriteItem delete

@@ -311,6 +311,44 @@ func Run(t *testing.T, factory Factory) {
 		if err != nil || v[0] != 1 {
 			t.Fatalf("BatchGet aliased stored value: %v, %v", v, err)
 		}
+
+		// Duplicates, present and missing, spread over the whole batch
+		// (so over every shard of a sharded engine): the result equals
+		// per-key Gets, and every value is a copy.
+		dups := append([]string(nil), keys...)
+		for i := 0; i < n; i += 7 {
+			dups = append(dups, keys[i], keys[n-1-i])
+		}
+		got, err = s.BatchGet(ctx, dups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		present := 0
+		for _, k := range keys {
+			want, err := s.Get(ctx, k)
+			v, ok := got[k]
+			switch {
+			case errors.Is(err, storage.ErrNotFound):
+				if ok {
+					t.Fatalf("BatchGet with duplicates returned missing key %s", k)
+				}
+			case err != nil:
+				t.Fatal(err)
+			case !ok || string(v) != string(want):
+				t.Fatalf("BatchGet with duplicates [%s] = %v, %v; Get = %v", k, v, ok, want)
+			default:
+				present++
+				v[0] ^= 0xFF
+			}
+		}
+		if len(got) != present {
+			t.Fatalf("BatchGet with duplicates returned %d keys, want %d", len(got), present)
+		}
+		for k := range got {
+			if v, err := s.Get(ctx, k); err != nil || string(v) == string(got[k]) {
+				t.Fatalf("BatchGet with duplicates aliased stored value of %s: %v, %v", k, v, err)
+			}
+		}
 	})
 	t.Run("BatchGetChunking", func(t *testing.T) {
 		// Engines exposing operation metrics must show batched reads
