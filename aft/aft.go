@@ -78,7 +78,7 @@ var (
 	// transient) failure; RunTransaction treats it as retriable.
 	ErrUnavailable = storage.ErrUnavailable
 	// ErrBackendGone means the node serving this transaction left the
-	// cluster mid-request (failure or scale-down); redo the transaction.
+	// cluster mid-request (a node failure); redo the transaction.
 	ErrBackendGone = lb.ErrBackendGone
 	// ErrOverloaded means admission control shed the request: the node is
 	// at its concurrency limit with a full wait queue. Retry after

@@ -399,7 +399,7 @@ func mkParallelNode(b *testing.B, cache bool) *core.Node {
 
 // BenchmarkParallelCommit measures the contended parallel commit path: every
 // transaction writes one of 8 hot keys plus a key from a wider pool, so
-// commits collide on the hot stripes and coalesce in the group pipeline.
+// commits collide on the hot stripes; each commit runs its own flush.
 func BenchmarkParallelCommit(b *testing.B) {
 	payload := workload.Payload(1, 1024)
 	n := mkParallelNode(b, false)

@@ -201,7 +201,6 @@ func main() {
 	mc.Start()
 	defer mc.Stop()
 	bal := lb.New(node)
-	bal.SetJournal(events)
 
 	stopGC := make(chan struct{})
 	go maintenanceLoop(fm, node, *budget, *gcPeriod, stopGC)

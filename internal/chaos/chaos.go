@@ -140,9 +140,6 @@ func Wrap(inner storage.Store, cfg Config) *Store {
 // decision stream of the next enabled phase.
 func (s *Store) SetEnabled(on bool) { s.enabled.Store(on) }
 
-// Enabled reports whether faults are being injected.
-func (s *Store) Enabled() bool { return s.enabled.Load() }
-
 // FaultMetrics returns the injection counters.
 func (s *Store) FaultMetrics() *Metrics { return &s.metrics }
 

@@ -154,10 +154,6 @@ func WrapListener(ln net.Listener, cfg NetConfig) *NetChaos {
 // NetFaultMetrics returns the injection counters.
 func (n *NetChaos) NetFaultMetrics() *NetMetrics { return &n.metrics }
 
-// WriteFrames returns the global write-frame clock (what ResetAfterWrites
-// schedules against).
-func (n *NetChaos) WriteFrames() int64 { return n.writeFrames.Load() }
-
 // SetPartition installs a blackhole partition that auto-heals after
 // healAfterAccepts connections have been accepted: under the wire
 // client's redial-per-attempt behavior that is a deterministic count of

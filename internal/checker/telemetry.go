@@ -6,7 +6,8 @@ import "aft/internal/telemetry"
 // replay volume and each anomaly class, so a chaos campaign's outcome is
 // scrapeable alongside the injected-fault counters. source is read at
 // scrape time — register a closure over the latest verdict and each
-// re-check is reflected on the next scrape.
+// re-check is reflected on the next scrape. Only a test calls it: the root
+// package's TestTelemetryFullStackExposition.
 func RegisterVerdict(reg *telemetry.Registry, source func() Verdict) {
 	if source == nil {
 		return

@@ -134,7 +134,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.fm = faultmgr.New(cfg.Store, membershipFunc(c.fmNodes))
 	c.bus.Tap(c.fm.Ingest)
-	c.balancer.SetJournal(cfg.Events)
 	if cfg.TraceCollector != nil {
 		// The fault manager is its own "node" on the stitched view: its
 		// ingest/recover/announce spans carry the faultmgr attribution.
@@ -367,7 +366,7 @@ func (c *Cluster) Kill(nodeID string) error {
 			// flakiness caused failovers to matter in the first place.
 			// Retry with the join warm-up paid only once; exhausting the
 			// budget (or cluster shutdown) leaves the cluster one node
-			// short, recoverable by the next Kill or a manual AddNode.
+			// short.
 			for attempt := 0; attempt < promotionAttempts; attempt++ {
 				n, err := c.addNode(context.Background(), attempt == 0)
 				if err == nil {
@@ -397,32 +396,6 @@ func (c *Cluster) isStopped() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stopped
-}
-
-// RemoveNode gracefully retires a replica (scale-down): it leaves the
-// balancer and multicast fabric with a final broadcast flush, and no
-// standby replacement is triggered. In-flight transactions pinned to it
-// fail over like any node loss (§3.3.1).
-func (c *Cluster) RemoveNode(nodeID string) error {
-	c.mu.Lock()
-	m, ok := c.members[nodeID]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: unknown node %q", nodeID)
-	}
-	delete(c.members, nodeID)
-	close(m.stop)
-	c.mu.Unlock()
-
-	c.balancer.Remove(nodeID)
-	m.node.Stop()
-	m.mc.Stop() // graceful: flush pending commit broadcasts
-	return nil
-}
-
-// AddNode manually scales the cluster up by one replica.
-func (c *Cluster) AddNode(ctx context.Context) (*core.Node, error) {
-	return c.addNode(ctx, false)
 }
 
 // Client returns the deployment's load-balanced client surface.

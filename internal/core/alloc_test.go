@@ -40,7 +40,7 @@ func allocatedDuring(f func()) (objects, bytes uint64) {
 // built in three pieces, an eager map in Start or a drainer goroutine
 // coming back shows up here as a failure.
 func TestCommitAllocBudget(t *testing.T) {
-	const commitBudget, txnBudget = 13, 19
+	const commitBudget, txnBudget = 12, 18
 	n, err := NewNode(Config{NodeID: "budget", Store: dynamosim.New(dynamosim.Options{})})
 	if err != nil {
 		t.Fatal(err)

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"aft/internal/idgen"
 	"aft/internal/records"
 	"aft/internal/storage"
 	"aft/internal/storage/dynamosim"
@@ -67,47 +69,63 @@ func (s *callLogStore) Put(ctx context.Context, key string, value []byte) error 
 	return s.Store.Put(ctx, key, value)
 }
 
-// flushOf runs one flush of reqs on a node over store and returns the
-// number of chunks it wrote.
-func flushOf(t *testing.T, store storage.Store, reqs ...*commitReq) int {
+// mkCommitReq builds the request commitTransaction would submit for a
+// transaction writing keys, in the order given, at timestamp ts, each
+// key's value the key itself.
+func mkCommitReq(t *testing.T, ts int64, keys ...string) *commitReq {
+	t.Helper()
+	id := idgen.ID{Timestamp: ts, UUID: fmt.Sprintf("u%d", ts)}
+	rec := records.NewCommitRecord(id, keys, "test")
+	payload, err := rec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &commitReq{rec: rec}
+	for _, k := range keys {
+		req.writes = append(req.writes, kv{records.DataKey(k, id), []byte(k)})
+	}
+	req.writes = append(req.writes, kv{records.CommitKey(id), payload})
+	return req
+}
+
+// flushOf runs req's flush on a fresh node over store and returns its
+// outcome.
+func flushOf(t *testing.T, store storage.Store, req *commitReq) error {
 	t.Helper()
 	n, err := NewNode(Config{NodeID: "test", Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := flushScratchPool.Get().(*flushScratch)
-	sc.batch = append(sc.batch, reqs...)
-	n.flushCommits(context.Background(), sc)
-	calls := sc.calls
-	sc.release()
-	return calls
+	return n.flush(context.Background(), req)
 }
 
-// keysOf returns the storage keys f selects from each request, sorted.
-func keysOf(f func(*commitReq) []kv, reqs ...*commitReq) string {
-	var keys []string
-	for _, req := range reqs {
-		for _, it := range f(req) {
-			keys = append(keys, it.key)
-		}
+// batchOf is the call log entry of one BatchPut of writes.
+func batchOf(writes []kv) string {
+	keys := make([]string, 0, len(writes))
+	for _, it := range writes {
+		keys = append(keys, it.key)
 	}
 	slices.Sort(keys)
-	return strings.Join(keys, ",")
+	return "batch:" + strings.Join(keys, ",")
+}
+
+// putsOf are the call log entries of one point Put per write, in order.
+func putsOf(writes ...kv) []string {
+	var calls []string
+	for _, it := range writes {
+		calls = append(calls, "put:"+it.key)
+	}
+	return calls
 }
 
 func TestAtomicEngineFlushIsOneBatchPut(t *testing.T) {
 	store := &callLogStore{Store: dynamosim.New(dynamosim.Options{}), atomic: true}
-	a, b, c, d := mkCommitReq(t, 1, "a1", "a2"), mkCommitReq(t, 2, "b1"), mkCommitReq(t, 3, "c1", "c2", "c3"), mkCommitReq(t, 4, "d1")
-	if calls := flushOf(t, store, a, b, c, d); calls != 1 {
-		t.Fatalf("flush wrote %d chunks, want 1", calls)
+	req := mkCommitReq(t, 1, "a1", "a2", "a3")
+	if err := flushOf(t, store, req); err != nil {
+		t.Fatal(err)
 	}
-	if want := []string{"batch:" + keysOf(writesOf, a, b, c, d)}; !slices.Equal(store.calls, want) {
-		t.Fatalf("group flush calls = %q, want %q", store.calls, want)
-	}
-	for _, req := range []*commitReq{a, b, c, d} {
-		if req.err != nil {
-			t.Fatalf("member failed: %v", req.err)
-		}
+	if want := []string{batchOf(req.writes)}; !slices.Equal(store.calls, want) {
+		t.Fatalf("flush calls = %q, want %q", store.calls, want)
 	}
 
 	// A solo commit through the public path: its data and its record are
@@ -126,51 +144,68 @@ func TestAtomicEngineFlushIsOneBatchPut(t *testing.T) {
 
 func TestAtomicEngineFallbackWritesDataBeforeRecord(t *testing.T) {
 	inner := dynamosim.New(dynamosim.Options{})
-	store := &callLogStore{Store: inner, atomic: true, failBatch: true, refuse: "lost"}
-	a, b, c := mkCommitReq(t, 1, "a1", "a2"), mkCommitReq(t, 2, "b1", "b-lost", "b3"), mkCommitReq(t, 3, "c1")
-	flushOf(t, store, a, b, c)
 
-	// The refused batch, then every member's data before its record; the
-	// loser's walk stops at the write that failed.
-	want := []string{"batch:" + keysOf(writesOf, a, b, c)}
-	for _, it := range a.writes {
-		want = append(want, "put:"+it.key)
+	// The refused batch, then every write in order: the data, then the
+	// record.
+	store := &callLogStore{Store: inner, atomic: true, failBatch: true}
+	a := mkCommitReq(t, 1, "a1", "a2")
+	if err := flushOf(t, store, a); err != nil {
+		t.Fatal(err)
 	}
-	want = append(want, "put:"+b.writes[0].key, "put:"+b.writes[1].key)
-	for _, it := range c.writes {
-		want = append(want, "put:"+it.key)
-	}
-	if !slices.Equal(store.calls, want) {
+	if want := append([]string{batchOf(a.writes)}, putsOf(a.writes...)...); !slices.Equal(store.calls, want) {
 		t.Fatalf("fallback calls =\n %q\nwant\n %q", store.calls, want)
 	}
-	if a.err != nil || c.err != nil {
-		t.Fatalf("flush-mates failed: a=%v c=%v", a.err, c.err)
+
+	// The walk stops at the write that failed: neither the data after it
+	// nor the record is written.
+	store = &callLogStore{Store: inner, atomic: true, failBatch: true, refuse: "lost"}
+	b := mkCommitReq(t, 2, "b1", "b-lost", "b3")
+	err := flushOf(t, store, b)
+	if want := append([]string{batchOf(b.writes)}, putsOf(b.writes[:2]...)...); !slices.Equal(store.calls, want) {
+		t.Fatalf("fallback calls =\n %q\nwant\n %q", store.calls, want)
 	}
-	if b.err == nil || !strings.Contains(b.err.Error(), "aft: persisting write set") {
-		t.Fatalf("loser's error = %v, want a write-set failure", b.err)
+	if err == nil || !strings.Contains(err.Error(), "aft: persisting write set") {
+		t.Fatalf("error = %v, want a write-set failure", err)
 	}
-	if _, err := inner.Get(context.Background(), recordOf(b)[0].key); !errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("loser's commit record was written: %v", err)
+	if _, err := inner.Get(context.Background(), b.writes[3].key); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("the failed commit's record was written: %v", err)
 	}
 
 	// A refused RECORD write is named as one.
 	store = &callLogStore{Store: inner, atomic: true, failBatch: true, refuse: records.CommitPrefix}
-	e := mkCommitReq(t, 5, "e1")
-	flushOf(t, store, e)
-	if e.err == nil || !strings.Contains(e.err.Error(), "aft: persisting commit record") {
-		t.Fatalf("error = %v, want a commit-record failure", e.err)
+	err = flushOf(t, store, mkCommitReq(t, 5, "e1"))
+	if err == nil || !strings.Contains(err.Error(), "aft: persisting commit record") {
+		t.Fatalf("error = %v, want a commit-record failure", err)
 	}
 }
 
 func TestOrderedEngineFlushKeepsTwoPhases(t *testing.T) {
 	store := &callLogStore{Store: dynamosim.New(dynamosim.Options{})}
-	a, b, c := mkCommitReq(t, 1, "a1", "a2"), mkCommitReq(t, 2, "b1"), mkCommitReq(t, 3, "c1", "c2", "c3")
-	if calls := flushOf(t, store, a, b, c); calls != 2 {
-		t.Fatalf("flush wrote %d chunks, want 2", calls)
+	req := mkCommitReq(t, 1, "c1", "c2", "c3")
+	if err := flushOf(t, store, req); err != nil {
+		t.Fatal(err)
 	}
-	want := []string{"batch:" + keysOf(dataOf, a, b, c), "batch:" + keysOf(recordOf, a, b, c)}
+	want := append([]string{batchOf(req.writes[:3])}, putsOf(req.writes[3])...)
 	if !slices.Equal(store.calls, want) {
 		t.Fatalf("ordered flush calls = %q, want %q", store.calls, want)
+	}
+
+	// A failed data phase writes no record.
+	store = &callLogStore{Store: dynamosim.New(dynamosim.Options{}), failBatch: true, refuse: "lost"}
+	req = mkCommitReq(t, 2, "d1", "d-lost")
+	err := flushOf(t, store, req)
+	if want := append([]string{batchOf(req.writes[:2])}, putsOf(req.writes[:2]...)...); !slices.Equal(store.calls, want) {
+		t.Fatalf("failed data phase calls = %q, want %q", store.calls, want)
+	}
+	if err == nil || !strings.Contains(err.Error(), "aft: persisting write set") {
+		t.Fatalf("error = %v, want a write-set failure", err)
+	}
+
+	// A failed record phase is named as one.
+	store = &callLogStore{Store: dynamosim.New(dynamosim.Options{}), refuse: records.CommitPrefix}
+	err = flushOf(t, store, mkCommitReq(t, 3, "f1"))
+	if err == nil || !strings.Contains(err.Error(), "aft: persisting commit record") {
+		t.Fatalf("error = %v, want a commit-record failure", err)
 	}
 }
 

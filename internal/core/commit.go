@@ -25,8 +25,8 @@ import (
 //     visible to other requests, by installing the record into the local
 //     metadata cache.
 //
-// All three steps are one routine, flushCommits (flush.go), which every
-// commit runs over its own writes on its own goroutine, on every engine.
+// All three steps are one routine, flush (flush.go), which every commit
+// runs over its own writes on its own goroutine, on every engine.
 // An engine whose batches are all-or-nothing across a crash (the WAL)
 // takes steps 1 and 2 in ONE call: what §3.3's ordering protects — no
 // durable record without its data — then holds by the engine's atomicity

@@ -121,49 +121,53 @@ func (s *rendezvousStore) BatchPut(ctx context.Context, items map[string][]byte)
 	return s.Store.BatchPut(ctx, items)
 }
 
-// requireWritten fails t unless every write of reqs is in store.
-func requireWritten(t *testing.T, store storage.Store, reqs ...*commitReq) {
+// requireReads fails t unless a transaction on n reads every key of kvs
+// at its value.
+func requireReads(t *testing.T, n *Node, kvs map[string]string) {
 	t.Helper()
-	for _, req := range reqs {
-		if req.err != nil {
-			t.Fatalf("member failed: %v", req.err)
-		}
-		for _, it := range req.writes {
-			if v, err := store.Get(context.Background(), it.key); err != nil || string(v) != string(it.val) {
-				t.Fatalf("%s = %q, %v", it.key, v, err)
-			}
+	ctx := context.Background()
+	txid, err := n.StartTransaction(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.AbortTransaction(ctx, txid)
+	for k, v := range kvs {
+		if got, err := n.Get(ctx, txid, k); err != nil || string(got) != v {
+			t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
 		}
 	}
 }
 
-// TestPhaseSendsItsChunksTogether: seven data items at a batch limit of two
-// are four calls (three BatchPuts and a Put) in flight together; the four
-// records are two more, sent once every data call has returned.
+// keysValued returns a write set of count keys named prefix0, prefix1, ...
+func keysValued(prefix string, count int) map[string]string {
+	kvs := map[string]string{}
+	for i := range count {
+		kvs[fmt.Sprintf("%s%d", prefix, i)] = fmt.Sprintf("v%d", i)
+	}
+	return kvs
+}
+
+// TestPhaseSendsItsChunksTogether: a seven-key commit at a batch limit of
+// two is four data calls (three BatchPuts and a Put) in flight together,
+// then its record, sent once every data call has returned.
 func TestPhaseSendsItsChunksTogether(t *testing.T) {
-	store := newRendezvousStore(storage.Capabilities{BatchWrites: true, MaxBatchSize: 2}, 4, 2)
+	store := newRendezvousStore(storage.Capabilities{BatchWrites: true, MaxBatchSize: 2}, 4, 1)
 	n, err := NewNode(Config{NodeID: "phase", Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, c, d := mkCommitReq(t, 1, "a1", "a2"), mkCommitReq(t, 2, "b1"), mkCommitReq(t, 3, "c1", "c2", "c3"), mkCommitReq(t, 4, "d1")
-	sc := flushScratchPool.Get().(*flushScratch)
-	sc.batch = append(sc.batch, a, b, c, d)
-	n.flushCommits(context.Background(), sc)
-	sc.release()
-
-	requireWritten(t, store.Store, a, b, c, d)
-	if store.arrived != [2]int{4, 2} {
-		t.Fatalf("calls (data, records) = %v, want [4 2]", store.arrived)
+	kvs := keysValued("k", 7)
+	commitTxn(t, n, kvs)
+	if store.arrived != [2]int{4, 1} {
+		t.Fatalf("calls (data, records) = %v, want [4 1]", store.arrived)
 	}
-	if store.maxRunning != [2]int{4, 2} {
-		t.Fatalf("most calls in flight (data, records) = %v, want [4 2]", store.maxRunning)
+	if store.maxRunning != [2]int{4, 1} {
+		t.Fatalf("most calls in flight (data, records) = %v, want [4 1]", store.maxRunning)
 	}
 	if store.early {
-		t.Fatal("a record write began while a data write was still running")
+		t.Fatal("the record write began while a data write was still running")
 	}
-	if got := n.MetadataSize(); got != 4 {
-		t.Fatalf("installed records = %d, want 4", got)
-	}
+	requireReads(t, n, kvs)
 }
 
 // TestPointEngineCommitIsTwoRoundTrips: on an engine without batch writes a
@@ -174,10 +178,7 @@ func TestPointEngineCommitIsTwoRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kvs := map[string]string{}
-	for i := range 6 {
-		kvs[fmt.Sprintf("k%d", i)] = fmt.Sprintf("v%d", i)
-	}
+	kvs := keysValued("k", 6)
 	commitTxn(t, n, kvs)
 	if store.early {
 		t.Fatal("the record write began while a data write was still running")
@@ -188,14 +189,7 @@ func TestPointEngineCommitIsTwoRoundTrips(t *testing.T) {
 	if store.arrived != [2]int{6, 1} {
 		t.Fatalf("calls (data, records) = %v, want [6 1]", store.arrived)
 	}
-	ctx := context.Background()
-	txid, _ := n.StartTransaction(ctx)
-	for k, v := range kvs {
-		if got, err := n.Get(ctx, txid, k); err != nil || string(got) != v {
-			t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
-		}
-	}
-	n.AbortTransaction(ctx, txid)
+	requireReads(t, n, kvs)
 }
 
 // TestPhaseFanoutIsBounded: a phase of more calls than maxCallsInFlight has
@@ -224,10 +218,10 @@ func TestPhaseFanoutIsBounded(t *testing.T) {
 	}
 }
 
-// TestConcurrentChunksFailOnlyTheirOwners: chunks written side by side
-// still attribute a partial batch's loss to the one member whose item
-// cannot be written; that member's record is never written, and its
-// flush-mates commit.
+// TestConcurrentChunksFailOnlyTheirOwners: concurrent commits whose data
+// phases are several chunks each, over a store whose batches apply in
+// part. Only the commit that owns the one unwritable key fails, as a
+// write-set failure with no record written; the others commit.
 func TestConcurrentChunksFailOnlyTheirOwners(t *testing.T) {
 	inner := dynamosim.New(dynamosim.Options{})
 	store := capsStore{Store: lossyBatchStore{inner}, caps: storage.Capabilities{BatchWrites: true, MaxBatchSize: 2}}
@@ -235,21 +229,23 @@ func TestConcurrentChunksFailOnlyTheirOwners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Data chunks [a1 a2] [b1 b-lost] [b3 c1]; records [a c].
-	a, b, c := mkCommitReq(t, 1, "a1", "a2"), mkCommitReq(t, 2, "b1", "b-lost", "b3"), mkCommitReq(t, 3, "c1")
-	sc := flushScratchPool.Get().(*flushScratch)
-	sc.batch = append(sc.batch, a, b, c)
-	n.flushCommits(context.Background(), sc)
-	sc.release()
-
-	requireWritten(t, inner, a, c)
-	if b.err == nil || !strings.Contains(b.err.Error(), "aft: persisting write set") {
-		t.Fatalf("loser's error = %v, want a write-set failure", b.err)
+	winners := []map[string]string{keysValued("a", 5), keysValued("c", 3)}
+	loser := map[string]string{"b0": "v", "b1": "v", "b-lost": "v", "b3": "v"}
+	errs := commitAll(n, winners[0], winners[1], loser)
+	for i, kvs := range winners {
+		if errs[i] != nil {
+			t.Fatalf("winner failed: %v", errs[i])
+		}
+		requireReads(t, n, kvs)
 	}
-	if _, err := inner.Get(context.Background(), recordOf(b)[0].key); !errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("loser's commit record was written: %v", err)
+	if err := errs[2]; err == nil || !strings.Contains(err.Error(), "aft: persisting write set") {
+		t.Fatalf("loser's error = %v, want a write-set failure", err)
+	}
+	if recs, err := inner.List(context.Background(), records.CommitPrefix); err != nil || len(recs) != 2 {
+		t.Fatalf("commit records = %q, %v; want the 2 winners'", recs, err)
 	}
 	if got := n.MetadataSize(); got != 2 {
 		t.Fatalf("installed records = %d, want the 2 winners", got)
 	}
 }
+

@@ -209,8 +209,7 @@ type Node struct {
 
 	// recMu guards recent: commit records accumulated since the last
 	// Drain, feeding the multicast protocol (§4) and the fault manager
-	// stream (§4.2). The write routine appends a whole flush in one
-	// acquisition.
+	// stream (§4.2). The write routine appends each commit's record.
 	recMu  sync.Mutex
 	recent []*records.CommitRecord
 	// announceMu makes a flush's install-then-queue one step as far as a
@@ -609,14 +608,6 @@ func (n *Node) KnownCommits() []*records.CommitRecord {
 // the local GC bounds, §5.1).
 func (n *Node) MetadataSize() int {
 	return int(n.metaCount.Load())
-}
-
-// VersionsOf returns the committed versions of key known locally, ascending.
-func (n *Node) VersionsOf(key string) []idgen.ID {
-	s := n.stripeFor(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]idgen.ID(nil), s.index[key]...)
 }
 
 // SweepLocalMetadata runs one pass of the local metadata GC (§5.1): for

@@ -331,28 +331,36 @@ func (s lossyBatchStore) Put(ctx context.Context, key string, value []byte) erro
 	return s.Store.Put(ctx, key, value)
 }
 
-// mkCommitReq builds the request commitTransaction would submit for a
-// transaction writing keys at timestamp ts, each key's value the key itself.
-func mkCommitReq(t *testing.T, ts int64, keys ...string) *commitReq {
-	t.Helper()
-	id := idgen.ID{Timestamp: ts, UUID: fmt.Sprintf("u%d", ts)}
-	rec := records.NewCommitRecord(id, keys, "test")
-	payload, err := rec.Marshal()
-	if err != nil {
-		t.Fatal(err)
+// commitAll runs one transaction per write set of txns on n, all at once,
+// and returns their outcomes in order.
+func commitAll(n *Node, txns ...map[string]string) []error {
+	errs := make([]error, len(txns))
+	var wg sync.WaitGroup
+	for i, kvs := range txns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			txid, err := n.StartTransaction(ctx)
+			for k, v := range kvs {
+				if err == nil {
+					err = n.Put(ctx, txid, k, []byte(v))
+				}
+			}
+			if err == nil {
+				_, err = n.CommitTransaction(ctx, txid)
+			}
+			errs[i] = err
+		}()
 	}
-	req := &commitReq{rec: rec}
-	for _, k := range keys {
-		req.writes = append(req.writes, kv{records.DataKey(k, id), []byte(k)})
-	}
-	req.writes = append(req.writes, kv{records.CommitKey(id), payload})
-	return req
+	wg.Wait()
+	return errs
 }
 
-// TestFlushPartialBatchFailsOnlyLosers drives one flush of three
-// transactions through a store whose shared BatchPut applies in part: the
-// per-item retry must attribute the loss to the one transaction whose item
-// cannot be written, skip that transaction's commit record, and commit the
+// TestFlushPartialBatchFailsOnlyLosers drives three concurrent commits
+// through a store whose BatchPut applies in part: the per-item retry must
+// fail only the commit whose item cannot be written, stop at that item so
+// neither the loser's later data nor its record is written, and commit the
 // other two.
 func TestFlushPartialBatchFailsOnlyLosers(t *testing.T) {
 	inner := dynamosim.New(dynamosim.Options{})
@@ -361,32 +369,24 @@ func TestFlushPartialBatchFailsOnlyLosers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	a, b, c := mkCommitReq(t, 1, "a1", "a2"), mkCommitReq(t, 2, "b1", "b-lost", "b3"), mkCommitReq(t, 3, "c1")
-	sc := flushScratchPool.Get().(*flushScratch)
-	sc.batch = append(sc.batch, a, b, c)
-	n.flushCommits(ctx, sc)
-	sc.release()
-	if a.err != nil || c.err != nil {
-		t.Fatalf("winners failed: a=%v c=%v", a.err, c.err)
+	// b's data is written in key order, b-lost first.
+	txns := []map[string]string{{"a1": "a", "a2": "a"}, {"b1": "b", "b-lost": "b", "b3": "b"}, {"c1": "c"}}
+	errs := commitAll(n, txns...)
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("winners failed: a=%v c=%v", errs[0], errs[2])
 	}
-	if b.err == nil || !strings.Contains(b.err.Error(), "aft: persisting write set") {
-		t.Fatalf("loser's error = %v, want a write-set failure", b.err)
+	requireReads(t, n, txns[0])
+	requireReads(t, n, txns[2])
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "aft: persisting write set") {
+		t.Fatalf("loser's error = %v, want a write-set failure", errs[1])
 	}
-	for _, req := range []*commitReq{a, c} {
-		if _, err := inner.Get(ctx, recordOf(req)[0].key); err != nil {
-			t.Fatalf("winner's commit record %s: %v", recordOf(req)[0].key, err)
+	if recs, err := inner.List(ctx, records.CommitPrefix); err != nil || len(recs) != 2 {
+		t.Fatalf("commit records = %q, %v; want the 2 winners'", recs, err)
+	}
+	for _, k := range []string{"b1", "b3"} {
+		if vs, err := inner.List(ctx, records.DataKeyPrefix(k)); err != nil || len(vs) != 0 {
+			t.Fatalf("loser's %s after the lost item was written: %q, %v", k, vs, err)
 		}
-		for _, it := range dataOf(req) {
-			if v, err := inner.Get(ctx, it.key); err != nil || string(v) != string(it.val) {
-				t.Fatalf("winner's data %s = %q, %v", it.key, v, err)
-			}
-		}
-	}
-	if _, err := inner.Get(ctx, recordOf(b)[0].key); !errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("loser's commit record was written: %v", err)
-	}
-	if _, err := inner.Get(ctx, dataOf(b)[2].key); !errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("loser's items after the lost one were not skipped: %v", err)
 	}
 	if got := n.MetadataSize(); got != 2 {
 		t.Fatalf("installed records = %d, want the 2 winners", got)

@@ -689,8 +689,8 @@ func (n *Node) fetchRecordPayloads(ctx context.Context, keys []string) (map[stri
 	return n.batchFetchPayloads(ctx, keys)
 }
 
-// ReadSet returns a copy of the transaction's current read set, for tests
-// and invariant checkers.
+// ReadSet returns a copy of the transaction's current read set. Only tests
+// call it: this package's and cluster's TestFlushMulticastIsVisibilityBarrier.
 func (n *Node) ReadSet(txid string) (map[string]idgen.ID, error) {
 	t, err := n.lookup(txid)
 	if err != nil {

@@ -35,9 +35,6 @@ func (n *Node) traceOf(txid string) *telemetry.Trace {
 // (zero-valued when telemetry is disabled).
 func (n *Node) CommitLatency() telemetry.HistogramSnapshot { return n.latCommit.Snapshot() }
 
-// ReadLatency returns a snapshot of the read-latency histogram.
-func (n *Node) ReadLatency() telemetry.HistogramSnapshot { return n.latRead.Snapshot() }
-
 // RegisterTelemetry publishes the node's counters, gauges, and latency
 // histograms on reg under stable aft_node_* / aft_*_latency_seconds
 // names, labeled with the node ID. Safe on a nil registry.

@@ -198,7 +198,8 @@ func (p *Platform) crashPoint() int {
 // Invoke runs fns as one logical request — one AFT transaction spanning the
 // whole chain (§2.2) — and returns the commit ID. Failed functions are
 // retried with the same transaction ID; unrecoverable transaction errors
-// abort and redo the whole request.
+// abort and redo the whole request. Only tests call it: this package's and
+// the root package's TestIntegrationClusterExactlyOnceUnderCrashes.
 func (p *Platform) Invoke(ctx context.Context, fns ...Function) (idgen.ID, error) {
 	return p.InvokeBuilder(ctx, func() []Function { return fns })
 }

@@ -235,19 +235,3 @@ func (g *Generator) NewID() ID {
 // assigned "at commit time") and should not pay for entropy it would
 // discard — NewID's random read is a measurable cost at high commit rates.
 func (g *Generator) NewTimestamp() int64 { return g.clock.Now() }
-
-// MaxID returns the later of a and b.
-func MaxID(a, b ID) ID {
-	if a.Less(b) {
-		return b
-	}
-	return a
-}
-
-// MinID returns the earlier of a and b.
-func MinID(a, b ID) ID {
-	if b.Less(a) {
-		return b
-	}
-	return a
-}

@@ -215,19 +215,6 @@ func TestGeneratorConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestMaxMinID(t *testing.T) {
-	a, b := ID{1, "a"}, ID{2, "b"}
-	if MaxID(a, b) != b || MaxID(b, a) != b {
-		t.Error("MaxID wrong")
-	}
-	if MinID(a, b) != a || MinID(b, a) != a {
-		t.Error("MinID wrong")
-	}
-	if MaxID(a, a) != a || MinID(a, a) != a {
-		t.Error("Max/Min of equal IDs wrong")
-	}
-}
-
 func TestTotalOrderProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ids := make([]ID, 200)

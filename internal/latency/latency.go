@@ -72,15 +72,6 @@ type Dist struct {
 // Profile holds one Dist per Op.
 type Profile map[Op]Dist
 
-// Clone returns a deep copy of the profile.
-func (p Profile) Clone() Profile {
-	q := make(Profile, len(p))
-	for k, v := range p {
-		q[k] = v
-	}
-	return q
-}
-
 // Model samples operation latencies from a Profile using a seeded source.
 // It is safe for concurrent use.
 type Model struct {
@@ -209,7 +200,3 @@ func LambdaProfile() Profile {
 		OpInvoke: {Median: 14 * time.Millisecond, Sigma: 0.25, TailProb: 0.01, TailFactor: 4},
 	}
 }
-
-// ZeroProfile returns an empty profile (all samples zero); unit tests use it
-// so the simulated stores add no latency at all.
-func ZeroProfile() Profile { return Profile{} }

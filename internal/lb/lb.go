@@ -17,16 +17,7 @@ import (
 	"sync"
 
 	"aft/internal/idgen"
-	"aft/internal/telemetry"
 )
-
-// SetJournal directs ejection/readmission events into j (the cluster
-// flight recorder). Call before EnableHealth; nil disables journaling.
-func (b *Balancer) SetJournal(j *telemetry.Journal) {
-	b.mu.Lock()
-	b.events = j
-	b.mu.Unlock()
-}
 
 // Errors returned by the balancer.
 var (
@@ -52,17 +43,6 @@ type Backend interface {
 	AbortTransaction(ctx context.Context, txid string) error
 }
 
-// InFlightReporter is implemented by backends that can report how many
-// of their ops are currently on the wire (wire.Client does, summed over
-// its pipelined conns). When both round-robin
-// candidates report, pick routes by power-of-two-choices so a backend
-// with a deep pipeline stops receiving new transactions before it
-// becomes the bottleneck; ties and non-reporting backends preserve
-// strict round-robin order.
-type InFlightReporter interface {
-	InFlight() int64
-}
-
 // Balancer routes transactions across backends round-robin with per-
 // transaction affinity.
 type Balancer struct {
@@ -71,18 +51,6 @@ type Balancer struct {
 	next     int
 	affinity map[string]Backend
 	metrics  Metrics
-
-	// Probe-driven health state (health.go): backends that fail
-	// FailThreshold consecutive probes are ejected from new-transaction
-	// routing until they recover. Nil/false until EnableHealth.
-	health    map[string]*healthState
-	healthCfg HealthConfig
-	healthOn  bool
-
-	// events, when non-nil, journals ejections and readmissions so the
-	// flight recorder shows routing changes next to the faults that
-	// caused them.
-	events *telemetry.Journal
 }
 
 // New returns a Balancer over the given backends.
@@ -100,14 +68,13 @@ func (b *Balancer) Add(backend Backend) {
 	b.mu.Unlock()
 }
 
-// Remove deregisters the backend with the given ID (node failure or
-// scale-down). In-flight transactions pinned to it will fail with
-// ErrBackendGone: their affinity entries become tombstones (nil backend)
-// so the failure is classified as "your node is gone, redo the
-// transaction" (retriable, §3.3.1) rather than ErrUnknownTxn — while the
-// dead Backend itself (and everything it keeps reachable) is released
-// immediately. lookup reclaims each tombstone the first time the
-// transaction notices.
+// Remove deregisters the backend with the given ID (node failure).
+// In-flight transactions pinned to it will fail with ErrBackendGone: their
+// affinity entries become tombstones (nil backend) so the failure is
+// classified as "your node is gone, redo the transaction" (retriable,
+// §3.3.1) rather than ErrUnknownTxn — while the dead Backend itself (and
+// everything it keeps reachable) is released immediately. lookup reclaims
+// each tombstone the first time the transaction notices.
 func (b *Balancer) Remove(id string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -122,7 +89,6 @@ func (b *Balancer) Remove(id string) {
 			b.affinity[txid] = nil
 		}
 	}
-	delete(b.health, id)
 	if len(b.backends) > 0 {
 		b.next %= len(b.backends)
 	} else {
@@ -137,15 +103,7 @@ func (b *Balancer) Len() int {
 	return len(b.backends)
 }
 
-// pick returns the next healthy backend, round-robin refined by
-// power-of-two-choices: the round-robin candidate is compared against
-// the next healthy backend, and when both report in-flight depth
-// (InFlightReporter) the strictly less-loaded one wins. A tie — the
-// steady state when every backend keeps up — falls to the round-robin
-// candidate, so the classic rotation is preserved exactly unless load
-// actually skews. With every backend ejected the answer is
-// ErrNoBackends — retriable, so clients back off and retry into the
-// recovery instead of failing terminally.
+// pick returns the next backend in round-robin order.
 func (b *Balancer) pick() (Backend, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -153,38 +111,9 @@ func (b *Balancer) pick() (Backend, error) {
 	if n == 0 {
 		return nil, ErrNoBackends
 	}
-	var first Backend
-	for i := 0; i < n; i++ {
-		be := b.backends[b.next%n]
-		b.next = (b.next + 1) % n
-		if !b.ejectedLocked(be.ID()) {
-			first = be
-			break
-		}
-	}
-	if first == nil {
-		return nil, ErrNoBackends
-	}
-	// Peek at the next healthy backend WITHOUT consuming its round-robin
-	// turn: if it loses the depth comparison, it is still the next
-	// rotation candidate.
-	var second Backend
-	for i := 0; i < n; i++ {
-		be := b.backends[(b.next+i)%n]
-		if be != first && !b.ejectedLocked(be.ID()) {
-			second = be
-			break
-		}
-	}
-	if second != nil {
-		f, fok := first.(InFlightReporter)
-		s, sok := second.(InFlightReporter)
-		if fok && sok && s.InFlight() < f.InFlight() {
-			b.metrics.LoadSteered.Add(1)
-			return second, nil
-		}
-	}
-	return first, nil
+	be := b.backends[b.next]
+	b.next = (b.next + 1) % n
+	return be, nil
 }
 
 // lookup resolves a transaction's pinned backend.

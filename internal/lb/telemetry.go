@@ -14,23 +14,17 @@ type Metrics struct {
 	Routed       atomic.Int64 // operations routed to a pinned backend
 	UnknownTxns  atomic.Int64 // lookups for transactions never pinned here
 	BackendsGone atomic.Int64 // lookups that hit a removed backend's tombstone
-	Ejections    atomic.Int64 // backends ejected after consecutive probe failures
-	Readmissions atomic.Int64 // ejected backends re-admitted after recovery
-	LoadSteered  atomic.Int64 // picks steered off round-robin to a less-loaded backend
 }
 
 // MetricsSnapshot is a point-in-time copy of Metrics.
 type MetricsSnapshot struct {
-	Started, Routed, UnknownTxns, BackendsGone,
-	Ejections, Readmissions, LoadSteered int64
+	Started, Routed, UnknownTxns, BackendsGone int64
 }
 
 // Snapshot returns a copy of the counters.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	return MetricsSnapshot{Started: m.Started.Load(), Routed: m.Routed.Load(),
-		UnknownTxns: m.UnknownTxns.Load(), BackendsGone: m.BackendsGone.Load(),
-		Ejections: m.Ejections.Load(), Readmissions: m.Readmissions.Load(),
-		LoadSteered: m.LoadSteered.Load()}
+		UnknownTxns: m.UnknownTxns.Load(), BackendsGone: m.BackendsGone.Load()}
 }
 
 // Metrics returns the balancer's routing counters.
@@ -52,15 +46,6 @@ func (b *Balancer) RegisterTelemetry(reg *telemetry.Registry) {
 			"Lookups for transactions not pinned to this balancer.", uint64(s.UnknownTxns))
 		e.Counter("aft_lb_backend_gone_total",
 			"Lookups that hit a removed backend's tombstone.", uint64(s.BackendsGone))
-		e.Counter("aft_lb_ejections_total",
-			"Backends ejected after consecutive health-probe failures.", uint64(s.Ejections))
-		e.Counter("aft_lb_readmissions_total",
-			"Ejected backends re-admitted after probe recovery.", uint64(s.Readmissions))
-		e.Counter("aft_lb_load_steered_total",
-			"Picks steered off round-robin to a less-loaded backend (power-of-two-choices).",
-			uint64(s.LoadSteered))
 		e.Gauge("aft_lb_backends", "Registered backends.", float64(b.Len()))
-		e.Gauge("aft_lb_unhealthy_backends", "Backends currently ejected from routing.",
-			float64(len(b.UnhealthyBackends())))
 	})
 }

@@ -82,7 +82,7 @@ func (b *Bus) Register(p Peer) {
 	b.mu.Unlock()
 }
 
-// Unregister removes a peer (node failure or scale-down).
+// Unregister removes a peer (node failure or shutdown).
 func (b *Bus) Unregister(id string) {
 	b.mu.Lock()
 	delete(b.peers, id)

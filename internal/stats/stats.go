@@ -1,7 +1,6 @@
 // Package stats provides the measurement plumbing for the benchmark
 // harness: latency recorders with percentile summaries (the paper reports
-// median and 99th percentile throughout §6) and throughput timelines for the
-// time-series figures (Figures 9 and 10).
+// median and 99th percentile throughout §6) and event counters.
 package stats
 
 import (
@@ -88,13 +87,6 @@ func (r *Recorder) foldLocked() {
 	}
 	r.count = len(r.samples)
 	r.samples = nil
-}
-
-// Folded reports whether the recorder has switched to histogram mode.
-func (r *Recorder) Folded() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hist != nil
 }
 
 // Count returns the number of recorded samples.
@@ -192,60 +184,6 @@ func Millis(d time.Duration) float64 { return float64(d) / float64(time.Millisec
 // String renders the summary in "median/p99" form.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d median=%.1fms p99=%.1fms", s.Count, Millis(s.Median), Millis(s.P99))
-}
-
-// Timeline bins events into fixed-width buckets to produce
-// throughput-over-time series (Figures 9 and 10). It is safe for concurrent
-// use.
-type Timeline struct {
-	mu     sync.Mutex
-	width  time.Duration
-	counts []int64
-	start  time.Time
-}
-
-// NewTimeline returns a Timeline with the given bucket width, anchored at
-// start.
-func NewTimeline(start time.Time, width time.Duration) *Timeline {
-	if width <= 0 {
-		width = time.Second
-	}
-	return &Timeline{width: width, start: start}
-}
-
-// Add records one event at time t. Events before start are clamped into the
-// first bucket.
-func (tl *Timeline) Add(t time.Time) {
-	idx := int(t.Sub(tl.start) / tl.width)
-	if idx < 0 {
-		idx = 0
-	}
-	tl.mu.Lock()
-	for len(tl.counts) <= idx {
-		tl.counts = append(tl.counts, 0)
-	}
-	tl.counts[idx]++
-	tl.mu.Unlock()
-}
-
-// Point is one bucket of a Timeline expressed as a rate.
-type Point struct {
-	// Offset is the bucket's start offset from the timeline anchor.
-	Offset time.Duration
-	// Rate is events per second within the bucket.
-	Rate float64
-}
-
-// Series returns the timeline as per-second rates.
-func (tl *Timeline) Series() []Point {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	out := make([]Point, len(tl.counts))
-	secs := tl.width.Seconds()
-	for i, c := range tl.counts {
-		out[i] = Point{Offset: time.Duration(i) * tl.width, Rate: float64(c) / secs}
-	}
-	return out
 }
 
 // Counter is a concurrency-safe monotonic event counter.

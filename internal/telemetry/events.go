@@ -3,7 +3,7 @@ package telemetry
 // events.go is the cluster's flight recorder: a bounded ring of typed,
 // structured events — the discrete state changes an operator reaches
 // for first when reconstructing an incident (sheds, spills,
-// checkpoints, kills, promotions, ejections, violations). Events carry
+// checkpoints, kills, promotions, violations). Events carry
 // monotonic sequence numbers and optional trace-ID cross-links, are
 // served newest-first at /events, and can be dumped deterministically
 // (wall-clock excluded) so a seeded chaos campaign's journal is
@@ -43,10 +43,6 @@ const (
 	// EventBootstrapWatermark: an incremental bootstrap cut its
 	// watermark — records at or below it are skipped on warm-up.
 	EventBootstrapWatermark EventType = "bootstrap_watermark"
-	// EventLBEjection / EventLBReadmission: the load balancer ejected a
-	// backend after consecutive probe failures, or re-admitted it.
-	EventLBEjection    EventType = "lb_ejection"
-	EventLBReadmission EventType = "lb_readmission"
 	// EventPartitionHeal: a network partition (chaos-injected) healed.
 	EventPartitionHeal EventType = "partition_heal"
 	// EventCheckerViolation: the history checker flagged an anomaly.

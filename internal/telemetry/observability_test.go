@@ -107,11 +107,11 @@ func TestJournalDumpToFile(t *testing.T) {
 
 func TestJournalHandler(t *testing.T) {
 	j := NewJournal(JournalOptions{})
-	j.Record(EventLBEjection, "node-3", "", "failures", "5")
-	j.Record(EventLBReadmission, "node-3", "")
+	j.Record(EventNodeKill, "node-3", "", "reason", "test")
+	j.Record(EventPromotion, "node-4", "", "replaces", "node-3")
 
 	rr := httptest.NewRecorder()
-	j.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/events?type=lb_ejection", nil))
+	j.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/events?type=node_kill", nil))
 	var payload struct {
 		Count  int     `json:"count"`
 		Events []Event `json:"events"`
@@ -119,7 +119,7 @@ func TestJournalHandler(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &payload); err != nil {
 		t.Fatalf("bad /events JSON: %v", err)
 	}
-	if payload.Count != 1 || payload.Events[0].Type != EventLBEjection {
+	if payload.Count != 1 || payload.Events[0].Type != EventNodeKill {
 		t.Fatalf("/events payload = %+v", payload)
 	}
 }

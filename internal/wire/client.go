@@ -97,18 +97,6 @@ func DialWith(addr string, cfg DialConfig) (*Client, error) {
 // Metrics returns the client's wire counters.
 func (c *Client) Metrics() *Metrics { return &c.metrics }
 
-// InFlight reports the client's ops currently on the wire. The load
-// balancer's least-loaded routing reads it (lb.InFlightReporter).
-func (c *Client) InFlight() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	for _, pc := range c.pconns {
-		n += pc.depth.Load()
-	}
-	return n
-}
-
 // dialPipe opens one pipelined conn: TCP connect, then the handshake —
 // the preface and an OpPing hello in one write, and the server's reply,
 // which names the node. Transport failures (including a mid-pool redial
@@ -349,7 +337,6 @@ func (c *Client) call(ctx context.Context, req *Request, resp *Response) error {
 func (c *Client) ID() string { return c.id }
 
 // Ping round-trips a no-op request, verifying the conn path end to end.
-// It implements lb.Pinger, so balancer health probes reach over the wire.
 func (c *Client) Ping(ctx context.Context) error {
 	var resp Response
 	return c.call(ctx, &Request{Op: OpPing}, &resp)

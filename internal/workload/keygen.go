@@ -70,7 +70,9 @@ type Uniform struct {
 	n   int
 }
 
-// NewUniform returns a Uniform chooser over n keys.
+// NewUniform returns a Uniform chooser over n keys. Only tests call it:
+// this package's, baselines' TestAFTExecutorZeroAnomalies and the root
+// package's BenchmarkFig5 and BenchmarkFig6.
 func NewUniform(seed int64, n int) *Uniform {
 	if n < 1 {
 		n = 1
