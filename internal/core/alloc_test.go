@@ -5,6 +5,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -34,13 +35,14 @@ func allocatedDuring(f func()) (objects, bytes uint64) {
 // TestCommitAllocBudget pins the write path: a two-key commit through the
 // write routine, uncontended, on the zero-latency store, and the whole
 // Start + 2 Put + Commit transaction around it. The count covers the
-// storage engine's own copies; what is left is bytes someone keeps (the
-// transaction and its ID, the buffered values, the keys, the record and its
-// encoding, the engine's values). A flush map, a per-commit channel, a key
-// built in three pieces, an eager map in Start or a drainer goroutine
-// coming back shows up here as a failure.
+// storage engine's own copies; what is left is bytes someone keeps: the
+// transaction and its ID, the buffered values, the commit's copy of its
+// write buffer, the write set, the record, the one string its storage keys
+// are sliced from, and the engine's three copies. A write-buffer map, a
+// string per key, a record encoding of its own, a flush map, a per-commit
+// channel or a drainer goroutine coming back shows up here as a failure.
 func TestCommitAllocBudget(t *testing.T) {
-	const commitBudget, txnBudget = 12, 18
+	const commitBudget, txnBudget = 8, 12
 	n, err := NewNode(Config{NodeID: "budget", Store: dynamosim.New(dynamosim.Options{})})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +66,7 @@ func TestCommitAllocBudget(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		txn() // fill the scratch pool and grow the maps
 	}
-	const runs = 512
+	const runs = 1024
 	commit = 0
 	whole := mallocsDuring(func() {
 		for i := 0; i < runs; i++ {
@@ -72,19 +74,48 @@ func TestCommitAllocBudget(t *testing.T) {
 		}
 	})
 	perCommit, perTxn := float64(commit)/runs, float64(whole)/runs
-	t.Logf("allocs: %.1f per commit, %.1f per Start+2Put+Commit", perCommit, perTxn)
-	if perCommit > commitBudget {
-		t.Errorf("commit costs %.1f allocs, budget %d", perCommit, commitBudget)
+	t.Logf("allocs: %.2f per commit, %.2f per Start+2Put+Commit", perCommit, perTxn)
+	// Rounded: the runtime counts a span's objects when it hands the span
+	// out and corrects the count when it takes the span back, so a window
+	// of a thousand transactions reads a few tenths off either way.
+	if math.Round(perCommit) > commitBudget {
+		t.Errorf("commit costs %.2f allocs, budget %d", perCommit, commitBudget)
 	}
-	if perTxn > txnBudget {
-		t.Errorf("whole transaction costs %.1f allocs, budget %d", perTxn, txnBudget)
+	if math.Round(perTxn) > txnBudget {
+		t.Errorf("whole transaction costs %.2f allocs, budget %d", perTxn, txnBudget)
+	}
+}
+
+// TestLargeWriteBufferAllocBudget: a Put finds its key's place in the
+// sorted write buffer by binary search and the buffer grows by doubling,
+// so 2 000 Puts in random order allocate their value copies plus about
+// twenty growths — never a copy of the buffer per Put. At 20 000 Puts they
+// allocate no more per Put than at 2 000.
+func TestLargeWriteBufferAllocBudget(t *testing.T) {
+	perPut := func(keys int) (objects, bytes float64) {
+		n, _ := newTestNode(t)
+		var txid string
+		o, b := allocatedDuring(func() { txid, _ = largeTxnPuts(t, n, keys) })
+		n.AbortTransaction(context.Background(), txid)
+		return float64(o) / float64(keys), float64(b) / float64(keys)
+	}
+	smallO, smallB := perPut(2000)
+	largeO, largeB := perPut(20000)
+	t.Logf("per Put: %.2f objects / %.0f bytes at 2 000 keys, %.2f / %.0f at 20 000", smallO, smallB, largeO, largeB)
+	// Each key costs its name, its map entry, its value copy; the buffer
+	// costs about 2 x 40 bytes a key, however many keys.
+	if smallO > 4 || largeO > 4 {
+		t.Errorf("a Put allocates %.2f objects at 2 000 keys, %.2f at 20 000; want at most 4", smallO, largeO)
+	}
+	if largeB > 1.5*smallB {
+		t.Errorf("a Put allocates %.0f bytes at 20 000 keys but %.0f at 2 000", largeB, smallB)
 	}
 }
 
 // TestReadAllocBudget: a Get served from the data cache allocates the copy
 // it returns and nothing else — no storage-key string, no plan, no copy of
 // the key's version list — and a transaction that reads one key allocates,
-// beyond that copy, only itself, its ID and its first read-set entry.
+// beyond that copy, only itself and its ID: its read set starts inside it.
 func TestReadAllocBudget(t *testing.T) {
 	n := historyNode(t, 16)
 	ctx := context.Background()
@@ -109,15 +140,15 @@ func TestReadAllocBudget(t *testing.T) {
 	if reread != 1 {
 		t.Errorf("cached Get costs %v allocs, want 1 (the returned copy)", reread)
 	}
-	if fresh > 4 {
-		t.Errorf("Start+Get+Abort costs %v allocs, want at most 4 (transaction, ID, read set, copy)", fresh)
+	if fresh > 3 {
+		t.Errorf("Start+Get+Abort costs %v allocs, want at most 3 (transaction, ID, copy)", fresh)
 	}
 }
 
 // TestMultiGetAllocBudget pins a batched read to a fixed number of
 // allocations beyond the values it hands back. Served from the data cache,
-// Start + a 4-key MultiGet + Abort allocates the transaction, its ID, the
-// read set, the result slice and the 4 copies. Cold, on a zero-latency
+// Start + a 4-key MultiGet + Abort allocates the transaction (its read set
+// inside it), its ID, the result slice and the 4 copies. Cold, on a zero-latency
 // Redis with 2 shards and no cache, the one BatchGet adds its key string,
 // its key slice and the engine's result map, and the 4 copies are the
 // engine's: no plan, index list, map or string per key.
@@ -128,8 +159,8 @@ func TestMultiGetAllocBudget(t *testing.T) {
 		cache  bool
 		budget float64
 	}{
-		{"cached", true, 8},
-		{"cold", false, 12},
+		{"cached", true, 7},
+		{"cold", false, 11},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := redissim.New(redissim.Options{})

@@ -75,16 +75,12 @@ func (s *callLogStore) Put(ctx context.Context, key string, value []byte) error 
 func mkCommitReq(t *testing.T, ts int64, keys ...string) *commitReq {
 	t.Helper()
 	id := idgen.ID{Timestamp: ts, UUID: fmt.Sprintf("u%d", ts)}
-	rec := records.NewCommitRecord(id, keys, "test")
-	payload, err := rec.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := &commitReq{rec: rec}
+	req := &commitReq{rec: records.NewCommitRecord(id, keys, "test")}
 	for _, k := range keys {
 		req.writes = append(req.writes, kv{records.DataKey(k, id), []byte(k)})
 	}
-	req.writes = append(req.writes, kv{records.CommitKey(id), payload})
+	// The record's value is flush's to encode.
+	req.writes = append(req.writes, kv{key: records.CommitKey(id)})
 	return req
 }
 

@@ -102,11 +102,11 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	var spilled []string
 	var spillDir string
 	if !readOnly {
-		// One spare slot: the commit record joins the same slice below.
-		data = make([]kv, 0, len(t.writes)+1)
-		for k, v := range t.writes {
-			data = append(data, kv{k, v})
-		}
+		// A copy, already sorted by key: a Put racing this attempt must
+		// not change what it writes. One spare slot: the commit record
+		// joins the same slice below.
+		data = make([]kv, len(t.writes), len(t.writes)+1)
+		copy(data, t.writes)
 		// Every key ever spilled, rewritten since or not: its version
 		// lives under its spill key either way (step 1 below).
 		for k := range t.spilled {
@@ -130,10 +130,9 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 		return id, nil
 	}
 
-	// Step 2 payload: the commit record. data still holds user keys here;
-	// sorting it makes the write set sorted and the storage write order a
-	// function of the transaction alone.
-	slices.SortFunc(data, func(a, b kv) int { return strings.Compare(a.key, b.key) })
+	// Step 2: the commit record. data still holds user keys here, sorted,
+	// so the write set is sorted and the storage write order a function of
+	// the transaction alone.
 	writeSet := make([]string, len(data), len(data)+len(spilled))
 	for i := range data {
 		writeSet[i] = data[i].key
@@ -167,15 +166,15 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 		rec.SpillDir = spillDir
 		rec.Spilled = spilled
 	}
-	payload, err := rec.Marshal()
-	if err != nil {
-		n.abandonCommit(t)
-		return idgen.Null, fmt.Errorf("aft: encoding commit record: %w", err)
-	}
 
 	// Step 1 payload: the packed layout (§8) writes one object for the
 	// whole write set; the default layout writes one unique key per
-	// version. From here on data holds storage keys.
+	// version. Every storage key of the commit — data or spill keys, then
+	// the commit key — is built in kb and becomes one string, which the
+	// keys are sliced from. From here on data holds storage keys.
+	var kb [commitKeyBufLen]byte
+	var eb [commitKeysInline]int
+	keys, ends := kb[:0], eb[:0]
 	if packed {
 		writes := make(map[string][]byte, len(data))
 		for _, it := range data {
@@ -186,22 +185,33 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 			n.abandonCommit(t)
 			return idgen.Null, fmt.Errorf("aft: packing write set: %w", err)
 		}
-		data = append(data[:0], kv{records.PackKey(id), obj})
+		data = append(data[:0], kv{val: obj})
+		keys = records.AppendPackKey(keys, id)
+		ends = append(ends, len(keys))
 	} else {
-		for i := range data {
-			if _, ok := slices.BinarySearch(spilled, data[i].key); ok {
+		for _, it := range data {
+			if _, ok := slices.BinarySearch(spilled, it.key); ok {
 				// A spilled key keeps the spill layout: its final value
 				// overwrites its spill object, which the record names
 				// (Spilled), so the global GC deletes the object with the
 				// version instead of leaving it for the orphan sweep.
-				data[i].key = records.SpillKey(spillDir, data[i].key)
+				keys = records.AppendSpillKey(keys, spillDir, it.key)
 			} else {
-				data[i].key = records.DataKey(data[i].key, id)
+				keys = records.AppendDataKey(keys, it.key, id)
 			}
+			ends = append(ends, len(keys))
 		}
 	}
+	keys = records.AppendCommitKey(keys, id)
+	all, start := string(keys), 0
+	for i, end := range ends {
+		data[i].key = all[start:end]
+		start = end
+	}
 
-	req := &commitReq{writes: append(data, kv{records.CommitKey(id), payload}), rec: rec}
+	// The record's value is left to flush, which encodes rec into its
+	// pooled scratch.
+	req := &commitReq{writes: append(data, kv{key: all[start:]}), rec: rec}
 	if err := n.flush(ctx, req); err != nil {
 		n.abandonCommit(t)
 		return idgen.Null, err
@@ -223,6 +233,14 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	n.metrics.Committed.Add(1)
 	return id, nil
 }
+
+// commitKeyBufLen sizes the stack buffer a commit builds its storage keys
+// in, and commitKeysInline the count of keys whose ends it tracks without
+// allocating; a larger commit spills either to the heap.
+const (
+	commitKeyBufLen  = 512
+	commitKeysInline = 16
+)
 
 // finishCommit acknowledges a commit whose record (if it wrote anything)
 // is durable and installed: it retires the transaction state and records

@@ -40,9 +40,10 @@ package core
 // stripes in the order stripe.go fixes, then recMu, on either path.
 //
 // A phase's chunks are sub-slices of the request's writes, and the maps
-// handed to BatchPut live in a pooled flushScratch, so a flush whose phases
-// are one call each allocates nothing of its own; a phase of several calls
-// adds only the goroutines that carry them.
+// handed to BatchPut and the commit record's encoding live in a pooled
+// flushScratch, so a flush whose phases are one call each allocates nothing
+// of its own; a phase of several calls adds only the goroutines that carry
+// them.
 
 import (
 	"context"
@@ -68,6 +69,8 @@ type commitReq struct {
 	// data (one storage key per buffered version, or the single packed
 	// object under the packed layout), then the step-2 commit record, last.
 	// One slice, so each phase's writes and chunks are sub-slices of it.
+	// The record's value is rec's encoding, which flush writes into its
+	// pooled scratch and takes back before it returns.
 	writes []kv
 	// rec is installed into the metadata stripes after record is durable.
 	rec *records.CommitRecord
@@ -98,7 +101,14 @@ type flushScratch struct {
 	// calls counts the storage calls this flush issued, one per chunk (a
 	// failed chunk's item-by-item retry not counted).
 	calls int
+	// record holds the commit record's encoding while the flush writes it:
+	// storage.Store's Put and BatchPut keep no value after they return.
+	record []byte
 }
+
+// maxPooledRecord bounds the record buffer a flushScratch keeps across
+// flushes; the rare larger record's buffer goes to the collector.
+const maxPooledRecord = 64 << 10
 
 var flushScratchPool = sync.Pool{New: func() any { return new(flushScratch) }}
 
@@ -121,6 +131,8 @@ func (n *Node) flush(ctx context.Context, req *commitReq) error {
 	n.metrics.GroupedCommits.Add(1)
 	sc := flushScratchPool.Get().(*flushScratch)
 	w, last := req.writes, len(req.writes)-1
+	sc.record, _ = req.rec.AppendBinary(sc.record[:0]) // reports no error
+	w[last].val = sc.record
 	var failed chunkErr
 	if n.store.Capabilities().AtomicBatches {
 		// One write phase: the data, then the record, in one
@@ -133,6 +145,10 @@ func (n *Node) flush(ctx context.Context, req *commitReq) error {
 	}
 	sp.Annotate("calls", strconv.Itoa(sc.calls))
 	sc.calls = 0
+	w[last].val = nil
+	if cap(sc.record) > maxPooledRecord {
+		sc.record = nil
+	}
 	flushScratchPool.Put(sc)
 	if failed.err != nil {
 		// The transaction's stray data stays invisible: its commit record

@@ -248,4 +248,3 @@ func TestConcurrentChunksFailOnlyTheirOwners(t *testing.T) {
 		t.Fatalf("installed records = %d, want the 2 winners", got)
 	}
 }
-

@@ -253,8 +253,8 @@ type readPlan struct {
 // t.mu.
 func (n *Node) planRead(ctx context.Context, t *txnState, key string) (readPlan, error) {
 	// Read-your-writes: the write buffer takes precedence (§3.5).
-	if v, ok := t.writes[key]; ok {
-		return readPlan{buffered: true, value: v}, nil
+	if i, ok := t.writeOf(key); ok {
+		return readPlan{buffered: true, value: t.writes[i].val}, nil
 	}
 	if t.spilled[key] {
 		// Spilled intermediary data is still this transaction's own
@@ -401,9 +401,6 @@ func (n *Node) pinRead(t *txnState, key string, target idgen.ID, rec *records.Co
 		return false
 	}
 	pin := !t.pinnedBy(target)
-	if t.reads == nil {
-		t.reads = make([]readEntry, 0, 4)
-	}
 	t.reads = append(t.reads, readEntry{key: key, id: target, rec: rec, pinned: pin})
 	if pin {
 		n.pinMu.Lock()

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,14 +43,20 @@ type txnState struct {
 	// it, the attempt closes it when it resolves. The uncontended commit
 	// never allocates it.
 	commitDone chan struct{}
-	// writes is the Atomic Write Buffer's slice for this transaction:
-	// key -> latest buffered value; nil until the first Put.
-	writes map[string][]byte
+	// writes is the Atomic Write Buffer's slice for this transaction: the
+	// latest buffered value of each key, sorted by key (writeOf). It
+	// starts on writeBuf, sized for the paper's transaction of two Puts
+	// (§6), so such a transaction allocates no buffer; a spill hands the
+	// slice over and leaves writes nil, so a later Put starts a slice of
+	// its own.
+	writes   []kv
+	writeBuf [2]kv
 	// buffered tracks the byte volume in writes, for spill decisions.
 	buffered int
-	// reads is R in Algorithm 1, one entry per key read (readEntry); nil
-	// until the first read.
-	reads []readEntry
+	// reads is R in Algorithm 1, one entry per key read (readEntry). It
+	// starts on readBuf.
+	reads   []readEntry
+	readBuf [4]readEntry
 	// spilled holds keys whose payload was proactively written to the
 	// spill area before commit (§3.3); nil until the first spill. A key
 	// once spilled stays in the spill layout: if it is written again, the
@@ -100,6 +108,26 @@ func (t *txnState) readOf(key string) int {
 		}
 	}
 	return -1
+}
+
+// writeOf returns the index in t.writes of key's entry and true, or the
+// index its entry belongs at and false.
+func (t *txnState) writeOf(key string) (int, bool) {
+	return slices.BinarySearchFunc(t.writes, key, func(e kv, key string) int {
+		return strings.Compare(e.key, key)
+	})
+}
+
+// buffer sets key's buffered value to v. The caller holds t.mu.
+func (t *txnState) buffer(key string, v []byte) {
+	i, ok := t.writeOf(key)
+	if ok {
+		t.buffered += len(v) - len(t.writes[i].val)
+		t.writes[i].val = v
+		return
+	}
+	t.writes = slices.Insert(t.writes, i, kv{key, v})
+	t.buffered += len(v)
 }
 
 // pinnedBy reports whether the transaction holds a reader pin on id.
@@ -188,6 +216,7 @@ func (n *Node) StartTransaction(ctx context.Context) (string, error) {
 	}
 	id := n.gen.NewID()
 	t := &txnState{uuid: id.UUID, startTS: id.Timestamp}
+	t.writes, t.reads = t.writeBuf[:0], t.readBuf[:0]
 	// The wire layer deposits an inbound client trace context in ctx; a
 	// zero context self-samples per the tracer's policy.
 	t.trace = n.tracer.Begin(id.UUID, telemetry.TraceContextFrom(ctx))
@@ -263,21 +292,15 @@ func (n *Node) Put(ctx context.Context, txid, key string, value []byte) error {
 		t.mu.Unlock()
 		return n.finishedErr(txid)
 	}
-	if old, ok := t.writes[key]; ok {
-		t.buffered -= len(old)
-	}
-	if t.writes == nil {
-		t.writes = make(map[string][]byte)
-	}
-	t.writes[key] = v
-	t.buffered += len(v)
+	t.buffer(key, v)
 	needSpill := n.cfg.SpillThreshold > 0 && t.buffered > n.cfg.SpillThreshold
-	var spillItems map[string][]byte
+	var spillItems []kv
 	var spillDir string
 	if needSpill {
 		// Move the entire buffer to the spill area; later writes to the
 		// same keys re-enter the buffer and take precedence, and the
-		// commit writes them over their spill objects.
+		// commit writes them over their spill objects. The spill owns the
+		// slice from here on, writeBuf included.
 		spillItems = t.writes
 		spillDir = t.spillDir()
 		t.writes = nil
@@ -285,17 +308,17 @@ func (n *Node) Put(ctx context.Context, txid, key string, value []byte) error {
 		if t.spilled == nil {
 			t.spilled = make(map[string]bool, len(spillItems))
 		}
-		for k := range spillItems {
-			t.spilled[k] = true
+		for _, it := range spillItems {
+			t.spilled[it.key] = true
 		}
 	}
 	t.mu.Unlock()
 
 	if needSpill {
 		n.metrics.Spills.Add(1)
-		for k, val := range spillItems {
-			sk := records.SpillKey(spillDir, k)
-			if err := n.store.Put(ctx, sk, val); err != nil {
+		for _, it := range spillItems {
+			sk := records.SpillKey(spillDir, it.key)
+			if err := n.store.Put(ctx, sk, it.val); err != nil {
 				// Spill failure is not fatal: restore the data to the
 				// buffer and carry on holding it in memory. The key stays
 				// in spilled — a failed Put may still have landed, as may
@@ -303,12 +326,8 @@ func (n *Node) Put(ctx context.Context, txid, key string, value []byte) error {
 				// final value over any spill object and the record names
 				// it for the global GC.
 				t.mu.Lock()
-				if _, ok := t.writes[k]; !ok {
-					if t.writes == nil {
-						t.writes = make(map[string][]byte)
-					}
-					t.writes[k] = val
-					t.buffered += len(val)
+				if _, ok := t.writeOf(it.key); !ok {
+					t.buffer(it.key, it.val)
 				}
 				t.mu.Unlock()
 				continue
@@ -316,7 +335,7 @@ func (n *Node) Put(ctx context.Context, txid, key string, value []byte) error {
 			// Write through to the data cache: a key spilled twice in one
 			// transaction overwrites its spill object, so the cached copy
 			// must be refreshed for the read path to stay coherent.
-			n.data.adopt(sk, val)
+			n.data.adopt(sk, it.val)
 		}
 	}
 	return nil

@@ -27,3 +27,34 @@ func TestKeyBuildersAllocateOnce(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestRecordCodecAllocBudget pins the commit record's codec: every commit
+// encodes one and every multicast delivery, storage scan and bootstrap
+// decodes them. Encoding into room it is given allocates nothing, Marshal
+// only its result, and decoding a 2-key record the record, its one text
+// string and its key slice.
+func TestRecordCodecAllocBudget(t *testing.T) {
+	rec := NewCommitRecord(idgen.ID{Timestamp: 1700000000000000000, UUID: "node-12-0123456789abcdef"},
+		[]string{"k000001", "k000002"}, "aft-1")
+	enc, _ := rec.Marshal()
+	buf := make([]byte, 0, 256)
+	for _, c := range []struct {
+		name   string
+		budget float64
+		f      func()
+	}{
+		{"AppendBinary", 0, func() { buf, _ = rec.AppendBinary(buf[:0]) }},
+		{"Marshal", 1, func() { enc, _ = rec.Marshal() }},
+		{"UnmarshalCommitRecord", 3, func() {
+			if got, err := UnmarshalCommitRecord(enc); err != nil || len(got.WriteSet) != 2 {
+				t.Fatalf("UnmarshalCommitRecord = %+v, %v", got, err)
+			}
+		}},
+	} {
+		got := testing.AllocsPerRun(100, c.f)
+		t.Logf("%s: %v allocs", c.name, got)
+		if got > c.budget {
+			t.Errorf("%s: %v allocs/op, budget %v", c.name, got, c.budget)
+		}
+	}
+}

@@ -10,7 +10,6 @@
 package records
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -97,11 +96,11 @@ const keyBufLen = 128
 // by transaction id.
 func DataKey(key string, id idgen.ID) string {
 	var b [keyBufLen]byte
-	return string(appendDataKey(b[:0], key, id))
+	return string(AppendDataKey(b[:0], key, id))
 }
 
-// appendDataKey appends DataKey(key, id) to dst.
-func appendDataKey(dst []byte, key string, id idgen.ID) []byte {
+// AppendDataKey appends DataKey(key, id) to dst.
+func AppendDataKey(dst []byte, key string, id idgen.ID) []byte {
 	dst = append(dst, DataPrefix...)
 	dst = appendEscaped(dst, key)
 	dst = append(dst, '/')
@@ -188,29 +187,29 @@ func ParseSpillKey(storageKey string) (dir, key string, err error) {
 // version the transaction wrote.
 type CommitRecord struct {
 	// Timestamp and UUID form the transaction ID.
-	Timestamp int64  `json:"ts"`
-	UUID      string `json:"uuid"`
+	Timestamp int64
+	UUID      string
 	// WriteSet lists the user keys written by the transaction.
-	WriteSet []string `json:"writeset"`
+	WriteSet []string
 	// Node identifies the committing AFT node (diagnostics only; the
 	// protocols never depend on it).
-	Node string `json:"node,omitempty"`
+	Node string
 	// SpillDir, when non-empty, is the staging directory holding payloads
 	// for the keys in Spilled (written early by a saturated write buffer).
-	SpillDir string `json:"spill,omitempty"`
+	SpillDir string
 	// Spilled lists the keys whose payload lives under SpillDir rather
 	// than at the conventional DataKey location.
-	Spilled []string `json:"spilled,omitempty"`
+	Spilled []string
 	// Packed marks the S3-optimized layout: every key version of this
 	// transaction lives inside one packed object at PackKey(ID()).
-	Packed bool `json:"packed,omitempty"`
+	Packed bool
 	// TraceID carries the originating client's sampled trace ID, so
 	// trace identity travels with the record through multicast delivery
 	// and fault-manager recovery — the peers and the fault manager
 	// attribute their work back to the same cross-node trace. Empty for
-	// the (overwhelmingly common) untraced transactions, so the record
-	// and its storage form do not grow.
-	TraceID string `json:"tid,omitempty"`
+	// the (overwhelmingly common) untraced transactions, which then pay
+	// one length byte for it in the stored form (codec.go).
+	TraceID string
 }
 
 // PackKey returns the storage key of transaction id's packed object.
@@ -260,7 +259,7 @@ func (r *CommitRecord) AppendStorageKeyFor(dst []byte, key string) []byte {
 			return AppendSpillKey(dst, r.SpillDir, key)
 		}
 	}
-	return appendDataKey(dst, key, r.ID())
+	return AppendDataKey(dst, key, r.ID())
 }
 
 // ID returns the transaction ID of the record.
@@ -279,18 +278,6 @@ func (r *CommitRecord) Cowritten(key string) bool {
 	return false
 }
 
-// Marshal encodes the record for persistence.
-func (r *CommitRecord) Marshal() ([]byte, error) { return json.Marshal(r) }
-
-// UnmarshalCommitRecord decodes a persisted commit record.
-func UnmarshalCommitRecord(b []byte) (*CommitRecord, error) {
-	var r CommitRecord
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("records: bad commit record: %v", err)
-	}
-	return &r, nil
-}
-
 // NewCommitRecord builds a record for transaction id writing writeSet from
 // node. The write set is copied.
 func NewCommitRecord(id idgen.ID, writeSet []string, node string) *CommitRecord {
@@ -300,19 +287,6 @@ func NewCommitRecord(id idgen.ID, writeSet []string, node string) *CommitRecord 
 		WriteSet:  append([]string(nil), writeSet...),
 		Node:      node,
 	}
-}
-
-// Pack encodes a transaction's write set as one object (the §8 packed
-// layout). Values survive a JSON round trip via base64.
-func Pack(writes map[string][]byte) ([]byte, error) { return json.Marshal(writes) }
-
-// Unpack decodes a packed object.
-func Unpack(b []byte) (map[string][]byte, error) {
-	var m map[string][]byte
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("records: corrupt packed object: %v", err)
-	}
-	return m, nil
 }
 
 // KeyVersion names one version of one user key.

@@ -1,6 +1,8 @@
 package records
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -77,24 +79,89 @@ func TestCommitKeyRoundTrip(t *testing.T) {
 }
 
 func TestCommitRecordMarshalRoundTrip(t *testing.T) {
-	id := idgen.ID{Timestamp: 9, UUID: "u9"}
-	rec := NewCommitRecord(id, []string{"a", "b"}, "node-1")
-	b, err := rec.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalCommitRecord(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.ID().Equal(id) || got.Node != "node-1" || len(got.WriteSet) != 2 {
-		t.Fatalf("round trip = %+v", got)
+	for _, rec := range sampleRecords() {
+		b, err := rec.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b[0] != recordVersion {
+			t.Fatalf("version byte %d, want %d", b[0], recordVersion)
+		}
+		got, err := UnmarshalCommitRecord(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, rec) {
+			t.Fatalf("round trip:\n got  %+v\n want %+v", got, rec)
+		}
+		if appended, _ := rec.AppendBinary([]byte("xy")); string(appended) != "xy"+string(b) {
+			t.Fatalf("AppendBinary does not append Marshal's bytes")
+		}
 	}
 }
 
 func TestUnmarshalCommitRecordError(t *testing.T) {
-	if _, err := UnmarshalCommitRecord([]byte("{not json")); err == nil {
-		t.Fatal("bad JSON accepted")
+	good, _ := sampleRecords()[2].Marshal()
+	bad := map[string][]byte{
+		"JSON":            []byte(`{"ts":1,"uuid":"u","writeset":["a"]}`),
+		"empty":           nil,
+		"unknown version": append([]byte{recordVersion + 1}, good[1:]...),
+		"unknown flag":    append([]byte{recordVersion, 0x80}, good[2:]...),
+		"trailing byte":   append(append([]byte(nil), good...), 'x'),
+		// 2-key record, first key's length 200: past the end.
+		"length past end": append(append([]byte(nil), good[:recordHeader]...), 1, 0, 0, 0, 2, 0, 100, 1, 'u'),
+		"non-minimal":     append(append([]byte(nil), good[:recordHeader]...), 0x81, 0x00, 0, 0, 0, 0, 0, 'u'),
+		// The write-set count takes every byte left, and the spilled
+		// count claims 2^62 keys: rejected at once, not after 2^62 steps.
+		"huge count": append(append([]byte(nil), good[:recordHeader]...),
+			0, 0, 0, 0, 10, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40),
+	}
+	for i := 0; i < len(good); i++ {
+		bad[fmt.Sprintf("truncated at %d", i)] = good[:i]
+	}
+	for name, b := range bad {
+		if rec, err := UnmarshalCommitRecord(b); err == nil {
+			t.Errorf("%s: accepted as %+v", name, rec)
+		}
+	}
+}
+
+func TestPackRoundTrip(t *testing.T) {
+	for _, m := range samplePacks() {
+		b, err := Pack(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Unpack(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(m) {
+			t.Fatalf("Unpack = %d entries, want %d", len(got), len(m))
+		}
+		for k, v := range m {
+			if g, ok := got[k]; !ok || string(g) != string(v) {
+				t.Fatalf("Unpack[%q] = %q, %v; want %q", k, g, ok, v)
+			}
+		}
+		// The map's order is random; the encoding is not.
+		for i := 0; i < 5; i++ {
+			if again, _ := Pack(m); string(again) != string(b) {
+				t.Fatal("Pack is not deterministic")
+			}
+		}
+	}
+	// "b" then "a": out of order; "a" twice: repeated.
+	for _, b := range [][]byte{
+		{packVersion, 2, 1, 0, 1, 0, 'b', 'a'},
+		{packVersion, 2, 1, 0, 1, 0, 'a', 'a'},
+		{packVersion + 1, 0},
+		{packVersion, 1, 1, 5, 'a'},
+		[]byte(`{"a":"dg=="}`),
+	} {
+		if m, err := Unpack(b); err == nil {
+			t.Errorf("Unpack(%q) accepted as %q", b, m)
+		}
 	}
 }
 

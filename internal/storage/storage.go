@@ -63,6 +63,10 @@ type Store interface {
 	// Get returns the value stored at key, or ErrNotFound.
 	Get(ctx context.Context, key string) ([]byte, error)
 	// Put durably stores value at key, overwriting any prior value.
+	// value belongs to the caller, as BatchPut's items do: Put must not
+	// mutate it, and must not retain it after it returns — AFT's flush
+	// encodes every commit record into one pooled buffer (storagetest's
+	// PutReleasesValue case).
 	Put(ctx context.Context, key string, value []byte) error
 	// BatchPut durably stores all items. Only an engine that reports
 	// Capabilities().AtomicBatches applies a call whole or not at all;

@@ -236,6 +236,25 @@ func Run(t *testing.T, factory Factory) {
 			t.Fatalf("BatchPut = %v, want nil or ErrBatchUnsupported", err)
 		}
 	})
+	t.Run("PutReleasesValue", func(t *testing.T) {
+		// The caller owns value again as soon as Put returns: AFT's flush
+		// encodes every commit record into one pooled buffer. A store
+		// that aliased the slice would see the next record under this
+		// record's key.
+		s := factory()
+		ctx := context.Background()
+		v := []byte("one")
+		if err := s.Put(ctx, "p1", v); err != nil {
+			t.Fatal(err)
+		}
+		if string(v) != "one" {
+			t.Fatalf("Put mutated the caller's value: %q", v)
+		}
+		copy(v, "XYZ")
+		if got, err := s.Get(ctx, "p1"); err != nil || string(got) != "one" {
+			t.Fatalf("Get(p1) after the value was reused = %q, %v; want %q", got, err, "one")
+		}
+	})
 	t.Run("BatchPutReleasesItems", func(t *testing.T) {
 		// The caller owns items again as soon as BatchPut returns: AFT's
 		// flush refills one pooled map for every call. A store that kept
