@@ -36,13 +36,15 @@ func allocatedDuring(f func()) (objects, bytes uint64) {
 // write routine, uncontended, on the zero-latency store, and the whole
 // Start + 2 Put + Commit transaction around it. The count covers the
 // storage engine's own copies; what is left is bytes someone keeps: the
-// transaction and its ID, the buffered values, the commit's copy of its
-// write buffer, the write set, the record, the one string its storage keys
-// are sliced from, and the engine's three copies. A write-buffer map, a
-// string per key, a record encoding of its own, a flush map, a per-commit
-// channel or a drainer goroutine coming back shows up here as a failure.
+// transaction and its ID, the buffered values, the record with its write
+// set inside it, the one string its storage keys are sliced from, and the
+// engine's three copies. The commit's storage writes live in the flush's
+// pooled scratch. A copy of the write buffer, a write set of its own, a
+// write-buffer map, a string per key, a record encoding of its own, a
+// flush map, a per-commit channel or a drainer goroutine coming back shows
+// up here as a failure.
 func TestCommitAllocBudget(t *testing.T) {
-	const commitBudget, txnBudget = 8, 12
+	const commitBudget, txnBudget = 6, 10
 	n, err := NewNode(Config{NodeID: "budget", Store: dynamosim.New(dynamosim.Options{})})
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +85,39 @@ func TestCommitAllocBudget(t *testing.T) {
 	}
 	if math.Round(perTxn) > txnBudget {
 		t.Errorf("whole transaction costs %.2f allocs, budget %d", perTxn, txnBudget)
+	}
+}
+
+// TestVersionListAllocBudget: a hot key holds a few live versions while
+// every commit adds the newest and the sweep retires the oldest. Its
+// version list reuses the slots the sweep frees, so once warm a cycle
+// allocates nothing — a list that drops its dead prefix into a new array
+// whenever it fills shows up here as a failure.
+func TestVersionListAllocBudget(t *testing.T) {
+	const live = 4
+	vi := make(versionIndex)
+	ts := int64(0)
+	cycle := func() {
+		ts++
+		vi.insert("hot", idgen.ID{Timestamp: ts, UUID: "u"})
+		vi.remove("hot", idgen.ID{Timestamp: ts - live, UUID: "u"})
+	}
+	for range 64 {
+		cycle() // fill the list and let its array reach its size
+	}
+	// AllocsPerRun rounds down, so each run is a hundred cycles: one
+	// allocation every few cycles still reads as tens per run.
+	got := testing.AllocsPerRun(100, func() {
+		for range 100 {
+			cycle()
+		}
+	})
+	t.Logf("100 x (insert + retire): %v allocs", got)
+	if got != 0 {
+		t.Errorf("100 cycles of insert and retire allocate %v, want 0", got)
+	}
+	if n := len(vi.atLeast("hot", idgen.Null)); n != live {
+		t.Fatalf("hot key holds %d versions, want %d", n, live)
 	}
 }
 

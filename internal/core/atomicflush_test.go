@@ -69,8 +69,15 @@ func (s *callLogStore) Put(ctx context.Context, key string, value []byte) error 
 	return s.Store.Put(ctx, key, value)
 }
 
-// mkCommitReq builds the request commitTransaction would submit for a
-// transaction writing keys, in the order given, at timestamp ts, each
+// commitReq is one transaction's input to the write routine: its storage
+// writes in §3.3 order, the commit record's slot last, and the record.
+type commitReq struct {
+	writes []kv
+	rec    *records.CommitRecord
+}
+
+// mkCommitReq builds the writes commitTransaction would hand to flush for
+// a transaction writing keys, in the order given, at timestamp ts, each
 // key's value the key itself.
 func mkCommitReq(t *testing.T, ts int64, keys ...string) *commitReq {
 	t.Helper()
@@ -92,7 +99,10 @@ func flushOf(t *testing.T, store storage.Store, req *commitReq) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n.flush(context.Background(), req)
+	sc := flushScratchPool.Get().(*flushScratch)
+	defer sc.release()
+	sc.writes = append(sc.writes[:0], req.writes...)
+	return n.flush(context.Background(), sc, req.rec)
 }
 
 // batchOf is the call log entry of one BatchPut of writes.
@@ -244,6 +254,41 @@ func TestFlushSpanCountsCalls(t *testing.T) {
 		}
 		if calls != tc.calls {
 			t.Fatalf("%s: gc.flush calls = %q, want %q", tc.name, calls, tc.calls)
+		}
+	}
+}
+
+// TestPooledScratchCarriesNoStaleWrites: a commit's storage writes live in
+// a pooled scratch the next commit reuses, so a 3-key commit followed by a
+// 1-key commit on the same node must send exactly the second commit's data
+// key and commit key, on either engine kind: none of the first commit's
+// writes survive in the scratch.
+func TestPooledScratchCarriesNoStaleWrites(t *testing.T) {
+	for _, atomic := range []bool{true, false} {
+		store := &callLogStore{Store: dynamosim.New(dynamosim.Options{}), atomic: atomic}
+		n, err := NewNode(Config{NodeID: "reuse", Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		commitTxn(t, n, map[string]string{"a1": "v", "a2": "v", "a3": "v"})
+		store.calls = nil
+		commitTxn(t, n, map[string]string{"b1": "v"})
+		var data, commit int
+		for _, call := range store.calls {
+			_, keys, _ := strings.Cut(call, ":")
+			for _, k := range strings.Split(keys, ",") {
+				if strings.HasPrefix(k, records.CommitPrefix) {
+					commit++
+					continue
+				}
+				if key, _, err := records.ParseDataKey(k); err != nil || key != "b1" {
+					t.Fatalf("atomic=%v: second commit wrote %q (calls %q)", atomic, k, store.calls)
+				}
+				data++
+			}
+		}
+		if data != 1 || commit != 1 {
+			t.Fatalf("atomic=%v: second commit calls = %q, want one data key of b1 and one commit key", atomic, store.calls)
 		}
 	}
 }

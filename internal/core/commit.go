@@ -98,15 +98,16 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	// commit is durable.
 	t.committing = true
 	readOnly := len(t.writes) == 0 && len(t.spilled) == 0
-	var data []kv
+	var sc *flushScratch
 	var spilled []string
 	var spillDir string
 	if !readOnly {
-		// A copy, already sorted by key: a Put racing this attempt must
-		// not change what it writes. One spare slot: the commit record
-		// joins the same slice below.
-		data = make([]kv, len(t.writes), len(t.writes)+1)
-		copy(data, t.writes)
+		// A copy, already sorted by key, into the flush's pooled scratch:
+		// what this attempt writes is fixed here. The commit record joins
+		// the same slice below.
+		sc = flushScratchPool.Get().(*flushScratch)
+		defer sc.release()
+		sc.writes = append(sc.writes[:0], t.writes...)
 		// Every key ever spilled, rewritten since or not: its version
 		// lives under its spill key either way (step 1 below).
 		for k := range t.spilled {
@@ -132,10 +133,12 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 
 	// Step 2: the commit record. data still holds user keys here, sorted,
 	// so the write set is sorted and the storage write order a function of
-	// the transaction alone.
-	writeSet := make([]string, len(data), len(data)+len(spilled))
+	// the transaction alone. The write set lives inside the record's own
+	// allocation when it fits.
+	data := sc.writes
+	rec, writeSet := records.AllocRecord(len(data) + len(spilled))
 	for i := range data {
-		writeSet[i] = data[i].key
+		writeSet = append(writeSet, data[i].key)
 	}
 	if len(spilled) > 0 {
 		for _, k := range spilled {
@@ -150,7 +153,7 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	// Spilled transactions always use the default layout (their payloads
 	// are already in storage).
 	packed := n.cfg.PackedLayout && len(spilled) == 0 && len(data) > 0
-	rec := &records.CommitRecord{
+	*rec = records.CommitRecord{
 		Timestamp: id.Timestamp,
 		UUID:      id.UUID,
 		WriteSet:  writeSet,
@@ -185,6 +188,7 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 			n.abandonCommit(t)
 			return idgen.Null, fmt.Errorf("aft: packing write set: %w", err)
 		}
+		clear(data) // release clears only what the scratch holds at the end
 		data = append(data[:0], kv{val: obj})
 		keys = records.AppendPackKey(keys, id)
 		ends = append(ends, len(keys))
@@ -209,10 +213,10 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 		start = end
 	}
 
-	// The record's value is left to flush, which encodes rec into its
-	// pooled scratch.
-	req := &commitReq{writes: append(data, kv{key: all[start:]}), rec: rec}
-	if err := n.flush(ctx, req); err != nil {
+	// The record's value is left to flush, which encodes rec into the
+	// scratch.
+	sc.writes = append(data, kv{key: all[start:]})
+	if err := n.flush(ctx, sc, rec); err != nil {
 		n.abandonCommit(t)
 		return idgen.Null, err
 	}

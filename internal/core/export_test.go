@@ -9,5 +9,5 @@ func (n *Node) VersionsOf(key string) []idgen.ID {
 	s := n.stripeFor(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]idgen.ID(nil), s.index[key]...)
+	return append([]idgen.ID(nil), s.index.atLeast(key, idgen.Null)...)
 }

@@ -39,11 +39,12 @@ package core
 // node lock; the visibility phase takes announceMu shared, the record's
 // stripes in the order stripe.go fixes, then recMu, on either path.
 //
-// A phase's chunks are sub-slices of the request's writes, and the maps
-// handed to BatchPut and the commit record's encoding live in a pooled
-// flushScratch, so a flush whose phases are one call each allocates nothing
-// of its own; a phase of several calls adds only the goroutines that carry
-// them.
+// A commit's storage writes, the maps handed to BatchPut and the commit
+// record's encoding all live in one pooled flushScratch, which the commit
+// takes before it copies its write buffer and returns once it is done. A
+// phase's chunks are sub-slices of those writes, so a flush whose phases
+// are one call each allocates nothing of its own; a phase of several calls
+// adds only the goroutines that carry them.
 
 import (
 	"context"
@@ -63,19 +64,6 @@ type kv struct {
 	val []byte
 }
 
-// commitReq is one transaction's submission to the write routine.
-type commitReq struct {
-	// writes are the transaction's storage writes in §3.3 order: the step-1
-	// data (one storage key per buffered version, or the single packed
-	// object under the packed layout), then the step-2 commit record, last.
-	// One slice, so each phase's writes and chunks are sub-slices of it.
-	// The record's value is rec's encoding, which flush writes into its
-	// pooled scratch and takes back before it returns.
-	writes []kv
-	// rec is installed into the metadata stripes after record is durable.
-	rec *records.CommitRecord
-}
-
 // chunkErr is the first write of a chunk that failed: its key and error.
 // The zero value means every write of the chunk is durable.
 type chunkErr struct {
@@ -83,9 +71,16 @@ type chunkErr struct {
 	err error
 }
 
-// flushScratch is the working memory of one flush, pooled across flushes
-// and nodes.
+// flushScratch is the working memory of one commit's flush, pooled across
+// commits and nodes.
 type flushScratch struct {
+	// writes are the commit's storage writes in §3.3 order: the step-1
+	// data (one storage key per buffered version, or the single packed
+	// object under the packed layout), then the step-2 commit record, last.
+	// One slice, so each phase's writes and chunks are sub-slices of it.
+	// The record's value is the record's encoding, which flush writes into
+	// record and takes back before it returns.
+	writes []kv
 	// maps are the BatchPut arguments, one per chunk of the phase, each
 	// filled for its call and cleared after it: storage.Store.BatchPut may
 	// neither retain nor mutate it. An engine without batch writes needs
@@ -112,26 +107,37 @@ const maxPooledRecord = 64 << 10
 
 var flushScratchPool = sync.Pool{New: func() any { return new(flushScratch) }}
 
+// release clears what sc holds of its commit — keys and values the pool
+// must not keep alive — and returns it to the pool.
+func (sc *flushScratch) release() {
+	clear(sc.writes)
+	sc.writes = sc.writes[:0]
+	if cap(sc.record) > maxPooledRecord {
+		sc.record = nil
+	}
+	flushScratchPool.Put(sc)
+}
+
 // maxCallsInFlight bounds the storage calls one write phase has outstanding
 // at once. A phase of up to this many calls costs one round trip; a larger
 // one — a 100-key commit on an engine without batch writes — one per this
 // many calls.
 const maxCallsInFlight = 32
 
-// flush runs the write routine for req on the caller's goroutine and
-// returns the transaction's outcome; see the file comment for the phases
-// and their ordering guarantees. A traced commit gets a gc.flush span whose
-// calls annotation is the number of storage calls the flush sent: 1 on the
+// flush runs the write routine for the commit of rec, whose storage
+// writes are sc.writes, on the caller's goroutine and returns the
+// transaction's outcome; see the file comment for the phases and their
+// ordering guarantees. A traced commit gets a gc.flush span whose calls
+// annotation is the number of storage calls the flush sent: 1 on the
 // one-call path, and on the ordered one 2, or more when a phase is several
 // chunks.
-func (n *Node) flush(ctx context.Context, req *commitReq) error {
+func (n *Node) flush(ctx context.Context, sc *flushScratch, rec *records.CommitRecord) error {
 	sp := telemetry.StartSpan(ctx, "gc.flush")
 	defer sp.End()
 	n.metrics.GroupFlushes.Add(1)
 	n.metrics.GroupedCommits.Add(1)
-	sc := flushScratchPool.Get().(*flushScratch)
-	w, last := req.writes, len(req.writes)-1
-	sc.record, _ = req.rec.AppendBinary(sc.record[:0]) // reports no error
+	w, last := sc.writes, len(sc.writes)-1
+	sc.record, _ = rec.AppendBinary(sc.record[:0]) // reports no error
 	w[last].val = sc.record
 	var failed chunkErr
 	if n.store.Capabilities().AtomicBatches {
@@ -146,10 +152,6 @@ func (n *Node) flush(ctx context.Context, req *commitReq) error {
 	sp.Annotate("calls", strconv.Itoa(sc.calls))
 	sc.calls = 0
 	w[last].val = nil
-	if cap(sc.record) > maxPooledRecord {
-		sc.record = nil
-	}
-	flushScratchPool.Put(sc)
 	if failed.err != nil {
 		// The transaction's stray data stays invisible: its commit record
 		// is not durable (§3.3).
@@ -165,12 +167,12 @@ func (n *Node) flush(ctx context.Context, req *commitReq) error {
 	n.announceMu.RLock()
 	defer n.announceMu.RUnlock()
 	var buf [16]*stripe
-	ss := n.appendStripes(buf[:0], req.rec.WriteSet)
+	ss := n.appendStripes(buf[:0], rec.WriteSet)
 	lockStripes(ss)
-	n.installLocked(req.rec, ss)
+	n.installLocked(rec, ss)
 	unlockStripes(ss)
 	n.recMu.Lock()
-	n.recent = append(n.recent, req.rec)
+	n.recent = append(n.recent, rec)
 	n.recMu.Unlock()
 	return nil
 }

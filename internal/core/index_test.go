@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestIndexInsertOrdered(t *testing.T) {
 	vi.insert("k", id(1, "a"))
 	vi.insert("k", id(2, "b"))
 	vi.insert("k", id(2, "a")) // tie broken by uuid
-	got := vi["k"]
+	got := vi.atLeast("k", idgen.Null)
 	want := []idgen.ID{id(1, "a"), id(2, "a"), id(2, "b"), id(3, "c")}
 	if len(got) != len(want) {
 		t.Fatalf("index = %v", got)
@@ -32,8 +33,8 @@ func TestIndexInsertDuplicateIgnored(t *testing.T) {
 	vi := make(versionIndex)
 	vi.insert("k", id(1, "a"))
 	vi.insert("k", id(1, "a"))
-	if len(vi["k"]) != 1 {
-		t.Fatalf("duplicate inserted: %v", vi["k"])
+	if got := vi.atLeast("k", idgen.Null); len(got) != 1 {
+		t.Fatalf("duplicate inserted: %v", got)
 	}
 }
 
@@ -42,8 +43,8 @@ func TestIndexRemove(t *testing.T) {
 	vi.insert("k", id(1, "a"))
 	vi.insert("k", id(2, "b"))
 	vi.remove("k", id(1, "a"))
-	if len(vi["k"]) != 1 || !vi["k"][0].Equal(id(2, "b")) {
-		t.Fatalf("after remove: %v", vi["k"])
+	if got := vi.atLeast("k", idgen.Null); len(got) != 1 || !got[0].Equal(id(2, "b")) {
+		t.Fatalf("after remove: %v", got)
 	}
 	vi.remove("k", id(9, "z")) // absent: no-op
 	vi.remove("k", id(2, "b"))
@@ -86,40 +87,98 @@ func TestIndexAtLeast(t *testing.T) {
 	}
 }
 
+// TestIndexRandomizedAgainstReference drives version lists through random
+// inserts and removals — duplicates, absent IDs, removals at the front, in
+// the middle and at the back, and lists that empty and refill — and checks
+// latest and atLeast against a sorted-set model after every step, so a
+// list's free head slots and its slides back over them never show, and
+// keys never see each other's versions.
 func TestIndexRandomizedAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(11))
 	vi := make(versionIndex)
-	ref := map[string]map[idgen.ID]bool{}
 	keys := []string{"a", "b", "c"}
-	for i := 0; i < 2000; i++ {
-		k := keys[rng.Intn(len(keys))]
-		v := id(int64(rng.Intn(20)), string(rune('a'+rng.Intn(4))))
-		if rng.Intn(3) == 0 {
-			vi.remove(k, v)
-			delete(ref[k], v)
-		} else {
-			vi.insert(k, v)
-			if ref[k] == nil {
-				ref[k] = map[idgen.ID]bool{}
+	models := map[string][]idgen.ID{} // each sorted, no duplicates
+	find := func(model []idgen.ID, v idgen.ID) (int, bool) {
+		i := sort.Search(len(model), func(i int) bool { return !model[i].Less(v) })
+		return i, i < len(model) && model[i].Equal(v)
+	}
+	check := func(step int, op string) {
+		t.Helper()
+		for _, k := range keys {
+			model := models[k]
+			latest, ok := vi.latest(k)
+			if ok != (len(model) > 0) || (ok && !latest.Equal(model[len(model)-1])) {
+				t.Fatalf("step %d (%s): key %s latest = %v, %v; model %v", step, op, k, latest, ok, model)
 			}
-			ref[k][v] = true
+			if _, present := vi[k]; present != (len(model) > 0) {
+				t.Fatalf("step %d (%s): key %s present = %v with %d versions", step, op, k, present, len(model))
+			}
+			lowers := append([]idgen.ID{idgen.Null, id(1<<40, "")}, model...)
+			for _, v := range model {
+				lowers = append(lowers, id(v.Timestamp, v.UUID+"~"))
+			}
+			for _, lower := range lowers {
+				i, _ := find(model, lower)
+				if got := vi.atLeast(k, lower); !slices.EqualFunc(got, model[i:], idgen.ID.Equal) {
+					t.Fatalf("step %d (%s): key %s atLeast(%v) = %v, want %v", step, op, k, lower, got, model[i:])
+				}
+			}
 		}
 	}
-	for _, k := range keys {
-		var want []idgen.ID
-		for v := range ref[k] {
-			want = append(want, v)
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
-		got := vi[k]
-		if len(got) != len(want) {
-			t.Fatalf("key %s: got %d versions, want %d", k, len(got), len(want))
-		}
-		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("key %s index[%d] = %v, want %v", k, i, got[i], want[i])
+	next := int64(0)
+	for step := 0; step < 5000; step++ {
+		k := keys[rng.Intn(len(keys))]
+		model := models[k]
+		var op string
+		switch r := rng.Intn(10); {
+		case r < 4: // the commit path: mostly newer versions, some older, some repeats
+			var v idgen.ID
+			switch rng.Intn(4) {
+			case 0:
+				if len(model) == 0 {
+					continue
+				}
+				v, op = model[rng.Intn(len(model))], "insert duplicate"
+			case 1:
+				v, op = id(rng.Int63n(next+1), "a"), "insert anywhere"
+			default:
+				next++
+				v, op = id(next, "a"), "insert newest"
+			}
+			vi.insert(k, v)
+			if i, ok := find(model, v); !ok {
+				model = slices.Insert(model, i, v)
+			}
+		case r < 9: // the sweep: mostly the oldest, sometimes the middle or newest
+			if len(model) == 0 {
+				vi.remove(k, id(1, "a"))
+				op = "remove from empty"
+				break
+			}
+			i := 0
+			switch rng.Intn(4) {
+			case 0:
+				i, op = len(model)/2, "remove middle"
+			case 1:
+				i, op = len(model)-1, "remove newest"
+			default:
+				op = "remove oldest"
+			}
+			vi.remove(k, model[i])
+			model = slices.Delete(model, i, i+1)
+		default:
+			if rng.Intn(20) == 0 { // empty the list; the inserts refill it
+				for _, v := range model {
+					vi.remove(k, v)
+				}
+				model, op = nil, "empty"
+			} else {
+				vi.remove(k, id(next+1, "absent"))
+				op = "remove absent"
 			}
 		}
+		models[k] = model
+		check(step, op)
 	}
 }
 

@@ -183,8 +183,8 @@ func TestParallelCommitReadMergeSweep(t *testing.T) {
 	}
 	for _, s := range n.stripes {
 		s.mu.RLock()
-		for key, versions := range s.index {
-			for _, id := range versions {
+		for key := range s.index {
+			for _, id := range s.index.atLeast(key, idgen.Null) {
 				if _, ok := s.commits[id]; !ok {
 					s.mu.RUnlock()
 					t.Fatalf("index entry %s@%v has no commit record", key, id)
@@ -513,6 +513,82 @@ func TestAbortWaitsForInflightCommit(t *testing.T) {
 	}
 	if n.MetadataSize() != 1 {
 		t.Fatal("committed record missing after racing abort")
+	}
+}
+
+// TestPutWaitsForInflightCommit pins the claim from a Put's side: a Put
+// racing its own transaction's in-flight commit waits for the outcome. The
+// attempt has already fixed what it writes, so after a success the Put
+// reports ErrTxnFinished rather than being acknowledged and lost; after a
+// failure it joins the buffer, and the retry commits it.
+func TestPutWaitsForInflightCommit(t *testing.T) {
+	for _, commitFails := range []bool{false, true} {
+		t.Run(fmt.Sprintf("commitFails=%v", commitFails), func(t *testing.T) {
+			inner := dynamosim.New(dynamosim.Options{})
+			gate := newGateStore(inner)
+			n, err := NewNode(Config{NodeID: "putrace", Store: gate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			txid, _ := n.StartTransaction(ctx)
+			if err := n.Put(ctx, txid, "k1", []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+
+			commitDone := make(chan error, 1)
+			go func() {
+				_, err := n.CommitTransaction(ctx, txid)
+				commitDone <- err
+			}()
+			<-gate.blocked
+			putDone := make(chan error, 1)
+			go func() { putDone <- n.Put(ctx, txid, "k2", []byte("v2")) }()
+			time.Sleep(10 * time.Millisecond) // let the Put reach the claim wait
+			select {
+			case err := <-putDone:
+				t.Fatalf("Put returned %v while the commit was in flight", err)
+			default:
+			}
+			if commitFails {
+				inner.SetAvailable(false)
+			}
+			close(gate.release)
+			commitErr, putErr := <-commitDone, <-putDone
+
+			if commitFails {
+				if commitErr == nil {
+					t.Fatal("commit succeeded against unavailable storage")
+				}
+				if putErr != nil {
+					t.Fatalf("Put after a failed attempt = %v, want nil", putErr)
+				}
+				inner.SetAvailable(true)
+				if _, err := n.CommitTransaction(ctx, txid); err != nil {
+					t.Fatalf("retry: %v", err)
+				}
+			} else {
+				if commitErr != nil {
+					t.Fatalf("commit: %v", commitErr)
+				}
+				if putErr != ErrTxnFinished {
+					t.Fatalf("Put racing a successful commit = %v, want ErrTxnFinished", putErr)
+				}
+			}
+
+			reader, _ := n.StartTransaction(ctx)
+			defer n.AbortTransaction(ctx, reader)
+			if v, err := n.Get(ctx, reader, "k1"); err != nil || string(v) != "v1" {
+				t.Fatalf("Get(k1) = %q, %v", v, err)
+			}
+			v, err := n.Get(ctx, reader, "k2")
+			switch {
+			case commitFails && (err != nil || string(v) != "v2"):
+				t.Fatalf("Get(k2) after the retry = %q, %v; want the raced write", v, err)
+			case !commitFails && !errors.Is(err, ErrKeyNotFound):
+				t.Fatalf("Get(k2) = %q, %v; want ErrKeyNotFound", v, err)
+			}
+		})
 	}
 }
 

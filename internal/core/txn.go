@@ -33,11 +33,13 @@ type txnState struct {
 	// operations observe it instead of mutating retired state.
 	done bool
 	// committing is set while a commit attempt is writing to storage. It
-	// claims the transaction: a concurrent Abort or duplicate Commit waits
-	// for the outcome instead of racing the in-flight storage writes — a
-	// §3.1 idempotent retry must observe the original attempt's result,
-	// and an abort racing a commit must not delete spill data the commit
-	// record will reference.
+	// claims the transaction: a concurrent Put, Abort or duplicate Commit
+	// waits for the outcome instead of racing the in-flight storage writes
+	// — a §3.1 idempotent retry must observe the original attempt's
+	// result, a Put the attempt does not write must not be acknowledged
+	// into a transaction that then commits without it, and an abort racing
+	// a commit must not delete spill data the commit record will
+	// reference.
 	committing bool
 	// commitDone is what such a waiter blocks on: the first one creates
 	// it, the attempt closes it when it resolves. The uncontended commit
@@ -288,6 +290,13 @@ func (n *Node) Put(ctx context.Context, txid, key string, value []byte) error {
 	copy(v, value)
 
 	t.mu.Lock()
+	// A commit attempt in flight has already fixed what it writes: wait
+	// for its outcome. After a success the Put reports ErrTxnFinished
+	// below; after a failure the transaction is live again and the Put
+	// joins its buffer for the retry.
+	if err := t.awaitCommitAttempt(ctx); err != nil {
+		return err
+	}
 	if t.done {
 		t.mu.Unlock()
 		return n.finishedErr(txid)

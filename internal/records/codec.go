@@ -139,7 +139,8 @@ func (r *CommitRecord) Marshal() ([]byte, error) {
 // UnmarshalCommitRecord decodes a stored commit record. It rejects an
 // unknown version or flag, a truncated input, a length that runs past the
 // input and bytes left over; whatever it accepts, Marshal re-encodes to b.
-// The record's strings all share one copy of b's text.
+// The record's strings all share one copy of b's text, and a record of up
+// to two keys holds its key slice in its own allocation (AllocRecord).
 func UnmarshalCommitRecord(b []byte) (*CommitRecord, error) {
 	r, err := unmarshalCommitRecord(b)
 	if err != nil {
@@ -187,16 +188,15 @@ func unmarshalCommitRecord(b []byte) (*CommitRecord, error) {
 		text = text[n:]
 		return s
 	}
-	r := &CommitRecord{
-		Timestamp: int64(binary.BigEndian.Uint64(b[2:])),
-		Packed:    b[1]&flagPacked != 0,
-	}
+	r, keys := AllocRecord(nws + nsp)
+	r.Timestamp = int64(binary.BigEndian.Uint64(b[2:]))
+	r.Packed = b[1]&flagPacked != 0
 	r.UUID = cut(fields[0])
 	r.Node = cut(fields[1])
 	r.SpillDir = cut(fields[2])
 	r.TraceID = cut(fields[3])
 	if nws+nsp > 0 {
-		keys := make([]string, nws+nsp)
+		keys = keys[:nws+nsp]
 		l = lengths{b: keyLens}
 		for i := range keys {
 			keys[i] = cut(l.next(len(b)))

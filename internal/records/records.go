@@ -212,6 +212,29 @@ type CommitRecord struct {
 	TraceID string
 }
 
+// inlineKeys is how many keys a record carries inside its own allocation:
+// the paper's transaction of two Puts (§6).
+const inlineKeys = 2
+
+// recordKeys is a record and room for a small transaction's keys, one
+// allocation: the record's key slices point into keys when they fit.
+type recordKeys struct {
+	rec  CommitRecord
+	keys [inlineKeys]string
+}
+
+// AllocRecord returns a zero record and an empty slice with room for keys
+// keys, from which the caller slices the record's WriteSet and Spilled. Up
+// to inlineKeys keys live inside the record's own allocation; more take a
+// slice of their own.
+func AllocRecord(keys int) (*CommitRecord, []string) {
+	rk := new(recordKeys)
+	if keys <= inlineKeys {
+		return &rk.rec, rk.keys[:0:keys]
+	}
+	return &rk.rec, make([]string, 0, keys)
+}
+
 // PackKey returns the storage key of transaction id's packed object.
 func PackKey(id idgen.ID) string { return prefixedID(PackPrefix, id) }
 
