@@ -29,10 +29,12 @@ package core
 //
 // A phase's writes are independent of each other — §3.3 orders only the
 // data before the record, which the phases already do — so a phase sends
-// all of its storage calls at once (up to maxCallsInFlight) and waits for
-// the slowest: one round trip per phase, whether the phase is one BatchPut,
-// several chunks of the engine's batch limit, or one point Put per item on
-// an engine without batch writes.
+// all of its storage calls at once (up to storage.MaxCallsInFlight, the
+// bound the simulators' chunked calls share) and waits for the slowest: one
+// round trip per phase, whether the phase is one BatchPut, several chunks
+// of the engine's batch limit, or one point Put per item on an engine
+// without batch writes. A larger phase — a 100-key commit on an engine
+// without batch writes — costs one round trip per that many calls.
 //
 // Only then does the visibility phase install the record into the metadata
 // stripes and append it to the multicast queue. The write phases take no
@@ -55,6 +57,7 @@ import (
 	"sync/atomic"
 
 	"aft/internal/records"
+	"aft/internal/storage"
 	"aft/internal/telemetry"
 )
 
@@ -117,12 +120,6 @@ func (sc *flushScratch) release() {
 	}
 	flushScratchPool.Put(sc)
 }
-
-// maxCallsInFlight bounds the storage calls one write phase has outstanding
-// at once. A phase of up to this many calls costs one round trip; a larger
-// one — a 100-key commit on an engine without batch writes — one per this
-// many calls.
-const maxCallsInFlight = 32
 
 // flush runs the write routine for the commit of rec, whose storage
 // writes are sc.writes, on the caller's goroutine and returns the
@@ -213,7 +210,7 @@ func (n *Node) writePhase(ctx context.Context, sc *flushScratch, items []kv) chu
 		sc.errs = make([]chunkErr, calls)
 	}
 	sc.next.Store(0)
-	if workers := min(calls, maxCallsInFlight); workers > 1 {
+	if workers := min(calls, storage.MaxCallsInFlight); workers > 1 {
 		// The caller writes chunks beside workers-1 goroutines; each takes
 		// the next unwritten chunk until none is left.
 		sc.wg.Add(workers - 1)

@@ -192,11 +192,11 @@ func TestPointEngineCommitIsTwoRoundTrips(t *testing.T) {
 	requireReads(t, n, kvs)
 }
 
-// TestPhaseFanoutIsBounded: a phase of more calls than maxCallsInFlight has
+// TestPhaseFanoutIsBounded: a phase of more calls than storage.MaxCallsInFlight has
 // exactly that many outstanding at its peak, and still writes everything.
 func TestPhaseFanoutIsBounded(t *testing.T) {
-	keys := 3*maxCallsInFlight + 5
-	store := newRendezvousStore(storage.Capabilities{}, maxCallsInFlight, 1)
+	keys := 3*storage.MaxCallsInFlight + 5
+	store := newRendezvousStore(storage.Capabilities{}, storage.MaxCallsInFlight, 1)
 	store.delay = 100 * time.Microsecond
 	n, err := NewNode(Config{NodeID: "wide", Store: store})
 	if err != nil {
@@ -207,8 +207,8 @@ func TestPhaseFanoutIsBounded(t *testing.T) {
 		kvs[fmt.Sprintf("k%03d", i)] = "v"
 	}
 	commitTxn(t, n, kvs)
-	if got := store.maxRunning[0]; got != maxCallsInFlight {
-		t.Fatalf("most data calls in flight = %d, want %d", got, maxCallsInFlight)
+	if got := store.maxRunning[0]; got != storage.MaxCallsInFlight {
+		t.Fatalf("most data calls in flight = %d, want %d", got, storage.MaxCallsInFlight)
 	}
 	if store.early {
 		t.Fatal("the record write began while a data write was still running")

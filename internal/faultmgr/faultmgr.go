@@ -368,12 +368,13 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 
 	// Phase 3: delete data and metadata for fully confirmed transactions.
 	// All confirmed transactions' key versions (and spill payloads) are
-	// removed first, in shared BatchDelete round trips chunked by the
-	// engine's limit — M versions cost ceil(M/limit) calls instead of M —
-	// and the commit records only after every payload is gone, preserving
-	// the per-transaction record-last ordering: a crash in between leaves
-	// records a rescan re-processes (deletes are idempotent), never data
-	// without an attributable record.
+	// removed first, in one shared BatchDelete call that the engine chunks
+	// by its limit and sends together — M versions cost ceil(M/limit)
+	// requests instead of M, and one round trip per
+	// storage.MaxCallsInFlight of those — and the commit records only after
+	// every payload is gone, preserving the per-transaction record-last
+	// ordering: a crash in between leaves records a rescan re-processes
+	// (deletes are idempotent), never data without an attributable record.
 	//
 	// Each delete list is built in one byte buffer, converted to one
 	// string and sliced, so a round allocates per list, not per key.

@@ -149,45 +149,34 @@ func (s *Store) BatchPut(ctx context.Context, items map[string][]byte) error {
 }
 
 // BatchGet implements storage.Store in the BatchGetItem style: up to
-// MaxReadBatch keys per round trip, chunked internally so callers can pass
-// any number of keys. Missing keys are absent from the result.
+// MaxReadBatch keys per request, chunked internally so callers can pass any
+// number of keys, and every request sent at once (kvengine.Fanout). Missing
+// keys are absent from the result.
 func (s *Store) BatchGet(ctx context.Context, keys []string) (map[string][]byte, error) {
+	if err := s.check(ctx); err != nil {
+		return nil, err
+	}
 	out := make(map[string][]byte, len(keys))
-	for start := 0; start < len(keys); start += MaxReadBatch {
-		end := start + MaxReadBatch
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunk := keys[start:end]
-		if err := s.check(ctx); err != nil {
-			return nil, err
-		}
+	kvengine.FanoutChunks(s.model, s.sleeper, latency.OpGet, keys, MaxReadBatch, func(chunk []string) {
 		s.metrics.BatchGets.Add(1)
 		s.metrics.BatchGetItems.Add(int64(len(chunk)))
-		s.sleep(latency.OpGet, len(chunk))
 		s.engine.GetInto(out, chunk)
-	}
+	})
 	return out, nil
 }
 
 // BatchDelete implements storage.Store via BatchWriteItem delete requests:
-// up to MaxBatch keys per round trip, chunked internally. Missing keys are
-// not an error.
+// up to MaxBatch keys per request, chunked internally and sent at once as
+// BatchGet's are. Missing keys are not an error.
 func (s *Store) BatchDelete(ctx context.Context, keys []string) error {
-	for start := 0; start < len(keys); start += MaxBatch {
-		end := start + MaxBatch
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunk := keys[start:end]
-		if err := s.check(ctx); err != nil {
-			return err
-		}
+	if err := s.check(ctx); err != nil {
+		return err
+	}
+	kvengine.FanoutChunks(s.model, s.sleeper, latency.OpBatchWrite, keys, MaxBatch, func(chunk []string) {
 		s.metrics.BatchDeletes.Add(1)
 		s.metrics.BatchDeleteItems.Add(int64(len(chunk)))
-		s.sleep(latency.OpBatchWrite, len(chunk))
 		s.engine.DeleteAll(chunk)
-	}
+	})
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"aft/internal/latency"
 	"aft/internal/storage"
+	"aft/internal/storage/storagetest"
 )
 
 func newTestStore() *Store { return New(Options{}) }
@@ -198,6 +199,8 @@ func TestUnavailable(t *testing.T) {
 	if err := s.Put(ctx, "k", nil); err != nil {
 		t.Fatalf("Put after recovery = %v", err)
 	}
+	// A batched call checks availability before it sends any request.
+	storagetest.UnavailableBatchCalls(t, s, s.SetAvailable, 3*MaxReadBatch)
 }
 
 func TestContextCancellation(t *testing.T) {

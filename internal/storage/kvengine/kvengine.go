@@ -3,6 +3,8 @@
 // acknowledged semantics (everything lives in process memory for the
 // simulation; "durability" means a write is immediately visible to every
 // subsequent read, including List scans) and is safe for concurrent use.
+// Fanout is the one rule by which every simulator's client times a call it
+// sends as several requests.
 package kvengine
 
 import (

@@ -10,10 +10,10 @@ type Metrics struct {
 	Puts             atomic.Int64
 	Batches          atomic.Int64
 	BatchItems       atomic.Int64
-	BatchGets        atomic.Int64 // multi-key read round trips
-	BatchGetItems    atomic.Int64 // keys requested across BatchGet round trips
-	BatchDeletes     atomic.Int64 // multi-key delete round trips
-	BatchDeleteItems atomic.Int64 // keys removed across BatchDelete round trips
+	BatchGets        atomic.Int64 // multi-key read requests, one per chunk
+	BatchGetItems    atomic.Int64 // keys requested across BatchGet requests
+	BatchDeletes     atomic.Int64 // multi-key delete requests, one per chunk
+	BatchDeleteItems atomic.Int64 // keys removed across BatchDelete requests
 	Deletes          atomic.Int64
 	Lists            atomic.Int64
 	Transacts        atomic.Int64
@@ -45,7 +45,8 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 }
 
-// Calls returns the total number of engine round trips (batch = 1 call).
+// Calls returns the total number of engine requests: a batch is one, and a
+// chunked call one per chunk, however many of them went out together.
 func (s Snapshot) Calls() int64 {
 	return s.Gets + s.Puts + s.Batches + s.BatchGets + s.BatchDeletes +
 		s.Deletes + s.Lists + s.Transacts
@@ -61,7 +62,7 @@ func (s Snapshot) ItemsPerBatch() float64 {
 	return float64(s.BatchItems) / float64(s.Batches)
 }
 
-// ItemsPerBatchGet returns the mean number of keys per BatchGet round trip
+// ItemsPerBatchGet returns the mean number of keys per BatchGet request
 // (0 when none ran) — the read-side coalescing evidence: batched record and
 // payload fetches should sustain well above 1 on cold reads.
 func (s Snapshot) ItemsPerBatchGet() float64 {

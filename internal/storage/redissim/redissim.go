@@ -8,7 +8,10 @@
 // inability to batch arbitrary cross-shard write sets, which is why the
 // paper's AFT issued one write after another over Redis (§6.3, §6.4). This
 // AFT sends a commit phase's point writes together instead, so a phase
-// costs one round trip (internal/core/flush.go).
+// costs one round trip (internal/core/flush.go). A multi-key read, delete
+// or scan is one request per shard, and a cluster client sends those
+// together too: the call waits the slowest shard, not the sum of them
+// (kvengine.Fanout).
 package redissim
 
 import (
@@ -165,46 +168,45 @@ func (s *Store) keysOn(dst, keys []string, sh int) []string {
 }
 
 // BatchGet implements storage.Store in the cluster-client MGET style: keys
-// are grouped by owning shard and each shard answers one MGET round trip.
-// The shards are asked one after another, so the call waits one round trip
-// per shard touched, regardless of key count. Missing keys are absent from
-// the result.
+// are grouped by owning shard, each shard answers one MGET, and the client
+// sends every shard's MGET at once, so the call waits one round trip, the
+// slowest shard's, regardless of key count. Each shard's read runs under
+// that shard's lock. Missing keys are absent from the result.
 func (s *Store) BatchGet(ctx context.Context, keys []string) (map[string][]byte, error) {
+	if err := s.check(ctx); err != nil {
+		return nil, err
+	}
 	out := make(map[string][]byte, len(keys))
 	var buf [32]string
 	chunk := shardBuf(buf[:], keys)
-	for sh := range s.engine.NumShards() {
-		if chunk = s.keysOn(chunk[:0], keys, sh); len(chunk) == 0 {
-			continue
-		}
-		if err := s.check(ctx); err != nil {
-			return nil, err
-		}
-		s.metrics.BatchGets.Add(1)
-		s.metrics.BatchGetItems.Add(int64(len(chunk)))
-		s.sleeper.Sleep(s.model.Sample(latency.OpGet, len(chunk)))
-		s.engine.GetInto(out, chunk)
-	}
+	kvengine.Fanout(s.model, s.sleeper, latency.OpGet, s.engine.NumShards(),
+		func(sh int) int { return len(s.keysOn(chunk[:0], keys, sh)) },
+		func(sh int) {
+			chunk = s.keysOn(chunk[:0], keys, sh)
+			s.metrics.BatchGets.Add(1)
+			s.metrics.BatchGetItems.Add(int64(len(chunk)))
+			s.engine.GetInto(out, chunk)
+		})
 	return out, nil
 }
 
-// BatchDelete implements storage.Store as per-shard multi-key DEL round
-// trips, one shard after another. Missing keys are not an error.
+// BatchDelete implements storage.Store as one multi-key DEL per shard the
+// keys touch, sent at once as BatchGet's MGETs are. Missing keys are not an
+// error.
 func (s *Store) BatchDelete(ctx context.Context, keys []string) error {
+	if err := s.check(ctx); err != nil {
+		return err
+	}
 	var buf [32]string
 	chunk := shardBuf(buf[:], keys)
-	for sh := range s.engine.NumShards() {
-		if chunk = s.keysOn(chunk[:0], keys, sh); len(chunk) == 0 {
-			continue
-		}
-		if err := s.check(ctx); err != nil {
-			return err
-		}
-		s.metrics.BatchDeletes.Add(1)
-		s.metrics.BatchDeleteItems.Add(int64(len(chunk)))
-		s.sleeper.Sleep(s.model.Sample(latency.OpDelete, len(chunk)))
-		s.engine.DeleteAll(chunk)
-	}
+	kvengine.Fanout(s.model, s.sleeper, latency.OpDelete, s.engine.NumShards(),
+		func(sh int) int { return len(s.keysOn(chunk[:0], keys, sh)) },
+		func(sh int) {
+			chunk = s.keysOn(chunk[:0], keys, sh)
+			s.metrics.BatchDeletes.Add(1)
+			s.metrics.BatchDeleteItems.Add(int64(len(chunk)))
+			s.engine.DeleteAll(chunk)
+		})
 	return nil
 }
 
@@ -219,14 +221,16 @@ func (s *Store) Delete(ctx context.Context, key string) error {
 	return nil
 }
 
-// List implements storage.Store. Cluster-mode Redis scans every shard
-// (SCAN per node); the simulator charges one list latency per shard.
+// List implements storage.Store. Cluster-mode Redis scans every shard, one
+// SCAN per node, and the client sends them at once: the call waits the
+// slowest of one list latency sampled per shard.
 func (s *Store) List(ctx context.Context, prefix string) ([]string, error) {
 	if err := s.check(ctx); err != nil {
 		return nil, err
 	}
 	s.metrics.Lists.Add(1)
-	s.sleeper.Sleep(s.model.Sample(latency.OpList, s.engine.NumShards()))
+	kvengine.Fanout(s.model, s.sleeper, latency.OpList, s.engine.NumShards(),
+		func(int) int { return 1 }, nil)
 	return s.engine.List(prefix), nil
 }
 

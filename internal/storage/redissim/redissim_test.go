@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aft/internal/storage"
+	"aft/internal/storage/storagetest"
 )
 
 func TestBasicOps(t *testing.T) {
@@ -121,6 +122,8 @@ func TestUnavailable(t *testing.T) {
 	if err := s.Put(ctx, "k", nil); err != nil {
 		t.Fatal(err)
 	}
+	// A batched call checks availability before it sends any request.
+	storagetest.UnavailableBatchCalls(t, s, s.SetAvailable, 100)
 }
 
 func TestName(t *testing.T) {

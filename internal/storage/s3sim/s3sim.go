@@ -11,7 +11,6 @@ package s3sim
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"aft/internal/latency"
 	"aft/internal/storage"
@@ -110,48 +109,33 @@ func (s *Store) BatchPut(ctx context.Context, items map[string][]byte) error {
 const MaxDeleteBatch = 1000
 
 // BatchGet implements storage.Store. S3 has no multi-object read, but a
-// client can issue the GETs concurrently: the call is billed one point Get
-// per key while the simulated wall-clock cost is the slowest request of
-// the fan-out, not the sum.
+// client issues the GETs at once (kvengine.Fanout): the call is billed one
+// point Get per key, while the simulated wall-clock cost is the slowest
+// request of each wave of the fan-out, not the sum.
 func (s *Store) BatchGet(ctx context.Context, keys []string) (map[string][]byte, error) {
 	if err := s.check(ctx); err != nil {
 		return nil, err
 	}
-	s.metrics.Gets.Add(int64(len(keys)))
-	var worst time.Duration
-	for range keys {
-		if d := s.model.Sample(latency.OpGet, 1); d > worst {
-			worst = d
-		}
-	}
-	s.sleeper.Sleep(worst)
 	out := make(map[string][]byte, len(keys))
-	for _, k := range keys {
-		if v, ok := s.engine.Get(k); ok {
-			out[k] = v
-		}
-	}
+	kvengine.FanoutChunks(s.model, s.sleeper, latency.OpGet, keys, 1, func(key []string) {
+		s.metrics.Gets.Add(1)
+		s.engine.GetInto(out, key)
+	})
 	return out, nil
 }
 
 // BatchDelete implements storage.Store via DeleteObjects: up to
-// MaxDeleteBatch keys per round trip, chunked internally. Missing keys are
-// not an error.
+// MaxDeleteBatch keys per request, chunked internally and sent at once as
+// BatchGet's GETs are. Missing keys are not an error.
 func (s *Store) BatchDelete(ctx context.Context, keys []string) error {
-	for start := 0; start < len(keys); start += MaxDeleteBatch {
-		end := start + MaxDeleteBatch
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunk := keys[start:end]
-		if err := s.check(ctx); err != nil {
-			return err
-		}
+	if err := s.check(ctx); err != nil {
+		return err
+	}
+	kvengine.FanoutChunks(s.model, s.sleeper, latency.OpDelete, keys, MaxDeleteBatch, func(chunk []string) {
 		s.metrics.BatchDeletes.Add(1)
 		s.metrics.BatchDeleteItems.Add(int64(len(chunk)))
-		s.sleeper.Sleep(s.model.Sample(latency.OpDelete, len(chunk)))
 		s.engine.DeleteAll(chunk)
-	}
+	})
 	return nil
 }
 

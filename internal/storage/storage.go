@@ -30,6 +30,13 @@ var (
 	ErrUnavailable = errors.New("storage: engine unavailable")
 )
 
+// MaxCallsInFlight bounds the requests one multi-request operation has
+// outstanding at once: the storage calls of one commit write phase
+// (internal/core/flush.go), and the requests a simulated engine's client
+// sends for one chunked call (kvengine.Fanout). Up to this many cost one
+// round trip, the slowest of them; more cost one round trip per this many.
+const MaxCallsInFlight = 32
+
 // Capabilities describes what a backend can do beyond point operations.
 type Capabilities struct {
 	// BatchWrites reports whether BatchPut writes multiple keys in one
@@ -81,23 +88,24 @@ type Store interface {
 	BatchPut(ctx context.Context, items map[string][]byte) error
 	// BatchGet returns the values of the given keys. Missing keys are
 	// simply absent from the result map — never an error. Unlike BatchPut,
-	// BatchGet accepts any number of keys, and each engine splits them its
-	// own way, one round trip after another:
-	//   - DynamoDB chunks by its BatchGetItem limit: ceil(len(keys)/100)
-	//     round trips;
-	//   - Redis sends one MGET per cluster shard the keys touch: up to
-	//     one round trip per shard, so 4 keys over 2 shards wait 2;
-	//   - S3 has no multi-object read and overlaps point GETs: one round
-	//     trip, the slowest of the fan-out;
-	//   - the WAL reads every key under one lock hold: one disk visit.
+	// BatchGet accepts any number of keys. Each engine splits them into
+	// requests its own way: DynamoDB by its 100-key BatchGetItem limit,
+	// Redis one MGET per cluster shard the keys touch, S3 (no multi-object
+	// read) one point GET per key. The simulators follow one rule for
+	// every chunked call, as a real client does: all requests go out at
+	// once, at most MaxCallsInFlight outstanding, so a call of up to that
+	// many requests waits one round trip, the slowest of them (4 keys over
+	// Redis's 2 shards wait one MGET, not two). The WAL reads every key
+	// under one lock hold: one disk visit.
 	// The returned map and its values belong to the caller. AFT's read
 	// pipeline uses BatchGet for commit-record recovery and MultiGet
 	// payload fetches.
 	BatchGet(ctx context.Context, keys []string) (map[string][]byte, error)
 	// BatchDelete removes all keys, chunking by the engine's delete-batch
-	// limit (S3's DeleteObjects, DynamoDB's BatchWriteItem delete
-	// requests); missing keys are not an error. The global GC uses it to
-	// retire many superseded versions per round trip.
+	// limit (S3's 1 000-key DeleteObjects, DynamoDB's 25-key BatchWriteItem
+	// delete requests, one Redis DEL per shard) and sending the chunks as
+	// BatchGet does, together; missing keys are not an error. The global
+	// GC uses it to retire many superseded versions per round trip.
 	BatchDelete(ctx context.Context, keys []string) error
 	// Delete removes key; deleting a missing key is not an error.
 	Delete(ctx context.Context, key string) error

@@ -21,10 +21,10 @@ func (m *Metrics) RegisterTelemetry(reg *telemetry.Registry, backend string) {
 		c("puts_total", "Point Put round trips.", s.Puts)
 		c("batch_puts_total", "BatchPut round trips.", s.Batches)
 		c("batch_put_items_total", "Items written across BatchPut round trips.", s.BatchItems)
-		c("batch_gets_total", "BatchGet round trips.", s.BatchGets)
-		c("batch_get_items_total", "Keys requested across BatchGet round trips.", s.BatchGetItems)
-		c("batch_deletes_total", "BatchDelete round trips.", s.BatchDeletes)
-		c("batch_delete_items_total", "Keys removed across BatchDelete round trips.", s.BatchDeleteItems)
+		c("batch_gets_total", "BatchGet requests, one per chunk.", s.BatchGets)
+		c("batch_get_items_total", "Keys requested across BatchGet requests.", s.BatchGetItems)
+		c("batch_deletes_total", "BatchDelete requests, one per chunk.", s.BatchDeletes)
+		c("batch_delete_items_total", "Keys removed across BatchDelete requests.", s.BatchDeleteItems)
 		c("deletes_total", "Point Delete round trips.", s.Deletes)
 		c("lists_total", "List round trips.", s.Lists)
 		c("transacts_total", "Transactional round trips.", s.Transacts)
@@ -33,7 +33,7 @@ func (m *Metrics) RegisterTelemetry(reg *telemetry.Registry, backend string) {
 			"Mean items per BatchPut round trip (write coalescing).",
 			s.ItemsPerBatch(), "backend", backend)
 		e.Gauge("aft_storage_items_per_batch_get",
-			"Mean keys per BatchGet round trip (read coalescing).",
+			"Mean keys per BatchGet request (read coalescing).",
 			s.ItemsPerBatchGet(), "backend", backend)
 	})
 }
