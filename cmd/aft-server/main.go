@@ -217,6 +217,7 @@ func main() {
 	// families (frames, bytes, flushes, pipeline depth) are exported next
 	// to everything else.
 	srv := wire.NewServer(node)
+	srv.Logf = log.Printf
 
 	// SLO objectives: commit latency (fraction of commits slower than the
 	// threshold burns the budget) and admission sheds over arrivals.

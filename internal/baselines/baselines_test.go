@@ -68,11 +68,12 @@ func TestPlainExposesFracturedReadsUnderConcurrency(t *testing.T) {
 	// read k then l directly from storage. Without a shim, interleavings
 	// produce fractured observations. Microsecond-scale store latency
 	// forces genuine interleaving (zero-latency loops finish within one
-	// scheduler quantum and never overlap).
+	// scheduler quantum and never overlap). The waits vary (Sigma), or
+	// a precise sleeper keeps reader and writer in lockstep.
 	store := dynamosim.New(dynamosim.Options{
 		Latency: latency.NewModel(latency.Profile{
-			latency.OpGet: {Median: 100 * time.Microsecond},
-			latency.OpPut: {Median: 100 * time.Microsecond},
+			latency.OpGet: {Median: 100 * time.Microsecond, Sigma: 0.5},
+			latency.OpPut: {Median: 100 * time.Microsecond, Sigma: 0.5},
 		}, 1),
 		Sleeper: latency.RealTime,
 	})

@@ -50,6 +50,13 @@ func (m *RunnerMetrics) Snapshot() RunnerMetricsSnapshot {
 	}
 }
 
+// A Runner redoes one request at most maxRedos times, and retries one
+// transaction's commit on transient errors at most maxCommitRetries times.
+const (
+	maxRedos         = 64
+	maxCommitRetries = 8
+)
+
 // Runner executes workload requests against a Client with the paper's
 // §3.3.1 fault-tolerance discipline — redo-until-commit — while recording
 // the observable history into a checker.Recorder:
@@ -72,11 +79,6 @@ type Runner struct {
 	Payload []byte
 	// Check records the history; nil disables recording.
 	Check *checker.Recorder
-	// MaxRedos bounds whole-request redos; 0 defaults to 64.
-	MaxRedos int
-	// MaxCommitRetries bounds same-transaction commit retries on transient
-	// errors; 0 defaults to 8.
-	MaxCommitRetries int
 	// OnRedo, when set, runs before each redo with the error that failed
 	// the previous attempt. Deterministic harnesses use it as the stand-in
 	// for server-side maintenance that runs concurrently with client
@@ -93,10 +95,6 @@ func (r *Runner) Metrics() *RunnerMetrics { return &r.metrics }
 // Do executes one logical request, redoing it with a fresh transaction
 // after retriable failures until it commits (or the redo budget is spent).
 func (r *Runner) Do(ctx context.Context, req workload.Request) error {
-	maxRedos := r.MaxRedos
-	if maxRedos <= 0 {
-		maxRedos = 64
-	}
 	var lastErr error
 	for redo := 0; redo <= maxRedos; redo++ {
 		if redo > 0 {
@@ -214,12 +212,8 @@ func (r *Runner) attempt(ctx context.Context, req workload.Request) error {
 // the record was durable simply re-runs; one that actually succeeded
 // returns the original commit ID.
 func (r *Runner) commit(ctx context.Context, txid string) (idgen.ID, error) {
-	maxRetries := r.MaxCommitRetries
-	if maxRetries <= 0 {
-		maxRetries = 8
-	}
 	id, err := r.Client.CommitTransaction(ctx, txid)
-	for retries := 0; err != nil && retries < maxRetries && errors.Is(err, storage.ErrUnavailable); retries++ {
+	for retries := 0; err != nil && retries < maxCommitRetries && errors.Is(err, storage.ErrUnavailable); retries++ {
 		r.metrics.CommitRetries.Add(1)
 		id, err = r.Client.CommitTransaction(ctx, txid)
 	}

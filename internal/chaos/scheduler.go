@@ -34,6 +34,9 @@ func PlanKills(seed int64, n, lo, hi int) []int {
 	return out
 }
 
+// promotionTimeout bounds one promotion wait (wall clock).
+const promotionTimeout = 30 * time.Second
+
 // Scheduler drives crash-recovery events against a running cluster on a
 // deterministic schedule: at each planned point it kills one seeded-random
 // live node (unflushed multicast state and all, the §4.2 liveness hazard),
@@ -51,9 +54,6 @@ type Scheduler struct {
 	pending []int
 	// target is the live-node count a promotion must restore.
 	target int
-	// PromotionTimeout bounds one promotion wait (wall clock); zero
-	// defaults to 30s.
-	PromotionTimeout time.Duration
 
 	kills      int
 	promotions int
@@ -108,11 +108,7 @@ func (s *Scheduler) killOne(ctx context.Context) error {
 	}
 	s.kills++
 
-	timeout := s.PromotionTimeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(promotionTimeout)
 	for len(s.c.Nodes()) < s.target {
 		if err := ctx.Err(); err != nil {
 			return err

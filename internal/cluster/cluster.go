@@ -76,10 +76,6 @@ type Config struct {
 	// and the fault manager attributes recovery work to sampled traces
 	// the same way. Serve the collector's Handler as the cluster /traces.
 	TraceCollector *telemetry.TraceCollector
-	// TraceSampleEvery is the self-sampling rate for cluster-built
-	// tracers (1-in-N); 0 keeps the tracer default, <0 disables
-	// self-sampling (client-sampled and slow traces are still kept).
-	TraceSampleEvery int
 	// IncrementalBootstrap makes node joins (including standby promotions)
 	// warm up incrementally: the fault manager pushes its in-memory commit
 	// view to the joiner, which then fetches from storage only records
@@ -197,9 +193,7 @@ func (c *Cluster) addNode(ctx context.Context, warmup bool) (*core.Node, error) 
 	}
 	var tracer *telemetry.Tracer
 	if c.cfg.TraceCollector != nil && nodeCfg.Tracer == nil {
-		tracer = telemetry.NewTracer(telemetry.TracerOptions{
-			Node: id, SampleEvery: c.cfg.TraceSampleEvery,
-		})
+		tracer = telemetry.NewTracer(telemetry.TracerOptions{Node: id})
 		tracer.SetSink(c.cfg.TraceCollector)
 		nodeCfg.Tracer = tracer
 	}

@@ -205,6 +205,17 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 			}
 			ends = append(ends, len(keys))
 		}
+		// A spilled key's version lives under its spill key, so an empty
+		// marker at its data key lets the per-key listing of the
+		// partial-metadata fallback find the version; reads still resolve
+		// to the spill key through the record. The marker is written in
+		// the data phase, before the record, and collected with the
+		// version.
+		for _, k := range spilled {
+			keys = records.AppendDataKey(keys, k, id)
+			ends = append(ends, len(keys))
+			data = append(data, kv{val: []byte{}})
+		}
 	}
 	keys = records.AppendCommitKey(keys, id)
 	all, start := string(keys), 0
@@ -231,7 +242,7 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	// keys will fetch. The cache adopts the values: Put copied each one
 	// into the write buffer, nothing writes to them once the transaction
 	// is finished, and storage engines only read what they are handed.
-	for _, it := range data {
+	for _, it := range data[:len(data)-len(spilled)] {
 		n.data.adopt(it.key, it.val)
 	}
 	n.metrics.Committed.Add(1)

@@ -66,6 +66,39 @@ func TestReadFallbackRecoversUnknownKey(t *testing.T) {
 	}
 }
 
+// TestReadFallbackFindsSpilledVersion: a transaction whose every key
+// spilled writes no data object, only spill objects and its record. Its
+// empty per-key markers let a partial-metadata reader list the versions
+// and read them from the spill keys.
+func TestReadFallbackFindsSpilledVersion(t *testing.T) {
+	store := dynamosim.New(dynamosim.Options{})
+	writer, err := NewNode(Config{NodeID: "writer", Store: store,
+		Clock: idgen.NewVirtualClock(0, 1), SpillThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitTxn(t, writer, map[string]string{"a": "va", "b": "vb"})
+
+	reader := newPartialReader(t, store)
+	ctx := context.Background()
+	txid, err := reader.StartTransaction(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[string]string{"a": "va", "b": "vb"} {
+		v, err := reader.Get(ctx, txid, k)
+		if err != nil {
+			t.Fatalf("Get(%s) = %v", k, err)
+		}
+		if string(v) != want {
+			t.Fatalf("Get(%s) = %q, want %q", k, v, want)
+		}
+	}
+	if err := reader.AbortTransaction(ctx, txid); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReadFallbackPackedLayout: the packed layout leaves no per-key data
 // objects, so the fallback scans the commit set instead.
 func TestReadFallbackPackedLayout(t *testing.T) {

@@ -46,11 +46,6 @@ type Options struct {
 	Seed int64
 	// Payload is the value size in bytes (paper: 4096).
 	Payload int
-	// spin enables busy-wait latency injection for sub-millisecond
-	// modeled waits (precise but CPU-hungry); the low-concurrency latency
-	// experiments set it internally.
-	spin bool
-
 	// Backend, when non-empty, overrides the storage backend every
 	// experiment builds ("dynamodb" | "s3" | "redis" | "wal") — the
 	// aft-bench -store flag. Experiments that sweep backends themselves
@@ -87,7 +82,7 @@ func (o Options) sleeper() *latency.Sleeper {
 	if o.Scale <= 0 {
 		return latency.NoSleep
 	}
-	return &latency.Sleeper{Scale: o.Scale, Spin: o.spin}
+	return &latency.Sleeper{Scale: o.Scale}
 }
 
 // rescale converts a measured duration back to paper-equivalent time.

@@ -24,7 +24,6 @@ import (
 // commit record plus one RPC).
 func Fig2(opts Options) (Table, error) {
 	opts = opts.withDefaults()
-	opts.spin = true // few clients: precise sub-ms latency injection
 	ctx := context.Background()
 	payload := workload.Payload(opts.Seed, opts.Payload)
 	reps := opts.scaled(1000)

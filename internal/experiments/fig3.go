@@ -25,7 +25,6 @@ import (
 // DynamoDB-serializable still shows fractured reads across functions.
 func Fig3Table2(opts Options) (Table, Table, error) {
 	opts = opts.withDefaults()
-	opts.spin = true // few clients: precise sub-ms latency injection
 	ctx := context.Background()
 	payload := workload.Payload(opts.Seed, opts.Payload)
 	const clients = 10

@@ -23,7 +23,6 @@ import (
 // z=2.0 from conflict-abort retries.
 func Fig4(opts Options) (Table, error) {
 	opts = opts.withDefaults()
-	opts.spin = true // few clients: precise sub-ms latency injection
 	ctx := context.Background()
 	payload := workload.Payload(opts.Seed, opts.Payload)
 	const clients = 10

@@ -23,7 +23,6 @@ import (
 // AFT-R wrote one key after another (11 calls in sequence at any mix).
 func Fig5(opts Options) (Table, error) {
 	opts = opts.withDefaults()
-	opts.spin = true // few clients: precise sub-ms latency injection
 	ctx := context.Background()
 	payload := workload.Payload(opts.Seed, opts.Payload)
 	const clients = 10

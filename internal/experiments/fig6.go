@@ -22,7 +22,6 @@ import (
 // after another and reports ~8.9x.
 func Fig6(opts Options) (Table, error) {
 	opts = opts.withDefaults()
-	opts.spin = true // few clients: precise sub-ms latency injection
 	ctx := context.Background()
 	payload := workload.Payload(opts.Seed, opts.Payload)
 	const clients = 10

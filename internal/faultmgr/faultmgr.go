@@ -400,6 +400,11 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 			for _, k := range rec.WriteSet {
 				versions.add(rec.AppendStorageKeyFor(versions.buf, k))
 			}
+			// A spilled key's version has an empty marker at its data
+			// key besides its spill object (commit.go).
+			for _, k := range rec.Spilled {
+				versions.add(records.AppendDataKey(versions.buf, k, rec.ID()))
+			}
 		}
 		recordKeys.add(records.AppendCommitKey(recordKeys.buf, rec.ID()))
 	}

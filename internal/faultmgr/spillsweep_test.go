@@ -196,6 +196,55 @@ func TestRewrittenSpillCollectedWithItsVersion(t *testing.T) {
 	readsValue(t, n, "k", "newer")
 }
 
+// TestSpillMarkerCollectedWithItsVersion: a spilled key's version is its
+// spill object plus an empty marker at its data key; the global GC deletes
+// both with the version.
+func TestSpillMarkerCollectedWithItsVersion(t *testing.T) {
+	store := dynamosim.New(dynamosim.Options{})
+	ctx := context.Background()
+	n := spillNode(t, store, "n1")
+	m := New(store, StaticMembership{n})
+	list := func(prefix string) []string {
+		t.Helper()
+		keys, err := store.List(ctx, prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+
+	old := commit(t, n, map[string]string{"a": "spilled value a", "b": "spilled value b"})
+	for _, k := range []string{"a", "b"} {
+		if got := list(records.DataKeyPrefix(k)); len(got) != 1 || got[0] != records.DataKey(k, old) {
+			t.Fatalf("data keys of %s = %v, want its marker", k, got)
+		}
+	}
+	commit(t, n, map[string]string{"a": "x", "b": "y"}) // supersede
+	m.Ingest("n1", n.Drain())
+	n.SweepLocalMetadata(0)
+	removed, err := m.CollectOnce(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(removed) != 1 || !removed[0].Equal(old) {
+		t.Fatalf("collected %v, want [%v]", removed, old)
+	}
+	for _, k := range []string{"a", "b"} {
+		for _, sk := range list(records.DataKeyPrefix(k)) {
+			if sk == records.DataKey(k, old) {
+				t.Fatalf("marker %s outlived its collected version", sk)
+			}
+		}
+	}
+	if left := list(records.SpillPrefix); len(left) != 0 {
+		t.Fatalf("spill objects outlived their collected version: %v", left)
+	}
+	if got := m.Metrics().Snapshot().VersionsDeleted; got != 2 {
+		t.Fatalf("VersionsDeleted = %d, want 2", got)
+	}
+	readsValue(t, n, "a", "x")
+}
+
 // TestSweepSpillsListsOnceAndBatchesDeletes: a sweep over many orphans
 // lists the spill area and the Commit Set once each and deletes every
 // orphan in one call, keeping the spill data of a committed transaction

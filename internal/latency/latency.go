@@ -14,7 +14,6 @@ package latency
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -119,18 +118,7 @@ type Sleeper struct {
 	// Scale multiplies every sleep; 0 disables sleeping entirely (unit
 	// tests), 1 sleeps at modeled speed, 0.1 runs 10x faster.
 	Scale float64
-	// Spin busy-waits for effective durations below spinCutoff instead of
-	// calling time.Sleep, whose granularity on this platform is ~1ms —
-	// large enough to swamp sub-millisecond modeled latencies. Spinning
-	// burns a core per waiter, so enable it only for experiments with few
-	// concurrent clients (the single-client and 10-client latency
-	// studies); high-fan-out throughput experiments must leave it off.
-	Spin bool
 }
-
-// spinCutoff bounds busy-waiting: effective waits at or above it always use
-// time.Sleep, whose relative error is small at this magnitude.
-const spinCutoff = 2 * time.Millisecond
 
 // NoSleep is a Sleeper that never sleeps; use it in unit tests.
 var NoSleep = &Sleeper{Scale: 0}
@@ -138,19 +126,17 @@ var NoSleep = &Sleeper{Scale: 0}
 // RealTime sleeps at full modeled speed.
 var RealTime = &Sleeper{Scale: 1}
 
-// Sleep blocks for d scaled by the sleeper's Scale.
+// Sleep blocks for d scaled by the sleeper's Scale, and never returns
+// sooner. A wait ends within about 10 % of its length from 500 µs up on
+// Linux (see sleep_linux.go); time.Sleep would round it up to the next
+// millisecond when the process is idle.
 func (s *Sleeper) Sleep(d time.Duration) {
 	if s == nil || s.Scale <= 0 || d <= 0 {
 		return
 	}
-	eff := time.Duration(float64(d) * s.Scale)
-	if s.Spin && eff < spinCutoff {
-		for start := time.Now(); time.Since(start) < eff; {
-			runtime.Gosched()
-		}
-		return
+	if eff := time.Duration(float64(d) * s.Scale); eff > 0 {
+		sleep(eff)
 	}
-	time.Sleep(eff)
 }
 
 // Profiles mirroring the storage engines in the paper's evaluation (§6).

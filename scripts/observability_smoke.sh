@@ -16,7 +16,9 @@
 #   * aft_build_info and the observability-plane families are exported,
 #     and so are the Go runtime's allocation and GC counters (aft_go_*),
 #     with a nonzero heap-object count;
-#   * /statz returns application/json with the documented schema fields.
+#   * /statz returns application/json with the documented schema fields;
+#   * a peer that does not open with the AFT preface is refused, and the
+#     server logs it.
 #
 # Run from the repository root: ./scripts/observability_smoke.sh
 set -eu
@@ -180,4 +182,15 @@ if not any(n.startswith("aft_") for n in names):
 print(f"/statz: {len(names)} families from node {p['node']}")
 PY
 
-echo "observability smoke: OK (metrics families, build info, stitched trace $trace_id, events, healthz, statz schema)"
+# A non-AFT peer (an HTTP request) is closed, and the connection-level
+# error reaches the server's log.
+curl -s --max-time 2 "http://$SERVER_ADDR/" >/dev/null 2>&1 || true
+logged=""
+for _ in $(seq 1 20); do
+    if grep -q 'is not an AFT client' "$workdir/server.log"; then logged=1; break; fi
+    sleep 0.1
+done
+[ -n "$logged" ] || { echo "FAIL: server.log does not record the non-AFT peer"; cat "$workdir/server.log"; exit 1; }
+echo "server log: non-AFT peer refused and logged"
+
+echo "observability smoke: OK (metrics families, build info, stitched trace $trace_id, events, healthz, statz schema, connection log)"
