@@ -1,11 +1,11 @@
-// Package bench holds the repository's top-level benchmark suite: one
-// testing.B benchmark per table/figure of the paper's evaluation (§6).
+// Package bench holds the repository's top-level benchmarks of the node's
+// hot paths: parallel reads and commits, the read path, commit phases, the
+// WAL and the wire.
 //
 // These benches run with zero injected latency, so they measure the CPU
 // cost of the protocols themselves (Algorithm 1 reads, the write-ordering
-// commit, multicast merge, GC sweeps). The full latency-modeled
-// reproductions — the ones that regenerate the paper's actual tables —
-// live in cmd/aft-bench; see EXPERIMENTS.md.
+// commit, GC sweeps). The paper's tables and figures are reproduced, with
+// latency modelled, by cmd/aft-bench.
 package bench
 
 import (
@@ -14,34 +14,14 @@ import (
 	"testing"
 	"time"
 
-	"aft/internal/baselines"
-	"aft/internal/cluster"
 	"aft/internal/core"
-	"aft/internal/faas"
-	"aft/internal/faultmgr"
 	"aft/internal/idgen"
-	"aft/internal/multicast"
 	"aft/internal/records"
 	"aft/internal/storage"
 	"aft/internal/storage/dynamosim"
 	"aft/internal/storage/redissim"
-	"aft/internal/storage/s3sim"
 	"aft/internal/workload"
 )
-
-// mkNode builds a zero-latency node over a fresh DynamoDB sim.
-func mkNode(b *testing.B, cache bool) *core.Node {
-	b.Helper()
-	n, err := core.NewNode(core.Config{
-		NodeID:          "bench",
-		Store:           dynamosim.New(dynamosim.Options{}),
-		EnableDataCache: cache,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return n
-}
 
 func commitKVs(b *testing.B, n *core.Node, kvs map[string][]byte) {
 	b.Helper()
@@ -57,329 +37,6 @@ func commitKVs(b *testing.B, n *core.Node, kvs map[string][]byte) {
 	}
 	if _, err := n.CommitTransaction(ctx, txid); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkFig2 measures the §6.1.1 commit path: N buffered writes
-// committed through AFT's write-ordering protocol, versus direct engine
-// writes (sequential and batched).
-func BenchmarkFig2(b *testing.B) {
-	payload := workload.Payload(1, 4096)
-	for _, writes := range []int{1, 5, 10} {
-		keys := make([]string, writes)
-		for i := range keys {
-			keys[i] = workload.KeyName(i)
-		}
-		b.Run(fmt.Sprintf("AFTCommit/writes=%d", writes), func(b *testing.B) {
-			n := mkNode(b, false)
-			ctx := context.Background()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				txid, _ := n.StartTransaction(ctx)
-				for _, k := range keys {
-					n.Put(ctx, txid, k, payload)
-				}
-				if _, err := n.CommitTransaction(ctx, txid); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("DynamoSequential/writes=%d", writes), func(b *testing.B) {
-			store := dynamosim.New(dynamosim.Options{})
-			ctx := context.Background()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, k := range keys {
-					if err := store.Put(ctx, k, payload); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("DynamoBatch/writes=%d", writes), func(b *testing.B) {
-			store := dynamosim.New(dynamosim.Options{})
-			ctx := context.Background()
-			items := make(map[string][]byte, writes)
-			for _, k := range keys {
-				items[k] = payload
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := store.BatchPut(ctx, items); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig3 measures the §6.1.2 end-to-end transaction (2 functions x
-// 1W+2R) under each architecture, per engine.
-func BenchmarkFig3(b *testing.B) {
-	payload := workload.Payload(1, 4096)
-	run := func(b *testing.B, exec baselines.Executor) {
-		gen := workload.NewGenerator(1, workload.NewZipf(1, 1000, 1.0), 2, 1, 2)
-		ctx := context.Background()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := exec.Execute(ctx, gen.Next()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("AFT/dynamodb", func(b *testing.B) {
-		n := mkNode(b, true)
-		platform, _ := faas.New(faas.Config{Client: n})
-		run(b, baselines.NewAFT(baselines.AFTConfig{Platform: platform, Payload: payload, Registry: workload.NewRegistry()}))
-	})
-	b.Run("AFT/redis", func(b *testing.B) {
-		n, err := core.NewNode(core.Config{NodeID: "bench", Store: redissim.New(redissim.Options{})})
-		if err != nil {
-			b.Fatal(err)
-		}
-		platform, _ := faas.New(faas.Config{Client: n})
-		run(b, baselines.NewAFT(baselines.AFTConfig{Platform: platform, Payload: payload, Registry: workload.NewRegistry()}))
-	})
-	b.Run("AFT/s3", func(b *testing.B) {
-		n, err := core.NewNode(core.Config{NodeID: "bench", Store: s3sim.New(s3sim.Options{})})
-		if err != nil {
-			b.Fatal(err)
-		}
-		platform, _ := faas.New(faas.Config{Client: n})
-		run(b, baselines.NewAFT(baselines.AFTConfig{Platform: platform, Payload: payload, Registry: workload.NewRegistry()}))
-	})
-	b.Run("Plain/dynamodb", func(b *testing.B) {
-		store := dynamosim.New(dynamosim.Options{})
-		run(b, baselines.NewPlain(baselines.PlainConfig{Store: store, Payload: payload, Registry: workload.NewRegistry()}))
-	})
-	b.Run("Transactional/dynamodb", func(b *testing.B) {
-		store := dynamosim.New(dynamosim.Options{})
-		exec, err := baselines.NewDynamoTxn(baselines.DynamoTxnConfig{Store: store, Payload: payload, Registry: workload.NewRegistry()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, exec)
-	})
-}
-
-// BenchmarkTable2 measures the anomaly detector over large trace sets —
-// the post-processing that produces Table 2.
-func BenchmarkTable2(b *testing.B) {
-	reg := workload.NewRegistry()
-	traces := make([]workload.Trace, 1000)
-	for i := range traces {
-		uuid := fmt.Sprintf("w%d", i%50)
-		reg.Register(uuid, workload.Meta{TS: int64(i % 50), UUID: uuid}.OrderID())
-		traces[i] = workload.Trace{
-			UUID: fmt.Sprintf("r%d", i),
-			Reads: []workload.ReadObs{
-				{Key: "a", Meta: workload.Meta{UUID: uuid, Cowritten: []string{"a", "b"}}},
-				{Key: "b", Meta: workload.Meta{UUID: fmt.Sprintf("w%d", (i+1)%50), Cowritten: []string{"a", "b"}}},
-			},
-		}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		workload.Check(traces, reg)
-	}
-}
-
-// BenchmarkFig4 measures the §6.2 read path with and without the data
-// cache under skew.
-func BenchmarkFig4(b *testing.B) {
-	payload := workload.Payload(1, 4096)
-	for _, cached := range []bool{false, true} {
-		name := "NoCache"
-		if cached {
-			name = "Cache"
-		}
-		b.Run(name, func(b *testing.B) {
-			n := mkNode(b, cached)
-			ctx := context.Background()
-			for i := 0; i < 256; i++ {
-				commitKVs(b, n, map[string][]byte{workload.KeyName(i): payload})
-			}
-			z := workload.NewZipf(7, 256, 1.5)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				txid, _ := n.StartTransaction(ctx)
-				if _, err := n.Get(ctx, txid, z.Next()); err != nil {
-					b.Fatal(err)
-				}
-				n.AbortTransaction(ctx, txid)
-			}
-		})
-	}
-}
-
-// BenchmarkFig5 measures the §6.3 read-write mix: a 10-IO transaction at
-// each read fraction.
-func BenchmarkFig5(b *testing.B) {
-	payload := workload.Payload(1, 1024)
-	for _, frac := range []float64{0, 0.5, 1.0} {
-		b.Run(fmt.Sprintf("reads=%.0f%%", frac*100), func(b *testing.B) {
-			n := mkNode(b, false)
-			seed, err := workload.Wrap(workload.Meta{TS: 1, UUID: "seed"}, payload)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 100; i++ {
-				commitKVs(b, n, map[string][]byte{workload.KeyName(i): seed})
-			}
-			platform, _ := faas.New(faas.Config{Client: n})
-			exec := baselines.NewAFT(baselines.AFTConfig{Platform: platform, Payload: payload, Registry: workload.NewRegistry()})
-			gen := workload.NewRatioGenerator(1, workload.NewUniform(1, 100), 2, 10, frac)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := exec.Execute(ctx, gen.Next()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig6 measures the §6.4 transaction-length sweep.
-func BenchmarkFig6(b *testing.B) {
-	payload := workload.Payload(1, 1024)
-	for _, functions := range []int{1, 5, 10} {
-		b.Run(fmt.Sprintf("functions=%d", functions), func(b *testing.B) {
-			n := mkNode(b, false)
-			seed, err := workload.Wrap(workload.Meta{TS: 1, UUID: "seed"}, payload)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 100; i++ {
-				commitKVs(b, n, map[string][]byte{workload.KeyName(i): seed})
-			}
-			platform, _ := faas.New(faas.Config{Client: n})
-			exec := baselines.NewAFT(baselines.AFTConfig{Platform: platform, Payload: payload, Registry: workload.NewRegistry()})
-			gen := workload.NewGenerator(1, workload.NewUniform(1, 100), functions, 1, 2)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := exec.Execute(ctx, gen.Next()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig7 measures the §6.5.1 parallel-client path with RunParallel
-// (the protocol's shared-data-structure contention).
-func BenchmarkFig7(b *testing.B) {
-	payload := workload.Payload(1, 1024)
-	n := mkNode(b, true)
-	commitKVs(b, n, map[string][]byte{workload.KeyName(0): payload, workload.KeyName(1): payload})
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			txid, err := n.StartTransaction(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n.Get(ctx, txid, workload.KeyName(0))
-			n.Put(ctx, txid, workload.KeyName(1), payload)
-			if _, err := n.CommitTransaction(ctx, txid); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFig8 measures the §6.5.2 distributed path: commits through a
-// 4-node cluster's load balancer with multicast running.
-func BenchmarkFig8(b *testing.B) {
-	payload := workload.Payload(1, 1024)
-	c, err := cluster.New(cluster.Config{
-		Nodes:           4,
-		Store:           dynamosim.New(dynamosim.Options{}),
-		MulticastPeriod: time.Millisecond,
-		PruneMulticast:  true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := c.Start(ctx); err != nil {
-		b.Fatal(err)
-	}
-	defer c.Stop()
-	client := c.Client()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			txid, err := client.StartTransaction(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			client.Put(ctx, txid, workload.KeyName(i%64), payload)
-			if _, err := client.CommitTransaction(ctx, txid); err != nil {
-				b.Fatal(err)
-			}
-			i++
-		}
-	})
-}
-
-// BenchmarkFig9 measures the §6.6 GC machinery: local supersedence sweeps
-// plus a global collection round over a contended history.
-func BenchmarkFig9(b *testing.B) {
-	payload := workload.Payload(1, 256)
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		store := dynamosim.New(dynamosim.Options{})
-		n, err := core.NewNode(core.Config{NodeID: "gc", Store: store})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fm := faultmgr.New(store, faultmgr.StaticMembership{n})
-		bus := multicast.NewBus()
-		bus.Register(n)
-		bus.Tap(fm.Ingest)
-		for t := 0; t < 100; t++ {
-			commitKVs(b, n, map[string][]byte{"hot": payload})
-		}
-		bus.FlushPeer(n, false)
-		b.StartTimer()
-
-		n.SweepLocalMetadata(0)
-		if _, err := fm.CollectOnce(ctx, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig10 measures the §6.7 recovery path: bootstrapping a
-// replacement node's metadata cache from the Transaction Commit Set.
-func BenchmarkFig10(b *testing.B) {
-	payload := workload.Payload(1, 256)
-	store := dynamosim.New(dynamosim.Options{})
-	seedNode, err := core.NewNode(core.Config{NodeID: "old", Store: store})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for t := 0; t < 500; t++ {
-		commitKVs(b, seedNode, map[string][]byte{workload.KeyName(t % 100): payload})
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		replacement, err := core.NewNode(core.Config{NodeID: "new", Store: store})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := replacement.Bootstrap(ctx); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -721,10 +378,11 @@ func (s rttStore) BatchPut(ctx context.Context, items map[string][]byte) error {
 // batch writes (Redis), 60 keys at DynamoDB's 25-item batch limit. Every
 // write call costs a fixed 1 ms, and waits/commit is the commit's wall time
 // in those round trips: about 2 (data, then record) when a phase sends its
-// calls together, 9 and 4 when they go one after another.
+// calls together, 9 and 4 when they go one after another. The 4 KB values
+// keep both write sets too large to ride inside the record.
 func BenchmarkCommitPhases(b *testing.B) {
 	const rtt = time.Millisecond
-	payload := workload.Payload(1, 1024)
+	payload := workload.Payload(1, 4096)
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name  string

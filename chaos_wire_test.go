@@ -17,6 +17,7 @@ import (
 	"aft/internal/chaos"
 	"aft/internal/checker"
 	"aft/internal/core"
+	"aft/internal/records"
 	"aft/internal/storage/dynamosim"
 	"aft/internal/workload"
 )
@@ -42,8 +43,11 @@ func TestIntegrationWireChaosRedoUntilCommit(t *testing.T) {
 	}
 	defer client.Close()
 
+	// 8 KB values: a request writing one distinct key commits its record
+	// alone (an inline record), one writing more commits in two phases,
+	// whose BatchPut the injector can split.
 	check := checker.New()
-	runner := &chaos.Runner{Client: client, Payload: workload.Payload(11, 256), Check: check}
+	runner := &chaos.Runner{Client: client, Payload: workload.Payload(11, 8<<10), Check: check}
 
 	const keys = 32
 	var seedOps []workload.Op
@@ -163,8 +167,12 @@ func TestIntegrationWireTransientErrorCode(t *testing.T) {
 	if id.UUID != txid {
 		t.Fatalf("commit ID %v does not match transaction %s", id, txid)
 	}
-	// And the write is durable under that ID.
-	if _, err := st.Get(ctx, fmt.Sprintf("aft/d/k/%s", id)); err != nil {
-		t.Fatalf("committed version missing after retried commit: %v", err)
+	// And the write is durable under that ID, inside its record.
+	rec, err := st.Get(ctx, fmt.Sprintf("aft/c/%s", id))
+	if err != nil {
+		t.Fatalf("committed record missing after retried commit: %v", err)
+	}
+	if v, err := records.InlineValue(rec, "k"); err != nil || string(v) != "v" {
+		t.Fatalf("committed version after retried commit = %q, %v", v, err)
 	}
 }

@@ -341,7 +341,7 @@ func TestIntegrationMultiGetWireVanishedRetry(t *testing.T) {
 			// exactly v1 back — repeatable read — so it must surface the
 			// redo signal over the wire, not silently read v2.
 			commit("v2")
-			if err := store.Delete(ctx, records.DataKey("acct", id1)); err != nil {
+			if err := store.Delete(ctx, records.CommitKey(id1)); err != nil {
 				return err
 			}
 		}

@@ -108,7 +108,9 @@ func TestConformanceChaosOverWAL(t *testing.T) {
 // commit record whose data then fails its retry. Masked, the node keeps
 // §3.3's two ordered phases: after 200 commits through partial batches and
 // failing point writes, a storage crash and a reopen, every durable commit
-// record's write set is readable and the history checks clean.
+// record's write set is readable and the history checks clean. Each commit
+// writes three 6 KB values, too many to ride inside its record, so every
+// commit takes the two phases.
 func TestPartialBatchesOverWALNeverLandARecordAlone(t *testing.T) {
 	ctx := context.Background()
 	eng, err := walengine.Open(t.TempDir(), walengine.Options{})
@@ -133,7 +135,7 @@ func TestPartialBatchesOverWALNeverLandARecordAlone(t *testing.T) {
 	}
 	defer c.Stop()
 	check := checker.New()
-	runner := &Runner{Client: c.Client(), Payload: workload.Payload(1, 64), Check: check}
+	runner := &Runner{Client: c.Client(), Payload: workload.Payload(1, 6<<10), Check: check}
 
 	const workers, perWorker, keys = 4, 50, 16
 	st.SetEnabled(true)
@@ -186,7 +188,12 @@ func TestPartialBatchesOverWALNeverLandARecordAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range rec.WriteSet {
-			if _, err := eng.Get(ctx, rec.StorageKeyFor(k)); err != nil {
+			if rec.Inline {
+				_, err = records.InlineValue(payload, k)
+			} else {
+				_, err = eng.Get(ctx, string(rec.AppendStorageKeyFor(nil, k)))
+			}
+			if err != nil {
 				t.Fatalf("commit record %s is durable, its data for %q is not: %v", rk, k, err)
 			}
 		}

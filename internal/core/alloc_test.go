@@ -38,13 +38,13 @@ func allocatedDuring(f func()) (objects, bytes uint64) {
 // storage engine's own copies; what is left is bytes someone keeps: the
 // transaction and its ID, the buffered values, the record with its write
 // set inside it, the one string its storage keys are sliced from, and the
-// engine's three copies. The commit's storage writes live in the flush's
-// pooled scratch. A copy of the write buffer, a write set of its own, a
+// engine's one copy: the inline record, which carries both values. The
+// commit's storage writes live in the flush's pooled scratch. A copy of the write buffer, a write set of its own, a
 // write-buffer map, a string per key, a record encoding of its own, a
 // flush map, a per-commit channel or a drainer goroutine coming back shows
 // up here as a failure.
 func TestCommitAllocBudget(t *testing.T) {
-	const commitBudget, txnBudget = 6, 10
+	const commitBudget, txnBudget = 4, 8
 	n, err := NewNode(Config{NodeID: "budget", Store: dynamosim.New(dynamosim.Options{})})
 	if err != nil {
 		t.Fatal(err)
@@ -184,9 +184,10 @@ func TestReadAllocBudget(t *testing.T) {
 // allocations beyond the values it hands back. Served from the data cache,
 // Start + a 4-key MultiGet + Abort allocates the transaction (its read set
 // inside it), its ID, the result slice and the 4 copies. Cold, on a zero-latency
-// Redis with 2 shards and no cache, the one BatchGet adds its key string,
-// its key slice and the engine's result map, and the 4 copies are the
-// engine's: no plan, index list, map or string per key.
+// Redis with 2 shards and no cache, the one BatchGet of the keys' one
+// inline record adds its key string, its key slice, the engine's result map
+// and its one copy of the record, whose values the 4 results are: no plan,
+// index list, map, string or copy per key.
 func TestMultiGetAllocBudget(t *testing.T) {
 	keys := []string{"mg-a", "mg-b", "mg-c", "mg-d"}
 	for _, tc := range []struct {
@@ -195,7 +196,7 @@ func TestMultiGetAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"cached", true, 7},
-		{"cold", false, 11},
+		{"cold", false, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := redissim.New(redissim.Options{})

@@ -84,7 +84,7 @@ func mkCommitReq(t *testing.T, ts int64, keys ...string) *commitReq {
 	id := idgen.ID{Timestamp: ts, UUID: fmt.Sprintf("u%d", ts)}
 	req := &commitReq{rec: records.NewCommitRecord(id, keys, "test")}
 	for _, k := range keys {
-		req.writes = append(req.writes, kv{records.DataKey(k, id), []byte(k)})
+		req.writes = append(req.writes, kv{string(records.AppendDataKey(nil, k, id)), []byte(k)})
 	}
 	// The record's value is flush's to encode.
 	req.writes = append(req.writes, kv{key: records.CommitKey(id)})
@@ -141,10 +141,17 @@ func TestAtomicEngineFlushIsOneBatchPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	commitTxn(t, n, map[string]string{"solo": "v"})
+	commitTxn(t, n, map[string]string{"solo": twoPhase("v")})
 	if len(store.calls) != 1 || !strings.HasPrefix(store.calls[0], "batch:"+records.CommitPrefix) ||
 		strings.Count(store.calls[0], ",") != 1 {
 		t.Fatalf("solo commit calls = %q, want one BatchPut of record and data", store.calls)
+	}
+
+	// A small write set rides inside its record: one Put.
+	store.calls = nil
+	commitTxn(t, n, map[string]string{"a": "v", "b": "v"})
+	if len(store.calls) != 1 || !strings.HasPrefix(store.calls[0], "put:"+records.CommitPrefix) {
+		t.Fatalf("inline commit calls = %q, want one Put of the record", store.calls)
 	}
 }
 
@@ -216,18 +223,23 @@ func TestOrderedEngineFlushKeepsTwoPhases(t *testing.T) {
 }
 
 // TestFlushSpanCountsCalls: a traced commit's gc.flush span says how many
-// storage calls its flush sent, which is which path it took: the atomic
-// path is one call, the ordered one two, or more when a phase is several
-// chunks (five keys at a batch limit of two are three data calls).
+// storage calls its flush sent, which is which path it took: an inline
+// record and the atomic path are one call, the ordered one two, or more
+// when a phase is several chunks (five keys at a batch limit of two are
+// three data calls).
 func TestFlushSpanCountsCalls(t *testing.T) {
-	two := map[string]string{"a": "1", "b": "2"}
-	five := map[string]string{"a": "1", "b": "2", "c": "3", "d": "4", "e": "5"}
+	small := map[string]string{"a": "1", "b": "2"}
+	two := map[string]string{"a": twoPhase("1"), "b": twoPhase("2")}
+	five := keysValued("k", 5)
 	for _, tc := range []struct {
 		name  string
 		store func() storage.Store
 		kvs   map[string]string
 		calls string
 	}{
+		{"inline", func() storage.Store {
+			return &callLogStore{Store: dynamosim.New(dynamosim.Options{})}
+		}, small, "1"},
 		{"atomic", func() storage.Store {
 			return &callLogStore{Store: dynamosim.New(dynamosim.Options{}), atomic: true}
 		}, two, "1"},
@@ -270,9 +282,9 @@ func TestPooledScratchCarriesNoStaleWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		commitTxn(t, n, map[string]string{"a1": "v", "a2": "v", "a3": "v"})
+		commitTxn(t, n, map[string]string{"a1": twoPhase("v"), "a2": twoPhase("v"), "a3": twoPhase("v")})
 		store.calls = nil
-		commitTxn(t, n, map[string]string{"b1": "v"})
+		commitTxn(t, n, map[string]string{"b1": twoPhase("v")})
 		var data, commit int
 		for _, call := range store.calls {
 			_, keys, _ := strings.Cut(call, ":")

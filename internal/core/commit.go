@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -24,6 +23,14 @@ import (
 //  3. only then is the commit acknowledged and the transaction's data made
 //     visible to other requests, by installing the record into the local
 //     metadata cache.
+//
+// §3.3 orders step 1 before step 2 only so that a durable record implies
+// durable data. A small unspilled write set — one whose record with every
+// value in it encodes to at most maxInlineRecord bytes — skips step 1: its
+// record carries the values (an inline record, records.AppendInline), and
+// a single-key Put is atomic on every engine, so the commit is ONE storage
+// write. This is §8's "one object per transaction", with the object being
+// the record itself.
 //
 // All three steps are one routine, flush (flush.go), which every commit
 // runs over its own writes on its own goroutine, on every engine.
@@ -150,15 +157,11 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 		}
 		sort.Strings(writeSet)
 	}
-	// Spilled transactions always use the default layout (their payloads
-	// are already in storage).
-	packed := n.cfg.PackedLayout && len(spilled) == 0 && len(data) > 0
 	*rec = records.CommitRecord{
 		Timestamp: id.Timestamp,
 		UUID:      id.UUID,
 		WriteSet:  writeSet,
 		Node:      n.cfg.NodeID,
-		Packed:    packed,
 		// A client-sampled trace rides inside the record so peers
 		// receiving the multicast delivery — and the fault manager
 		// recovering the record after a crash — can attribute their work
@@ -168,54 +171,37 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	if len(spilled) > 0 {
 		rec.SpillDir = spillDir
 		rec.Spilled = spilled
+	} else {
+		// The write set is data's keys, in order: the record carries
+		// their values when it fits the cap.
+		sc.values = sc.values[:0]
+		for _, it := range data {
+			sc.values = append(sc.values, it.val)
+		}
+		rec.Inline = rec.InlineSize(sc.values) <= maxInlineRecord
 	}
 
-	// Step 1 payload: the packed layout (§8) writes one object for the
-	// whole write set; the default layout writes one unique key per
-	// version. Every storage key of the commit — data or spill keys, then
-	// the commit key — is built in kb and becomes one string, which the
-	// keys are sliced from. From here on data holds storage keys.
+	// Every storage key of the commit is built in kb and becomes one
+	// string, which the keys are sliced from. An inline commit writes only
+	// its record, and its data entries name the values' data-cache entries
+	// (packEntryKey); otherwise each version has a storage key of its own,
+	// its data key or its spill key. From here on data holds those keys.
 	var kb [commitKeyBufLen]byte
 	var eb [commitKeysInline]int
 	keys, ends := kb[:0], eb[:0]
-	if packed {
-		writes := make(map[string][]byte, len(data))
-		for _, it := range data {
-			writes[it.key] = it.val
+	for _, it := range data {
+		if rec.Inline {
+			keys = appendPackEntryKey(records.AppendCommitKey(keys, id), it.key)
+		} else if _, ok := slices.BinarySearch(spilled, it.key); ok {
+			// A spilled key keeps the spill layout: its final value
+			// overwrites its spill object, which the record names
+			// (Spilled), so the global GC deletes the object with the
+			// version instead of leaving it for the orphan sweep.
+			keys = records.AppendSpillKey(keys, spillDir, it.key)
+		} else {
+			keys = records.AppendDataKey(keys, it.key, id)
 		}
-		obj, err := records.Pack(writes)
-		if err != nil {
-			n.abandonCommit(t)
-			return idgen.Null, fmt.Errorf("aft: packing write set: %w", err)
-		}
-		clear(data) // release clears only what the scratch holds at the end
-		data = append(data[:0], kv{val: obj})
-		keys = records.AppendPackKey(keys, id)
 		ends = append(ends, len(keys))
-	} else {
-		for _, it := range data {
-			if _, ok := slices.BinarySearch(spilled, it.key); ok {
-				// A spilled key keeps the spill layout: its final value
-				// overwrites its spill object, which the record names
-				// (Spilled), so the global GC deletes the object with the
-				// version instead of leaving it for the orphan sweep.
-				keys = records.AppendSpillKey(keys, spillDir, it.key)
-			} else {
-				keys = records.AppendDataKey(keys, it.key, id)
-			}
-			ends = append(ends, len(keys))
-		}
-		// A spilled key's version lives under its spill key, so an empty
-		// marker at its data key lets the per-key listing of the
-		// partial-metadata fallback find the version; reads still resolve
-		// to the spill key through the record. The marker is written in
-		// the data phase, before the record, and collected with the
-		// version.
-		for _, k := range spilled {
-			keys = records.AppendDataKey(keys, k, id)
-			ends = append(ends, len(keys))
-			data = append(data, kv{val: []byte{}})
-		}
 	}
 	keys = records.AppendCommitKey(keys, id)
 	all, start := string(keys), 0
@@ -236,13 +222,12 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	n.finishCommit(t, txid, id)
 
 	// Warm the data cache with the values just written — they are the
-	// newest versions and likely to be read soon — under the storage keys
-	// the commit built. The packed layout caches the whole packed object
-	// under its pack key, exactly what a subsequent read of any of its
-	// keys will fetch. The cache adopts the values: Put copied each one
-	// into the write buffer, nothing writes to them once the transaction
-	// is finished, and storage engines only read what they are handed.
-	for _, it := range data[:len(data)-len(spilled)] {
+	// newest versions and likely to be read soon — under the keys the
+	// commit built, which a read of each version probes. The cache adopts
+	// the values: Put copied each one into the write buffer, nothing writes
+	// to them once the transaction is finished, and storage engines only
+	// read what they are handed.
+	for _, it := range data {
 		n.data.adopt(it.key, it.val)
 	}
 	n.metrics.Committed.Add(1)
@@ -251,10 +236,15 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 
 // commitKeyBufLen sizes the stack buffer a commit builds its storage keys
 // in, and commitKeysInline the count of keys whose ends it tracks without
-// allocating; a larger commit spills either to the heap.
+// allocating; a larger commit spills either to the heap. maxInlineRecord
+// caps the encoded size of an inline record: a write set whose record
+// would be larger is written two-phase. The paper's transaction fits with
+// room to spare (two 4 KB values: ~8.3 KB), a 50-key bulk load does not,
+// and it stays far below DynamoDB's 400 KB item limit.
 const (
 	commitKeyBufLen  = 512
 	commitKeysInline = 16
+	maxInlineRecord  = 16 << 10
 )
 
 // finishCommit acknowledges a commit whose record (if it wrote anything)

@@ -67,9 +67,9 @@ func TestReadFallbackRecoversUnknownKey(t *testing.T) {
 }
 
 // TestReadFallbackFindsSpilledVersion: a transaction whose every key
-// spilled writes no data object, only spill objects and its record. Its
-// empty per-key markers let a partial-metadata reader list the versions
-// and read them from the spill keys.
+// spilled writes no data object, only spill objects and its record. The
+// record's write set lets a partial-metadata reader find the versions in
+// its Commit Set scan and read them from the spill keys.
 func TestReadFallbackFindsSpilledVersion(t *testing.T) {
 	store := dynamosim.New(dynamosim.Options{})
 	writer, err := NewNode(Config{NodeID: "writer", Store: store,
@@ -99,23 +99,32 @@ func TestReadFallbackFindsSpilledVersion(t *testing.T) {
 	}
 }
 
-// TestReadFallbackPackedLayout: the packed layout leaves no per-key data
-// objects, so the fallback scans the commit set instead.
+// TestReadFallbackPackedLayout: a transaction packed into its inline
+// record leaves no per-key data object, and the fallback's Commit Set scan
+// finds it beside a two-phase one.
 func TestReadFallbackPackedLayout(t *testing.T) {
 	store := dynamosim.New(dynamosim.Options{})
 	writer, err := NewNode(Config{NodeID: "writer", Store: store,
-		Clock: idgen.NewVirtualClock(0, 1), PackedLayout: true})
+		Clock: idgen.NewVirtualClock(0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	commitTxn(t, writer, map[string]string{"p": "vp", "q": "vq"})
+	big := string(make([]byte, maxInlineRecord))
+	commitTxn(t, writer, map[string]string{"r": big})
+	if keys, _ := store.List(context.Background(), records.DataPrefix); len(keys) != 1 {
+		t.Fatalf("data keys = %q, want only r's", keys)
+	}
 
-	reader := newPartialReader(t, store, func(c *Config) { c.PackedLayout = true })
+	reader := newPartialReader(t, store)
 	ctx := context.Background()
 	txid, _ := reader.StartTransaction(ctx)
 	v, err := reader.Get(ctx, txid, "p")
 	if err != nil || string(v) != "vp" {
-		t.Fatalf("packed fallback Get = %q, %v", v, err)
+		t.Fatalf("inline fallback Get = %q, %v", v, err)
+	}
+	if v, err := reader.Get(ctx, txid, "r"); err != nil || string(v) != big {
+		t.Fatalf("two-phase fallback Get = %d bytes, %v", len(v), err)
 	}
 }
 
@@ -133,7 +142,7 @@ func TestReadFallbackSkipsUncommittedVersions(t *testing.T) {
 	// step 1 and step 2 of the write-ordering protocol).
 	ctx := context.Background()
 	dirty := idgen.ID{Timestamp: 1 << 40, UUID: "crashed"}
-	if err := store.Put(ctx, records.DataKey("k", dirty), []byte("dirty")); err != nil {
+	if err := store.Put(ctx, string(records.AppendDataKey(nil, "k", dirty)), []byte("dirty")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,7 +196,7 @@ func TestVanishedVersionKeepsPinnedRecord(t *testing.T) {
 	// transaction's data and commit record are deleted from storage.
 	commitTxn(t, writer, map[string]string{"k1": "new1", "k2": "new2"})
 	for _, k := range []string{"k1", "k2"} {
-		if err := store.Delete(ctx, records.DataKey(k, old)); err != nil {
+		if err := store.Delete(ctx, string(records.AppendDataKey(nil, k, old))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,10 +9,12 @@ package core
 // (walengine's "Group fsync") — so coalescing lives in one place, below
 // the node.
 //
-// A flush has one or two write phases, by what the engine reports in
-// Capabilities() — never by a setting. Either way it keeps §3.3's
-// guarantee: no commit record is ever DURABLE without its data, and no
-// commit is acknowledged before its record is durable.
+// A commit whose record carries its values (an inline record, commit.go)
+// has one write: the record's Put, on every engine. Otherwise a flush has
+// one or two write phases, by what the engine reports in Capabilities() —
+// never by a setting. Either way it keeps §3.3's guarantee: no commit
+// record is ever DURABLE without its data, and no commit is acknowledged
+// before its record is durable.
 //
 //   - An engine that promises nothing across keys gets the paper's strict
 //     write ordering: the data phase writes the transaction's data
@@ -50,6 +52,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -78,12 +81,15 @@ type chunkErr struct {
 // commits and nodes.
 type flushScratch struct {
 	// writes are the commit's storage writes in §3.3 order: the step-1
-	// data (one storage key per buffered version, or the single packed
-	// object under the packed layout), then the step-2 commit record, last.
-	// One slice, so each phase's writes and chunks are sub-slices of it.
-	// The record's value is the record's encoding, which flush writes into
-	// record and takes back before it returns.
+	// data (one storage key per buffered version), then the step-2 commit
+	// record, last. One slice, so each phase's writes and chunks are
+	// sub-slices of it. The record's value is the record's encoding, which
+	// flush writes into record and takes back before it returns. An
+	// inline record's writes before it are not sent: they only name the
+	// values' data-cache entries.
 	writes []kv
+	// values are an inline record's values, aligned with its write set.
+	values [][]byte
 	// maps are the BatchPut arguments, one per chunk of the phase, each
 	// filled for its call and cleared after it: storage.Store.BatchPut may
 	// neither retain nor mutate it. An engine without batch writes needs
@@ -115,6 +121,8 @@ var flushScratchPool = sync.Pool{New: func() any { return new(flushScratch) }}
 func (sc *flushScratch) release() {
 	clear(sc.writes)
 	sc.writes = sc.writes[:0]
+	clear(sc.values)
+	sc.values = sc.values[:0]
 	if cap(sc.record) > maxPooledRecord {
 		sc.record = nil
 	}
@@ -125,16 +133,21 @@ func (sc *flushScratch) release() {
 // writes are sc.writes, on the caller's goroutine and returns the
 // transaction's outcome; see the file comment for the phases and their
 // ordering guarantees. A traced commit gets a gc.flush span whose calls
-// annotation is the number of storage calls the flush sent: 1 on the
-// one-call path, and on the ordered one 2, or more when a phase is several
-// chunks.
+// annotation is the number of storage calls the flush sent: 1 for an
+// inline record and on the one-call path, and on the ordered one 2, or
+// more when a phase is several chunks.
 func (n *Node) flush(ctx context.Context, sc *flushScratch, rec *records.CommitRecord) error {
 	sp := telemetry.StartSpan(ctx, "gc.flush")
 	defer sp.End()
 	n.metrics.GroupFlushes.Add(1)
 	n.metrics.GroupedCommits.Add(1)
 	w, last := sc.writes, len(sc.writes)-1
-	sc.record, _ = rec.AppendBinary(sc.record[:0]) // reports no error
+	if rec.Inline {
+		sc.record = rec.AppendInline(sc.record[:0], sc.values)
+		w, last = w[last:], 0
+	} else {
+		sc.record, _ = rec.AppendBinary(sc.record[:0]) // reports no error
+	}
 	w[last].val = sc.record
 	var failed chunkErr
 	if n.store.Capabilities().AtomicBatches {
@@ -262,7 +275,8 @@ func (n *Node) writeChunks(ctx context.Context, sc *flushScratch, items []kv, li
 // in order, up to the first write that fails: the transaction has failed
 // by then, and on the one-call path a failed data write is never followed
 // by the record's. Re-writing items the partial batch already applied is a
-// harmless overwrite.
+// harmless overwrite. A batch the engine refused for an oversized item
+// (storage.ErrItemTooLarge) applied nothing and is not retried.
 func (n *Node) writeChunk(ctx context.Context, chunk []kv, m map[string][]byte) chunkErr {
 	if len(chunk) > 1 {
 		for _, it := range chunk {
@@ -275,6 +289,9 @@ func (n *Node) writeChunk(ctx context.Context, chunk []kv, m map[string][]byte) 
 		clear(m)
 		if err == nil {
 			return chunkErr{}
+		}
+		if errors.Is(err, storage.ErrItemTooLarge) {
+			return chunkErr{chunk[0].key, err}
 		}
 	}
 	// A solo item takes the point API outright: a one-item batch buys no

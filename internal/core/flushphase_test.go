@@ -138,11 +138,12 @@ func requireReads(t *testing.T, n *Node, kvs map[string]string) {
 	}
 }
 
-// keysValued returns a write set of count keys named prefix0, prefix1, ...
+// keysValued returns a write set of count keys named prefix0, prefix1, ...,
+// each value too large to ride inside the record (twoPhase).
 func keysValued(prefix string, count int) map[string]string {
 	kvs := map[string]string{}
 	for i := range count {
-		kvs[fmt.Sprintf("%s%d", prefix, i)] = fmt.Sprintf("v%d", i)
+		kvs[fmt.Sprintf("%s%d", prefix, i)] = twoPhase(fmt.Sprintf("v%d", i))
 	}
 	return kvs
 }
@@ -204,7 +205,7 @@ func TestPhaseFanoutIsBounded(t *testing.T) {
 	}
 	kvs := map[string]string{}
 	for i := range keys {
-		kvs[fmt.Sprintf("k%03d", i)] = "v"
+		kvs[fmt.Sprintf("k%03d", i)] = twoPhase("v")
 	}
 	commitTxn(t, n, kvs)
 	if got := store.maxRunning[0]; got != storage.MaxCallsInFlight {
@@ -230,7 +231,7 @@ func TestConcurrentChunksFailOnlyTheirOwners(t *testing.T) {
 		t.Fatal(err)
 	}
 	winners := []map[string]string{keysValued("a", 5), keysValued("c", 3)}
-	loser := map[string]string{"b0": "v", "b1": "v", "b-lost": "v", "b3": "v"}
+	loser := map[string]string{"b0": twoPhase("v"), "b1": twoPhase("v"), "b-lost": twoPhase("v"), "b3": twoPhase("v")}
 	errs := commitAll(n, winners[0], winners[1], loser)
 	for i, kvs := range winners {
 		if errs[i] != nil {

@@ -223,9 +223,9 @@ type fetchSlot struct {
 //
 // The misses' storage keys are appended into one buffer, which becomes
 // one string the BatchGet keys are sliced from: a fetch allocates that
-// string and the key slice, whatever its size. Keys of one packed
-// transaction share a storage key; sorting the slots by key groups them,
-// so each storage key is fetched once.
+// string and the key slice, whatever its size. Keys of one inline
+// transaction share a storage key, its record's; sorting the slots by key
+// groups them, so each storage key is fetched once.
 func (n *Node) fetchPlanned(ctx context.Context, keys []string, plans []readPlan, out [][]byte, idxs, vanished []int) ([]int, error) {
 	var slotBuf [mgBufLen]fetchSlot
 	var keyBuf [mgBufLen * keyBufLen]byte
@@ -237,22 +237,11 @@ func (n *Node) fetchPlanned(ctx context.Context, keys []string, plans []readPlan
 		p := &plans[i]
 		off := len(kb)
 		kb = p.appendStorageKey(kb, keys[i])
-		sk := kb[off:]
-		v, hit := out[i], false
-		if !p.spill && p.rec.Packed {
-			if v, hit = n.data.appendTo(appendPackEntryKey(sk, keys[i]), out[i]); !hit {
-				if packed, ok := n.data.appendTo(sk, nil); ok {
-					var err error
-					if v, err = n.extractPacked(packed, string(sk), keys[i], out[i]); err != nil {
-						return nil, err
-					}
-					hit = true
-				}
-			}
-		} else {
-			v, hit = n.data.appendTo(sk, out[i])
+		probe := kb[off:]
+		if !p.spill && p.rec.Inline {
+			probe = appendPackEntryKey(probe, keys[i])
 		}
-		if hit {
+		if v, hit := n.data.appendTo(probe, out[i]); hit {
 			n.metrics.CacheHits.Add(1)
 			out[i] = v
 			kb = kb[:off]
@@ -308,21 +297,15 @@ func (n *Node) fetchPlanned(ctx context.Context, keys []string, plans []readPlan
 			}
 			continue
 		}
-		if p := &plans[waiting[0].i]; !p.spill && p.rec.Packed {
-			n.data.adopt(sk, v)
-			// One decode serves every key of the pack (and caches the
-			// per-key entries); only pack storage keys carry packed plans,
-			// so packed-ness is uniform per sk.
-			m, err := n.unpackAndCache(v, sk)
-			if err != nil {
-				return nil, err
-			}
+		if p := &plans[waiting[0].i]; !p.spill && p.rec.Inline {
+			// One fetched record serves every key it carries; only record
+			// storage keys carry inline plans, so inline-ness is uniform
+			// per sk.
 			for _, s := range waiting {
-				pv, ok := m[keys[s.i]]
-				if !ok {
-					return nil, fmt.Errorf("records: key %q missing from packed object", keys[s.i])
+				var err error
+				if out[s.i], err = n.keepInline(sk, keys[s.i], v, out[s.i]); err != nil {
+					return nil, err
 				}
-				out[s.i] = appendValue(out[s.i], pv)
 			}
 			continue
 		}

@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -127,13 +128,6 @@ type Config struct {
 	// budget is exceeded, and StartTransaction sheds retriable
 	// ErrOverloaded past a 25% hard ceiling. 0 means unbounded.
 	MetadataBudgetBytes int64
-	// PackedLayout enables the S3-optimized data layout sketched in §8
-	// ("Efficient Data Layout"): each transaction's whole write set is
-	// persisted as ONE packed object instead of one object per key,
-	// turning the N+1 storage writes of a commit into 2. Reads fetch the
-	// packed object and extract their key. Best for engines with high
-	// per-request latency and no batch primitive (S3).
-	PackedLayout bool
 	// IDEntropySeed, when non-zero, makes transaction-UUID entropy a
 	// seeded deterministic stream (mixed with the node ID, so replicas
 	// sharing a seed still mint distinct IDs). Paired with a
@@ -179,6 +173,11 @@ type Node struct {
 	// write set touches).
 	stripes   []*stripe
 	metaCount atomic.Int64
+	// installSeq numbers the versions this node makes visible: each
+	// install takes the next value, and a transaction remembers the value
+	// current when it started, so the local sweep can tell which versions
+	// were visible to it (SweepLocalMetadata).
+	installSeq atomic.Uint64
 	// metaBytes approximates the resident bytes of cached commit records
 	// (records.CommitRecord.ApproxBytes, counted once per record at
 	// install/remove); together with the data cache's byte count it is
@@ -612,11 +611,12 @@ func (n *Node) MetadataSize() int {
 
 // SweepLocalMetadata runs one pass of the local metadata GC (§5.1): for
 // each cached committed transaction, oldest first, if it is superseded
-// (Algorithm 2) and no active transaction has read from its write set, its
-// metadata is removed from the Commit Set Cache and key-version index, its
-// cached data is evicted, and it is recorded in the locally-deleted list
-// for the global GC (§5.2). At most limit transactions are removed per
-// pass (0 means unlimited). It returns the removed transaction IDs.
+// (Algorithm 2), no active transaction has read from its write set and no
+// active transaction may still need it (retirableLocked), its metadata is
+// removed from the Commit Set Cache and key-version index, its cached data
+// is evicted, and it is recorded in the locally-deleted list for the global
+// GC (§5.2). At most limit transactions are removed per pass (0 means
+// unlimited). It returns the removed transaction IDs.
 //
 // The sweep locks one record's stripes at a time: candidates come from a
 // lock-free-ish snapshot and every check (presence, reader pins,
@@ -624,6 +624,7 @@ func (n *Node) MetadataSize() int {
 // so concurrent reads and commits on other stripes never stall behind a
 // sweep.
 func (n *Node) SweepLocalMetadata(limit int) []idgen.ID {
+	horizon := n.sweepHorizon()
 	byID := n.snapshotRecords()
 	ids := make([]idgen.ID, 0, len(byID))
 	for id := range byID {
@@ -651,7 +652,7 @@ func (n *Node) SweepLocalMetadata(limit int) []idgen.ID {
 			unlockStripes(ss)
 			continue // pinned by an active reader (§5.1)
 		}
-		if !n.supersededLocked(rec) {
+		if !n.supersededLocked(rec) || !n.retirableLocked(rec, horizon) {
 			unlockStripes(ss)
 			continue
 		}
@@ -668,6 +669,58 @@ func (n *Node) SweepLocalMetadata(limit int) []idgen.ID {
 	}
 	n.metrics.SweptMetadata.Add(int64(len(removed)))
 	return removed
+}
+
+// maxSweepHold bounds how long a transaction whose operations carry no
+// deadline holds the local sweep back (sweepHorizon); a transaction with a
+// lease holds it until the lease passes.
+const maxSweepHold = 10 * time.Second
+
+// sweepHorizon returns the install sequence at which the oldest live
+// transaction started, or the largest sequence when none is live. A
+// transaction past its lease, or older than maxSweepHold without one, is
+// presumed abandoned and does not count: it cannot hold the sweep back
+// forever, and if it does come back it may find no valid version and
+// abort (§3.6).
+func (n *Node) sweepHorizon() uint64 {
+	now := time.Now().UnixNano()
+	horizon := uint64(math.MaxUint64)
+	n.tmu.RLock()
+	for _, t := range n.txns {
+		if dl := t.deadline.Load(); (dl != 0 && now > dl) || (dl == 0 && now-t.startedAt > int64(maxSweepHold)) {
+			continue
+		}
+		horizon = min(horizon, t.startSeq)
+	}
+	n.tmu.RUnlock()
+	return horizon
+}
+
+// retirableLocked reports whether no live transaction can need rec: on
+// each of its keys, the next newer version was installed no later than
+// horizon (sweepHorizon), so every live transaction could see it from its
+// start. Algorithm 1 then keeps a valid version of every key at or above
+// what each live transaction saw when it started: a transaction that read
+// a key at an old version — which makes every newer version cowritten with
+// that key invalid for it (case 2 of Theorem 1's proof) — still finds the
+// old versions of the newer writes' other keys. Timestamps cannot decide
+// this: multicast delivers a peer's commits here late, so a version's ID
+// says nothing about when this node's transactions could first see it.
+// The caller holds write locks covering rec's stripes.
+func (n *Node) retirableLocked(rec *records.CommitRecord, horizon uint64) bool {
+	id := rec.ID()
+	for _, k := range rec.WriteSet {
+		s := n.stripeFor(k)
+		for _, v := range s.index.atLeast(k, id) {
+			if id.Less(v) {
+				if s.installed[v] > horizon {
+					return false
+				}
+				break
+			}
+		}
+	}
+	return true
 }
 
 // LocallyDeleted reports, aligned with recs, whether this node's local GC

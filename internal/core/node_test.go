@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,6 +65,10 @@ func commitTxn(t *testing.T, n *Node, kvs map[string]string) idgen.ID {
 	}
 	return id
 }
+
+// twoPhase pads v past what an inline record holds, so a commit writing it
+// takes §3.3's two write phases: its data keys, then its record.
+func twoPhase(v string) string { return v + strings.Repeat(".", maxInlineRecord) }
 
 func TestNewNodeValidation(t *testing.T) {
 	if _, err := NewNode(Config{NodeID: "n"}); err == nil {
@@ -318,25 +323,37 @@ func TestResumeTransaction(t *testing.T) {
 }
 
 func TestWriteOrderingProtocolOrder(t *testing.T) {
-	// The commit record must be written after all data keys: verify by
-	// inspecting storage after commit — every write-set key resolves.
+	// A durable commit record implies durable data: verify by inspecting
+	// storage after commit — every write-set key resolves, inside the
+	// record for a small write set and at its data key for a large one.
 	n, store := newTestNode(t)
 	ctx := context.Background()
-	id := commitTxn(t, n, map[string]string{"a": "1", "b": "2"})
-	recPayload, err := store.Get(ctx, records.CommitKey(id))
-	if err != nil {
-		t.Fatalf("commit record missing: %v", err)
-	}
-	rec, err := records.UnmarshalCommitRecord(recPayload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.WriteSet) != 2 {
-		t.Fatalf("write set = %v", rec.WriteSet)
-	}
-	for _, k := range rec.WriteSet {
-		if _, err := store.Get(ctx, records.DataKey(k, id)); err != nil {
-			t.Fatalf("data key for %s missing after commit: %v", k, err)
+	for _, kvs := range []map[string]string{
+		{"a": "1", "b": "2"},
+		{"a": twoPhase("1"), "b": twoPhase("2")},
+	} {
+		id := commitTxn(t, n, kvs)
+		recPayload, err := store.Get(ctx, records.CommitKey(id))
+		if err != nil {
+			t.Fatalf("commit record missing: %v", err)
+		}
+		rec, err := records.UnmarshalCommitRecord(recPayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.WriteSet) != 2 || rec.Inline != (len(kvs["a"]) == 1) {
+			t.Fatalf("write set = %v, inline = %v", rec.WriteSet, rec.Inline)
+		}
+		for _, k := range rec.WriteSet {
+			var v []byte
+			if rec.Inline {
+				v, err = records.InlineValue(recPayload, k)
+			} else {
+				v, err = store.Get(ctx, string(records.AppendDataKey(nil, k, id)))
+			}
+			if err != nil || string(v) != kvs[k] {
+				t.Fatalf("data for %s after commit: %d bytes, %v", k, len(v), err)
+			}
 		}
 	}
 }
@@ -390,7 +407,7 @@ func TestBatchingUsedOnDynamo(t *testing.T) {
 	n, store := newTestNode(t)
 	kvs := map[string]string{}
 	for i := 0; i < 10; i++ {
-		kvs[fmt.Sprintf("k%d", i)] = "v"
+		kvs[fmt.Sprintf("k%d", i)] = twoPhase("v")
 	}
 	commitTxn(t, n, kvs)
 	m := store.Metrics().Snapshot()
@@ -406,7 +423,7 @@ func TestBatchChunkingOverEngineLimit(t *testing.T) {
 	n, store := newTestNode(t)
 	kvs := map[string]string{}
 	for i := 0; i < 60; i++ { // 60 > 2*25: needs 3 chunks
-		kvs[fmt.Sprintf("k%02d", i)] = "v"
+		kvs[fmt.Sprintf("k%02d", i)] = twoPhase("v")
 	}
 	commitTxn(t, n, kvs)
 	m := store.Metrics().Snapshot()
@@ -453,7 +470,7 @@ func TestUnboundedBatchLimit(t *testing.T) {
 	}
 	kvs := map[string]string{}
 	for i := 0; i < 300; i++ {
-		kvs[fmt.Sprintf("k%03d", i)] = "v"
+		kvs[fmt.Sprintf("k%03d", i)] = twoPhase("v")
 	}
 	commitTxn(t, n, kvs)
 	if len(sizes) != 1 || sizes[0] != 300 {
@@ -470,7 +487,7 @@ func TestSequentialWritesOnRedis(t *testing.T) {
 	ctx := context.Background()
 	txid, _ := n.StartTransaction(ctx)
 	for i := 0; i < 5; i++ {
-		n.Put(ctx, txid, fmt.Sprintf("k%d", i), []byte("v"))
+		n.Put(ctx, txid, fmt.Sprintf("k%d", i), []byte(twoPhase("v")))
 	}
 	if _, err := n.CommitTransaction(ctx, txid); err != nil {
 		t.Fatal(err)
@@ -567,7 +584,7 @@ func TestMergeRemoteCommits(t *testing.T) {
 	ctx := context.Background()
 	// Simulate a peer committing directly against shared storage.
 	peerID := idgen.ID{Timestamp: 100, UUID: "peer-1-xx"}
-	if err := store.Put(ctx, records.DataKey("pk", peerID), []byte("pv")); err != nil {
+	if err := store.Put(ctx, string(records.AppendDataKey(nil, "pk", peerID)), []byte("pv")); err != nil {
 		t.Fatal(err)
 	}
 	rec := records.NewCommitRecord(peerID, []string{"pk"}, "peer")

@@ -370,7 +370,8 @@ func TestFlushPartialBatchFailsOnlyLosers(t *testing.T) {
 	}
 	ctx := context.Background()
 	// b's data is written in key order, b-lost first.
-	txns := []map[string]string{{"a1": "a", "a2": "a"}, {"b1": "b", "b-lost": "b", "b3": "b"}, {"c1": "c"}}
+	a, b, c := twoPhase("a"), twoPhase("b"), twoPhase("c")
+	txns := []map[string]string{{"a1": a, "a2": a}, {"b1": b, "b-lost": b, "b3": b}, {"c1": c}}
 	errs := commitAll(n, txns...)
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("winners failed: a=%v c=%v", errs[0], errs[2])
@@ -623,8 +624,10 @@ func TestReadRecoversLocallyDeletedVersion(t *testing.T) {
 		t.Fatalf("Get(l) = %q, %v", v, err)
 	}
 	commit(map[string]string{"a": "a-new", "l": "l1"})
-	// "a-old" is superseded and unpinned, so the sweep deletes it; the
-	// reader's pin keeps "l0".
+	// "a-old" is superseded and unpinned, and the reader has been idle
+	// past the bound a transaction without a lease holds the sweep back
+	// for, so the sweep deletes it; the reader's pin keeps "l0".
+	abandonForSweep(t, n, reader)
 	removed := n.SweepLocalMetadata(0)
 	if len(removed) != 1 || !removed[0].Equal(old) {
 		t.Fatalf("sweep removed %v, want [%v]", removed, old)

@@ -89,42 +89,26 @@ func (n *Node) doGet(ctx context.Context, t *txnState, txid, key string, dst []b
 		// Payload fetch, outside every lock: the reader pin taken during
 		// selection keeps the version's metadata alive (§5.1). The storage
 		// key is assembled in kb; only a cache miss makes it a string.
+		// Spilled read-your-writes data is cached like any other payload
+		// (a spill is invisible to other transactions until commit, but
+		// THIS transaction re-reads it after every resumed function); Put
+		// refreshes the entry when a key re-spills. An inline version's
+		// value is cached under its own entry, named after the record key.
 		var kb [keyBufLen]byte
 		sk := plan.appendStorageKey(kb[:0], key)
-		if plan.spill {
-			// Spilled read-your-writes data is cached like any other
-			// payload (a spill is invisible to other transactions until
-			// commit, but THIS transaction re-reads it after every resumed
-			// function); Put refreshes the entry when a key re-spills.
-			if out, ok := n.data.appendTo(sk, dst); ok {
-				n.metrics.CacheHits.Add(1)
-				return out, nil
-			}
-			storageKey := string(sk)
-			v, err := n.store.Get(ctx, storageKey)
-			if err != nil {
-				return dst, err
-			}
-			return n.keepFetched(storageKey, v, dst), nil
+		inline := !plan.spill && plan.rec.Inline
+		probe := sk
+		if inline {
+			probe = appendPackEntryKey(sk, key)
 		}
-		packed := plan.rec.Packed
-		if packed {
-			if out, ok := n.data.appendTo(appendPackEntryKey(sk, key), dst); ok {
-				n.metrics.CacheHits.Add(1)
-				return out, nil
-			}
-			if v, ok := n.data.appendTo(sk, nil); ok {
-				n.metrics.CacheHits.Add(1)
-				return n.extractPacked(v, string(sk), key, dst)
-			}
-		} else if out, ok := n.data.appendTo(sk, dst); ok {
+		if out, ok := n.data.appendTo(probe, dst); ok {
 			n.metrics.CacheHits.Add(1)
 			return out, nil
 		}
 		storageKey := string(sk)
 		v, err := n.store.Get(ctx, storageKey)
 		if err != nil {
-			if errors.Is(err, storage.ErrNotFound) {
+			if !plan.spill && errors.Is(err, storage.ErrNotFound) {
 				// GC race: the version was superseded and collected
 				// after the selection's protection lapsed. The §5.2
 				// unanimity vote can pass and then a replacement node's
@@ -148,15 +132,14 @@ func (n *Node) doGet(ctx context.Context, t *txnState, txid, key string, dst []b
 				}
 				return dst, fmt.Errorf("aft: fetching %s: %w", storageKey, ErrVersionVanished)
 			}
-			// The write-ordering protocol guarantees committed data is
-			// durable before its commit record (§3.3), so this indicates
-			// either storage unavailability or a GC race on a deleted
-			// version; surface it to the client for retry.
+			// A committed version's data is durable before, or inside,
+			// its commit record (§3.3), so this indicates either storage
+			// unavailability or a GC race on a deleted version; surface
+			// it to the client for retry.
 			return dst, fmt.Errorf("aft: fetching %s: %w", storageKey, err)
 		}
-		if packed {
-			n.data.adopt(storageKey, v)
-			return n.extractPacked(v, storageKey, key, dst)
+		if inline {
+			return n.keepInline(storageKey, key, v, dst)
 		}
 		return n.keepFetched(storageKey, v, dst), nil
 	}
@@ -187,51 +170,35 @@ func (n *Node) keepFetched(storageKey string, v, dst []byte) []byte {
 	return appendValue(dst, v)
 }
 
-// packEntryKey is the data-cache key of one user key's value inside a
-// packed object. Pack storage keys contain no NUL byte, so splitting at the
-// first NUL is unambiguous and distinct (packKey, key) pairs can never
-// collide.
-func packEntryKey(packKey, key string) string {
-	return packKey + "\x00" + key
+// packEntryKey is the data-cache key of one user key's value inside an
+// inline commit record. Record keys contain no NUL byte, so splitting at
+// the first NUL is unambiguous and distinct (recordKey, key) pairs can
+// never collide.
+func packEntryKey(recordKey, key string) string {
+	return recordKey + "\x00" + key
 }
 
 // appendPackEntryKey is packEntryKey for a probe: it appends the entry
-// suffix to the pack key's bytes, in the spare capacity of the caller's
-// buffer, leaving packKey itself intact.
-func appendPackEntryKey(packKey []byte, key string) []byte {
-	return append(append(packKey, 0), key...)
+// suffix to the record key's bytes, in the spare capacity of the caller's
+// buffer, leaving recordKey itself intact.
+func appendPackEntryKey(recordKey []byte, key string) []byte {
+	return append(append(recordKey, 0), key...)
 }
 
-// unpackAndCache decodes a packed object once and caches every co-written
-// key's value under its packEntryKey, so repeated reads of keys in the same
-// pack (the common co-access pattern that motivated packing) skip the
-// re-unmarshal. The pack's versions are immutable, so the entries can never
-// go stale; LRU eviction bounds them like any other cached payload. The
-// cache adopts the decoded values: callers copy what they hand out.
-func (n *Node) unpackAndCache(packed []byte, packKey string) (map[string][]byte, error) {
-	m, err := records.Unpack(packed)
+// keepInline appends key's value, taken from rec — the stored form of the
+// inline record at recordKey, just read from storage — to dst, and hands
+// it to the data cache under its entry key. The value stays a sub-slice of
+// rec: the cache adopts it, and with no cache and no buffer to fill the
+// caller gets it with its capacity clipped, so extracting copies nothing.
+func (n *Node) keepInline(recordKey, key string, rec, dst []byte) ([]byte, error) {
+	v, err := records.InlineValue(rec, key)
 	if err != nil {
-		return nil, err
+		return dst, fmt.Errorf("aft: reading %s from %s: %w", key, recordKey, err)
 	}
-	if n.data != nil {
-		for k, v := range m {
-			n.data.adopt(packEntryKey(packKey, k), v)
-		}
+	if n.data == nil && dst == nil {
+		return v, nil
 	}
-	return m, nil
-}
-
-// extractPacked appends key's value from a packed object to dst, via
-// unpackAndCache.
-func (n *Node) extractPacked(packed []byte, packKey, key string, dst []byte) ([]byte, error) {
-	m, err := n.unpackAndCache(packed, packKey)
-	if err != nil {
-		return dst, err
-	}
-	v, ok := m[key]
-	if !ok {
-		return dst, fmt.Errorf("records: key %q missing from packed object", key)
-	}
+	n.data.adopt(packEntryKey(recordKey, key), v)
 	return appendValue(dst, v), nil
 }
 
@@ -452,6 +419,7 @@ func (n *Node) forgetVanished(t *txnState, key string, target idgen.ID, rec *rec
 		if still == 0 {
 			for _, s := range ss {
 				delete(s.commits, target)
+				delete(s.installed, target)
 			}
 			n.metaCount.Add(-1)
 			n.metaBytes.Add(-int64(rec.ApproxBytes()))
@@ -483,8 +451,11 @@ func (n *Node) selectVersionLocked(t *txnState, key string, lower idgen.ID) (idg
 			return idgen.Null, nil, ErrKeyNotFound
 		}
 		// A constrained read with no candidate at all: the versions
-		// this read set requires are gone (§5.2.1's missing-versions
-		// limitation).
+		// this read set requires are gone. The local sweep keeps every
+		// version a live transaction may need (retirableLocked), so this
+		// is §5.2.1's missing-versions limitation only for a transaction
+		// the sweep presumed abandoned, or one whose versions the global
+		// GC collected under a bootstrap or fallback re-install.
 		return idgen.Null, nil, ErrNoValidVersion
 	}
 
@@ -577,71 +548,18 @@ func (n *Node) coalesceFetch(ctx context.Context, key string) (recs []*records.C
 }
 
 // fetchKeyRecords recovers commit metadata for a key from storage (the
-// partial-metadata fallback): it lists the key's persisted versions and
-// fetches the commit record of every version the node does not already
-// know in ONE BatchGet (the engine chunks by its read-batch limit), so a
-// key with N unknown versions costs 1 + ceil(N/limit) round trips instead
-// of 1 + N. The caller installs the records in the same critical section
-// as the retried version selection (selectAndPin), so a concurrent sweep
-// cannot evict them in between. A data key without a commit record is an
-// in-flight or crashed transaction and is skipped — the write-ordering
-// protocol (§3.3) makes the commit record the visibility point, so this
-// fallback can never surface a dirty read.
-//
-// Under the packed layout (§8) transactions leave no per-key data objects,
-// so the fallback scans the Transaction Commit Set instead and returns
-// records that cowrote the key.
+// partial-metadata fallback): it scans the Transaction Commit Set, fetches
+// every record the node does not already know in ONE BatchGet (the engine
+// chunks by its read-batch limit), and keeps those that cowrote key. Every
+// record carries its write set, so the scan finds inline, two-phase and
+// spilled versions alike. The caller installs the records in the same
+// critical section as the retried version selection (selectAndPin), so a
+// concurrent sweep cannot evict them in between. Only committed versions
+// have a record — the write-ordering protocol (§3.3) makes the commit
+// record the visibility point — so this fallback can never surface a dirty
+// read.
 func (n *Node) fetchKeyRecords(ctx context.Context, key string) ([]*records.CommitRecord, error) {
 	n.metrics.RemoteFetches.Add(1)
-	if n.cfg.PackedLayout {
-		return n.fetchKeyRecordsPacked(ctx, key)
-	}
-	storageKeys, err := n.store.List(ctx, records.DataKeyPrefix(key))
-	if err != nil {
-		return nil, err
-	}
-	want := make([]string, 0, len(storageKeys))
-	var out []*records.CommitRecord
-	for _, sk := range storageKeys {
-		_, id, err := records.ParseDataKey(sk)
-		if err != nil {
-			continue
-		}
-		if rec := n.recordForKey(key, id); rec != nil {
-			// Cached already — perhaps selectable only for sibling keys
-			// (recovered installs index only the verified key). Re-install
-			// it without a round trip: installRecoveredLocked is
-			// idempotent, makes it a candidate for THIS key, and lifts the
-			// key's refetch floor once the newest version goes through.
-			out = append(out, rec)
-			continue
-		}
-		want = append(want, records.CommitKey(id))
-	}
-	payloads, err := n.fetchRecordPayloads(ctx, want)
-	if err != nil {
-		return nil, err
-	}
-	for _, ck := range want {
-		payload, ok := payloads[ck]
-		if !ok {
-			continue // uncommitted version, or GC'd concurrently
-		}
-		rec, err := records.UnmarshalCommitRecord(payload)
-		if err != nil {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// fetchKeyRecordsPacked is the packed-layout variant of fetchKeyRecords:
-// it scans the Transaction Commit Set for unknown records, batch-fetches
-// them, and keeps those that cowrote key. Costlier than the per-key
-// listing, but packed deployments choose that trade (one object per
-// transaction, fewer storage keys).
-func (n *Node) fetchKeyRecordsPacked(ctx context.Context, key string) ([]*records.CommitRecord, error) {
 	storageKeys, err := n.store.List(ctx, records.CommitPrefix)
 	if err != nil {
 		return nil, err
@@ -655,7 +573,13 @@ func (n *Node) fetchKeyRecordsPacked(ctx context.Context, key string) ([]*record
 		}
 		if rec, known := n.findRecord(id); known {
 			if rec.Cowritten(key) {
-				out = append(out, rec) // re-install: idempotent, lifts floors
+				// Cached already — perhaps selectable only for sibling
+				// keys (recovered installs index only the verified key).
+				// Re-install it without a round trip:
+				// installRecoveredLocked is idempotent, makes it a
+				// candidate for THIS key, and lifts the key's refetch
+				// floor once the newest version goes through.
+				out = append(out, rec)
 			}
 			continue
 		}

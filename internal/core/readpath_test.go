@@ -3,7 +3,7 @@ package core
 // readpath_test.go pins the batched + coalesced read pipeline: one
 // List+BatchGet per cold key regardless of reader count (the singleflight),
 // batched commit-record and MultiGet payload fetches, the spill-path and
-// packed-extract cache fixes, and the vanished-version retry through
+// inline-value cache fixes, and the vanished-version retry through
 // MultiGet.
 
 import (
@@ -163,8 +163,11 @@ func TestColdReadCoalescingRace(t *testing.T) {
 	if d.BatchGets != coldKeys {
 		t.Fatalf("BatchGets = %d, want %d (one record batch per cold key)", d.BatchGets, coldKeys)
 	}
-	if d.BatchGetItems != int64(coldKeys*versions) {
-		t.Fatalf("BatchGetItems = %d, want %d", d.BatchGetItems, coldKeys*versions)
+	// Each leader scans the whole Commit Set and fetches what this node
+	// does not cache yet: together every record at least once, and no
+	// leader more than all of them.
+	if total := int64(coldKeys * versions); d.BatchGetItems < total || d.BatchGetItems > coldKeys*total {
+		t.Fatalf("BatchGetItems = %d, want between %d and %d", d.BatchGetItems, total, coldKeys*total)
 	}
 	m := reader.Metrics().Snapshot()
 	if m.RemoteFetches != coldKeys {
@@ -261,8 +264,9 @@ func TestMultiGetSemantics(t *testing.T) {
 
 // testLargeMultiGet runs one MultiGet of 40 keys, more than MultiGet's
 // stack buffers hold, over a 2-shard Redis: duplicates, buffered writes,
-// cached and cold payloads, and keys of two packed transactions (one
-// cached, one cold). Every value must equal a per-key Get in the same
+// cached and cold payloads, and keys of two 4-key transactions (one
+// partly cached, one cold), every transaction's values inline in its
+// record. Every value must equal a per-key Get in the same
 // transaction, no two results may share memory, and no storage key may be
 // fetched twice.
 func testLargeMultiGet(t *testing.T) {
@@ -276,7 +280,7 @@ func testLargeMultiGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packer, err := NewNode(Config{NodeID: "mg40p", Store: store, PackedLayout: true})
+	packer, err := NewNode(Config{NodeID: "mg40p", Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +304,8 @@ func testLargeMultiGet(t *testing.T) {
 	}
 	n.MergeRemoteCommits(writer.Drain())
 	n.MergeRemoteCommits(packer.Drain())
-	// Warm the cache with every third plain key and one key of pack pa.
+	// Warm the cache with every third plain key and one key of pack pa:
+	// each read caches its own value, not its record's other values.
 	warm, _ := n.StartTransaction(ctx)
 	for _, k := range []string{"m-00", "m-03", "m-06", "m-09", "m-12", "m-15", "pa-0"} {
 		if _, err := n.Get(ctx, warm, k); err != nil {
@@ -324,10 +329,11 @@ func testLargeMultiGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each storage key is fetched once: the 17 plain keys neither cached
-	// nor buffered, and pack pb's one object for its 4 keys.
-	if d := store.Metrics().Snapshot().Sub(before); d.BatchGetItems != 18 || d.Gets != 0 {
-		t.Fatalf("MultiGet fetched %d items in BatchGets and %d point Gets, want 18 and 0", d.BatchGetItems, d.Gets)
+	// Each storage key is fetched once: the records of the 12 two-key
+	// transactions, each holding a plain key neither cached nor buffered,
+	// and the records of packs pa and pb.
+	if d := store.Metrics().Snapshot().Sub(before); d.BatchGetItems != 14 || d.Gets != 0 {
+		t.Fatalf("MultiGet fetched %d items in BatchGets and %d point Gets, want 14 and 0", d.BatchGetItems, d.Gets)
 	}
 	for i, k := range keys {
 		want, err := n.Get(ctx, reader, k)
@@ -413,9 +419,9 @@ func TestMultiGetVanishedRetry(t *testing.T) {
 	commit("v1")
 	kv2 := commit("v2")
 
-	// First read: v2's payload is gone (the global GC won the race); the
-	// retry must forget it and serve v1.
-	if err := store.Delete(ctx, records.DataKey("k", kv2.ID)); err != nil {
+	// First read: v2's payload — its inline record — is gone (the global
+	// GC won the race); the retry must forget it and serve v1.
+	if err := store.Delete(ctx, records.CommitKey(kv2.ID)); err != nil {
 		t.Fatal(err)
 	}
 	txid, _ := n.StartTransaction(ctx)
@@ -434,7 +440,7 @@ func TestMultiGetVanishedRetry(t *testing.T) {
 	if _, err := n.MultiGet(ctx, txid2, []string{"k"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Delete(ctx, records.DataKey("k", kv3.ID)); err != nil {
+	if err := store.Delete(ctx, records.CommitKey(kv3.ID)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.MultiGet(ctx, txid2, []string{"k"}); !errorsIs(err, ErrVersionVanished) {
@@ -480,7 +486,7 @@ func TestMultiGetDuplicateKeyVanishedRetry(t *testing.T) {
 	}
 	commit("v1")
 	id2 := commit("v2")
-	if err := store.Delete(ctx, records.DataKey("k", id2)); err != nil {
+	if err := store.Delete(ctx, records.CommitKey(id2)); err != nil {
 		t.Fatal(err)
 	}
 	txid, _ := n.StartTransaction(ctx)
@@ -600,12 +606,13 @@ func TestSpillReadsCached(t *testing.T) {
 	}
 }
 
-// TestPackedExtractCached pins the packed-layout decode cache: reading
-// several keys of one packed object unmarshals it once and serves repeats
-// from per-key entries, not by re-decoding the whole pack.
+// TestPackedExtractCached pins the inline-value cache: the commit caches
+// each value of its record under its own entry, repeats are served from
+// the entries, and a read whose entry was evicted fetches the record once
+// and caches only its own value again.
 func TestPackedExtractCached(t *testing.T) {
 	store := dynamosim.New(dynamosim.Options{})
-	n, err := NewNode(Config{NodeID: "packed", Store: store, EnableDataCache: true, PackedLayout: true})
+	n, err := NewNode(Config{NodeID: "packed", Store: store, EnableDataCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,27 +629,27 @@ func TestPackedExtractCached(t *testing.T) {
 		for key, want := range map[string]string{"pa": "A", "pb": "B"} {
 			v, err := n.Get(ctx, reader, key)
 			if err != nil || string(v) != want {
-				t.Fatalf("packed read %s = %q, %v", key, v, err)
+				t.Fatalf("inline read %s = %q, %v", key, v, err)
 			}
 		}
 	}
 	if d := store.Metrics().Snapshot().Sub(before); d.Gets != 0 {
-		t.Fatalf("packed reads fetched storage %d times; want 0", d.Gets)
+		t.Fatalf("inline reads fetched storage %d times; want 0", d.Gets)
 	}
-	// The first extraction caches every co-written key's entry, so later
-	// reads bypass even the cached pack blob (and its re-unmarshal): evict
-	// the blob and the entries must still serve without a storage fetch.
 	versions := n.VersionsOf("pa")
 	if len(versions) != 1 {
 		t.Fatalf("versions of pa = %v", versions)
 	}
-	n.data.evict([]byte(records.PackKey(versions[0])))
+	n.data.evict([]byte(packEntryKey(records.CommitKey(versions[0]), "pa")))
 	before = store.Metrics().Snapshot()
-	v, err := n.Get(ctx, reader, "pb")
-	if err != nil || string(v) != "B" {
-		t.Fatalf("entry-cached packed read = %q, %v", v, err)
+	for i := 0; i < 3; i++ {
+		for key, want := range map[string]string{"pa": "A", "pb": "B"} {
+			if v, err := n.Get(ctx, reader, key); err != nil || string(v) != want {
+				t.Fatalf("inline read %s = %q, %v", key, v, err)
+			}
+		}
 	}
-	if d := store.Metrics().Snapshot().Sub(before); d.Gets != 0 {
-		t.Fatalf("entry-cached packed read refetched the pack (%d Gets)", d.Gets)
+	if d := store.Metrics().Snapshot().Sub(before); d.Gets != 1 {
+		t.Fatalf("reads after evicting pa's entry fetched the record %d times; want 1", d.Gets)
 	}
 }

@@ -57,6 +57,10 @@ type stripe struct {
 	// whose write set touches this stripe (shared pointers; see the
 	// all-or-none invariant above).
 	commits map[idgen.ID]*records.CommitRecord
+	// installed holds the node's install sequence (Node.installSeq) of
+	// each record in commits: when it last became selectable for one of
+	// its keys here. The local sweep reads it (retirableLocked).
+	installed map[idgen.ID]uint64
 	// locallyDeleted mirrors commits for transactions the local GC has
 	// removed, answering the global GC's unanimity queries (§5.2).
 	locallyDeleted map[idgen.ID]*records.CommitRecord
@@ -75,6 +79,7 @@ func newStripe() *stripe {
 	return &stripe{
 		index:          make(versionIndex),
 		commits:        make(map[idgen.ID]*records.CommitRecord),
+		installed:      make(map[idgen.ID]uint64),
 		locallyDeleted: make(map[idgen.ID]*records.CommitRecord),
 		spillFloor:     make(map[string]idgen.ID),
 	}
@@ -171,6 +176,7 @@ func (n *Node) installLocked(rec *records.CommitRecord, ss []*stripe) bool {
 			s.index.insert(k, id)
 			s.clearFloorLocked(k, id)
 		}
+		n.stampLocked(id, ss)
 		return false
 	}
 	if _, ok := ss[0].locallyDeleted[id]; ok {
@@ -179,6 +185,7 @@ func (n *Node) installLocked(rec *records.CommitRecord, ss []*stripe) bool {
 	for _, s := range ss {
 		s.commits[id] = rec
 	}
+	n.stampLocked(id, ss)
 	for _, k := range rec.WriteSet {
 		s := n.stripeFor(k)
 		s.index.insert(k, id)
@@ -187,6 +194,16 @@ func (n *Node) installLocked(rec *records.CommitRecord, ss []*stripe) bool {
 	n.metaCount.Add(1)
 	n.metaBytes.Add(int64(rec.ApproxBytes()))
 	return true
+}
+
+// stampLocked gives record id the next install sequence in its stripes ss,
+// write-locked by the caller. Re-indexing a cached record restamps it: a
+// later stamp only makes the sweep keep older versions longer.
+func (n *Node) stampLocked(id idgen.ID, ss []*stripe) {
+	seq := n.installSeq.Add(1)
+	for _, s := range ss {
+		s.installed[id] = seq
+	}
 }
 
 // clearFloorLocked lifts key's refetch floor if id supersedes it: with a
@@ -241,12 +258,14 @@ func (n *Node) installRecoveredLocked(rec *records.CommitRecord, key string) boo
 		ks := n.stripeFor(key)
 		ks.index.insert(key, id)
 		ks.clearFloorLocked(key, id)
+		n.stampLocked(id, ss)
 		return false
 	}
 	for _, s := range ss {
 		delete(s.locallyDeleted, id)
 		s.commits[id] = rec
 	}
+	n.stampLocked(id, ss)
 	ks := n.stripeFor(key)
 	ks.index.insert(key, id)
 	ks.clearFloorLocked(key, id)
@@ -263,6 +282,7 @@ func (n *Node) removeLocked(rec *records.CommitRecord, ss []*stripe, markDeleted
 	id := rec.ID()
 	for _, s := range ss {
 		delete(s.commits, id)
+		delete(s.installed, id)
 	}
 	for _, k := range rec.WriteSet {
 		n.stripeFor(k).index.remove(k, id)
@@ -277,10 +297,9 @@ func (n *Node) removeLocked(rec *records.CommitRecord, ss []*stripe, markDeleted
 	n.metaBytes.Add(-int64(rec.ApproxBytes()))
 }
 
-// evictPayloads drops rec's cached payloads. The per-key entries cached by
-// extractPacked leave with the pack object; nothing can reference them once
-// the version is unindexed, and keeping them would squat LRU slots. Keys
-// are assembled in a stack buffer: evicting builds no strings.
+// evictPayloads drops rec's cached payloads: nothing can reference them
+// once the version is unindexed, and keeping them would squat LRU slots.
+// Keys are assembled in a stack buffer: evicting builds no strings.
 func (n *Node) evictPayloads(rec *records.CommitRecord) {
 	if n.data == nil {
 		return
@@ -288,26 +307,15 @@ func (n *Node) evictPayloads(rec *records.CommitRecord) {
 	var kb [keyBufLen]byte
 	for _, k := range rec.WriteSet {
 		sk := rec.AppendStorageKeyFor(kb[:0], k)
-		n.data.evict(sk)
-		if rec.Packed {
-			n.data.evict(appendPackEntryKey(sk, k))
+		if rec.Inline {
+			sk = appendPackEntryKey(sk, k)
 		}
+		n.data.evict(sk)
 	}
 }
 
-// recordForKey returns the commit record of id if this node caches it and
-// id's write set contains key (which locates its stripe). It takes only
-// the one stripe's read lock.
-func (n *Node) recordForKey(key string, id idgen.ID) *records.CommitRecord {
-	s := n.stripeFor(key)
-	s.mu.RLock()
-	rec := s.commits[id]
-	s.mu.RUnlock()
-	return rec
-}
-
 // findRecord scans the stripes for id's commit record — for callers that
-// have no key context (the packed-layout read fallback). O(stripes) map
+// have no key context (the read fallback's Commit Set scan). O(stripes) map
 // probes, each under a short read lock.
 func (n *Node) findRecord(id idgen.ID) (*records.CommitRecord, bool) {
 	for _, s := range n.stripes {

@@ -27,6 +27,12 @@ import (
 type txnState struct {
 	uuid    string
 	startTS int64
+	// startSeq is the node's install sequence when the transaction
+	// started, and startedAt the wall clock then (UnixNano): the local
+	// sweep keeps every version a live transaction may need
+	// (Node.sweepHorizon).
+	startSeq  uint64
+	startedAt int64
 
 	mu sync.Mutex
 	// done marks the transaction finished (committed or aborted); late
@@ -217,7 +223,8 @@ func (n *Node) StartTransaction(ctx context.Context) (string, error) {
 		return "", ErrOverloaded
 	}
 	id := n.gen.NewID()
-	t := &txnState{uuid: id.UUID, startTS: id.Timestamp}
+	t := &txnState{uuid: id.UUID, startTS: id.Timestamp,
+		startSeq: n.installSeq.Load(), startedAt: time.Now().UnixNano()}
 	t.writes, t.reads = t.writeBuf[:0], t.readBuf[:0]
 	// The wire layer deposits an inbound client trace context in ctx; a
 	// zero context self-samples per the tracer's policy.

@@ -114,6 +114,15 @@ const (
 	chaosKeys     = 128
 	chaosSeedPer  = 16 // keys seeded per bootstrap transaction
 	chaosMaintain = 20 // requests between maintenance points
+	// After every request, a bulk request writes chaosBulkKeys keys of
+	// chaosBulkPayload bytes each: too large to ride inside its
+	// commit record, so it commits in §3.3's two phases, and partial batch
+	// writes have something to split. The paper mix's small write sets
+	// commit in one Put. The keys fit one DynamoDB BatchPut: a phase of
+	// several calls sends them concurrently, which would make the order
+	// of the injector's draws, and so the campaign, nondeterministic.
+	chaosBulkKeys    = 24
+	chaosBulkPayload = 1 << 10
 	// chaosEpoch starts the campaign's virtual clock high enough that
 	// every timestamp renders at a fixed decimal width, keeping commit-key
 	// lexicographic order equal to timestamp order.
@@ -199,6 +208,11 @@ func runChaosCell(opts Options, seed int64) (ChaosCell, error) {
 		Payload: workload.Payload(seed, opts.Payload),
 		Check:   check,
 	}
+	bulk := &chaos.Runner{
+		Client:  c.Client(),
+		Payload: workload.Payload(seed, max(opts.Payload, chaosBulkPayload)),
+		Check:   check,
+	}
 
 	// Seed every key clean, so reads always find a committed version.
 	for start := 0; start < chaosKeys; start += chaosSeedPer {
@@ -220,6 +234,13 @@ func runChaosCell(opts Options, seed int64) (ChaosCell, error) {
 	for i := 0; i < requests; i++ {
 		if err := runner.Do(ctx, gen.Next()); err != nil {
 			return cell, fmt.Errorf("request %d: %w", i, err)
+		}
+		var ops []workload.Op
+		for j := range chaosBulkKeys {
+			ops = append(ops, workload.Op{Kind: workload.OpWrite, Key: workload.KeyName((13*i + j) % chaosKeys)})
+		}
+		if err := bulk.Do(ctx, workload.Request{Funcs: [][]workload.Op{ops}}); err != nil {
+			return cell, fmt.Errorf("bulk request %d: %w", i, err)
 		}
 		if err := sched.Tick(ctx, i+1); err != nil {
 			return cell, err

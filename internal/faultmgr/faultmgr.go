@@ -375,41 +375,38 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 	// every payload is gone, preserving the per-transaction record-last
 	// ordering: a crash in between leaves records a rescan re-processes
 	// (deletes are idempotent), never data without an attributable record.
+	// An inline record holds its versions itself: its transaction is one
+	// key to delete, in the second call.
 	//
 	// Each delete list is built in one byte buffer, converted to one
 	// string and sliced, so a round allocates per list, not per key.
 	collected := make([]*records.CommitRecord, 0, len(candidates))
-	var versionCount int
+	var versionCount, versionKeys int
 	for i, rec := range candidates {
 		if !vetoed[i] {
 			collected = append(collected, rec)
 			versionCount += len(rec.WriteSet)
+			if !rec.Inline {
+				versionKeys += len(rec.WriteSet)
+			}
 		}
 	}
 	if len(collected) == 0 {
 		return nil, nil
 	}
-	versions, recordKeys := newKeyList(versionCount), newKeyList(len(collected))
+	versions, recordKeys := newKeyList(versionKeys), newKeyList(len(collected))
 	for _, rec := range collected {
-		if rec.Packed {
-			// A packed record maps its whole write set to one object.
-			if len(rec.WriteSet) > 0 {
-				versions.add(records.AppendPackKey(versions.buf, rec.ID()))
-			}
-		} else {
+		if !rec.Inline {
 			for _, k := range rec.WriteSet {
 				versions.add(rec.AppendStorageKeyFor(versions.buf, k))
-			}
-			// A spilled key's version has an empty marker at its data
-			// key besides its spill object (commit.go).
-			for _, k := range rec.Spilled {
-				versions.add(records.AppendDataKey(versions.buf, k, rec.ID()))
 			}
 		}
 		recordKeys.add(records.AppendCommitKey(recordKeys.buf, rec.ID()))
 	}
-	if err := m.store.BatchDelete(ctx, versions.strings()); err != nil {
-		return nil, err
+	if versionKeys > 0 {
+		if err := m.store.BatchDelete(ctx, versions.strings()); err != nil {
+			return nil, err
+		}
 	}
 	m.metrics.VersionsDeleted.Add(int64(versionCount))
 	if err := m.store.BatchDelete(ctx, recordKeys.strings()); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"aft/internal/core"
@@ -163,7 +164,8 @@ func TestCollectOnceDeletesOnlyWhenAllNodesAgree(t *testing.T) {
 	if len(removed) != 0 {
 		t.Fatal("global GC deleted before all nodes agreed")
 	}
-	if _, err := store.Get(ctx, records.DataKey("k", id1)); err != nil {
+	// The version lives inside its commit record.
+	if _, err := store.Get(ctx, records.CommitKey(id1)); err != nil {
 		t.Fatalf("data deleted prematurely: %v", err)
 	}
 
@@ -178,10 +180,7 @@ func TestCollectOnceDeletesOnlyWhenAllNodesAgree(t *testing.T) {
 	if len(removed) != 1 || !removed[0].Equal(id1) {
 		t.Fatalf("global GC removed %v, want [%v]", removed, id1)
 	}
-	// Data and commit record are gone from storage.
-	if _, err := store.Get(ctx, records.DataKey("k", id1)); !errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("old version still in storage: %v", err)
-	}
+	// The commit record, and with it the version, is gone from storage.
 	if _, err := store.Get(ctx, records.CommitKey(id1)); !errors.Is(err, storage.ErrNotFound) {
 		t.Fatalf("old commit record still in storage: %v", err)
 	}
@@ -259,34 +258,47 @@ func TestCollectOnceOldestFirstAndLimited(t *testing.T) {
 
 // TestCollectOnceBatchesDeletes pins the global GC's round-trip count: the
 // M superseded versions of one round, and then their M commit records,
-// each retire in ceil(M/limit) BatchDelete calls and no point Delete.
+// each retire in ceil(M/limit) BatchDelete calls and no point Delete. A
+// version inside its inline record goes with the record: M small
+// transactions are M keys, in ceil(M/limit) calls.
 func TestCollectOnceBatchesDeletes(t *testing.T) {
 	const keys, versions = 8, 12
-	store := dynamosim.New(dynamosim.Options{})
-	ctx := context.Background()
-	n1 := newNode(t, store, "n1")
-	m := New(store, StaticMembership{n1})
-	for v := 0; v < versions; v++ {
-		for k := 0; k < keys; k++ {
-			commit(t, n1, map[string]string{fmt.Sprintf("k%d", k): "v"})
-		}
-	}
-	m.Ingest("n1", n1.Drain())
-	n1.SweepLocalMetadata(0)
-	before := store.Metrics().Snapshot()
-	removed, err := m.CollectOnce(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const superseded = keys * (versions - 1)
-	if len(removed) != superseded {
-		t.Fatalf("collected %d transactions, want %d", len(removed), superseded)
-	}
-	d := store.Metrics().Snapshot().Sub(before)
-	wantCalls := int64(2 * ((superseded + dynamosim.MaxBatch - 1) / dynamosim.MaxBatch))
-	if d.BatchDeletes != wantCalls || d.BatchDeleteItems != 2*superseded || d.Deletes != 0 {
-		t.Fatalf("BatchDeletes = %d (want %d), items = %d (want %d), point Deletes = %d (want 0)",
-			d.BatchDeletes, wantCalls, d.BatchDeleteItems, 2*superseded, d.Deletes)
+	batches := int64((superseded + dynamosim.MaxBatch - 1) / dynamosim.MaxBatch)
+	for _, c := range []struct {
+		value     string
+		perRecord int64 // storage keys per collected transaction
+	}{
+		{"v", 1},
+		{strings.Repeat("v", 16<<10), 2}, // too large to ride inline
+	} {
+		store := dynamosim.New(dynamosim.Options{})
+		ctx := context.Background()
+		n1 := newNode(t, store, "n1")
+		m := New(store, StaticMembership{n1})
+		for v := 0; v < versions; v++ {
+			for k := 0; k < keys; k++ {
+				commit(t, n1, map[string]string{fmt.Sprintf("k%d", k): c.value})
+			}
+		}
+		m.Ingest("n1", n1.Drain())
+		n1.SweepLocalMetadata(0)
+		before := store.Metrics().Snapshot()
+		removed, err := m.CollectOnce(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(removed) != superseded {
+			t.Fatalf("collected %d transactions, want %d", len(removed), superseded)
+		}
+		d := store.Metrics().Snapshot().Sub(before)
+		if d.BatchDeletes != c.perRecord*batches || d.BatchDeleteItems != c.perRecord*superseded || d.Deletes != 0 {
+			t.Fatalf("%d keys a transaction: BatchDeletes = %d (want %d), items = %d (want %d), point Deletes = %d (want 0)",
+				c.perRecord, d.BatchDeletes, c.perRecord*batches, d.BatchDeleteItems, c.perRecord*superseded, d.Deletes)
+		}
+		if got := m.Metrics().Snapshot().VersionsDeleted; got != superseded {
+			t.Fatalf("VersionsDeleted = %d, want %d", got, superseded)
+		}
 	}
 }
 
@@ -305,7 +317,7 @@ func TestCollectNeverTouchesLiveLatestVersion(t *testing.T) {
 	if len(removed) != 0 {
 		t.Fatal("collected the only (un-superseded) version")
 	}
-	if _, err := store.Get(ctx, records.DataKey("k", id)); err != nil {
+	if _, err := store.Get(ctx, records.CommitKey(id)); err != nil {
 		t.Fatalf("live version deleted: %v", err)
 	}
 }
@@ -330,13 +342,10 @@ func TestEndToEndReadAfterGlobalGC(t *testing.T) {
 	if err != nil || string(v) != "v9" {
 		t.Fatalf("read after GC = %q, %v", v, err)
 	}
-	// Storage holds exactly one version of k plus one commit record.
-	versions, _ := store.List(ctx, records.DataKeyPrefix("k"))
-	if len(versions) != 1 {
-		t.Fatalf("versions left = %v", versions)
-	}
-	commits, _ := store.List(ctx, records.CommitPrefix)
-	if len(commits) != 1 {
-		t.Fatalf("commit records left = %d", len(commits))
+	// Storage holds exactly one commit record, which carries the one
+	// version of k.
+	keys, _ := store.List(ctx, "")
+	if len(keys) != 1 || !strings.HasPrefix(keys[0], records.CommitPrefix) {
+		t.Fatalf("keys left = %v", keys)
 	}
 }

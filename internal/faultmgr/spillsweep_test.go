@@ -196,10 +196,10 @@ func TestRewrittenSpillCollectedWithItsVersion(t *testing.T) {
 	readsValue(t, n, "k", "newer")
 }
 
-// TestSpillMarkerCollectedWithItsVersion: a spilled key's version is its
-// spill object plus an empty marker at its data key; the global GC deletes
-// both with the version.
-func TestSpillMarkerCollectedWithItsVersion(t *testing.T) {
+// TestSpilledVersionLeavesNoDataKey: a spilled key's version is its spill
+// object alone — the record names it, and the fallback finds it through the
+// record — and the global GC deletes it with the version.
+func TestSpilledVersionLeavesNoDataKey(t *testing.T) {
 	store := dynamosim.New(dynamosim.Options{})
 	ctx := context.Background()
 	n := spillNode(t, store, "n1")
@@ -214,10 +214,11 @@ func TestSpillMarkerCollectedWithItsVersion(t *testing.T) {
 	}
 
 	old := commit(t, n, map[string]string{"a": "spilled value a", "b": "spilled value b"})
-	for _, k := range []string{"a", "b"} {
-		if got := list(records.DataKeyPrefix(k)); len(got) != 1 || got[0] != records.DataKey(k, old) {
-			t.Fatalf("data keys of %s = %v, want its marker", k, got)
-		}
+	if got := list(records.DataPrefix); len(got) != 0 {
+		t.Fatalf("a spilled transaction wrote data keys %v", got)
+	}
+	if got := list(records.SpillPrefix); len(got) != 2 {
+		t.Fatalf("spill objects = %v, want a's and b's", got)
 	}
 	commit(t, n, map[string]string{"a": "x", "b": "y"}) // supersede
 	m.Ingest("n1", n.Drain())
@@ -228,13 +229,6 @@ func TestSpillMarkerCollectedWithItsVersion(t *testing.T) {
 	}
 	if len(removed) != 1 || !removed[0].Equal(old) {
 		t.Fatalf("collected %v, want [%v]", removed, old)
-	}
-	for _, k := range []string{"a", "b"} {
-		for _, sk := range list(records.DataKeyPrefix(k)) {
-			if sk == records.DataKey(k, old) {
-				t.Fatalf("marker %s outlived its collected version", sk)
-			}
-		}
 	}
 	if left := list(records.SpillPrefix); len(left) != 0 {
 		t.Fatalf("spill objects outlived their collected version: %v", left)

@@ -14,12 +14,11 @@ func TestKeyBuildersAllocateOnce(t *testing.T) {
 	id := idgen.ID{Timestamp: 1700000000000000000, UUID: "node-12-0123456789abcdef"}
 	var sink string
 	for name, f := range map[string]func(){
-		"DataKey":          func() { sink = DataKey("user-key", id) },
-		"DataKey/escaped":  func() { sink = DataKey("a/b%c", id) },
-		"CommitKey":        func() { sink = CommitKey(id) },
-		"PackKey":          func() { sink = PackKey(id) },
-		"SpillKey":         func() { sink = SpillKey("17_node-1-ab", "user-key") },
-		"SpillKey/escaped": func() { sink = SpillKey("17_node-1-ab", "a/b%c") },
+		"AppendDataKey":         func() { sink = dataKey("user-key", id) },
+		"AppendDataKey/escaped": func() { sink = dataKey("a/b%c", id) },
+		"CommitKey":             func() { sink = CommitKey(id) },
+		"SpillKey":              func() { sink = SpillKey("17_node-1-ab", "user-key") },
+		"SpillKey/escaped":      func() { sink = SpillKey("17_node-1-ab", "a/b%c") },
 	} {
 		if got := testing.AllocsPerRun(100, f); got != 1 {
 			t.Errorf("%s: %v allocs/op, want 1", name, got)
@@ -30,14 +29,17 @@ func TestKeyBuildersAllocateOnce(t *testing.T) {
 
 // TestRecordCodecAllocBudget pins the commit record's codec: every commit
 // encodes one and every multicast delivery, storage scan and bootstrap
-// decodes them. Encoding into room it is given allocates nothing, Marshal
-// only its result, and decoding a 2-key record the record with its key
-// slice inside it, and its one text string.
+// decodes them, and every read of an inline version extracts its value.
+// Encoding into room it is given allocates nothing, Marshal only its
+// result, decoding a 2-key record — inline or not — the record with its key
+// slice inside it, and its one text string, and extracting a value nothing.
 func TestRecordCodecAllocBudget(t *testing.T) {
 	rec := NewCommitRecord(idgen.ID{Timestamp: 1700000000000000000, UUID: "node-12-0123456789abcdef"},
 		[]string{"k000001", "k000002"}, "aft-1")
 	enc, _ := rec.Marshal()
-	buf := make([]byte, 0, 256)
+	values := [][]byte{make([]byte, 1024), make([]byte, 1024)}
+	inline := rec.AppendInline(nil, values)
+	buf := make([]byte, 0, 4096)
 	for _, c := range []struct {
 		name   string
 		budget float64
@@ -48,6 +50,17 @@ func TestRecordCodecAllocBudget(t *testing.T) {
 		{"UnmarshalCommitRecord", 2, func() {
 			if got, err := UnmarshalCommitRecord(enc); err != nil || len(got.WriteSet) != 2 {
 				t.Fatalf("UnmarshalCommitRecord = %+v, %v", got, err)
+			}
+		}},
+		{"AppendInline", 0, func() { buf = rec.AppendInline(buf[:0], values) }},
+		{"UnmarshalCommitRecord/inline", 2, func() {
+			if got, err := UnmarshalCommitRecord(inline); err != nil || !got.Inline {
+				t.Fatalf("UnmarshalCommitRecord = %+v, %v", got, err)
+			}
+		}},
+		{"InlineValue", 0, func() {
+			if v, err := InlineValue(inline, "k000002"); err != nil || len(v) != 1024 {
+				t.Fatalf("InlineValue = %d bytes, %v", len(v), err)
 			}
 		}},
 	} {

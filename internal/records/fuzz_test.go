@@ -8,36 +8,51 @@ import (
 	"aft/internal/idgen"
 )
 
-// The two parsers of record bytes read back from storage — the commit
-// record and the packed object — must survive anything a bad write or a
-// hostile store can hand them: they never panic, allocate in proportion to
-// the input, and re-encode whatever they accept to the same bytes.
+// The parsers of record bytes read back from storage — the commit record
+// decoder and the inline value extractor — must survive anything a bad
+// write or a hostile store can hand them: they never panic, allocate in
+// proportion to the input (the extractor not at all), and whatever the
+// decoder accepts re-encodes to the same bytes.
 
-// sampleRecords are records of every shape a node writes: plain, spilled,
-// packed and traced.
+// sampleRecords are records of every shape a node writes without values:
+// plain, spilled, traced and long.
 func sampleRecords() []*CommitRecord {
 	id := idgen.ID{Timestamp: 1_700_000_000_000_000_000, UUID: "node-1-0123456789abcdef"}
 	plain := NewCommitRecord(id, []string{"k000001", "k000002"}, "aft-1")
 	spilled := NewCommitRecord(id, []string{"a", "b/c", "d%e"}, "aft-2")
 	spilled.SpillDir = "1699999999999999999_node-1-0123456789abcdef"
 	spilled.Spilled = []string{"b/c"}
-	packed := NewCommitRecord(id, []string{"p", "q"}, "aft-3")
-	packed.Packed = true
+	sorted := NewCommitRecord(id, []string{"p", "q"}, "aft-3")
 	traced := NewCommitRecord(idgen.ID{Timestamp: -1, UUID: ""}, nil, "")
 	traced.TraceID = "00f067aa0ba902b7"
 	long := NewCommitRecord(id, []string{string(make([]byte, 300))}, "aft-4")
-	return []*CommitRecord{plain, spilled, packed, traced, long}
+	return []*CommitRecord{plain, spilled, sorted, traced, long}
 }
 
-// samplePacks are packed write sets: empty, one entry, an empty key and
-// value, and several entries.
-func samplePacks() []map[string][]byte {
-	return []map[string][]byte{
-		{},
-		{"k": []byte("v")},
-		{"": nil, "x": {}},
-		{"a": []byte("1"), "b/c": make([]byte, 200), "z": []byte("zz")},
+// inlineCase is an inline record: the record, its values and its
+// encoding.
+type inlineCase struct {
+	rec    *CommitRecord
+	values [][]byte
+	enc    []byte
+}
+
+// sampleInline are inline records: the paper's 2-key write set, an empty
+// write set, empty and escaped keys with an empty value, and a traced one.
+func sampleInline() []inlineCase {
+	id := idgen.ID{Timestamp: 1_700_000_000_000_000_000, UUID: "node-1-0123456789abcdef"}
+	traced := NewCommitRecord(id, []string{"a", "b/c", "d%e"}, "aft-2")
+	traced.TraceID = "00f067aa0ba902b7"
+	cases := []inlineCase{
+		{NewCommitRecord(id, []string{"k000001", "k000002"}, "aft-1"), [][]byte{[]byte("v1"), make([]byte, 300)}, nil},
+		{NewCommitRecord(id, nil, "aft-1"), nil, nil},
+		{NewCommitRecord(id, []string{"", "x"}, ""), [][]byte{nil, {}}, nil},
+		{traced, [][]byte{[]byte("1"), []byte("22"), []byte("333")}, nil},
 	}
+	for i := range cases {
+		cases[i].enc = cases[i].rec.AppendInline(nil, cases[i].values)
+	}
+	return cases
 }
 
 // allocatedDuring returns the heap bytes allocated while f runs.
@@ -59,6 +74,14 @@ func FuzzUnmarshalCommitRecord(f *testing.F) {
 		b, _ := rec.Marshal()
 		f.Add(b)
 	}
+	for _, c := range sampleInline() {
+		f.Add(c.enc)
+	}
+	// An inline record cut inside its last value, and one whose last
+	// value's length runs past the end of the input.
+	valid := sampleInline()[0].enc
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(append([]byte(nil), valid[:len(valid)-300]...), valid[len(valid)-299:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec *CommitRecord
 		var err error
@@ -68,28 +91,51 @@ func FuzzUnmarshalCommitRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if again, _ := rec.Marshal(); !bytes.Equal(again, data) {
+		again, _ := rec.Marshal()
+		if rec.Inline {
+			values := make([][]byte, len(rec.WriteSet))
+			for i, k := range rec.WriteSet {
+				if values[i], err = InlineValue(data, k); err != nil {
+					t.Fatalf("accepted inline record has no value for %q: %v", k, err)
+				}
+			}
+			again = rec.AppendInline(nil, values)
+		}
+		if !bytes.Equal(again, data) {
 			t.Fatalf("accepted record re-encodes differently:\n in  %x\n out %x", data, again)
 		}
 	})
 }
 
-func FuzzUnpack(f *testing.F) {
-	for _, m := range samplePacks() {
-		b, _ := Pack(m)
-		f.Add(b)
+func FuzzInlineValue(f *testing.F) {
+	for _, c := range sampleInline() {
+		for _, k := range c.rec.WriteSet {
+			f.Add(c.enc, k)
+		}
+		f.Add(c.enc, "absent")
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var m map[string][]byte
+	plain, _ := sampleRecords()[0].Marshal()
+	f.Add(plain, "k000001")
+	f.Fuzz(func(t *testing.T, data []byte, key string) {
+		var v []byte
 		var err error
-		if got := allocatedDuring(func() { m, err = Unpack(data) }); got > allocLimit(len(data)) {
-			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), got, allocLimit(len(data)))
+		if got := allocatedDuring(func() { v, err = InlineValue(data, key) }); err == nil && got > allocLimit(0) {
+			t.Fatalf("extracting from %d bytes allocated %d", len(data), got)
 		}
 		if err != nil {
 			return
 		}
-		if again, _ := Pack(m); !bytes.Equal(again, data) {
-			t.Fatalf("accepted pack re-encodes differently:\n in  %x\n out %x", data, again)
+		if cap(v) != len(v) {
+			t.Fatalf("value of %d bytes leaves capacity %d", len(v), cap(v))
+		}
+		rec, err := UnmarshalCommitRecord(data)
+		if err != nil {
+			// An inline write set out of order: the extractor reads it
+			// anyway, and the decoder refuses it.
+			return
+		}
+		if !rec.Inline || !rec.Cowritten(key) {
+			t.Fatalf("extracted %q from a record that does not carry it: %+v", key, rec)
 		}
 	})
 }

@@ -38,9 +38,12 @@ func checkKeyBuilders(t *testing.T, key, uuid string, ts int64) {
 	if got, want := string(id.Append([]byte("x"))), "x"+refID(id); got != want {
 		t.Fatalf("ID.Append = %q, want %q", got, want)
 	}
-	dk := DataKey(key, id)
+	dk := string(AppendDataKey(nil, key, id))
 	if want := refDataKey(key, id); dk != want {
-		t.Fatalf("DataKey(%q, %v) = %q, want %q", key, id, dk, want)
+		t.Fatalf("AppendDataKey(%q, %v) = %q, want %q", key, id, dk, want)
+	}
+	if got := string(AppendDataKey([]byte("x"), key, id)); got != "x"+dk {
+		t.Fatalf("AppendDataKey(x, %q, %v) = %q, want %q", key, id, got, "x"+dk)
 	}
 	rec := NewCommitRecord(id, []string{key}, "n")
 	if got := string(rec.AppendStorageKeyFor([]byte("x"), key)); got != "x"+dk {
@@ -56,11 +59,9 @@ func checkKeyBuilders(t *testing.T, key, uuid string, ts int64) {
 	if got := string(AppendCommitKey([]byte("x"), id)); got != "x"+ck {
 		t.Fatalf("AppendCommitKey(%v) = %q, want %q", id, got, "x"+ck)
 	}
-	if got, want := PackKey(id), PackPrefix+refID(id); got != want {
-		t.Fatalf("PackKey(%v) = %q, want %q", id, got, want)
-	}
-	if got, want := string(AppendPackKey([]byte("x"), id)), "x"+PackPrefix+refID(id); got != want {
-		t.Fatalf("AppendPackKey(%v) = %q, want %q", id, got, want)
+	rec.Inline = true
+	if got := string(rec.AppendStorageKeyFor([]byte("x"), key)); got != "x"+ck {
+		t.Fatalf("inline AppendStorageKeyFor(%q) = %q, want %q", key, got, "x"+ck)
 	}
 	dir := refID(id)
 	sk := SpillKey(dir, key)

@@ -2,9 +2,11 @@
 // key layout.
 //
 // AFT never overwrites keys in place (§3.3): each key version written by a
-// transaction is mapped to a unique storage key derived from the
-// transaction's ID, and a commit record — the entry in the Transaction
-// Commit Set — is persisted after all of a transaction's key versions are
+// transaction lives under a storage key derived from the transaction's ID.
+// A small write set travels inside the transaction's commit record — the
+// entry in the Transaction Commit Set — which a commit then writes in one
+// Put; a larger or spilled one is written to one unique storage key per
+// version, and its commit record is persisted after all of them are
 // durable. The commit record carries the transaction's write set, which is
 // also the cowritten set of every key version it wrote (§3.2).
 package records
@@ -33,10 +35,6 @@ const (
 	// whole Transaction Commit Set. Disjoint from CommitPrefix, so commit
 	// listings and the fault manager's scan never see watermarks.
 	WatermarkPrefix = "aft/w/"
-	// PackPrefix namespaces packed transaction objects: the S3-optimized
-	// layout (§8 "Efficient Data Layout") that writes a transaction's
-	// whole write set as one object instead of one object per key.
-	PackPrefix = "aft/p/"
 )
 
 // escapedLen returns len(escapeKey(key)).
@@ -92,14 +90,8 @@ func unescapeKey(key string) string {
 // allocation.
 const keyBufLen = 128
 
-// DataKey returns the unique storage key holding the version of key written
-// by transaction id.
-func DataKey(key string, id idgen.ID) string {
-	var b [keyBufLen]byte
-	return string(AppendDataKey(b[:0], key, id))
-}
-
-// AppendDataKey appends DataKey(key, id) to dst.
+// AppendDataKey appends the unique storage key holding the version of key
+// written by transaction id to dst.
 func AppendDataKey(dst []byte, key string, id idgen.ID) []byte {
 	dst = append(dst, DataPrefix...)
 	dst = appendEscaped(dst, key)
@@ -107,13 +99,13 @@ func AppendDataKey(dst []byte, key string, id idgen.ID) []byte {
 	return id.Append(dst)
 }
 
-// DataKeyPrefix returns the storage prefix under which all versions of key
-// live; List(DataKeyPrefix(k)) enumerates them.
+// DataKeyPrefix returns the storage prefix under which the data keys of
+// key's versions live; List(DataKeyPrefix(k)) enumerates them.
 func DataKeyPrefix(key string) string {
 	return DataPrefix + escapeKey(key) + "/"
 }
 
-// ParseDataKey decodes a storage key produced by DataKey.
+// ParseDataKey decodes a storage key produced by AppendDataKey.
 func ParseDataKey(storageKey string) (key string, id idgen.ID, err error) {
 	rest, ok := strings.CutPrefix(storageKey, DataPrefix)
 	if !ok {
@@ -182,9 +174,10 @@ func ParseSpillKey(storageKey string) (dir, key string, err error) {
 }
 
 // CommitRecord is one entry of the Transaction Commit Set: the transaction's
-// ID and write set, persisted only after every key version in the write set
-// is durable (§3.3). The write set doubles as the cowritten set of each key
-// version the transaction wrote.
+// ID and write set. Its stored form either carries the value of every key
+// in the write set (Inline) or is persisted only after every key version in
+// the write set is durable under its own storage key (§3.3). The write set
+// doubles as the cowritten set of each key version the transaction wrote.
 type CommitRecord struct {
 	// Timestamp and UUID form the transaction ID.
 	Timestamp int64
@@ -198,11 +191,13 @@ type CommitRecord struct {
 	// for the keys in Spilled (written early by a saturated write buffer).
 	SpillDir string
 	// Spilled lists the keys whose payload lives under SpillDir rather
-	// than at the conventional DataKey location.
+	// than at the conventional data key.
 	Spilled []string
-	// Packed marks the S3-optimized layout: every key version of this
-	// transaction lives inside one packed object at PackKey(ID()).
-	Packed bool
+	// Inline marks a record whose stored form carries the value of every
+	// key in WriteSet (codec.go): the transaction wrote no other storage
+	// key, so a read of any of its versions fetches the record and takes
+	// its key's value (InlineValue). In memory a record holds keys only.
+	Inline bool
 	// TraceID carries the originating client's sampled trace ID, so
 	// trace identity travels with the record through multicast delivery
 	// and fault-manager recovery — the peers and the fault manager
@@ -235,14 +230,6 @@ func AllocRecord(keys int) (*CommitRecord, []string) {
 	return &rk.rec, make([]string, 0, keys)
 }
 
-// PackKey returns the storage key of transaction id's packed object.
-func PackKey(id idgen.ID) string { return prefixedID(PackPrefix, id) }
-
-// AppendPackKey appends PackKey(id) to dst.
-func AppendPackKey(dst []byte, id idgen.ID) []byte {
-	return id.Append(append(dst, PackPrefix...))
-}
-
 // BootstrapWatermarkKey returns the storage key holding node's bootstrap
 // watermark (the newest commit key its last Bootstrap processed).
 func BootstrapWatermarkKey(node string) string {
@@ -264,18 +251,12 @@ func (r *CommitRecord) ApproxBytes() int {
 	return b
 }
 
-// StorageKeyFor returns the storage key holding this transaction's version
-// of key, accounting for spilled payloads.
-func (r *CommitRecord) StorageKeyFor(key string) string {
-	var b [keyBufLen]byte
-	return string(r.AppendStorageKeyFor(b[:0], key))
-}
-
-// AppendStorageKeyFor appends StorageKeyFor(key) to dst, for a caller that
-// only looks the key up — a data-cache probe — and need not allocate it.
+// AppendStorageKeyFor appends the storage key holding this transaction's
+// version of key to dst: the commit key of an inline record, the spill key
+// of a spilled payload, or else the data key.
 func (r *CommitRecord) AppendStorageKeyFor(dst []byte, key string) []byte {
-	if r.Packed {
-		return AppendPackKey(dst, r.ID())
+	if r.Inline {
+		return AppendCommitKey(dst, r.ID())
 	}
 	for _, s := range r.Spilled {
 		if s == key {

@@ -9,6 +9,13 @@ import (
 	"aft/internal/idgen"
 )
 
+// dataKey builds a data key in a stack buffer: the string is its one
+// allocation.
+func dataKey(key string, id idgen.ID) string {
+	var b [128]byte
+	return string(AppendDataKey(b[:0], key, id))
+}
+
 func TestDataKeyRoundTrip(t *testing.T) {
 	f := func(key string, ts int64, uuid string) bool {
 		if ts < 0 {
@@ -18,7 +25,7 @@ func TestDataKeyRoundTrip(t *testing.T) {
 		if uuidHasSlashProblem(uuid) {
 			return true // UUIDs we generate never contain '/'
 		}
-		gotKey, gotID, err := ParseDataKey(DataKey(key, id))
+		gotKey, gotID, err := ParseDataKey(dataKey(key, id))
 		return err == nil && gotKey == key && gotID.Equal(id)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -38,7 +45,7 @@ func uuidHasSlashProblem(uuid string) bool {
 func TestDataKeyTrickyUserKeys(t *testing.T) {
 	id := idgen.ID{Timestamp: 7, UUID: "n-1-ab"}
 	for _, key := range []string{"plain", "with/slash", "with%percent", "%2F", "a/b/c%25", ""} {
-		k, got, err := ParseDataKey(DataKey(key, id))
+		k, got, err := ParseDataKey(dataKey(key, id))
 		if err != nil || k != key || !got.Equal(id) {
 			t.Errorf("round trip of %q failed: %q, %v, %v", key, k, got, err)
 		}
@@ -47,13 +54,13 @@ func TestDataKeyTrickyUserKeys(t *testing.T) {
 
 func TestDataKeyPrefixMatchesDataKey(t *testing.T) {
 	id := idgen.ID{Timestamp: 1, UUID: "u"}
-	dk := DataKey("user/key", id)
+	dk := dataKey("user/key", id)
 	pfx := DataKeyPrefix("user/key")
 	if len(dk) <= len(pfx) || dk[:len(pfx)] != pfx {
 		t.Fatalf("DataKey %q does not start with prefix %q", dk, pfx)
 	}
 	// Prefix for one key must not match versions of an extended key name.
-	other := DataKey("user/key2", id)
+	other := dataKey("user/key2", id)
 	if other[:len(pfx)] == pfx {
 		t.Fatalf("prefix %q wrongly matches %q", pfx, other)
 	}
@@ -119,6 +126,15 @@ func TestUnmarshalCommitRecordError(t *testing.T) {
 	for i := 0; i < len(good); i++ {
 		bad[fmt.Sprintf("truncated at %d", i)] = good[:i]
 	}
+	// Inline records that carry a key's value twice or spill.
+	inline := func(keys []string, spilled ...string) []byte {
+		r := NewCommitRecord(idgen.ID{Timestamp: 1, UUID: "u"}, keys, "")
+		r.Spilled = spilled
+		return r.AppendInline(nil, make([][]byte, len(keys)))
+	}
+	bad["inline out of order"] = inline([]string{"b", "a"})
+	bad["inline repeated"] = inline([]string{"a", "a"})
+	bad["inline spilled"] = inline([]string{"a"}, "a")
 	for name, b := range bad {
 		if rec, err := UnmarshalCommitRecord(b); err == nil {
 			t.Errorf("%s: accepted as %+v", name, rec)
@@ -126,41 +142,30 @@ func TestUnmarshalCommitRecordError(t *testing.T) {
 	}
 }
 
+// TestPackRoundTrip: a write set packed into its commit record reads back
+// key by key, and its record decodes to keys only.
 func TestPackRoundTrip(t *testing.T) {
-	for _, m := range samplePacks() {
-		b, err := Pack(m)
+	for _, c := range sampleInline() {
+		got, err := UnmarshalCommitRecord(c.enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Unpack(b)
-		if err != nil {
-			t.Fatal(err)
+		want := *c.rec
+		want.Inline = true
+		if !reflect.DeepEqual(got, &want) {
+			t.Fatalf("inline round trip:\n got  %+v\n want %+v", got, &want)
 		}
-		if len(got) != len(m) {
-			t.Fatalf("Unpack = %d entries, want %d", len(got), len(m))
+		if n := c.rec.InlineSize(c.values); n != len(c.enc) {
+			t.Fatalf("InlineSize = %d, encoding holds %d", n, len(c.enc))
 		}
-		for k, v := range m {
-			if g, ok := got[k]; !ok || string(g) != string(v) {
-				t.Fatalf("Unpack[%q] = %q, %v; want %q", k, g, ok, v)
+		for i, k := range c.rec.WriteSet {
+			v, err := InlineValue(c.enc, k)
+			if err != nil || string(v) != string(c.values[i]) {
+				t.Fatalf("InlineValue(%q) = %q, %v; want %q", k, v, err, c.values[i])
 			}
 		}
-		// The map's order is random; the encoding is not.
-		for i := 0; i < 5; i++ {
-			if again, _ := Pack(m); string(again) != string(b) {
-				t.Fatal("Pack is not deterministic")
-			}
-		}
-	}
-	// "b" then "a": out of order; "a" twice: repeated.
-	for _, b := range [][]byte{
-		{packVersion, 2, 1, 0, 1, 0, 'b', 'a'},
-		{packVersion, 2, 1, 0, 1, 0, 'a', 'a'},
-		{packVersion + 1, 0},
-		{packVersion, 1, 1, 5, 'a'},
-		[]byte(`{"a":"dg=="}`),
-	} {
-		if m, err := Unpack(b); err == nil {
-			t.Errorf("Unpack(%q) accepted as %q", b, m)
+		if _, err := InlineValue(c.enc, "absent"); err == nil {
+			t.Fatal("InlineValue found a key outside the write set")
 		}
 	}
 }

@@ -11,6 +11,7 @@ package dynamosim
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -24,6 +25,19 @@ const MaxBatch = 25
 
 // MaxReadBatch is DynamoDB's BatchGetItem item limit.
 const MaxReadBatch = 100
+
+// MaxItemSize is DynamoDB's item size limit: the key's bytes plus the
+// value's.
+const MaxItemSize = 400 << 10
+
+// checkItem rejects an item over MaxItemSize, as DynamoDB rejects the
+// request before it writes anything.
+func checkItem(key string, value []byte) error {
+	if len(key)+len(value) > MaxItemSize {
+		return fmt.Errorf("dynamodb: item %q of %d bytes: %w", key, len(key)+len(value), storage.ErrItemTooLarge)
+	}
+	return nil
+}
 
 // Options configures the simulator.
 type Options struct {
@@ -125,12 +139,16 @@ func (s *Store) Put(ctx context.Context, key string, value []byte) error {
 	}
 	s.metrics.Puts.Add(1)
 	s.sleep(latency.OpPut, 1)
+	if err := checkItem(key, value); err != nil {
+		return err
+	}
 	s.engine.Put(key, value)
 	return nil
 }
 
 // BatchPut implements storage.Store. Batches above MaxBatch are rejected;
-// callers (AFT's write buffer) chunk large commits.
+// callers (AFT's write buffer) chunk large commits. A batch holding an item
+// above MaxItemSize is rejected whole, as Put rejects the item.
 func (s *Store) BatchPut(ctx context.Context, items map[string][]byte) error {
 	if err := s.check(ctx); err != nil {
 		return err
@@ -144,6 +162,11 @@ func (s *Store) BatchPut(ctx context.Context, items map[string][]byte) error {
 	s.metrics.Batches.Add(1)
 	s.metrics.BatchItems.Add(int64(len(items)))
 	s.sleep(latency.OpBatchWrite, len(items))
+	for k, v := range items {
+		if err := checkItem(k, v); err != nil {
+			return err
+		}
+	}
 	s.engine.PutAll(items)
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"aft/internal/latency"
+	"aft/internal/retry"
 	"aft/internal/storage"
 	"aft/internal/storage/storagetest"
 )
@@ -248,4 +249,33 @@ func TestConcurrentMixed(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestItemSizeLimit: like DynamoDB, the simulator refuses an item whose key
+// and value exceed 400 KB, on Put and on BatchPut, writes nothing of the
+// refused request, and says so with an error no retry discipline redoes.
+func TestItemSizeLimit(t *testing.T) {
+	s := newTestStore()
+	ctx := context.Background()
+	fits := make([]byte, MaxItemSize-len("k"))
+	if err := s.Put(ctx, "k", fits); err != nil {
+		t.Fatalf("Put of exactly %d bytes = %v", MaxItemSize, err)
+	}
+	big := make([]byte, MaxItemSize)
+	err := s.Put(ctx, "big", big)
+	if !errors.Is(err, storage.ErrItemTooLarge) {
+		t.Fatalf("oversized Put = %v, want ErrItemTooLarge", err)
+	}
+	if retry.Retriable(err) {
+		t.Fatalf("oversized Put's error %v is retriable", err)
+	}
+	err = s.BatchPut(ctx, map[string][]byte{"small": []byte("v"), "big": big})
+	if !errors.Is(err, storage.ErrItemTooLarge) {
+		t.Fatalf("BatchPut with an oversized item = %v, want ErrItemTooLarge", err)
+	}
+	for _, k := range []string{"big", "small"} {
+		if _, err := s.Get(ctx, k); !errors.Is(err, storage.ErrNotFound) {
+			t.Fatalf("refused write of %s landed: %v", k, err)
+		}
+	}
 }

@@ -22,6 +22,9 @@ var (
 	ErrBatchUnsupported = errors.New("storage: batch writes unsupported")
 	// ErrBatchTooLarge is returned when a batch exceeds the engine limit.
 	ErrBatchTooLarge = errors.New("storage: batch exceeds engine limit")
+	// ErrItemTooLarge is returned when one item exceeds the engine's item
+	// size limit. Retrying the same write cannot succeed.
+	ErrItemTooLarge = errors.New("storage: item exceeds engine size limit")
 	// ErrConflict is returned by transaction-mode operations that lost a
 	// conflict and should be retried by the caller.
 	ErrConflict = errors.New("storage: transaction conflict")

@@ -71,8 +71,7 @@ type Uniform struct {
 }
 
 // NewUniform returns a Uniform chooser over n keys. Only tests call it:
-// this package's, baselines' TestAFTExecutorZeroAnomalies and the root
-// package's BenchmarkFig5 and BenchmarkFig6.
+// this package's and baselines' TestAFTExecutorZeroAnomalies.
 func NewUniform(seed int64, n int) *Uniform {
 	if n < 1 {
 		n = 1
