@@ -2,9 +2,7 @@ package aft
 
 import (
 	"aft/internal/latency"
-	"aft/internal/storage/dynamosim"
-	"aft/internal/storage/redissim"
-	"aft/internal/storage/s3sim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/storage/walengine"
 )
 
@@ -46,7 +44,7 @@ func modelFor(mode LatencyMode, profile latency.Profile, seed int64) *latency.Mo
 // NewDynamoDBStore returns a simulated DynamoDB table: durable point
 // operations, 25-item batch writes, and a serializable transaction mode.
 func NewDynamoDBStore(mode LatencyMode, seed int64) Store {
-	return dynamosim.New(dynamosim.Options{
+	return kvengine.NewDynamoDB(kvengine.Options{
 		Latency: modelFor(mode, latency.DynamoDBProfile(), seed),
 		Sleeper: sleeperFor(mode),
 	})
@@ -55,7 +53,7 @@ func NewDynamoDBStore(mode LatencyMode, seed int64) Store {
 // NewS3Store returns a simulated S3 bucket: no batching, high-variance
 // latency.
 func NewS3Store(mode LatencyMode, seed int64) Store {
-	return s3sim.New(s3sim.Options{
+	return kvengine.NewS3(kvengine.Options{
 		Latency: modelFor(mode, latency.S3Profile(), seed),
 		Sleeper: sleeperFor(mode),
 	})
@@ -74,8 +72,7 @@ func NewWALStore(dir string) (Store, error) {
 // shard count (0 means 2, the paper's configuration): memory-speed
 // operations, per-shard linearizability, single-shard MSET only.
 func NewRedisStore(mode LatencyMode, seed int64, shards int) Store {
-	return redissim.New(redissim.Options{
-		Shards:  shards,
+	return kvengine.NewRedis(shards, kvengine.Options{
 		Latency: modelFor(mode, latency.RedisProfile(), seed),
 		Sleeper: sleeperFor(mode),
 	})

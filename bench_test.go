@@ -18,8 +18,7 @@ import (
 	"aft/internal/idgen"
 	"aft/internal/records"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
-	"aft/internal/storage/redissim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/workload"
 )
 
@@ -45,7 +44,7 @@ func mkParallelNode(b *testing.B, cache bool) *core.Node {
 	b.Helper()
 	n, err := core.NewNode(core.Config{
 		NodeID:          "bench",
-		Store:           dynamosim.New(dynamosim.Options{}),
+		Store:           kvengine.NewDynamoDB(kvengine.Options{}),
 		EnableDataCache: cache,
 	})
 	if err != nil {
@@ -182,7 +181,7 @@ func BenchmarkReadPath(b *testing.B) {
 	const versions = 30
 
 	b.Run("ColdFetch", func(b *testing.B) {
-		store := dynamosim.New(dynamosim.Options{})
+		store := kvengine.NewDynamoDB(kvengine.Options{})
 		seeder, err := core.NewNode(core.Config{NodeID: "seed", Store: store})
 		if err != nil {
 			b.Fatal(err)
@@ -223,7 +222,7 @@ func BenchmarkReadPath(b *testing.B) {
 
 	b.Run("MultiGet", func(b *testing.B) {
 		// No data cache: every payload hits storage.
-		n, err := core.NewNode(core.Config{NodeID: "mg-bench", Store: dynamosim.New(dynamosim.Options{})})
+		n, err := core.NewNode(core.Config{NodeID: "mg-bench", Store: kvengine.NewDynamoDB(kvengine.Options{})})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -266,7 +265,7 @@ func hotKeyNode(b *testing.B, versions int) *core.Node {
 	b.Helper()
 	clock := idgen.NewVirtualClock(0, 1)
 	n, err := core.NewNode(core.Config{
-		NodeID: "hist", Store: dynamosim.New(dynamosim.Options{}),
+		NodeID: "hist", Store: kvengine.NewDynamoDB(kvengine.Options{}),
 		EnableDataCache: true, Clock: clock,
 	})
 	if err != nil {
@@ -331,7 +330,7 @@ func BenchmarkReadPathSweepHotKey(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				n, err := core.NewNode(core.Config{NodeID: "sweep", Store: dynamosim.New(dynamosim.Options{})})
+				n, err := core.NewNode(core.Config{NodeID: "sweep", Store: kvengine.NewDynamoDB(kvengine.Options{})})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -389,8 +388,8 @@ func BenchmarkCommitPhases(b *testing.B) {
 		store storage.Store
 		keys  int
 	}{
-		{"redis/keys=8", redissim.New(redissim.Options{}), 8},
-		{"dynamodb/keys=60", dynamosim.New(dynamosim.Options{}), 60},
+		{"redis/keys=8", kvengine.NewRedis(0, kvengine.Options{}), 8},
+		{"dynamodb/keys=60", kvengine.NewDynamoDB(kvengine.Options{}), 60},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			n, err := core.NewNode(core.Config{NodeID: "phases", Store: rttStore{tc.store, rtt}})

@@ -18,14 +18,14 @@ import (
 	"aft/internal/checker"
 	"aft/internal/core"
 	"aft/internal/records"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/workload"
 )
 
 func TestIntegrationWireChaosRedoUntilCommit(t *testing.T) {
 	checkGoroutineLeak(t)
 	ctx := context.Background()
-	st := chaos.Wrap(dynamosim.New(dynamosim.Options{}), chaos.Config{
+	st := chaos.Wrap(kvengine.NewDynamoDB(kvengine.Options{}), chaos.Config{
 		Seed: 11, ErrorRate: 0.08, PartialRate: 0.15,
 	})
 	node, err := core.NewNode(core.Config{NodeID: "wire-chaos", Store: st, EnableDataCache: true})
@@ -129,7 +129,7 @@ func TestIntegrationWireChaosRedoUntilCommit(t *testing.T) {
 func TestIntegrationWireTransientErrorCode(t *testing.T) {
 	checkGoroutineLeak(t)
 	ctx := context.Background()
-	st := chaos.Wrap(dynamosim.New(dynamosim.Options{}), chaos.Config{Seed: 3, ErrorRate: 1})
+	st := chaos.Wrap(kvengine.NewDynamoDB(kvengine.Options{}), chaos.Config{Seed: 3, ErrorRate: 1})
 	node, err := core.NewNode(core.Config{NodeID: "wire-err", Store: st})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 	"aft/internal/cluster"
 	"aft/internal/faas"
 	"aft/internal/records"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/workload"
 )
 
@@ -37,7 +37,7 @@ func TestIntegrationClusterExactlyOnceUnderCrashes(t *testing.T) {
 	ctx := context.Background()
 	c, err := cluster.New(cluster.Config{
 		Nodes:            3,
-		Store:            dynamosim.New(dynamosim.Options{}),
+		Store:            kvengine.NewDynamoDB(kvengine.Options{}),
 		MulticastPeriod:  2 * time.Millisecond,
 		PruneMulticast:   true,
 		LocalGCInterval:  3 * time.Millisecond,
@@ -149,7 +149,7 @@ func TestIntegrationZeroAnomaliesWithCrashesAndGC(t *testing.T) {
 	ctx := context.Background()
 	c, err := cluster.New(cluster.Config{
 		Nodes:            3,
-		Store:            dynamosim.New(dynamosim.Options{}),
+		Store:            kvengine.NewDynamoDB(kvengine.Options{}),
 		MulticastPeriod:  time.Millisecond,
 		PruneMulticast:   true,
 		LocalGCInterval:  2 * time.Millisecond,

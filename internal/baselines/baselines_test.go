@@ -11,7 +11,7 @@ import (
 	"aft/internal/core"
 	"aft/internal/faas"
 	"aft/internal/latency"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/workload"
 )
 
@@ -23,7 +23,7 @@ func paperRequest() workload.Request {
 }
 
 func TestPlainExecutesAndTraces(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	reg := workload.NewRegistry()
 	p := NewPlain(PlainConfig{Store: store, Payload: []byte("pay"), Registry: reg})
 	if p.Name() != "plain" {
@@ -53,7 +53,7 @@ func TestPlainExecutesAndTraces(t *testing.T) {
 type Op = workload.Op
 
 func TestPlainReadOfMissingKeySkipped(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	p := NewPlain(PlainConfig{Store: store, Payload: nil, Registry: workload.NewRegistry()})
 	tr, err := p.Execute(context.Background(), workload.Request{Funcs: [][]Op{
 		{{Kind: workload.OpRead, Key: "missing"}},
@@ -70,7 +70,7 @@ func TestPlainExposesFracturedReadsUnderConcurrency(t *testing.T) {
 	// forces genuine interleaving (zero-latency loops finish within one
 	// scheduler quantum and never overlap). The waits vary (Sigma), or
 	// a precise sleeper keeps reader and writer in lockstep.
-	store := dynamosim.New(dynamosim.Options{
+	store := kvengine.NewDynamoDB(kvengine.Options{
 		Latency: latency.NewModel(latency.Profile{
 			latency.OpGet: {Median: 100 * time.Microsecond, Sigma: 0.5},
 			latency.OpPut: {Median: 100 * time.Microsecond, Sigma: 0.5},
@@ -124,9 +124,9 @@ func TestPlainExposesFracturedReadsUnderConcurrency(t *testing.T) {
 }
 
 func TestDynamoTxnRequiresTransactor(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	if _, err := NewDynamoTxn(DynamoTxnConfig{Store: store, Registry: workload.NewRegistry()}); err != nil {
-		t.Fatalf("dynamosim should support transactions: %v", err)
+		t.Fatalf("the DynamoDB simulator should support transactions: %v", err)
 	}
 }
 
@@ -150,7 +150,7 @@ func testDynamoTxnNoRYWAnomalies(t *testing.T) {
 	// writer can never interleave between "my write" and "my read" —
 	// there are no reads after own writes that see foreign data the same
 	// way; the paper reports RYW=0 for transaction mode.
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	reg := workload.NewRegistry()
 	d, err := NewDynamoTxn(DynamoTxnConfig{Store: store, Payload: []byte("x"), Registry: reg})
 	if err != nil {
@@ -188,7 +188,7 @@ func testDynamoTxnNoRYWAnomalies(t *testing.T) {
 }
 
 func TestAFTExecutorZeroAnomalies(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	node, err := core.NewNode(core.Config{NodeID: "n1", Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestAFTExecutorZeroAnomalies(t *testing.T) {
 }
 
 func TestAFTExecutorRegistersCommitIDs(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	node, _ := core.NewNode(core.Config{NodeID: "n1", Store: store})
 	platform, _ := faas.New(faas.Config{Client: node})
 	reg := workload.NewRegistry()

@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
-	"aft/internal/storage/redissim"
-	"aft/internal/storage/s3sim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/storage/storagetest"
 )
 
@@ -19,9 +17,9 @@ import (
 // must be an indistinguishable storage.Store.
 func TestConformanceTransparentWithFaultsDisabled(t *testing.T) {
 	engines := map[string]func() storage.Store{
-		"dynamodb": func() storage.Store { return dynamosim.New(dynamosim.Options{}) },
-		"s3":       func() storage.Store { return s3sim.New(s3sim.Options{}) },
-		"redis":    func() storage.Store { return redissim.New(redissim.Options{Shards: 4}) },
+		"dynamodb": func() storage.Store { return kvengine.NewDynamoDB(kvengine.Options{}) },
+		"s3":       func() storage.Store { return kvengine.NewS3(kvengine.Options{}) },
+		"redis":    func() storage.Store { return kvengine.NewRedis(4, kvengine.Options{}) },
 	}
 	for name, inner := range engines {
 		t.Run(name, func(t *testing.T) {
@@ -36,14 +34,14 @@ func TestConformanceTransparentWithFaultsDisabled(t *testing.T) {
 // at zero is still transparent (the gate draws but never fires).
 func TestConformanceZeroRatesEnabled(t *testing.T) {
 	storagetest.Run(t, func() storage.Store {
-		s := Wrap(dynamosim.New(dynamosim.Options{}), Config{Seed: 7})
+		s := Wrap(kvengine.NewDynamoDB(kvengine.Options{}), Config{Seed: 7})
 		s.SetEnabled(true)
 		return s
 	})
 }
 
 func TestInjectedErrorsMatchBothSentinels(t *testing.T) {
-	s := Wrap(dynamosim.New(dynamosim.Options{}), Config{Seed: 3, ErrorRate: 1})
+	s := Wrap(kvengine.NewDynamoDB(kvengine.Options{}), Config{Seed: 3, ErrorRate: 1})
 	s.SetEnabled(true)
 	_, err := s.Get(context.Background(), "k")
 	if err == nil {
@@ -75,7 +73,7 @@ func TestInjectedErrorsMatchBothSentinels(t *testing.T) {
 // fails, and the call errors.
 func TestPartialBatchPut(t *testing.T) {
 	ctx := context.Background()
-	inner := dynamosim.New(dynamosim.Options{})
+	inner := kvengine.NewDynamoDB(kvengine.Options{})
 	s := Wrap(inner, Config{Seed: 5, PartialRate: 1})
 	s.SetEnabled(true)
 
@@ -120,7 +118,7 @@ func TestPartialBatchPut(t *testing.T) {
 
 func TestPartialBatchGetReturnsSubsetAndError(t *testing.T) {
 	ctx := context.Background()
-	inner := dynamosim.New(dynamosim.Options{})
+	inner := kvengine.NewDynamoDB(kvengine.Options{})
 	keys := make([]string, 12)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("g-%d", i)
@@ -141,7 +139,7 @@ func TestPartialBatchGetReturnsSubsetAndError(t *testing.T) {
 
 func TestPartialBatchDelete(t *testing.T) {
 	ctx := context.Background()
-	inner := dynamosim.New(dynamosim.Options{})
+	inner := kvengine.NewDynamoDB(kvengine.Options{})
 	keys := make([]string, 12)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("d-%d", i)
@@ -173,7 +171,7 @@ func TestPartialBatchDelete(t *testing.T) {
 func TestDeterministicDecisionStream(t *testing.T) {
 	run := func() ([]int, MetricsSnapshot) {
 		ctx := context.Background()
-		s := Wrap(dynamosim.New(dynamosim.Options{}), Config{Seed: 21, ErrorRate: 0.2, PartialRate: 0.3, SpikeRate: 0.1})
+		s := Wrap(kvengine.NewDynamoDB(kvengine.Options{}), Config{Seed: 21, ErrorRate: 0.2, PartialRate: 0.3, SpikeRate: 0.1})
 		s.SetEnabled(true)
 		var failedAt []int
 		for i := 0; i < 200; i++ {
@@ -214,7 +212,7 @@ func TestDeterministicDecisionStream(t *testing.T) {
 // once.
 func TestCrashAfterFiresOnceAtTheScheduledOperation(t *testing.T) {
 	ctx := context.Background()
-	s := Wrap(dynamosim.New(dynamosim.Options{}), Config{Seed: 1})
+	s := Wrap(kvengine.NewDynamoDB(kvengine.Options{}), Config{Seed: 1})
 	fired := 0
 	var atOp int64
 	if err := s.Put(ctx, "warm", nil); err != nil {

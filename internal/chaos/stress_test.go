@@ -11,7 +11,7 @@ import (
 	"aft/internal/checker"
 	"aft/internal/cluster"
 	"aft/internal/core"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/workload"
 )
 
@@ -33,7 +33,7 @@ func TestClusterKillPromotionStress(t *testing.T) {
 		deadline = 30 * time.Second
 	)
 
-	st := Wrap(dynamosim.New(dynamosim.Options{}), Config{
+	st := Wrap(kvengine.NewDynamoDB(kvengine.Options{}), Config{
 		Seed: 1, ErrorRate: 0.01, PartialRate: 0.05,
 	})
 	c, err := cluster.New(cluster.Config{
@@ -183,7 +183,7 @@ func TestClusterKillPromotionStress(t *testing.T) {
 // client-side redo converges.
 func TestCrashPointBetweenDataAndRecordWrite(t *testing.T) {
 	ctx := context.Background()
-	st := Wrap(dynamosim.New(dynamosim.Options{}), Config{Seed: 2})
+	st := Wrap(kvengine.NewDynamoDB(kvengine.Options{}), Config{Seed: 2})
 	c, err := cluster.New(cluster.Config{
 		Nodes:           2,
 		Standbys:        1,

@@ -7,7 +7,7 @@ import (
 
 	"aft/internal/idgen"
 	"aft/internal/records"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/workload"
 )
 
@@ -146,7 +146,7 @@ func TestVerdictPlainWritersResolveByEmbeddedTimestamp(t *testing.T) {
 
 func TestResolveStorageSettlesIndeterminateOutcomes(t *testing.T) {
 	ctx := context.Background()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	// An unacked-but-durable commit: the client saw an error, the record
 	// survived (§3.3 makes it the commit point).
 	rec := records.NewCommitRecord(id(7, "maybe"), []string{"a"}, "node-1")

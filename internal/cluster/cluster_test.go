@@ -13,12 +13,12 @@ import (
 	"aft/internal/lb"
 	"aft/internal/records"
 	"aft/internal/retry"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
-func newTestCluster(t *testing.T, mutate ...func(*Config)) (*Cluster, *dynamosim.Store) {
+func newTestCluster(t *testing.T, mutate ...func(*Config)) (*Cluster, *kvengine.DynamoDB) {
 	t.Helper()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	cfg := Config{
 		Nodes:           3,
 		Store:           store,
@@ -60,7 +60,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Nodes: 1}); err == nil {
 		t.Fatal("missing store accepted")
 	}
-	if _, err := New(Config{Store: dynamosim.New(dynamosim.Options{})}); err == nil {
+	if _, err := New(Config{Store: kvengine.NewDynamoDB(kvengine.Options{})}); err == nil {
 		t.Fatal("zero nodes accepted")
 	}
 }

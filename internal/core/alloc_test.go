@@ -11,8 +11,7 @@ import (
 
 	"aft/internal/idgen"
 	"aft/internal/records"
-	"aft/internal/storage/dynamosim"
-	"aft/internal/storage/redissim"
+	"aft/internal/storage/kvengine"
 )
 
 // mallocsDuring counts the heap allocations f makes, process-wide: callers
@@ -45,7 +44,7 @@ func allocatedDuring(f func()) (objects, bytes uint64) {
 // up here as a failure.
 func TestCommitAllocBudget(t *testing.T) {
 	const commitBudget, txnBudget = 4, 8
-	n, err := NewNode(Config{NodeID: "budget", Store: dynamosim.New(dynamosim.Options{})})
+	n, err := NewNode(Config{NodeID: "budget", Store: kvengine.NewDynamoDB(kvengine.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +198,7 @@ func TestMultiGetAllocBudget(t *testing.T) {
 		{"cold", false, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			store := redissim.New(redissim.Options{})
+			store := kvengine.NewRedis(0, kvengine.Options{})
 			if store.ShardFor(keys[0]) == store.ShardFor(keys[1]) {
 				t.Fatalf("keys %q and %q share a shard", keys[0], keys[1])
 			}
@@ -300,7 +299,7 @@ func historyNode(tb testing.TB, versions int) *Node {
 	tb.Helper()
 	clock := idgen.NewVirtualClock(0, 1)
 	n, err := NewNode(Config{
-		NodeID: "hist", Store: dynamosim.New(dynamosim.Options{}),
+		NodeID: "hist", Store: kvengine.NewDynamoDB(kvengine.Options{}),
 		EnableDataCache: true, Clock: clock,
 	})
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 	"aft/internal/idgen"
 	"aft/internal/records"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/telemetry"
 )
 
@@ -125,7 +125,7 @@ func putsOf(writes ...kv) []string {
 }
 
 func TestAtomicEngineFlushIsOneBatchPut(t *testing.T) {
-	store := &callLogStore{Store: dynamosim.New(dynamosim.Options{}), atomic: true}
+	store := &callLogStore{Store: kvengine.NewDynamoDB(kvengine.Options{}), atomic: true}
 	req := mkCommitReq(t, 1, "a1", "a2", "a3")
 	if err := flushOf(t, store, req); err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestAtomicEngineFlushIsOneBatchPut(t *testing.T) {
 }
 
 func TestAtomicEngineFallbackWritesDataBeforeRecord(t *testing.T) {
-	inner := dynamosim.New(dynamosim.Options{})
+	inner := kvengine.NewDynamoDB(kvengine.Options{})
 
 	// The refused batch, then every write in order: the data, then the
 	// record.
@@ -193,7 +193,7 @@ func TestAtomicEngineFallbackWritesDataBeforeRecord(t *testing.T) {
 }
 
 func TestOrderedEngineFlushKeepsTwoPhases(t *testing.T) {
-	store := &callLogStore{Store: dynamosim.New(dynamosim.Options{})}
+	store := &callLogStore{Store: kvengine.NewDynamoDB(kvengine.Options{})}
 	req := mkCommitReq(t, 1, "c1", "c2", "c3")
 	if err := flushOf(t, store, req); err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestOrderedEngineFlushKeepsTwoPhases(t *testing.T) {
 	}
 
 	// A failed data phase writes no record.
-	store = &callLogStore{Store: dynamosim.New(dynamosim.Options{}), failBatch: true, refuse: "lost"}
+	store = &callLogStore{Store: kvengine.NewDynamoDB(kvengine.Options{}), failBatch: true, refuse: "lost"}
 	req = mkCommitReq(t, 2, "d1", "d-lost")
 	err := flushOf(t, store, req)
 	if want := append([]string{batchOf(req.writes[:2])}, putsOf(req.writes[:2]...)...); !slices.Equal(store.calls, want) {
@@ -215,7 +215,7 @@ func TestOrderedEngineFlushKeepsTwoPhases(t *testing.T) {
 	}
 
 	// A failed record phase is named as one.
-	store = &callLogStore{Store: dynamosim.New(dynamosim.Options{}), refuse: records.CommitPrefix}
+	store = &callLogStore{Store: kvengine.NewDynamoDB(kvengine.Options{}), refuse: records.CommitPrefix}
 	err = flushOf(t, store, mkCommitReq(t, 3, "f1"))
 	if err == nil || !strings.Contains(err.Error(), "aft: persisting commit record") {
 		t.Fatalf("error = %v, want a commit-record failure", err)
@@ -238,13 +238,13 @@ func TestFlushSpanCountsCalls(t *testing.T) {
 		calls string
 	}{
 		{"inline", func() storage.Store {
-			return &callLogStore{Store: dynamosim.New(dynamosim.Options{})}
+			return &callLogStore{Store: kvengine.NewDynamoDB(kvengine.Options{})}
 		}, small, "1"},
 		{"atomic", func() storage.Store {
-			return &callLogStore{Store: dynamosim.New(dynamosim.Options{}), atomic: true}
+			return &callLogStore{Store: kvengine.NewDynamoDB(kvengine.Options{}), atomic: true}
 		}, two, "1"},
 		{"ordered", func() storage.Store {
-			return &callLogStore{Store: dynamosim.New(dynamosim.Options{})}
+			return &callLogStore{Store: kvengine.NewDynamoDB(kvengine.Options{})}
 		}, two, "2"},
 		{"chunked", func() storage.Store {
 			return newRendezvousStore(storage.Capabilities{BatchWrites: true, MaxBatchSize: 2}, 3, 1)
@@ -277,7 +277,7 @@ func TestFlushSpanCountsCalls(t *testing.T) {
 // writes survive in the scratch.
 func TestPooledScratchCarriesNoStaleWrites(t *testing.T) {
 	for _, atomic := range []bool{true, false} {
-		store := &callLogStore{Store: dynamosim.New(dynamosim.Options{}), atomic: atomic}
+		store := &callLogStore{Store: kvengine.NewDynamoDB(kvengine.Options{}), atomic: atomic}
 		n, err := NewNode(Config{NodeID: "reuse", Store: store})
 		if err != nil {
 			t.Fatal(err)

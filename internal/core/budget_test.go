@@ -8,7 +8,7 @@ import (
 
 	"aft/internal/idgen"
 	"aft/internal/records"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // TestBootstrapWatermarkIncremental: with PersistBootstrapWatermark, a
@@ -17,7 +17,7 @@ import (
 // fallback.
 func TestBootstrapWatermarkIncremental(t *testing.T) {
 	ctx := context.Background()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	// Watermark cuts rely on commit keys sorting by timestamp, which holds
 	// for fixed-width timestamps (bootstrap.go); start the virtual clock
 	// high enough that widths never change.
@@ -93,7 +93,7 @@ func TestBootstrapWatermarkIncremental(t *testing.T) {
 // silently missing, and the truncation is counted.
 func TestBootstrapTruncationServesOnDemand(t *testing.T) {
 	ctx := context.Background()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	clock := idgen.NewVirtualClock(0, 1)
 
 	n1, err := NewNode(Config{NodeID: "n1", Store: store, Clock: clock})
@@ -136,7 +136,7 @@ func TestBootstrapTruncationServesOnDemand(t *testing.T) {
 // spilled key recovers its record (and correct value) from storage.
 func TestBudgetSpillAndRefetch(t *testing.T) {
 	ctx := context.Background()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	clock := idgen.NewVirtualClock(0, 1)
 
 	// Build history on an unbudgeted writer so nothing sheds during setup.
@@ -197,7 +197,7 @@ func TestBudgetSpillAndRefetch(t *testing.T) {
 // memory the same caller admits normally.
 func TestBudgetShedsRetriably(t *testing.T) {
 	ctx := context.Background()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	clock := idgen.NewVirtualClock(0, 1)
 
 	n1, err := NewNode(Config{NodeID: "w", Store: store, Clock: clock})
@@ -245,7 +245,7 @@ func TestBudgetShedsRetriably(t *testing.T) {
 // read to verify against storage and serve the true newest version.
 func TestSpillFloorBlocksStaleReinstall(t *testing.T) {
 	ctx := context.Background()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	clock := idgen.NewVirtualClock(0, 1)
 
 	w, err := NewNode(Config{NodeID: "w", Store: store, Clock: clock})
@@ -320,7 +320,7 @@ func TestSpillFloorBlocksStaleReinstall(t *testing.T) {
 // versions forever.
 func TestFullInstallUpgradesPartialIndex(t *testing.T) {
 	ctx := context.Background()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	clock := idgen.NewVirtualClock(0, 1)
 
 	w, err := NewNode(Config{NodeID: "w", Store: store, Clock: clock})

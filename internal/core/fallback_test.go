@@ -13,12 +13,12 @@ import (
 
 	"aft/internal/idgen"
 	"aft/internal/records"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // newPartialReader returns a node over store in partial-metadata mode with
 // an empty metadata cache, so every first read takes the storage fallback.
-func newPartialReader(t *testing.T, store *dynamosim.Store, mutate ...func(*Config)) *Node {
+func newPartialReader(t *testing.T, store *kvengine.DynamoDB, mutate ...func(*Config)) *Node {
 	t.Helper()
 	cfg := Config{NodeID: "reader", Store: store, Clock: idgen.NewVirtualClock(1000, 1)}
 	for _, m := range mutate {
@@ -36,7 +36,7 @@ func newPartialReader(t *testing.T, store *dynamosim.Store, mutate ...func(*Conf
 // metadata (another node committed it and no multicast round reached this
 // node) still serves the key by recovering metadata from storage.
 func TestReadFallbackRecoversUnknownKey(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	writer, err := NewNode(Config{NodeID: "writer", Store: store, Clock: idgen.NewVirtualClock(0, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestReadFallbackRecoversUnknownKey(t *testing.T) {
 // record's write set lets a partial-metadata reader find the versions in
 // its Commit Set scan and read them from the spill keys.
 func TestReadFallbackFindsSpilledVersion(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	writer, err := NewNode(Config{NodeID: "writer", Store: store,
 		Clock: idgen.NewVirtualClock(0, 1), SpillThreshold: 1})
 	if err != nil {
@@ -103,7 +103,7 @@ func TestReadFallbackFindsSpilledVersion(t *testing.T) {
 // record leaves no per-key data object, and the fallback's Commit Set scan
 // finds it beside a two-phase one.
 func TestReadFallbackPackedLayout(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	writer, err := NewNode(Config{NodeID: "writer", Store: store,
 		Clock: idgen.NewVirtualClock(0, 1)})
 	if err != nil {
@@ -132,7 +132,7 @@ func TestReadFallbackPackedLayout(t *testing.T) {
 // in-flight (or crashed) transaction has no commit record; the fallback
 // must not surface it — that would be a dirty read.
 func TestReadFallbackSkipsUncommittedVersions(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	writer, err := NewNode(Config{NodeID: "writer", Store: store, Clock: idgen.NewVirtualClock(0, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestReadFallbackSkipsUncommittedVersions(t *testing.T) {
 // TestReadFallbackMissingKey: a key that genuinely does not exist still
 // returns ErrKeyNotFound after the fallback finds nothing.
 func TestReadFallbackMissingKey(t *testing.T) {
-	n := newPartialReader(t, dynamosim.New(dynamosim.Options{}))
+	n := newPartialReader(t, kvengine.NewDynamoDB(kvengine.Options{}))
 	ctx := context.Background()
 	txid, _ := n.StartTransaction(ctx)
 	if _, err := n.Get(ctx, txid, "ghost"); !errors.Is(err, ErrKeyNotFound) {
@@ -175,7 +175,7 @@ func TestReadFallbackMissingKey(t *testing.T) {
 // — the pinned record survives in the commit cache — and (b) fail
 // retriably, never with an internal bookkeeping error.
 func TestVanishedVersionKeepsPinnedRecord(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	writer, err := NewNode(Config{NodeID: "writer", Store: store, Clock: idgen.NewVirtualClock(0, 1)})
 	if err != nil {
 		t.Fatal(err)

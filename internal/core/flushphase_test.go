@@ -11,7 +11,7 @@ import (
 
 	"aft/internal/records"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // A write phase's storage writes are independent, so the flush sends all
@@ -52,7 +52,7 @@ type rendezvousStore struct {
 }
 
 func newRendezvousStore(caps storage.Capabilities, dataCalls, recordCalls int) *rendezvousStore {
-	s := &rendezvousStore{Store: dynamosim.New(dynamosim.Options{}), caps: caps, expect: [2]int{dataCalls, recordCalls}}
+	s := &rendezvousStore{Store: kvengine.NewDynamoDB(kvengine.Options{}), caps: caps, expect: [2]int{dataCalls, recordCalls}}
 	for p := range s.all {
 		s.all[p] = make(chan struct{})
 	}
@@ -224,7 +224,7 @@ func TestPhaseFanoutIsBounded(t *testing.T) {
 // part. Only the commit that owns the one unwritable key fails, as a
 // write-set failure with no record written; the others commit.
 func TestConcurrentChunksFailOnlyTheirOwners(t *testing.T) {
-	inner := dynamosim.New(dynamosim.Options{})
+	inner := kvengine.NewDynamoDB(kvengine.Options{})
 	store := capsStore{Store: lossyBatchStore{inner}, caps: storage.Capabilities{BatchWrites: true, MaxBatchSize: 2}}
 	n, err := NewNode(Config{NodeID: "lossy", Store: store})
 	if err != nil {

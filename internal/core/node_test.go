@@ -11,16 +11,14 @@ import (
 	"aft/internal/idgen"
 	"aft/internal/records"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
-	"aft/internal/storage/redissim"
-	"aft/internal/storage/s3sim"
+	"aft/internal/storage/kvengine"
 )
 
 // newTestNode builds a node over a fresh simulated DynamoDB with no latency
 // and a virtual clock, so tests are fast and deterministic.
-func newTestNode(t *testing.T, mutate ...func(*Config)) (*Node, *dynamosim.Store) {
+func newTestNode(t *testing.T, mutate ...func(*Config)) (*Node, *kvengine.DynamoDB) {
 	t.Helper()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	cfg := Config{
 		NodeID: "test-node",
 		Store:  store,
@@ -74,7 +72,7 @@ func TestNewNodeValidation(t *testing.T) {
 	if _, err := NewNode(Config{NodeID: "n"}); err == nil {
 		t.Fatal("missing store accepted")
 	}
-	if _, err := NewNode(Config{Store: dynamosim.New(dynamosim.Options{})}); err == nil {
+	if _, err := NewNode(Config{Store: kvengine.NewDynamoDB(kvengine.Options{})}); err == nil {
 		t.Fatal("missing node ID accepted")
 	}
 }
@@ -463,7 +461,7 @@ func TestUnboundedBatchLimit(t *testing.T) {
 	var sizes []int
 	n, err := NewNode(Config{
 		NodeID: "n",
-		Store:  unboundedBatchStore{dynamosim.New(dynamosim.Options{}), &sizes},
+		Store:  unboundedBatchStore{kvengine.NewDynamoDB(kvengine.Options{}), &sizes},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -479,7 +477,7 @@ func TestUnboundedBatchLimit(t *testing.T) {
 }
 
 func TestSequentialWritesOnRedis(t *testing.T) {
-	store := redissim.New(redissim.Options{})
+	store := kvengine.NewRedis(0, kvengine.Options{})
 	n, err := NewNode(Config{NodeID: "n", Store: store, Clock: idgen.NewVirtualClock(0, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -502,7 +500,7 @@ func TestSequentialWritesOnRedis(t *testing.T) {
 }
 
 func TestWorksOverS3(t *testing.T) {
-	store := s3sim.New(s3sim.Options{})
+	store := kvengine.NewS3(kvengine.Options{})
 	n, err := NewNode(Config{NodeID: "n", Store: store, Clock: idgen.NewVirtualClock(0, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +519,7 @@ func TestWorksOverS3(t *testing.T) {
 }
 
 func TestBootstrapWarmsMetadataCache(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	clock := idgen.NewVirtualClock(0, 1)
 	n1, _ := NewNode(Config{NodeID: "n1", Store: store, Clock: clock})
 	ctx := context.Background()
@@ -554,7 +552,7 @@ func TestBootstrapRecoveryDeclaresCommittedTxnsSuccessful(t *testing.T) {
 	// §3.3.1: a node fails after persisting the commit record but before
 	// acking; the restarted node finds the record and the transaction is
 	// durable.
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n1, _ := NewNode(Config{NodeID: "n1", Store: store, Clock: idgen.NewVirtualClock(0, 1)})
 	ctx := context.Background()
 	id := func() idgen.ID {

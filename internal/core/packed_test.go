@@ -14,13 +14,12 @@ import (
 	"aft/internal/idgen"
 	"aft/internal/records"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
-	"aft/internal/storage/s3sim"
+	"aft/internal/storage/kvengine"
 )
 
-func newPackedNode(t *testing.T) (*Node, *s3sim.Store) {
+func newPackedNode(t *testing.T) (*Node, *kvengine.Store) {
 	t.Helper()
-	store := s3sim.New(s3sim.Options{})
+	store := kvengine.NewS3(kvengine.Options{})
 	n, err := NewNode(Config{
 		NodeID: "packed",
 		Store:  store,
@@ -115,7 +114,7 @@ func commitTxnOn(t *testing.T, n *Node, kvs map[string]string) idgen.ID {
 }
 
 func TestPackedWithDataCache(t *testing.T) {
-	store := s3sim.New(s3sim.Options{})
+	store := kvengine.NewS3(kvengine.Options{})
 	n, err := NewNode(Config{
 		NodeID:          "packed-cache",
 		Store:           store,
@@ -145,7 +144,7 @@ func TestPackedWithDataCache(t *testing.T) {
 }
 
 func TestPackedBootstrapAndRecovery(t *testing.T) {
-	store := s3sim.New(s3sim.Options{})
+	store := kvengine.NewS3(kvengine.Options{})
 	n1, _ := NewNode(Config{NodeID: "p1", Store: store})
 	commitTxnOn(t, n1, map[string]string{"k": "v"})
 
@@ -189,7 +188,7 @@ func TestPackedGlobalGCDeletesPackObject(t *testing.T) {
 }
 
 func TestPackedSpillFallsBackToUnpacked(t *testing.T) {
-	store := s3sim.New(s3sim.Options{})
+	store := kvengine.NewS3(kvengine.Options{})
 	n, err := NewNode(Config{NodeID: "p", Store: store, SpillThreshold: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +216,7 @@ func TestPackedSpillFallsBackToUnpacked(t *testing.T) {
 // 400 KB item limit.
 func TestInlineCapCommitsTwoPhase(t *testing.T) {
 	ctx := context.Background()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n, err := NewNode(Config{NodeID: "cap", Store: store})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 	"aft/internal/idgen"
 	"aft/internal/records"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // TestParallelCommitReadMergeSweep hammers one node with concurrent
@@ -28,7 +28,7 @@ import (
 // Committers write a two-key pair atomically with identical values; a
 // reader observing different pair values would be a fractured read.
 func TestParallelCommitReadMergeSweep(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n, err := NewNode(Config{NodeID: "stress", Store: store, EnableDataCache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestParallelCommitReadMergeSweep(t *testing.T) {
 // transaction (a retried function racing its original, §3.3.1): the ops
 // serialize on the transaction's own mutex and must not corrupt state.
 func TestParallelSameTransaction(t *testing.T) {
-	n, err := NewNode(Config{NodeID: "same", Store: dynamosim.New(dynamosim.Options{})})
+	n, err := NewNode(Config{NodeID: "same", Store: kvengine.NewDynamoDB(kvengine.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func commitAll(n *Node, txns ...map[string]string) []error {
 // neither the loser's later data nor its record is written, and commit the
 // other two.
 func TestFlushPartialBatchFailsOnlyLosers(t *testing.T) {
-	inner := dynamosim.New(dynamosim.Options{})
+	inner := kvengine.NewDynamoDB(kvengine.Options{})
 	n, err := NewNode(Config{NodeID: "lossy", Store: lossyBatchStore{inner}})
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +401,7 @@ func TestFlushPartialBatchFailsOnlyLosers(t *testing.T) {
 // under a commit's flush, the commit sees the failure, no record is
 // installed, and the transaction stays live for retry.
 func TestGroupCommitFailurePropagates(t *testing.T) {
-	inner := dynamosim.New(dynamosim.Options{})
+	inner := kvengine.NewDynamoDB(kvengine.Options{})
 	gate := newGateStore(inner)
 	n, err := NewNode(Config{NodeID: "gcfail", Store: gate})
 	if err != nil {
@@ -444,7 +444,7 @@ func TestGroupCommitFailurePropagates(t *testing.T) {
 // CommitTransaction racing the in-flight original must return the SAME
 // commit ID (§3.1 idempotency), never mint a second record.
 func TestDuplicateCommitWaitsForOriginal(t *testing.T) {
-	inner := dynamosim.New(dynamosim.Options{})
+	inner := kvengine.NewDynamoDB(kvengine.Options{})
 	gate := newGateStore(inner)
 	n, err := NewNode(Config{NodeID: "dup", Store: gate})
 	if err != nil {
@@ -486,7 +486,7 @@ func TestDuplicateCommitWaitsForOriginal(t *testing.T) {
 // abort racing an in-flight commit observes its outcome (ErrTxnFinished
 // on success) instead of tearing down state the commit references.
 func TestAbortWaitsForInflightCommit(t *testing.T) {
-	inner := dynamosim.New(dynamosim.Options{})
+	inner := kvengine.NewDynamoDB(kvengine.Options{})
 	gate := newGateStore(inner)
 	n, err := NewNode(Config{NodeID: "abortrace", Store: gate})
 	if err != nil {
@@ -525,7 +525,7 @@ func TestAbortWaitsForInflightCommit(t *testing.T) {
 func TestPutWaitsForInflightCommit(t *testing.T) {
 	for _, commitFails := range []bool{false, true} {
 		t.Run(fmt.Sprintf("commitFails=%v", commitFails), func(t *testing.T) {
-			inner := dynamosim.New(dynamosim.Options{})
+			inner := kvengine.NewDynamoDB(kvengine.Options{})
 			gate := newGateStore(inner)
 			n, err := NewNode(Config{NodeID: "putrace", Store: gate})
 			if err != nil {
@@ -600,7 +600,7 @@ func TestPutWaitsForInflightCommit(t *testing.T) {
 // read must recover the swept version from storage and serve it, and
 // withdraw this node's locally-deleted vote while it caches it again.
 func TestReadRecoversLocallyDeletedVersion(t *testing.T) {
-	n, err := NewNode(Config{NodeID: "resurrect", Store: dynamosim.New(dynamosim.Options{})})
+	n, err := NewNode(Config{NodeID: "resurrect", Store: kvengine.NewDynamoDB(kvengine.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,7 +657,7 @@ func TestReadRecoversLocallyDeletedVersion(t *testing.T) {
 // a record spanning several stripes stays cached while any reader pins it,
 // even when its versions are superseded on every stripe.
 func TestSweepKeepsPinnedAcrossStripes(t *testing.T) {
-	n, err := NewNode(Config{NodeID: "pin", Store: dynamosim.New(dynamosim.Options{})})
+	n, err := NewNode(Config{NodeID: "pin", Store: kvengine.NewDynamoDB(kvengine.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}

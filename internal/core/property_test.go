@@ -11,7 +11,7 @@ import (
 	"testing/quick"
 
 	"aft/internal/idgen"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // checkAtomicReadset verifies Definition 1 against a log of committed write
@@ -86,7 +86,7 @@ func TestPropertyAtomicReadsetSingleThreaded(t *testing.T) {
 // verifies every reader's final read set is an Atomic Readset, values match
 // their versions, and no dirty or torn data is ever observed.
 func TestPropertyConcurrentHistories(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n, err := NewNode(Config{NodeID: "prop", Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestPropertyRepeatableReadRandomized(t *testing.T) {
 // readers and writers; read sets must remain atomic and reads must never
 // observe dirty data (ErrNoValidVersion is legal — §5.2.1).
 func TestPropertyGCNeverBreaksInvariant(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n, err := NewNode(Config{NodeID: "gcprop", Store: store})
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,7 @@ import (
 	"aft/internal/idgen"
 	"aft/internal/records"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
-	"aft/internal/storage/redissim"
+	"aft/internal/storage/kvengine"
 )
 
 // listGateStore blocks every List until released, so a test can
@@ -79,7 +78,7 @@ func TestColdReadCoalescingRace(t *testing.T) {
 		readersPerKey = 8
 		versions      = 6
 	)
-	inner := dynamosim.New(dynamosim.Options{})
+	inner := kvengine.NewDynamoDB(kvengine.Options{})
 	gate := newListGateStore(inner)
 
 	writer, err := NewNode(Config{NodeID: "writer", Store: inner})
@@ -179,8 +178,8 @@ func TestColdReadCoalescingRace(t *testing.T) {
 // acceptance criterion: a cold key with N unknown versions costs one List
 // plus ceil(N/MaxReadBatch) BatchGet calls — never N point Gets.
 func TestColdFetchBatchesRecordGets(t *testing.T) {
-	const versions = 130 // > dynamosim.MaxReadBatch, so chunking shows
-	store := dynamosim.New(dynamosim.Options{})
+	const versions = 130 // > kvengine.DynamoDBMaxReadBatch, so chunking shows
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	writer, err := NewNode(Config{NodeID: "w", Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -202,9 +201,9 @@ func TestColdFetchBatchesRecordGets(t *testing.T) {
 	if d.Lists != 1 {
 		t.Fatalf("Lists = %d", d.Lists)
 	}
-	wantChunks := int64((versions + dynamosim.MaxReadBatch - 1) / dynamosim.MaxReadBatch)
+	wantChunks := int64((versions + kvengine.DynamoDBMaxReadBatch - 1) / kvengine.DynamoDBMaxReadBatch)
 	if d.BatchGets != wantChunks {
-		t.Fatalf("BatchGets = %d, want ceil(%d/%d) = %d", d.BatchGets, versions, dynamosim.MaxReadBatch, wantChunks)
+		t.Fatalf("BatchGets = %d, want ceil(%d/%d) = %d", d.BatchGets, versions, kvengine.DynamoDBMaxReadBatch, wantChunks)
 	}
 	if d.Gets != 1 { // the payload fetch stays a point Get
 		t.Fatalf("Gets = %d, want 1", d.Gets)
@@ -215,7 +214,7 @@ func TestColdFetchBatchesRecordGets(t *testing.T) {
 // read-your-writes from the buffer, committed values, alignment with the
 // key order, duplicate keys, and missing-key failure.
 func TestMultiGetSemantics(t *testing.T) {
-	n, err := NewNode(Config{NodeID: "mg", Store: dynamosim.New(dynamosim.Options{}), EnableDataCache: true})
+	n, err := NewNode(Config{NodeID: "mg", Store: kvengine.NewDynamoDB(kvengine.Options{}), EnableDataCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +269,7 @@ func TestMultiGetSemantics(t *testing.T) {
 // transaction, no two results may share memory, and no storage key may be
 // fetched twice.
 func testLargeMultiGet(t *testing.T) {
-	store := redissim.New(redissim.Options{})
+	store := kvengine.NewRedis(0, kvengine.Options{})
 	n, err := NewNode(Config{NodeID: "mg40", Store: store, EnableDataCache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +360,7 @@ func testLargeMultiGet(t *testing.T) {
 // payloads are fetched in batched round trips, not M point Gets.
 func TestMultiGetBatchesPayloadFetches(t *testing.T) {
 	const nKeys = 10
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n, err := NewNode(Config{NodeID: "mgb", Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +399,7 @@ func TestMultiGetBatchesPayloadFetches(t *testing.T) {
 // fetch is forgotten and re-selected for a first read, while a repeat read
 // of the vanished version surfaces ErrVersionVanished (the redo signal).
 func TestMultiGetVanishedRetry(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n, err := NewNode(Config{NodeID: "vanish", Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +467,7 @@ func errorsIs(err, target error) bool {
 // instead of the second occurrence (alreadyRead via the first) failing the
 // transaction.
 func TestMultiGetDuplicateKeyVanishedRetry(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n, err := NewNode(Config{NodeID: "dupvanish", Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +504,7 @@ func TestMultiGetDuplicateKeyVanishedRetry(t *testing.T) {
 // back to its own scan.
 func TestMissingKeyColdReadsCoalesce(t *testing.T) {
 	const readers = 8
-	inner := dynamosim.New(dynamosim.Options{})
+	inner := kvengine.NewDynamoDB(kvengine.Options{})
 	gate := newListGateStore(inner)
 	n, err := NewNode(Config{NodeID: "ghost", Store: gate})
 	if err != nil {
@@ -554,7 +553,7 @@ func TestMissingKeyColdReadsCoalesce(t *testing.T) {
 // of re-fetching from storage, and a re-spill of the same key refreshes
 // the cached copy.
 func TestSpillReadsCached(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n, err := NewNode(Config{
 		NodeID:          "spillcache",
 		Store:           store,
@@ -611,7 +610,7 @@ func TestSpillReadsCached(t *testing.T) {
 // the entries, and a read whose entry was evicted fetches the record once
 // and caches only its own value again.
 func TestPackedExtractCached(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n, err := NewNode(Config{NodeID: "packed", Store: store, EnableDataCache: true})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"aft/internal/idgen"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // abandonForSweep backdates transaction txid's start past maxSweepHold, so
@@ -51,7 +51,7 @@ func sweepScenario(t *testing.T, n *Node) (string, idgen.ID) {
 // it left T no valid version of b (ErrNoValidVersion). Once T finishes,
 // the next sweep retires it.
 func TestSweepKeepsVersionsALiveTransactionNeeds(t *testing.T) {
-	n, err := NewNode(Config{NodeID: "sweep", Store: dynamosim.New(dynamosim.Options{})})
+	n, err := NewNode(Config{NodeID: "sweep", Store: kvengine.NewDynamoDB(kvengine.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSweepIgnoresAbandonedTransactions(t *testing.T) {
 		{"lease passed", false, -time.Millisecond, true},
 		{"lease live", true, time.Hour, false},
 	} {
-		n, err := NewNode(Config{NodeID: "sweep", Store: dynamosim.New(dynamosim.Options{})})
+		n, err := NewNode(Config{NodeID: "sweep", Store: kvengine.NewDynamoDB(kvengine.Options{})})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 	"aft/internal/idgen"
 	"aft/internal/records"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // The write buffer is a key-sorted slice inside the transaction. These
@@ -189,7 +189,7 @@ func (s *spillGateStore) Put(ctx context.Context, key string, value []byte) erro
 }
 
 func TestWriteBufferFailedSpillRestores(t *testing.T) {
-	inner := dynamosim.New(dynamosim.Options{})
+	inner := kvengine.NewDynamoDB(kvengine.Options{})
 	store := &spillGateStore{Store: inner}
 	store.failing.Store(true)
 	n, _ := newTestNode(t, func(c *Config) { c.Store = store; c.SpillThreshold = 10 })

@@ -12,6 +12,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -22,7 +23,7 @@ import (
 	"aft/internal/core"
 	"aft/internal/idgen"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/storage/walengine"
 	"aft/internal/workload"
 )
@@ -191,7 +192,7 @@ func runDurabilityThroughput(opts Options, engine string) (DurabilityCell, error
 		defer wal.Close()
 		st = wal
 	default:
-		st = dynamosim.New(dynamosim.Options{})
+		st = kvengine.NewDynamoDB(kvengine.Options{})
 	}
 
 	payload := workload.Payload(opts.Seed, opts.Payload)
@@ -240,8 +241,9 @@ func runDurabilityRecovery(opts Options, entries int) (DurabilityCell, error) {
 	defer cleanup()
 	// Small segments so recovery spans a multi-segment log even at the
 	// quick-mode sweep sizes; 256-byte values keep the sweep about log
-	// STRUCTURE, not disk volume.
-	st, err := walengine.Open(dir, walengine.Options{SegmentBytes: 32 << 10, DisableAutoCompact: true})
+	// STRUCTURE, not disk volume. No background compaction: the log keeps
+	// every record the sweep wrote.
+	st, err := walengine.Open(dir, walengine.Options{SegmentBytes: 32 << 10, CompactGarbageBytes: math.MaxInt64})
 	if err != nil {
 		return cell, err
 	}

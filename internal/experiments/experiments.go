@@ -26,9 +26,7 @@ import (
 	"aft/internal/latency"
 	"aft/internal/stats"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
-	"aft/internal/storage/redissim"
-	"aft/internal/storage/s3sim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/storage/walengine"
 	"aft/internal/workload"
 )
@@ -189,19 +187,19 @@ func (o Options) newStore(kind storeKind) storage.Store {
 		if o.Scale > 0 {
 			m = latency.NewModel(latency.S3Profile(), o.Seed)
 		}
-		return s3sim.New(s3sim.Options{Latency: m, Sleeper: o.sleeper()})
+		return kvengine.NewS3(kvengine.Options{Latency: m, Sleeper: o.sleeper()})
 	case kindRedis:
 		var m *latency.Model
 		if o.Scale > 0 {
 			m = latency.NewModel(latency.RedisProfile(), o.Seed)
 		}
-		return redissim.New(redissim.Options{Latency: m, Sleeper: o.sleeper()})
+		return kvengine.NewRedis(0, kvengine.Options{Latency: m, Sleeper: o.sleeper()})
 	default:
 		var m *latency.Model
 		if o.Scale > 0 {
 			m = latency.NewModel(latency.DynamoDBProfile(), o.Seed)
 		}
-		return dynamosim.New(dynamosim.Options{Latency: m, Sleeper: o.sleeper()})
+		return kvengine.NewDynamoDB(kvengine.Options{Latency: m, Sleeper: o.sleeper()})
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 	"aft/internal/core"
 	"aft/internal/stats"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/telemetry"
 	"aft/internal/workload"
 )
@@ -138,7 +138,7 @@ type obsplaneRun struct {
 func (r *obsplaneRun) pass(keysOf [][]string, payload []byte, workers int) error {
 	cfg := core.Config{
 		NodeID:          "obsplane-" + r.mode,
-		Store:           dynamosim.New(dynamosim.Options{}),
+		Store:           kvengine.NewDynamoDB(kvengine.Options{}),
 		EnableDataCache: true,
 	}
 	var plane *obsplane

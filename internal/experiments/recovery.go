@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -22,7 +23,7 @@ import (
 	"aft/internal/core"
 	"aft/internal/idgen"
 	"aft/internal/records"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/storage/walengine"
 	"aft/internal/workload"
 )
@@ -196,9 +197,8 @@ func runRecoveryReopen(opts Options, entries int) (RecoveryCell, error) {
 		return cell, err
 	}
 	defer cleanup()
-	st, err := walengine.Open(dir, walengine.Options{
-		SegmentBytes: 1 << 20, DisableAutoCompact: true,
-	})
+	// No background compaction: the log keeps every record written.
+	st, err := walengine.Open(dir, walengine.Options{SegmentBytes: 1 << 20, CompactGarbageBytes: math.MaxInt64})
 	if err != nil {
 		return cell, err
 	}
@@ -288,7 +288,7 @@ func runRecoveryBootstrap(opts Options, frac float64) (RecoveryCell, error) {
 	total := opts.scaled(2000)
 	cell := RecoveryCell{Scenario: "bootstrap", Records: total}
 
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	clock := idgen.NewVirtualClock(chaosEpoch, 1)
 	writer, err := core.NewNode(core.Config{NodeID: "w", Store: store, Clock: clock})
 	if err != nil {
@@ -367,7 +367,7 @@ func runRecoveryBudget(opts Options) (RecoveryCell, error) {
 	const budget = 12 << 10
 	cell := RecoveryCell{Scenario: "budget", BudgetBytes: budget, Records: commits}
 
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	node, err := core.NewNode(core.Config{
 		NodeID: "b", Store: store,
 		Clock:               idgen.NewVirtualClock(chaosEpoch, 1),

@@ -8,12 +8,12 @@ import (
 
 	"aft/internal/core"
 	"aft/internal/lb"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 func newPlatform(t *testing.T, mutate ...func(*Config)) (*Platform, *core.Node) {
 	t.Helper()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	node, err := core.NewNode(core.Config{NodeID: "n1", Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestNoValidVersionRetriesWholeRequest(t *testing.T) {
 	// Force the §3.6 abort case: the request reads l1, a concurrent commit
 	// creates {k2,l2}, and the request then reads k. On retry, a fresh
 	// transaction sees consistent data and succeeds.
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	node, _ := core.NewNode(core.Config{NodeID: "n1", Store: store})
 	ctx := context.Background()
 
@@ -222,7 +222,7 @@ func TestNoValidVersionRetriesWholeRequest(t *testing.T) {
 }
 
 func TestBackendGoneRetriesThroughBalancer(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n1, _ := core.NewNode(core.Config{NodeID: "n1", Store: store})
 	n2, _ := core.NewNode(core.Config{NodeID: "n2", Store: store})
 	bal := lb.New(n1, n2)

@@ -11,7 +11,7 @@ import (
 	"aft/internal/core"
 	"aft/internal/idgen"
 	"aft/internal/records"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // mallocsDuring counts the heap allocations f makes, process-wide: callers
@@ -39,9 +39,9 @@ const budgetRecords = 5000
 
 // budgetNode commits budgetRecords single-key transactions on a fresh node
 // and leaves them in its announce queue.
-func budgetNode(t *testing.T) (*core.Node, *dynamosim.Store) {
+func budgetNode(t *testing.T) (*core.Node, *kvengine.DynamoDB) {
 	t.Helper()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n := newNode(t, store, "n1")
 	for i := 0; i < budgetRecords; i++ {
 		commit(t, n, map[string]string{fmt.Sprintf("k%d", i%100): "v"})
@@ -136,7 +136,7 @@ func TestCollectAllocBudget(t *testing.T) {
 		// round builds a manager with collected superseded transactions
 		// and counts the allocations of the round that collects them.
 		round := func() uint64 {
-			store := dynamosim.New(dynamosim.Options{})
+			store := kvengine.NewDynamoDB(kvengine.Options{})
 			n := newNode(t, store, "n1")
 			const pairs = 50 // the newest version of each pair stays
 			for i := 0; i < collected+pairs; i++ {

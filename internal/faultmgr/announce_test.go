@@ -9,7 +9,7 @@ import (
 	"aft/internal/core"
 	"aft/internal/multicast"
 	"aft/internal/records"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // readsValue fails t unless n serves value for key in a fresh transaction.
@@ -36,7 +36,7 @@ func TestScanLeavesQueuedCommitsToMulticast(t *testing.T) {
 	const txns = 50
 	for _, killed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("killed=%v", killed), func(t *testing.T) {
-			store := dynamosim.New(dynamosim.Options{})
+			store := kvengine.NewDynamoDB(kvengine.Options{})
 			ctx := context.Background()
 			origin := newNode(t, store, "origin")
 			survivor := newNode(t, store, "survivor")
@@ -120,7 +120,7 @@ func TestScanInterleavings(t *testing.T) {
 }
 
 func scanInterleaving(t *testing.T, stage string, killed bool, nodes int) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()
 	bus := multicast.NewBus()
 	var all []*heldNode
@@ -189,7 +189,7 @@ func (f membershipFunc) Nodes() []Node { return f() }
 // drain and tap.
 func TestScanConcurrentWithCommits(t *testing.T) {
 	const clients, perClient = 4, 50
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()
 	n1 := newNode(t, store, "n1")
 	bus := multicast.NewBus()

@@ -12,10 +12,10 @@ import (
 	"aft/internal/multicast"
 	"aft/internal/records"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
-func newNode(t *testing.T, store *dynamosim.Store, id string) *core.Node {
+func newNode(t *testing.T, store *kvengine.DynamoDB, id string) *core.Node {
 	t.Helper()
 	n, err := core.NewNode(core.Config{NodeID: id, Store: store})
 	if err != nil {
@@ -44,7 +44,7 @@ func commit(t *testing.T, n *core.Node, kvs map[string]string) idgen.ID {
 }
 
 func TestIngestBuildsIndex(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n1 := newNode(t, store, "n1")
 	m := New(store, StaticMembership{n1})
 	commit(t, n1, map[string]string{"k": "v"})
@@ -64,7 +64,7 @@ func TestIngestBuildsIndex(t *testing.T) {
 // broadcasting. The fault manager's scan finds the record and announces it
 // to the surviving nodes.
 func TestScanRecoversUnbroadcastCommits(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()
 	dead := newNode(t, store, "dead")
 	commit(t, dead, map[string]string{"k": "orphan"})
@@ -99,7 +99,7 @@ func TestScanRecoversUnbroadcastCommits(t *testing.T) {
 // no queue, so the new manager's scan must fetch them; a record n1 still
 // queues is left to n1's next round, which the new manager taps.
 func TestScanIsRestartSafe(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()
 	n1 := newNode(t, store, "n1")
 	bus := multicast.NewBus()
@@ -138,7 +138,7 @@ func TestScanIsRestartSafe(t *testing.T) {
 }
 
 func TestCollectOnceDeletesOnlyWhenAllNodesAgree(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()
 	n1, n2 := newNode(t, store, "n1"), newNode(t, store, "n2")
 
@@ -200,7 +200,7 @@ func TestCollectOnceDeletesOnlyWhenAllNodesAgree(t *testing.T) {
 // collected once its origin sweeps it, instead of vetoed forever — and,
 // being oldest, blocking every later candidate of a capped round.
 func TestCollectOnceAfterSenderPrune(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()
 	n1, n2 := newNode(t, store, "n1"), newNode(t, store, "n2")
 	bus := multicast.NewBus()
@@ -228,7 +228,7 @@ func TestCollectOnceAfterSenderPrune(t *testing.T) {
 }
 
 func TestCollectOnceOldestFirstAndLimited(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()
 	n1 := newNode(t, store, "n1")
 	m := New(store, StaticMembership{n1})
@@ -264,7 +264,7 @@ func TestCollectOnceOldestFirstAndLimited(t *testing.T) {
 func TestCollectOnceBatchesDeletes(t *testing.T) {
 	const keys, versions = 8, 12
 	const superseded = keys * (versions - 1)
-	batches := int64((superseded + dynamosim.MaxBatch - 1) / dynamosim.MaxBatch)
+	batches := int64((superseded + kvengine.DynamoDBMaxBatch - 1) / kvengine.DynamoDBMaxBatch)
 	for _, c := range []struct {
 		value     string
 		perRecord int64 // storage keys per collected transaction
@@ -272,7 +272,7 @@ func TestCollectOnceBatchesDeletes(t *testing.T) {
 		{"v", 1},
 		{strings.Repeat("v", 16<<10), 2}, // too large to ride inline
 	} {
-		store := dynamosim.New(dynamosim.Options{})
+		store := kvengine.NewDynamoDB(kvengine.Options{})
 		ctx := context.Background()
 		n1 := newNode(t, store, "n1")
 		m := New(store, StaticMembership{n1})
@@ -303,7 +303,7 @@ func TestCollectOnceBatchesDeletes(t *testing.T) {
 }
 
 func TestCollectNeverTouchesLiveLatestVersion(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()
 	n1 := newNode(t, store, "n1")
 	m := New(store, StaticMembership{n1})
@@ -325,7 +325,7 @@ func TestCollectNeverTouchesLiveLatestVersion(t *testing.T) {
 func TestEndToEndReadAfterGlobalGC(t *testing.T) {
 	// After global GC removes old versions, fresh transactions still read
 	// the latest value correctly.
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()
 	n1 := newNode(t, store, "n1")
 	m := New(store, StaticMembership{n1})

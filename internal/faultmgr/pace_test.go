@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"aft/internal/latency"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // TestCollectKeepsPaceOnDynamoDB: a global GC round's deletes go out as one
@@ -22,7 +22,7 @@ import (
 func TestCollectKeepsPaceOnDynamoDB(t *testing.T) {
 	const collected, pairs = 5000, 50
 	sleeper := &latency.Sleeper{}
-	store := dynamosim.New(dynamosim.Options{
+	store := kvengine.NewDynamoDB(kvengine.Options{
 		Latency: latency.NewModel(latency.DynamoDBProfile(), 1),
 		Sleeper: sleeper,
 	})

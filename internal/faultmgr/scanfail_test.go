@@ -5,13 +5,13 @@ import (
 	"errors"
 	"testing"
 
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // failingBatchGetStore fails its first N BatchGet calls — a transient
 // storage fault in the middle of a fault-manager recovery scan.
 type failingBatchGetStore struct {
-	*dynamosim.Store
+	*kvengine.DynamoDB
 	failures int
 }
 
@@ -22,7 +22,7 @@ func (s *failingBatchGetStore) BatchGet(ctx context.Context, keys []string) (map
 		s.failures--
 		return nil, errScanBoom
 	}
-	return s.Store.BatchGet(ctx, keys)
+	return s.DynamoDB.BatchGet(ctx, keys)
 }
 
 // TestScanStorageFailureDoesNotSwallowRecoveredCommits locks in the
@@ -36,8 +36,8 @@ func (s *failingBatchGetStore) BatchGet(ctx context.Context, keys []string) (map
 // as lost writes.)
 func TestScanStorageFailureDoesNotSwallowRecoveredCommits(t *testing.T) {
 	ctx := context.Background()
-	inner := dynamosim.New(dynamosim.Options{})
-	store := &failingBatchGetStore{Store: inner, failures: 1}
+	inner := kvengine.NewDynamoDB(kvengine.Options{})
+	store := &failingBatchGetStore{DynamoDB: inner, failures: 1}
 
 	// A node commits two transactions and dies before broadcasting: the
 	// records are durable but the manager never ingested them.

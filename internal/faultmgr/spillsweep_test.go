@@ -9,11 +9,11 @@ import (
 
 	"aft/internal/core"
 	"aft/internal/records"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // spillNode builds a node with an aggressive spill threshold.
-func spillNode(t *testing.T, store *dynamosim.Store, id string) *core.Node {
+func spillNode(t *testing.T, store *kvengine.DynamoDB, id string) *core.Node {
 	t.Helper()
 	n, err := core.NewNode(core.Config{NodeID: id, Store: store, SpillThreshold: 8})
 	if err != nil {
@@ -23,7 +23,7 @@ func spillNode(t *testing.T, store *dynamosim.Store, id string) *core.Node {
 }
 
 func TestSweepSpillsRemovesOrphans(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()
 	n := spillNode(t, store, "n1")
 	m := New(store, StaticMembership{n})
@@ -62,7 +62,7 @@ func TestSweepSpillsRemovesOrphans(t *testing.T) {
 }
 
 func TestSweepSpillsKeepsCommittedData(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()
 	n := spillNode(t, store, "n1")
 	m := New(store, StaticMembership{n})
@@ -96,7 +96,7 @@ func TestSweepSpillsChecksStorageForUnknownCommits(t *testing.T) {
 	// Even if the manager's in-memory index is empty (fresh restart), a
 	// spill whose transaction committed must survive: the sweep consults
 	// the commit set in storage.
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()
 	n := spillNode(t, store, "n1")
 	txid, _ := n.StartTransaction(ctx)
@@ -118,23 +118,23 @@ func TestSweepSpillsChecksStorageForUnknownCommits(t *testing.T) {
 
 // countingStore counts the manager-facing calls the spill sweep makes.
 type countingStore struct {
-	*dynamosim.Store
+	*kvengine.DynamoDB
 	lists, batchDeletes, deletes atomic.Int64
 }
 
 func (s *countingStore) List(ctx context.Context, prefix string) ([]string, error) {
 	s.lists.Add(1)
-	return s.Store.List(ctx, prefix)
+	return s.DynamoDB.List(ctx, prefix)
 }
 
 func (s *countingStore) BatchDelete(ctx context.Context, keys []string) error {
 	s.batchDeletes.Add(1)
-	return s.Store.BatchDelete(ctx, keys)
+	return s.DynamoDB.BatchDelete(ctx, keys)
 }
 
 func (s *countingStore) Delete(ctx context.Context, key string) error {
 	s.deletes.Add(1)
-	return s.Store.Delete(ctx, key)
+	return s.DynamoDB.Delete(ctx, key)
 }
 
 // TestRewrittenSpillCollectedWithItsVersion: a key spilled and then written
@@ -143,7 +143,7 @@ func (s *countingStore) Delete(ctx context.Context, key string) error {
 // object with the version. Nothing is left for the orphan sweep, which
 // would otherwise find a committed UUID and keep the object forever.
 func TestRewrittenSpillCollectedWithItsVersion(t *testing.T) {
-	store := &countingStore{Store: dynamosim.New(dynamosim.Options{})}
+	store := &countingStore{DynamoDB: kvengine.NewDynamoDB(kvengine.Options{})}
 	ctx := context.Background()
 	n, err := core.NewNode(core.Config{NodeID: "n1", Store: store, SpillThreshold: 100})
 	if err != nil {
@@ -200,7 +200,7 @@ func TestRewrittenSpillCollectedWithItsVersion(t *testing.T) {
 // object alone — the record names it, and the fallback finds it through the
 // record — and the global GC deletes it with the version.
 func TestSpilledVersionLeavesNoDataKey(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()
 	n := spillNode(t, store, "n1")
 	m := New(store, StaticMembership{n})
@@ -245,7 +245,7 @@ func TestSpilledVersionLeavesNoDataKey(t *testing.T) {
 // the (restarted) manager does not know.
 func TestSweepSpillsListsOnceAndBatchesDeletes(t *testing.T) {
 	const orphans = 50
-	store := &countingStore{Store: dynamosim.New(dynamosim.Options{})}
+	store := &countingStore{DynamoDB: kvengine.NewDynamoDB(kvengine.Options{})}
 	ctx := context.Background()
 	n, err := core.NewNode(core.Config{NodeID: "n1", Store: store, SpillThreshold: 8})
 	if err != nil {

@@ -7,12 +7,12 @@ import (
 	"testing"
 
 	"aft/internal/core"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
-func newBackends(t *testing.T, n int) (*dynamosim.Store, []*core.Node) {
+func newBackends(t *testing.T, n int) (*kvengine.DynamoDB, []*core.Node) {
 	t.Helper()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	nodes := make([]*core.Node, n)
 	for i := range nodes {
 		node, err := core.NewNode(core.Config{NodeID: fmt.Sprintf("n%d", i), Store: store})

@@ -9,10 +9,10 @@ import (
 	"aft/internal/core"
 	"aft/internal/idgen"
 	"aft/internal/records"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
-func newNode(t *testing.T, store *dynamosim.Store, id string) *core.Node {
+func newNode(t *testing.T, store *kvengine.DynamoDB, id string) *core.Node {
 	t.Helper()
 	n, err := core.NewNode(core.Config{NodeID: id, Store: store})
 	if err != nil {
@@ -41,7 +41,7 @@ func commit(t *testing.T, n *core.Node, kvs map[string]string) idgen.ID {
 }
 
 func TestFlushDeliversToPeers(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n1, n2 := newNode(t, store, "n1"), newNode(t, store, "n2")
 	bus := NewBus()
 	bus.Register(n1)
@@ -59,7 +59,7 @@ func TestFlushDeliversToPeers(t *testing.T) {
 }
 
 func TestFlushDoesNotEchoToSender(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n1 := newNode(t, store, "n1")
 	bus := NewBus()
 	bus.Register(n1)
@@ -73,7 +73,7 @@ func TestFlushDoesNotEchoToSender(t *testing.T) {
 }
 
 func TestPruningSuppressesSuperseded(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n1, n2 := newNode(t, store, "n1"), newNode(t, store, "n2")
 	bus := NewBus()
 	bus.Register(n1)
@@ -101,7 +101,7 @@ func TestPruningSuppressesSuperseded(t *testing.T) {
 }
 
 func TestNoPruningSendsEverything(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n1, n2 := newNode(t, store, "n1"), newNode(t, store, "n2")
 	bus := NewBus()
 	bus.Register(n1)
@@ -114,7 +114,7 @@ func TestNoPruningSendsEverything(t *testing.T) {
 }
 
 func TestTapReceivesUnprunedStream(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n1 := newNode(t, store, "n1")
 	bus := NewBus()
 	bus.Register(n1)
@@ -139,7 +139,7 @@ func TestTapReceivesUnprunedStream(t *testing.T) {
 }
 
 func TestMulticasterPeriodicLoop(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n1, n2 := newNode(t, store, "n1"), newNode(t, store, "n2")
 	bus := NewBus()
 	bus.Register(n2)
@@ -163,7 +163,7 @@ func TestMulticasterPeriodicLoop(t *testing.T) {
 }
 
 func TestMulticasterStopFlushes(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n1, n2 := newNode(t, store, "n1"), newNode(t, store, "n2")
 	bus := NewBus()
 	bus.Register(n2)
@@ -181,7 +181,7 @@ func TestMulticasterStopFlushes(t *testing.T) {
 }
 
 func TestMulticasterKillDropsPending(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n1, n2 := newNode(t, store, "n1"), newNode(t, store, "n2")
 	bus := NewBus()
 	bus.Register(n2)
@@ -195,7 +195,7 @@ func TestMulticasterKillDropsPending(t *testing.T) {
 }
 
 func TestFlushEmptyIsNoop(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n1 := newNode(t, store, "n1")
 	bus := NewBus()
 	bus.Register(n1)
@@ -208,7 +208,7 @@ func TestFlushEmptyIsNoop(t *testing.T) {
 }
 
 func TestDefaultPeriod(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	n1 := newNode(t, store, "n1")
 	mc := NewMulticaster(NewBus(), n1, 0, true)
 	if mc.period != time.Second {

@@ -8,6 +8,7 @@ import (
 
 	"aft/internal/latency"
 	"aft/internal/storage"
+	"aft/internal/storage/kvengine"
 )
 
 // TestBatchDeleteAllocBudget: a BatchDelete of 800 keys, 32 requests sent
@@ -15,9 +16,9 @@ import (
 // keys, the one wait takes no goroutine or timer per request, and each
 // request's delete groups its keys by shard on the stack.
 func TestBatchDeleteAllocBudget(t *testing.T) {
-	s := New(Options{Latency: latency.NewModel(latency.DynamoDBProfile(), 1), Sleeper: latency.NoSleep})
+	s := kvengine.NewDynamoDB(kvengine.Options{Latency: latency.NewModel(latency.DynamoDBProfile(), 1), Sleeper: latency.NoSleep})
 	ctx := context.Background()
-	keys := keysFor(storage.MaxCallsInFlight * MaxBatch)
+	keys := keysFor(storage.MaxCallsInFlight * kvengine.DynamoDBMaxBatch)
 	for _, k := range keys {
 		if err := s.Put(ctx, k, []byte("v")); err != nil {
 			t.Fatal(err)

@@ -11,10 +11,11 @@ import (
 	"aft/internal/latency"
 	"aft/internal/retry"
 	"aft/internal/storage"
+	"aft/internal/storage/kvengine"
 	"aft/internal/storage/storagetest"
 )
 
-func newTestStore() *Store { return New(Options{}) }
+func newTestStore() *kvengine.DynamoDB { return kvengine.NewDynamoDB(kvengine.Options{}) }
 
 func TestBasicOps(t *testing.T) {
 	s := newTestStore()
@@ -39,7 +40,7 @@ func TestBasicOps(t *testing.T) {
 
 func TestCapabilities(t *testing.T) {
 	caps := newTestStore().Capabilities()
-	if !caps.BatchWrites || caps.MaxBatchSize != MaxBatch || !caps.Transactions {
+	if !caps.BatchWrites || caps.MaxBatchSize != kvengine.DynamoDBMaxBatch || !caps.Transactions {
 		t.Fatalf("capabilities = %+v", caps)
 	}
 	if newTestStore().Name() != "dynamodb" {
@@ -51,7 +52,7 @@ func TestBatchPut(t *testing.T) {
 	s := newTestStore()
 	ctx := context.Background()
 	items := map[string][]byte{}
-	for i := 0; i < MaxBatch; i++ {
+	for i := 0; i < kvengine.DynamoDBMaxBatch; i++ {
 		items[fmt.Sprintf("k%d", i)] = []byte{byte(i)}
 	}
 	if err := s.BatchPut(ctx, items); err != nil {
@@ -114,7 +115,7 @@ func TestTransactPutAtomicVisibility(t *testing.T) {
 
 func TestTransactConflictWriteWrite(t *testing.T) {
 	// Hold a write lock via a slow transaction, then observe a conflict.
-	s := New(Options{
+	s := kvengine.NewDynamoDB(kvengine.Options{
 		Latency: latency.NewModel(latency.Profile{
 			latency.OpTransact: {Median: 50 * time.Millisecond},
 		}, 1),
@@ -142,7 +143,7 @@ func TestTransactConflictWriteWrite(t *testing.T) {
 }
 
 func TestTransactReadersDoNotConflict(t *testing.T) {
-	s := New(Options{
+	s := kvengine.NewDynamoDB(kvengine.Options{
 		Latency: latency.NewModel(latency.Profile{
 			latency.OpTransact: {Median: 30 * time.Millisecond},
 		}, 1),
@@ -172,7 +173,7 @@ func TestTransactReadersDoNotConflict(t *testing.T) {
 }
 
 func TestTransactReadWriteConflict(t *testing.T) {
-	s := New(Options{
+	s := kvengine.NewDynamoDB(kvengine.Options{
 		Latency: latency.NewModel(latency.Profile{
 			latency.OpTransact: {Median: 50 * time.Millisecond},
 		}, 1),
@@ -201,7 +202,7 @@ func TestUnavailable(t *testing.T) {
 		t.Fatalf("Put after recovery = %v", err)
 	}
 	// A batched call checks availability before it sends any request.
-	storagetest.UnavailableBatchCalls(t, s, s.SetAvailable, 3*MaxReadBatch)
+	storagetest.UnavailableBatchCalls(t, s, s.SetAvailable, 3*kvengine.DynamoDBMaxReadBatch)
 }
 
 func TestContextCancellation(t *testing.T) {
@@ -257,11 +258,11 @@ func TestConcurrentMixed(t *testing.T) {
 func TestItemSizeLimit(t *testing.T) {
 	s := newTestStore()
 	ctx := context.Background()
-	fits := make([]byte, MaxItemSize-len("k"))
+	fits := make([]byte, kvengine.DynamoDBMaxItemSize-len("k"))
 	if err := s.Put(ctx, "k", fits); err != nil {
-		t.Fatalf("Put of exactly %d bytes = %v", MaxItemSize, err)
+		t.Fatalf("Put of exactly %d bytes = %v", kvengine.DynamoDBMaxItemSize, err)
 	}
-	big := make([]byte, MaxItemSize)
+	big := make([]byte, kvengine.DynamoDBMaxItemSize)
 	err := s.Put(ctx, "big", big)
 	if !errors.Is(err, storage.ErrItemTooLarge) {
 		t.Fatalf("oversized Put = %v, want ErrItemTooLarge", err)

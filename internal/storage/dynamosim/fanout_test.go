@@ -8,6 +8,7 @@ import (
 
 	"aft/internal/latency"
 	"aft/internal/storage"
+	"aft/internal/storage/kvengine"
 	"aft/internal/storage/storagetest"
 )
 
@@ -29,12 +30,12 @@ func keysFor(n int) []string {
 // one. Each request still counts as one.
 func TestChunkedCallsOverlap(t *testing.T) {
 	t.Parallel()
-	s := New(Options{
+	s := kvengine.NewDynamoDB(kvengine.Options{
 		Latency: storagetest.FixedLatency(rtt, latency.OpGet, latency.OpBatchWrite),
 		Sleeper: latency.RealTime,
 	})
 	ctx := context.Background()
-	one, two := storage.MaxCallsInFlight*MaxBatch, (storage.MaxCallsInFlight+1)*MaxBatch
+	one, two := storage.MaxCallsInFlight*kvengine.DynamoDBMaxBatch, (storage.MaxCallsInFlight+1)*kvengine.DynamoDBMaxBatch
 	keys := keysFor(two)
 	for _, k := range keys {
 		if err := s.Put(ctx, k, []byte("v")); err != nil {

@@ -7,7 +7,7 @@ import (
 	"aft/internal/storage"
 )
 
-// Fanout runs one multi-key call that a client sends as n requests at
+// fanout runs one multi-key call that a client sends as n requests at
 // once, as a real client does, rather than one after another. Every
 // request goes out together, at most storage.MaxCallsInFlight outstanding,
 // so the call sleeps once: for each wave of up to that many requests the
@@ -17,10 +17,10 @@ import (
 // no items is neither sent nor run. A nil run applies nothing, for a call
 // whose caller reads the engine itself once the wait is over.
 //
-// The caller checks availability and its context once, before Fanout, so a
-// call's requests are sent all together or not at all. Fanout starts no
+// The caller checks availability and its context once, before fanout, so a
+// call's requests are sent all together or not at all. fanout starts no
 // goroutine and no timer and allocates nothing.
-func Fanout(m *latency.Model, s *latency.Sleeper, op latency.Op, n int, items func(i int) int, run func(i int)) {
+func fanout(m *latency.Model, s *latency.Sleeper, op latency.Op, n int, items func(i int) int, run func(i int)) {
 	var wait, slowest time.Duration
 	sent := 0
 	for i := range n {
@@ -46,15 +46,15 @@ func Fanout(m *latency.Model, s *latency.Sleeper, op latency.Op, n int, items fu
 	}
 }
 
-// FanoutChunks is Fanout for a call that sends keys in requests of at most
+// fanoutChunks is fanout for a call that sends keys in requests of at most
 // limit keys each, in order: run gets each request's keys, a sub-slice of
 // keys.
-func FanoutChunks(m *latency.Model, s *latency.Sleeper, op latency.Op, keys []string, limit int, run func(chunk []string)) {
+func fanoutChunks(m *latency.Model, s *latency.Sleeper, op latency.Op, keys []string, limit int, run func(chunk []string)) {
 	chunk := func(i int) []string {
 		lo := i * limit
 		return keys[lo:min(lo+limit, len(keys))]
 	}
-	Fanout(m, s, op, (len(keys)+limit-1)/limit,
+	fanout(m, s, op, (len(keys)+limit-1)/limit,
 		func(i int) int { return len(chunk(i)) },
 		func(i int) { run(chunk(i)) })
 }

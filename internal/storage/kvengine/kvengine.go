@@ -1,209 +1,385 @@
-// Package kvengine is the sharded in-memory key-value core that backs every
-// simulated storage engine in this repository. It provides durable-once-
-// acknowledged semantics (everything lives in process memory for the
-// simulation; "durability" means a write is immediately visible to every
-// subsequent read, including List scans) and is safe for concurrent use.
-// Fanout is the one rule by which every simulator's client times a call it
-// sends as several requests.
+// Package kvengine simulates the three cloud stores the paper runs AFT
+// over — DynamoDB, S3 and Redis — as three profiles of one sharded
+// in-memory engine. The semantics are real (a write is durable once
+// acknowledged, values are copied, listing is ordered, every call is safe
+// for concurrent use); what a profile sets is each service's API shape —
+// its batch limits, how a multi-key call splits into requests — and the
+// latency model each request samples.
+//
+// Substitution notes. The paper ran against the real services:
+//   - DynamoDB: the simulator reproduces the API surface AFT exploits
+//     (BatchWriteItem-style batching), the latency shape, and
+//     transaction-mode conflict aborts, which is what the evaluation's
+//     comparisons exercise (§6.1.2, §6.2).
+//   - S3: the paper's Figure 3 shows S3 is a poor fit for AFT's
+//     key-per-version layout because of its random-IO latency profile; the
+//     simulator reproduces exactly that profile, and S3's lack of a
+//     multi-object write, so the comparison retains its shape.
+//   - Redis: a cluster-mode deployment (the paper runs AWS ElastiCache
+//     with 2 shards) in which each shard is linearizable but nothing holds
+//     across shards. The simulator reproduces the two properties the
+//     evaluation leans on — sub-millisecond IO (§6.1.2) and the inability
+//     to batch arbitrary cross-shard write sets (MSET is single-shard),
+//     which is why the paper's AFT issued one write after another over
+//     Redis (§6.3, §6.4). This AFT sends a commit phase's point writes
+//     together instead, so a phase costs one round trip
+//     (internal/core/flush.go).
+//
+// A multi-key read, delete or scan is sent as several requests — chunks
+// at the service's limit, or one per Redis shard — and a client sends
+// them together: the call waits the slowest request of each wave, not the
+// sum (fanout).
 package kvengine
 
 import (
-	"slices"
-	"sort"
-	"strings"
-	"sync"
+	"context"
+	"fmt"
+	"math"
+	"sync/atomic"
 
-	"aft/internal/strhash"
+	"aft/internal/latency"
+	"aft/internal/storage"
 )
 
-// Engine is a sharded concurrent map from string keys to byte values.
-type Engine struct {
-	shards []*shard
+// The services' request limits.
+const (
+	// DynamoDBMaxBatch is BatchWriteItem's item limit, for puts and
+	// deletes alike.
+	DynamoDBMaxBatch = 25
+	// DynamoDBMaxReadBatch is BatchGetItem's item limit.
+	DynamoDBMaxReadBatch = 100
+	// DynamoDBMaxItemSize is DynamoDB's item size limit: the key's bytes
+	// plus the value's.
+	DynamoDBMaxItemSize = 400 << 10
+	// S3MaxDeleteBatch is DeleteObjects' key limit.
+	S3MaxDeleteBatch = 1000
+	// internalShards is the lock-shard count of DynamoDB and S3, which are
+	// massively parallel services: it is not visible in semantics, and the
+	// simulator must not serialize callers the real service would not.
+	internalShards = 128
+)
+
+// profile is what tells one simulated service from another.
+type profile struct {
+	name string
+	caps storage.Capabilities
+	// maxItem bounds an item's key plus value bytes; 0 means no limit.
+	maxItem int
+	// maxBatch bounds a BatchPut's items; 0 means the service has no
+	// multi-key write and BatchPut returns storage.ErrBatchUnsupported.
+	maxBatch int
+	// mset: a BatchPut succeeds only if every key lives on one shard, and
+	// fails with storage.ErrBatchUnsupported otherwise.
+	mset bool
+	// batchOp is the latency op a BatchPut samples.
+	batchOp latency.Op
+	// readBatch and deleteBatch are the keys per BatchGet and BatchDelete
+	// request; 0 means one request per shard the keys touch. A BatchGet
+	// request of one key is a point GET and counts as a Get.
+	readBatch, deleteBatch int
+	// deleteOp is the latency op each BatchDelete request samples.
+	deleteOp latency.Op
+	// listPerShard: a List sends one scan per shard.
+	listPerShard bool
+	shards       int
 }
 
-type shard struct {
-	mu   sync.RWMutex
-	data map[string][]byte
-}
-
-// New returns an Engine with n shards (n < 1 is normalized to 1).
-func New(n int) *Engine {
-	if n < 1 {
-		n = 1
+var (
+	dynamoDBProfile = profile{
+		name:        "dynamodb",
+		caps:        storage.Capabilities{BatchWrites: true, MaxBatchSize: DynamoDBMaxBatch, Transactions: true},
+		maxItem:     DynamoDBMaxItemSize,
+		maxBatch:    DynamoDBMaxBatch,
+		batchOp:     latency.OpBatchWrite,
+		readBatch:   DynamoDBMaxReadBatch,
+		deleteBatch: DynamoDBMaxBatch,
+		deleteOp:    latency.OpBatchWrite,
+		shards:      internalShards,
 	}
-	e := &Engine{shards: make([]*shard, n)}
-	for i := range e.shards {
-		e.shards[i] = &shard{data: make(map[string][]byte)}
+	s3Profile = profile{
+		name:        "s3",
+		readBatch:   1,
+		deleteBatch: S3MaxDeleteBatch,
+		deleteOp:    latency.OpDelete,
+		shards:      internalShards,
 	}
-	return e
+	// BatchWrites is false on Redis: MSET exists but only within one
+	// shard, so arbitrary write sets cannot rely on it.
+	redisProfile = profile{
+		name:         "redis",
+		maxBatch:     math.MaxInt,
+		mset:         true,
+		batchOp:      latency.OpPut,
+		deleteOp:     latency.OpDelete,
+		listPerShard: true,
+		shards:       2,
+	}
+)
+
+// Options configures a simulated store.
+type Options struct {
+	// Latency is the per-operation latency model; nil means no latency.
+	Latency *latency.Model
+	// Sleeper injects latencies; nil means never sleep.
+	Sleeper *latency.Sleeper
 }
 
-// NumShards returns the shard count.
-func (e *Engine) NumShards() int { return len(e.shards) }
+// Store is a simulated cloud store implementing storage.Store.
+type Store struct {
+	engine
+	p       profile
+	model   *latency.Model
+	sleeper *latency.Sleeper
+	metrics storage.Metrics
 
-// ShardFor returns the shard index that owns key; exposed so the Redis
-// simulator can enforce single-shard MSET semantics.
-func (e *Engine) ShardFor(key string) int {
-	return int(strhash.FNV32a(key) % uint32(len(e.shards)))
+	off atomic.Bool // fault injection: true while "unavailable"
 }
 
-func (e *Engine) shardOf(key string) *shard { return e.shards[e.ShardFor(key)] }
+var _ storage.Store = (*Store)(nil)
 
-// Get returns a copy of the value at key and whether it exists.
-func (e *Engine) Get(key string) ([]byte, bool) {
-	s := e.shardOf(key)
-	s.mu.RLock()
-	v, ok := s.data[key]
-	s.mu.RUnlock()
+func newStore(p profile, opts Options) *Store {
+	return &Store{engine: newEngine(p.shards), p: p, model: opts.Latency, sleeper: opts.Sleeper}
+}
+
+// NewS3 returns an empty simulated S3 bucket: high, high-variance latency
+// and no batch write.
+func NewS3(opts Options) *Store {
+	return newStore(s3Profile, opts)
+}
+
+// NewRedis returns an empty simulated cluster-mode Redis of the given
+// shard count (0 means 2, the paper's configuration): memory-speed
+// operations, per-shard linearizability, single-shard MSET only.
+func NewRedis(shards int, opts Options) *Store {
+	p := redisProfile
+	if shards != 0 {
+		p.shards = shards
+	}
+	return newStore(p, opts)
+}
+
+// Name implements storage.Store.
+func (s *Store) Name() string { return s.p.name }
+
+// Capabilities implements storage.Store.
+func (s *Store) Capabilities() storage.Capabilities { return s.p.caps }
+
+// Metrics returns the store's operation counters.
+func (s *Store) Metrics() *storage.Metrics { return &s.metrics }
+
+// NumShards returns the engine's shard count.
+func (s *Store) NumShards() int { return len(s.shards) }
+
+// SetAvailable toggles fault injection: when false, every operation returns
+// storage.ErrUnavailable.
+func (s *Store) SetAvailable(up bool) {
+	s.off.Store(!up)
+}
+
+func (s *Store) check(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if s.off.Load() {
+		return storage.ErrUnavailable
+	}
+	return nil
+}
+
+func (s *Store) sleep(op latency.Op, n int) {
+	s.sleeper.Sleep(s.model.Sample(op, n))
+}
+
+// checkItem rejects an item over the profile's size limit, as DynamoDB
+// rejects the request before it writes anything.
+func (s *Store) checkItem(key string, value []byte) error {
+	if s.p.maxItem > 0 && len(key)+len(value) > s.p.maxItem {
+		return fmt.Errorf("%s: item %q of %d bytes: %w", s.p.name, key, len(key)+len(value), storage.ErrItemTooLarge)
+	}
+	return nil
+}
+
+// Get implements storage.Store.
+func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
+	if err := s.check(ctx); err != nil {
+		return nil, err
+	}
+	s.metrics.Gets.Add(1)
+	s.sleep(latency.OpGet, 1)
+	v, ok := s.get(key)
 	if !ok {
-		return nil, false
+		return nil, storage.ErrNotFound
 	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, true
+	return v, nil
 }
 
-// Put stores a copy of value at key.
-func (e *Engine) Put(key string, value []byte) {
-	v := make([]byte, len(value))
-	copy(v, value)
-	s := e.shardOf(key)
-	s.mu.Lock()
-	s.data[key] = v
-	s.mu.Unlock()
+// Put implements storage.Store.
+func (s *Store) Put(ctx context.Context, key string, value []byte) error {
+	if err := s.check(ctx); err != nil {
+		return err
+	}
+	s.metrics.Puts.Add(1)
+	s.sleep(latency.OpPut, 1)
+	if err := s.checkItem(key, value); err != nil {
+		return err
+	}
+	s.put(key, value)
+	return nil
 }
 
-// PutAll stores copies of all items. The application is not atomic across
-// shards; callers that need atomic visibility layer it above (as AFT does
-// with its commit record).
-func (e *Engine) PutAll(items map[string][]byte) {
-	// Sort by shard to take each shard lock once; values are copied before
-	// any lock is taken so the memcpy never extends a hold. Batches up to
-	// the stack buffer's size (DynamoDB's limit is 25) allocate only the
-	// copies.
-	type put struct {
-		shard int
-		k     string
-		v     []byte
+// BatchPut implements storage.Store as the service's multi-key write:
+// DynamoDB's BatchWriteItem of at most DynamoDBMaxBatch items (AFT's write
+// routine chunks larger commits), Redis's MSET, whose keys must share a
+// shard, or on S3 storage.ErrBatchUnsupported: AFT sends point puts there,
+// a commit phase's together. A batch holding an item over the size limit
+// is rejected whole, as Put rejects the item.
+func (s *Store) BatchPut(ctx context.Context, items map[string][]byte) error {
+	if err := s.check(ctx); err != nil {
+		return err
 	}
-	var buf [32]put
-	puts := buf[:0]
+	if s.p.maxBatch == 0 {
+		return storage.ErrBatchUnsupported
+	}
+	if len(items) == 0 {
+		return nil
+	}
+	if len(items) > s.p.maxBatch {
+		return storage.ErrBatchTooLarge
+	}
+	if s.p.mset && !s.oneShard(items) {
+		return storage.ErrBatchUnsupported
+	}
+	s.metrics.Batches.Add(1)
+	s.metrics.BatchItems.Add(int64(len(items)))
+	s.sleep(s.p.batchOp, len(items))
 	for k, v := range items {
-		c := make([]byte, len(v))
-		copy(c, v)
-		puts = append(puts, put{e.ShardFor(k), k, c})
-	}
-	slices.SortFunc(puts, func(a, b put) int { return a.shard - b.shard })
-	for i := 0; i < len(puts); {
-		shard := puts[i].shard
-		s := e.shards[shard]
-		s.mu.Lock()
-		for ; i < len(puts) && puts[i].shard == shard; i++ {
-			s.data[puts[i].k] = puts[i].v
+		if err := s.checkItem(k, v); err != nil {
+			return err
 		}
-		s.mu.Unlock()
 	}
+	s.putAll(items)
+	return nil
 }
 
-// shardKey is one key of a batch with the shard that owns it.
-type shardKey struct {
-	shard int
-	k     string
+// oneShard reports whether every key of items lives on one shard.
+func (s *Store) oneShard(items map[string][]byte) bool {
+	shard := -1
+	for k := range items {
+		if sh := s.ShardFor(k); shard == -1 {
+			shard = sh
+		} else if sh != shard {
+			return false
+		}
+	}
+	return true
 }
 
-// byShard appends keys to dst sorted by owning shard, so a batch takes each
-// shard lock once. Callers pass a stack buffer: batches up to its size
-// (DynamoDB's limit is 25) group without allocating.
-func (e *Engine) byShard(dst []shardKey, keys []string) []shardKey {
+// BatchGet implements storage.Store: DynamoDB's BatchGetItem requests of
+// up to DynamoDBMaxReadBatch keys, S3's point GETs (billed one Get per
+// key), or one MGET per Redis shard, every request sent at once (fanout).
+// Missing keys are absent from the result.
+func (s *Store) BatchGet(ctx context.Context, keys []string) (map[string][]byte, error) {
+	if err := s.check(ctx); err != nil {
+		return nil, err
+	}
+	out := make(map[string][]byte, len(keys))
+	s.send(keys, out)
+	return out, nil
+}
+
+// BatchDelete implements storage.Store: DynamoDB's BatchWriteItem delete
+// requests, S3's DeleteObjects or one multi-key DEL per Redis shard, sent
+// at once as BatchGet's requests are. Missing keys are not an error.
+func (s *Store) BatchDelete(ctx context.Context, keys []string) error {
+	if err := s.check(ctx); err != nil {
+		return err
+	}
+	s.send(keys, nil)
+	return nil
+}
+
+// send runs a BatchGet into out, or with out nil a BatchDelete, as the
+// requests the profile splits it into, all sent at once (fanout): chunks
+// of the profile's limit in order, or with limit 0 one request per shard
+// the keys touch, each with that shard's keys in caller order.
+func (s *Store) send(keys []string, out map[string][]byte) {
+	op, limit := latency.OpGet, s.p.readBatch
+	if out == nil {
+		op, limit = s.p.deleteOp, s.p.deleteBatch
+	}
+	if limit > 0 {
+		fanoutChunks(s.model, s.sleeper, op, keys, limit, func(chunk []string) { s.apply(chunk, out) })
+		return
+	}
+	var buf [32]string
+	chunk := shardBuf(buf[:], keys)
+	fanout(s.model, s.sleeper, op, len(s.shards),
+		func(sh int) int { return len(s.keysOn(chunk[:0], keys, sh)) },
+		func(sh int) {
+			chunk = s.keysOn(chunk[:0], keys, sh)
+			s.apply(chunk, out)
+		})
+}
+
+// apply runs one request of send and counts it.
+func (s *Store) apply(chunk []string, out map[string][]byte) {
+	switch {
+	case out == nil:
+		s.metrics.BatchDeletes.Add(1)
+		s.metrics.BatchDeleteItems.Add(int64(len(chunk)))
+		s.deleteAll(chunk)
+		return
+	case s.p.readBatch == 1:
+		s.metrics.Gets.Add(1)
+	default:
+		s.metrics.BatchGets.Add(1)
+		s.metrics.BatchGetItems.Add(int64(len(chunk)))
+	}
+	s.getInto(out, chunk)
+}
+
+// shardBuf returns the buffer a batch's keys are grouped by shard in: buf,
+// or for a batch larger than buf one heap slice that every shard reuses.
+func shardBuf(buf, keys []string) []string {
+	if len(keys) > cap(buf) {
+		return make([]string, 0, len(keys))
+	}
+	return buf[:0]
+}
+
+// keysOn appends to dst the keys owned by shard sh, in caller order.
+func (s *Store) keysOn(dst, keys []string, sh int) []string {
 	for _, k := range keys {
-		dst = append(dst, shardKey{e.ShardFor(k), k})
+		if s.ShardFor(k) == sh {
+			dst = append(dst, k)
+		}
 	}
-	slices.SortFunc(dst, func(a, b shardKey) int { return a.shard - b.shard })
 	return dst
 }
 
-// GetInto stores in out a copy of the value of every present key, grouping
-// the probes by shard so each shard lock is taken at most once. Missing keys
-// are left out. Batches up to the stack buffer's size allocate only the
-// copies (and whatever out needs to grow).
-func (e *Engine) GetInto(out map[string][]byte, keys []string) {
-	var buf [32]shardKey
-	sks := e.byShard(buf[:0], keys)
-	for i := 0; i < len(sks); {
-		s := e.shards[sks[i].shard]
-		s.mu.RLock()
-		for shard := sks[i].shard; i < len(sks) && sks[i].shard == shard; i++ {
-			if v, ok := s.data[sks[i].k]; ok {
-				c := make([]byte, len(v))
-				copy(c, v)
-				out[sks[i].k] = c
-			}
-		}
-		s.mu.RUnlock()
+// Delete implements storage.Store.
+func (s *Store) Delete(ctx context.Context, key string) error {
+	if err := s.check(ctx); err != nil {
+		return err
 	}
+	s.metrics.Deletes.Add(1)
+	s.sleep(latency.OpDelete, 1)
+	s.delete(key)
+	return nil
 }
 
-// DeleteAll removes every listed key, taking each shard lock at most once.
-func (e *Engine) DeleteAll(keys []string) {
-	var buf [32]shardKey
-	sks := e.byShard(buf[:0], keys)
-	for i := 0; i < len(sks); {
-		s := e.shards[sks[i].shard]
-		s.mu.Lock()
-		for shard := sks[i].shard; i < len(sks) && sks[i].shard == shard; i++ {
-			delete(s.data, sks[i].k)
-		}
-		s.mu.Unlock()
+// List implements storage.Store. Cluster-mode Redis scans every shard, one
+// SCAN per node sent at once: the call waits the slowest of one list
+// latency sampled per shard.
+func (s *Store) List(ctx context.Context, prefix string) ([]string, error) {
+	if err := s.check(ctx); err != nil {
+		return nil, err
 	}
-}
-
-// Delete removes key if present.
-func (e *Engine) Delete(key string) {
-	s := e.shardOf(key)
-	s.mu.Lock()
-	delete(s.data, key)
-	s.mu.Unlock()
-}
-
-// List returns all keys with the given prefix in lexicographic order.
-func (e *Engine) List(prefix string) []string {
-	var out []string
-	for _, s := range e.shards {
-		s.mu.RLock()
-		for k := range s.data {
-			if strings.HasPrefix(k, prefix) {
-				out = append(out, k)
-			}
-		}
-		s.mu.RUnlock()
+	s.metrics.Lists.Add(1)
+	scans := 1
+	if s.p.listPerShard {
+		scans = len(s.shards)
 	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the total number of keys.
-func (e *Engine) Len() int {
-	n := 0
-	for _, s := range e.shards {
-		s.mu.RLock()
-		n += len(s.data)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// LockShard acquires the write lock of shard i; the Redis simulator uses it
-// to serialize multi-key operations within one shard. The returned function
-// releases the lock.
-func (e *Engine) LockShard(i int) func() {
-	s := e.shards[i]
-	s.mu.Lock()
-	return s.mu.Unlock
-}
-
-// PutLocked writes key assuming the owning shard lock is already held.
-func (e *Engine) PutLocked(key string, value []byte) {
-	v := make([]byte, len(value))
-	copy(v, value)
-	e.shardOf(key).data[key] = v
+	fanout(s.model, s.sleeper, latency.OpList, scans, func(int) int { return 1 }, nil)
+	return s.list(prefix), nil
 }

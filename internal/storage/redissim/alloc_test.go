@@ -3,6 +3,7 @@
 package redissim
 
 import (
+	"aft/internal/storage/kvengine"
 	"context"
 	"testing"
 )
@@ -17,7 +18,7 @@ var sink map[string][]byte
 // allocates nothing. Grouping keys by shard takes no map, no per-shard
 // slice and no per-shard result.
 func TestBatchGetAllocBudget(t *testing.T) {
-	s := New(Options{})
+	s := kvengine.NewRedis(0, kvengine.Options{})
 	ctx := context.Background()
 	same, other := sameShardKeys(s, 3)
 	keys := append(same, other)

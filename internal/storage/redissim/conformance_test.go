@@ -1,3 +1,6 @@
+// Package redissim holds the tests of the Redis profile of kvengine
+// (kvengine.NewRedis). kvengine.TestParity pins the three profiles side
+// by side.
 package redissim
 
 import (
@@ -5,11 +8,12 @@ import (
 	"testing"
 
 	"aft/internal/storage"
+	"aft/internal/storage/kvengine"
 	"aft/internal/storage/storagetest"
 )
 
 func TestConformance(t *testing.T) {
-	storagetest.Run(t, func() storage.Store { return New(Options{Shards: 4}) })
+	storagetest.Run(t, func() storage.Store { return kvengine.NewRedis(4, kvengine.Options{}) })
 }
 
 // TestConformanceShards runs the suite at the paper's 2 shards and at an
@@ -18,7 +22,7 @@ func TestConformance(t *testing.T) {
 func TestConformanceShards(t *testing.T) {
 	for _, shards := range []int{2, 3} {
 		t.Run(fmt.Sprint(shards), func(t *testing.T) {
-			storagetest.Run(t, func() storage.Store { return New(Options{Shards: shards}) })
+			storagetest.Run(t, func() storage.Store { return kvengine.NewRedis(shards, kvengine.Options{}) })
 		})
 	}
 }

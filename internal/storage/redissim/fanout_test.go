@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"aft/internal/latency"
+	"aft/internal/storage/kvengine"
 	"aft/internal/storage/storagetest"
 )
 
@@ -18,7 +19,7 @@ const rtt = 50 * time.Millisecond
 // not one per shard. Each shard's request still counts as one.
 func TestChunkedCallsOverlap(t *testing.T) {
 	t.Parallel()
-	s := New(Options{
+	s := kvengine.NewRedis(0, kvengine.Options{
 		Latency: storagetest.FixedLatency(rtt, latency.OpGet, latency.OpDelete, latency.OpList),
 		Sleeper: latency.RealTime,
 	})

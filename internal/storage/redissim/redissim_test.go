@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"aft/internal/storage"
+	"aft/internal/storage/kvengine"
 	"aft/internal/storage/storagetest"
 )
 
 func TestBasicOps(t *testing.T) {
-	s := New(Options{})
+	s := kvengine.NewRedis(0, kvengine.Options{})
 	ctx := context.Background()
 	if s.NumShards() != 2 {
 		t.Fatalf("default shards = %d, want 2 (paper config)", s.NumShards())
@@ -32,7 +33,7 @@ func TestBasicOps(t *testing.T) {
 }
 
 func TestCapabilitiesNoBatch(t *testing.T) {
-	caps := New(Options{}).Capabilities()
+	caps := kvengine.NewRedis(0, kvengine.Options{}).Capabilities()
 	if caps.BatchWrites || caps.Transactions {
 		t.Fatalf("capabilities = %+v, want none", caps)
 	}
@@ -40,7 +41,7 @@ func TestCapabilitiesNoBatch(t *testing.T) {
 
 // sameShardKeys returns n keys that all hash to one shard, plus one key on a
 // different shard.
-func sameShardKeys(s *Store, n int) (same []string, other string) {
+func sameShardKeys(s *kvengine.Store, n int) (same []string, other string) {
 	target := -1
 	for i := 0; len(same) < n || other == ""; i++ {
 		k := fmt.Sprintf("key-%d", i)
@@ -61,7 +62,7 @@ func sameShardKeys(s *Store, n int) (same []string, other string) {
 }
 
 func TestMSETSingleShard(t *testing.T) {
-	s := New(Options{Shards: 2})
+	s := kvengine.NewRedis(2, kvengine.Options{})
 	ctx := context.Background()
 	same, _ := sameShardKeys(s, 3)
 	items := map[string][]byte{}
@@ -82,7 +83,7 @@ func TestMSETSingleShard(t *testing.T) {
 }
 
 func TestMSETCrossShardRejected(t *testing.T) {
-	s := New(Options{Shards: 2})
+	s := kvengine.NewRedis(2, kvengine.Options{})
 	ctx := context.Background()
 	same, other := sameShardKeys(s, 1)
 	items := map[string][]byte{same[0]: nil, other: nil}
@@ -95,7 +96,7 @@ func TestMSETCrossShardRejected(t *testing.T) {
 }
 
 func TestListAcrossShards(t *testing.T) {
-	s := New(Options{Shards: 4})
+	s := kvengine.NewRedis(4, kvengine.Options{})
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		s.Put(ctx, fmt.Sprintf("pfx/%02d", i), nil)
@@ -112,7 +113,7 @@ func TestListAcrossShards(t *testing.T) {
 }
 
 func TestUnavailable(t *testing.T) {
-	s := New(Options{})
+	s := kvengine.NewRedis(0, kvengine.Options{})
 	ctx := context.Background()
 	s.SetAvailable(false)
 	if err := s.Put(ctx, "k", nil); !errors.Is(err, storage.ErrUnavailable) {
@@ -127,7 +128,7 @@ func TestUnavailable(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(Options{}).Name() != "redis" {
+	if kvengine.NewRedis(0, kvengine.Options{}).Name() != "redis" {
 		t.Fatal("wrong name")
 	}
 }

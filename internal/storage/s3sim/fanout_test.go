@@ -8,6 +8,7 @@ import (
 
 	"aft/internal/latency"
 	"aft/internal/storage"
+	"aft/internal/storage/kvengine"
 	"aft/internal/storage/storagetest"
 )
 
@@ -20,12 +21,12 @@ const rtt = 50 * time.Millisecond
 // 33 keys two.
 func TestChunkedCallsOverlap(t *testing.T) {
 	t.Parallel()
-	s := New(Options{
+	s := kvengine.NewS3(kvengine.Options{
 		Latency: storagetest.FixedLatency(rtt, latency.OpGet, latency.OpDelete),
 		Sleeper: latency.RealTime,
 	})
 	ctx := context.Background()
-	keys := make([]string, 2*MaxDeleteBatch)
+	keys := make([]string, 2*kvengine.S3MaxDeleteBatch)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%05d", i)
 		if err := s.Put(ctx, keys[i], []byte("v")); err != nil {

@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"aft/internal/storage"
+	"aft/internal/storage/kvengine"
 	"aft/internal/storage/storagetest"
 )
 
 func TestBasicOps(t *testing.T) {
-	s := New(Options{})
+	s := kvengine.NewS3(kvengine.Options{})
 	ctx := context.Background()
 	if _, err := s.Get(ctx, "obj"); !errors.Is(err, storage.ErrNotFound) {
 		t.Fatalf("Get missing = %v", err)
@@ -31,7 +32,7 @@ func TestBasicOps(t *testing.T) {
 }
 
 func TestNoBatchSupport(t *testing.T) {
-	s := New(Options{})
+	s := kvengine.NewS3(kvengine.Options{})
 	caps := s.Capabilities()
 	if caps.BatchWrites || caps.Transactions {
 		t.Fatalf("capabilities = %+v, want none", caps)
@@ -43,7 +44,7 @@ func TestNoBatchSupport(t *testing.T) {
 }
 
 func TestList(t *testing.T) {
-	s := New(Options{})
+	s := kvengine.NewS3(kvengine.Options{})
 	ctx := context.Background()
 	for _, k := range []string{"p/b", "p/a", "q/c"} {
 		s.Put(ctx, k, nil)
@@ -55,7 +56,7 @@ func TestList(t *testing.T) {
 }
 
 func TestUnavailable(t *testing.T) {
-	s := New(Options{})
+	s := kvengine.NewS3(kvengine.Options{})
 	ctx := context.Background()
 	s.SetAvailable(false)
 	for _, err := range []error{
@@ -74,11 +75,11 @@ func TestUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A batched call checks availability before it sends any request.
-	storagetest.UnavailableBatchCalls(t, s, s.SetAvailable, 2*MaxDeleteBatch+1)
+	storagetest.UnavailableBatchCalls(t, s, s.SetAvailable, 2*kvengine.S3MaxDeleteBatch+1)
 }
 
 func TestContextCancelled(t *testing.T) {
-	s := New(Options{})
+	s := kvengine.NewS3(kvengine.Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := s.Put(ctx, "k", nil); !errors.Is(err, context.Canceled) {
@@ -87,7 +88,7 @@ func TestContextCancelled(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(Options{}).Name() != "s3" {
+	if kvengine.NewS3(kvengine.Options{}).Name() != "s3" {
 		t.Fatal("wrong name")
 	}
 }

@@ -36,7 +36,7 @@ var (
 // MaxCallsInFlight bounds the requests one multi-request operation has
 // outstanding at once: the storage calls of one commit write phase
 // (internal/core/flush.go), and the requests a simulated engine's client
-// sends for one chunked call (kvengine.Fanout). Up to this many cost one
+// sends for one chunked call (kvengine's fanout). Up to this many cost one
 // round trip, the slowest of them; more cost one round trip per this many.
 const MaxCallsInFlight = 32
 

@@ -14,7 +14,7 @@ import (
 // in buffers the engine reuses, overwriting a key reuses its index slot,
 // and a durability wait is a round number and a counter.
 func TestBatchPutAllocBudget(t *testing.T) {
-	s := openT(t, t.TempDir(), Options{DisableAutoCompact: true})
+	s := openT(t, t.TempDir(), Options{CompactGarbageBytes: noAutoCompact})
 	ctx := context.Background()
 	items := map[string][]byte{
 		"d/budget-key-a": make([]byte, 1024),
@@ -43,7 +43,7 @@ func TestBatchPutAllocBudget(t *testing.T) {
 func TestCompactAllocsIndependentOfEntries(t *testing.T) {
 	ctx := context.Background()
 	allocsAt := func(entries int) float64 {
-		s := openT(t, t.TempDir(), Options{DisableAutoCompact: true})
+		s := openT(t, t.TempDir(), Options{CompactGarbageBytes: noAutoCompact})
 		items := make(map[string][]byte, entries)
 		for i := 0; i < entries; i++ {
 			items[fmt.Sprintf("k%06d", i)] = make([]byte, 100)

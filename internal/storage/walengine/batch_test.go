@@ -79,8 +79,8 @@ func TestBatchAtomicAtEveryTruncation(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"default segments", Options{DisableAutoCompact: true}},
-		{"tiny segments", Options{SegmentBytes: 64, DisableAutoCompact: true}},
+		{"default segments", Options{CompactGarbageBytes: noAutoCompact}},
+		{"tiny segments", Options{SegmentBytes: 64, CompactGarbageBytes: noAutoCompact}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
@@ -140,7 +140,7 @@ func TestBatchAtomicAtEveryTruncation(t *testing.T) {
 // in an unterminated batch and replay would drop all three.
 func TestCompactedBatchSurvivorsStandAlone(t *testing.T) {
 	ctx := context.Background()
-	s := openT(t, t.TempDir(), Options{DisableAutoCompact: true})
+	s := openT(t, t.TempDir(), Options{CompactGarbageBytes: noAutoCompact})
 	items := batchItems("k", 5)
 	if err := s.BatchPut(ctx, items); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestCompactedBatchSurvivorsStandAlone(t *testing.T) {
 // second is replayed from the tail.
 func TestCheckpointBetweenBatches(t *testing.T) {
 	ctx := context.Background()
-	s := openT(t, t.TempDir(), Options{CheckpointEvery: 5, DisableAutoCompact: true})
+	s := openT(t, t.TempDir(), Options{CheckpointEvery: 5, CompactGarbageBytes: noAutoCompact})
 	first, second := batchItems("first-", 5), batchItems("second-", 3)
 	if err := s.BatchPut(ctx, first); err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestOldFormatSegmentsReplayUnchanged(t *testing.T) {
 func TestFailedAppendLeavesNoTrace(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	s := openT(t, dir, Options{DisableAutoCompact: true})
+	s := openT(t, dir, Options{CompactGarbageBytes: noAutoCompact})
 	mustPut(t, s, "before", "1")
 	// Swap the active segment's handle for a read-only one: WriteAt fails.
 	path := s.segPath(s.active.id)

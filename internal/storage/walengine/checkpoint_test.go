@@ -207,7 +207,7 @@ func TestHostileCheckpointCountAllocatesNothing(t *testing.T) {
 func TestStaleCheckpointAfterCompactionRejected(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	s := openT(t, dir, Options{SegmentBytes: 1 << 10, DisableAutoCompact: true})
+	s := openT(t, dir, Options{SegmentBytes: 1 << 10, CompactGarbageBytes: noAutoCompact})
 	for i := 0; i < 200; i++ {
 		mustPut(t, s, fmt.Sprintf("k%02d", i%20), fmt.Sprintf("v%d", i))
 	}

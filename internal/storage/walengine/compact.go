@@ -25,9 +25,6 @@ import (
 // maybeCompact triggers a background compaction when the sealed garbage
 // exceeds the configured threshold; at most one run is in flight.
 func (s *Store) maybeCompact() {
-	if s.cfg.DisableAutoCompact {
-		return
-	}
 	s.mu.RLock()
 	garbage := int64(0)
 	if !s.closed {

@@ -148,7 +148,7 @@ func FuzzOpenSegment(f *testing.F) {
 		ctx := context.Background()
 		// open replays dir and returns the sorted keys, every one read back.
 		open := func() (*Store, []string) {
-			s := openT(t, dir, Options{DisableAutoCompact: true})
+			s := openT(t, dir, Options{CompactGarbageBytes: noAutoCompact})
 			keys, err := s.List(ctx, "")
 			if err != nil {
 				t.Fatalf("List: %v", err)

@@ -1,6 +1,6 @@
 // Package walengine is the repository's first genuinely durable storage
 // engine: a disk-backed storage.Store built on a segmented append-only
-// write-ahead log. Every simulated engine (dynamosim, s3sim, redissim)
+// write-ahead log. Every simulated engine (kvengine's DynamoDB, S3 and Redis)
 // keeps its state in process memory and silently violates the durability
 // premise AFT is built on — "once a write is acknowledged, it survives"
 // (§3.1 of the paper) — the moment the process dies. This engine keeps the
@@ -125,12 +125,10 @@ type Options struct {
 	// SegmentBytes seals the active segment once it exceeds this size;
 	// 0 defaults to 4 MiB.
 	SegmentBytes int64
-	// DisableAutoCompact turns off the garbage-triggered background
-	// compaction; Compact can still be called explicitly (deterministic
-	// campaigns compact at explicit maintenance points).
-	DisableAutoCompact bool
 	// CompactGarbageBytes is the sealed-garbage threshold that triggers a
-	// background compaction; 0 defaults to 1 MiB.
+	// background compaction; 0 defaults to 1 MiB. Compact can be called
+	// explicitly too: a deterministic campaign passes a threshold no run
+	// reaches and compacts at its own maintenance points.
 	CompactGarbageBytes int64
 	// CheckpointEvery triggers a background checkpoint (checkpoint.go)
 	// once this many appends have accumulated since the last one, and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,6 +13,10 @@ import (
 
 	"aft/internal/storage"
 )
+
+// noAutoCompact is a CompactGarbageBytes no test reaches: the store
+// compacts only when the test calls Compact.
+const noAutoCompact = math.MaxInt64
 
 func openT(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
@@ -157,7 +162,7 @@ func TestReopenTruncatesTornFinalRecord(t *testing.T) {
 // the reclaimed bytes.
 func TestCompactionReclaimsGarbage(t *testing.T) {
 	ctx := context.Background()
-	s := openT(t, t.TempDir(), Options{SegmentBytes: 1 << 12, DisableAutoCompact: true})
+	s := openT(t, t.TempDir(), Options{SegmentBytes: 1 << 12, CompactGarbageBytes: noAutoCompact})
 	for round := 0; round < 20; round++ {
 		for i := 0; i < 16; i++ {
 			mustPut(t, s, fmt.Sprintf("k-%02d", i), fmt.Sprintf("v-%d-%d", round, i))
@@ -218,7 +223,7 @@ func dirSegments(t *testing.T, dir string) []string {
 func TestReopenMidCompaction(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	s := openT(t, dir, Options{SegmentBytes: 1 << 12, DisableAutoCompact: true})
+	s := openT(t, dir, Options{SegmentBytes: 1 << 12, CompactGarbageBytes: noAutoCompact})
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 16; i++ {
 			mustPut(t, s, fmt.Sprintf("k-%02d", i), fmt.Sprintf("v-%d-%d", round, i))
@@ -314,7 +319,7 @@ func TestReopenMidCompaction(t *testing.T) {
 // never bring the value back — including after compaction drops both.
 func TestTombstoneSurvivesRestart(t *testing.T) {
 	ctx := context.Background()
-	s := openT(t, t.TempDir(), Options{SegmentBytes: 1 << 10, DisableAutoCompact: true})
+	s := openT(t, t.TempDir(), Options{SegmentBytes: 1 << 10, CompactGarbageBytes: noAutoCompact})
 	mustPut(t, s, "ghost", "boo")
 	if err := s.SealActive(); err != nil { // put and tombstone in different segments
 		t.Fatal(err)
@@ -773,7 +778,7 @@ func TestListWaitsOutInFlightTombstone(t *testing.T) {
 // victim already gone, losing an acknowledged write.
 func TestCompactionSyncsSupersederBeforeUnlink(t *testing.T) {
 	ctx := context.Background()
-	s := openT(t, t.TempDir(), Options{DisableAutoCompact: true})
+	s := openT(t, t.TempDir(), Options{CompactGarbageBytes: noAutoCompact})
 	mustPut(t, s, "k", "v1") // acknowledged: must survive any crash
 	if err := s.SealActive(); err != nil {
 		t.Fatal(err)

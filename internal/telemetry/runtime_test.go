@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"aft/internal/core"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/telemetry"
 )
 
@@ -26,7 +26,7 @@ func TestRuntimeAllocCounterAdvancesOverCommit(t *testing.T) {
 		}
 		return out
 	}
-	n, err := core.NewNode(core.Config{NodeID: "rt", Store: dynamosim.New(dynamosim.Options{})})
+	n, err := core.NewNode(core.Config{NodeID: "rt", Store: kvengine.NewDynamoDB(kvengine.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}

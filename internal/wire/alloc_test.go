@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"aft/internal/core"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 func TestEncodeErrNilAllocatesNothing(t *testing.T) {
@@ -26,7 +26,7 @@ func TestReadFrameAllocatesNothing(t *testing.T) {
 	const frames = 201
 	var stream []byte
 	for i := 0; i < frames; i++ {
-		stream = appendRequestFrame(stream, uint64(i), &Request{Op: OpGet, TxID: "txn", Key: "k", DeadlineMillis: 500}, i%2 == 0)
+		stream = appendRequestFrame(stream, uint64(i), &Request{Op: OpGet, TxID: "txn", Key: "k", DeadlineMillis: 500})
 	}
 	br := bufio.NewReader(bytes.NewReader(stream))
 	var buf []byte
@@ -47,7 +47,7 @@ func TestReadFrameAllocatesNothing(t *testing.T) {
 // of the value the node buffers.
 func TestDispatchAllocBudget(t *testing.T) {
 	node, err := core.NewNode(core.Config{
-		NodeID: "srv-alloc", Store: dynamosim.New(dynamosim.Options{}), EnableDataCache: true,
+		NodeID: "srv-alloc", Store: kvengine.NewDynamoDB(kvengine.Options{}), EnableDataCache: true,
 	})
 	if err != nil {
 		t.Fatal(err)

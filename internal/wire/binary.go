@@ -3,14 +3,12 @@ package wire
 // binary.go is the frame codec. After the client's 4-byte preface
 // (wire.go) every byte in both directions is one of these frames:
 //
-//	| u32 length | u8 op/code | u8 flags | u64 request ID | payload | [u32 CRC-32C] |
+//	| u32 length | u8 op/code | u8 flags | u64 request ID | payload |
 //
-// length is big-endian and counts every byte after itself (header,
-// payload, and trailer). The second byte is the request Op
-// client->server and the response ErrCode server->client. flags bit0
-// set means the frame ends with a CRC-32C (Castagnoli) of everything
-// between the length field and the trailer; it is per frame, and the
-// server's reply carries one exactly when the request did. The request
+// length is big-endian and counts every byte after itself (header and
+// payload). The second byte is the request Op client->server and the
+// response ErrCode server->client. The flags byte is zero: a frame with
+// any flag set is malformed (TCP already checksums the bytes). The request
 // ID is assigned by the client and echoed verbatim by the server, which
 // is what lets a single connection pipeline many in-flight ops and
 // complete them out of order.
@@ -33,7 +31,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"math"
 	"sync"
@@ -41,8 +38,6 @@ import (
 )
 
 const (
-	// flagCRC marks a frame carrying a CRC-32C trailer.
-	flagCRC byte = 1 << 0
 	// frameHeaderLen is the fixed header after the length field.
 	frameHeaderLen = 10
 	// maxFrameLen bounds a frame so a corrupt or hostile length prefix
@@ -56,10 +51,8 @@ const (
 var (
 	errFrameTooLarge  = errors.New("wire: frame exceeds 64MiB limit")
 	errFrameTruncated = errors.New("wire: truncated frame")
-	errFrameCorrupt   = errors.New("wire: frame CRC mismatch")
+	errFrameFlags     = errors.New("wire: frame flags set")
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
@@ -73,14 +66,10 @@ func appendByteSlice(dst, v []byte) []byte {
 
 // appendRequestFrame encodes req as one frame onto dst (reusing its
 // capacity) under the caller-assigned request ID.
-func appendRequestFrame(dst []byte, id uint64, req *Request, crc bool) []byte {
+func appendRequestFrame(dst []byte, id uint64, req *Request) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length backfilled below
-	var flags byte
-	if crc {
-		flags |= flagCRC
-	}
-	dst = append(dst, byte(req.Op), flags)
+	dst = append(dst, byte(req.Op), 0)
 	dst = binary.BigEndian.AppendUint64(dst, id)
 	dst = appendString(dst, req.TxID)
 	dst = appendString(dst, req.Key)
@@ -101,23 +90,16 @@ func appendRequestFrame(dst []byte, id uint64, req *Request, crc bool) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(dm))
 	dst = append(dst, req.Version)
-	if crc {
-		dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start+4:], crcTable))
-	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
 }
 
 // appendResponseFrame encodes resp as one frame onto dst under the
 // request ID it answers.
-func appendResponseFrame(dst []byte, id uint64, resp *Response, crc bool) []byte {
+func appendResponseFrame(dst []byte, id uint64, resp *Response) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	var flags byte
-	if crc {
-		flags |= flagCRC
-	}
-	dst = append(dst, byte(resp.Code), flags)
+	dst = append(dst, byte(resp.Code), 0)
 	dst = binary.BigEndian.AppendUint64(dst, id)
 	dst = appendString(dst, resp.TxID)
 	dst = appendByteSlice(dst, resp.Value)
@@ -128,9 +110,6 @@ func appendResponseFrame(dst []byte, id uint64, resp *Response, crc bool) []byte
 		dst = appendByteSlice(dst, v)
 	}
 	dst = append(dst, resp.Version)
-	if crc {
-		dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start+4:], crcTable))
-	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
 }
@@ -139,14 +118,12 @@ func appendResponseFrame(dst []byte, id uint64, resp *Response, crc bool) []byte
 // still-encoded payload.
 type rawFrame struct {
 	code    byte // request Op or response ErrCode
-	crc     bool // the frame carried (and passed) a CRC-32C trailer
 	id      uint64
 	payload []byte
 }
 
 // readFrame reads one frame from br into *buf (grown to the conn's
-// high-water mark and reused across calls). The CRC-verified payload
-// aliases *buf: it is valid only until the next readFrame call. A clean
+// high-water mark and reused across calls). The payload aliases *buf: it is valid only until the next readFrame call. A clean
 // EOF at a frame boundary comes back as io.EOF; anything mid-frame (the
 // chaos layer's mid-frame resets land here) is io.ErrUnexpectedEOF or a
 // transport error. The length is peeked out of br's own buffer: a local
@@ -178,23 +155,14 @@ func readFrame(br *bufio.Reader, buf *[]byte) (rawFrame, error) {
 		}
 		return rawFrame{}, err
 	}
-	f := rawFrame{
+	if b[1] != 0 {
+		return rawFrame{}, errFrameFlags
+	}
+	return rawFrame{
 		code:    b[0],
-		crc:     b[1]&flagCRC != 0,
 		id:      binary.BigEndian.Uint64(b[2:frameHeaderLen]),
 		payload: b[frameHeaderLen:],
-	}
-	if f.crc {
-		if len(f.payload) < 4 {
-			return rawFrame{}, errFrameTruncated
-		}
-		body, want := b[:n-4], binary.BigEndian.Uint32(b[n-4:])
-		if crc32.Checksum(body, crcTable) != want {
-			return rawFrame{}, errFrameCorrupt
-		}
-		f.payload = f.payload[:len(f.payload)-4]
-	}
-	return f, nil
+	}, nil
 }
 
 func readUvarint(b []byte) (uint64, []byte, error) {

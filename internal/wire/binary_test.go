@@ -11,17 +11,17 @@ import (
 	"unsafe"
 )
 
-func roundTripRequest(t *testing.T, req *Request, crc bool) *Request {
+func roundTripRequest(t *testing.T, req *Request) *Request {
 	t.Helper()
-	frame := appendRequestFrame(nil, 42, req, crc)
+	frame := appendRequestFrame(nil, 42, req)
 	br := bufio.NewReader(bytes.NewReader(frame))
 	var buf []byte
 	f, err := readFrame(br, &buf)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
-	if f.id != 42 || f.crc != crc {
-		t.Fatalf("request ID = %d crc = %v, want 42 %v", f.id, f.crc, crc)
+	if f.id != 42 {
+		t.Fatalf("request ID = %d, want 42", f.id)
 	}
 	var got Request
 	var it internTable
@@ -31,17 +31,17 @@ func roundTripRequest(t *testing.T, req *Request, crc bool) *Request {
 	return &got
 }
 
-func roundTripResponse(t *testing.T, resp *Response, crc bool) *Response {
+func roundTripResponse(t *testing.T, resp *Response) *Response {
 	t.Helper()
-	frame := appendResponseFrame(nil, 7, resp, crc)
+	frame := appendResponseFrame(nil, 7, resp)
 	br := bufio.NewReader(bytes.NewReader(frame))
 	var buf []byte
 	f, err := readFrame(br, &buf)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
-	if f.id != 7 || f.crc != crc {
-		t.Fatalf("request ID = %d crc = %v, want 7 %v", f.id, f.crc, crc)
+	if f.id != 7 {
+		t.Fatalf("request ID = %d, want 7", f.id)
 	}
 	var got Response
 	if err := decodeResponseFrame(f.code, f.payload, &got); err != nil {
@@ -50,25 +50,22 @@ func roundTripResponse(t *testing.T, resp *Response, crc bool) *Response {
 	return &got
 }
 
-// TestRequestFrameRoundTrip exercises every request field, with and
-// without the CRC trailer.
+// TestRequestFrameRoundTrip exercises every request field.
 func TestRequestFrameRoundTrip(t *testing.T) {
-	for _, crc := range []bool{false, true} {
-		req := &Request{
-			Op:             OpPut,
-			TxID:           "txn-abc-123",
-			Key:            "users/42",
-			Value:          []byte{0, 1, 2, 0xff},
-			Keys:           []string{"a", "", "long-key-name"},
-			TraceID:        "trace-9",
-			TraceSampled:   true,
-			DeadlineMillis: 1500,
-			Version:        ProtocolVersion,
-		}
-		got := roundTripRequest(t, req, crc)
-		if !reflect.DeepEqual(got, req) {
-			t.Fatalf("crc=%v round trip = %+v, want %+v", crc, got, req)
-		}
+	req := &Request{
+		Op:             OpPut,
+		TxID:           "txn-abc-123",
+		Key:            "users/42",
+		Value:          []byte{0, 1, 2, 0xff},
+		Keys:           []string{"a", "", "long-key-name"},
+		TraceID:        "trace-9",
+		TraceSampled:   true,
+		DeadlineMillis: 1500,
+		Version:        ProtocolVersion,
+	}
+	got := roundTripRequest(t, req)
+	if !reflect.DeepEqual(got, req) {
+		t.Fatalf("round trip = %+v, want %+v", got, req)
 	}
 }
 
@@ -76,7 +73,7 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 // as nil.
 func TestRequestFrameZeroValues(t *testing.T) {
 	req := &Request{Op: OpStart}
-	got := roundTripRequest(t, req, true)
+	got := roundTripRequest(t, req)
 	if !reflect.DeepEqual(got, req) {
 		t.Fatalf("zero-value round trip = %+v, want %+v", got, req)
 	}
@@ -87,42 +84,39 @@ func TestRequestFrameZeroValues(t *testing.T) {
 
 // TestResponseFrameRoundTrip exercises every response field.
 func TestResponseFrameRoundTrip(t *testing.T) {
-	for _, crc := range []bool{false, true} {
-		resp := &Response{
-			Code:     ErrCodeKeyNotFound,
-			TxID:     "txn-1",
-			Value:    []byte("payload"),
-			CommitTS: 1234567890,
-			Message:  "aft: key not found in read set",
-			Values:   [][]byte{[]byte("a"), nil, []byte("ccc")},
-			Version:  ProtocolVersion,
-		}
-		got := roundTripResponse(t, resp, crc)
-		// A nil element inside Values is legitimately collapsed;
-		// normalize before comparing.
-		want := *resp
-		if !reflect.DeepEqual(got.Values[1], want.Values[1]) && len(got.Values[1]) == 0 {
-			want.Values = [][]byte{[]byte("a"), nil, []byte("ccc")}
-		}
-		if !reflect.DeepEqual(got, &want) {
-			t.Fatalf("crc=%v round trip = %+v, want %+v", crc, got, &want)
-		}
+	resp := &Response{
+		Code:     ErrCodeKeyNotFound,
+		TxID:     "txn-1",
+		Value:    []byte("payload"),
+		CommitTS: 1234567890,
+		Message:  "aft: key not found in read set",
+		Values:   [][]byte{[]byte("a"), nil, []byte("ccc")},
+		Version:  ProtocolVersion,
+	}
+	got := roundTripResponse(t, resp)
+	// A nil element inside Values is legitimately collapsed;
+	// normalize before comparing.
+	want := *resp
+	if !reflect.DeepEqual(got.Values[1], want.Values[1]) && len(got.Values[1]) == 0 {
+		want.Values = [][]byte{[]byte("a"), nil, []byte("ccc")}
+	}
+	if !reflect.DeepEqual(got, &want) {
+		t.Fatalf("round trip = %+v, want %+v", got, &want)
 	}
 }
 
-// TestFrameCorruptionDetected: flipping any payload bit of a CRC frame
-// must surface errFrameCorrupt, never silently decode.
+// TestFrameCorruptionDetected: a frame with any bit of its flags byte set
+// is malformed and must surface errFrameFlags, never decode.
 func TestFrameCorruptionDetected(t *testing.T) {
 	req := &Request{Op: OpPut, TxID: "t", Key: "k", Value: []byte("value")}
-	frame := appendRequestFrame(nil, 1, req, true)
-	for i := 4; i < len(frame); i++ { // skip the length prefix
+	frame := appendRequestFrame(nil, 1, req)
+	for bit := range 8 {
 		mut := append([]byte(nil), frame...)
-		mut[i] ^= 0x40
+		mut[5] ^= 1 << bit // the flags byte follows the length and the op
 		br := bufio.NewReader(bytes.NewReader(mut))
 		var buf []byte
-		_, err := readFrame(br, &buf)
-		if err == nil {
-			t.Fatalf("bit flip at offset %d decoded cleanly", i)
+		if _, err := readFrame(br, &buf); !errors.Is(err, errFrameFlags) {
+			t.Fatalf("flags bit %d set: readFrame = %v, want errFrameFlags", bit, err)
 		}
 	}
 }
@@ -132,7 +126,7 @@ func TestFrameCorruptionDetected(t *testing.T) {
 // never a clean io.EOF, which is reserved for frame boundaries.
 func TestFrameTruncationDetected(t *testing.T) {
 	resp := &Response{Code: ErrNone, TxID: "t", Value: []byte("v")}
-	frame := appendResponseFrame(nil, 3, resp, false)
+	frame := appendResponseFrame(nil, 3, resp)
 	for cut := 1; cut < len(frame); cut++ {
 		br := bufio.NewReader(bytes.NewReader(frame[:cut]))
 		var buf []byte
@@ -180,7 +174,7 @@ func TestMultipleFramesOneBuffer(t *testing.T) {
 		{Op: OpCommit, TxID: "txn-1"},
 	}
 	for i, r := range want {
-		stream = appendRequestFrame(stream, uint64(i), r, true)
+		stream = appendRequestFrame(stream, uint64(i), r)
 	}
 	br := bufio.NewReader(bytes.NewReader(stream))
 	var buf []byte

@@ -29,9 +29,6 @@ type DialConfig struct {
 	// DialTimeout bounds each TCP connect (0 defaults to 10s; negative
 	// disables).
 	DialTimeout time.Duration
-	// FrameCRC puts a CRC-32C trailer on every request frame; the server
-	// answers a CRC'd request with a CRC'd reply.
-	FrameCRC bool
 }
 
 // Client is a connection pool speaking the AFT wire protocol to one node.
@@ -47,7 +44,6 @@ type DialConfig struct {
 type Client struct {
 	addr        string
 	id          string
-	crc         bool
 	opTimeout   time.Duration
 	dialTimeout time.Duration
 
@@ -83,7 +79,6 @@ func DialWith(addr string, cfg DialConfig) (*Client, error) {
 		max:         cfg.MaxConns,
 		opTimeout:   cfg.OpTimeout,
 		dialTimeout: cfg.DialTimeout,
-		crc:         cfg.FrameCRC,
 	}
 	pc, id, err := c.dialPipe()
 	if err != nil {
@@ -134,7 +129,7 @@ func (c *Client) handshake(conn net.Conn, br *bufio.Reader) (nodeID string, err 
 		return "", err
 	}
 	hello := appendRequestFrame(append([]byte(nil), preface[:]...), 0,
-		&Request{Op: OpPing, Version: ProtocolVersion}, c.crc)
+		&Request{Op: OpPing, Version: ProtocolVersion})
 	if _, err := conn.Write(hello); err != nil {
 		return "", err
 	}
@@ -290,7 +285,7 @@ func (c *Client) call(ctx context.Context, req *Request, resp *Response) error {
 		return c.opErr(err)
 	}
 	defer pc.depth.Add(-1)
-	if werr := pc.w.writeRequest(id, req, c.crc); werr != nil {
+	if werr := pc.w.writeRequest(id, req); werr != nil {
 		// The writer is already poisoned (an earlier batch failed) or
 		// closed; close the conn so the reader and all waiters fail now
 		// rather than at their deadlines. closeWith (or the reader's own

@@ -12,7 +12,7 @@ import (
 
 	"aft/internal/core"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // TestOpErrTimeoutBeatsDeadClient pins the opErr classification order: a
@@ -145,7 +145,7 @@ func TestDecodeErrBareMessageStaysSentinel(t *testing.T) {
 // end-to-end: a commit failing on downed storage carries the server's
 // "persisting" context back to the client, not just the sentinel text.
 func TestServerErrorDetailCrossesWire(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	node, err := core.NewNode(core.Config{NodeID: "srv-err", Store: store})
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func startFrameFake(t *testing.T, serve func(br *bufio.Reader, fw *frameWriter))
 		}
 		fw := newFrameWriter(conn, new(Metrics))
 		defer fw.close()
-		if fw.writeResponse(hello.id, &Response{Value: []byte("fake"), Version: ProtocolVersion}, hello.crc) != nil {
+		if fw.writeResponse(hello.id, &Response{Value: []byte("fake"), Version: ProtocolVersion}) != nil {
 			return
 		}
 		serve(br, fw)
@@ -115,7 +115,7 @@ func refuseVersion(conn net.Conn) {
 		return
 	}
 	code, msg := EncodeErr(ErrUnsupportedVersion)
-	conn.Write(appendResponseFrame(nil, 0, &Response{Code: code, Message: msg, Version: ProtocolVersion + 1}, false))
+	conn.Write(appendResponseFrame(nil, 0, &Response{Code: code, Message: msg, Version: ProtocolVersion + 1}))
 }
 
 // gobV3Ping is the first message a protocol-v3 build wrote on a new conn,

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"aft/internal/core"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // The frame codec is the only parser on the network. These targets hold
@@ -24,12 +24,14 @@ func fuzzSeedFrames() [][]byte {
 		Version: ProtocolVersion, DeadlineMillis: 1500}
 	resp := &Response{Code: ErrCodeKeyNotFound, TxID: "txn-1", Value: []byte("v"), CommitTS: 99,
 		Message: "m", Values: [][]byte{[]byte("a"), nil}, Version: ProtocolVersion}
-	return [][]byte{
-		appendRequestFrame(nil, 1, req, false),
-		appendRequestFrame(nil, 2, req, true),
-		appendResponseFrame(nil, 3, resp, false),
-		appendResponseFrame(nil, 4, resp, true),
+	// flagged sets the flags byte, which makes a frame malformed.
+	flagged := func(frame []byte) []byte {
+		frame = bytes.Clone(frame)
+		frame[5] = 1
+		return frame
 	}
+	reqFrame, respFrame := appendRequestFrame(nil, 1, req), appendResponseFrame(nil, 3, resp)
+	return [][]byte{reqFrame, flagged(reqFrame), respFrame, flagged(respFrame)}
 }
 
 func FuzzReadFrame(f *testing.F) {
@@ -93,7 +95,7 @@ func FuzzDecodeResponseFrame(f *testing.F) {
 // fuzzNode is shared by every FuzzServerPreface execution: frames that
 // happen to be well-formed run real ops against it.
 var fuzzNode = sync.OnceValue(func() *core.Node {
-	node, err := core.NewNode(core.Config{NodeID: "fuzz", Store: dynamosim.New(dynamosim.Options{})})
+	node, err := core.NewNode(core.Config{NodeID: "fuzz", Store: kvengine.NewDynamoDB(kvengine.Options{})})
 	if err != nil {
 		panic(err)
 	}
@@ -104,9 +106,9 @@ var fuzzNode = sync.OnceValue(func() *core.Node {
 // they are — a good preface and garbage frames, a wrong version, another
 // protocol entirely — serveConn must return once the peer has hung up.
 func FuzzServerPreface(f *testing.F) {
-	hello := appendRequestFrame(bytes.Clone(preface[:]), 0, &Request{Op: OpPing, Version: ProtocolVersion}, false)
+	hello := appendRequestFrame(bytes.Clone(preface[:]), 0, &Request{Op: OpPing, Version: ProtocolVersion})
 	f.Add(hello)
-	f.Add(appendRequestFrame(bytes.Clone(hello), 1, &Request{Op: OpStart, DeadlineMillis: 1 << 62}, true))
+	f.Add(appendRequestFrame(bytes.Clone(hello), 1, &Request{Op: OpStart, DeadlineMillis: 1 << 62}))
 	f.Add(append(bytes.Clone(preface[:]), fuzzSeedFrames()[1]...))
 	f.Fuzz(func(t *testing.T, first []byte) {
 		srv := NewServer(fuzzNode())

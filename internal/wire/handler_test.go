@@ -7,13 +7,13 @@ import (
 	"time"
 
 	"aft/internal/core"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // gatedStore blocks every write while its gate is closed, signalling each
 // write that parks on entered.
 type gatedStore struct {
-	*dynamosim.Store
+	*kvengine.DynamoDB
 	entered chan struct{}
 	mu      sync.Mutex
 	gate    chan struct{} // nil while writes pass
@@ -31,12 +31,12 @@ func (s *gatedStore) wait() {
 
 func (s *gatedStore) Put(ctx context.Context, key string, value []byte) error {
 	s.wait()
-	return s.Store.Put(ctx, key, value)
+	return s.DynamoDB.Put(ctx, key, value)
 }
 
 func (s *gatedStore) BatchPut(ctx context.Context, items map[string][]byte) error {
 	s.wait()
-	return s.Store.BatchPut(ctx, items)
+	return s.DynamoDB.BatchPut(ctx, items)
 }
 
 // TestParkedCommitDoesNotDelayConn: on a one-conn pool, a commit parked in
@@ -45,7 +45,7 @@ func (s *gatedStore) BatchPut(ctx context.Context, items map[string][]byte) erro
 // the commit is still parked.
 func TestParkedCommitDoesNotDelayConn(t *testing.T) {
 	checkGoroutineLeak(t)
-	store := &gatedStore{Store: dynamosim.New(dynamosim.Options{}), entered: make(chan struct{}, 8)}
+	store := &gatedStore{DynamoDB: kvengine.NewDynamoDB(kvengine.Options{}), entered: make(chan struct{}, 8)}
 	node, err := core.NewNode(core.Config{NodeID: "srv-gate", Store: store, EnableDataCache: true})
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func TestHandshakeGood(t *testing.T) {
 			if req.Op == OpStart {
 				starts <- req
 			}
-			if fw.writeResponse(f.id, &Response{TxID: "fake-txn"}, f.crc) != nil {
+			if fw.writeResponse(f.id, &Response{TxID: "fake-txn"}) != nil {
 				return
 			}
 		}

@@ -107,15 +107,15 @@ func (w *frameWriter) close() {
 	w.mu.Unlock()
 }
 
-func (w *frameWriter) writeRequest(id uint64, req *Request, crc bool) error {
+func (w *frameWriter) writeRequest(id uint64, req *Request) error {
 	return w.writeFrame(func(b []byte) []byte {
-		return appendRequestFrame(b, id, req, crc)
+		return appendRequestFrame(b, id, req)
 	})
 }
 
-func (w *frameWriter) writeResponse(id uint64, resp *Response, crc bool) error {
+func (w *frameWriter) writeResponse(id uint64, resp *Response) error {
 	return w.writeFrame(func(b []byte) []byte {
-		return appendResponseFrame(b, id, resp, crc)
+		return appendResponseFrame(b, id, resp)
 	})
 }
 
@@ -257,9 +257,6 @@ func (p *pipeConn) readLoop(br *bufio.Reader) {
 	for {
 		f, err := readFrame(br, &buf)
 		if err != nil {
-			if err == errFrameCorrupt {
-				p.c.metrics.CRCErrors.Add(1)
-			}
 			p.closeWith(err)
 			return
 		}

@@ -13,7 +13,7 @@ import (
 	"aft/internal/chaos"
 	"aft/internal/core"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // TestPipelineConcurrentOpsOneConn: with the pool capped at ONE
@@ -95,7 +95,7 @@ func TestPipelineOutOfOrderCompletion(t *testing.T) {
 			if len(pends) == batch {
 				for i := len(pends) - 1; i >= 0; i-- { // reverse order
 					resp := Response{Value: []byte(pends[i].key)}
-					if err := fw.writeResponse(pends[i].id, &resp, false); err != nil {
+					if err := fw.writeResponse(pends[i].id, &resp); err != nil {
 						return
 					}
 				}
@@ -194,7 +194,7 @@ func TestPipelineTimeoutAbandonsOpSiblingsRetriable(t *testing.T) {
 // handler WaitGroup, and the goroutine census below failed.
 func TestServerCloseCancelsParkedHandlers(t *testing.T) {
 	checkGoroutineLeak(t)
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	node, err := core.NewNode(core.Config{
 		NodeID: "srv-adm", Store: store,
 		MaxConcurrent: 1, AdmissionQueue: 4,
@@ -252,7 +252,7 @@ func TestServerCloseCancelsParkedHandlers(t *testing.T) {
 // converge.
 func TestPipelineChaosMidFrameResets(t *testing.T) {
 	checkGoroutineLeak(t)
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	node, err := core.NewNode(core.Config{NodeID: "srv-chaos", Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +268,6 @@ func TestPipelineChaosMidFrameResets(t *testing.T) {
 
 	client, err := DialWith(addr.String(), DialConfig{
 		MaxConns: 2, OpTimeout: 500 * time.Millisecond, DialTimeout: 500 * time.Millisecond,
-		FrameCRC: true, // resets land mid-frame; CRC guards the torn edges
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -136,7 +136,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	if got[3] != ProtocolVersion {
 		s.logf("wire: %s speaks protocol v%d, this server v%d; refusing", conn.RemoteAddr(), got[3], ProtocolVersion)
 		code, msg := EncodeErr(ErrUnsupportedVersion)
-		refusal := appendResponseFrame(nil, 0, &Response{Code: code, Message: msg, Version: ProtocolVersion}, false)
+		refusal := appendResponseFrame(nil, 0, &Response{Code: code, Message: msg, Version: ProtocolVersion})
 		if _, err := conn.Write(refusal); err != nil {
 			s.logf("wire: write refusal: %v", err)
 		}
@@ -171,9 +171,6 @@ func (s *Server) serveFrames(ctx context.Context, conn net.Conn, br *bufio.Reade
 	for {
 		f, err := readFrame(br, &buf)
 		if err != nil {
-			if err == errFrameCorrupt {
-				s.metrics.CRCErrors.Add(1)
-			}
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("wire: read frame: %v", err)
 			}
@@ -182,7 +179,7 @@ func (s *Server) serveFrames(ctx context.Context, conn net.Conn, br *bufio.Reade
 		s.metrics.FramesRecv.Add(1)
 		s.metrics.BytesRecv.Add(int64(len(f.payload) + frameHeaderLen + 4))
 		if Op(f.code) == OpPing {
-			if err := c.fw.writeResponse(f.id, &pingResp, f.crc); err != nil {
+			if err := c.fw.writeResponse(f.id, &pingResp); err != nil {
 				s.logf("wire: write frame: %v", err)
 				return
 			}
@@ -196,8 +193,7 @@ func (s *Server) serveFrames(ctx context.Context, conn net.Conn, br *bufio.Reade
 			return
 		}
 		s.metrics.observeDepth(c.depth.Add(1))
-		// A reply carries a CRC trailer exactly when its request did.
-		j := frameJob{id: f.id, crc: f.crc, req: req}
+		j := frameJob{id: f.id, req: req}
 		select {
 		case c.work <- j: // an idle handler took it
 		default:
@@ -220,7 +216,6 @@ type connServer struct {
 // frameJob is one decoded request and the frame fields its reply echoes.
 type frameJob struct {
 	id  uint64
-	crc bool
 	req *Request
 }
 
@@ -231,7 +226,7 @@ func (c *connServer) handle(j frameJob) {
 	h := new(handler)
 	for ok := true; ok; j, ok = <-c.work {
 		c.s.dispatch(c.ctx, h, j.req)
-		if err := c.fw.writeResponse(j.id, &h.resp, j.crc); err != nil {
+		if err := c.fw.writeResponse(j.id, &h.resp); err != nil {
 			c.s.logf("wire: write frame: %v", err)
 		}
 		putRequest(j.req)

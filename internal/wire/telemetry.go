@@ -18,14 +18,13 @@ type Metrics struct {
 
 	PipelineDepthHW atomic.Int64 // max concurrent in-flight ops on one conn
 	BinaryConns     atomic.Int64 // conns that completed the handshake
-	CRCErrors       atomic.Int64 // frames dropped for CRC mismatch
 	Timeouts        atomic.Int64 // ops abandoned at their deadline (client)
 }
 
 // MetricsSnapshot is a point-in-time copy of Metrics.
 type MetricsSnapshot struct {
 	FramesSent, FramesRecv, BytesSent, BytesRecv, Flushes,
-	PipelineDepthHW, BinaryConns, CRCErrors, Timeouts int64
+	PipelineDepthHW, BinaryConns, Timeouts int64
 }
 
 // Snapshot returns a copy of the counters.
@@ -36,7 +35,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Flushes:         m.Flushes.Load(),
 		PipelineDepthHW: m.PipelineDepthHW.Load(),
 		BinaryConns:     m.BinaryConns.Load(),
-		CRCErrors:       m.CRCErrors.Load(), Timeouts: m.Timeouts.Load(),
+		Timeouts:        m.Timeouts.Load(),
 	}
 }
 
@@ -67,7 +66,6 @@ func RegisterTelemetry(reg *telemetry.Registry, role string, m *Metrics) {
 		c("aft_wire_bytes_recv_total", "Binary frame bytes read.", s.BytesRecv)
 		c("aft_wire_flushes_total", "Socket flushes; frames/flush measures write batching.", s.Flushes)
 		c("aft_wire_binary_conns_total", "Connections that completed the handshake.", s.BinaryConns)
-		c("aft_wire_crc_errors_total", "Frames rejected for CRC-32C mismatch.", s.CRCErrors)
 		c("aft_wire_op_timeouts_total", "Ops abandoned at their deadline.", s.Timeouts)
 		e.Gauge("aft_wire_pipeline_depth_highwater",
 			"Max concurrent in-flight ops observed on one connection.",

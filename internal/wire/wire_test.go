@@ -10,14 +10,14 @@ import (
 	"aft/internal/core"
 	"aft/internal/lb"
 	"aft/internal/storage"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 )
 
 // startServer serves a fresh node on a loopback port; configure (Logf
 // must be set before the server starts serving) runs first.
 func startServer(t *testing.T, configure ...func(*Server)) (*Server, string, *core.Node) {
 	t.Helper()
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	node, err := core.NewNode(core.Config{NodeID: "srv-1", Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestSentinelErrorsCrossTheWire(t *testing.T) {
 }
 
 func TestUnavailableStorageCrossesWire(t *testing.T) {
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	node, _ := core.NewNode(core.Config{NodeID: "srv-2", Store: store})
 	srv := NewServer(node)
 	addr, err := srv.Listen("127.0.0.1:0")

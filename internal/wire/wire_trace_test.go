@@ -7,7 +7,7 @@ import (
 
 	"aft/internal/core"
 	"aft/internal/lb"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/telemetry"
 )
 
@@ -16,7 +16,7 @@ func startTracedServer(t *testing.T) (string, *telemetry.Tracer) {
 	tracer := telemetry.NewTracer(telemetry.TracerOptions{
 		Node: "srv-t", SampleEvery: -1, SlowThreshold: -1,
 	})
-	store := dynamosim.New(dynamosim.Options{})
+	store := kvengine.NewDynamoDB(kvengine.Options{})
 	node, err := core.NewNode(core.Config{NodeID: "srv-t", Store: store, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 	"aft/internal/chaos"
 	"aft/internal/core"
 	"aft/internal/retry"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/wire"
 )
 
@@ -44,7 +44,7 @@ func TestIntegrationPartitionRetriableWithinDeadline(t *testing.T) {
 	ctx := context.Background()
 	node, err := core.NewNode(core.Config{
 		NodeID: "part-0",
-		Store:  dynamosim.New(dynamosim.Options{}),
+		Store:  kvengine.NewDynamoDB(kvengine.Options{}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,13 +17,13 @@ import (
 	"aft/internal/chaos"
 	"aft/internal/checker"
 	"aft/internal/cluster"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/telemetry"
 )
 
 func TestTelemetryFullStackExposition(t *testing.T) {
 	ctx := context.Background()
-	st := chaos.Wrap(dynamosim.New(dynamosim.Options{}), chaos.Config{Seed: 11})
+	st := chaos.Wrap(kvengine.NewDynamoDB(kvengine.Options{}), chaos.Config{Seed: 11})
 	c, err := cluster.New(cluster.Config{
 		Nodes:           2,
 		Store:           st,

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"aft/internal/core"
-	"aft/internal/storage/dynamosim"
+	"aft/internal/storage/kvengine"
 	"aft/internal/wire"
 )
 
@@ -21,7 +21,7 @@ func benchWireClient(b *testing.B) *wire.Client {
 	b.Helper()
 	node, err := core.NewNode(core.Config{
 		NodeID: "wire-bench",
-		Store:  dynamosim.New(dynamosim.Options{}),
+		Store:  kvengine.NewDynamoDB(kvengine.Options{}),
 	})
 	if err != nil {
 		b.Fatal(err)
