@@ -71,8 +71,8 @@ var (
 	// mid-transaction; redo the transaction. The unanimous GC vote rules
 	// this out except when a node re-installs a record between the vote
 	// and the delete: a standby's bootstrap, or a storage fallback read on
-	// a node with partial metadata (BootstrapLimit, a bootstrap watermark,
-	// or a metadata-budget spill).
+	// a node with partial metadata (BootstrapLimit or a metadata-budget
+	// spill).
 	ErrVersionVanished = core.ErrVersionVanished
 	// ErrUnavailable means the storage engine reported a (possibly
 	// transient) failure; RunTransaction treats it as retriable.

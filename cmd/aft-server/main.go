@@ -161,15 +161,12 @@ func main() {
 	tracer.SetSink(collector)
 
 	node, err := aft.NewNode(aft.NodeConfig{
-		NodeID:          *nodeID,
-		Store:           store,
-		EnableDataCache: *cache,
-		Tracer:          tracer,
-		Events:          events,
-		// Only the WAL store survives restarts, so only there does a
-		// persisted watermark make the next Bootstrap incremental.
-		PersistBootstrapWatermark: *backend == "wal",
-		MetadataBudgetBytes:       *budget,
+		NodeID:              *nodeID,
+		Store:               store,
+		EnableDataCache:     *cache,
+		Tracer:              tracer,
+		Events:              events,
+		MetadataBudgetBytes: *budget,
 	})
 	if err != nil {
 		log.Fatalf("aft-server: %v", err)

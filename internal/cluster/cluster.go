@@ -65,10 +65,9 @@ type Config struct {
 	// Clock is shared by all nodes; nil selects the wall clock.
 	Clock idgen.Clock
 	// Events, when non-nil, is the cluster-wide flight-recorder journal:
-	// lifecycle transitions (node kills, standby promotions, bootstrap
-	// watermark cuts) are recorded here, and it is threaded into every
-	// node's config so per-node anomalies (sheds, budget spills) land in
-	// the same timeline.
+	// lifecycle transitions (node kills, standby promotions) are recorded
+	// here, and it is threaded into every node's config so per-node
+	// anomalies (sheds, budget spills) land in the same timeline.
 	Events *telemetry.Journal
 	// TraceCollector, when non-nil, turns on cross-node trace stitching:
 	// every node gets its own tracer (unless the Node template already
@@ -76,14 +75,6 @@ type Config struct {
 	// and the fault manager attributes recovery work to sampled traces
 	// the same way. Serve the collector's Handler as the cluster /traces.
 	TraceCollector *telemetry.TraceCollector
-	// IncrementalBootstrap makes node joins (including standby promotions)
-	// warm up incrementally: the fault manager pushes its in-memory commit
-	// view to the joiner, which then fetches from storage only records
-	// newer than that view — O(delta the manager missed) instead of
-	// O(history). Anything older that the manager also missed stays
-	// recoverable on demand through the joiner's partial-metadata read
-	// fallback.
-	IncrementalBootstrap bool
 }
 
 type member struct {
@@ -208,31 +199,8 @@ func (c *Cluster) addNode(ctx context.Context, warmup bool) (*core.Node, error) 
 	// record). Rounds that snapshotted their peers earlier carry records
 	// that were durable before this point, which the bootstrap reads.
 	c.bus.Register(node)
-	bootstrap := node.Bootstrap
-	if c.cfg.IncrementalBootstrap {
-		// Recover commits a dead node persisted but never announced (§4.2)
-		// BEFORE cutting the watermark. The tap-fed view alone can hold a
-		// key's older version while missing its newest (the writer died
-		// pre-flush); announcing that view and skipping everything below
-		// its maximum would freeze the joiner on the stale version — it
-		// has resident candidates, so its reads never consult storage.
-		// After a scan the manager holds every durable record except
-		// those a live node still queues for its next multicast round,
-		// and that round delivers them to the joiner, which is already
-		// on the bus; so the watermark cut is sound. If the scan fails
-		// (storage fault mid-join), fall back to a full cold-start
-		// bootstrap rather than trust a watermark with holes.
-		if err := c.fm.ScanStorage(ctx); err == nil {
-			since := c.fm.AnnounceTo(node)
-			c.cfg.Events.Record(telemetry.EventBootstrapWatermark, id, "",
-				"since", since)
-			bootstrap = func(ctx context.Context) error {
-				return node.BootstrapSince(ctx, since)
-			}
-		}
-	}
 	bootStart := time.Now()
-	if err := bootstrap(ctx); err != nil {
+	if err := node.Bootstrap(ctx); err != nil {
 		c.bus.Unregister(id)
 		return nil, fmt.Errorf("cluster: bootstrapping %s: %w", id, err)
 	}

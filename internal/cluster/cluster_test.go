@@ -126,46 +126,83 @@ func TestKillRemovesNodeAndClusterKeepsServing(t *testing.T) {
 }
 
 func TestStandbyPromotionRestoresCapacity(t *testing.T) {
-	c, _ := newTestCluster(t, func(cfg *Config) {
-		cfg.Standbys = 1
-		cfg.DetectDelay = time.Millisecond
-		cfg.JoinDelay = time.Millisecond
-		cfg.Sleeper = latency.RealTime
-	})
-	// Write some data so the standby has a commit set to warm from.
-	runTxn(t, c.Client(), map[string]string{"warm": "data"})
-	c.FlushMulticast()
-
-	original := map[string]bool{}
-	for _, n := range c.Nodes() {
-		original[n.ID()] = true
-	}
-	victim := c.Nodes()[0].ID()
-	if err := c.Kill(victim); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(2 * time.Second)
-	for len(c.Nodes()) < 3 {
-		select {
-		case <-deadline:
-			t.Fatal("standby never joined")
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	// The replacement joined through addNode and bootstrapped from
-	// storage: it can serve "warm".
 	ctx := context.Background()
-	var replacement *core.Node
-	for _, n := range c.Nodes() {
-		if !original[n.ID()] {
-			replacement = n
+	newCluster := func(t *testing.T, period time.Duration) *Cluster {
+		c, _ := newTestCluster(t, func(cfg *Config) {
+			cfg.Standbys = 1
+			cfg.DetectDelay = time.Millisecond
+			cfg.JoinDelay = time.Millisecond
+			cfg.Sleeper = latency.RealTime
+			cfg.MulticastPeriod = period
+		})
+		return c
+	}
+	// promote kills victim and returns the standby promoted in its place.
+	promote := func(t *testing.T, c *Cluster, victim string) *core.Node {
+		original := map[string]bool{}
+		for _, n := range c.Nodes() {
+			original[n.ID()] = true
+		}
+		if err := c.Kill(victim); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.After(2 * time.Second)
+		for len(c.Nodes()) < 3 {
+			select {
+			case <-deadline:
+				t.Fatal("standby never joined")
+			case <-time.After(2 * time.Millisecond):
+			}
+		}
+		for _, n := range c.Nodes() {
+			if !original[n.ID()] {
+				return n
+			}
+		}
+		t.Fatal("no new node among the members")
+		return nil
+	}
+	requireRead := func(t *testing.T, n *core.Node, key, want string) {
+		txid, _ := n.StartTransaction(ctx)
+		v, err := n.Get(ctx, txid, key)
+		if err != nil || string(v) != want {
+			t.Fatalf("replacement read of %q = %q, %v; want %q", key, v, err, want)
 		}
 	}
-	txid, _ := replacement.StartTransaction(ctx)
-	v, err := replacement.Get(ctx, txid, "warm")
-	if err != nil || string(v) != "data" {
-		t.Fatalf("replacement read = %q, %v", v, err)
-	}
+
+	t.Run("announced", func(t *testing.T) {
+		c := newCluster(t, 2*time.Millisecond)
+		// Write some data so the standby has a commit set to warm from.
+		runTxn(t, c.Client(), map[string]string{"warm": "data"})
+		c.FlushMulticast()
+		// The replacement joined through addNode and bootstrapped from
+		// storage: it can serve "warm".
+		requireRead(t, promote(t, c, c.Nodes()[0].ID()), "warm", "data")
+	})
+
+	t.Run("unannounced", func(t *testing.T) {
+		// The victim commits and dies before any multicast round, so only
+		// storage knows the commit. The replacement's bootstrap reads the
+		// whole Commit Set, so it serves the key before any fault-manager
+		// scan has recovered the record.
+		c := newCluster(t, time.Hour)
+		victim := c.Nodes()[0]
+		txid, err := victim.StartTransaction(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := victim.Put(ctx, txid, "orphan", []byte("committed")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := victim.CommitTransaction(ctx, txid); err != nil {
+			t.Fatal(err)
+		}
+		requireRead(t, promote(t, c, victim.ID()), "orphan", "committed")
+		// A scan after the kill would have recovered the victim's record.
+		if rec := c.FaultManager().Metrics().Snapshot().Recovered; rec != 0 {
+			t.Fatalf("fault manager recovered %d records: a storage scan ran", rec)
+		}
+	})
 }
 
 func TestNoStandbyNoReplacement(t *testing.T) {
@@ -254,7 +291,7 @@ func TestGCLoopsDeleteSupersededData(t *testing.T) {
 		t.Fatalf("read after GC = %q, %v", v, err)
 	}
 	// Storage version count for "hot" is strictly below 20.
-	versions, _ := store.List(ctx, records.DataKeyPrefix("hot"))
+	versions, _ := store.List(ctx, records.DataPrefix+"hot/")
 	if len(versions) >= 20 {
 		t.Fatalf("GC left %d versions", len(versions))
 	}

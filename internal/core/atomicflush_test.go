@@ -293,7 +293,7 @@ func TestPooledScratchCarriesNoStaleWrites(t *testing.T) {
 					commit++
 					continue
 				}
-				if key, _, err := records.ParseDataKey(k); err != nil || key != "b1" {
+				if !strings.HasPrefix(k, records.DataPrefix+"b1/") {
 					t.Fatalf("atomic=%v: second commit wrote %q (calls %q)", atomic, k, store.calls)
 				}
 				data++

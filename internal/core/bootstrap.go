@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
 	"aft/internal/records"
-	"aft/internal/storage"
 )
 
 // Bootstrap warms the node's metadata cache from the Transaction Commit
@@ -22,58 +20,15 @@ import (
 // transaction whose commit record is found is by construction fully
 // durable (the write-ordering protocol persists data before the record),
 // so installing the record declares the transaction successful.
-//
-// With Config.PersistBootstrapWatermark set, Bootstrap loads the node's
-// persisted watermark and fetches only records past it — a restart warms
-// up in O(delta since last run) instead of O(history) — and persists the
-// new watermark afterwards. Skipped history is not lost: the node enters
-// partial-metadata mode, where reads that miss locally recover the key's
-// metadata from storage on demand (read.go).
 func (n *Node) Bootstrap(ctx context.Context) error {
-	var since string
-	if n.cfg.PersistBootstrapWatermark {
-		wm, err := n.store.Get(ctx, records.BootstrapWatermarkKey(n.cfg.NodeID))
-		switch {
-		case err == nil:
-			since = string(wm)
-		case !errors.Is(err, storage.ErrNotFound):
-			return fmt.Errorf("aft: reading bootstrap watermark: %w", err)
-		}
-	}
-	return n.bootstrapSince(ctx, since)
-}
-
-// BootstrapSince warms only the commit records whose storage key sorts
-// after since (commit keys order by transaction timestamp, so this is
-// "commits newer than"). An empty since is a full Bootstrap. The cluster
-// layer uses it to promote standbys incrementally: the fault manager
-// pushes its known records in memory and the new node fetches only the
-// remainder from storage.
-func (n *Node) BootstrapSince(ctx context.Context, since string) error {
-	return n.bootstrapSince(ctx, since)
-}
-
-func (n *Node) bootstrapSince(ctx context.Context, since string) error {
 	keys, err := n.store.List(ctx, records.CommitPrefix)
 	if err != nil {
 		return fmt.Errorf("aft: listing commit set: %w", err)
 	}
 	// Commit keys sort by timestamp within a deployment's fixed-width
 	// clock: the tail of the sorted listing is the most recent history,
-	// which both the watermark cut and BootstrapLimit rely on.
+	// which BootstrapLimit keeps.
 	sort.Strings(keys)
-	if since != "" {
-		cut := sort.SearchStrings(keys, since)
-		// since itself was processed by the run that persisted it.
-		if cut < len(keys) && keys[cut] == since {
-			cut++
-		}
-		n.metrics.BootstrapSkipped.Add(int64(cut))
-		keys = keys[cut:]
-		// History below the watermark is not in memory; serve it on
-		// demand through the partial-metadata read fallback.
-		n.partialMeta.Store(true)
-	}
 	// Newest records first when a limit applies. Truncation hides
 	// committed state from the warm-up, so it also flips the node into
 	// partial-metadata mode: a read of a key whose records were dropped
@@ -112,14 +67,6 @@ func (n *Node) bootstrapSince(ctx context.Context, since string) error {
 			n.tmu.Lock()
 			n.committedByUUID[rec.UUID] = rec.ID()
 			n.tmu.Unlock()
-		}
-	}
-	if n.cfg.PersistBootstrapWatermark && len(keys) > 0 {
-		wm := keys[len(keys)-1]
-		if wm > since {
-			if err := n.store.Put(ctx, records.BootstrapWatermarkKey(n.cfg.NodeID), []byte(wm)); err != nil {
-				return fmt.Errorf("aft: persisting bootstrap watermark: %w", err)
-			}
 		}
 	}
 	return nil

@@ -11,83 +11,6 @@ import (
 	"aft/internal/storage/kvengine"
 )
 
-// TestBootstrapWatermarkIncremental: with PersistBootstrapWatermark, a
-// restart fetches only commit records newer than the persisted watermark,
-// and the skipped history stays readable through the partial-metadata
-// fallback.
-func TestBootstrapWatermarkIncremental(t *testing.T) {
-	ctx := context.Background()
-	store := kvengine.NewDynamoDB(kvengine.Options{})
-	// Watermark cuts rely on commit keys sorting by timestamp, which holds
-	// for fixed-width timestamps (bootstrap.go); start the virtual clock
-	// high enough that widths never change.
-	clock := idgen.NewVirtualClock(1_000_000_000, 1)
-
-	n1, err := NewNode(Config{NodeID: "r", Store: store, Clock: clock,
-		PersistBootstrapWatermark: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		commitTxn(t, n1, map[string]string{fmt.Sprintf("old%d", i): "v-old"})
-	}
-	// Persist the watermark: this run processes all five records.
-	if err := n1.Bootstrap(ctx); err != nil {
-		t.Fatal(err)
-	}
-	wm, err := store.Get(ctx, records.BootstrapWatermarkKey("r"))
-	if err != nil {
-		t.Fatalf("watermark not persisted: %v", err)
-	}
-
-	// More history lands after the watermark (e.g. from a peer).
-	for i := 0; i < 3; i++ {
-		commitTxn(t, n1, map[string]string{fmt.Sprintf("new%d", i): "v-new"})
-	}
-
-	// The "restarted" node: same ID, same storage, fresh memory.
-	n2, err := NewNode(Config{NodeID: "r", Store: store, Clock: clock,
-		PersistBootstrapWatermark: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n2.Bootstrap(ctx); err != nil {
-		t.Fatal(err)
-	}
-	m := n2.Metrics().Snapshot()
-	if m.BootstrapSkipped != 5 {
-		t.Fatalf("BootstrapSkipped = %d, want 5", m.BootstrapSkipped)
-	}
-	if got := n2.MetadataSize(); got != 3 {
-		t.Fatalf("MetadataSize after incremental bootstrap = %d, want 3 (the delta)", got)
-	}
-
-	// Skipped history is not lost: a read falls back to storage on demand.
-	txid, err := n2.StartTransaction(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := n2.Get(ctx, txid, "old0")
-	if err != nil || string(v) != "v-old" {
-		t.Fatalf("Get(old0) = %q, %v; want fallback recovery of pre-watermark key", v, err)
-	}
-	if _, err := n2.CommitTransaction(ctx, txid); err != nil {
-		t.Fatal(err)
-	}
-	if rf := n2.Metrics().Snapshot().RemoteFetches; rf == 0 {
-		t.Fatal("pre-watermark read did not go through the storage fallback")
-	}
-
-	// The restart advanced the watermark past the new records.
-	wm2, err := store.Get(ctx, records.BootstrapWatermarkKey("r"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(wm2) <= string(wm) {
-		t.Fatalf("watermark did not advance: %q -> %q", wm, wm2)
-	}
-}
-
 // TestBootstrapTruncationServesOnDemand: BootstrapLimit still bounds
 // warm-up cost, but the dropped records are served on demand instead of
 // silently missing, and the truncation is counted.

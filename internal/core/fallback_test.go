@@ -2,7 +2,7 @@ package core
 
 // fallback_test.go pins the partial-metadata read fallback (read.go): a
 // node whose in-memory metadata is a subset of the Transaction Commit Set —
-// after a truncated or watermark bootstrap, or a budget spill — recovers a
+// after a truncated bootstrap or a budget spill — recovers a
 // key's commit records from storage on a local miss. The tests switch the
 // mode on directly; budget_test.go reaches it through BootstrapLimit.
 

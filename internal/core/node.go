@@ -112,15 +112,6 @@ type Config struct {
 	// (read.go), and the fault manager's scan re-announces anything
 	// missed. Truncations are counted in NodeMetrics.BootstrapTruncated.
 	BootstrapLimit int
-	// PersistBootstrapWatermark makes Bootstrap persist the newest commit
-	// key it processed (under records.BootstrapWatermarkKey(NodeID)) and,
-	// on the next Bootstrap over the same store, fetch only records past
-	// that watermark — the restarted-node fast path: warm-up traffic
-	// proportional to the delta since the last run, not the full commit
-	// set. Skipped history stays recoverable on demand (partial-metadata
-	// read fallback + fault-manager re-announcement). Off by default; the
-	// extra watermark Get/Put would perturb deterministic campaigns.
-	PersistBootstrapWatermark bool
 	// MetadataBudgetBytes bounds the node's approximate metadata memory:
 	// cached commit records (commit cache + version index) plus the read
 	// data cache. EnforceBudget (budget.go) sheds data-cache entries and
@@ -185,9 +176,9 @@ type Node struct {
 	metaBytes atomic.Int64
 
 	// partialMeta, once set, records that this node's in-memory metadata
-	// is a subset of the Transaction Commit Set: an incremental or
-	// truncated bootstrap skipped history, or the memory budget spilled
-	// cold records. Reads that miss locally then fall back to storage
+	// is a subset of the Transaction Commit Set: a truncated bootstrap
+	// (BootstrapLimit) skipped history, or the memory budget spilled cold
+	// records. Reads that miss locally then fall back to storage
 	// (read.go). Sticky by design — the fallback is also what makes the
 	// skip/spill safe.
 	partialMeta atomic.Bool
@@ -260,7 +251,6 @@ type NodeMetrics struct {
 	ReapedExpired     atomic.Int64 // dangling transactions aborted past their deadline
 
 	BootstrapTruncated atomic.Int64 // commit records dropped by BootstrapLimit
-	BootstrapSkipped   atomic.Int64 // commit records skipped below the bootstrap watermark
 	SpilledRecords     atomic.Int64 // cached commit records spilled by the memory budget
 	BudgetShed         atomic.Int64 // arrivals shed past the metadata-budget hard ceiling
 }
@@ -273,7 +263,7 @@ type NodeMetricsSnapshot struct {
 	BatchedRecordGets, MultiGets,
 	GroupFlushes, GroupedCommits,
 	OverloadShed, DeadlineExceeded, ReapedExpired,
-	BootstrapTruncated, BootstrapSkipped, SpilledRecords, BudgetShed int64
+	BootstrapTruncated, SpilledRecords, BudgetShed int64
 }
 
 // Snapshot returns a copy of the counters.
@@ -299,7 +289,6 @@ func (m *NodeMetrics) Snapshot() NodeMetricsSnapshot {
 		ReapedExpired:     m.ReapedExpired.Load(),
 
 		BootstrapTruncated: m.BootstrapTruncated.Load(),
-		BootstrapSkipped:   m.BootstrapSkipped.Load(),
 		SpilledRecords:     m.SpilledRecords.Load(),
 		BudgetShed:         m.BudgetShed.Load(),
 	}

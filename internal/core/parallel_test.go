@@ -385,7 +385,7 @@ func TestFlushPartialBatchFailsOnlyLosers(t *testing.T) {
 		t.Fatalf("commit records = %q, %v; want the 2 winners'", recs, err)
 	}
 	for _, k := range []string{"b1", "b3"} {
-		if vs, err := inner.List(ctx, records.DataKeyPrefix(k)); err != nil || len(vs) != 0 {
+		if vs, err := inner.List(ctx, records.DataPrefix+k+"/"); err != nil || len(vs) != 0 {
 			t.Fatalf("loser's %s after the lost item was written: %q, %v", k, vs, err)
 		}
 	}

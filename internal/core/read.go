@@ -251,9 +251,9 @@ func (n *Node) planRead(ctx context.Context, t *txnState, key string) (readPlan,
 	}
 	if (errors.Is(err, ErrKeyNotFound) || errors.Is(err, ErrNoValidVersion)) &&
 		n.partialMeta.Load() && !t.metaFetched[key] {
-		// Partial-metadata mode: a local miss is inconclusive. An
-		// incremental or truncated bootstrap skipped history, or the
-		// memory budget spilled cold records, so the Transaction Commit
+		// Partial-metadata mode: a local miss is inconclusive. A
+		// truncated bootstrap skipped history, or the memory budget
+		// spilled cold records, so the Transaction Commit
 		// Set in storage may know versions this node does not. Recover
 		// the key's commit metadata from storage and retry Algorithm 1
 		// once. metaFetched bounds the cost to one storage scan per key

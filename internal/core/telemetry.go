@@ -82,7 +82,6 @@ func (n *Node) EmitTelemetry(e *telemetry.Emitter) {
 		c("aft_node_grouped_commits_total", "Commits written by the commit write routine (one per run).", m.GroupedCommits)
 		c("aft_overload_shed_total", "Arrivals shed by admission control (ErrOverloaded).", m.OverloadShed)
 		c("aft_bootstrap_truncated_total", "Commit records dropped from warm-up by BootstrapLimit (served on demand afterwards).", m.BootstrapTruncated)
-		c("aft_node_bootstrap_skipped_total", "Commit records skipped by the incremental-bootstrap watermark.", m.BootstrapSkipped)
 		c("aft_node_spilled_records_total", "Live commit records evicted to storage by the metadata budget.", m.SpilledRecords)
 		c("aft_node_budget_shed_total", "Transactions shed past the metadata-budget hard ceiling.", m.BudgetShed)
 		c("aft_deadline_exceeded_total", "Ops abandoned at a ctx-deadline check.", m.DeadlineExceeded)

@@ -1,18 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"time"
 
-	"aft/internal/chaos"
 	"aft/internal/checker"
-	"aft/internal/cluster"
-	"aft/internal/core"
-	"aft/internal/idgen"
-	"aft/internal/telemetry"
-	"aft/internal/workload"
 )
 
 // ChaosCell is one seed's full campaign result, exposed for the bench
@@ -83,14 +74,9 @@ func ChaosTable(cells []ChaosCell) (Table, error) {
 // failures, latency spikes, node kills with standby promotion and
 // fault-manager recovery) under the canonical workload, with the history
 // checker proving read atomicity, repeatable read, and atomic write
-// durability — or pinpointing where they broke.
-//
-// Determinism: one driver goroutine issues every request, kills fire
-// synchronously between requests (the scheduler blocks until the standby
-// promotion completes), and all background periods are disabled in favor
-// of explicit maintenance points — so for a fixed seed the storage
-// operation sequence, every fault decision, every retry, and therefore the
-// entire cell (verdict included) is bit-for-bit reproducible.
+// durability — or pinpointing where they broke. For a fixed seed the
+// entire cell, verdict included, is bit-for-bit reproducible (see
+// runCampaign).
 //
 // One campaign runs per seed (opts.Seed, +1, +2): the acceptance bar
 // requires a zero-anomaly verdict across three seeds that each include at
@@ -99,7 +85,7 @@ func ChaosCells(opts Options) ([]ChaosCell, error) {
 	opts = opts.withDefaults()
 	var cells []ChaosCell
 	for i := int64(0); i < 3; i++ {
-		cell, err := runChaosCell(opts, opts.Seed+i)
+		cell, err := chaosCampaign(opts, opts.Seed+i)
 		if err != nil {
 			return cells, fmt.Errorf("chaos seed %d: %w", opts.Seed+i, err)
 		}
@@ -108,222 +94,25 @@ func ChaosCells(opts Options) ([]ChaosCell, error) {
 	return cells, nil
 }
 
-// chaos campaign shape.
-const (
-	chaosNodes    = 3
-	chaosKeys     = 128
-	chaosSeedPer  = 16 // keys seeded per bootstrap transaction
-	chaosMaintain = 20 // requests between maintenance points
-	// After every request, a bulk request writes chaosBulkKeys keys of
-	// chaosBulkPayload bytes each: too large to ride inside its
-	// commit record, so it commits in §3.3's two phases, and partial batch
-	// writes have something to split. The paper mix's small write sets
-	// commit in one Put. The keys fit one DynamoDB BatchPut: a phase of
-	// several calls sends them concurrently, which would make the order
-	// of the injector's draws, and so the campaign, nondeterministic.
-	chaosBulkKeys    = 24
-	chaosBulkPayload = 1 << 10
-	// chaosEpoch starts the campaign's virtual clock high enough that
-	// every timestamp renders at a fixed decimal width, keeping commit-key
-	// lexicographic order equal to timestamp order.
-	chaosEpoch = int64(1) << 50
-)
-
-// chaosFaultRates returns the campaign's fault rates, honoring overrides.
-func (o Options) chaosFaultRates() (errRate, partialRate, spikeRate float64) {
-	errRate, partialRate, spikeRate = 0.03, 0.12, 0.04
-	if o.ChaosErrorRate > 0 {
-		errRate = o.ChaosErrorRate
+// chaosCampaign runs one seed's campaign over the DynamoDB profile, with a
+// two-phase bulk write after every request and the event journal kept.
+func chaosCampaign(opts Options, seed int64) (ChaosCell, error) {
+	cp := campaign{
+		seed: seed, requests: opts.campaignRequests(160, 48),
+		nodes: 3, keys: 128, seedPer: 16, maintain: 20,
+		kills: opts.campaignKills(2), bulkKeys: 24, journal: true,
 	}
-	if o.ChaosPartialRate > 0 {
-		partialRate = o.ChaosPartialRate
-	}
-	if o.ChaosSpikeRate > 0 {
-		spikeRate = o.ChaosSpikeRate
-	}
-	return errRate, partialRate, spikeRate
-}
-
-// runChaosCell runs one seed's campaign.
-func runChaosCell(opts Options, seed int64) (ChaosCell, error) {
-	ctx := context.Background()
-	requests := opts.ChaosRequests
-	if requests <= 0 {
-		requests = 160
-		if opts.Quick {
-			requests = 48
-		}
-	}
-	kills := opts.ChaosKills
-	if kills <= 0 {
-		kills = 2
-	}
-	cell := ChaosCell{Seed: seed, Requests: requests, Keys: chaosKeys}
-
-	// The storage substrate under test, behind the fault injector. The
-	// latency model (when scale > 0) draws from its own seeded source;
-	// injection decisions draw from the chaos seed.
-	storeOpts := opts
-	storeOpts.Seed = seed
-	errRate, partialRate, spikeRate := opts.chaosFaultRates()
-	st := chaos.Wrap(storeOpts.newStore(kindDynamo), chaos.Config{
-		Seed:        seed,
-		ErrorRate:   errRate,
-		PartialRate: partialRate,
-		SpikeRate:   spikeRate,
-		Spike:       20 * time.Millisecond,
-		Sleeper:     opts.sleeper(),
-	})
-
-	// Background periods are disabled (multicast period effectively
-	// infinite, no GC loops): every exchange and collection runs at an
-	// explicit, deterministic maintenance point instead. Transaction IDs
-	// come from a shared virtual clock plus seeded UUID entropy, so every
-	// storage KEY reproduces bit-for-bit — without this, partial-batch
-	// key splits (hash-of-key) would depend on wall-clock timestamps and
-	// crypto-random UUIDs and the fault pattern would drift run to run.
-	journal := telemetry.NewJournal(telemetry.JournalOptions{})
-	c, err := cluster.New(cluster.Config{
-		Nodes:           chaosNodes,
-		Standbys:        kills,
-		Store:           st,
-		Node:            core.Config{EnableDataCache: true, IDEntropySeed: seed},
-		Clock:           idgen.NewVirtualClock(chaosEpoch, 1),
-		MulticastPeriod: time.Hour,
-		PruneMulticast:  true,
-		Events:          journal,
-	})
+	r, err := runCampaign(opts, cp)
 	if err != nil {
-		return cell, err
+		return ChaosCell{}, err
 	}
-	if err := c.Start(ctx); err != nil {
-		return cell, err
-	}
-	defer c.Stop()
-
-	check := checker.New()
-	check.SetJournal(journal)
-	runner := &chaos.Runner{
-		Client:  c.Client(),
-		Payload: workload.Payload(seed, opts.Payload),
-		Check:   check,
-	}
-	bulk := &chaos.Runner{
-		Client:  c.Client(),
-		Payload: workload.Payload(seed, max(opts.Payload, chaosBulkPayload)),
-		Check:   check,
-	}
-
-	// Seed every key clean, so reads always find a committed version.
-	for start := 0; start < chaosKeys; start += chaosSeedPer {
-		var ops []workload.Op
-		for i := start; i < start+chaosSeedPer && i < chaosKeys; i++ {
-			ops = append(ops, workload.Op{Kind: workload.OpWrite, Key: workload.KeyName(i)})
-		}
-		if err := runner.Do(ctx, workload.Request{Funcs: [][]workload.Op{ops}}); err != nil {
-			return cell, fmt.Errorf("seeding: %w", err)
-		}
-	}
-	c.FlushMulticast()
-
-	// Chaos on. Kills fire in the middle three fifths of the run so each
-	// has workload before (history to lose) and after (history to verify).
-	st.SetEnabled(true)
-	sched := chaos.NewScheduler(c, seed, chaos.PlanKills(seed, kills, requests/5, 4*requests/5))
-	gen := workload.NewGenerator(seed, workload.NewZipf(seed+100, chaosKeys, 1.0), 2, 2, 2)
-	for i := 0; i < requests; i++ {
-		if err := runner.Do(ctx, gen.Next()); err != nil {
-			return cell, fmt.Errorf("request %d: %w", i, err)
-		}
-		var ops []workload.Op
-		for j := range chaosBulkKeys {
-			ops = append(ops, workload.Op{Kind: workload.OpWrite, Key: workload.KeyName((13*i + j) % chaosKeys)})
-		}
-		if err := bulk.Do(ctx, workload.Request{Funcs: [][]workload.Op{ops}}); err != nil {
-			return cell, fmt.Errorf("bulk request %d: %w", i, err)
-		}
-		if err := sched.Tick(ctx, i+1); err != nil {
-			return cell, err
-		}
-		if (i+1)%chaosMaintain == 0 {
-			if err := chaosMaintenance(ctx, c); err != nil {
-				return cell, err
-			}
-		}
-	}
-
-	// Quiesce: faults off, full exchange and recovery, then the audit.
-	st.SetEnabled(false)
-	if err := chaosMaintenance(ctx, c); err != nil {
-		return cell, err
-	}
-	if _, err := check.ResolveStorage(ctx, st); err != nil {
-		return cell, err
-	}
-	keys := make([]string, chaosKeys)
-	for i := range keys {
-		keys[i] = workload.KeyName(i)
-	}
-	final, err := runner.FinalState(ctx, keys)
-	if err != nil {
-		return cell, err
-	}
-	cell.Verdict = check.Verdict(final)
-	cell.Journal = canonicalJournal(journal)
-
-	rm := runner.Metrics().Snapshot()
-	cell.Committed = rm.Commits
-	cell.Redos = rm.Redos
-	cell.CommitRetries = rm.CommitRetries
-	cell.Kills = sched.Kills()
-	cell.Promotions = sched.Promotions()
-	fm := st.FaultMetrics().Snapshot()
-	cell.StorageOps = fm.Ops
-	cell.InjectedErrors = fm.Errors
-	cell.PartialBatchPuts = fm.PartialBatchPuts
-	cell.PartialBatchGets = fm.PartialBatchGets
-	cell.Spikes = fm.Spikes
-	cell.RecoveredRecords = c.FaultManager().Metrics().Snapshot().Recovered
-	return cell, nil
-}
-
-// canonicalJournal renders the campaign's flight-recorder events as one
-// line per event, sorted. Wall-clock timestamps and arrival seq are
-// dropped: only the deterministic content (what happened, to whom, with
-// what attributes) is verdict evidence.
-func canonicalJournal(j *telemetry.Journal) []string {
-	evs := j.Snapshot(telemetry.EventFilter{})
-	lines := make([]string, 0, len(evs))
-	for _, ev := range evs {
-		line := string(ev.Type) + " " + ev.Node
-		for i := 0; i+1 < len(ev.Attrs); i += 2 {
-			line += " " + ev.Attrs[i] + "=" + ev.Attrs[i+1]
-		}
-		lines = append(lines, line)
-	}
-	sort.Strings(lines)
-	return lines
-}
-
-// chaosMaintenance runs one deterministic maintenance point: multicast
-// exchange, local metadata sweeps, the fault manager's recovery scan, and
-// one global GC round. Each storage-facing step retries through its own
-// injected faults.
-func chaosMaintenance(ctx context.Context, c *cluster.Cluster) error {
-	c.FlushMulticast()
-	for _, n := range c.Nodes() {
-		n.SweepLocalMetadata(0)
-	}
-	if err := chaos.Retry(ctx, 10, func() error {
-		return c.FaultManager().ScanStorage(ctx)
-	}); err != nil {
-		return fmt.Errorf("scan: %w", err)
-	}
-	if err := chaos.Retry(ctx, 10, func() error {
-		_, err := c.FaultManager().CollectOnce(ctx, 2000)
-		return err
-	}); err != nil {
-		return fmt.Errorf("collect: %w", err)
-	}
-	return nil
+	return ChaosCell{
+		Seed: seed, Requests: cp.requests, Keys: cp.keys,
+		Committed: r.runs.Commits, Redos: r.runs.Redos, CommitRetries: r.runs.CommitRetries,
+		Kills: r.kills, Promotions: r.promotions,
+		StorageOps: r.faults.Ops, InjectedErrors: r.faults.Errors,
+		PartialBatchPuts: r.faults.PartialBatchPuts, PartialBatchGets: r.faults.PartialBatchGets,
+		Spikes: r.faults.Spikes, RecoveredRecords: r.recovered,
+		Verdict: r.verdict, Journal: r.journal,
+	}, nil
 }

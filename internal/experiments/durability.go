@@ -17,11 +17,7 @@ import (
 	"sync"
 	"time"
 
-	"aft/internal/chaos"
 	"aft/internal/checker"
-	"aft/internal/cluster"
-	"aft/internal/core"
-	"aft/internal/idgen"
 	"aft/internal/storage"
 	"aft/internal/storage/kvengine"
 	"aft/internal/storage/walengine"
@@ -147,7 +143,7 @@ func DurabilityCells(opts Options) ([]DurabilityCell, error) {
 		cells = append(cells, cell)
 	}
 	for i := int64(0); i < 3; i++ {
-		cell, err := runDurabilityCampaign(opts, opts.Seed+i)
+		cell, err := durabilityCampaign(opts, opts.Seed+i)
 		if err != nil {
 			return cells, fmt.Errorf("durability campaign seed %d: %w", opts.Seed+i, err)
 		}
@@ -286,167 +282,30 @@ func runDurabilityRecovery(opts Options, entries int) (DurabilityCell, error) {
 	return cell, nil
 }
 
-// durability campaign shape (the chaos campaign's, with storage crashes).
-const (
-	durNodes   = 3
-	durKeys    = 96
-	durSeedPer = 16
-	durMaint   = 20
-)
-
-// runDurabilityCampaign runs one seed's storage-crash campaign: the
-// canonical workload over a cluster whose store is the chaos-wrapped WAL
-// engine, with transient faults and partial batches injected, node kills
-// with standby promotion, and — new here — Close-then-Reopen crashes of
-// the storage engine itself at storage-op indices derived from the
-// observed per-request op rate, so they land mid-protocol. The checker
-// then proves no acknowledged commit vanished.
-func runDurabilityCampaign(opts Options, seed int64) (DurabilityCell, error) {
-	ctx := context.Background()
-	requests := opts.ChaosRequests
-	if requests <= 0 {
-		requests = 140
-		if opts.Quick {
-			requests = 40
-		}
+// durabilityCampaign runs one seed's storage-crash campaign: the chaos
+// campaign's faults over the WAL engine, plus Close-then-Reopen crashes
+// of the engine itself at storage-op indices that land mid-protocol. The
+// checker then proves no acknowledged commit vanished. Small segments and
+// eager compaction keep the log-management machinery (rolls, rewrites,
+// reclaim) in play underneath the injected faults.
+func durabilityCampaign(opts Options, seed int64) (DurabilityCell, error) {
+	cp := campaign{
+		seed: seed, requests: opts.campaignRequests(140, 40),
+		nodes: 3, keys: 96, seedPer: 16, maintain: 20,
+		wal:   &walengine.Options{SegmentBytes: 128 << 10, CompactGarbageBytes: 256 << 10},
+		kills: opts.campaignKills(1), storageCrashes: 2,
 	}
-	kills := opts.ChaosKills
-	if kills <= 0 {
-		kills = 1
-	}
-	const storageCrashes = 2
-	cell := DurabilityCell{Scenario: "campaign", Seed: seed, Requests: requests}
-
-	dir, cleanup, err := walDir()
+	r, err := runCampaign(opts, cp)
 	if err != nil {
-		return cell, err
+		return DurabilityCell{}, err
 	}
-	defer cleanup()
-	// Small segments + eager compaction keep the log-management machinery
-	// (rolls, rewrites, reclaim) in play underneath the injected faults.
-	wal, err := walengine.Open(dir, walengine.Options{
-		SegmentBytes:        128 << 10,
-		CompactGarbageBytes: 256 << 10,
-	})
-	if err != nil {
-		return cell, err
-	}
-	defer wal.Close()
-
-	errRate, partialRate, spikeRate := opts.chaosFaultRates()
-	st := chaos.Wrap(wal, chaos.Config{
-		Seed:        seed,
-		ErrorRate:   errRate,
-		PartialRate: partialRate,
-		SpikeRate:   spikeRate,
-		Spike:       20 * time.Millisecond,
-		Sleeper:     opts.sleeper(),
-	})
-
-	c, err := cluster.New(cluster.Config{
-		Nodes:           durNodes,
-		Standbys:        kills,
-		Store:           st,
-		Node:            core.Config{EnableDataCache: true, IDEntropySeed: seed},
-		Clock:           idgen.NewVirtualClock(chaosEpoch, 1),
-		MulticastPeriod: time.Hour,
-		PruneMulticast:  true,
-	})
-	if err != nil {
-		return cell, err
-	}
-	if err := c.Start(ctx); err != nil {
-		return cell, err
-	}
-	defer c.Stop()
-
-	check := checker.New()
-	runner := &chaos.Runner{
-		Client:  c.Client(),
-		Payload: workload.Payload(seed, opts.Payload),
-		Check:   check,
-	}
-	seedRequests := 0
-	for start := 0; start < durKeys; start += durSeedPer {
-		var ops []workload.Op
-		for i := start; i < start+durSeedPer && i < durKeys; i++ {
-			ops = append(ops, workload.Op{Kind: workload.OpWrite, Key: workload.KeyName(i)})
-		}
-		if err := runner.Do(ctx, workload.Request{Funcs: [][]workload.Op{ops}}); err != nil {
-			return cell, fmt.Errorf("seeding: %w", err)
-		}
-		seedRequests++
-	}
-	c.FlushMulticast()
-
-	// Derive the crash gap from the measured op rate: crashes spread
-	// across the middle of the run, each firing mid-operation-stream.
-	opsPerReq := st.Ops() / int64(seedRequests)
-	gap := opsPerReq * int64(requests) / (storageCrashes + 2)
-	if gap < 8 {
-		gap = 8
-	}
-	plan := chaos.ScheduleStorageCrashes(st, wal, storageCrashes, gap)
-
-	st.SetEnabled(true)
-	sched := chaos.NewScheduler(c, seed, chaos.PlanKills(seed, kills, requests/5, 4*requests/5))
-	gen := workload.NewGenerator(seed, workload.NewZipf(seed+100, durKeys, 1.0), 2, 2, 2)
-	for i := 0; i < requests; i++ {
-		if err := runner.Do(ctx, gen.Next()); err != nil {
-			return cell, fmt.Errorf("request %d: %w", i, err)
-		}
-		if err := plan.Err(); err != nil {
-			return cell, err
-		}
-		if err := sched.Tick(ctx, i+1); err != nil {
-			return cell, err
-		}
-		if (i+1)%durMaint == 0 {
-			if err := chaosMaintenance(ctx, c); err != nil {
-				return cell, err
-			}
-		}
-	}
-
-	// Quiesce: faults off, one final CLEAN restart of the storage engine
-	// (cold replay of the whole surviving log), recovery, then the audit.
-	st.SetEnabled(false)
-	if err := wal.Close(); err != nil {
-		return cell, err
-	}
-	if err := wal.Reopen(); err != nil {
-		return cell, err
-	}
-	if err := chaosMaintenance(ctx, c); err != nil {
-		return cell, err
-	}
-	if _, err := check.ResolveStorage(ctx, st); err != nil {
-		return cell, err
-	}
-	keys := make([]string, durKeys)
-	for i := range keys {
-		keys[i] = workload.KeyName(i)
-	}
-	final, err := runner.FinalState(ctx, keys)
-	if err != nil {
-		return cell, err
-	}
-	verdict := check.Verdict(final)
-	cell.Verdict = &verdict
-
-	rm := runner.Metrics().Snapshot()
-	cell.Committed = rm.Commits
-	cell.Redos = rm.Redos
-	cell.CommitRetries = rm.CommitRetries
-	cell.StorageCrashes = plan.Crashes()
-	cell.Kills = sched.Kills()
-	cell.Promotions = sched.Promotions()
-	fm := st.FaultMetrics().Snapshot()
-	cell.InjectedErrors = fm.Errors
-	cell.PartialBatchPuts = fm.PartialBatchPuts
-	cell.RecoveredRecords = c.FaultManager().Metrics().Snapshot().Recovered
-	w := wal.WAL().Snapshot()
-	cell.Appends, cell.Fsyncs, cell.AppendsPerFsync = w.Appends, w.Fsyncs, w.AppendsPerFsync
-	cell.Compactions, cell.BytesReclaimed = w.Compactions, w.BytesReclaimed
-	return cell, nil
+	return DurabilityCell{
+		Scenario: "campaign", Seed: seed, Requests: cp.requests,
+		Committed: r.runs.Commits, Redos: r.runs.Redos, CommitRetries: r.runs.CommitRetries,
+		StorageCrashes: r.storageCrashes, Kills: r.kills, Promotions: r.promotions,
+		InjectedErrors: r.faults.Errors, PartialBatchPuts: r.faults.PartialBatchPuts,
+		RecoveredRecords: r.recovered, Verdict: &r.verdict,
+		Appends: r.wal.Appends, Fsyncs: r.wal.Fsyncs, AppendsPerFsync: r.wal.AppendsPerFsync,
+		Compactions: r.wal.Compactions, BytesReclaimed: r.wal.BytesReclaimed,
+	}, nil
 }

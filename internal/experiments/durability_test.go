@@ -8,7 +8,7 @@ import "testing"
 // standby promotion) and the history checker reports zero anomalies — no
 // acknowledged commit may vanish across a storage-engine crash — and the
 // concurrent-load throughput cell shows the group-fsync window coalescing
-// (AppendsPerFsync > 1).
+// (AppendsPerFsync > 1). Each campaign run again yields the same cell.
 func TestDurabilityCampaignCleanAcrossSeeds(t *testing.T) {
 	opts := Options{Scale: 0, Quick: true, Seed: 42, Payload: 256}
 	cells, err := DurabilityCells(opts)
@@ -17,6 +17,7 @@ func TestDurabilityCampaignCleanAcrossSeeds(t *testing.T) {
 	}
 
 	var campaigns, recoveries int
+	var campaignCells []DurabilityCell
 	var walThroughput *DurabilityCell
 	for i := range cells {
 		cell := &cells[i]
@@ -37,6 +38,7 @@ func TestDurabilityCampaignCleanAcrossSeeds(t *testing.T) {
 			}
 		case "campaign":
 			campaigns++
+			campaignCells = append(campaignCells, *cell)
 			if cell.Verdict == nil || !cell.Verdict.Clean() {
 				t.Errorf("seed %d: verdict %v", cell.Seed, cell.Verdict)
 				if cell.Verdict != nil {
@@ -67,6 +69,9 @@ func TestDurabilityCampaignCleanAcrossSeeds(t *testing.T) {
 	if recoveries != 3 {
 		t.Fatalf("got %d recovery cells, want 3", recoveries)
 	}
+	requireSameRerun(t, campaignCells, func(i int) (DurabilityCell, error) {
+		return durabilityCampaign(opts, opts.Seed+int64(i))
+	})
 	if walThroughput == nil {
 		t.Fatal("no wal throughput cell")
 	}

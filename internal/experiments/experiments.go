@@ -55,7 +55,7 @@ type Options struct {
 
 	// ChaosErrorRate, ChaosPartialRate, and ChaosSpikeRate override the
 	// chaos experiment's per-operation fault probabilities; 0 selects the
-	// defaults (see chaos.go).
+	// defaults (see campaign.go).
 	ChaosErrorRate, ChaosPartialRate, ChaosSpikeRate float64
 	// ChaosKills overrides how many node kills each chaos campaign
 	// schedules; 0 selects the default.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -21,6 +22,31 @@ func requireRows(t *testing.T, tbl Table, want int) {
 	tbl.Print(&buf)
 	if !strings.Contains(buf.String(), tbl.Title) {
 		t.Fatal("Print lost the title")
+	}
+}
+
+// requireSameRerun runs each of first's campaigns again (rerun(i) for
+// first[i]) and requires the same cells, serialized, as the first run.
+func requireSameRerun[C any](t *testing.T, first []C, rerun func(i int) (C, error)) {
+	t.Helper()
+	second := make([]C, len(first))
+	for i := range first {
+		cell, err := rerun(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second[i] = cell
+	}
+	a, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("campaign is not deterministic for a fixed seed:\nrun 1: %s\nrun 2: %s", a, b)
 	}
 }
 

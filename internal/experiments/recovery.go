@@ -2,27 +2,21 @@ package experiments
 
 // recovery.go measures the checkpointed-recovery layer end to end: WAL
 // index checkpoints turn reopen cost from O(log) into O(tail), the
-// watermark/incremental bootstrap turns a node restart's storage traffic
-// from O(history) into O(delta), the metadata budget keeps a node's
-// resident bytes bounded under sustained load (shedding retriably past
-// the ceiling), and a seeded chaos campaign — storage crashes landing
-// mid-spill and alongside background checkpoints, node kills promoted via
-// incremental bootstrap — ends in the history checker's CLEAN verdict.
+// metadata budget keeps a node's resident bytes bounded under sustained
+// load (shedding retriably past the ceiling), and a seeded chaos campaign
+// — storage crashes landing mid-spill and alongside background
+// checkpoints, node kills promoted by a full bootstrap — ends in the
+// history checker's CLEAN verdict.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
-	"aft/internal/chaos"
 	"aft/internal/checker"
-	"aft/internal/cluster"
 	"aft/internal/core"
 	"aft/internal/idgen"
-	"aft/internal/records"
 	"aft/internal/storage/kvengine"
 	"aft/internal/storage/walengine"
 	"aft/internal/workload"
@@ -33,11 +27,9 @@ import (
 //
 //   - "recovery": one log size's reopen cost, full replay vs checkpointed
 //     tail replay (the recovery-time-versus-tail curve);
-//   - "bootstrap": one watermark delta's restart traffic, fetched versus
-//     skipped records (the bootstrap-traffic-versus-delta curve);
 //   - "budget": a budget-constrained node under sustained load;
 //   - "campaign": one seed's chaos campaign over the checkpointing WAL
-//     with budgeted nodes and incremental promotions.
+//     with budgeted nodes.
 type RecoveryCell struct {
 	Scenario string `json:"scenario"`
 
@@ -52,14 +44,8 @@ type RecoveryCell struct {
 	CheckpointEntries int64   `json:"checkpoint_entries,omitempty"`
 	ReplayedTail      int64   `json:"replayed_tail,omitempty"`
 
-	// Bootstrap (incremental vs full).
-	Records        int     `json:"records,omitempty"`
-	DeltaRecords   int     `json:"delta_records,omitempty"`
-	FetchedRecords int     `json:"fetched_records,omitempty"`
-	SkippedRecords int64   `json:"skipped_records,omitempty"`
-	BootstrapMS    float64 `json:"bootstrap_ms,omitempty"`
-
 	// Budget.
+	Records       int   `json:"records,omitempty"`
 	BudgetBytes   int64 `json:"budget_bytes,omitempty"`
 	PeakBytes     int64 `json:"peak_bytes,omitempty"`
 	FinalBytes    int64 `json:"final_bytes,omitempty"`
@@ -75,7 +61,6 @@ type RecoveryCell struct {
 	StorageCrashes     int              `json:"storage_crashes,omitempty"`
 	Kills              int              `json:"kills,omitempty"`
 	Promotions         int              `json:"promotions,omitempty"`
-	BootstrapSkipped   int64            `json:"bootstrap_skipped,omitempty"`
 	Checkpoints        int64            `json:"checkpoints,omitempty"`
 	CheckpointRestored int64            `json:"checkpoint_restored,omitempty"`
 	InjectedErrors     int64            `json:"injected_errors,omitempty"`
@@ -85,14 +70,13 @@ type RecoveryCell struct {
 // RecoveryTable renders measured cells.
 func RecoveryTable(cells []RecoveryCell) (Table, error) {
 	table := Table{
-		Title: "Recovery: WAL checkpoints, incremental bootstrap, metadata budget, chaos campaign",
+		Title: "Recovery: WAL checkpoints, metadata budget, chaos campaign",
 		Header: []string{"scenario", "detail", "full ms", "ckpt ms", "speedup",
-			"fetched", "skipped", "spilled", "shed", "verdict"},
+			"spilled", "shed", "verdict"},
 		Notes: []string{
 			"recovery: reopen of the same log cold (full replay) vs with a checkpoint + 1% tail",
-			"bootstrap: restart warm-up fetching only commit records past the watermark; skipped history serves on demand",
 			"budget: sustained load against MetadataBudgetBytes; past the hard ceiling the node sheds retriably",
-			"campaign: seeded chaos (storage crashes incl. one armed mid-spill, kills with incremental promotion) over the checkpointing WAL",
+			"campaign: seeded chaos (storage crashes incl. one armed mid-spill, node kills with standby promotion) over the checkpointing WAL",
 			"verdict: the history checker's full replay + final-state lost-write audit",
 		},
 	}
@@ -107,8 +91,6 @@ func RecoveryTable(cells []RecoveryCell) (Table, error) {
 		switch c.Scenario {
 		case "recovery":
 			detail = fmt.Sprintf("%d entries / %d keys, %d segs", c.Entries, c.Keys, c.Segments)
-		case "bootstrap":
-			detail = fmt.Sprintf("%d records, delta %d", c.Records, c.DeltaRecords)
 		case "budget":
 			detail = fmt.Sprintf("budget %d B, %d commits", c.BudgetBytes, c.Records)
 		case "campaign":
@@ -126,8 +108,6 @@ func RecoveryTable(cells []RecoveryCell) (Table, error) {
 			dash(c.FullReplayMS > 0, fmt.Sprintf("%.1f", c.FullReplayMS)),
 			dash(c.CheckpointedMS > 0, fmt.Sprintf("%.1f", c.CheckpointedMS)),
 			dash(c.Speedup > 0, fmt.Sprintf("%.1fx", c.Speedup)),
-			dash(c.Scenario == "bootstrap", fmt.Sprint(c.FetchedRecords)),
-			dash(c.SkippedRecords > 0 || c.Scenario == "bootstrap", fmt.Sprint(c.SkippedRecords)),
 			dash(c.Spilled > 0, fmt.Sprint(c.Spilled)),
 			dash(c.Scenario == "budget", fmt.Sprint(c.Shed)),
 			verdict,
@@ -137,8 +117,7 @@ func RecoveryTable(cells []RecoveryCell) (Table, error) {
 }
 
 // RecoveryCells runs every scenario: a checkpoint-vs-replay sweep over
-// growing logs, an incremental-bootstrap delta sweep, a budget-constrained
-// run, and one chaos campaign per seed (opts.Seed, +1, +2) — the
+// growing logs, a budget-constrained run, and one chaos campaign per seed (opts.Seed, +1, +2) — the
 // acceptance bar is a zero-anomaly verdict in each campaign and, at full
 // scale, a >=10x checkpointed-reopen speedup on the largest log.
 func RecoveryCells(opts Options) ([]RecoveryCell, error) {
@@ -151,13 +130,6 @@ func RecoveryCells(opts Options) ([]RecoveryCell, error) {
 		}
 		cells = append(cells, cell)
 	}
-	for _, frac := range []float64{1.0, 0.25, 0.05} {
-		cell, err := runRecoveryBootstrap(opts, frac)
-		if err != nil {
-			return cells, fmt.Errorf("recovery bootstrap %.2f: %w", frac, err)
-		}
-		cells = append(cells, cell)
-	}
 	{
 		cell, err := runRecoveryBudget(opts)
 		if err != nil {
@@ -166,7 +138,7 @@ func RecoveryCells(opts Options) ([]RecoveryCell, error) {
 		cells = append(cells, cell)
 	}
 	for i := int64(0); i < 3; i++ {
-		cell, err := runRecoveryCampaign(opts, opts.Seed+i)
+		cell, err := recoveryCampaign(opts, opts.Seed+i)
 		if err != nil {
 			return cells, fmt.Errorf("recovery campaign seed %d: %w", opts.Seed+i, err)
 		}
@@ -279,82 +251,6 @@ func runRecoveryReopen(opts Options, entries int) (RecoveryCell, error) {
 	return cell, nil
 }
 
-// runRecoveryBootstrap measures a restart's warm-up traffic at one
-// watermark delta: with frac of the commit history still ahead of the
-// watermark, BootstrapSince must fetch ~frac of the records and skip the
-// rest (served on demand afterwards). frac 1.0 is the cold-start control.
-func runRecoveryBootstrap(opts Options, frac float64) (RecoveryCell, error) {
-	ctx := context.Background()
-	total := opts.scaled(2000)
-	cell := RecoveryCell{Scenario: "bootstrap", Records: total}
-
-	store := kvengine.NewDynamoDB(kvengine.Options{})
-	clock := idgen.NewVirtualClock(chaosEpoch, 1)
-	writer, err := core.NewNode(core.Config{NodeID: "w", Store: store, Clock: clock})
-	if err != nil {
-		return cell, err
-	}
-	payload := workload.Payload(opts.Seed, 64)
-	const perTxn = 5
-	for start := 0; start < total; start += perTxn {
-		txid, err := writer.StartTransaction(ctx)
-		if err != nil {
-			return cell, err
-		}
-		for i := start; i < start+perTxn && i < total; i++ {
-			if err := writer.Put(ctx, txid, fmt.Sprintf("b-%05d", i), payload); err != nil {
-				return cell, err
-			}
-		}
-		if _, err := writer.CommitTransaction(ctx, txid); err != nil {
-			return cell, err
-		}
-	}
-
-	// The watermark sits (1-frac) of the way through the sorted history.
-	commitKeys, err := store.List(ctx, records.CommitPrefix)
-	if err != nil {
-		return cell, err
-	}
-	sort.Strings(commitKeys)
-	cell.Records = len(commitKeys) // commit records, not keys: the bootstrap unit
-	since := ""
-	cut := int(float64(len(commitKeys)) * (1 - frac))
-	if cut > 0 {
-		since = commitKeys[cut-1]
-	}
-	cell.DeltaRecords = len(commitKeys) - cut
-
-	node, err := core.NewNode(core.Config{NodeID: "r", Store: store, Clock: clock})
-	if err != nil {
-		return cell, err
-	}
-	start := time.Now()
-	if err := node.BootstrapSince(ctx, since); err != nil {
-		return cell, err
-	}
-	cell.BootstrapMS = float64(time.Since(start).Microseconds()) / 1000
-	cell.FetchedRecords = node.MetadataSize()
-	cell.SkippedRecords = node.Metrics().Snapshot().BootstrapSkipped
-	if cell.FetchedRecords != cell.DeltaRecords {
-		return cell, fmt.Errorf("fetched %d records, want the %d-record delta", cell.FetchedRecords, cell.DeltaRecords)
-	}
-	// Skipped history must still serve: read the very first key on demand.
-	if cut > 0 {
-		txid, err := node.StartTransaction(ctx)
-		if err != nil {
-			return cell, err
-		}
-		if _, err := node.Get(ctx, txid, "b-00000"); err != nil {
-			return cell, fmt.Errorf("pre-watermark key unreadable after incremental bootstrap: %w", err)
-		}
-		if _, err := node.CommitTransaction(ctx, txid); err != nil {
-			return cell, err
-		}
-	}
-	return cell, nil
-}
-
 // runRecoveryBudget drives sustained distinct-key commits against a node
 // whose budget is far below the live record set: enforcement must spill
 // cold records, reads must recover them on demand, the ceiling must shed
@@ -441,214 +337,34 @@ func runRecoveryBudget(opts Options) (RecoveryCell, error) {
 	return cell, nil
 }
 
-// anyOverBudget reports whether some live node's resident metadata
-// currently exceeds budget (the next enforcement pass will do real work).
-func anyOverBudget(c *cluster.Cluster, budget int64) bool {
-	for _, n := range c.Nodes() {
-		if n.MetadataBytes() > budget {
-			return true
-		}
-	}
-	return false
-}
-
-// runRecoveryCampaign is the durability campaign's shape with this PR's
-// machinery switched on: the WAL checkpoints in the background, cluster
-// nodes carry a metadata budget enforced at the maintenance cadence (one
+// recoveryCampaign runs one seed's crash campaign with the recovery
+// machinery switched on: the WAL checkpoints in the background, and
+// cluster nodes carry a metadata budget enforced every few requests; one
 // enforcement pass runs with a storage crash armed one operation ahead, so
-// the crash lands inside the spill's probe), and node kills promote
-// standbys through the incremental fault-manager-fed bootstrap. The
-// checker then proves no acknowledged commit vanished.
-func runRecoveryCampaign(opts Options, seed int64) (RecoveryCell, error) {
-	ctx := context.Background()
-	requests := opts.ChaosRequests
-	if requests <= 0 {
-		requests = 140
-		if opts.Quick {
-			requests = 40
-		}
-	}
-	kills := opts.ChaosKills
-	if kills <= 0 {
-		kills = 1
-	}
-	const storageCrashes = 2
-	// Tight enough that the workload's record churn overruns it between
-	// enforcement passes (spills happen), loose enough that the sequential
-	// runner never starves behind the shed ceiling waiting for a pass.
-	const nodeBudget = 16 << 10
-	cell := RecoveryCell{Scenario: "campaign", Seed: seed, Requests: requests}
-
-	dir, cleanup, err := walDir()
-	if err != nil {
-		return cell, err
-	}
-	defer cleanup()
-	wal, err := walengine.Open(dir, walengine.Options{
-		SegmentBytes:        128 << 10,
-		CompactGarbageBytes: 256 << 10,
-		CheckpointEvery:     400,
-	})
-	if err != nil {
-		return cell, err
-	}
-	defer wal.Close()
-
-	errRate, partialRate, spikeRate := opts.chaosFaultRates()
-	st := chaos.Wrap(wal, chaos.Config{
-		Seed:        seed,
-		ErrorRate:   errRate,
-		PartialRate: partialRate,
-		SpikeRate:   spikeRate,
-		Spike:       20 * time.Millisecond,
-		Sleeper:     opts.sleeper(),
-	})
-
-	c, err := cluster.New(cluster.Config{
-		Nodes:    durNodes,
-		Standbys: kills,
-		Store:    st,
-		Node: core.Config{
-			EnableDataCache:     true,
-			IDEntropySeed:       seed,
-			MetadataBudgetBytes: nodeBudget,
+// the crash lands inside the spill's probe. The budget is tight enough
+// that the workload's record churn overruns it between enforcement passes
+// (spills happen), loose enough that the sequential runner never starves
+// behind the shed ceiling waiting for a pass.
+func recoveryCampaign(opts Options, seed int64) (RecoveryCell, error) {
+	cp := campaign{
+		seed: seed, requests: opts.campaignRequests(140, 40),
+		nodes: 3, keys: 96, seedPer: 16, maintain: 20,
+		wal: &walengine.Options{
+			SegmentBytes: 128 << 10, CompactGarbageBytes: 256 << 10, CheckpointEvery: 400,
 		},
-		Clock:                idgen.NewVirtualClock(chaosEpoch, 1),
-		MulticastPeriod:      time.Hour,
-		PruneMulticast:       true,
-		IncrementalBootstrap: true,
-	})
+		kills: opts.campaignKills(1), storageCrashes: 2, midSpillCrash: true,
+		budget: 16 << 10,
+	}
+	r, err := runCampaign(opts, cp)
 	if err != nil {
-		return cell, err
+		return RecoveryCell{}, err
 	}
-	if err := c.Start(ctx); err != nil {
-		return cell, err
-	}
-	defer c.Stop()
-
-	check := checker.New()
-	runner := &chaos.Runner{
-		Client:  c.Client(),
-		Payload: workload.Payload(seed, opts.Payload),
-		Check:   check,
-	}
-	seedRequests := 0
-	for start := 0; start < durKeys; start += durSeedPer {
-		var ops []workload.Op
-		for i := start; i < start+durSeedPer && i < durKeys; i++ {
-			ops = append(ops, workload.Op{Kind: workload.OpWrite, Key: workload.KeyName(i)})
-		}
-		if err := runner.Do(ctx, workload.Request{Funcs: [][]workload.Op{ops}}); err != nil {
-			return cell, fmt.Errorf("seeding: %w", err)
-		}
-		seedRequests++
-	}
-	c.FlushMulticast()
-
-	opsPerReq := st.Ops() / int64(seedRequests)
-	gap := opsPerReq * int64(requests) / (storageCrashes + 2)
-	if gap < 8 {
-		gap = 8
-	}
-	plan := chaos.ScheduleStorageCrashes(st, wal, storageCrashes, gap)
-
-	// enforceAll relieves every live node's budget; storage errors during
-	// the spill probe (injected or crash-induced) are the next pass's
-	// problem by design.
-	enforceAll := func() int64 {
-		var spilled int64
-		for _, n := range c.Nodes() {
-			s, _ := n.EnforceBudget(ctx)
-			spilled += int64(s)
-		}
-		return spilled
-	}
-	// A shed request backs off and redoes; in a live deployment the
-	// maintenance loop would be releasing memory meanwhile, so the
-	// sequential harness runs that relief between redos.
-	runner.OnRedo = func(ctx context.Context, err error) {
-		if errors.Is(err, core.ErrOverloaded) {
-			cell.Spilled += enforceAll()
-		}
-	}
-
-	st.SetEnabled(true)
-	sched := chaos.NewScheduler(c, seed, chaos.PlanKills(seed, kills, requests/5, 4*requests/5))
-	gen := workload.NewGenerator(seed, workload.NewZipf(seed+100, durKeys, 1.0), 2, 2, 2)
-	midSpillArmed := false
-	for i := 0; i < requests; i++ {
-		if err := runner.Do(ctx, gen.Next()); err != nil {
-			return cell, fmt.Errorf("request %d: %w", i, err)
-		}
-		if err := plan.Err(); err != nil {
-			return cell, err
-		}
-		if err := sched.Tick(ctx, i+1); err != nil {
-			return cell, err
-		}
-		if (i+1)%5 == 0 {
-			if !midSpillArmed && i+1 >= requests/2 && anyOverBudget(c, nodeBudget) {
-				// One crash+reopen at enforcement's first storage operation
-				// — the spill's probe BatchGet, since a node is over budget
-				// right now and the passes before it touch only memory.
-				midSpillArmed = true
-				st.CrashAfter(1, func() {
-					if err := wal.Crash(); err == nil {
-						_ = wal.Reopen()
-					}
-				})
-				cell.StorageCrashes++
-			}
-			cell.Spilled += enforceAll()
-		}
-		if (i+1)%durMaint == 0 {
-			if err := chaosMaintenance(ctx, c); err != nil {
-				return cell, err
-			}
-		}
-	}
-
-	// Quiesce: faults off, one final CLEAN restart of the engine — with
-	// checkpoints enabled Close writes one, so the reopen replays only the
-	// post-checkpoint tail — then recovery and the audit.
-	st.SetEnabled(false)
-	if err := wal.Close(); err != nil {
-		return cell, err
-	}
-	if err := wal.Reopen(); err != nil {
-		return cell, err
-	}
-	if err := chaosMaintenance(ctx, c); err != nil {
-		return cell, err
-	}
-	if _, err := check.ResolveStorage(ctx, st); err != nil {
-		return cell, err
-	}
-	keys := make([]string, durKeys)
-	for i := range keys {
-		keys[i] = workload.KeyName(i)
-	}
-	final, err := runner.FinalState(ctx, keys)
-	if err != nil {
-		return cell, err
-	}
-	verdict := check.Verdict(final)
-	cell.Verdict = &verdict
-
-	rm := runner.Metrics().Snapshot()
-	cell.Committed = rm.Commits
-	cell.Redos = rm.Redos
-	cell.StorageCrashes += plan.Crashes()
-	cell.Kills = sched.Kills()
-	cell.Promotions = sched.Promotions()
-	cell.InjectedErrors = st.FaultMetrics().Snapshot().Errors
-	for _, n := range c.Nodes() {
-		m := n.Metrics().Snapshot()
-		cell.BootstrapSkipped += m.BootstrapSkipped
-		cell.Shed += m.BudgetShed
-	}
-	w := wal.WAL().Snapshot()
-	cell.Checkpoints = w.Checkpoints
-	cell.CheckpointRestored = w.CheckpointRestored
-	return cell, nil
+	return RecoveryCell{
+		Scenario: "campaign", Seed: seed, Requests: cp.requests,
+		Committed: r.runs.Commits, Redos: r.runs.Redos,
+		StorageCrashes: r.storageCrashes, Kills: r.kills, Promotions: r.promotions,
+		Checkpoints: r.wal.Checkpoints, CheckpointRestored: r.wal.CheckpointRestored,
+		InjectedErrors: r.faults.Errors, Spilled: r.spilled, Shed: r.shed,
+		Verdict: &r.verdict,
+	}, nil
 }

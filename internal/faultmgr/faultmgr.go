@@ -281,39 +281,6 @@ func (m *Manager) unannounced(unknown []pendingKey) []string {
 	return want
 }
 
-// AnnounceTo pushes every commit record the manager knows to a single
-// node and returns the largest commit storage key among them ("" when the
-// manager knows nothing). The cluster layer uses it for incremental
-// promotion: the fresh node receives the manager's tap-fed in-memory view
-// for free, then needs only BootstrapSince(returned key) to fetch from
-// storage the records the manager itself has not yet seen — commits from
-// a node that died before its multicast round, exactly the set the next
-// ScanStorage would recover.
-func (m *Manager) AnnounceTo(n Node) string {
-	m.mu.Lock()
-	batch := make([]*records.CommitRecord, 0, len(m.commits))
-	max := ""
-	for id, rec := range m.commits {
-		batch = append(batch, rec)
-		if sk := records.CommitKey(id); sk > max {
-			max = sk
-		}
-	}
-	m.mu.Unlock()
-	announceStart := time.Now()
-	if len(batch) > 0 {
-		n.MergeRemoteCommits(batch)
-	}
-	for _, rec := range batch {
-		if rec.TraceID != "" {
-			m.tracer.ForeignSpan(rec.TraceID, "faultmgr.announce",
-				announceStart, time.Since(announceStart),
-				map[string]string{"tx": rec.UUID, "to": n.ID()})
-		}
-	}
-	return max
-}
-
 // supersededLocked is Algorithm 2 over the manager's index.
 func (m *Manager) supersededLocked(rec *records.CommitRecord) bool {
 	if len(rec.WriteSet) == 0 {

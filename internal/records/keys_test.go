@@ -49,9 +49,6 @@ func checkKeyBuilders(t *testing.T, key, uuid string, ts int64) {
 	if got := string(rec.AppendStorageKeyFor([]byte("x"), key)); got != "x"+dk {
 		t.Fatalf("AppendStorageKeyFor(%q) = %q, want %q", key, got, "x"+dk)
 	}
-	if got, want := DataKeyPrefix(key), DataPrefix+refEscape(key)+"/"; got != want {
-		t.Fatalf("DataKeyPrefix(%q) = %q, want %q", key, got, want)
-	}
 	ck := CommitKey(id)
 	if want := CommitPrefix + refID(id); ck != want {
 		t.Fatalf("CommitKey(%v) = %q, want %q", id, ck, want)
@@ -71,8 +68,8 @@ func checkKeyBuilders(t *testing.T, key, uuid string, ts int64) {
 	if strings.Contains(uuid, "/") {
 		return
 	}
-	if k, pid, err := ParseDataKey(dk); err != nil || k != key || !pid.Equal(id) {
-		t.Fatalf("ParseDataKey(%q) = %q, %v, %v; want %q, %v", dk, k, pid, err, key, id)
+	if k, pid, err := splitDataKey(dk); err != nil || k != key || !pid.Equal(id) {
+		t.Fatalf("splitDataKey(%q) = %q, %v, %v; want %q, %v", dk, k, pid, err, key, id)
 	}
 	if pid, err := ParseCommitKey(ck); err != nil || !pid.Equal(id) {
 		t.Fatalf("ParseCommitKey(%q) = %v, %v; want %v", ck, pid, err, id)

