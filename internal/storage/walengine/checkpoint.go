@@ -23,11 +23,15 @@
 // Validity is decided at load time, which is what makes checkpointing
 // safe to run concurrently with appends, compaction, and even crashes:
 // a checkpoint is USED only if its CRC matches and every segment it
-// covers still exists on disk with at least the covered bytes. A
-// checkpoint that references segments compaction has since unlinked is
-// stale and rejected (full replay recovers from the compacted segment's
-// copies); a torn or corrupt checkpoint is rejected by CRC. Rejection
-// never loses data — the log remains the source of truth.
+// covers still exists on disk with the covered bytes inside its written
+// prefix. A checkpoint that references segments compaction has since
+// unlinked is stale and rejected (full replay recovers from the compacted
+// segment's copies); a torn or corrupt checkpoint is rejected by CRC. The
+// file size alone does not bound the written prefix — a zero-filled
+// segment is long before anything is written to it — so a segment longer
+// than its covered range has its frames walked up to that range's end
+// (coveredIsWritten). Rejection never loses data — the log remains the
+// source of truth.
 //
 // Snapshot consistency: the snapshot is taken under the write lock after
 // fsyncing the active segment, so every index entry in it is durable and
@@ -337,11 +341,12 @@ func decodeCheckpoint(data []byte) (ckptData, error) {
 // loadCheckpoint scans the directory for checkpoint files and returns the
 // newest one that is valid against the segment files actually on disk
 // (sizes maps segment id -> file size). Invalid candidates — torn or
-// corrupt by CRC, or stale because they reference segments compaction
-// has since removed — are counted and skipped; nil means full replay.
-// Leftover tmp files from interrupted writes are swept. Also returns the
-// next checkpoint sequence number to use.
-func (s *Store) loadCheckpoint(sizes map[int64]int64) (*ckptData, uint64) {
+// corrupt by CRC, stale because they reference segments compaction has
+// since removed, or covering bytes past a segment's written prefix — are
+// counted and skipped; nil means full replay. Leftover tmp files from
+// interrupted writes are swept. Also returns the next checkpoint sequence
+// number to use.
+func (s *Store) loadCheckpoint(sizes map[int64]int64, fr *frameReader) (*ckptData, uint64) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, 1
@@ -377,7 +382,7 @@ func (s *Store) loadCheckpoint(sizes map[int64]int64) (*ckptData, uint64) {
 			s.rejectCheckpoint(seq, "corrupt")
 			continue
 		}
-		if !checkpointApplies(&ck, sizes) {
+		if !checkpointApplies(&ck, sizes) || !s.coveredIsWritten(&ck, sizes, fr) {
 			s.wal.CheckpointsRejected.Add(1)
 			s.rejectCheckpoint(seq, "inapplicable")
 			continue
@@ -402,6 +407,42 @@ func checkpointApplies(ck *ckptData, sizes map[int64]int64) bool {
 	for _, l := range ck.entries {
 		covered, ok := ck.covered[l.seg]
 		if !ok || l.off < 0 || l.flen <= 0 || l.off+l.flen > covered {
+			return false
+		}
+	}
+	return true
+}
+
+// coveredIsWritten reports whether every range ck covers lies inside its
+// segment's written prefix. A file no longer than its covered range holds
+// nothing past it. In a longer one — appended to since, or zero-filled
+// ahead of use — the frames from the end of the checkpoint's last record
+// in it (the start of the file if it has none) must run unbroken to the
+// covered offset: a range reaching into the zeros does not, however long
+// the file. When that record ends the range, as it does when the newest
+// write before the checkpoint is still live, there is nothing to read;
+// otherwise the walk reads the dead frames after it, typically a few.
+func (s *Store) coveredIsWritten(ck *ckptData, sizes map[int64]int64, fr *frameReader) bool {
+	from := make(map[int64]int64, len(ck.covered))
+	for _, l := range ck.entries {
+		from[l.seg] = max(from[l.seg], l.off+l.flen)
+	}
+	for id, covered := range ck.covered {
+		if sizes[id] <= covered || from[id] == covered {
+			continue
+		}
+		f, err := os.Open(s.segPath(id))
+		if err != nil {
+			return false
+		}
+		fr.reset(f, from[id], covered)
+		for fr.off < covered {
+			if frame, _, err := fr.next(); frame == nil || err != nil {
+				break
+			}
+		}
+		f.Close()
+		if fr.off != covered {
 			return false
 		}
 	}

@@ -350,3 +350,84 @@ func TestCheckpointEmptyAndDeleteOnly(t *testing.T) {
 	mustPut(t, s, "a", "2")
 	wantGet(t, s, "a", "2")
 }
+
+// copyDir copies every file of src into a fresh directory.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestCheckpointIntoZeroTailRejected: a zero-filled segment is long before
+// anything is written to it, so its size cannot vouch for a checkpoint's
+// covered range. A checkpoint taken over a preallocated active segment
+// restores after a crash that left the zeros; the same checkpoint with the
+// range stretched into the zeros is rejected, and the log replays in full.
+func TestCheckpointIntoZeroTailRejected(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s := openT(t, dir, Options{SegmentBytes: spareSegBytes, CompactGarbageBytes: noAutoCompact})
+	acked := map[string]string{}
+	i := putValues(t, s, "k", 0, acked, func() bool { return activePreallocated(s) })
+	putValues(t, s, "k", i, acked, func() bool { return len(acked) >= i+2 })
+	if err := s.Delete(ctx, "k0000"); err != nil { // the checkpoint's last frame holds no live record
+		t.Fatal(err)
+	}
+	delete(acked, "k0000")
+	if _, err := s.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	active := s.active.id
+	if err := s.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	forged := copyDir(t, dir)
+
+	if err := s.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.WAL().Snapshot(); m.CheckpointsRejected != 0 || m.CheckpointRestored != int64(len(acked)) {
+		t.Fatalf("honest checkpoint: rejected %d, restored %d entries; want 0 and %d", m.CheckpointsRejected, m.CheckpointRestored, len(acked))
+	}
+	wantState(t, s, acked)
+
+	files := ckptFiles(t, forged)
+	if len(files) != 1 {
+		t.Fatalf("checkpoint files = %v, want one", files)
+	}
+	path := filepath.Join(forged, files[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := decodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.covered[active] += 64
+	if err := os.WriteFile(path, encodeCheckpoint(ck), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := openT(t, forged, Options{SegmentBytes: spareSegBytes, CompactGarbageBytes: noAutoCompact})
+	m := c.WAL().Snapshot()
+	if m.CheckpointsRejected != 1 || m.CheckpointRestored != 0 {
+		t.Fatalf("checkpoint covering zeros: rejected %d, restored %d entries; want 1 and 0", m.CheckpointsRejected, m.CheckpointRestored)
+	}
+	if want := int64(len(acked) + 2); m.ReplayedRecords != want {
+		t.Fatalf("replayed %d records, want the full log's %d", m.ReplayedRecords, want)
+	}
+	wantState(t, c, acked)
+}

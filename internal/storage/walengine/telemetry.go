@@ -34,6 +34,9 @@ func (s *Store) RegisterTelemetry(reg *telemetry.Registry) {
 		c("checkpoint_entries_total", "Index entries written into checkpoints.", m.CheckpointEntries)
 		c("checkpoint_restored_total", "Index entries restored from checkpoints at reopen.", m.CheckpointRestored)
 		c("replayed_tail_records_total", "Records replayed past a checkpoint at reopen.", m.ReplayedTailRecords)
+		e.Histogram("aft_wal_fsync_seconds",
+			"Time of each group-fsync round's File.Sync on the active segment.",
+			s.fsyncTime.Snapshot())
 		e.Gauge("aft_wal_appends_per_fsync",
 			"Mean appends covered per fsync (group-fsync coalescing).",
 			m.AppendsPerFsync)

@@ -19,7 +19,9 @@
 // The continuation bit sits inside the CRC'd body, so a bit flip cannot
 // open or close a batch unnoticed. Logs written before the bit existed
 // carry it nowhere and replay as they always did: every frame a batch of
-// one.
+// one. After the last frame a segment may hold zeros up to SegmentBytes;
+// no frame starts with a zero length, so they end the log (see "Torn
+// tails").
 //
 // Every record carries a monotonically increasing log sequence number, and
 // replay applies records by MAX LSN PER KEY rather than by file position.
@@ -35,6 +37,17 @@
 // torn tail: the file is truncated back to its last valid frame and replay
 // continues with the next segment. Only unacknowledged bytes can be torn —
 // acknowledged writes were fsynced behind the frame boundary.
+//
+// A segment may end in zeros, and that is the end of the log, not a tear.
+// A roll moves appends into a segment created ahead of use and filled with
+// zeros to SegmentBytes (spare.go), so the active segment is, from its
+// first roll on, a written prefix followed by zeroed blocks. Replay reads in bounded chunks
+// and stops at the first frame header of eight zero bytes — no frame has
+// one — without reading the rest; it truncates the zeros but counts them
+// in neither TornRecords nor TornBytes. A batch left open by the zeros, and
+// bytes that are not zero, are torn as above. A roll trims the segment it
+// seals, and Close the active one, to their written bytes, so sealed
+// segments cost on disk and in replay what they hold.
 //
 // Atomic batches. A BatchPut survives a crash whole or not at all
 // (Capabilities().AtomicBatches), which is what lets AFT write a
@@ -57,7 +70,12 @@
 // its append, and runs it itself if no round is running, so one File.Sync
 // acknowledges every append that arrived while the round before it ran.
 // The wait allocates nothing (syncRounds). AppendsPerFsync is the
-// coalescing evidence, surfaced through the engine's WAL metrics.
+// coalescing evidence, surfaced through the engine's WAL metrics, and
+// aft_wal_fsync_seconds the time of each round's sync. An append into a
+// zero-filled segment overwrites blocks that are already allocated, so the
+// fsync covering it changes no file size and commits no file-system
+// journal transaction: it writes the data and does not wait on other
+// files' dirty pages (compaction's output among them).
 //
 // Reads observe only durable state. A record (or a tombstone-produced
 // absence) still inside the group-fsync window is state a crash would
@@ -84,6 +102,7 @@
 package walengine
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -97,6 +116,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"aft/internal/storage"
 	"aft/internal/telemetry"
@@ -254,6 +274,9 @@ type segment struct {
 	// exceeds synced, some observed ABSENCE rests on bytes a crash would
 	// erase, and absence-acknowledging paths must wait out a sync.
 	tombEnd int64
+	// prealloc is the length the file was zero-filled to before its first
+	// append (SegmentBytes for a spare, 0 for a file its appends grow).
+	prealloc int64
 }
 
 // Store is a disk-backed storage.Store over the write-ahead log. It is
@@ -293,6 +316,16 @@ type Store struct {
 	// the start of every fsync round with the round's number; an error
 	// fails the round in place of the fsync.
 	syncHook func(round uint64) error
+	// fsyncTime observes each round's File.Sync.
+	fsyncTime *telemetry.Histogram
+
+	// spare (guarded by mu) is the next active segment, prepared in the
+	// background once the active one passes half of SegmentBytes
+	// (spare.go). spareHook, when set (tests only, before any concurrent
+	// use), runs in the preparing goroutine once the file exists; an error
+	// fails the preparation.
+	spare     *spare
+	spareHook func() error
 
 	// compactMu serializes compaction runs; compacting gates the
 	// auto-trigger so at most one background run is in flight.
@@ -319,10 +352,15 @@ type Store struct {
 
 var _ storage.Store = (*Store)(nil)
 
+// fsyncBuckets lays out aft_wal_fsync_seconds: doubling from 16 µs, since
+// a sync of overwritten blocks takes tens of microseconds and one that
+// commits the journal can take milliseconds.
+var fsyncBuckets = telemetry.LogBuckets(16*time.Microsecond, time.Second, 2)
+
 // Open replays the write-ahead log in dir (created if absent) and starts a
 // fresh active segment for new appends.
 func Open(dir string, opts Options) (*Store, error) {
-	s := &Store{dir: dir, cfg: opts.withDefaults()}
+	s := &Store{dir: dir, cfg: opts.withDefaults(), fsyncTime: telemetry.NewHistogram(fsyncBuckets)}
 	s.sy.cond.L = &s.sy.mu
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("walengine: %w", err)
@@ -417,7 +455,8 @@ func (s *Store) load() error {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	ck, nextSeq := s.loadCheckpoint(sizes)
+	fr := &frameReader{}
+	ck, nextSeq := s.loadCheckpoint(sizes, fr)
 	s.ckptSeq = nextSeq
 
 	segs := make(map[int64]*segment, len(ids)+1)
@@ -439,7 +478,7 @@ func (s *Store) load() error {
 		if ck != nil {
 			start = ck.covered[id] // 0 for segments created after the checkpoint
 		}
-		seg, err := s.replaySegment(id, start, winners, ck != nil)
+		seg, err := s.replaySegment(fr, id, start, winners, ck != nil)
 		if err != nil {
 			for _, sg := range segs {
 				sg.f.Close()
@@ -491,6 +530,78 @@ func (s *Store) load() error {
 	return s.syncDir()
 }
 
+// replayChunk bounds how many bytes of a segment replay reads at a time.
+const replayChunk = 256 << 10
+
+// frameReader walks a segment's frames in file order through one bounded
+// buffer, which load reuses from segment to segment.
+type frameReader struct {
+	br  *bufio.Reader
+	off int64  // file offset of the next frame
+	end int64  // file offset the frames must end by
+	big []byte // a frame longer than br's buffer
+}
+
+// reset points the reader at the frames in f's bytes [off, end). The
+// buffer grows to the span, up to replayChunk, so a short tail costs a
+// short buffer.
+func (fr *frameReader) reset(f *os.File, off, end int64) {
+	r := io.NewSectionReader(f, off, end-off)
+	if want := int(min(end-off, replayChunk)); fr.br == nil || fr.br.Size() < want {
+		fr.br = bufio.NewReaderSize(r, max(want, 4<<10))
+	} else {
+		fr.br.Reset(r)
+	}
+	fr.off, fr.end = off, end
+}
+
+// next returns the frame at fr.off if it is whole and well formed and its
+// CRC verifies, and moves past it; the frame is valid until the next call.
+// Otherwise it returns nil and stays put, with end reporting whether the
+// log ends there: a frame header of eight zero bytes, which is where a
+// zero-filled segment's unwritten blocks begin. A short or bad frame is
+// not an error; err is the file's.
+func (fr *frameReader) next() (frame []byte, end bool, err error) {
+	hdr, err := fr.br.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF {
+			err = nil // a torn header, or no bytes left
+		}
+		return nil, false, err
+	}
+	blen := int64(binary.BigEndian.Uint32(hdr))
+	if blen == 0 && binary.BigEndian.Uint32(hdr[4:]) == 0 {
+		return nil, true, nil
+	}
+	flen := frameHeader + blen
+	if blen < bodyHeader || flen > fr.end-fr.off {
+		return nil, false, nil // torn or nonsense body
+	}
+	peeked := flen <= int64(fr.br.Size())
+	if peeked {
+		frame, err = fr.br.Peek(int(flen))
+	} else {
+		// The length is bounded by the span's, so this buffer is too.
+		fr.big = slices.Grow(fr.big[:0], int(flen))[:flen]
+		frame = fr.big
+		_, err = io.ReadFull(fr.br, frame)
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	body := frame[frameHeader:]
+	op := body[8] &^ opMore
+	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(frame[4:]) ||
+		bodyHeader+int64(binary.BigEndian.Uint32(body[9:])) > blen || (op != opPut && op != opDelete) {
+		return nil, false, nil // torn mid-frame, or not a frame this engine writes
+	}
+	if peeked {
+		fr.br.Discard(int(flen))
+	}
+	fr.off += flen
+	return frame, false, nil
+}
+
 // replaySegment reads one segment's records from byte offset start into
 // winners, truncating a torn tail in place. A nonzero start skips bytes a
 // checkpoint already covers — they were durable and indexed when the
@@ -503,7 +614,7 @@ func (s *Store) load() error {
 // batch still open when the scan stops (at end of file or at a bad frame)
 // is therefore truncated whole with the torn tail. A log with no opMore
 // bits, which is every log older than the bit, replays one frame per batch.
-func (s *Store) replaySegment(id, start int64, winners map[string]replayEntry, tail bool) (*segment, error) {
+func (s *Store) replaySegment(fr *frameReader, id, start int64, winners map[string]replayEntry, tail bool) (*segment, error) {
 	path := s.segPath(id)
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -515,57 +626,43 @@ func (s *Store) replaySegment(id, start int64, winners map[string]replayEntry, t
 		return nil, fmt.Errorf("walengine: %w", err)
 	}
 	fileSize := info.Size()
-	if start > fileSize {
-		start = fileSize // validated earlier; defensive
-	}
-	data := make([]byte, fileSize-start)
-	if _, err := io.ReadFull(io.NewSectionReader(f, start, fileSize-start), data); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("walengine: %w", err)
-	}
+	start = min(start, fileSize) // validated earlier; defensive
+	fr.reset(f, start, fileSize)
 	type record struct {
 		key string
 		e   replayEntry
 	}
 	var open []record // verified frames of the batch being read
-	valid := int64(0)
-	for off := int64(0); off < int64(len(data)); {
-		rest := data[off:]
-		if len(rest) < frameHeader {
-			break // torn header
+	valid := start
+	var end bool
+	for {
+		var frame []byte
+		frame, end, err = fr.next()
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("walengine: reading %s: %w", path, err)
 		}
-		blen := int64(binary.BigEndian.Uint32(rest))
-		crc := binary.BigEndian.Uint32(rest[4:])
-		if blen < bodyHeader || int64(len(rest)) < frameHeader+blen {
-			break // torn or nonsense body
-		}
-		body := rest[frameHeader : frameHeader+blen]
-		if crc32.Checksum(body, castagnoli) != crc {
-			break // torn mid-frame (the crash landed inside the body)
-		}
-		more := body[8]&opMore != 0
-		op := body[8] &^ opMore
-		klen := int64(binary.BigEndian.Uint32(body[9:]))
-		if bodyHeader+klen > blen || (op != opPut && op != opDelete) {
+		if frame == nil {
 			break
 		}
-		flen := frameHeader + blen
+		off := fr.off - int64(len(frame))
+		body := frame[frameHeader:]
+		klen := int64(binary.BigEndian.Uint32(body[9:]))
 		open = append(open, record{
 			key: string(body[bodyHeader : bodyHeader+klen]),
 			e: replayEntry{
 				lsn: binary.BigEndian.Uint64(body),
-				put: op == opPut,
+				put: body[8]&^opMore == opPut,
 				l: loc{
 					seg:  id,
-					off:  start + off,
-					flen: flen,
-					voff: start + off + frameHeader + bodyHeader + klen,
-					vlen: blen - bodyHeader - klen,
+					off:  off,
+					flen: int64(len(frame)),
+					voff: off + frameHeader + bodyHeader + klen,
+					vlen: int64(len(body)) - bodyHeader - klen,
 				},
 			},
 		})
-		off += flen
-		if more {
+		if body[8]&opMore != 0 {
 			continue
 		}
 		for _, r := range open {
@@ -578,20 +675,22 @@ func (s *Store) replaySegment(id, start int64, winners map[string]replayEntry, t
 			s.wal.ReplayedTailRecords.Add(int64(len(open)))
 		}
 		open = open[:0]
-		valid = off
+		valid = fr.off
 	}
 	if len(open) > 0 {
 		s.wal.TornBatches.Add(1)
 	}
-	if torn := int64(len(data)) - valid; torn > 0 {
-		s.wal.TornRecords.Add(1)
-		s.wal.TornBytes.Add(torn)
-		if err := f.Truncate(start + valid); err != nil {
+	if cut := fileSize - valid; cut > 0 {
+		if len(open) > 0 || !end {
+			s.wal.TornRecords.Add(1)
+			s.wal.TornBytes.Add(cut)
+		}
+		if err := f.Truncate(valid); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("walengine: truncating torn tail of %s: %w", path, err)
 		}
 	}
-	return &segment{id: id, f: f, size: start + valid, synced: start + valid}, nil
+	return &segment{id: id, f: f, size: valid, synced: valid}, nil
 }
 
 // Close durably seals the log and releases every file handle. Subsequent
@@ -616,6 +715,7 @@ func (s *Store) Close() error {
 	err := s.active.f.Sync()
 	if err == nil {
 		s.active.synced = s.active.size
+		s.trimLocked(s.active)
 	}
 	s.closeLocked()
 	s.mu.Unlock()
@@ -635,8 +735,13 @@ func (s *Store) Crash() error {
 		return nil
 	}
 	var err error
-	if s.active.synced < s.active.size {
-		err = s.active.f.Truncate(s.active.synced)
+	if a := s.active; a.synced < a.size {
+		err = a.f.Truncate(a.synced)
+		if err == nil && a.prealloc > a.synced {
+			// The zero-filled length was durable: what a crash loses of
+			// a preallocated segment reads back as zeros.
+			err = a.f.Truncate(a.prealloc)
+		}
 	}
 	s.closeLocked()
 	s.mu.Unlock()
@@ -654,10 +759,11 @@ func (s *Store) awaitCompaction() {
 	s.compactMu.Unlock()
 }
 
-// closeLocked marks the engine down and closes every segment handle.
-// Callers hold s.mu.
+// closeLocked marks the engine down, deletes the spare and closes every
+// segment handle. Callers hold s.mu.
 func (s *Store) closeLocked() {
 	s.closed = true
+	s.dropSpareLocked()
 	for _, seg := range s.segs {
 		seg.f.Close()
 	}
@@ -779,6 +885,9 @@ func (s *Store) landLocked() error {
 		}
 		s.lsn += uint64(len(s.staged))
 		s.wal.Appends.Add(int64(len(s.staged)))
+		if s.spare == nil && seg.size > s.cfg.SegmentBytes/2 {
+			s.startSpareLocked()
+		}
 	}
 	clear(s.staged) // drop the key references
 	if cap(s.buf) > maxKeptBuf {
@@ -797,13 +906,23 @@ func (s *Store) appendLocked(op byte, key string, value []byte) error {
 }
 
 // rollLocked seals the active segment (fsyncing its tail so sealed
-// segments are always fully durable) and opens the next one. Callers hold
-// s.mu.
+// segments are always fully durable, then trimming its zeros) and makes
+// the next one active: the spare, waited for if it is still being
+// prepared, or — with none, or one whose preparation failed — a new file
+// created here. Callers hold s.mu.
 func (s *Store) rollLocked() error {
-	if err := s.active.f.Sync(); err != nil {
-		return fmt.Errorf("walengine: sealing segment %d: %w", s.active.id, err)
+	old := s.active
+	if err := old.f.Sync(); err != nil {
+		return fmt.Errorf("walengine: sealing segment %d: %w", old.id, err)
 	}
-	s.active.synced = s.active.size
+	old.synced = old.size
+	s.trimLocked(old)
+	if seg := s.takeSpareLocked(); seg != nil {
+		s.segs[seg.id] = seg
+		s.active = seg
+		s.wal.SegmentRolls.Add(1)
+		return nil // its directory entry is already durable
+	}
 	id := s.next
 	f, err := os.OpenFile(s.segPath(id), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -815,6 +934,16 @@ func (s *Store) rollLocked() error {
 	s.active = seg
 	s.wal.SegmentRolls.Add(1)
 	return s.syncDir()
+}
+
+// trimLocked cuts a synced segment's zero tail off its file. Best effort,
+// and not synced: a crash that loses the trim leaves zeros, which replay
+// reads as the end of the log. Callers hold s.mu.
+func (s *Store) trimLocked(seg *segment) {
+	if seg.prealloc > seg.size {
+		_ = seg.f.Truncate(seg.size)
+		seg.prealloc = 0
+	}
 }
 
 // syncRounds numbers the log's fsync rounds. Rounds run one at a time, and
@@ -936,7 +1065,9 @@ func (s *Store) fsyncActive() error {
 	seg := s.active
 	target := seg.size
 	s.mu.RUnlock()
+	start := time.Now()
 	err := seg.f.Sync()
+	s.fsyncTime.Observe(time.Since(start))
 	s.wal.Fsyncs.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -77,7 +77,7 @@ for fam in \
     aft_node_txns_started_total aft_node_txns_committed_total aft_node_reads_total \
     aft_commit_latency_seconds aft_read_latency_seconds \
     aft_storage_puts_total aft_storage_batch_puts_total \
-    aft_wal_appends_total aft_wal_fsyncs_total aft_wal_torn_batches_total \
+    aft_wal_appends_total aft_wal_fsyncs_total aft_wal_fsync_seconds aft_wal_torn_batches_total \
     aft_wal_checkpoints_total aft_wal_checkpoint_age_seconds \
     aft_node_metadata_bytes aft_node_spilled_records_total \
     aft_multicast_rounds_total aft_multicast_deliveries_total \
