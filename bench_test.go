@@ -170,55 +170,11 @@ func BenchmarkParallelMixed(b *testing.B) {
 }
 
 // BenchmarkReadPath measures the read pipeline's storage profile:
-// ColdFetch reads keys whose metadata must be recovered from storage (1
-// List + ceil(N/batch) record BatchGets + 1 payload Get per key), and
 // MultiGet reads 10-key batches with the data cache off (1 BatchGet per
-// transaction). Acceptance is in storage calls (the calls/coldread and
-// calls/txn metrics), not wall-clock — the simulators have no injected
-// latency here.
+// transaction). Acceptance is in storage calls (the calls/txn metric), not
+// wall-clock — the simulators have no injected latency here.
 func BenchmarkReadPath(b *testing.B) {
 	payload := workload.Payload(1, 1024)
-	const versions = 30
-
-	b.Run("ColdFetch", func(b *testing.B) {
-		store := kvengine.NewDynamoDB(kvengine.Options{})
-		seeder, err := core.NewNode(core.Config{NodeID: "seed", Store: store})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for v := 0; v < versions; v++ {
-			commitKVs(b, seeder, map[string][]byte{"cold": payload})
-		}
-		// One newer record: a reader bootstrapping with BootstrapLimit 1
-		// warms only it and drops every version of "cold".
-		commitKVs(b, seeder, map[string][]byte{"warm": payload})
-		ctx := context.Background()
-		var calls int64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// A fresh reader per iteration, in partial-metadata mode after
-			// its truncated bootstrap: every read of "cold" is cold.
-			b.StopTimer()
-			reader, err := core.NewNode(core.Config{NodeID: "cold-reader", Store: store, BootstrapLimit: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := reader.Bootstrap(ctx); err != nil {
-				b.Fatal(err)
-			}
-			before := store.Metrics().Snapshot()
-			b.StartTimer()
-			txid, _ := reader.StartTransaction(ctx)
-			if _, err := reader.Get(ctx, txid, "cold"); err != nil {
-				b.Fatal(err)
-			}
-			calls += store.Metrics().Snapshot().Sub(before).Calls()
-			reader.AbortTransaction(ctx, txid)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(calls)/float64(b.N), "calls/coldread")
-	})
 
 	b.Run("MultiGet", func(b *testing.B) {
 		// No data cache: every payload hits storage.

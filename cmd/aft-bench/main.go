@@ -17,8 +17,8 @@
 // fig9, fig10, ablation, chaos, durability, obsplane (full
 // observability plane vs telemetry off), resilience (network partitions,
 // conn resets, and overload through the real wire stack), recovery (WAL
-// checkpoints vs full replay, metadata-budget spill, and a crash campaign
-// over both).
+// checkpoints vs full replay, and a crash campaign over the checkpointing
+// WAL).
 // With -debug-addr set, a side HTTP listener serves /statz and the
 // /debug/pprof/ profiler suite for the duration of the run.
 // The -store flag overrides the storage backend every experiment builds

@@ -78,7 +78,6 @@ func main() {
 		traceEach = flag.Int("trace-sample", 64, "self-sample 1 in N transactions into /traces (<=0 disables)")
 		drain     = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight transactions to finish")
 		ckptEvery = flag.Duration("checkpoint-interval", 0, "WAL index checkpoint period for -store wal (0 disables; restarts then replay the full log)")
-		budget    = flag.Int64("metadata-budget", 0, "metadata memory budget in bytes (0 = unbounded); past it the node spills cold commit records to storage")
 		traceRing = flag.Int("trace-ring", 256, "retained-trace ring capacity in entries")
 		traceRB   = flag.Int64("trace-ring-bytes", 0, "retained-trace ring byte budget (0 = entry bound only); oldest traces are evicted first")
 		eventsCap = flag.Int("events-ring", 4096, "flight-recorder event journal capacity in entries")
@@ -161,12 +160,11 @@ func main() {
 	tracer.SetSink(collector)
 
 	node, err := aft.NewNode(aft.NodeConfig{
-		NodeID:              *nodeID,
-		Store:               store,
-		EnableDataCache:     *cache,
-		Tracer:              tracer,
-		Events:              events,
-		MetadataBudgetBytes: *budget,
+		NodeID:          *nodeID,
+		Store:           store,
+		EnableDataCache: *cache,
+		Tracer:          tracer,
+		Events:          events,
 	})
 	if err != nil {
 		log.Fatalf("aft-server: %v", err)
@@ -200,7 +198,7 @@ func main() {
 	bal := lb.New(node)
 
 	stopGC := make(chan struct{})
-	go maintenanceLoop(fm, node, *budget, *gcPeriod, stopGC)
+	go maintenanceLoop(fm, *gcPeriod, stopGC)
 	defer close(stopGC)
 	if *ckptEvery > 0 {
 		if ws, ok := store.(*walengine.Store); ok {
@@ -309,10 +307,9 @@ func main() {
 	runServer(srv, node, *drain)
 }
 
-// maintenanceLoop periodically recovers unannounced commits from storage,
-// runs one global-GC pass, and (with a budget set) brings the node's
-// metadata memory back under it, until stop closes.
-func maintenanceLoop(fm *faultmgr.Manager, node *aft.Node, budget int64, period time.Duration, stop <-chan struct{}) {
+// maintenanceLoop periodically recovers unannounced commits from storage
+// and runs one global-GC pass, until stop closes.
+func maintenanceLoop(fm *faultmgr.Manager, period time.Duration, stop <-chan struct{}) {
 	if period <= 0 {
 		period = 30 * time.Second
 	}
@@ -329,11 +326,6 @@ func maintenanceLoop(fm *faultmgr.Manager, node *aft.Node, budget int64, period 
 			}
 			if _, err := fm.CollectOnceTraced(ctx, 0); err != nil {
 				log.Printf("aft-server: global GC: %v", err)
-			}
-			if budget > 0 {
-				if _, err := node.EnforceBudget(ctx); err != nil {
-					log.Printf("aft-server: metadata budget enforcement: %v", err)
-				}
 			}
 			cancel()
 		}

@@ -266,11 +266,11 @@ func TestIntegrationPublicAPIOverWireCluster(t *testing.T) {
 }
 
 // TestIntegrationMultiGetWireVanishedRetry exercises MultiGet through the
-// full public stack — aft.Dial client → TCP server → core — on a node in
-// partial-metadata mode, including the ErrVersionVanished path: a version
-// collected mid-transaction surfaces the redo signal across the wire,
-// RunTransaction retries with a fresh transaction, and the retry reads the
-// surviving newer version.
+// full public stack — aft.Dial client → TCP server → core — on a node that
+// bootstrapped the whole Commit Set, including the ErrVersionVanished
+// path: a version collected mid-transaction surfaces the redo signal
+// across the wire, RunTransaction retries with a fresh transaction, and
+// the retry reads the surviving newer version.
 func TestIntegrationMultiGetWireVanishedRetry(t *testing.T) {
 	ctx := context.Background()
 	store := aft.NewDynamoDBStore(aft.LatencyNone, 0)
@@ -285,10 +285,9 @@ func TestIntegrationMultiGetWireVanishedRetry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The serving node joins with a bootstrap limit below the commit set's
-	// size, so it runs in partial-metadata mode: its local misses fall back
-	// to storage, as on a replacement node in a large deployment.
-	node, err := aft.NewNode(aft.NodeConfig{NodeID: "wire-mg", Store: store, BootstrapLimit: 1})
+	// The serving node joins an existing deployment, as a replacement node
+	// does: it bootstraps the whole Commit Set first.
+	node, err := aft.NewNode(aft.NodeConfig{NodeID: "wire-mg", Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,12 +79,6 @@ type Runner struct {
 	Payload []byte
 	// Check records the history; nil disables recording.
 	Check *checker.Recorder
-	// OnRedo, when set, runs before each redo with the error that failed
-	// the previous attempt. Deterministic harnesses use it as the stand-in
-	// for server-side maintenance that runs concurrently with client
-	// backoff in a real deployment — e.g. budget enforcement relieving the
-	// ErrOverloaded a shedding node answered with.
-	OnRedo func(ctx context.Context, err error)
 
 	metrics RunnerMetrics
 }
@@ -99,9 +93,6 @@ func (r *Runner) Do(ctx context.Context, req workload.Request) error {
 	for redo := 0; redo <= maxRedos; redo++ {
 		if redo > 0 {
 			r.metrics.Redos.Add(1)
-			if r.OnRedo != nil {
-				r.OnRedo(ctx, lastErr)
-			}
 		}
 		err := r.attempt(ctx, req)
 		if err == nil {

@@ -253,11 +253,6 @@ func (c *Cluster) localGCLoop(m *member) {
 			return
 		case <-ticker.C:
 			m.node.SweepLocalMetadata(0)
-			if c.cfg.Node.MetadataBudgetBytes > 0 {
-				// Best-effort: a storage error mid-enforcement just leaves
-				// memory relief to the next tick.
-				_, _ = m.node.EnforceBudget(context.Background())
-			}
 		}
 	}
 }

@@ -26,19 +26,9 @@ func (n *Node) Bootstrap(ctx context.Context) error {
 		return fmt.Errorf("aft: listing commit set: %w", err)
 	}
 	// Commit keys sort by timestamp within a deployment's fixed-width
-	// clock: the tail of the sorted listing is the most recent history,
-	// which BootstrapLimit keeps.
+	// clock: installing in listing order, oldest first, makes the warm-up
+	// the same whatever order the engine lists in.
 	sort.Strings(keys)
-	// Newest records first when a limit applies. Truncation hides
-	// committed state from the warm-up, so it also flips the node into
-	// partial-metadata mode: a read of a key whose records were dropped
-	// falls back to the Transaction Commit Set instead of serving a
-	// silent miss.
-	if n.cfg.BootstrapLimit > 0 && len(keys) > n.cfg.BootstrapLimit {
-		n.metrics.BootstrapTruncated.Add(int64(len(keys) - n.cfg.BootstrapLimit))
-		keys = keys[len(keys)-n.cfg.BootstrapLimit:]
-		n.partialMeta.Store(true)
-	}
 	// Fetch every record through the batched read pipeline: one BatchGet
 	// round-trip group instead of one point Get per record. Beyond the
 	// round-trip economy, this matters for recovery: a replacement node

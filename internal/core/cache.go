@@ -244,39 +244,3 @@ func (c *dataCache) byteSize() int64 {
 	}
 	return total
 }
-
-// shrink evicts least-recently-used entries, round-robin across shards,
-// until the cache holds at most maxBytes of payload (or is empty). It
-// returns the number of entries evicted. Cached payloads are pure
-// re-fetchable copies of durable storage state, so shrinking never loses
-// anything — it is the memory budget's cheapest relief valve.
-func (c *dataCache) shrink(maxBytes int64) int {
-	if c == nil {
-		return 0
-	}
-	evicted := 0
-	for c.byteSize() > maxBytes {
-		progressed := false
-		for _, s := range c.shards {
-			s.mu.Lock()
-			if s.bytes.Load() > maxBytes/int64(len(c.shards)) && s.dropOldestLocked() {
-				evicted++
-				progressed = true
-			}
-			s.mu.Unlock()
-		}
-		if !progressed {
-			// Remaining bytes are spread below the per-shard share;
-			// finish with a global pass so tiny budgets still converge.
-			for _, s := range c.shards {
-				s.mu.Lock()
-				for s.bytes.Load() > 0 && c.byteSize() > maxBytes && s.dropOldestLocked() {
-					evicted++
-				}
-				s.mu.Unlock()
-			}
-			break
-		}
-	}
-	return evicted
-}

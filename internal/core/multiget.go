@@ -100,9 +100,7 @@ func (n *Node) doMultiGet(ctx context.Context, t *txnState, txid string, keys []
 	}
 
 	// Metadata phase: plan every distinct key under one t.mu hold.
-	// Version selection takes only stripe read locks per key; the
-	// cold-key metadata recovery (partial-metadata mode) runs here too,
-	// coalesced with concurrent readers via the singleflight.
+	// Version selection takes only stripe read locks per key.
 	plan := func(idxs []int) error {
 		t.mu.Lock()
 		defer t.mu.Unlock()
@@ -110,7 +108,7 @@ func (n *Node) doMultiGet(ctx context.Context, t *txnState, txid string, keys []
 			return n.finishedErr(txid)
 		}
 		for _, i := range idxs {
-			p, err := n.planRead(ctx, t, keys[i])
+			p, err := n.planRead(t, keys[i])
 			if err != nil {
 				return err
 			}

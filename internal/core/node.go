@@ -60,9 +60,9 @@ var (
 	// ErrVersionVanished means a selected version's payload was deleted
 	// by the global GC between selection and fetch. The §5.2 unanimity
 	// vote normally rules this out, but a node that installs a record
-	// after voting to delete it — a standby's bootstrap, or a
-	// partial-metadata storage fallback — races the deletion (akin to
-	// §5.2.1's missing versions); clients should redo the transaction.
+	// after voting to delete it — a standby's bootstrap — races the
+	// deletion (akin to §5.2.1's missing versions); clients should redo
+	// the transaction.
 	ErrVersionVanished = errors.New("aft: version collected mid-read; retry transaction")
 	// ErrOverloaded means admission control shed the request: the node is
 	// at MaxConcurrent and the wait queue for a slot is already
@@ -102,23 +102,6 @@ type Config struct {
 	// 0 preserves the historical behavior: callers park until a slot
 	// frees or their ctx is done. Meaningless when MaxConcurrent is 0.
 	AdmissionQueue int
-	// BootstrapLimit bounds how many commit records Bootstrap reads from
-	// the Transaction Commit Set, newest first ("it bootstraps itself by
-	// reading the latest records", §3.1); 0 reads everything. Replacement
-	// nodes in large deployments set a limit so warm-up stays bounded;
-	// older transactions are recovered on demand: truncation flips the
-	// node into partial-metadata mode, so reads of keys whose records were
-	// dropped fall back to the Transaction Commit Set in storage
-	// (read.go), and the fault manager's scan re-announces anything
-	// missed. Truncations are counted in NodeMetrics.BootstrapTruncated.
-	BootstrapLimit int
-	// MetadataBudgetBytes bounds the node's approximate metadata memory:
-	// cached commit records (commit cache + version index) plus the read
-	// data cache. EnforceBudget (budget.go) sheds data-cache entries and
-	// spills cold commit records back to storage-resident form when the
-	// budget is exceeded, and StartTransaction sheds retriable
-	// ErrOverloaded past a 25% hard ceiling. 0 means unbounded.
-	MetadataBudgetBytes int64
 	// IDEntropySeed, when non-zero, makes transaction-UUID entropy a
 	// seeded deterministic stream (mixed with the node ID, so replicas
 	// sharing a seed still mint distinct IDs). Paired with a
@@ -132,9 +115,8 @@ type Config struct {
 	// nil check.
 	Tracer *telemetry.Tracer
 	// Events, when non-nil, is the flight-recorder journal the node
-	// reports discrete anomalies into (transaction sheds, metadata-
-	// budget spills). Nil disables journaling at the cost of one nil
-	// check per site.
+	// reports discrete anomalies into (transaction sheds). Nil disables
+	// journaling at the cost of one nil check per site.
 	Events *telemetry.Journal
 	// DisableTelemetry skips the node's latency histograms (three atomic
 	// adds per op), the measurable baseline for the instrumentation-
@@ -172,16 +154,8 @@ type Node struct {
 	// metaBytes approximates the resident bytes of cached commit records
 	// (records.CommitRecord.ApproxBytes, counted once per record at
 	// install/remove); together with the data cache's byte count it is
-	// what MetadataBudgetBytes budgets.
+	// MetadataBytes.
 	metaBytes atomic.Int64
-
-	// partialMeta, once set, records that this node's in-memory metadata
-	// is a subset of the Transaction Commit Set: a truncated bootstrap
-	// (BootstrapLimit) skipped history, or the memory budget spilled cold
-	// records. Reads that miss locally then fall back to storage
-	// (read.go). Sticky by design — the fallback is also what makes the
-	// skip/spill safe.
-	partialMeta atomic.Bool
 
 	// tmu guards the transaction lifecycle table: in-flight transactions
 	// by UUID, plus the finished-transaction map that makes Commit
@@ -208,13 +182,6 @@ type Node struct {
 	// checks.
 	announceMu sync.RWMutex
 
-	// fetchMu guards fetching: the singleflight table of in-progress
-	// cold-key metadata recoveries (read.go). One entry per key; waiters
-	// block on the entry's done channel instead of issuing their own
-	// List+BatchGet storm.
-	fetchMu  sync.Mutex
-	fetching map[string]*fetchCall
-
 	data *dataCache // nil when disabled
 
 	metrics NodeMetrics
@@ -231,66 +198,55 @@ type Node struct {
 // fields are updated atomically — the counters sit on every hot path and
 // must not introduce a shared lock.
 type NodeMetrics struct {
-	Started           atomic.Int64
-	Committed         atomic.Int64
-	Aborted           atomic.Int64
-	Reads             atomic.Int64
-	CacheHits         atomic.Int64
-	Spills            atomic.Int64
-	MergedRemote      atomic.Int64
-	PrunedMerges      atomic.Int64
-	SweptMetadata     atomic.Int64
-	RemoteFetches     atomic.Int64 // reads that recovered metadata from storage
-	CoalescedFetches  atomic.Int64 // cold reads that joined another read's in-flight recovery
-	BatchedRecordGets atomic.Int64 // commit records fetched through batched reads
-	MultiGets         atomic.Int64 // MultiGet calls (Reads counts their keys individually)
-	GroupFlushes      atomic.Int64 // runs of the write routine
-	GroupedCommits    atomic.Int64 // commits written by those runs (one each)
-	OverloadShed      atomic.Int64 // arrivals shed by admission control (ErrOverloaded)
-	DeadlineExceeded  atomic.Int64 // ops abandoned at a ctx-deadline check
-	ReapedExpired     atomic.Int64 // dangling transactions aborted past their deadline
+	Started          atomic.Int64
+	Committed        atomic.Int64
+	Aborted          atomic.Int64
+	Reads            atomic.Int64
+	CacheHits        atomic.Int64
+	Spills           atomic.Int64
+	MergedRemote     atomic.Int64
+	PrunedMerges     atomic.Int64
+	SweptMetadata    atomic.Int64
+	MultiGets        atomic.Int64 // MultiGet calls (Reads counts their keys individually)
+	GroupFlushes     atomic.Int64 // runs of the write routine
+	GroupedCommits   atomic.Int64 // commits written by those runs (one each)
+	OverloadShed     atomic.Int64 // arrivals shed by admission control (ErrOverloaded)
+	DeadlineExceeded atomic.Int64 // ops abandoned at a ctx-deadline check
+	ReapedExpired    atomic.Int64 // dangling transactions aborted past their deadline
 
-	BootstrapTruncated atomic.Int64 // commit records dropped by BootstrapLimit
-	SpilledRecords     atomic.Int64 // cached commit records spilled by the memory budget
-	BudgetShed         atomic.Int64 // arrivals shed past the metadata-budget hard ceiling
+	// BudgetShed is never counted: the node has no metadata budget. It
+	// stays because the benchmark harness still reads it (ROADMAP 25).
+	BudgetShed atomic.Int64
 }
 
 // NodeMetricsSnapshot is a point-in-time copy of NodeMetrics.
 type NodeMetricsSnapshot struct {
 	Started, Committed, Aborted, Reads, CacheHits, Spills,
 	MergedRemote, PrunedMerges, SweptMetadata,
-	RemoteFetches, CoalescedFetches,
-	BatchedRecordGets, MultiGets,
-	GroupFlushes, GroupedCommits,
+	MultiGets, GroupFlushes, GroupedCommits,
 	OverloadShed, DeadlineExceeded, ReapedExpired,
-	BootstrapTruncated, SpilledRecords, BudgetShed int64
+	BudgetShed int64
 }
 
 // Snapshot returns a copy of the counters.
 func (m *NodeMetrics) Snapshot() NodeMetricsSnapshot {
 	return NodeMetricsSnapshot{
-		Started:           m.Started.Load(),
-		Committed:         m.Committed.Load(),
-		Aborted:           m.Aborted.Load(),
-		Reads:             m.Reads.Load(),
-		CacheHits:         m.CacheHits.Load(),
-		Spills:            m.Spills.Load(),
-		MergedRemote:      m.MergedRemote.Load(),
-		PrunedMerges:      m.PrunedMerges.Load(),
-		SweptMetadata:     m.SweptMetadata.Load(),
-		RemoteFetches:     m.RemoteFetches.Load(),
-		CoalescedFetches:  m.CoalescedFetches.Load(),
-		BatchedRecordGets: m.BatchedRecordGets.Load(),
-		MultiGets:         m.MultiGets.Load(),
-		GroupFlushes:      m.GroupFlushes.Load(),
-		GroupedCommits:    m.GroupedCommits.Load(),
-		OverloadShed:      m.OverloadShed.Load(),
-		DeadlineExceeded:  m.DeadlineExceeded.Load(),
-		ReapedExpired:     m.ReapedExpired.Load(),
-
-		BootstrapTruncated: m.BootstrapTruncated.Load(),
-		SpilledRecords:     m.SpilledRecords.Load(),
-		BudgetShed:         m.BudgetShed.Load(),
+		Started:          m.Started.Load(),
+		Committed:        m.Committed.Load(),
+		Aborted:          m.Aborted.Load(),
+		Reads:            m.Reads.Load(),
+		CacheHits:        m.CacheHits.Load(),
+		Spills:           m.Spills.Load(),
+		MergedRemote:     m.MergedRemote.Load(),
+		PrunedMerges:     m.PrunedMerges.Load(),
+		SweptMetadata:    m.SweptMetadata.Load(),
+		MultiGets:        m.MultiGets.Load(),
+		GroupFlushes:     m.GroupFlushes.Load(),
+		GroupedCommits:   m.GroupedCommits.Load(),
+		OverloadShed:     m.OverloadShed.Load(),
+		DeadlineExceeded: m.DeadlineExceeded.Load(),
+		ReapedExpired:    m.ReapedExpired.Load(),
+		BudgetShed:       m.BudgetShed.Load(),
 	}
 }
 
@@ -314,7 +270,6 @@ func NewNode(cfg Config) (*Node, error) {
 		txns:            make(map[string]*txnState),
 		committedByUUID: make(map[string]idgen.ID),
 		readers:         make(map[idgen.ID]int),
-		fetching:        make(map[string]*fetchCall),
 		stopped:         make(chan struct{}),
 	}
 	for i := range n.stripes {
@@ -596,6 +551,13 @@ func (n *Node) KnownCommits() []*records.CommitRecord {
 // the local GC bounds, §5.1).
 func (n *Node) MetadataSize() int {
 	return int(n.metaCount.Load())
+}
+
+// MetadataBytes returns the node's approximate resident metadata bytes:
+// cached commit records (commit cache + version index accounting) plus
+// the read data cache's payload bytes.
+func (n *Node) MetadataBytes() int64 {
+	return n.metaBytes.Load() + n.data.byteSize()
 }
 
 // SweepLocalMetadata runs one pass of the local metadata GC (§5.1): for

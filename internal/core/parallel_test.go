@@ -593,66 +593,6 @@ func TestPutWaitsForInflightCommit(t *testing.T) {
 	}
 }
 
-// TestReadRecoversLocallyDeletedVersion pins the resurrection path
-// (installRecoveredLocked): a transaction that read "l" before a newer
-// record cowrote "a" and "l" cannot take that record's "a", and the older
-// "a" it can take was swept as superseded. In partial-metadata mode the
-// read must recover the swept version from storage and serve it, and
-// withdraw this node's locally-deleted vote while it caches it again.
-func TestReadRecoversLocallyDeletedVersion(t *testing.T) {
-	n, err := NewNode(Config{NodeID: "resurrect", Store: kvengine.NewDynamoDB(kvengine.Options{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.partialMeta.Store(true)
-	ctx := context.Background()
-	commit := func(kvs map[string]string) idgen.ID {
-		txid, _ := n.StartTransaction(ctx)
-		for k, v := range kvs {
-			n.Put(ctx, txid, k, []byte(v))
-		}
-		id, err := n.CommitTransaction(ctx, txid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return id
-	}
-	commit(map[string]string{"l": "l0"})
-	old := commit(map[string]string{"a": "a-old"})
-	reader, _ := n.StartTransaction(ctx)
-	if v, err := n.Get(ctx, reader, "l"); err != nil || string(v) != "l0" {
-		t.Fatalf("Get(l) = %q, %v", v, err)
-	}
-	commit(map[string]string{"a": "a-new", "l": "l1"})
-	// "a-old" is superseded and unpinned, and the reader has been idle
-	// past the bound a transaction without a lease holds the sweep back
-	// for, so the sweep deletes it; the reader's pin keeps "l0".
-	abandonForSweep(t, n, reader)
-	removed := n.SweepLocalMetadata(0)
-	if len(removed) != 1 || !removed[0].Equal(old) {
-		t.Fatalf("sweep removed %v, want [%v]", removed, old)
-	}
-	oldRec := gcRecs([]string{"a"}, old)
-	if !n.LocallyDeleted(oldRec)[0] {
-		t.Fatal("swept record not marked locally deleted")
-	}
-	// "a-new" cowrote "l" after the version the reader saw, so only the
-	// swept version is valid: the fallback must recover and serve it.
-	v, err := n.Get(ctx, reader, "a")
-	if err != nil {
-		t.Fatalf("read of swept version: %v", err)
-	}
-	if string(v) != "a-old" {
-		t.Fatalf("recovered value = %q, want a-old", v)
-	}
-	if n.LocallyDeleted(oldRec)[0] {
-		t.Fatal("locally-deleted marker survived resurrection")
-	}
-	if vs := n.VersionsOf("a"); len(vs) != 2 || !vs[0].Equal(old) {
-		t.Fatalf("versions of a = %v, want the recovered one indexed again", vs)
-	}
-}
-
 // TestSweepKeepsPinnedAcrossStripes pins the §5.1 guarantee under striping:
 // a record spanning several stripes stays cached while any reader pins it,
 // even when its versions are superseded on every stripe.

@@ -77,7 +77,7 @@ func (n *Node) doGet(ctx context.Context, t *txnState, txid, key string, dst []b
 			t.mu.Unlock()
 			return dst, n.finishedErr(txid)
 		}
-		plan, err := n.planRead(ctx, t, key)
+		plan, err := n.planRead(t, key)
 		t.mu.Unlock()
 		if err != nil {
 			return dst, err
@@ -112,10 +112,9 @@ func (n *Node) doGet(ctx context.Context, t *txnState, txid, key string, dst []b
 				// GC race: the version was superseded and collected
 				// after the selection's protection lapsed. The §5.2
 				// unanimity vote can pass and then a replacement node's
-				// bootstrap, or a partial-metadata fallback, re-installs
-				// the already-confirmed record before its data is deleted
-				// (a vote/delete TOCTOU the chaos harness reproduces
-				// under kill + promotion). For
+				// bootstrap re-installs the already-confirmed record
+				// before its data is deleted (a vote/delete TOCTOU the
+				// chaos harness reproduces under kill + promotion). For
 				// a first read of the key, unwind the selection, forget
 				// the vanished version, and retry — a newer version
 				// exists in storage. A re-read of an already-read key
@@ -218,7 +217,7 @@ type readPlan struct {
 
 // planRead runs the metadata phase of one read attempt; the caller holds
 // t.mu.
-func (n *Node) planRead(ctx context.Context, t *txnState, key string) (readPlan, error) {
+func (n *Node) planRead(t *txnState, key string) (readPlan, error) {
 	// Read-your-writes: the write buffer takes precedence (§3.5).
 	if i, ok := t.writeOf(key); ok {
 		return readPlan{buffered: true, value: t.writes[i].val}, nil
@@ -230,66 +229,9 @@ func (n *Node) planRead(ctx context.Context, t *txnState, key string) (readPlan,
 	}
 	alreadyRead := t.readOf(key) >= 0
 
-	var target idgen.ID
-	var rec *records.CommitRecord
-	var pinnedNow bool
-	var err error
-	if !alreadyRead && !t.metaFetched[key] && n.floorSet(key) {
-		// A budget spill evicted this key's newest resident version
-		// (stripe.go spillFloor): resident candidates may all be stale, so
-		// the index must not be trusted until storage is consulted. Skip
-		// the optimistic selection and take the recovery path directly —
-		// a floor implies partial-metadata mode, so the condition below
-		// passes. Verification re-installs a version >= the floor, which
-		// lifts it; until then the cost is one List per key per
-		// transaction, only for spilled keys. A re-read needs no floor
-		// check: repeatable reads pin the exact prior version, which is
-		// resident by §5.1.
-		err = ErrKeyNotFound
-	} else {
-		target, rec, pinnedNow, err = n.selectAndPin(t, key, nil)
-	}
-	if (errors.Is(err, ErrKeyNotFound) || errors.Is(err, ErrNoValidVersion)) &&
-		n.partialMeta.Load() && !t.metaFetched[key] {
-		// Partial-metadata mode: a local miss is inconclusive. A
-		// truncated bootstrap skipped history, or the memory budget
-		// spilled cold records, so the Transaction Commit
-		// Set in storage may know versions this node does not. Recover
-		// the key's commit metadata from storage and retry Algorithm 1
-		// once. metaFetched bounds the cost to one storage scan per key
-		// per transaction (the scan runs under t.mu; only this
-		// transaction's own operations wait on it).
-		if t.metaFetched == nil {
-			t.metaFetched = make(map[string]bool)
-		}
-		t.metaFetched[key] = true
-		fetched, finish, retryOnMiss, ferr := n.coalesceFetch(ctx, key)
-		if ferr != nil {
-			return readPlan{}, fmt.Errorf("aft: recovering metadata for %q: %w", key, ferr)
-		}
-		// Install and re-select inside ONE multi-stripe critical section
-		// (selectAndPin write-locks the union): a concurrent sweep or
-		// spill must not evict the fetched records between installation
-		// and version selection. A coalesced waiter gets nil records —
-		// the flight's leader already installed them — and re-selects
-		// through the stripe index.
-		target, rec, pinnedNow, err = n.selectAndPin(t, key, fetched)
-		if finish != nil {
-			finish()
-		}
-		if retryOnMiss && (errors.Is(err, ErrKeyNotFound) || errors.Is(err, ErrNoValidVersion)) {
-			// The waiter's re-selection is NOT covered by the leader's
-			// install critical section: a sweep can evict the installed
-			// records in the window between the leader's finish and this
-			// selection. Rare, and recoverable — fetch for ourselves, with
-			// the atomic install+select the solo path gets.
-			fetched, ferr = n.fetchKeyRecords(ctx, key)
-			if ferr != nil {
-				return readPlan{}, fmt.Errorf("aft: recovering metadata for %q: %w", key, ferr)
-			}
-			target, rec, pinnedNow, err = n.selectAndPin(t, key, fetched)
-		}
-	}
+	// The node holds the whole uncollected Commit Set (§3.1), so a local
+	// miss is the answer: ErrKeyNotFound, or §5.2.1's ErrNoValidVersion.
+	target, rec, pinnedNow, err := n.selectAndPin(t, key)
 	if err != nil {
 		return readPlan{}, err
 	}
@@ -305,11 +247,7 @@ func (n *Node) planRead(ctx context.Context, t *txnState, key string) (readPlan,
 // and pins the source transaction against local GC — all before the stripe
 // lock is released, so the version's metadata cannot be deleted between
 // selection and payload fetch (§5.1). The caller holds t.mu.
-//
-// With install records supplied (the partial-metadata recovery path), the
-// union of their stripes plus key's stripe is write-locked and the records
-// are installed in the same critical section as the selection.
-func (n *Node) selectAndPin(t *txnState, key string, install []*records.CommitRecord) (idgen.ID, *records.CommitRecord, bool, error) {
+func (n *Node) selectAndPin(t *txnState, key string) (idgen.ID, *records.CommitRecord, bool, error) {
 	// Lines 3-5 of Algorithm 1: the lower bound is the largest
 	// transaction in R that cowrote key — we must not return anything
 	// older (case 1 of the inductive proof of Theorem 1). Read records
@@ -327,34 +265,14 @@ func (n *Node) selectAndPin(t *txnState, key string, install []*records.CommitRe
 		}
 	}
 
-	if len(install) == 0 {
-		s := n.stripeFor(key)
-		s.mu.RLock()
-		target, rec, err := n.selectVersionLocked(t, key, lower)
-		pinnedNow := false
-		if err == nil {
-			pinnedNow = n.pinRead(t, key, target, rec)
-		}
-		s.mu.RUnlock()
-		return target, rec, pinnedNow, err
-	}
-
-	union := make([]string, 0, 1+len(install))
-	union = append(union, key)
-	for _, fr := range install {
-		union = append(union, fr.WriteSet...)
-	}
-	ss := n.appendStripes(nil, union)
-	lockStripes(ss)
-	for _, fr := range install {
-		n.installRecoveredLocked(fr, key)
-	}
+	s := n.stripeFor(key)
+	s.mu.RLock()
 	target, rec, err := n.selectVersionLocked(t, key, lower)
 	pinnedNow := false
 	if err == nil {
 		pinnedNow = n.pinRead(t, key, target, rec)
 	}
-	unlockStripes(ss)
+	s.mu.RUnlock()
 	return target, rec, pinnedNow, err
 }
 
@@ -393,9 +311,6 @@ func (n *Node) forgetVanished(t *txnState, key string, target idgen.ID, rec *rec
 		}
 		t.reads = slices.Delete(t.reads, i, i+1)
 	}
-	// Let the retry recover fresh metadata even if this transaction
-	// already fetched for this key.
-	delete(t.metaFetched, key)
 	var buf [16]*stripe
 	ss := n.appendStripes(buf[:0], rec.WriteSet)
 	lockStripes(ss)
@@ -455,7 +370,7 @@ func (n *Node) selectVersionLocked(t *txnState, key string, lower idgen.ID) (idg
 		// version a live transaction may need (retirableLocked), so this
 		// is §5.2.1's missing-versions limitation only for a transaction
 		// the sweep presumed abandoned, or one whose versions the global
-		// GC collected under a bootstrap or fallback re-install.
+		// GC collected under a bootstrap re-install.
 		return idgen.Null, nil, ErrNoValidVersion
 	}
 
@@ -481,133 +396,6 @@ func (n *Node) selectVersionLocked(t *txnState, key string, lower idgen.ID) (idg
 	}
 	// Lines 22-23: no valid version.
 	return idgen.Null, nil, ErrNoValidVersion
-}
-
-// fetchCall is one in-flight cold-key metadata recovery; waiters block on
-// done and, once the leader has installed the fetched records, re-select
-// through the stripe index.
-type fetchCall struct {
-	done  chan struct{}
-	err   error // set before done closes; read only after
-	found int   // records the leader fetched; set before done closes
-}
-
-// coalesceFetch is the node-level singleflight in front of fetchKeyRecords:
-// N concurrent cold reads of the same key share ONE List + BatchGet round
-// trip instead of issuing N storms. The leader (first caller) fetches and
-// returns the records together with a finish func the caller MUST invoke
-// after installing them (planRead does so inside selectAndPin's critical
-// section); waiters block until then and return nil records — the records
-// are already in the stripe index. retryOnMiss is set only for a waiter
-// whose leader DID find records: its re-selection is outside the leader's
-// install critical section, so a sweep can empty the index again and the
-// caller should fetch solo. When the leader found nothing, a waiter's miss
-// is the true outcome and re-fetching would just repeat the empty List. A
-// waiter whose leader failed falls back to its own fetch so one canceled
-// context or transient storage error cannot poison every coalesced read.
-func (n *Node) coalesceFetch(ctx context.Context, key string) (recs []*records.CommitRecord, finish func(), retryOnMiss bool, err error) {
-	n.fetchMu.Lock()
-	if call, ok := n.fetching[key]; ok {
-		n.fetchMu.Unlock()
-		n.metrics.CoalescedFetches.Add(1)
-		sp := telemetry.StartSpan(ctx, "read.coalesce_wait")
-		sp.Annotate("role", "waiter")
-		select {
-		case <-call.done:
-		case <-ctx.Done():
-			sp.End()
-			return nil, nil, false, ctx.Err()
-		}
-		sp.End()
-		if call.err != nil {
-			recs, err = n.fetchKeyRecords(ctx, key)
-			return recs, nil, false, err
-		}
-		return nil, nil, call.found > 0, nil
-	}
-	call := &fetchCall{done: make(chan struct{})}
-	n.fetching[key] = call
-	n.fetchMu.Unlock()
-	finish = func() {
-		n.fetchMu.Lock()
-		delete(n.fetching, key)
-		n.fetchMu.Unlock()
-		close(call.done)
-	}
-	sp := telemetry.StartSpan(ctx, "read.coldfetch")
-	sp.Annotate("role", "leader")
-	recs, err = n.fetchKeyRecords(ctx, key)
-	sp.End()
-	if err != nil {
-		call.err = err
-		finish()
-		return nil, nil, false, err
-	}
-	call.found = len(recs)
-	return recs, finish, false, nil
-}
-
-// fetchKeyRecords recovers commit metadata for a key from storage (the
-// partial-metadata fallback): it scans the Transaction Commit Set, fetches
-// every record the node does not already know in ONE BatchGet (the engine
-// chunks by its read-batch limit), and keeps those that cowrote key. Every
-// record carries its write set, so the scan finds inline, two-phase and
-// spilled versions alike. The caller installs the records in the same
-// critical section as the retried version selection (selectAndPin), so a
-// concurrent sweep cannot evict them in between. Only committed versions
-// have a record — the write-ordering protocol (§3.3) makes the commit
-// record the visibility point — so this fallback can never surface a dirty
-// read.
-func (n *Node) fetchKeyRecords(ctx context.Context, key string) ([]*records.CommitRecord, error) {
-	n.metrics.RemoteFetches.Add(1)
-	storageKeys, err := n.store.List(ctx, records.CommitPrefix)
-	if err != nil {
-		return nil, err
-	}
-	want := make([]string, 0, len(storageKeys))
-	var out []*records.CommitRecord
-	for _, sk := range storageKeys {
-		id, err := records.ParseCommitKey(sk)
-		if err != nil {
-			continue
-		}
-		if rec, known := n.findRecord(id); known {
-			if rec.Cowritten(key) {
-				// Cached already — perhaps selectable only for sibling
-				// keys (recovered installs index only the verified key).
-				// Re-install it without a round trip:
-				// installRecoveredLocked is idempotent, makes it a
-				// candidate for THIS key, and lifts the key's refetch
-				// floor once the newest version goes through.
-				out = append(out, rec)
-			}
-			continue
-		}
-		want = append(want, sk)
-	}
-	payloads, err := n.fetchRecordPayloads(ctx, want)
-	if err != nil {
-		return nil, err
-	}
-	for _, sk := range want {
-		payload, ok := payloads[sk]
-		if !ok {
-			continue // GC'd concurrently
-		}
-		rec, err := records.UnmarshalCommitRecord(payload)
-		if err != nil || !rec.Cowritten(key) {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// fetchRecordPayloads reads commit-record storage keys through
-// batchFetchPayloads, counting them.
-func (n *Node) fetchRecordPayloads(ctx context.Context, keys []string) (map[string][]byte, error) {
-	n.metrics.BatchedRecordGets.Add(int64(len(keys)))
-	return n.batchFetchPayloads(ctx, keys)
 }
 
 // ReadSet returns a copy of the transaction's current read set. Only tests

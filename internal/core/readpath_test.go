@@ -1,52 +1,20 @@
 package core
 
-// readpath_test.go pins the batched + coalesced read pipeline: one
-// List+BatchGet per cold key regardless of reader count (the singleflight),
-// batched commit-record and MultiGet payload fetches, the spill-path and
-// inline-value cache fixes, and the vanished-version retry through
+// readpath_test.go pins the batched read pipeline: batched commit-record
+// fetches at bootstrap and MultiGet payload fetches, the spill-path and
+// inline-value cache fixes, and the vanished-version retry through Get and
 // MultiGet.
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"aft/internal/idgen"
 	"aft/internal/records"
-	"aft/internal/storage"
 	"aft/internal/storage/kvengine"
 )
-
-// listGateStore blocks every List until released, so a test can
-// deterministically pile cold readers onto one in-flight metadata fetch.
-type listGateStore struct {
-	storage.Store
-	mu      sync.Mutex
-	armed   bool
-	release chan struct{}
-}
-
-func newListGateStore(inner storage.Store) *listGateStore {
-	return &listGateStore{Store: inner, release: make(chan struct{})}
-}
-
-func (g *listGateStore) arm() {
-	g.mu.Lock()
-	g.armed = true
-	g.mu.Unlock()
-}
-
-func (g *listGateStore) List(ctx context.Context, prefix string) ([]string, error) {
-	g.mu.Lock()
-	armed := g.armed
-	g.mu.Unlock()
-	if armed {
-		<-g.release
-	}
-	return g.Store.List(ctx, prefix)
-}
 
 // seedVersions commits `versions` versions of each key through writer.
 func seedVersions(t testing.TB, writer *Node, keys []string, versions int) {
@@ -68,116 +36,11 @@ func seedVersions(t testing.TB, writer *Node, keys []string, versions int) {
 	}
 }
 
-// TestColdReadCoalescingRace is the -race stress for the read-side
-// singleflight: G readers per cold key, all concurrent, must share exactly
-// ONE List (and one batched record fetch) per key, observe the same newest
-// version, and hold repeatable reads within their transactions.
-func TestColdReadCoalescingRace(t *testing.T) {
-	const (
-		coldKeys      = 4
-		readersPerKey = 8
-		versions      = 6
-	)
-	inner := kvengine.NewDynamoDB(kvengine.Options{})
-	gate := newListGateStore(inner)
-
-	writer, err := NewNode(Config{NodeID: "writer", Store: inner})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]string, coldKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("cold-%d", i)
-	}
-	seedVersions(t, writer, keys, versions)
-
-	// The reader node is fresh (its metadata cache is empty) and in
-	// partial-metadata mode, so every first read takes the storage fallback.
-	reader, err := NewNode(Config{NodeID: "reader", Store: gate, EnableDataCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reader.partialMeta.Store(true)
-
-	before := inner.Metrics().Snapshot()
-	gate.arm()
-
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errc := make(chan error, coldKeys*readersPerKey)
-	for _, key := range keys {
-		for r := 0; r < readersPerKey; r++ {
-			wg.Add(1)
-			go func(key string) {
-				defer wg.Done()
-				txid, err := reader.StartTransaction(ctx)
-				if err != nil {
-					errc <- err
-					return
-				}
-				v1, err := reader.Get(ctx, txid, key)
-				if err != nil {
-					errc <- fmt.Errorf("cold read %s: %w", key, err)
-					return
-				}
-				want := fmt.Sprintf("%s-v%d", key, versions-1)
-				if string(v1) != want {
-					errc <- fmt.Errorf("cold read %s = %q, want %q", key, v1, want)
-					return
-				}
-				// Repeatable read: the same version, byte for byte.
-				v2, err := reader.Get(ctx, txid, key)
-				if err != nil || string(v2) != string(v1) {
-					errc <- fmt.Errorf("non-repeatable read of %s: %q then %q (%v)", key, v1, v2, err)
-					return
-				}
-				errc <- nil
-			}(key)
-		}
-	}
-
-	// Each key's leader is parked inside the gated List; every other
-	// reader of that key must have joined its flight before we release.
-	deadline := time.Now().Add(10 * time.Second)
-	wantWaiters := int64(coldKeys * (readersPerKey - 1))
-	for reader.Metrics().Snapshot().CoalescedFetches < wantWaiters {
-		if time.Now().After(deadline) {
-			t.Fatalf("coalesced fetches = %d, want %d",
-				reader.Metrics().Snapshot().CoalescedFetches, wantWaiters)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate.release)
-	wg.Wait()
-	for i := 0; i < coldKeys*readersPerKey; i++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	d := inner.Metrics().Snapshot().Sub(before)
-	if d.Lists != coldKeys {
-		t.Fatalf("Lists = %d, want exactly %d (one per cold key)", d.Lists, coldKeys)
-	}
-	if d.BatchGets != coldKeys {
-		t.Fatalf("BatchGets = %d, want %d (one record batch per cold key)", d.BatchGets, coldKeys)
-	}
-	// Each leader scans the whole Commit Set and fetches what this node
-	// does not cache yet: together every record at least once, and no
-	// leader more than all of them.
-	if total := int64(coldKeys * versions); d.BatchGetItems < total || d.BatchGetItems > coldKeys*total {
-		t.Fatalf("BatchGetItems = %d, want between %d and %d", d.BatchGetItems, total, coldKeys*total)
-	}
-	m := reader.Metrics().Snapshot()
-	if m.RemoteFetches != coldKeys {
-		t.Fatalf("RemoteFetches = %d, want %d", m.RemoteFetches, coldKeys)
-	}
-}
-
-// TestColdFetchBatchesRecordGets pins the round-trip arithmetic of the
-// acceptance criterion: a cold key with N unknown versions costs one List
-// plus ceil(N/MaxReadBatch) BatchGet calls — never N point Gets.
-func TestColdFetchBatchesRecordGets(t *testing.T) {
+// TestBootstrapBatchesRecordGets pins the round-trip arithmetic of a cold
+// start: a Commit Set of N records costs one List plus
+// ceil(N/MaxReadBatch) BatchGet calls — never N point Gets — and the node
+// then serves the newest version from local metadata.
+func TestBootstrapBatchesRecordGets(t *testing.T) {
 	const versions = 130 // > kvengine.DynamoDBMaxReadBatch, so chunking shows
 	store := kvengine.NewDynamoDB(kvengine.Options{})
 	writer, err := NewNode(Config{NodeID: "w", Store: store})
@@ -190,12 +53,10 @@ func TestColdFetchBatchesRecordGets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reader.partialMeta.Store(true)
 	before := store.Metrics().Snapshot()
 	ctx := context.Background()
-	txid, _ := reader.StartTransaction(ctx)
-	if v, err := reader.Get(ctx, txid, "k"); err != nil || string(v) != fmt.Sprintf("k-v%d", versions-1) {
-		t.Fatalf("cold read = %q, %v", v, err)
+	if err := reader.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
 	}
 	d := store.Metrics().Snapshot().Sub(before)
 	if d.Lists != 1 {
@@ -205,8 +66,70 @@ func TestColdFetchBatchesRecordGets(t *testing.T) {
 	if d.BatchGets != wantChunks {
 		t.Fatalf("BatchGets = %d, want ceil(%d/%d) = %d", d.BatchGets, versions, kvengine.DynamoDBMaxReadBatch, wantChunks)
 	}
-	if d.Gets != 1 { // the payload fetch stays a point Get
-		t.Fatalf("Gets = %d, want 1", d.Gets)
+	if d.Gets != 0 {
+		t.Fatalf("Gets = %d, want 0", d.Gets)
+	}
+	txid, _ := reader.StartTransaction(ctx)
+	if v, err := reader.Get(ctx, txid, "k"); err != nil || string(v) != fmt.Sprintf("k-v%d", versions-1) {
+		t.Fatalf("read after bootstrap = %q, %v", v, err)
+	}
+}
+
+// TestReadFallbackSkipsUncommittedVersions: a bootstrapped node knows only
+// what the Commit Set holds. A newer data key whose transaction crashed
+// before its commit record (§3.3) stays invisible to a read, which falls
+// back to the newest committed version — surfacing it would be a dirty read.
+func TestReadFallbackSkipsUncommittedVersions(t *testing.T) {
+	store := kvengine.NewDynamoDB(kvengine.Options{})
+	writer, err := NewNode(Config{NodeID: "writer", Store: store, Clock: idgen.NewVirtualClock(0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitTxn(t, writer, map[string]string{"k": twoPhase("committed")})
+	ctx := context.Background()
+	dirty := idgen.ID{Timestamp: 1 << 40, UUID: "crashed"}
+	if err := store.Put(ctx, string(records.AppendDataKey(nil, "k", dirty)), []byte("dirty")); err != nil {
+		t.Fatal(err)
+	}
+
+	reader, err := NewNode(Config{NodeID: "reader", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	txid, _ := reader.StartTransaction(ctx)
+	if v, err := reader.Get(ctx, txid, "k"); err != nil || string(v) != twoPhase("committed") {
+		t.Fatalf("Get(k) = %.20q, %v; want the committed version", v, err)
+	}
+}
+
+// TestReadFallbackMissingKey: a key that no commit record wrote is
+// ErrKeyNotFound, answered from local metadata without a storage call.
+func TestReadFallbackMissingKey(t *testing.T) {
+	store := kvengine.NewDynamoDB(kvengine.Options{})
+	writer, err := NewNode(Config{NodeID: "writer", Store: store, Clock: idgen.NewVirtualClock(0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitTxn(t, writer, map[string]string{"k": "v"})
+
+	reader, err := NewNode(Config{NodeID: "reader", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := reader.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	txid, _ := reader.StartTransaction(ctx)
+	before := store.Metrics().Snapshot()
+	if _, err := reader.Get(ctx, txid, "ghost"); !errors.Is(err, ErrKeyNotFound) {
+		t.Fatalf("Get of a missing key = %v, want ErrKeyNotFound", err)
+	}
+	if d := store.Metrics().Snapshot().Sub(before); d.Calls() != 0 {
+		t.Fatalf("missing-key read made %d storage calls, want 0", d.Calls())
 	}
 }
 
@@ -404,7 +327,6 @@ func TestMultiGetVanishedRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.partialMeta.Store(true)
 	ctx := context.Background()
 	commit := func(val string) records.KeyVersion {
 		txid, _ := n.StartTransaction(ctx)
@@ -472,7 +394,6 @@ func TestMultiGetDuplicateKeyVanishedRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.partialMeta.Store(true)
 	ctx := context.Background()
 	commit := func(val string) idgen.ID {
 		txid, _ := n.StartTransaction(ctx)
@@ -495,56 +416,6 @@ func TestMultiGetDuplicateKeyVanishedRetry(t *testing.T) {
 	}
 	if string(vals[0]) != "v1" || string(vals[1]) != "v1" {
 		t.Fatalf("vals = %q, %q; want v1, v1", vals[0], vals[1])
-	}
-}
-
-// TestMissingKeyColdReadsCoalesce pins the empty-flight path: K concurrent
-// readers of a key with NO versions still share one List — the leader's
-// empty result is the true outcome for every waiter, which must not fall
-// back to its own scan.
-func TestMissingKeyColdReadsCoalesce(t *testing.T) {
-	const readers = 8
-	inner := kvengine.NewDynamoDB(kvengine.Options{})
-	gate := newListGateStore(inner)
-	n, err := NewNode(Config{NodeID: "ghost", Store: gate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.partialMeta.Store(true)
-	gate.arm()
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errc := make(chan error, readers)
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			txid, err := n.StartTransaction(ctx)
-			if err != nil {
-				errc <- err
-				return
-			}
-			_, err = n.Get(ctx, txid, "ghost")
-			errc <- err
-		}()
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for n.Metrics().Snapshot().CoalescedFetches < readers-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("coalesced fetches = %d, want %d",
-				n.Metrics().Snapshot().CoalescedFetches, readers-1)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate.release)
-	wg.Wait()
-	for i := 0; i < readers; i++ {
-		if err := <-errc; err != ErrKeyNotFound {
-			t.Fatalf("missing-key cold read = %v, want ErrKeyNotFound", err)
-		}
-	}
-	if lists := inner.Metrics().Snapshot().Lists; lists != 1 {
-		t.Fatalf("Lists = %d, want exactly 1 for %d racing readers of a missing key", lists, readers)
 	}
 }
 
@@ -650,5 +521,69 @@ func TestPackedExtractCached(t *testing.T) {
 	}
 	if d := store.Metrics().Snapshot().Sub(before); d.Gets != 1 {
 		t.Fatalf("reads after evicting pa's entry fetched the record %d times; want 1", d.Gets)
+	}
+}
+
+// TestVanishedVersionKeepsPinnedRecord pins the vote/delete race of a
+// symmetric cluster (read.go): when a multi-key record's payload is
+// collected after a transaction has already read one of its keys, reading
+// a second key must (a) not corrupt the transaction's read-set resolution
+// — the pinned record survives in the commit cache — and (b) fail
+// retriably, never with an internal bookkeeping error.
+func TestVanishedVersionKeepsPinnedRecord(t *testing.T) {
+	store := kvengine.NewDynamoDB(kvengine.Options{})
+	reader, err := NewNode(Config{NodeID: "reader", Store: store, Clock: idgen.NewVirtualClock(0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := commitTxn(t, reader, map[string]string{"k1": "old1", "k2": "old2"})
+
+	ctx := context.Background()
+	txid, err := reader.StartTransaction(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := reader.Get(ctx, txid, "k1"); err != nil || string(v) != "old1" {
+		t.Fatalf("Get(k1) = %q, %v", v, err)
+	}
+
+	// The global GC wins the race: newer versions land, and the old
+	// transaction's data and commit record are deleted from storage.
+	commitTxn(t, reader, map[string]string{"k1": "new1", "k2": "new2"})
+	for _, k := range []string{"k1", "k2"} {
+		if err := store.Delete(ctx, string(records.AppendDataKey(nil, k, old))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Delete(ctx, records.CommitKey(old)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reading k2 must fail retriably (ErrNoValidVersion after the
+	// vanished version is forgotten, or ErrVersionVanished), never with
+	// the internal "missing from commit cache" error.
+	if _, err := reader.Get(ctx, txid, "k2"); err == nil {
+		t.Fatal("Get(k2) succeeded; expected a retriable failure")
+	} else if !errors.Is(err, ErrNoValidVersion) && !errors.Is(err, ErrVersionVanished) {
+		t.Fatalf("Get(k2) = %v, want ErrNoValidVersion or ErrVersionVanished", err)
+	}
+	// The pinned record must still resolve for the read set: a re-read
+	// of k1 must not hit internal errors either — its version is gone,
+	// so either retriable failure is correct (ErrNoValidVersion once the
+	// version is forgotten, ErrVersionVanished if re-selected).
+	if _, err := reader.Get(ctx, txid, "k1"); !errors.Is(err, ErrNoValidVersion) && !errors.Is(err, ErrVersionVanished) {
+		t.Fatalf("re-read of k1 = %v, want a retriable read failure", err)
+	}
+	if err := reader.AbortTransaction(ctx, txid); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fresh transaction converges on the superseding state.
+	txid2, _ := reader.StartTransaction(ctx)
+	for k, want := range map[string]string{"k1": "new1", "k2": "new2"} {
+		v, err := reader.Get(ctx, txid2, k)
+		if err != nil || string(v) != want {
+			t.Fatalf("fresh Get(%s) = %q, %v", k, v, err)
+		}
 	}
 }

@@ -12,10 +12,6 @@ package core
 // is shared, not the record), under the invariant that a record is present
 // either in ALL stripes of its write set or in NONE — multi-stripe
 // mutations take every affected stripe lock before touching any of them.
-// The version index is allowed to be PARTIAL relative to the commit set: a
-// record recovered from storage is indexed only under the keys whose
-// fallback reads verified their version lists (installRecoveredLocked),
-// never under keys whose newer versions this node may have spilled.
 //
 // Lock ordering, node-wide:
 //
@@ -58,21 +54,12 @@ type stripe struct {
 	// all-or-none invariant above).
 	commits map[idgen.ID]*records.CommitRecord
 	// installed holds the node's install sequence (Node.installSeq) of
-	// each record in commits: when it last became selectable for one of
-	// its keys here. The local sweep reads it (retirableLocked).
+	// each record in commits: when it became selectable here. The local
+	// sweep reads it (retirableLocked).
 	installed map[idgen.ID]uint64
 	// locallyDeleted mirrors commits for transactions the local GC has
 	// removed, answering the global GC's unanimity queries (§5.2).
 	locallyDeleted map[idgen.ID]*records.CommitRecord
-	// spillFloor marks keys whose newest resident version a budget spill
-	// evicted: key → the evicted ID. While a key has a floor, its index
-	// cannot be trusted to hold the newest committed version — a later
-	// full-index install of an OLDER record (a fault-manager scan
-	// recovery, a promotion announcement) would otherwise become the
-	// key's apparent newest and reads would serve it without consulting
-	// storage. The read path verifies floored keys against storage once
-	// per transaction; installing any version >= the floor clears it.
-	spillFloor map[string]idgen.ID
 }
 
 func newStripe() *stripe {
@@ -81,7 +68,6 @@ func newStripe() *stripe {
 		commits:        make(map[idgen.ID]*records.CommitRecord),
 		installed:      make(map[idgen.ID]uint64),
 		locallyDeleted: make(map[idgen.ID]*records.CommitRecord),
-		spillFloor:     make(map[string]idgen.ID),
 	}
 }
 
@@ -164,111 +150,19 @@ func runlockStripes(ss []*stripe) {
 func (n *Node) installLocked(rec *records.CommitRecord, ss []*stripe) bool {
 	id := rec.ID()
 	if _, ok := ss[0].commits[id]; ok {
-		// Already cached — but possibly only partially indexed, if it
-		// arrived through a read fallback (installRecoveredLocked indexes
-		// just the verified key). A full install (commit, multicast,
-		// fault-manager push) vouches for the whole write set, so upgrade
-		// it to fully selectable; without this, the announcement would be
-		// swallowed and the record could stay invisible to reads of its
-		// other keys forever.
-		for _, k := range rec.WriteSet {
-			s := n.stripeFor(k)
-			s.index.insert(k, id)
-			s.clearFloorLocked(k, id)
-		}
-		n.stampLocked(id, ss)
-		return false
+		return false // already cached
 	}
 	if _, ok := ss[0].locallyDeleted[id]; ok {
 		return false // already GC'd locally; do not resurrect
 	}
-	for _, s := range ss {
-		s.commits[id] = rec
-	}
-	n.stampLocked(id, ss)
-	for _, k := range rec.WriteSet {
-		s := n.stripeFor(k)
-		s.index.insert(k, id)
-		s.clearFloorLocked(k, id)
-	}
-	n.metaCount.Add(1)
-	n.metaBytes.Add(int64(rec.ApproxBytes()))
-	return true
-}
-
-// stampLocked gives record id the next install sequence in its stripes ss,
-// write-locked by the caller. Re-indexing a cached record restamps it: a
-// later stamp only makes the sweep keep older versions longer.
-func (n *Node) stampLocked(id idgen.ID, ss []*stripe) {
 	seq := n.installSeq.Add(1)
 	for _, s := range ss {
+		s.commits[id] = rec
 		s.installed[id] = seq
 	}
-}
-
-// clearFloorLocked lifts key's refetch floor if id supersedes it: with a
-// version >= the evicted newest resident, the index's top is again at
-// least as new as anything the spill dropped, so reads can trust it. The
-// caller holds the stripe's write lock.
-func (s *stripe) clearFloorLocked(key string, id idgen.ID) {
-	if fl, ok := s.spillFloor[key]; ok && !id.Less(fl) {
-		delete(s.spillFloor, key)
+	for _, k := range rec.WriteSet {
+		n.stripeFor(k).index.insert(k, id)
 	}
-}
-
-// floorSet reports whether key currently has a refetch floor — its index
-// may be hiding a spilled newer version, so a read must verify against
-// storage before trusting resident candidates.
-func (n *Node) floorSet(key string) bool {
-	s := n.stripeFor(key)
-	s.mu.RLock()
-	_, ok := s.spillFloor[key]
-	s.mu.RUnlock()
-	return ok
-}
-
-// installRecoveredLocked installs a record recovered from storage for a
-// read of key (the partial-metadata fallback), resurrecting it even if
-// the local GC had deleted it. The sweep deletes a record once newer
-// versions supersede it here, but a transaction whose read set predates
-// those versions may reject all of them (Algorithm 1's cowritten-key
-// rule): the swept record is then the only version the read can take, and
-// the fallback finds it in storage while a peer still caches it. Clearing
-// the locally-deleted markers withdraws this node's "deleted" vote, so the
-// global GC keeps the record while it is cached here again; if the data
-// was already collected, the payload fetch fails and the
-// ErrVersionVanished retry re-selects.
-//
-// The record is indexed ONLY under key, not its whole write set. The
-// fallback verified key's version list against storage (the List is
-// ground truth), so key's candidates are complete; the record's OTHER
-// keys were NOT verified, and indexing them would resurrect an old
-// version as the apparent newest of a key whose newer records this node
-// spilled or never bootstrapped. A later read of a sibling key sees its
-// own miss, runs its own fallback, and re-indexes the cached record
-// without a second round trip (fetchKeyRecords' index-aware dedup). The
-// caller must hold write locks covering every stripe of rec's write set.
-func (n *Node) installRecoveredLocked(rec *records.CommitRecord, key string) bool {
-	var buf [16]*stripe
-	ss := n.appendStripes(buf[:0], rec.WriteSet)
-	id := rec.ID()
-	if _, ok := ss[0].commits[id]; ok {
-		// Cached already — possibly selectable only for sibling keys after
-		// an earlier recovery; make it a candidate for THIS key too.
-		ks := n.stripeFor(key)
-		ks.index.insert(key, id)
-		ks.clearFloorLocked(key, id)
-		n.stampLocked(id, ss)
-		return false
-	}
-	for _, s := range ss {
-		delete(s.locallyDeleted, id)
-		s.commits[id] = rec
-	}
-	n.stampLocked(id, ss)
-	ks := n.stripeFor(key)
-	ks.index.insert(key, id)
-	ks.clearFloorLocked(key, id)
 	n.metaCount.Add(1)
 	n.metaBytes.Add(int64(rec.ApproxBytes()))
 	return true
@@ -312,21 +206,6 @@ func (n *Node) evictPayloads(rec *records.CommitRecord) {
 		}
 		n.data.evict(sk)
 	}
-}
-
-// findRecord scans the stripes for id's commit record — for callers that
-// have no key context (the read fallback's Commit Set scan). O(stripes) map
-// probes, each under a short read lock.
-func (n *Node) findRecord(id idgen.ID) (*records.CommitRecord, bool) {
-	for _, s := range n.stripes {
-		s.mu.RLock()
-		rec, ok := s.commits[id]
-		s.mu.RUnlock()
-		if ok {
-			return rec, true
-		}
-	}
-	return nil, false
 }
 
 // snapshotRecords returns a deduplicated id→record snapshot of the Commit

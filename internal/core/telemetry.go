@@ -74,16 +74,10 @@ func (n *Node) EmitTelemetry(e *telemetry.Emitter) {
 		c("aft_node_merged_remote_total", "Commit records merged from peers.", m.MergedRemote)
 		c("aft_node_pruned_merges_total", "Superseded records pruned at merge time (Algorithm 2).", m.PrunedMerges)
 		c("aft_node_swept_metadata_total", "Commit records removed by the local GC sweep.", m.SweptMetadata)
-		c("aft_node_remote_fetches_total", "Reads that recovered metadata from storage.", m.RemoteFetches)
-		c("aft_node_coalesced_fetches_total", "Cold reads that joined another read's in-flight recovery.", m.CoalescedFetches)
-		c("aft_node_batched_record_gets_total", "Commit records fetched through batched reads.", m.BatchedRecordGets)
 		c("aft_node_multigets_total", "MultiGet calls.", m.MultiGets)
 		c("aft_node_group_flushes_total", "Runs of the commit write routine, one per commit attempt that writes.", m.GroupFlushes)
 		c("aft_node_grouped_commits_total", "Commits written by the commit write routine (one per run).", m.GroupedCommits)
 		c("aft_overload_shed_total", "Arrivals shed by admission control (ErrOverloaded).", m.OverloadShed)
-		c("aft_bootstrap_truncated_total", "Commit records dropped from warm-up by BootstrapLimit (served on demand afterwards).", m.BootstrapTruncated)
-		c("aft_node_spilled_records_total", "Live commit records evicted to storage by the metadata budget.", m.SpilledRecords)
-		c("aft_node_budget_shed_total", "Transactions shed past the metadata-budget hard ceiling.", m.BudgetShed)
 		c("aft_deadline_exceeded_total", "Ops abandoned at a ctx-deadline check.", m.DeadlineExceeded)
 		c("aft_node_reaped_expired_total", "Dangling transactions aborted past their client deadline.", m.ReapedExpired)
 		e.Gauge("aft_node_active_txns", "In-flight transactions.",
@@ -92,7 +86,7 @@ func (n *Node) EmitTelemetry(e *telemetry.Emitter) {
 			float64(n.AdmissionWaiting()), "node", node)
 		e.Gauge("aft_node_metadata_records", "Cached commit records (the quantity the local GC bounds).",
 			float64(n.MetadataSize()), "node", node)
-		e.Gauge("aft_node_metadata_bytes", "Approximate resident metadata bytes (records + data cache; the quantity MetadataBudgetBytes bounds).",
+		e.Gauge("aft_node_metadata_bytes", "Approximate resident metadata bytes (records + data cache).",
 			float64(n.MetadataBytes()), "node", node)
 	}
 }

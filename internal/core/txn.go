@@ -70,11 +70,6 @@ type txnState struct {
 	// once spilled stays in the spill layout: if it is written again, the
 	// commit puts its final value under its spill key.
 	spilled map[string]bool
-	// metaFetched records keys whose metadata this transaction already
-	// recovered from storage (partial-metadata fallback), so repeated misses
-	// of the same key — e.g. existence probes of a truly absent key —
-	// cost one storage scan per transaction, not one per read.
-	metaFetched map[string]bool
 
 	// trace is the transaction's telemetry trace, nil when tracing is
 	// off. Set once at StartTransaction and immutable after, so it is
@@ -209,18 +204,6 @@ func (t *txnState) endCommitAttempt() {
 func (n *Node) StartTransaction(ctx context.Context) (string, error) {
 	if err := n.acquire(ctx); err != nil {
 		return "", err
-	}
-	if n.overBudgetHard() {
-		// Past the metadata-budget hard ceiling (budget.go): shed with
-		// the same retriable contract as admission control. The client's
-		// backoff gives the maintenance-point EnforceBudget time to
-		// release memory, after which retries admit normally.
-		n.release()
-		n.metrics.BudgetShed.Add(1)
-		n.metrics.OverloadShed.Add(1)
-		n.cfg.Events.Record(telemetry.EventTxnShed, n.cfg.NodeID, "",
-			"reason", "metadata_budget")
-		return "", ErrOverloaded
 	}
 	id := n.gen.NewID()
 	t := &txnState{uuid: id.UUID, startTS: id.Timestamp,

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -39,16 +38,12 @@ type campaign struct {
 	wal *walengine.Options
 
 	// Faults besides the injector's rates: node kills (each promotes a
-	// standby), planned Crash+Reopen cycles of the WAL, a bulk write of
-	// bulkKeys keys after every request, and one crash armed at a spill.
+	// standby), planned Crash+Reopen cycles of the WAL, and a bulk write
+	// of bulkKeys keys after every request.
 	kills          int
 	storageCrashes int
 	bulkKeys       int
-	midSpillCrash  bool
 
-	// budget is each node's MetadataBudgetBytes; when set, every live
-	// node enforces it every budgetEvery requests and on a shed redo.
-	budget int64
 	// journal records cluster events into the result.
 	journal bool
 }
@@ -60,17 +55,14 @@ type campaignResult struct {
 	wal        walengine.MetricsSnapshot // zero without a WAL
 	kills      int
 	promotions int
-	// storageCrashes counts fired planned crashes plus the armed one.
+	// storageCrashes counts fired planned crashes.
 	storageCrashes int
 	recovered      int64 // records the fault manager found only by scanning
-	spilled, shed  int64
 	verdict        checker.Verdict
 	journal        []string // canonicalJournal, when the campaign keeps one
 }
 
 const (
-	// budgetEvery is the budget-enforcement cadence in requests.
-	budgetEvery = 5
 	// bulkPayload is the least value size of a bulk write: too large for
 	// its commit record, so a bulk write commits in §3.3's two phases and
 	// partial batch writes have something to split. The paper mix's small
@@ -174,9 +166,8 @@ func runCampaign(opts Options, cp campaign) (campaignResult, error) {
 		Standbys: cp.kills,
 		Store:    st,
 		Node: core.Config{
-			EnableDataCache:     true,
-			IDEntropySeed:       cp.seed,
-			MetadataBudgetBytes: cp.budget,
+			EnableDataCache: true,
+			IDEntropySeed:   cp.seed,
 		},
 		Clock:           idgen.NewVirtualClock(chaosEpoch, 1),
 		MulticastPeriod: time.Hour,
@@ -227,32 +218,11 @@ func runCampaign(opts Options, cp campaign) (campaignResult, error) {
 	// With no planned crashes the plan never fires, so wal may be nil.
 	plan := chaos.ScheduleStorageCrashes(st, wal, cp.storageCrashes, max(gap, 8))
 
-	// enforceAll relieves every live node's budget; storage errors during
-	// the spill probe (injected or crash-induced) are the next pass's
-	// problem by design.
-	enforceAll := func() {
-		for _, n := range c.Nodes() {
-			s, _ := n.EnforceBudget(ctx)
-			res.spilled += int64(s)
-		}
-	}
-	if cp.budget > 0 {
-		// A shed request backs off and redoes; in a live deployment the
-		// maintenance loop would be releasing memory meanwhile, so the
-		// sequential harness runs that relief between redos.
-		runner.OnRedo = func(ctx context.Context, err error) {
-			if errors.Is(err, core.ErrOverloaded) {
-				enforceAll()
-			}
-		}
-	}
-
 	// Faults on. Kills fire in the middle three fifths of the run so each
 	// has workload before (history to lose) and after (history to verify).
 	st.SetEnabled(true)
 	sched := chaos.NewScheduler(c, cp.seed, chaos.PlanKills(cp.seed, cp.kills, cp.requests/5, 4*cp.requests/5))
 	gen := workload.NewGenerator(cp.seed, workload.NewZipf(cp.seed+100, cp.keys, 1.0), 2, 2, 2)
-	midSpillArmed := false
 	for i := 0; i < cp.requests; i++ {
 		if err := runner.Do(ctx, gen.Next()); err != nil {
 			return res, fmt.Errorf("request %d: %w", i, err)
@@ -271,21 +241,6 @@ func runCampaign(opts Options, cp campaign) (campaignResult, error) {
 		}
 		if err := sched.Tick(ctx, i+1); err != nil {
 			return res, err
-		}
-		if cp.budget > 0 && (i+1)%budgetEvery == 0 {
-			if cp.midSpillCrash && !midSpillArmed && i+1 >= cp.requests/2 && anyOverBudget(c, cp.budget) {
-				// One crash+reopen at enforcement's first storage operation
-				// — the spill's probe BatchGet, since a node is over budget
-				// right now and the passes before it touch only memory.
-				midSpillArmed = true
-				st.CrashAfter(1, func() {
-					if err := wal.Crash(); err == nil {
-						_ = wal.Reopen()
-					}
-				})
-				res.storageCrashes++
-			}
-			enforceAll()
 		}
 		if (i+1)%cp.maintain == 0 {
 			if err := chaosMaintenance(ctx, c); err != nil {
@@ -327,27 +282,13 @@ func runCampaign(opts Options, cp campaign) (campaignResult, error) {
 
 	res.runs = runner.Metrics().Snapshot() // the workload's; bulk writes are faults
 	res.kills, res.promotions = sched.Kills(), sched.Promotions()
-	res.storageCrashes += plan.Crashes()
+	res.storageCrashes = plan.Crashes()
 	res.faults = st.FaultMetrics().Snapshot()
 	res.recovered = c.FaultManager().Metrics().Snapshot().Recovered
-	for _, n := range c.Nodes() {
-		res.shed += n.Metrics().Snapshot().BudgetShed
-	}
 	if wal != nil {
 		res.wal = wal.WAL().Snapshot()
 	}
 	return res, nil
-}
-
-// anyOverBudget reports whether some live node's resident metadata
-// currently exceeds budget (the next enforcement pass will do real work).
-func anyOverBudget(c *cluster.Cluster, budget int64) bool {
-	for _, n := range c.Nodes() {
-		if n.MetadataBytes() > budget {
-			return true
-		}
-	}
-	return false
 }
 
 // canonicalJournal renders the campaign's flight-recorder events as one

@@ -50,7 +50,7 @@ func Fig10(opts Options) (Table, error) {
 	detectDelay := 5 * second
 	// The paper's ~45 s warm-up covers container download plus metadata
 	// cache warming; here the modeled delay covers the download and the
-	// replacement's REAL bootstrap (reading the latest commit records at
+	// replacement's REAL bootstrap (reading the whole Commit Set at
 	// simulated storage latency) supplies the cache-warming portion.
 	joinDelay := 30 * second
 
@@ -64,11 +64,10 @@ func Fig10(opts Options) (Table, error) {
 
 	store := opts.newStore(kindDynamo)
 	c, err := cluster.New(cluster.Config{
-		Nodes:    4,
-		Standbys: 1,
-		Store:    store,
-		Node: core.Config{EnableDataCache: true, MaxConcurrent: nodeConcurrency,
-			BootstrapLimit: 1500},
+		Nodes:           4,
+		Standbys:        1,
+		Store:           store,
+		Node:            core.Config{EnableDataCache: true, MaxConcurrent: nodeConcurrency},
 		MulticastPeriod: second,
 		PruneMulticast:  true,
 		// GC runs in deployed configurations (§6.6 shows it costs no

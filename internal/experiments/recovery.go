@@ -1,10 +1,8 @@
 package experiments
 
 // recovery.go measures the checkpointed-recovery layer end to end: WAL
-// index checkpoints turn reopen cost from O(log) into O(tail), the
-// metadata budget keeps a node's resident bytes bounded under sustained
-// load (shedding retriably past the ceiling), and a seeded chaos campaign
-// — storage crashes landing mid-spill and alongside background
+// index checkpoints turn reopen cost from O(log) into O(tail), and a
+// seeded chaos campaign — storage crashes landing alongside background
 // checkpoints, node kills promoted by a full bootstrap — ends in the
 // history checker's CLEAN verdict.
 
@@ -15,9 +13,6 @@ import (
 	"time"
 
 	"aft/internal/checker"
-	"aft/internal/core"
-	"aft/internal/idgen"
-	"aft/internal/storage/kvengine"
 	"aft/internal/storage/walengine"
 	"aft/internal/workload"
 )
@@ -27,9 +22,7 @@ import (
 //
 //   - "recovery": one log size's reopen cost, full replay vs checkpointed
 //     tail replay (the recovery-time-versus-tail curve);
-//   - "budget": a budget-constrained node under sustained load;
-//   - "campaign": one seed's chaos campaign over the checkpointing WAL
-//     with budgeted nodes.
+//   - "campaign": one seed's chaos campaign over the checkpointing WAL.
 type RecoveryCell struct {
 	Scenario string `json:"scenario"`
 
@@ -43,15 +36,6 @@ type RecoveryCell struct {
 	Speedup           float64 `json:"speedup,omitempty"`
 	CheckpointEntries int64   `json:"checkpoint_entries,omitempty"`
 	ReplayedTail      int64   `json:"replayed_tail,omitempty"`
-
-	// Budget.
-	Records       int   `json:"records,omitempty"`
-	BudgetBytes   int64 `json:"budget_bytes,omitempty"`
-	PeakBytes     int64 `json:"peak_bytes,omitempty"`
-	FinalBytes    int64 `json:"final_bytes,omitempty"`
-	Spilled       int64 `json:"spilled,omitempty"`
-	Shed          int64 `json:"shed,omitempty"`
-	RemoteFetches int64 `json:"remote_fetches,omitempty"`
 
 	// Campaign.
 	Seed               int64            `json:"seed,omitempty"`
@@ -70,13 +54,11 @@ type RecoveryCell struct {
 // RecoveryTable renders measured cells.
 func RecoveryTable(cells []RecoveryCell) (Table, error) {
 	table := Table{
-		Title: "Recovery: WAL checkpoints, metadata budget, chaos campaign",
-		Header: []string{"scenario", "detail", "full ms", "ckpt ms", "speedup",
-			"spilled", "shed", "verdict"},
+		Title:  "Recovery: WAL checkpoints, chaos campaign",
+		Header: []string{"scenario", "detail", "full ms", "ckpt ms", "speedup", "verdict"},
 		Notes: []string{
 			"recovery: reopen of the same log cold (full replay) vs with a checkpoint + 1% tail",
-			"budget: sustained load against MetadataBudgetBytes; past the hard ceiling the node sheds retriably",
-			"campaign: seeded chaos (storage crashes incl. one armed mid-spill, node kills with standby promotion) over the checkpointing WAL",
+			"campaign: seeded chaos (storage crashes, node kills with standby promotion) over the checkpointing WAL",
 			"verdict: the history checker's full replay + final-state lost-write audit",
 		},
 	}
@@ -91,8 +73,6 @@ func RecoveryTable(cells []RecoveryCell) (Table, error) {
 		switch c.Scenario {
 		case "recovery":
 			detail = fmt.Sprintf("%d entries / %d keys, %d segs", c.Entries, c.Keys, c.Segments)
-		case "budget":
-			detail = fmt.Sprintf("budget %d B, %d commits", c.BudgetBytes, c.Records)
 		case "campaign":
 			detail = fmt.Sprintf("seed %d, %d reqs", c.Seed, c.Requests)
 			if c.Verdict != nil {
@@ -108,8 +88,6 @@ func RecoveryTable(cells []RecoveryCell) (Table, error) {
 			dash(c.FullReplayMS > 0, fmt.Sprintf("%.1f", c.FullReplayMS)),
 			dash(c.CheckpointedMS > 0, fmt.Sprintf("%.1f", c.CheckpointedMS)),
 			dash(c.Speedup > 0, fmt.Sprintf("%.1fx", c.Speedup)),
-			dash(c.Spilled > 0, fmt.Sprint(c.Spilled)),
-			dash(c.Scenario == "budget", fmt.Sprint(c.Shed)),
 			verdict,
 		})
 	}
@@ -117,7 +95,7 @@ func RecoveryTable(cells []RecoveryCell) (Table, error) {
 }
 
 // RecoveryCells runs every scenario: a checkpoint-vs-replay sweep over
-// growing logs, a budget-constrained run, and one chaos campaign per seed (opts.Seed, +1, +2) — the
+// growing logs and one chaos campaign per seed (opts.Seed, +1, +2) — the
 // acceptance bar is a zero-anomaly verdict in each campaign and, at full
 // scale, a >=10x checkpointed-reopen speedup on the largest log.
 func RecoveryCells(opts Options) ([]RecoveryCell, error) {
@@ -127,13 +105,6 @@ func RecoveryCells(opts Options) ([]RecoveryCell, error) {
 		cell, err := runRecoveryReopen(opts, entries)
 		if err != nil {
 			return cells, fmt.Errorf("recovery reopen %d: %w", entries, err)
-		}
-		cells = append(cells, cell)
-	}
-	{
-		cell, err := runRecoveryBudget(opts)
-		if err != nil {
-			return cells, fmt.Errorf("recovery budget: %w", err)
 		}
 		cells = append(cells, cell)
 	}
@@ -251,100 +222,9 @@ func runRecoveryReopen(opts Options, entries int) (RecoveryCell, error) {
 	return cell, nil
 }
 
-// runRecoveryBudget drives sustained distinct-key commits against a node
-// whose budget is far below the live record set: enforcement must spill
-// cold records, reads must recover them on demand, the ceiling must shed
-// retriably, and the final resident bytes must sit under the budget.
-func runRecoveryBudget(opts Options) (RecoveryCell, error) {
-	ctx := context.Background()
-	// Even quick mode's scaled count must leave the live record set several
-	// times the budget, or nothing ever spills.
-	commits := opts.scaled(6000)
-	const budget = 12 << 10
-	cell := RecoveryCell{Scenario: "budget", BudgetBytes: budget, Records: commits}
-
-	store := kvengine.NewDynamoDB(kvengine.Options{})
-	node, err := core.NewNode(core.Config{
-		NodeID: "b", Store: store,
-		Clock:               idgen.NewVirtualClock(chaosEpoch, 1),
-		MetadataBudgetBytes: budget,
-	})
-	if err != nil {
-		return cell, err
-	}
-
-	payload := workload.Payload(opts.Seed, 64)
-	commit := func(i int) error {
-		txid, err := node.StartTransaction(ctx)
-		if err != nil {
-			return err
-		}
-		if err := node.Put(ctx, txid, fmt.Sprintf("c-%05d", i), payload); err != nil {
-			return err
-		}
-		_, err = node.CommitTransaction(ctx, txid)
-		return err
-	}
-	for i := 0; i < commits; i++ {
-		err := commit(i)
-		for attempt := 0; err == core.ErrOverloaded && attempt < 8; attempt++ {
-			// The shed contract: enforcement releases memory, the retry
-			// admits.
-			if _, err = node.EnforceBudget(ctx); err != nil {
-				return cell, err
-			}
-			err = commit(i)
-		}
-		if err != nil {
-			return cell, err
-		}
-		if b := node.MetadataBytes(); b > cell.PeakBytes {
-			cell.PeakBytes = b
-		}
-		if (i+1)%25 == 0 {
-			if _, err := node.EnforceBudget(ctx); err != nil {
-				return cell, err
-			}
-		}
-	}
-	if _, err := node.EnforceBudget(ctx); err != nil {
-		return cell, err
-	}
-	cell.FinalBytes = node.MetadataBytes()
-	if cell.FinalBytes > budget {
-		return cell, fmt.Errorf("final resident bytes %d over budget %d", cell.FinalBytes, budget)
-	}
-
-	// Spilled history must read back correctly on demand.
-	txid, err := node.StartTransaction(ctx)
-	if err != nil {
-		return cell, err
-	}
-	for _, i := range []int{0, 1, commits - 1} {
-		if _, err := node.Get(ctx, txid, fmt.Sprintf("c-%05d", i)); err != nil {
-			return cell, fmt.Errorf("spilled key c-%05d unreadable: %w", i, err)
-		}
-	}
-	if _, err := node.CommitTransaction(ctx, txid); err != nil {
-		return cell, err
-	}
-
-	m := node.Metrics().Snapshot()
-	cell.Spilled, cell.Shed, cell.RemoteFetches = m.SpilledRecords, m.BudgetShed, m.RemoteFetches
-	if cell.Spilled == 0 {
-		return cell, fmt.Errorf("no records spilled with the live set ~%dx the budget", 4)
-	}
-	return cell, nil
-}
-
 // recoveryCampaign runs one seed's crash campaign with the recovery
-// machinery switched on: the WAL checkpoints in the background, and
-// cluster nodes carry a metadata budget enforced every few requests; one
-// enforcement pass runs with a storage crash armed one operation ahead, so
-// the crash lands inside the spill's probe. The budget is tight enough
-// that the workload's record churn overruns it between enforcement passes
-// (spills happen), loose enough that the sequential runner never starves
-// behind the shed ceiling waiting for a pass.
+// machinery switched on: the WAL checkpoints in the background while
+// three planned storage crashes and a node kill land.
 func recoveryCampaign(opts Options, seed int64) (RecoveryCell, error) {
 	cp := campaign{
 		seed: seed, requests: opts.campaignRequests(140, 40),
@@ -352,8 +232,7 @@ func recoveryCampaign(opts Options, seed int64) (RecoveryCell, error) {
 		wal: &walengine.Options{
 			SegmentBytes: 128 << 10, CompactGarbageBytes: 256 << 10, CheckpointEvery: 400,
 		},
-		kills: opts.campaignKills(1), storageCrashes: 2, midSpillCrash: true,
-		budget: 16 << 10,
+		kills: opts.campaignKills(1), storageCrashes: 3,
 	}
 	r, err := runCampaign(opts, cp)
 	if err != nil {
@@ -364,7 +243,6 @@ func recoveryCampaign(opts Options, seed int64) (RecoveryCell, error) {
 		Committed: r.runs.Commits, Redos: r.runs.Redos,
 		StorageCrashes: r.storageCrashes, Kills: r.kills, Promotions: r.promotions,
 		Checkpoints: r.wal.Checkpoints, CheckpointRestored: r.wal.CheckpointRestored,
-		InjectedErrors: r.faults.Errors, Spilled: r.spilled, Shed: r.shed,
-		Verdict: &r.verdict,
+		InjectedErrors: r.faults.Errors, Verdict: &r.verdict,
 	}, nil
 }

@@ -3,13 +3,12 @@ package experiments
 import "testing"
 
 // TestRecoveryCellsQuick locks in the recovery experiment's acceptance
-// shape at quick scale: checkpointed reopens replay only the tail, the
-// budget-constrained node spills and ends resident under its budget, and
-// all three seeded chaos campaigns — storage crashes including one armed
-// mid-spill, node kills with standby promotion — come back with a
-// zero-anomaly checker verdict and the same cells when run again. The >=10x speedup bar on the largest log
-// is a full-scale property (BENCH_recovery.json); at quick scale the test
-// asserts the structural invariants, not wall-clock ratios.
+// shape at quick scale: checkpointed reopens replay only the tail, and
+// all three seeded chaos campaigns — three storage crashes each, node
+// kills with standby promotion — come back with a zero-anomaly checker
+// verdict and the same cells when run again. The >=10x speedup bar on the
+// largest log is a full-scale property (BENCH_recovery.json); at quick
+// scale the test asserts the structural invariants, not wall-clock ratios.
 func TestRecoveryCellsQuick(t *testing.T) {
 	opts := Options{Scale: 0, Quick: true, Seed: 42, Payload: 256}
 	cells, err := RecoveryCells(opts)
@@ -17,9 +16,8 @@ func TestRecoveryCellsQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var recoveries, budgets, campaigns int
+	var recoveries, campaigns int
 	var campaignCells []RecoveryCell
-	var campaignSpilled int64
 	for i := range cells {
 		cell := &cells[i]
 		switch cell.Scenario {
@@ -37,19 +35,6 @@ func TestRecoveryCellsQuick(t *testing.T) {
 				t.Errorf("%d entries: checkpointed reopen replayed %d records, want ~%d tail",
 					cell.Entries, cell.ReplayedTail, cell.TailRecords)
 			}
-		case "budget":
-			budgets++
-			if cell.Spilled == 0 {
-				t.Error("budget cell spilled no records")
-			}
-			if cell.PeakBytes <= cell.BudgetBytes {
-				t.Errorf("budget cell never exceeded its budget (peak %d <= %d): nothing was tested",
-					cell.PeakBytes, cell.BudgetBytes)
-			}
-			if cell.FinalBytes > cell.BudgetBytes {
-				t.Errorf("budget cell ended at %d resident bytes, over budget %d",
-					cell.FinalBytes, cell.BudgetBytes)
-			}
 		case "campaign":
 			campaigns++
 			campaignCells = append(campaignCells, *cell)
@@ -59,8 +44,8 @@ func TestRecoveryCellsQuick(t *testing.T) {
 					t.Logf("violations: %v", cell.Verdict.Violations)
 				}
 			}
-			if cell.StorageCrashes < 2 {
-				t.Errorf("seed %d: %d storage crashes, want >= 2", cell.Seed, cell.StorageCrashes)
+			if cell.StorageCrashes < 3 {
+				t.Errorf("seed %d: %d storage crashes, want >= 3", cell.Seed, cell.StorageCrashes)
 			}
 			if cell.Kills < 1 || cell.Promotions != cell.Kills {
 				t.Errorf("seed %d: kills=%d promotions=%d", cell.Seed, cell.Kills, cell.Promotions)
@@ -68,7 +53,6 @@ func TestRecoveryCellsQuick(t *testing.T) {
 			if cell.Committed < int64(cell.Requests) {
 				t.Errorf("seed %d: committed %d < %d requests", cell.Seed, cell.Committed, cell.Requests)
 			}
-			campaignSpilled += cell.Spilled
 			if cell.Checkpoints < 1 {
 				t.Errorf("seed %d: WAL wrote no checkpoint", cell.Seed)
 			}
@@ -77,19 +61,12 @@ func TestRecoveryCellsQuick(t *testing.T) {
 			}
 		}
 	}
-	if recoveries != 3 || budgets != 1 || campaigns != 3 {
-		t.Fatalf("cell mix recovery=%d budget=%d campaign=%d, want 3/1/3",
-			recoveries, budgets, campaigns)
+	if recoveries != 3 || campaigns != 3 {
+		t.Fatalf("cell mix recovery=%d campaign=%d, want 3/3", recoveries, campaigns)
 	}
 	requireSameRerun(t, campaignCells, func(i int) (RecoveryCell, error) {
 		return recoveryCampaign(opts, opts.Seed+int64(i))
 	})
-	// Whether a given seed overruns the node budget inside 40 quick-mode
-	// requests is seed-dependent; that SOME campaign exercised the spill
-	// path under chaos is not.
-	if campaignSpilled == 0 {
-		t.Error("no campaign spilled under its node budget")
-	}
 
 	tbl, err := RecoveryTable(cells)
 	if err != nil {

@@ -197,8 +197,8 @@ func TestRewrittenSpillCollectedWithItsVersion(t *testing.T) {
 }
 
 // TestSpilledVersionLeavesNoDataKey: a spilled key's version is its spill
-// object alone — the record names it, and the fallback finds it through the
-// record — and the global GC deletes it with the version.
+// object alone — the record names it — and the global GC deletes it with
+// the version.
 func TestSpilledVersionLeavesNoDataKey(t *testing.T) {
 	store := kvengine.NewDynamoDB(kvengine.Options{})
 	ctx := context.Background()

@@ -183,8 +183,9 @@ func AllocRecord(keys int) (*CommitRecord, []string) {
 
 // ApproxBytes estimates the record's resident memory: string headers and
 // slice headers are folded into a fixed per-record and per-key overhead.
-// It is the unit of the node's metadata budget — an estimate is enough,
-// because the budget bounds growth rather than measures the heap.
+// It is the unit of the node's metadata gauge (aft_node_metadata_bytes) —
+// an estimate is enough, because the gauge tracks growth rather than
+// measures the heap.
 func (r *CommitRecord) ApproxBytes() int {
 	b := 96 + len(r.UUID) + len(r.Node) + len(r.SpillDir) + len(r.TraceID)
 	for _, k := range r.WriteSet {

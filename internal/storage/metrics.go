@@ -63,8 +63,9 @@ func (s Snapshot) ItemsPerBatch() float64 {
 }
 
 // ItemsPerBatchGet returns the mean number of keys per BatchGet request
-// (0 when none ran) — the read-side coalescing evidence: batched record and
-// payload fetches should sustain well above 1 on cold reads.
+// (0 when none ran) — the read-side coalescing evidence: batched record
+// fetches at bootstrap and MultiGet payload fetches should sustain well
+// above 1.
 func (s Snapshot) ItemsPerBatchGet() float64 {
 	if s.BatchGets == 0 {
 		return 0

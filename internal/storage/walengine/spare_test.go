@@ -261,6 +261,65 @@ func TestSpareSegmentLifecycle(t *testing.T) {
 	})
 }
 
+// TestRestartsLeaveNoEmptySegments restarts a one-key store ten times
+// cleanly and ten times by crashing. A restart appends to the empty segment
+// the restart before it opened instead of opening another, so the directory
+// keeps at most the written segment and one empty one, the store holds no
+// more open files than after its first restart, and the key survives. Its
+// last Close brings the open-file count back to where it started.
+func TestRestartsLeaveNoEmptySegments(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	start := openFDs()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(ctx, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	// The first restart seals the written segment and opens an empty one.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	fds := openFDs()
+	for _, stop := range []struct {
+		name string
+		do   func() error
+	}{{"Close", s.Close}, {"Crash", s.Crash}} {
+		for i := 0; i < 10; i++ {
+			if err := stop.do(); err != nil {
+				t.Fatalf("%s %d: %v", stop.name, i, err)
+			}
+			if err := s.Reopen(); err != nil {
+				t.Fatalf("Reopen after %s %d: %v", stop.name, i, err)
+			}
+		}
+		if v, err := s.Get(ctx, "k"); err != nil || string(v) != "v" {
+			t.Fatalf("after %s cycles: Get(k) = %q, %v", stop.name, v, err)
+		}
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) > 2 {
+			t.Fatalf("after 10 %s+Reopen cycles: %d segment files, want at most 2", stop.name, len(segs))
+		}
+		if f := openFDs(); f != fds {
+			t.Fatalf("after 10 %s+Reopen cycles: %d open files, want %d", stop.name, f, fds)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f := openFDs(); f != start {
+		t.Fatalf("after the last Close: %d open files, want %d", f, start)
+	}
+}
+
 // TestSmallStoreWritesNoSpare: a store that never fills half a segment
 // prepares nothing, so its directory holds only the segments it wrote.
 func TestSmallStoreWritesNoSpare(t *testing.T) {

@@ -357,8 +357,8 @@ var _ storage.Store = (*Store)(nil)
 // commits the journal can take milliseconds.
 var fsyncBuckets = telemetry.LogBuckets(16*time.Microsecond, time.Second, 2)
 
-// Open replays the write-ahead log in dir (created if absent) and starts a
-// fresh active segment for new appends.
+// Open replays the write-ahead log in dir (created if absent) and makes an
+// empty segment active for new appends.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{dir: dir, cfg: opts.withDefaults(), fsyncTime: telemetry.NewHistogram(fsyncBuckets)}
 	s.sy.cond.L = &s.sy.mu
@@ -433,11 +433,12 @@ type replayEntry struct {
 }
 
 // load scans the directory, replays every segment (truncating torn
-// tails), rebuilds the key index by max LSN per key, and opens a fresh
-// active segment. When a valid checkpoint is present the index is seeded
-// from it and only bytes past each segment's covered watermark are
-// replayed — recovery proportional to the tail, not the log. Callers
-// hold no locks (Open) or s.mu (Reopen).
+// tails), rebuilds the key index by max LSN per key, and makes an empty
+// segment active: the last one when it is empty, else a fresh one. When a
+// valid checkpoint is present the index is seeded from it and only bytes
+// past each segment's covered watermark are replayed — recovery
+// proportional to the tail, not the log. Callers hold no locks (Open) or
+// s.mu (Reopen).
 func (s *Store) load() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -503,20 +504,29 @@ func (s *Store) load() error {
 		}
 	}
 
-	// A fresh active segment: restart appends on a clean file instead of
-	// extending the last one (the classic rotate-on-recovery shape).
-	f, err := os.OpenFile(s.segPath(next), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		for _, sg := range segs {
-			sg.f.Close()
+	// Restart appends on a clean file instead of extending the last one
+	// (the classic rotate-on-recovery shape). A last segment that holds no
+	// record, as the one the previous load opened does until its first
+	// append, is such a file already: it stays active, so restarts leave
+	// no trail of empty segments behind.
+	var active *segment
+	if len(ids) > 0 && segs[ids[len(ids)-1]].size == 0 {
+		active = segs[ids[len(ids)-1]]
+	} else {
+		f, err := os.OpenFile(s.segPath(next), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if err != nil {
+			for _, sg := range segs {
+				sg.f.Close()
+			}
+			return fmt.Errorf("walengine: %w", err)
 		}
-		return fmt.Errorf("walengine: %w", err)
+		active = &segment{id: next, f: f}
+		segs[next] = active
+		next++
 	}
-	active := &segment{id: next, f: f}
-	segs[next] = active
 	s.segs = segs
 	s.active = active
-	s.next = next + 1
+	s.next = next
 	s.lsn = lsn + 1
 	if ck != nil && ck.nextLSN > s.lsn {
 		// Checkpoint entries carry LSN 0 in the merge; restore the real

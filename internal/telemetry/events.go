@@ -24,12 +24,9 @@ import (
 type EventType string
 
 const (
-	// EventTxnShed: admission control or the metadata-budget hard
-	// ceiling turned a transaction away (ErrOverloaded).
+	// EventTxnShed: admission control turned a transaction away
+	// (ErrOverloaded).
 	EventTxnShed EventType = "txn_shed"
-	// EventBudgetSpill: the metadata budget evicted cold commit records
-	// to storage.
-	EventBudgetSpill EventType = "budget_spill"
 	// EventCheckpointWritten / EventCheckpointRejected: the WAL engine
 	// cut (or refused to cut) a checkpoint.
 	EventCheckpointWritten  EventType = "checkpoint_written"

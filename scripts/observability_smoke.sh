@@ -38,7 +38,7 @@ go build -o "$workdir/aft-client" ./cmd/aft-client
 
 "$workdir/aft-server" -addr "$SERVER_ADDR" -store wal -store-dir "$workdir/wal" \
     -debug-addr "$DEBUG_ADDR" -multicast-period 100ms -gc-period 300ms -trace-sample 1 \
-    -checkpoint-interval 300ms -metadata-budget 67108864 \
+    -checkpoint-interval 300ms \
     >"$workdir/server.log" 2>&1 &
 server_pid=$!
 
@@ -79,7 +79,7 @@ for fam in \
     aft_storage_puts_total aft_storage_batch_puts_total \
     aft_wal_appends_total aft_wal_fsyncs_total aft_wal_fsync_seconds aft_wal_torn_batches_total \
     aft_wal_checkpoints_total aft_wal_checkpoint_age_seconds \
-    aft_node_metadata_bytes aft_node_spilled_records_total \
+    aft_node_metadata_bytes \
     aft_multicast_rounds_total aft_multicast_deliveries_total \
     aft_faultmgr_known_commits aft_lb_backends \
     aft_traces_started_total aft_traces_kept_total \
