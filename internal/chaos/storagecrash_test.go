@@ -187,11 +187,11 @@ func TestPartialBatchesOverWALNeverLandARecordAlone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range rec.WriteSet {
+		for i, k := range rec.WriteSet {
 			if rec.Inline {
 				_, err = records.InlineValue(payload, k)
 			} else {
-				_, err = eng.Get(ctx, string(rec.AppendStorageKeyFor(nil, k)))
+				_, err = eng.Get(ctx, rec.EntryKey(i))
 			}
 			if err != nil {
 				t.Fatalf("commit record %s is durable, its data for %q is not: %v", rk, k, err)

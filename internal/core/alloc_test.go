@@ -150,7 +150,34 @@ func TestLargeWriteBufferAllocBudget(t *testing.T) {
 // it returns and nothing else — no storage-key string, no plan, no copy of
 // the key's version list — and a transaction that reads one key allocates,
 // beyond that copy, only itself and its ID: its read set starts inside it.
+// Cold, on a node with no cache, the storage key comes from the version's
+// record, so Start+Get+Abort allocates the transaction, its ID and the
+// engine's copy of the inline record, whose value the result is.
 func TestReadAllocBudget(t *testing.T) {
+	t.Run("cold", func(t *testing.T) {
+		n, err := NewNode(Config{NodeID: "cold", Store: kvengine.NewDynamoDB(kvengine.Options{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		txid, _ := n.StartTransaction(ctx)
+		n.Put(ctx, txid, "cold-key", make([]byte, historyValueLen))
+		if _, err := n.CommitTransaction(ctx, txid); err != nil {
+			t.Fatal(err)
+		}
+		cold := testing.AllocsPerRun(200, func() {
+			txid, _ := n.StartTransaction(ctx)
+			if v, err := n.Get(ctx, txid, "cold-key"); err != nil || len(v) != historyValueLen {
+				t.Fatalf("Get = %d bytes, %v", len(v), err)
+			}
+			n.AbortTransaction(ctx, txid)
+		})
+		t.Logf("cold Start+Get+Abort: %v allocs", cold)
+		if cold > 3 {
+			t.Errorf("cold Start+Get+Abort costs %v allocs, want at most 3 (transaction, ID, engine copy)", cold)
+		}
+	})
+
 	n := historyNode(t, 16)
 	ctx := context.Background()
 	txid, _ := n.StartTransaction(ctx)
@@ -184,9 +211,10 @@ func TestReadAllocBudget(t *testing.T) {
 // Start + a 4-key MultiGet + Abort allocates the transaction (its read set
 // inside it), its ID, the result slice and the 4 copies. Cold, on a zero-latency
 // Redis with 2 shards and no cache, the one BatchGet of the keys' one
-// inline record adds its key string, its key slice, the engine's result map
-// and its one copy of the record, whose values the 4 results are: no plan,
-// index list, map, string or copy per key.
+// inline record adds the engine's result map and its one copy of the
+// record, whose values the 4 results are: its key is the record's own and
+// its key slice is pooled, and there is no plan, index list, map, string or
+// copy per key.
 func TestMultiGetAllocBudget(t *testing.T) {
 	keys := []string{"mg-a", "mg-b", "mg-c", "mg-d"}
 	for _, tc := range []struct {
@@ -195,7 +223,7 @@ func TestMultiGetAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"cached", true, 7},
-		{"cold", false, 8},
+		{"cold", false, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := kvengine.NewRedis(0, kvengine.Options{})

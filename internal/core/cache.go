@@ -20,14 +20,14 @@ import (
 // A cached value is never written after it enters the cache, and readers
 // get a copy appended to a buffer of their own (appendTo). So the cache may
 // adopt a slice nobody else will write — the commit's private write buffer,
-// a payload freshly read from storage — instead of copying it. Probes
-// (appendTo, evict) take the storage key as bytes the caller assembled in
-// a buffer of its own, so a hit builds no key string.
+// a payload freshly read from storage — instead of copying it. An entry is
+// keyed by its version's entry key (records.CommitRecord.EntryKey), which
+// its record built once, so a probe or an insert builds no key string.
 //
-// An entry's key may be a slice of a longer string: a MultiGet fetch
-// builds the storage keys of all its misses as one string. Such an entry
-// keeps that whole string alive, a few hundred bytes beside a value that
-// is usually larger, until it is evicted.
+// An entry's key is a slice of its record's one key string, so the entry
+// keeps that whole string alive — the keys of every version the record
+// wrote, a few hundred bytes beside a value that is usually larger — until
+// it is evicted.
 type dataCache struct {
 	shards []*cacheShard
 	mask   uint32
@@ -93,14 +93,14 @@ func (c *dataCache) shardFor(hash uint32) *cacheShard {
 // appendTo appends the value cached under storageKey to dst, reporting
 // whether one was cached. With a nil dst the result is a fresh copy
 // (non-nil even for an empty value).
-func (c *dataCache) appendTo(storageKey, dst []byte) ([]byte, bool) {
+func (c *dataCache) appendTo(storageKey string, dst []byte) ([]byte, bool) {
 	if c == nil {
 		return dst, false
 	}
 	s := c.shardFor(strhash.FNV32a(storageKey))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := s.index[string(storageKey)]
+	i, ok := s.index[storageKey]
 	if !ok {
 		return dst, false
 	}
@@ -207,14 +207,14 @@ func (s *cacheShard) dropOldestLocked() bool {
 }
 
 // evict removes storageKey if cached.
-func (c *dataCache) evict(storageKey []byte) {
+func (c *dataCache) evict(storageKey string) {
 	if c == nil {
 		return
 	}
 	s := c.shardFor(strhash.FNV32a(storageKey))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i, ok := s.index[string(storageKey)]; ok {
+	if i, ok := s.index[storageKey]; ok {
 		s.removeLocked(i)
 	}
 }

@@ -157,17 +157,13 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 		}
 		sort.Strings(writeSet)
 	}
-	*rec = records.CommitRecord{
-		Timestamp: id.Timestamp,
-		UUID:      id.UUID,
-		WriteSet:  writeSet,
-		Node:      n.cfg.NodeID,
-		// A client-sampled trace rides inside the record so peers
-		// receiving the multicast delivery — and the fault manager
-		// recovering the record after a crash — can attribute their work
-		// to the same trace.
-		TraceID: t.trace.SampledID(),
-	}
+	rec.Timestamp, rec.UUID = id.Timestamp, id.UUID
+	rec.WriteSet = writeSet
+	rec.Node = n.cfg.NodeID
+	// A client-sampled trace rides inside the record so peers receiving
+	// the multicast delivery — and the fault manager recovering the record
+	// after a crash — can attribute their work to the same trace.
+	rec.TraceID = t.trace.SampledID()
 	if len(spilled) > 0 {
 		rec.SpillDir = spillDir
 		rec.Spilled = spilled
@@ -181,38 +177,27 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 		rec.Inline = rec.InlineSize(sc.values) <= maxInlineRecord
 	}
 
-	// Every storage key of the commit is built in kb and becomes one
-	// string, which the keys are sliced from. An inline commit writes only
-	// its record, and its data entries name the values' data-cache entries
-	// (packEntryKey); otherwise each version has a storage key of its own,
-	// its data key or its spill key. From here on data holds those keys.
-	var kb [commitKeyBufLen]byte
-	var eb [commitKeysInline]int
-	keys, ends := kb[:0], eb[:0]
-	for _, it := range data {
-		if rec.Inline {
-			keys = appendPackEntryKey(records.AppendCommitKey(keys, id), it.key)
-		} else if _, ok := slices.BinarySearch(spilled, it.key); ok {
-			// A spilled key keeps the spill layout: its final value
-			// overwrites its spill object, which the record names
-			// (Spilled), so the global GC deletes the object with the
-			// version instead of leaving it for the orphan sweep.
-			keys = records.AppendSpillKey(keys, spillDir, it.key)
-		} else {
-			keys = records.AppendDataKey(keys, it.key, id)
+	// The record builds the storage key of each version and its own as
+	// one string (Seal), and every node that holds the record reads them
+	// from it. An inline commit writes only its record, and its data
+	// entries name the values' data-cache entries; otherwise each version
+	// has a storage key of its own, its data key or its spill key. A
+	// spilled key keeps the spill layout: its final value overwrites its
+	// spill object, which the record names (Spilled), so the global GC
+	// deletes the object with the version instead of leaving it for the
+	// orphan sweep. From here on data holds those keys; data's keys are a
+	// sorted subset of the write set.
+	rec.Seal()
+	for i, j := 0, 0; i < len(data); i, j = i+1, j+1 {
+		for rec.WriteSet[j] != data[i].key {
+			j++
 		}
-		ends = append(ends, len(keys))
-	}
-	keys = records.AppendCommitKey(keys, id)
-	all, start := string(keys), 0
-	for i, end := range ends {
-		data[i].key = all[start:end]
-		start = end
+		data[i].key = rec.EntryKey(j)
 	}
 
 	// The record's value is left to flush, which encodes rec into the
 	// scratch.
-	sc.writes = append(data, kv{key: all[start:]})
+	sc.writes = append(data, kv{key: rec.Key()})
 	if err := n.flush(ctx, sc, rec); err != nil {
 		n.abandonCommit(t)
 		return idgen.Null, err
@@ -222,8 +207,8 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	n.finishCommit(t, txid, id)
 
 	// Warm the data cache with the values just written — they are the
-	// newest versions and likely to be read soon — under the keys the
-	// commit built, which a read of each version probes. The cache adopts
+	// newest versions and likely to be read soon — under their entry
+	// keys, which a read of each version probes. The cache adopts
 	// the values: Put copied each one into the write buffer, nothing writes
 	// to them once the transaction is finished, and storage engines only
 	// read what they are handed.
@@ -234,18 +219,11 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 	return id, nil
 }
 
-// commitKeyBufLen sizes the stack buffer a commit builds its storage keys
-// in, and commitKeysInline the count of keys whose ends it tracks without
-// allocating; a larger commit spills either to the heap. maxInlineRecord
-// caps the encoded size of an inline record: a write set whose record
-// would be larger is written two-phase. The paper's transaction fits with
-// room to spare (two 4 KB values: ~8.3 KB), a 50-key bulk load does not,
-// and it stays far below DynamoDB's 400 KB item limit.
-const (
-	commitKeyBufLen  = 512
-	commitKeysInline = 16
-	maxInlineRecord  = 16 << 10
-)
+// maxInlineRecord caps the encoded size of an inline record: a write set
+// whose record would be larger is written two-phase. The paper's
+// transaction fits with room to spare (two 4 KB values: ~8.3 KB), a 50-key
+// bulk load does not, and it stays far below DynamoDB's 400 KB item limit.
+const maxInlineRecord = 16 << 10
 
 // finishCommit acknowledges a commit whose record (if it wrote anything)
 // is durable and installed: it retires the transaction state and records

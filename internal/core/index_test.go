@@ -186,17 +186,17 @@ func TestDataCacheLRU(t *testing.T) {
 	c := newDataCache(2)
 	c.adopt("a", []byte("1"))
 	c.adopt("b", []byte("2"))
-	if _, ok := c.appendTo([]byte("a"), nil); !ok { // touch a: now b is LRU
+	if _, ok := c.appendTo("a", nil); !ok { // touch a: now b is LRU
 		t.Fatal("a missing")
 	}
 	c.adopt("c", []byte("3")) // evicts b
-	if _, ok := c.appendTo([]byte("b"), nil); ok {
+	if _, ok := c.appendTo("b", nil); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if v, ok := c.appendTo([]byte("a"), nil); !ok || string(v) != "1" {
+	if v, ok := c.appendTo("a", nil); !ok || string(v) != "1" {
 		t.Fatal("a lost")
 	}
-	if v, ok := c.appendTo([]byte("c"), nil); !ok || string(v) != "3" {
+	if v, ok := c.appendTo("c", nil); !ok || string(v) != "3" {
 		t.Fatal("c missing")
 	}
 }
@@ -208,7 +208,7 @@ func TestDataCacheUpdateInPlace(t *testing.T) {
 	if c.len() != 1 {
 		t.Fatalf("len = %d", c.len())
 	}
-	if v, _ := c.appendTo([]byte("a"), nil); string(v) != "2" {
+	if v, _ := c.appendTo("a", nil); string(v) != "2" {
 		t.Fatalf("value = %q", v)
 	}
 }
@@ -216,16 +216,16 @@ func TestDataCacheUpdateInPlace(t *testing.T) {
 func TestDataCacheEvictAndNilSafety(t *testing.T) {
 	c := newDataCache(4)
 	c.adopt("a", []byte("1"))
-	c.evict([]byte("a"))
-	if _, ok := c.appendTo([]byte("a"), nil); ok {
+	c.evict("a")
+	if _, ok := c.appendTo("a", nil); ok {
 		t.Fatal("a not evicted")
 	}
-	c.evict([]byte("missing"))
+	c.evict("missing")
 
 	var nilCache *dataCache
 	nilCache.adopt("x", nil)
-	nilCache.evict([]byte("x"))
-	if _, ok := nilCache.appendTo([]byte("x"), nil); ok {
+	nilCache.evict("x")
+	if _, ok := nilCache.appendTo("x", nil); ok {
 		t.Fatal("nil cache returned a value")
 	}
 	if nilCache.len() != 0 {
@@ -236,17 +236,17 @@ func TestDataCacheEvictAndNilSafety(t *testing.T) {
 func TestDataCacheCopies(t *testing.T) {
 	c := newDataCache(4)
 	c.adopt("k", []byte("abc"))
-	v, _ := c.appendTo([]byte("k"), nil)
+	v, _ := c.appendTo("k", nil)
 	if string(v) != "abc" {
 		t.Fatalf("cached value = %q", v)
 	}
 	v[0] = 'Y'
-	v2, _ := c.appendTo([]byte("k"), nil)
+	v2, _ := c.appendTo("k", nil)
 	if string(v2) != "abc" {
 		t.Fatalf("cache aliased output: %q", v2)
 	}
 	// A reader's buffer is appended to, not replaced.
-	if v3, _ := c.appendTo([]byte("k"), []byte("x:")); string(v3) != "x:abc" {
+	if v3, _ := c.appendTo("k", []byte("x:")); string(v3) != "x:abc" {
 		t.Fatalf("appendTo into a buffer = %q", v3)
 	}
 }

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"aft/internal/storage"
@@ -74,8 +74,8 @@ func (n *Node) AppendMultiGet(ctx context.Context, txid string, keys []string, d
 }
 
 // mgBufLen is the batch size MultiGet plans and fetches in stack buffers:
-// plans, index lists, fetch slots and storage-key bytes. A larger batch
-// takes them from the heap, a few allocations per call.
+// plans, index lists and fetch slots. A larger batch takes them from the
+// heap, a few allocations per call.
 const mgBufLen = 8
 
 func (n *Node) doMultiGet(ctx context.Context, t *txnState, txid string, keys []string, out [][]byte) error {
@@ -145,8 +145,7 @@ func (n *Node) doMultiGet(ctx context.Context, t *txnState, txid string, keys []
 		// Version(s) vanished under the global GC: retry on keys not yet
 		// read before this call (fetchPlanned classifies the rest).
 		if attempt+1 >= maxAttempts {
-			return fmt.Errorf("aft: fetching %s: %w",
-				plans[missing[0]].appendStorageKey(nil, keys[missing[0]]), ErrVersionVanished)
+			return fmt.Errorf("aft: fetching %s: %w", plans[missing[0]].fetch, ErrVersionVanished)
 		}
 		t.mu.Lock()
 		if t.done {
@@ -205,11 +204,10 @@ func markFirst(first, order []int, keys []string) {
 	}
 }
 
-// fetchSlot is one result slot a MultiGet fetches from storage: index i,
-// whose storage key is bytes [off, end) of the fetch's key buffer.
-type fetchSlot struct {
-	i, off, end int
-}
+// fetchKeysPool recycles the key slices of MultiGet's BatchGet calls. An
+// engine keeps none of them past the call, and a pooled slice holds no
+// strings between uses.
+var fetchKeysPool = sync.Pool{New: func() any { return new([]string) }}
 
 // fetchPlanned serves the planned indices from the data cache and one
 // batched storage fetch, appending into out. It appends to vanished, and
@@ -219,68 +217,61 @@ type fetchSlot struct {
 // doGet describes); a missing spill payload or a re-read of an
 // already-read key is an error, like Get's handling.
 //
-// The misses' storage keys are appended into one buffer, which becomes
-// one string the BatchGet keys are sliced from: a fetch allocates that
-// string and the key slice, whatever its size. Keys of one inline
-// transaction share a storage key, its record's; sorting the slots by key
-// groups them, so each storage key is fetched once.
+// Every plan carries its storage keys, built once with its record, so a
+// fetch builds no key string, and its key slice is pooled. Keys of one
+// inline transaction share a storage key, their record's; sorting the
+// misses by storage key groups them, so each storage key is fetched once.
 func (n *Node) fetchPlanned(ctx context.Context, keys []string, plans []readPlan, out [][]byte, idxs, vanished []int) ([]int, error) {
-	var slotBuf [mgBufLen]fetchSlot
-	var keyBuf [mgBufLen * keyBufLen]byte
-	slots, kb := slotBuf[:0], keyBuf[:0]
+	var slotBuf [mgBufLen]int
+	slots := slotBuf[:0]
 	if len(idxs) > len(slotBuf) {
-		slots = make([]fetchSlot, 0, len(idxs))
+		slots = make([]int, 0, len(idxs))
 	}
 	for _, i := range idxs {
-		p := &plans[i]
-		off := len(kb)
-		kb = p.appendStorageKey(kb, keys[i])
-		probe := kb[off:]
-		if !p.spill && p.rec.Inline {
-			probe = appendPackEntryKey(probe, keys[i])
-		}
-		if v, hit := n.data.appendTo(probe, out[i]); hit {
+		if v, hit := n.data.appendTo(plans[i].entry, out[i]); hit {
 			n.metrics.CacheHits.Add(1)
 			out[i] = v
-			kb = kb[:off]
 			continue
 		}
-		slots = append(slots, fetchSlot{i, off, len(kb)})
+		slots = append(slots, i)
 	}
 	if len(slots) == 0 {
 		return vanished, nil
 	}
-	slices.SortFunc(slots, func(a, b fetchSlot) int {
-		if c := bytes.Compare(kb[a.off:a.end], kb[b.off:b.end]); c != 0 {
+	skOf := func(r int) string { return plans[slots[r]].fetch }
+	slices.SortFunc(slots, func(a, b int) int {
+		if c := strings.Compare(plans[a].fetch, plans[b].fetch); c != 0 {
 			return c
 		}
-		return a.i - b.i
+		return a - b
 	})
-	all := string(kb)
-	skOf := func(s fetchSlot) string { return all[s.off:s.end] }
 	// runEnd returns the end of the run of slots sharing slots[r]'s key.
 	runEnd := func(r int) int {
 		e := r + 1
-		for e < len(slots) && skOf(slots[e]) == skOf(slots[r]) {
+		for e < len(slots) && skOf(e) == skOf(r) {
 			e++
 		}
 		return e
 	}
-	skeys := make([]string, 0, len(slots))
+	pooled := fetchKeysPool.Get().(*[]string)
+	skeys := (*pooled)[:0]
 	for r := 0; r < len(slots); r = runEnd(r) {
-		skeys = append(skeys, skOf(slots[r]))
+		skeys = append(skeys, skOf(r))
 	}
 	got, err := n.batchFetchPayloads(ctx, skeys)
+	clear(skeys)
+	*pooled = skeys[:0]
+	fetchKeysPool.Put(pooled)
 	if err != nil {
 		return nil, err
 	}
 	for r, e := 0, 0; r < len(slots); r = e {
 		e = runEnd(r)
-		sk, waiting := skOf(slots[r]), slots[r:e]
+		sk, waiting := skOf(r), slots[r:e]
 		v, ok := got[sk]
 		if !ok {
-			for _, s := range waiting {
-				p := &plans[s.i]
+			for _, i := range waiting {
+				p := &plans[i]
 				if p.spill {
 					// Own spill data cannot be collected under us; this
 					// is storage trouble, not a vanished version.
@@ -291,17 +282,17 @@ func (n *Node) fetchPlanned(ctx context.Context, keys []string, plans []readPlan
 					// transaction must be redone.
 					return nil, fmt.Errorf("aft: fetching %s: %w", sk, ErrVersionVanished)
 				}
-				vanished = append(vanished, s.i)
+				vanished = append(vanished, i)
 			}
 			continue
 		}
-		if p := &plans[waiting[0].i]; !p.spill && p.rec.Inline {
+		if plans[waiting[0]].inline() {
 			// One fetched record serves every key it carries; only record
 			// storage keys carry inline plans, so inline-ness is uniform
 			// per sk.
-			for _, s := range waiting {
+			for _, i := range waiting {
 				var err error
-				if out[s.i], err = n.keepInline(sk, keys[s.i], v, out[s.i]); err != nil {
+				if out[i], err = n.keepInline(&plans[i], keys[i], v, out[i]); err != nil {
 					return nil, err
 				}
 			}
@@ -309,9 +300,9 @@ func (n *Node) fetchPlanned(ctx context.Context, keys []string, plans []readPlan
 		}
 		// A storage key serving several result slots must not alias one
 		// slice across them (callers may mutate their copy).
-		out[waiting[0].i] = n.keepFetched(sk, v, out[waiting[0].i])
-		for _, s := range waiting[1:] {
-			out[s.i] = appendValue(out[s.i], v)
+		out[waiting[0]] = n.keepFetched(sk, v, out[waiting[0]])
+		for _, i := range waiting[1:] {
+			out[i] = appendValue(out[i], v)
 		}
 	}
 	return vanished, nil

@@ -260,6 +260,9 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.NodeID == "" {
 		return nil, fmt.Errorf("core: Config.NodeID is required")
 	}
+	if len(cfg.NodeID) > idgen.MaxNodeLen {
+		return nil, fmt.Errorf("core: Config.NodeID is %d bytes, more than %d", len(cfg.NodeID), idgen.MaxNodeLen)
+	}
 	clock := cfg.Clock
 	n := &Node{
 		cfg:             cfg,

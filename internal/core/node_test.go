@@ -548,6 +548,35 @@ func TestBootstrapWarmsMetadataCache(t *testing.T) {
 	}
 }
 
+// TestNodeIDBoundsRecordKeys: a node's name is part of every transaction
+// ID it mints, which every storage key of its records embeds, so a name
+// past idgen.MaxNodeLen is refused and one at the bound mints records that
+// a peer's bootstrap decodes and reads.
+func TestNodeIDBoundsRecordKeys(t *testing.T) {
+	store := kvengine.NewDynamoDB(kvengine.Options{})
+	if _, err := NewNode(Config{NodeID: strings.Repeat("n", idgen.MaxNodeLen+1), Store: store}); err == nil {
+		t.Fatal("NewNode accepted a NodeID longer than idgen.MaxNodeLen")
+	}
+	n1, err := NewNode(Config{NodeID: strings.Repeat("n", idgen.MaxNodeLen), Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	txid, _ := n1.StartTransaction(ctx)
+	n1.Put(ctx, txid, "k", []byte("v"))
+	if _, err := n1.CommitTransaction(ctx, txid); err != nil {
+		t.Fatal(err)
+	}
+	n2, _ := NewNode(Config{NodeID: "n2", Store: store})
+	if err := n2.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	t2, _ := n2.StartTransaction(ctx)
+	if v, err := n2.Get(ctx, t2, "k"); err != nil || string(v) != "v" {
+		t.Fatalf("read after bootstrap = %q, %v", v, err)
+	}
+}
+
 func TestBootstrapRecoveryDeclaresCommittedTxnsSuccessful(t *testing.T) {
 	// §3.3.1: a node fails after persisting the commit record but before
 	// acking; the restarted node finds the record and the transaction is

@@ -173,10 +173,14 @@ func TestPackedGlobalGCDeletesPackObject(t *testing.T) {
 		t.Fatalf("setup: %d records, inline=%v", len(recs), recs[0].Inline)
 	}
 	// Every key of the superseded transaction resolves to its record: one
-	// storage key holds the whole version set.
-	for _, k := range recs[0].WriteSet {
-		if got := string(recs[0].AppendStorageKeyFor(nil, k)); got != records.CommitKey(id1) {
-			t.Fatalf("storage key of %q = %q, want the record %q", k, got, records.CommitKey(id1))
+	// storage key holds the whole version set, and each value's cache entry
+	// is named after it.
+	if got := recs[0].Key(); got != records.CommitKey(id1) {
+		t.Fatalf("record key = %q, want %q", got, records.CommitKey(id1))
+	}
+	for i, k := range recs[0].WriteSet {
+		if got, want := recs[0].EntryKey(i), records.CommitKey(id1)+"\x00"+k; got != want {
+			t.Fatalf("entry key of %q = %q, want %q", k, got, want)
 		}
 	}
 	if err := store.Delete(ctx, records.CommitKey(id1)); err != nil {

@@ -87,26 +87,19 @@ func (n *Node) doGet(ctx context.Context, t *txnState, txid, key string, dst []b
 		}
 
 		// Payload fetch, outside every lock: the reader pin taken during
-		// selection keeps the version's metadata alive (§5.1). The storage
-		// key is assembled in kb; only a cache miss makes it a string.
-		// Spilled read-your-writes data is cached like any other payload
-		// (a spill is invisible to other transactions until commit, but
-		// THIS transaction re-reads it after every resumed function); Put
+		// selection keeps the version's metadata alive (§5.1). Its storage
+		// keys were built once, with its record (records.CommitRecord.Seal),
+		// so neither the probe nor the fetch builds one. Spilled
+		// read-your-writes data is cached like any other payload (a spill
+		// is invisible to other transactions until commit, but THIS
+		// transaction re-reads it after every resumed function); Put
 		// refreshes the entry when a key re-spills. An inline version's
-		// value is cached under its own entry, named after the record key.
-		var kb [keyBufLen]byte
-		sk := plan.appendStorageKey(kb[:0], key)
-		inline := !plan.spill && plan.rec.Inline
-		probe := sk
-		if inline {
-			probe = appendPackEntryKey(sk, key)
-		}
-		if out, ok := n.data.appendTo(probe, dst); ok {
+		// value is cached under its own entry key.
+		if out, ok := n.data.appendTo(plan.entry, dst); ok {
 			n.metrics.CacheHits.Add(1)
 			return out, nil
 		}
-		storageKey := string(sk)
-		v, err := n.store.Get(ctx, storageKey)
+		v, err := n.store.Get(ctx, plan.fetch)
 		if err != nil {
 			if !plan.spill && errors.Is(err, storage.ErrNotFound) {
 				// GC race: the version was superseded and collected
@@ -129,33 +122,19 @@ func (n *Node) doGet(ctx context.Context, t *txnState, txid, key string, dst []b
 						continue
 					}
 				}
-				return dst, fmt.Errorf("aft: fetching %s: %w", storageKey, ErrVersionVanished)
+				return dst, fmt.Errorf("aft: fetching %s: %w", plan.fetch, ErrVersionVanished)
 			}
 			// A committed version's data is durable before, or inside,
 			// its commit record (§3.3), so this indicates either storage
 			// unavailability or a GC race on a deleted version; surface
 			// it to the client for retry.
-			return dst, fmt.Errorf("aft: fetching %s: %w", storageKey, err)
+			return dst, fmt.Errorf("aft: fetching %s: %w", plan.fetch, err)
 		}
-		if inline {
-			return n.keepInline(storageKey, key, v, dst)
+		if plan.inline() {
+			return n.keepInline(&plan, key, v, dst)
 		}
-		return n.keepFetched(storageKey, v, dst), nil
+		return n.keepFetched(plan.fetch, v, dst), nil
 	}
-}
-
-// keyBufLen sizes the stack buffers storage keys are assembled in for
-// data-cache probes; a longer key spills the buffer to the heap.
-const keyBufLen = 128
-
-// appendStorageKey appends the storage key of the planned read of key to
-// dst: the spill key of this transaction's own spilled write, or the
-// selected version's key.
-func (p *readPlan) appendStorageKey(dst []byte, key string) []byte {
-	if p.spill {
-		return records.AppendSpillKey(dst, p.spillDir, key)
-	}
-	return p.rec.AppendStorageKeyFor(dst, key)
 }
 
 // keepFetched hands a payload just read from storage to the data cache and
@@ -169,35 +148,21 @@ func (n *Node) keepFetched(storageKey string, v, dst []byte) []byte {
 	return appendValue(dst, v)
 }
 
-// packEntryKey is the data-cache key of one user key's value inside an
-// inline commit record. Record keys contain no NUL byte, so splitting at
-// the first NUL is unambiguous and distinct (recordKey, key) pairs can
-// never collide.
-func packEntryKey(recordKey, key string) string {
-	return recordKey + "\x00" + key
-}
-
-// appendPackEntryKey is packEntryKey for a probe: it appends the entry
-// suffix to the record key's bytes, in the spare capacity of the caller's
-// buffer, leaving recordKey itself intact.
-func appendPackEntryKey(recordKey []byte, key string) []byte {
-	return append(append(recordKey, 0), key...)
-}
-
 // keepInline appends key's value, taken from rec — the stored form of the
-// inline record at recordKey, just read from storage — to dst, and hands
-// it to the data cache under its entry key. The value stays a sub-slice of
-// rec: the cache adopts it, and with no cache and no buffer to fill the
-// caller gets it with its capacity clipped, so extracting copies nothing.
-func (n *Node) keepInline(recordKey, key string, rec, dst []byte) ([]byte, error) {
+// inline record the plan fetched, just read from storage — to dst, and
+// hands it to the data cache under the plan's entry key. The value stays a
+// sub-slice of rec: the cache adopts it, and with no cache and no buffer to
+// fill the caller gets it with its capacity clipped, so extracting copies
+// nothing.
+func (n *Node) keepInline(p *readPlan, key string, rec, dst []byte) ([]byte, error) {
 	v, err := records.InlineValue(rec, key)
 	if err != nil {
-		return dst, fmt.Errorf("aft: reading %s from %s: %w", key, recordKey, err)
+		return dst, fmt.Errorf("aft: reading %s from %s: %w", key, p.fetch, err)
 	}
 	if n.data == nil && dst == nil {
 		return v, nil
 	}
-	n.data.adopt(packEntryKey(recordKey, key), v)
+	n.data.adopt(p.entry, v)
 	return appendValue(dst, v), nil
 }
 
@@ -205,15 +170,23 @@ func (n *Node) keepInline(recordKey, key string, rec, dst []byte) ([]byte, error
 // lives and what was pinned, so the fetch can run outside t.mu and a
 // vanished payload can be unwound.
 type readPlan struct {
-	buffered    bool   // read-your-writes from the write buffer: value
-	value       []byte // the buffered value; never written after Put
-	spill       bool   // read-your-writes from the spill area
-	spillDir    string //
-	target      idgen.ID
-	rec         *records.CommitRecord
-	pinnedNow   bool
-	alreadyRead bool
+	buffered bool   // read-your-writes from the write buffer: value
+	value    []byte // the buffered value; never written after Put
+	spill    bool   // read-your-writes from the spill area
+	// fetch is the storage key holding the value and entry the key the
+	// data cache holds it under: both the spill key, or the selected
+	// version's keys (records.CommitRecord.EntryKey), where an inline
+	// version's fetch is its record's key.
+	fetch, entry string
+	target       idgen.ID
+	rec          *records.CommitRecord
+	pinnedNow    bool
+	alreadyRead  bool
 }
+
+// inline reports whether the plan reads a value out of an inline commit
+// record.
+func (p *readPlan) inline() bool { return !p.spill && p.rec.Inline }
 
 // planRead runs the metadata phase of one read attempt; the caller holds
 // t.mu.
@@ -225,7 +198,8 @@ func (n *Node) planRead(t *txnState, key string) (readPlan, error) {
 	if t.spilled[key] {
 		// Spilled intermediary data is still this transaction's own
 		// write; serve it for read-your-writes.
-		return readPlan{spill: true, spillDir: t.spillDir()}, nil
+		sk := records.SpillKey(t.spillDir(), key)
+		return readPlan{spill: true, fetch: sk, entry: sk}, nil
 	}
 	alreadyRead := t.readOf(key) >= 0
 
@@ -235,12 +209,23 @@ func (n *Node) planRead(t *txnState, key string) (readPlan, error) {
 	if err != nil {
 		return readPlan{}, err
 	}
-	return readPlan{
+	i, ok := rec.Find(key)
+	if !ok {
+		// The version index lists only keys of the record's write set.
+		return readPlan{}, fmt.Errorf("aft: version %v of %q missing from its write set", target, key)
+	}
+	p := readPlan{
+		fetch:       rec.EntryKey(i),
+		entry:       rec.EntryKey(i),
 		target:      target,
 		rec:         rec,
 		pinnedNow:   pinnedNow,
 		alreadyRead: alreadyRead,
-	}, nil
+	}
+	if rec.Inline {
+		p.fetch = rec.Key()
+	}
+	return p, nil
 }
 
 // selectAndPin runs Algorithm 1 for key and, on success, records the read
@@ -248,23 +233,10 @@ func (n *Node) planRead(t *txnState, key string) (readPlan, error) {
 // lock is released, so the version's metadata cannot be deleted between
 // selection and payload fetch (§5.1). The caller holds t.mu.
 func (n *Node) selectAndPin(t *txnState, key string) (idgen.ID, *records.CommitRecord, bool, error) {
-	// Lines 3-5 of Algorithm 1: the lower bound is the largest
-	// transaction in R that cowrote key — we must not return anything
-	// older (case 1 of the inductive proof of Theorem 1). Read records
-	// are pinned, so this pass needs no locks.
-	lower := idgen.Null
-	for i := range t.reads {
-		e := &t.reads[i]
-		if e.rec == nil {
-			// The record is pinned while in R, so this cannot happen
-			// unless bookkeeping broke; fail the read defensively.
-			return idgen.Null, nil, false, fmt.Errorf("aft: read-set transaction %v missing from commit cache", e.id)
-		}
-		if e.rec.Cowritten(key) && lower.Less(e.id) {
-			lower = e.id
-		}
+	lower, err := t.lowerBound(key)
+	if err != nil {
+		return idgen.Null, nil, false, err
 	}
-
 	s := n.stripeFor(key)
 	s.mu.RLock()
 	target, rec, err := n.selectVersionLocked(t, key, lower)
@@ -274,6 +246,27 @@ func (n *Node) selectAndPin(t *txnState, key string) (idgen.ID, *records.CommitR
 	}
 	s.mu.RUnlock()
 	return target, rec, pinnedNow, err
+}
+
+// lowerBound runs lines 3-5 of Algorithm 1: the lower bound is the
+// largest transaction in R that cowrote key — we must not return anything
+// older (case 1 of the inductive proof of Theorem 1). Each check is a
+// binary search of a sorted write set. Read records are pinned, so this
+// pass needs no locks; the caller holds t.mu.
+func (t *txnState) lowerBound(key string) (idgen.ID, error) {
+	lower := idgen.Null
+	for i := range t.reads {
+		e := &t.reads[i]
+		if e.rec == nil {
+			// The record is pinned while in R, so this cannot happen
+			// unless bookkeeping broke; fail the read defensively.
+			return idgen.Null, fmt.Errorf("aft: read-set transaction %v missing from commit cache", e.id)
+		}
+		if lower.Less(e.id) && e.rec.Cowritten(key) {
+			lower = e.id
+		}
+	}
+	return lower, nil
 }
 
 // pinRead records a successful version selection in the transaction's read
@@ -376,26 +369,33 @@ func (n *Node) selectVersionLocked(t *txnState, key string, lower idgen.ID) (idg
 
 	// Lines 13-21: walk candidates newest-first; a candidate kt is valid
 	// unless some key l cowritten with kt was already read at a version
-	// older than t (case 2 of the proof).
+	// older than t (case 2 of the proof). The walk goes over the read set,
+	// each entry older than kt a binary search of kt's sorted write set:
+	// |R|·log|W| compares a candidate, not |W|·|R|.
 	for i := len(candidates) - 1; i >= 0; i-- {
 		tid := candidates[i]
 		rec := s.commits[tid]
 		if rec == nil {
 			continue // concurrently GC'd; skip
 		}
-		valid := true
-		for _, l := range rec.WriteSet {
-			if j := t.readOf(l); j >= 0 && t.reads[j].id.Less(tid) {
-				valid = false
-				break
-			}
-		}
-		if valid {
+		if !t.fractures(tid, rec) {
 			return tid, rec, nil
 		}
 	}
 	// Lines 22-23: no valid version.
 	return idgen.Null, nil, ErrNoValidVersion
+}
+
+// fractures reports whether reading rec's version of a key would fracture
+// the transaction's reads: some key rec wrote was read at a version older
+// than tid, rec's transaction. The caller holds t.mu.
+func (t *txnState) fractures(tid idgen.ID, rec *records.CommitRecord) bool {
+	for j := range t.reads {
+		if e := &t.reads[j]; e.id.Less(tid) && rec.Cowritten(e.key) {
+			return true
+		}
+	}
+	return false
 }
 
 // ReadSet returns a copy of the transaction's current read set. Only tests

@@ -510,7 +510,7 @@ func TestPackedExtractCached(t *testing.T) {
 	if len(versions) != 1 {
 		t.Fatalf("versions of pa = %v", versions)
 	}
-	n.data.evict([]byte(packEntryKey(records.CommitKey(versions[0]), "pa")))
+	n.data.evict(records.CommitKey(versions[0]) + "\x00pa")
 	before = store.Metrics().Snapshot()
 	for i := 0; i < 3; i++ {
 		for key, want := range map[string]string{"pa": "A", "pb": "B"} {

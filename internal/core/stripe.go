@@ -193,18 +193,14 @@ func (n *Node) removeLocked(rec *records.CommitRecord, ss []*stripe, markDeleted
 
 // evictPayloads drops rec's cached payloads: nothing can reference them
 // once the version is unindexed, and keeping them would squat LRU slots.
-// Keys are assembled in a stack buffer: evicting builds no strings.
+// They are cached under the record's own entry keys, so evicting builds
+// nothing.
 func (n *Node) evictPayloads(rec *records.CommitRecord) {
 	if n.data == nil {
 		return
 	}
-	var kb [keyBufLen]byte
-	for _, k := range rec.WriteSet {
-		sk := rec.AppendStorageKeyFor(kb[:0], k)
-		if rec.Inline {
-			sk = appendPackEntryKey(sk, k)
-		}
-		n.data.evict(sk)
+	for i := range rec.WriteSet {
+		n.data.evict(rec.EntryKey(i))
 	}
 }
 

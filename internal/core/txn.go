@@ -382,7 +382,7 @@ func (n *Node) AbortTransaction(ctx context.Context, txid string) error {
 		spillKeys := make([]string, len(spilled))
 		for i, k := range spilled {
 			spillKeys[i] = records.SpillKey(spillDir, k)
-			n.data.evict([]byte(spillKeys[i]))
+			n.data.evict(spillKeys[i])
 		}
 		_ = n.store.BatchDelete(ctx, spillKeys)
 	}

@@ -126,11 +126,12 @@ func TestVoteAllocBudget(t *testing.T) {
 
 // TestCollectAllocBudget pins a global GC round's cost to its calls, not to
 // its size: a round that collects 100 two-key transactions and one that
-// collects 1 000 both stay within collectAllocBudget (20 and 23; the
-// difference is the candidate list growing). Each delete list is one
-// string, sliced; a string per deleted key would cost 3 000 here.
+// collects 1 000 both stay within collectAllocBudget (13 and 16; the
+// difference is the candidate list growing). Each delete list is a slice of
+// the storage keys the records carry; a string per deleted key would cost
+// 3 000 here.
 func TestCollectAllocBudget(t *testing.T) {
-	const collectAllocBudget = 23
+	const collectAllocBudget = 16
 	ctx := context.Background()
 	for _, collected := range []int{100, 1000} {
 		// round builds a manager with collected superseded transactions

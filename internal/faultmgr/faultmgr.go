@@ -345,8 +345,9 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 	// An inline record holds its versions itself: its transaction is one
 	// key to delete, in the second call.
 	//
-	// Each delete list is built in one byte buffer, converted to one
-	// string and sliced, so a round allocates per list, not per key.
+	// Every record carries its storage keys (records.CommitRecord.Seal),
+	// so a delete list is a slice of strings already built: a round
+	// allocates per list, not per key.
 	collected := make([]*records.CommitRecord, 0, len(candidates))
 	var versionCount, versionKeys int
 	for i, rec := range candidates {
@@ -361,22 +362,22 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 	if len(collected) == 0 {
 		return nil, nil
 	}
-	versions, recordKeys := newKeyList(versionKeys), newKeyList(len(collected))
+	versions, recordKeys := make([]string, 0, versionKeys), make([]string, 0, len(collected))
 	for _, rec := range collected {
 		if !rec.Inline {
-			for _, k := range rec.WriteSet {
-				versions.add(rec.AppendStorageKeyFor(versions.buf, k))
+			for i := range rec.WriteSet {
+				versions = append(versions, rec.EntryKey(i))
 			}
 		}
-		recordKeys.add(records.AppendCommitKey(recordKeys.buf, rec.ID()))
+		recordKeys = append(recordKeys, rec.Key())
 	}
 	if versionKeys > 0 {
-		if err := m.store.BatchDelete(ctx, versions.strings()); err != nil {
+		if err := m.store.BatchDelete(ctx, versions); err != nil {
 			return nil, err
 		}
 	}
 	m.metrics.VersionsDeleted.Add(int64(versionCount))
-	if err := m.store.BatchDelete(ctx, recordKeys.strings()); err != nil {
+	if err := m.store.BatchDelete(ctx, recordKeys); err != nil {
 		return nil, err
 	}
 	removed := make([]idgen.ID, len(collected))
@@ -399,37 +400,6 @@ func (m *Manager) CollectOnce(ctx context.Context, maxDelete int) ([]idgen.ID, e
 		}
 	}
 	return removed, nil
-}
-
-// keyList is a list of storage keys kept as one byte buffer and the end
-// offset of each key in it.
-type keyList struct {
-	buf  []byte
-	ends []int
-}
-
-// newKeyList returns a keyList sized for n keys of up to 64 bytes (a data
-// key of a short user key); longer keys grow the buffer.
-func newKeyList(n int) keyList {
-	return keyList{buf: make([]byte, 0, 64*n), ends: make([]int, 0, n)}
-}
-
-// add records buf, which is l.buf with one more key appended, as the list.
-func (l *keyList) add(buf []byte) {
-	l.buf = buf
-	l.ends = append(l.ends, len(buf))
-}
-
-// strings returns the keys as slices of one string.
-func (l *keyList) strings() []string {
-	all := string(l.buf)
-	out := make([]string, len(l.ends))
-	start := 0
-	for i, end := range l.ends {
-		out[i] = all[start:end]
-		start = end
-	}
-	return out
 }
 
 // SweepSpills garbage-collects orphaned spill data (§3.3): intermediary

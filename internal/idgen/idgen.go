@@ -31,6 +31,18 @@ type ID struct {
 	UUID string
 }
 
+// MaxUUIDLen bounds the UUID of every ID a Generator mints, whose node name
+// may take MaxNodeLen bytes of it (NewID's layout adds at most 34), and
+// MaxIDLen bounds the String form of such an ID. A commit record carries
+// the storage keys of its versions, each embedding its transaction's ID, so
+// the bound is what keeps a record's keys proportional to its size: the
+// record decoder refuses a longer UUID.
+const (
+	MaxUUIDLen = 128
+	MaxNodeLen = MaxUUIDLen - 34
+	MaxIDLen   = 20 + 1 + MaxUUIDLen
+)
+
 // Null is the NULL transaction ID; it precedes all real IDs.
 var Null = ID{}
 

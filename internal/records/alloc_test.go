@@ -32,7 +32,9 @@ func TestKeyBuildersAllocateOnce(t *testing.T) {
 // decodes them, and every read of an inline version extracts its value.
 // Encoding into room it is given allocates nothing, Marshal only its
 // result, decoding a 2-key record — inline or not — the record with its key
-// slice inside it, and its one text string, and extracting a value nothing.
+// slices inside it and one buffer for its text and its versions' storage
+// keys, sealing a record the buffer for its keys, and extracting a value
+// nothing.
 func TestRecordCodecAllocBudget(t *testing.T) {
 	rec := NewCommitRecord(idgen.ID{Timestamp: 1700000000000000000, UUID: "node-12-0123456789abcdef"},
 		[]string{"k000001", "k000002"}, "aft-1")
@@ -52,6 +54,7 @@ func TestRecordCodecAllocBudget(t *testing.T) {
 				t.Fatalf("UnmarshalCommitRecord = %+v, %v", got, err)
 			}
 		}},
+		{"Seal", 1, func() { rec.Seal() }},
 		{"AppendInline", 0, func() { buf = rec.AppendInline(buf[:0], values) }},
 		{"UnmarshalCommitRecord/inline", 2, func() {
 			if got, err := UnmarshalCommitRecord(inline); err != nil || !got.Inline {

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
+
+	"aft/internal/idgen"
 )
 
 // The stored form of a commit record is binary. It opens with a version
@@ -25,10 +28,11 @@ import (
 //	values    Inline only: each WriteSet key's value, back to back, to the
 //	          end of the input
 //
-// An inline record spills nothing and lists its write set in strictly
-// ascending order, so each key names exactly one value. Every uvarint is
-// minimal, and the lengths account for the input exactly, so an input the
-// decoder accepts is the one encoding of what it decodes to.
+// Every record lists its write set and its spilled keys in strictly
+// ascending order, and an inline record spills nothing, so each of its
+// keys names exactly one value. Every uvarint is minimal, and the lengths
+// account for the input exactly, so an input the decoder accepts is the
+// one encoding of what it decodes to.
 
 const (
 	recordVersion = 1
@@ -114,7 +118,8 @@ func (r *CommitRecord) InlineSize(values [][]byte) int {
 // AppendInline appends the stored form of an inline record to dst: the
 // record followed by values, where values[i] is the value of WriteSet[i].
 // The record must spill nothing and list its write set in strictly
-// ascending order, which a commit's sorted write buffer gives it. Into a
+// ascending order, as every record's must, which a commit's sorted write
+// buffer gives it. Into a
 // dst with room for the record it allocates nothing.
 func (r *CommitRecord) AppendInline(dst []byte, values [][]byte) []byte {
 	if values == nil {
@@ -223,12 +228,15 @@ func parseLayout(b []byte) (layout, error) {
 
 // UnmarshalCommitRecord decodes a stored commit record. It rejects an
 // unknown version or flag, a truncated input, a length that runs past the
-// input, bytes left over and an inline write set out of order; whatever it
+// input, bytes left over, a UUID or spill directory longer than an ID
+// (idgen.MaxUUIDLen) and a write set or spilled keys out of order;
+// whatever it
 // accepts, Marshal re-encodes to b — or, for an inline record, AppendInline
 // with the values InlineValue finds in b. An inline record's values are
-// skipped: the record it returns holds keys only. The record's strings all
-// share one copy of b's text, and a record of up to two keys holds its key
-// slice in its own allocation (AllocRecord).
+// skipped: the record it returns holds keys only. The record comes back
+// sealed: its strings and the storage keys of its versions all share one
+// allocation, and a record of up to two keys holds its key slices in its
+// own allocation (AllocRecord).
 func UnmarshalCommitRecord(b []byte) (*CommitRecord, error) {
 	r, err := unmarshalCommitRecord(b)
 	if err != nil {
@@ -242,37 +250,74 @@ func unmarshalCommitRecord(b []byte) (*CommitRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	text := string(lay.rest[:lay.textLen])
-	cut := func(n int) string {
+	// Every storage key of the record embeds its ID or its spill directory
+	// (itself an ID): bounding both keeps the keys proportional to b.
+	if lay.fields[0] > idgen.MaxUUIDLen || lay.fields[2] > idgen.MaxIDLen {
+		return nil, fmt.Errorf("UUID of %d bytes or spill directory of %d, longer than an ID", lay.fields[0], lay.fields[2])
+	}
+	r, keys := AllocRecord(lay.nws + lay.nsp)
+	r.Timestamp = int64(binary.BigEndian.Uint64(b[2:]))
+	r.Inline = lay.inline
+	// The record's text is first cut from a view of b, which sizes its
+	// storage keys; then moved to the one buffer that holds the text and
+	// the keys, so the record keeps nothing of b.
+	src := lay.rest[:lay.textLen]
+	lay.cut(r, keys, unsafe.String(unsafe.SliceData(src), len(src)))
+	if err := r.checkOrder(); err != nil {
+		return nil, err
+	}
+	r.rebase(r.buildKeys(src))
+	return r, nil
+}
+
+// rebase re-slices the record's strings from text, a copy of the text
+// they were cut from: they lie in it back to back, in the order the stored
+// form lists them.
+func (r *CommitRecord) rebase(text string) {
+	next := func(s string) string {
+		s = text[:len(s)]
+		text = text[len(s):]
+		return s
+	}
+	r.UUID = next(r.UUID)
+	r.Node = next(r.Node)
+	r.SpillDir = next(r.SpillDir)
+	r.TraceID = next(r.TraceID)
+	for _, keys := range [...][]string{r.WriteSet, r.Spilled} {
+		for i := range keys {
+			keys[i] = next(keys[i])
+		}
+	}
+}
+
+// cut sets r's strings to slices of text, the record's text as laid out in
+// the stored form, and its WriteSet and Spilled to slices of keys, which
+// has room for them.
+func (lay *layout) cut(r *CommitRecord, keys []string, text string) {
+	next := func(n int) string {
 		s := text[:n]
 		text = text[n:]
 		return s
 	}
+	r.UUID = next(lay.fields[0])
+	r.Node = next(lay.fields[1])
+	r.SpillDir = next(lay.fields[2])
+	r.TraceID = next(lay.fields[3])
 	nws, nsp := lay.nws, lay.nsp
-	r, keys := AllocRecord(nws + nsp)
-	r.Timestamp = int64(binary.BigEndian.Uint64(b[2:]))
-	r.Inline = lay.inline
-	r.UUID = cut(lay.fields[0])
-	r.Node = cut(lay.fields[1])
-	r.SpillDir = cut(lay.fields[2])
-	r.TraceID = cut(lay.fields[3])
-	if nws+nsp > 0 {
-		keys = keys[:nws+nsp]
-		l := lengths{b: lay.lens}
-		for i := range keys {
-			keys[i] = cut(l.next(len(b)))
-			if r.Inline && i > 0 && keys[i-1] >= keys[i] {
-				return nil, fmt.Errorf("inline key %q out of order after %q", keys[i], keys[i-1])
-			}
-		}
-		if nws > 0 {
-			r.WriteSet = keys[:nws:nws]
-		}
-		if nsp > 0 {
-			r.Spilled = keys[nws:]
-		}
+	if nws+nsp == 0 {
+		return
 	}
-	return r, nil
+	keys = keys[:nws+nsp]
+	l := lengths{b: lay.lens}
+	for i := range keys {
+		keys[i] = next(l.next(len(lay.lens)))
+	}
+	if nws > 0 {
+		r.WriteSet = keys[:nws:nws]
+	}
+	if nsp > 0 {
+		r.Spilled = keys[nws:]
+	}
 }
 
 // InlineValue returns key's value in b, the stored form of an inline

@@ -22,6 +22,7 @@ func sampleRecords() []*CommitRecord {
 	spilled := NewCommitRecord(id, []string{"a", "b/c", "d%e"}, "aft-2")
 	spilled.SpillDir = "1699999999999999999_node-1-0123456789abcdef"
 	spilled.Spilled = []string{"b/c"}
+	spilled.Seal()
 	sorted := NewCommitRecord(id, []string{"p", "q"}, "aft-3")
 	traced := NewCommitRecord(idgen.ID{Timestamp: -1, UUID: ""}, nil, "")
 	traced.TraceID = "00f067aa0ba902b7"
@@ -50,7 +51,10 @@ func sampleInline() []inlineCase {
 		{traced, [][]byte{[]byte("1"), []byte("22"), []byte("333")}, nil},
 	}
 	for i := range cases {
-		cases[i].enc = cases[i].rec.AppendInline(nil, cases[i].values)
+		rec := cases[i].rec
+		rec.Inline = true
+		rec.Seal()
+		cases[i].enc = rec.AppendInline(nil, cases[i].values)
 	}
 	return cases
 }
@@ -69,6 +73,30 @@ func allocatedDuring(f func()) uint64 {
 // fuzzing runtime allocates meanwhile (the count is process-wide).
 func allocLimit(n int) uint64 { return uint64(64*n + 1<<20) }
 
+// unorderedTwoPhase is the stored form of a two-phase record whose write
+// set is out of order, which no commit writes and the decoder refuses.
+func unorderedTwoPhase() []byte {
+	r := NewCommitRecord(idgen.ID{Timestamp: 1, UUID: "u"}, []string{"a", "b"}, "")
+	r.WriteSet = []string{"b", "a"}
+	b, _ := r.Marshal()
+	return b
+}
+
+// checkSealed fails t unless rec's storage keys are the ones the layout
+// gives its versions: EntryKey the data, spill or inline entry key of each
+// write-set key, and Key the record's commit key.
+func checkSealed(t *testing.T, rec *CommitRecord) {
+	t.Helper()
+	for i, k := range rec.WriteSet {
+		if got, want := rec.EntryKey(i), refEntryKey(rec, k); got != want {
+			t.Fatalf("EntryKey(%d) of %q = %q, want %q", i, k, got, want)
+		}
+	}
+	if got, want := rec.Key(), CommitPrefix+refID(rec.ID()); got != want {
+		t.Fatalf("Key() = %q, want %q", got, want)
+	}
+}
+
 func FuzzUnmarshalCommitRecord(f *testing.F) {
 	for _, rec := range sampleRecords() {
 		b, _ := rec.Marshal()
@@ -82,6 +110,7 @@ func FuzzUnmarshalCommitRecord(f *testing.F) {
 	valid := sampleInline()[0].enc
 	f.Add(valid[:len(valid)-1])
 	f.Add(append(append([]byte(nil), valid[:len(valid)-300]...), valid[len(valid)-299:]...))
+	f.Add(unorderedTwoPhase())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec *CommitRecord
 		var err error
@@ -91,6 +120,7 @@ func FuzzUnmarshalCommitRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkSealed(t, rec)
 		again, _ := rec.Marshal()
 		if rec.Inline {
 			values := make([][]byte, len(rec.WriteSet))

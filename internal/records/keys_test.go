@@ -2,6 +2,7 @@ package records
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,6 +26,19 @@ func refDataKey(key string, id idgen.ID) string {
 
 func refSpillKey(dir, key string) string { return SpillPrefix + dir + "/" + refEscape(key) }
 
+// refEntryKey is the entry key of rec's version of key: the record's key, a
+// NUL byte and key for an inline record, else its spill or data key.
+func refEntryKey(rec *CommitRecord, key string) string {
+	switch {
+	case rec.Inline:
+		return CommitPrefix + refID(rec.ID()) + "\x00" + key
+	case slices.Contains(rec.Spilled, key):
+		return refSpillKey(rec.SpillDir, key)
+	default:
+		return refDataKey(key, rec.ID())
+	}
+}
+
 // checkKeyBuilders asserts byte identity with the reference layout for one
 // input and, where the layout is invertible, the round trip through the
 // parsers. (A '/' in the UUID or the spill directory never occurs — both
@@ -46,24 +60,27 @@ func checkKeyBuilders(t *testing.T, key, uuid string, ts int64) {
 		t.Fatalf("AppendDataKey(x, %q, %v) = %q, want %q", key, id, got, "x"+dk)
 	}
 	rec := NewCommitRecord(id, []string{key}, "n")
-	if got := string(rec.AppendStorageKeyFor([]byte("x"), key)); got != "x"+dk {
-		t.Fatalf("AppendStorageKeyFor(%q) = %q, want %q", key, got, "x"+dk)
-	}
 	ck := CommitKey(id)
 	if want := CommitPrefix + refID(id); ck != want {
 		t.Fatalf("CommitKey(%v) = %q, want %q", id, ck, want)
 	}
-	if got := string(AppendCommitKey([]byte("x"), id)); got != "x"+ck {
-		t.Fatalf("AppendCommitKey(%v) = %q, want %q", id, got, "x"+ck)
+	if rec.EntryKey(0) != dk || rec.Key() != ck {
+		t.Fatalf("sealed keys of %q = %q, %q; want %q, %q", key, rec.EntryKey(0), rec.Key(), dk, ck)
 	}
 	rec.Inline = true
-	if got := string(rec.AppendStorageKeyFor([]byte("x"), key)); got != "x"+ck {
-		t.Fatalf("inline AppendStorageKeyFor(%q) = %q, want %q", key, got, "x"+ck)
+	rec.Seal()
+	if want := ck + "\x00" + key; rec.EntryKey(0) != want || rec.Key() != ck {
+		t.Fatalf("sealed inline keys of %q = %q, %q; want %q, %q", key, rec.EntryKey(0), rec.Key(), want, ck)
 	}
 	dir := refID(id)
 	sk := SpillKey(dir, key)
 	if want := refSpillKey(dir, key); sk != want {
 		t.Fatalf("SpillKey(%q, %q) = %q, want %q", dir, key, sk, want)
+	}
+	rec.Inline, rec.SpillDir, rec.Spilled = false, dir, []string{key}
+	rec.Seal()
+	if rec.EntryKey(0) != sk || rec.Key() != ck {
+		t.Fatalf("sealed spilled keys of %q = %q, %q; want %q, %q", key, rec.EntryKey(0), rec.Key(), sk, ck)
 	}
 	if strings.Contains(uuid, "/") {
 		return

@@ -13,7 +13,9 @@ package records
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"unsafe"
 
 	"aft/internal/idgen"
 )
@@ -30,6 +32,17 @@ const (
 	// invisible until the commit record referencing it is persisted.
 	SpillPrefix = "aft/s/"
 )
+
+// escapedLen returns len(appendEscaped(nil, key)).
+func escapedLen(key string) int {
+	n := len(key)
+	for i := 0; i < len(key); i++ {
+		if key[i] == '%' || key[i] == '/' {
+			n += 2
+		}
+	}
+	return n
+}
 
 // appendEscaped appends key to dst with '%' and '/' (the layout separator)
 // escaped as "%25" and "%2F", so a user key is safe to embed in a storage
@@ -67,19 +80,18 @@ const keyBufLen = 128
 // AppendDataKey appends the unique storage key holding the version of key
 // written by transaction id to dst.
 func AppendDataKey(dst []byte, key string, id idgen.ID) []byte {
-	dst = append(dst, DataPrefix...)
-	dst = appendEscaped(dst, key)
-	dst = append(dst, '/')
-	return id.Append(dst)
+	var b [idgen.MaxIDLen]byte
+	return appendDataKey(dst, key, id.Append(b[:0]))
+}
+
+// appendDataKey is AppendDataKey with the ID in its String form.
+func appendDataKey(dst []byte, key string, id []byte) []byte {
+	dst = appendEscaped(append(dst, DataPrefix...), key)
+	return append(append(dst, '/'), id...)
 }
 
 // CommitKey returns the storage key of transaction id's commit record.
 func CommitKey(id idgen.ID) string { return prefixedID(CommitPrefix, id) }
-
-// AppendCommitKey appends CommitKey(id) to dst.
-func AppendCommitKey(dst []byte, id idgen.ID) []byte {
-	return id.Append(append(dst, CommitPrefix...))
-}
 
 // prefixedID returns prefix + id.String() in one allocation.
 func prefixedID(prefix string, id idgen.ID) string {
@@ -133,7 +145,8 @@ type CommitRecord struct {
 	// Timestamp and UUID form the transaction ID.
 	Timestamp int64
 	UUID      string
-	// WriteSet lists the user keys written by the transaction.
+	// WriteSet lists the user keys written by the transaction, in
+	// ascending order.
 	WriteSet []string
 	// Node identifies the committing AFT node (diagnostics only; the
 	// protocols never depend on it).
@@ -142,7 +155,7 @@ type CommitRecord struct {
 	// for the keys in Spilled (written early by a saturated write buffer).
 	SpillDir string
 	// Spilled lists the keys whose payload lives under SpillDir rather
-	// than at the conventional data key.
+	// than at the conventional data key, in ascending order.
 	Spilled []string
 	// Inline marks a record whose stored form carries the value of every
 	// key in WriteSet (codec.go): the transaction wrote no other storage
@@ -156,29 +169,40 @@ type CommitRecord struct {
 	// the (overwhelmingly common) untraced transactions, which then pay
 	// one length byte for it in the stored form (codec.go).
 	TraceID string
+
+	// entries[i] is the entry key of WriteSet[i] (EntryKey) and key the
+	// record's own storage key (Key): slices of one string, built once by
+	// Seal or UnmarshalCommitRecord before the record is shared.
+	entries []string
+	key     string
 }
 
 // inlineKeys is how many keys a record carries inside its own allocation:
 // the paper's transaction of two Puts (§6).
 const inlineKeys = 2
 
-// recordKeys is a record and room for a small transaction's keys, one
-// allocation: the record's key slices point into keys when they fit.
+// recordKeys is a record and room for a small transaction's keys and their
+// entry keys, one allocation: the record's key slices point into keys when
+// they fit.
 type recordKeys struct {
 	rec  CommitRecord
-	keys [inlineKeys]string
+	keys [2 * inlineKeys]string
 }
 
 // AllocRecord returns a zero record and an empty slice with room for keys
-// keys, from which the caller slices the record's WriteSet and Spilled. Up
-// to inlineKeys keys live inside the record's own allocation; more take a
+// keys, from which the caller slices the record's WriteSet and Spilled.
+// The same allocation holds room for the entry keys Seal builds. Up to
+// inlineKeys keys live inside the record's own allocation; more take a
 // slice of their own.
 func AllocRecord(keys int) (*CommitRecord, []string) {
 	rk := new(recordKeys)
-	if keys <= inlineKeys {
-		return &rk.rec, rk.keys[:0:keys]
+	room := rk.keys[:]
+	if keys > inlineKeys {
+		room = make([]string, 2*keys)
 	}
-	return &rk.rec, make([]string, 0, keys)
+	half := len(room) / 2
+	rk.rec.entries = room[half:half]
+	return &rk.rec, room[:0:keys]
 }
 
 // ApproxBytes estimates the record's resident memory: string headers and
@@ -187,29 +211,17 @@ func AllocRecord(keys int) (*CommitRecord, []string) {
 // an estimate is enough, because the gauge tracks growth rather than
 // measures the heap.
 func (r *CommitRecord) ApproxBytes() int {
-	b := 96 + len(r.UUID) + len(r.Node) + len(r.SpillDir) + len(r.TraceID)
+	b := 96 + len(r.UUID) + len(r.Node) + len(r.SpillDir) + len(r.TraceID) + len(r.key)
 	for _, k := range r.WriteSet {
 		b += 2*len(k) + 48 // write-set entry + version-index entry
+	}
+	for _, e := range r.entries {
+		b += len(e) + 16
 	}
 	for _, k := range r.Spilled {
 		b += len(k) + 16
 	}
 	return b
-}
-
-// AppendStorageKeyFor appends the storage key holding this transaction's
-// version of key to dst: the commit key of an inline record, the spill key
-// of a spilled payload, or else the data key.
-func (r *CommitRecord) AppendStorageKeyFor(dst []byte, key string) []byte {
-	if r.Inline {
-		return AppendCommitKey(dst, r.ID())
-	}
-	for _, s := range r.Spilled {
-		if s == key {
-			return AppendSpillKey(dst, r.SpillDir, key)
-		}
-	}
-	return AppendDataKey(dst, key, r.ID())
 }
 
 // ID returns the transaction ID of the record.
@@ -218,25 +230,135 @@ func (r *CommitRecord) ID() idgen.ID {
 }
 
 // Cowritten reports whether key is in the record's write set — i.e. whether
-// key was cowritten with every other key version of this transaction.
+// key was cowritten with every other key version of this transaction. The
+// write set is strictly ascending, so this is a binary search.
 func (r *CommitRecord) Cowritten(key string) bool {
-	for _, k := range r.WriteSet {
-		if k == key {
-			return true
-		}
-	}
-	return false
+	_, ok := r.Find(key)
+	return ok
 }
 
-// NewCommitRecord builds a record for transaction id writing writeSet from
-// node. The write set is copied.
-func NewCommitRecord(id idgen.ID, writeSet []string, node string) *CommitRecord {
-	return &CommitRecord{
-		Timestamp: id.Timestamp,
-		UUID:      id.UUID,
-		WriteSet:  append([]string(nil), writeSet...),
-		Node:      node,
+// Find returns the index of key in the record's write set and true, or
+// false when the transaction did not write key.
+func (r *CommitRecord) Find(key string) (int, bool) {
+	return slices.BinarySearch(r.WriteSet, key)
+}
+
+// Key returns the storage key of the record itself: CommitKey(r.ID()).
+// For an inline record it is also where every version's value is read
+// from.
+func (r *CommitRecord) Key() string { return r.key }
+
+// EntryKey returns the entry key of WriteSet[i]: the key the node's data
+// cache holds that version's value under. It is the version's storage key
+// (its data key, or its spill key), or for an inline record the record's
+// key, a NUL byte and the user key. Record keys hold no NUL byte, so that
+// splits one way only and two versions never share an entry key.
+func (r *CommitRecord) EntryKey(i int) string { return r.entries[i] }
+
+// Seal builds the storage keys of the record's versions, which Key and
+// EntryKey return, as one string: one allocation, and into a record from
+// AllocRecord nothing more. Call it once every field is set and before the
+// record is shared; a sealed record is read by many goroutines and never
+// changes again. Its write set and spilled keys must be strictly
+// ascending: a commit takes them from its sorted write buffer and spill
+// list, so anything else is a bug, and Seal panics.
+func (r *CommitRecord) Seal() {
+	if err := r.checkOrder(); err != nil {
+		panic("records: sealing a record whose " + err.Error())
 	}
+	r.buildKeys(nil)
+}
+
+// checkOrder reports an error unless the record's write set and spilled
+// keys are each strictly ascending: sorted and without repeats.
+func (r *CommitRecord) checkOrder() error {
+	for _, l := range [...]struct {
+		name string
+		keys []string
+	}{{"write set", r.WriteSet}, {"spilled set", r.Spilled}} {
+		for i := 1; i < len(l.keys); i++ {
+			if l.keys[i-1] >= l.keys[i] {
+				return fmt.Errorf("%s has key %q out of order after %q", l.name, l.keys[i], l.keys[i-1])
+			}
+		}
+	}
+	return nil
+}
+
+// spilled reports whether key's payload lives under the spill directory.
+func (r *CommitRecord) spilled(key string) bool {
+	_, ok := slices.BinarySearch(r.Spilled, key)
+	return ok
+}
+
+// buildKeys allocates one buffer holding text and then the record's
+// storage keys, sets the record's keys to slices of it, and returns the
+// text's copy in it. The buffer is sized exactly, and each string is
+// sliced from it once its bytes are written, which are never written
+// again: so the strings are immutable, and they cost one allocation, which
+// a string conversion would double.
+func (r *CommitRecord) buildKeys(text []byte) string {
+	var ib [idgen.MaxIDLen]byte
+	id := r.ID().Append(ib[:0])
+	n := len(text) + len(CommitPrefix) + len(id)
+	for _, k := range r.WriteSet {
+		n += r.entryLen(k, len(id))
+	}
+	buf := append(make([]byte, 0, n), text...)
+	// buf has room for every key, so appending never moves it: all views
+	// the whole of it, and each key is sliced from all once it is written.
+	all := unsafe.String(unsafe.SliceData(buf), n)
+	r.entries = r.entries[:0]
+	for _, k := range r.WriteSet {
+		start := len(buf)
+		buf = r.appendEntryKey(buf, k, id)
+		r.entries = append(r.entries, all[start:len(buf)])
+	}
+	start := len(buf)
+	buf = append(append(buf, CommitPrefix...), id...)
+	r.key = all[start:len(buf)]
+	return all[:len(text)]
+}
+
+// appendEntryKey appends key's entry key (EntryKey) to dst; id is the
+// record's ID in its String form.
+func (r *CommitRecord) appendEntryKey(dst []byte, key string, id []byte) []byte {
+	switch {
+	case r.Inline:
+		dst = append(append(dst, CommitPrefix...), id...)
+		return append(append(dst, 0), key...)
+	case r.spilled(key):
+		return AppendSpillKey(dst, r.SpillDir, key)
+	default:
+		return appendDataKey(dst, key, id)
+	}
+}
+
+// entryLen returns len(r.appendEntryKey(nil, key, id)) for an id of idLen
+// bytes.
+func (r *CommitRecord) entryLen(key string, idLen int) int {
+	switch {
+	case r.Inline:
+		return len(CommitPrefix) + idLen + 1 + len(key)
+	case r.spilled(key):
+		return len(SpillPrefix) + len(r.SpillDir) + 1 + escapedLen(key)
+	default:
+		return len(DataPrefix) + escapedLen(key) + 1 + idLen
+	}
+}
+
+// NewCommitRecord builds a sealed record for transaction id writing
+// writeSet from node. The write set is copied, sorted and rid of repeats.
+func NewCommitRecord(id idgen.ID, writeSet []string, node string) *CommitRecord {
+	r, ws := AllocRecord(len(writeSet))
+	ws = append(ws, writeSet...)
+	slices.Sort(ws)
+	r.Timestamp, r.UUID, r.Node = id.Timestamp, id.UUID, node
+	if len(ws) > 0 {
+		r.WriteSet = slices.Compact(ws)
+	}
+	r.Seal()
+	return r
 }
 
 // KeyVersion names one version of one user key.

@@ -2,6 +2,7 @@ package records
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -119,16 +120,54 @@ func TestUnmarshalCommitRecordError(t *testing.T) {
 	}
 	// Inline records that carry a key's value twice or spill.
 	inline := func(keys []string, spilled ...string) []byte {
-		r := NewCommitRecord(idgen.ID{Timestamp: 1, UUID: "u"}, keys, "")
-		r.Spilled = spilled
+		r := NewCommitRecord(idgen.ID{Timestamp: 1, UUID: "u"}, nil, "")
+		r.WriteSet, r.Spilled = keys, spilled
 		return r.AppendInline(nil, make([][]byte, len(keys)))
 	}
 	bad["inline out of order"] = inline([]string{"b", "a"})
 	bad["inline repeated"] = inline([]string{"a", "a"})
 	bad["inline spilled"] = inline([]string{"a"}, "a")
+	bad["two-phase out of order"] = unorderedTwoPhase()
+	long := NewCommitRecord(idgen.ID{Timestamp: 1, UUID: strings.Repeat("u", idgen.MaxUUIDLen+1)}, []string{"a"}, "")
+	bad["UUID longer than an ID"], _ = long.Marshal()
+	spill := NewCommitRecord(idgen.ID{Timestamp: 1, UUID: "u"}, []string{"a"}, "")
+	spill.SpillDir, spill.Spilled = strings.Repeat("d", idgen.MaxIDLen+1), []string{"a"}
+	bad["spill directory longer than an ID"], _ = spill.Marshal()
+	spill.WriteSet, spill.SpillDir, spill.Spilled = []string{"a", "b"}, "d", []string{"b", "a"}
+	bad["spilled out of order"], _ = spill.Marshal()
 	for name, b := range bad {
 		if rec, err := UnmarshalCommitRecord(b); err == nil {
 			t.Errorf("%s: accepted as %+v", name, rec)
+		}
+	}
+}
+
+// TestUnmarshalKeysProportionalToInput: a decoded record builds the
+// storage key of every version, each embedding its ID. With the longest ID
+// a node mints and as many short keys as fit, the keys still cost no more
+// than the fuzz target's bound on what decoding its input may allocate.
+func TestUnmarshalKeysProportionalToInput(t *testing.T) {
+	keys := make([]string, 20000)
+	for i := range keys {
+		keys[i] = string([]byte{byte(i >> 8), byte(i)})
+	}
+	id := idgen.ID{Timestamp: math.MinInt64, UUID: strings.Repeat("u", idgen.MaxUUIDLen)}
+	for _, inline := range []bool{false, true} {
+		rec := NewCommitRecord(id, keys, "")
+		var enc []byte
+		if inline {
+			enc = rec.AppendInline(nil, make([][]byte, len(keys)))
+		} else {
+			enc, _ = rec.Marshal()
+		}
+		var err error
+		got := allocatedDuring(func() { _, err = UnmarshalCommitRecord(enc) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("inline=%v: decoding %d bytes allocated %d", inline, len(enc), got)
+		if limit := allocLimit(len(enc)); got > limit {
+			t.Errorf("inline=%v: decoding %d bytes allocated %d, limit %d", inline, len(enc), got, limit)
 		}
 	}
 }
@@ -141,10 +180,8 @@ func TestPackRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := *c.rec
-		want.Inline = true
-		if !reflect.DeepEqual(got, &want) {
-			t.Fatalf("inline round trip:\n got  %+v\n want %+v", got, &want)
+		if !reflect.DeepEqual(got, c.rec) {
+			t.Fatalf("inline round trip:\n got  %+v\n want %+v", got, c.rec)
 		}
 		if n := c.rec.InlineSize(c.values); n != len(c.enc) {
 			t.Fatalf("InlineSize = %d, encoding holds %d", n, len(c.enc))
@@ -178,6 +215,29 @@ func TestNewCommitRecordCopiesWriteSet(t *testing.T) {
 	if rec.WriteSet[0] != "a" {
 		t.Fatal("write set aliased caller slice")
 	}
+}
+
+func TestNewCommitRecordSortsWriteSet(t *testing.T) {
+	ws := []string{"c", "a", "b", "a"}
+	rec := NewCommitRecord(idgen.ID{Timestamp: 1, UUID: "u"}, ws, "")
+	if want := []string{"a", "b", "c"}; !reflect.DeepEqual(rec.WriteSet, want) {
+		t.Fatalf("WriteSet = %q, want %q", rec.WriteSet, want)
+	}
+	if ws[0] != "c" {
+		t.Fatal("NewCommitRecord sorted the caller's slice")
+	}
+	checkSealed(t, rec)
+}
+
+func TestSealRejectsUnorderedWriteSet(t *testing.T) {
+	rec := NewCommitRecord(idgen.ID{Timestamp: 1, UUID: "u"}, []string{"a", "b"}, "")
+	rec.WriteSet = []string{"b", "a"}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Seal accepted a write set out of order")
+		}
+	}()
+	rec.Seal()
 }
 
 func TestKeyVersionString(t *testing.T) {

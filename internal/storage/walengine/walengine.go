@@ -105,6 +105,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -346,11 +347,19 @@ type Store struct {
 	// crashes mid-checkpoint.
 	ckptHook func(stage string) error
 
+	// dirLock (guarded by mu) holds the log directory's lock while the
+	// engine is open (lockDir).
+	dirLock *os.File
+
 	metrics storage.Metrics
 	wal     Metrics
 }
 
 var _ storage.Store = (*Store)(nil)
+
+// ErrLocked reports a log directory that another open engine holds: in
+// this process or another, until it is closed, crashed or killed.
+var ErrLocked = errors.New("walengine: log directory is locked by another open engine")
 
 // fsyncBuckets lays out aft_wal_fsync_seconds: doubling from 16 µs, since
 // a sync of overwritten blocks takes tens of microseconds and one that
@@ -358,7 +367,9 @@ var _ storage.Store = (*Store)(nil)
 var fsyncBuckets = telemetry.LogBuckets(16*time.Microsecond, time.Second, 2)
 
 // Open replays the write-ahead log in dir (created if absent) and makes an
-// empty segment active for new appends.
+// empty segment active for new appends. The engine holds dir locked until
+// Close or Crash (Reopen locks it again): while it does, another Open of
+// dir fails with ErrLocked.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{dir: dir, cfg: opts.withDefaults(), fsyncTime: telemetry.NewHistogram(fsyncBuckets)}
 	s.sy.cond.L = &s.sy.mu
@@ -432,14 +443,25 @@ type replayEntry struct {
 	l   loc
 }
 
-// load scans the directory, replays every segment (truncating torn
-// tails), rebuilds the key index by max LSN per key, and makes an empty
-// segment active: the last one when it is empty, else a fresh one. When a
-// valid checkpoint is present the index is seeded from it and only bytes
-// past each segment's covered watermark are replayed — recovery
-// proportional to the tail, not the log. Callers hold no locks (Open) or
-// s.mu (Reopen).
-func (s *Store) load() error {
+// load locks the directory (lockDir), scans it, replays every segment
+// (truncating torn tails), rebuilds the key index by max LSN per key, and
+// makes an empty segment active: the last one when it is empty, else a
+// fresh one. When a valid checkpoint is present the index is seeded from it
+// and only bytes past each segment's covered watermark are replayed —
+// recovery proportional to the tail, not the log. A failed load releases
+// the lock. Callers hold no locks (Open) or s.mu (Reopen).
+func (s *Store) load() (err error) {
+	lock, err := lockDir(s.dir)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			lock.Close()
+			return
+		}
+		s.dirLock = lock
+	}()
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("walengine: %w", err)
@@ -769,8 +791,8 @@ func (s *Store) awaitCompaction() {
 	s.compactMu.Unlock()
 }
 
-// closeLocked marks the engine down, deletes the spare and closes every
-// segment handle. Callers hold s.mu.
+// closeLocked marks the engine down, deletes the spare, closes every
+// segment handle and releases the directory lock. Callers hold s.mu.
 func (s *Store) closeLocked() {
 	s.closed = true
 	s.dropSpareLocked()
@@ -780,6 +802,8 @@ func (s *Store) closeLocked() {
 	s.segs = nil
 	s.active = nil
 	s.index = nil
+	s.dirLock.Close()
+	s.dirLock = nil
 }
 
 // Reopen replays the log directory after a Close or Crash, restoring
